@@ -9,10 +9,11 @@ that actually runs on the host:
 * :class:`SpanRecorder` — a preallocated per-worker ring buffer of phase
   **spans** (slice-decode, composite, warp, queue wait, profile
   collapse, steal synchronization, barrier) and **counters** (rows
-  composited, slice-cache hits/misses, chunk steals and the scanlines
-  they moved).  Backed by shared memory in the multiprocessing pool so
-  recording adds no queue traffic on the hot path; a disabled recorder
-  (``None``) costs nothing.
+  composited, slice-cache hits/misses and the microseconds spent
+  decoding the misses, chunk steals and the scanlines they moved).
+  Backed by shared memory in the multiprocessing pool so recording adds
+  no queue traffic on the hot path; a disabled recorder (``None``)
+  costs nothing.
 * :class:`FrameTimeline` + :func:`export_chrome_trace` — the parent
   assembles per-frame timelines and exports Chrome trace-event JSON
   (loadable in Perfetto / ``chrome://tracing``, one track per worker).

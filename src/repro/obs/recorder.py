@@ -59,8 +59,13 @@ PHASES = ("wait", "decode", "composite", "profile", "steal", "barrier", "warp",
 #: Counter names.  ``steals``/``steal_rows`` count successful chunk
 #: steals and the scanlines they moved — recorded by the MP pool's
 #: chunked claim/steal loop (and mirrored by the event-driven scheduler
-#: models).
-COUNTERS = ("rows", "cache_hits", "cache_misses", "steals", "steal_rows")
+#: models).  ``decode_us`` is the time spent filling slice-cache misses
+#: during the frame (it lies inside the ``composite`` span, where the
+#: kernels pull slices); like the hit/miss tallies it is a delta of the
+#: encoding's cache, which the thread pool's workers share.  New
+#: counters are appended last so existing counter ids stay stable.
+COUNTERS = ("rows", "cache_hits", "cache_misses", "steals", "steal_rows",
+            "decode_us")
 
 #: Records per worker ring.  A pool frame writes ~8 records per worker,
 #: so the default absorbs hundreds of frames between drains.

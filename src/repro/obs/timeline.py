@@ -228,7 +228,7 @@ def summarize_trace(trace: dict) -> dict:
     (``X``) events feed the phase table; busy time per frame/track is
     composite + warp; counter (``C``) events are summed over workers and
     frames by name (``steals``, ``steal_rows``, ``rows``, cache
-    hits/misses).
+    hits/misses, ``decode_us``).
     """
     phases: dict[str, dict[str, float]] = {}
     frames: dict[int, dict[int, float]] = {}

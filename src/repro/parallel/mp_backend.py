@@ -1011,7 +1011,7 @@ def _render_job(pid, job, renderer, kernel, done, barrier, shm_i, shm_f,
                 tc0 = rec.now()
                 rec.span(frame, "decode", td0, tc0)
                 cache = rle.slice_cache
-                cache_stats0 = (cache.hits, cache.misses)
+                cache_stats0 = (cache.hits, cache.misses, cache.decode_s)
             if profiled:
                 _maybe_fault(fault, pid, frame, "profile")
             _maybe_fault(fault, pid, frame, "composite")
@@ -1067,6 +1067,8 @@ def _render_job(pid, job, renderer, kernel, done, barrier, shm_i, shm_f,
                 rec.count(frame, "cache_hits", cache.hits - cache_stats0[0])
                 rec.count(frame, "cache_misses",
                           cache.misses - cache_stats0[1])
+                rec.count(frame, "decode_us",
+                          (cache.decode_s - cache_stats0[2]) * 1e6)
         finally:
             # Busy time stops at the barrier: the wait measures the
             # *imbalance*, not this worker's work.

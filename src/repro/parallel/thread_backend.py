@@ -371,7 +371,7 @@ class ThreadRenderPool:
         n_steals = n_steal_rows = n_rows = 0
         t_comp = t_warp = 0.0
         tc0 = tb0 = 0.0
-        cache_stats0: tuple[int, int] | None = None
+        cache_stats0: tuple[int, int, float] | None = None
         # Per-thread CPU time: the exact analogue of the MP workers'
         # per-process clock, unpolluted by other threads' slices.
         t0 = time.thread_time()
@@ -384,7 +384,7 @@ class ThreadRenderPool:
                     tc0 = rec_tr.now()
                     rec_tr.span(frame, "decode", td0, tc0)
                     cache = rle.slice_cache
-                    cache_stats0 = (cache.hits, cache.misses)
+                    cache_stats0 = (cache.hits, cache.misses, cache.decode_s)
                 if claims is None:
                     frag = _composite_range(img, v_lo, v_hi, rle, fact,
                                             self.kernel, profiled, rec_tr, frame)
@@ -437,6 +437,8 @@ class ThreadRenderPool:
                                  cache.hits - cache_stats0[0])
                     rec_tr.count(frame, "cache_misses",
                                  cache.misses - cache_stats0[1])
+                    rec_tr.count(frame, "decode_us",
+                                 (cache.decode_s - cache_stats0[2]) * 1e6)
             finally:
                 t_comp = time.thread_time() - t0
                 if rec_tr is not None:

@@ -11,7 +11,9 @@ real host.  This kernel composites the whole band per slice instead:
   back, exactly the order the real renderer (and the trace replay)
   uses; each slice's decoded plane comes from the RLE volume's
   decoded-slice LRU so animation frames and sibling workers stop
-  re-decoding the same runs;
+  re-decoding the same runs, and a miss is one vectorized pass over
+  the slice's runs (``RLEVolume.decode_slice_padded``), not a
+  per-scanline walk;
 * **constant ``(fu, fj)`` per slice** — because ``k`` is the principal
   axis, the bilinear fractions are constant across a slice's entire
   footprint, so resampling a band is four shifted-plane multiply-adds

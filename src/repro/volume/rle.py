@@ -24,6 +24,7 @@ which bytes a compositing task touches, without re-walking the runs.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -48,23 +49,26 @@ BYTES_PER_VOXEL = 8
 #: Bytes per run-length table entry.
 BYTES_PER_RUN = 4
 
-#: Default bound on cached decoded slices per encoding.  Sized to hold
-#: every slice of the proxy-scaled paper volumes (nk <= ~100) so a frame
-#: decodes each slice at most once, while keeping worst-case memory for a
-#: 96-voxel proxy around 10 MB per axis.
+#: Default bound on cached decoded slices.  An :class:`RLEVolume` sizes
+#: its own cache to ``max(this, nk)``: the front-to-back sweep is cyclic,
+#: so an LRU even one slice short of ``nk`` evicts every plane just
+#: before its next use and hits 0 % of the time.
 DEFAULT_SLICE_CACHE_CAPACITY = 128
 
 
 class SliceCache:
     """Bounded LRU of decoded slice planes for one :class:`RLEVolume`.
 
-    Decoding a slice walks every run of ``nj`` scanlines in Python — by
-    far the most expensive part of the vectorized compositing kernels —
-    yet the decoded planes are pure functions of the (immutable)
-    encoding.  Every consumer of one principal axis (the fast whole-frame
-    path, the block kernel, each multiprocessing worker) re-reads the
-    same ``nk`` planes every frame of an animation, so a small LRU turns
-    all but the first frame's decodes into lookups.
+    Decoding a slice is one vectorized pass over its runs
+    (:meth:`RLEVolume.decode_slice_padded`) — a few NumPy calls, but
+    still several times a cache lookup — and the decoded planes are pure
+    functions of the (immutable) encoding.  Every consumer of one
+    principal axis (the fast whole-frame path, the block kernel, each
+    multiprocessing worker) re-reads the same ``nk`` planes every frame
+    of an animation, so a small LRU turns all but the first frame's
+    decodes into lookups.  ``decode_s`` accumulates the seconds spent
+    filling misses; the pools report its per-frame delta as the
+    ``decode_us`` counter.
 
     The cache stores the *padded* planes (one transparent border row and
     column on each side) because that is the form both vectorized kernels
@@ -79,7 +83,7 @@ class SliceCache:
     one lock (the decode a miss triggers dwarfs the lock cost).
     """
 
-    __slots__ = ("capacity", "hits", "misses", "_planes", "_lock")
+    __slots__ = ("capacity", "hits", "misses", "decode_s", "_planes", "_lock")
 
     def __init__(self, capacity: int = DEFAULT_SLICE_CACHE_CAPACITY) -> None:
         if capacity < 1:
@@ -87,6 +91,7 @@ class SliceCache:
         self.capacity = int(capacity)
         self.hits = 0
         self.misses = 0
+        self.decode_s = 0.0
         self._planes: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -109,8 +114,12 @@ class SliceCache:
             self.hits += 1
             return entry
 
-    def put(self, k: int, planes: tuple[np.ndarray, np.ndarray]) -> None:
+    def put(
+        self, k: int, planes: tuple[np.ndarray, np.ndarray], fill_s: float = 0.0
+    ) -> None:
+        """Insert slice ``k``'s planes; ``fill_s`` is what decoding them cost."""
         with self._lock:
+            self.decode_s += fill_s
             self._planes[k] = planes
             self._planes.move_to_end(k)
             while len(self._planes) > self.capacity:
@@ -139,14 +148,17 @@ class RLEVolume:
     def __post_init__(self) -> None:
         # Per-encoding decoded-slice LRU (a non-field attribute so frozen
         # dataclass semantics — equality, repr, hashing — are unaffected).
-        object.__setattr__(self, "_slice_cache", SliceCache())
+        object.__setattr__(self, "_slice_cache", self._new_slice_cache())
+
+    def _new_slice_cache(self) -> SliceCache:
+        return SliceCache(max(DEFAULT_SLICE_CACHE_CAPACITY, self.nk))
 
     @property
     def slice_cache(self) -> SliceCache:
         """This encoding's decoded-slice LRU (created lazily after unpickling)."""
         cache = self.__dict__.get("_slice_cache")
         if cache is None:
-            cache = SliceCache()
+            cache = self._new_slice_cache()
             object.__setattr__(self, "_slice_cache", cache)
         return cache
 
@@ -217,19 +229,39 @@ class RLEVolume:
 
         Results come from a bounded per-encoding LRU
         (:attr:`slice_cache`) and are read-only.
+
+        A miss decodes the whole slice at once.  Its ``nj`` scanlines'
+        runs are one contiguous range of ``run_lengths``; a run is
+        non-transparent when its index *within its scanline* is odd
+        (every scanline has an odd run count, so a plain alternating
+        mask over the concatenation would flip at each scanline);
+        repeating that parity by the run lengths gives the slice's voxel
+        mask, and boolean assignment fills it row-major — the traversal
+        order the voxel records are stored in.
         """
         k = int(k)
         cache = self.slice_cache
         cached = cache.get(k)
         if cached is not None:
             return cached
-        opac = np.zeros((self.nj + 2, self.ni + 2), dtype=np.float32)
-        col = np.zeros((self.nj + 2, self.ni + 2), dtype=np.float32)
-        for j in range(self.nj):
-            opac[j + 1, 1:-1], col[j + 1, 1:-1] = self.decode_scanline(k, j)
+        t0 = time.perf_counter()
+        nj, ni = self.nj, self.ni
+        counts = self.run_count[k]
+        r0 = self.run_start[k, 0]
+        n_runs = int(counts.sum())
+        in_line = np.arange(r0, r0 + n_runs) - np.repeat(self.run_start[k], counts)
+        mask = np.repeat(
+            (in_line & 1).astype(bool), self.run_lengths[r0 : r0 + n_runs]
+        ).reshape(nj, ni)
+        v0 = self.vox_start[k, 0]
+        v1 = v0 + int(self.vox_count[k].sum())
+        opac = np.zeros((nj + 2, ni + 2), dtype=np.float32)
+        col = np.zeros((nj + 2, ni + 2), dtype=np.float32)
+        opac[1:-1, 1:-1][mask] = self.voxel_opacity[v0:v1]
+        col[1:-1, 1:-1][mask] = self.voxel_color[v0:v1]
         opac.setflags(write=False)
         col.setflags(write=False)
-        cache.put(k, (opac, col))
+        cache.put(k, (opac, col), time.perf_counter() - t0)
         return opac, col
 
     # -- size accounting ----------------------------------------------------
@@ -272,35 +304,19 @@ def encode(vol: ClassifiedVolume, axis: int) -> RLEVolume:
     padded = np.zeros((nk * nj, ni + 2), dtype=np.int8)
     padded[:, 1:-1] = mask
     d = np.diff(padded, axis=1)
-    srow, scol = np.nonzero(d == 1)  # run starts (inclusive)
-    erow, ecol = np.nonzero(d == -1)  # run ends (exclusive)
-    # starts/ends pair up in order within each row.
-    runs_per_row = np.bincount(srow, minlength=nk * nj)
-
-    run_lengths: list[np.ndarray] = []
+    # Row-major, so within each row: start, end (exclusive), start, ...
+    brow, bcol = np.nonzero(d)
+    # n non-transparent runs -> 2n + 1 alternating runs (the first and
+    # last transparent, possibly empty); a blank row is one run of ni.
+    run_count = (np.bincount(brow, minlength=nk * nj) + 1).astype(np.int32)
     run_start = np.zeros(nk * nj, dtype=np.int64)
-    run_count = np.zeros(nk * nj, dtype=np.int32)
-    pos = 0
-    ptr = 0
-    for r in range(nk * nj):
-        n = runs_per_row[r]
-        run_start[r] = pos
-        if n == 0:
-            row_runs = np.array([ni], dtype=np.int32)
-        else:
-            s = scol[ptr : ptr + n]
-            e = ecol[ptr : ptr + n]
-            ptr += n
-            row_runs = np.empty(2 * n + 1, dtype=np.int32)
-            row_runs[0] = s[0]
-            row_runs[1::2] = e - s
-            row_runs[2:-1:2] = s[1:] - e[:-1]
-            row_runs[-1] = ni - e[-1]
-        run_lengths.append(row_runs)
-        run_count[r] = len(row_runs)
-        pos += len(row_runs)
-
-    flat_runs = np.concatenate(run_lengths) if run_lengths else np.zeros(0, np.int32)
+    np.cumsum(run_count[:-1], out=run_start[1:])
+    # One entry per run: the position it ends at.  Row r's boundaries
+    # follow r earlier rows' closing ``ni`` entries.
+    ends = np.full(int(run_count.sum()), ni, dtype=np.int32)
+    ends[np.arange(brow.size) + brow] = bcol
+    flat_runs = np.diff(ends, prepend=np.int32(0))
+    flat_runs[run_start] = ends[run_start]  # a row's first run starts at 0
     vox_count = mask.sum(axis=1).astype(np.int32)
     vox_start = np.zeros(nk * nj, dtype=np.int64)
     np.cumsum(vox_count[:-1], out=vox_start[1:])

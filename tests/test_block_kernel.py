@@ -229,6 +229,43 @@ class TestSliceCache:
             SliceCache(capacity=0)
         assert SliceCache().capacity == DEFAULT_SLICE_CACHE_CAPACITY
 
+    def test_capacity_covers_own_nk(self):
+        """Regression: the front-to-back sweep is cyclic, so a fixed
+        128-entry LRU gave an ``nk = 130`` encoding 0 hits — every
+        plane was evicted just before its next use."""
+        import pickle
+
+        nk = DEFAULT_SLICE_CACHE_CAPACITY + 2
+        vol = np.full((2, 2, nk), 200, np.uint8)
+        rle = ShearWarpRenderer(vol, mri_transfer_function()).rle_by_axis[2]
+        assert rle.nk == nk
+        for sweep in range(2):
+            h0, m0 = rle.slice_cache.hits, rle.slice_cache.misses
+            for k in range(nk):
+                rle.decode_slice_padded(k)
+            hits, misses = rle.slice_cache.hits - h0, rle.slice_cache.misses - m0
+            assert (hits, misses) == ((0, nk) if sweep == 0 else (nk, 0))
+        # Both ways an encoding can come back without its cache.
+        assert pickle.loads(pickle.dumps(rle)).slice_cache.capacity >= nk
+        del rle.__dict__["_slice_cache"]
+        assert rle.slice_cache.capacity >= nk
+        # Small encodings keep the default.
+        small = ShearWarpRenderer(mri_brain((8, 8, 8)), mri_transfer_function())
+        assert small.rle_by_axis[0].slice_cache.capacity == DEFAULT_SLICE_CACHE_CAPACITY
+
+    def test_decode_seconds_accumulate_on_misses_only(self):
+        r = ShearWarpRenderer(mri_brain((12, 12, 10)), mri_transfer_function())
+        rle = r.rle_by_axis[2]
+        cache = rle.slice_cache
+        assert cache.decode_s == 0.0
+        rle.decode_slice_padded(0)
+        after_miss = cache.decode_s
+        assert after_miss > 0.0
+        rle.decode_slice_padded(0)
+        assert cache.decode_s == after_miss
+        rle.clear_slice_cache()
+        assert cache.decode_s == after_miss  # stats survive a clear
+
     def test_clear_invalidates(self, mri_renderer):
         fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(20, 30, 0))
         rle = mri_renderer.rle_for(fact)

@@ -207,6 +207,35 @@ class TestMPTracing:
         assert "pool/queue_depth" in snap["gauges"]
         assert "pool/buffer_occupancy" in snap["gauges"]
 
+    @pytest.mark.parametrize("backend", ["mp", "thread"])
+    def test_decode_us_counter_follows_cache_misses(self, backend, tmp_path,
+                                                    capsys):
+        """The slice decodes sit inside the ``composite`` span; the
+        ``decode_us`` counter is what makes them visible: present on a
+        cold-cache frame, absent once every lookup hits."""
+        import repro
+
+        # A fresh renderer, so no worker inherits warm slice caches.
+        cold = ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
+        view = cold.view_from_angles(20, 30, 0)
+        with repro.open_pool(cold, n_procs=2, backend=backend, trace=True,
+                             profile_period=0) as pool:
+            first = pool.result(pool.submit(view)).timeline
+            second = pool.result(pool.submit(view)).timeline
+            path = tmp_path / "trace.json"
+            pool.export_chrome_trace(str(path))
+        totals = first.counter_totals()
+        assert totals["cache_misses"] > 0
+        assert 0 < totals["decode_us"] < 1e6 * first.phase_seconds()["composite"]
+        assert "cache_misses" not in second.counter_totals()
+        assert "decode_us" not in second.counter_totals()
+        summary = summarize_trace(load_chrome_trace(str(path)))
+        assert summary["counters"]["decode_us"] == pytest.approx(totals["decode_us"])
+        from repro.cli import main
+
+        assert main(["stats", str(path)]) == 0
+        assert "decode_us" in capsys.readouterr().out
+
     def test_tracing_is_bit_identical_to_disabled(self, renderer):
         """The acceptance criterion: tracing must not change the images."""
         views = self._views(renderer, 2)

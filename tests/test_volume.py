@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import mri_brain, random_blobs
+from repro.transforms.factorization import PERMUTATIONS
 from repro.volume import (
     OPACITY_EPSILON,
     ClassifiedVolume,
@@ -69,8 +70,6 @@ class TestRLE:
         cv = _classified()
         for axis in (0, 1, 2):
             rle = encode(cv, axis)
-            from repro.transforms.factorization import PERMUTATIONS
-
             perm = PERMUTATIONS[axis]
             order = (perm[2], perm[1], perm[0])
             opac_ref = cv.opacity.transpose(order)
@@ -164,10 +163,125 @@ class TestRLE:
         """RLE encode/decode is lossless for arbitrary volumes."""
         cv = _classified((7, 6, 5), seed=seed, density=density)
         rle = encode(cv, axis)
-        from repro.transforms.factorization import PERMUTATIONS
-
         perm = PERMUTATIONS[axis]
         order = (perm[2], perm[1], perm[0])
         ref = cv.opacity.transpose(order)
         got = np.stack([rle.decode_slice(k)[0] for k in range(rle.nk)])
         assert np.array_equal(got, ref)
+
+
+def _volume_from_kji(opac_kji, col_kji, axis):
+    """ClassifiedVolume whose ``axis`` encoding traverses the given
+    ``[k][j][i]`` fields (the inverse of ``encode``'s permutation)."""
+    perm = PERMUTATIONS[axis]
+    inv = np.argsort((perm[2], perm[1], perm[0]))
+    opac = np.ascontiguousarray(np.asarray(opac_kji, np.float32).transpose(inv))
+    col = np.ascontiguousarray(np.asarray(col_kji, np.float32).transpose(inv))
+    return ClassifiedVolume(raw=np.zeros(opac.shape, np.uint8), opacity=opac, color=col)
+
+
+def _check_slice_decode(rle, opac_kji, col_kji):
+    """Every slice decode equals the ``decode_scanline`` oracle and the
+    culled source fields; pads are transparent; planes are read-only."""
+    nk, nj, ni = opac_kji.shape
+    assert (rle.ni, rle.nj, rle.nk) == (ni, nj, nk)
+    assert np.all(rle.run_count % 2 == 1)
+    keep = opac_kji > 0
+    for k in range(nk):
+        oracle = zip(*(rle.decode_scanline(k, j) for j in range(nj)))
+        for plane, rows, src in zip(
+            rle.decode_slice_padded(k), oracle, (opac_kji, col_kji)
+        ):
+            assert plane.shape == (nj + 2, ni + 2) and plane.dtype == np.float32
+            assert not plane.flags.writeable
+            assert not plane[0].any() and not plane[-1].any()
+            assert not plane[:, 0].any() and not plane[:, -1].any()
+            assert np.array_equal(plane[1:-1, 1:-1], np.stack(rows))
+            assert np.array_equal(plane[1:-1, 1:-1], np.where(keep[k], src[k], 0))
+
+
+class TestSliceDecode:
+    """The whole-slice decode against the per-scanline oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 5)),
+        sparsity=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        axis=st.integers(0, 2),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_scanline_oracle(self, shape, sparsity, axis, seed):
+        rng = np.random.default_rng(seed)
+        nk, nj, ni = shape[2], shape[1], shape[0]
+        opac = rng.uniform(0.1, 1.0, (nk, nj, ni)).astype(np.float32)
+        opac[rng.random((nk, nj, ni)) < sparsity] = 0.0
+        # Colour is left non-zero under transparent voxels: the encoding
+        # must drop it, not carry it through.
+        col = rng.uniform(0.1, 1.0, (nk, nj, ni)).astype(np.float32)
+        rle = encode(_volume_from_kji(opac, col, axis), axis)
+        _check_slice_decode(rle, opac, col)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_degenerate_rows(self, axis):
+        # (voxel row, its alternating runs): zero-length leading and
+        # trailing transparent runs, a blank row, single voxels, a run
+        # ending exactly at ni.
+        rows = [
+            ([1, 1, 1, 1, 1, 1], [0, 6, 0]),
+            ([0, 0, 0, 0, 0, 0], [6]),
+            ([1, 0, 1, 0, 1, 0], [0, 1, 1, 1, 1, 1, 1]),
+            ([0, 1, 0, 1, 0, 1], [1, 1, 1, 1, 1, 1, 0]),
+            ([0, 0, 0, 1, 1, 1], [3, 3, 0]),
+            ([0, 1, 1, 0, 0, 0], [1, 2, 3]),
+        ]
+        # Slice 0 mixes every row kind, so run counts differ between
+        # neighbouring scanlines; slice 1 is fully transparent; slice 2
+        # is fully opaque.
+        mask = np.zeros((3, len(rows), 6), bool)
+        mask[0] = np.array([voxels for voxels, _ in rows], bool)
+        mask[2] = True
+        rng = np.random.default_rng(axis)
+        opac = np.where(mask, rng.uniform(0.1, 1.0, mask.shape), 0).astype(np.float32)
+        col = rng.uniform(0.1, 1.0, mask.shape).astype(np.float32)
+        rle = encode(_volume_from_kji(opac, col, axis), axis)
+        for j, (_, runs) in enumerate(rows):
+            assert rle.scanline_runs(0, j).tolist() == runs
+        assert rle.run_lengths.dtype == np.int32
+        assert rle.run_start.dtype == np.int64 and rle.run_count.dtype == np.int32
+        assert np.all(rle.run_count[1] == 1) and rle.vox_count[1].sum() == 0
+        assert np.all(rle.run_count[2] == 3)
+        _check_slice_decode(rle, opac, col)
+
+    def test_benchmark_datasets_match_oracle(self):
+        """Every (timestep, axis, slice) of a scaled-down movie renderer
+        and of ``mri128`` — the volumes the benchmark renders."""
+        from repro.datasets import load
+        from repro.movie import beating_heart_renderer
+
+        encodings = [
+            enc
+            for by_axis in beating_heart_renderer(0.5, timesteps=4).timeline.encodings
+            for enc in by_axis.values()
+        ]
+        cv = ClassifiedVolume.classify(load("mri128", scale=0.25), mri_transfer_function())
+        encodings += encode_all_axes(cv).values()
+        for rle in encodings:
+            for k in range(rle.nk):
+                oracle = zip(*(rle.decode_scanline(k, j) for j in range(rle.nj)))
+                for plane, rows in zip(rle.decode_slice(k), oracle):
+                    assert np.array_equal(plane, np.stack(rows))
+
+    def test_slice_decode_never_walks_scanlines(self, monkeypatch):
+        """The frame path must stay off the per-run Python walk:
+        ``decode_scanline`` is the oracle and the scanline kernel's API,
+        not something a slice decode may fall back to."""
+        rle = encode(_classified(), 2)
+
+        def boom(self, k, j):
+            raise AssertionError("slice decode reached decode_scanline")
+
+        monkeypatch.setattr(RLEVolume, "decode_scanline", boom)
+        for k in range(rle.nk):
+            rle.decode_slice_padded(k)
+            rle.decode_slice(k)
+        assert rle.slice_cache.misses == rle.nk
