@@ -445,7 +445,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="chunked task stealing between workers on top of "
                         "the static partition (paper section 4.4)")
     p.add_argument("--steal-chunk", type=int, default=None, metavar="N",
-                   help="scanlines per claim/steal (default 8)")
+                   help="fewest scanlines a guided claim/steal takes "
+                        "(default 8)")
     p.add_argument("--timeout-s", type=float, default=None, metavar="S",
                    help="per-frame deadline: a frame still incomplete after "
                         "S seconds is treated as a fault and recovered "

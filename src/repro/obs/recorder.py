@@ -62,10 +62,14 @@ PHASES = ("wait", "decode", "composite", "profile", "steal", "barrier", "warp",
 #: models).  ``decode_us`` is the time spent filling slice-cache misses
 #: during the frame (it lies inside the ``composite`` span, where the
 #: kernels pull slices); like the hit/miss tallies it is a delta of the
-#: encoding's cache, which the thread pool's workers share.  New
-#: counters are appended last so existing counter ids stay stable.
+#: encoding's cache, which the thread pool's workers share.
+#: ``kernel_calls`` is how many times the worker entered a compositing
+#: kernel for the frame: one per claimed chunk with the block kernel
+#: (so guided claims keep it near ``log2(rows / steal_chunk)``), one per
+#: scanline with the scanline kernel.  New counters are appended last
+#: so existing counter ids stay stable.
 COUNTERS = ("rows", "cache_hits", "cache_misses", "steals", "steal_rows",
-            "decode_us")
+            "decode_us", "kernel_calls")
 
 #: Records per worker ring.  A pool frame writes ~8 records per worker,
 #: so the default absorbs hundreds of frames between drains.

@@ -37,16 +37,23 @@ either way the images are bit-identical, only the load balance moves.
 On top of the static partition the pool runs the paper's *dynamic* half
 (section 4.4): chunked task stealing over a shared claim array.  Each
 worker's compositing assignment lives in shared memory as a ``(head,
-tail)`` cursor pair; the owner claims chunks of ``steal_chunk``
-scanlines from the head of its contiguous block, and a worker that runs
-dry trims chunks from the *tail* of the most-loaded victim's block
-(single-scanline steals made synchronization ~10x worse in the paper,
-hence the chunk).  Intermediate scanlines are independent and each is
+tail)`` cursor pair.  Claims are *guided*: the owner takes half of what
+is left from the head of its contiguous block, a worker that runs dry
+trims half of what the most-loaded victim has left off its *tail*, and
+``steal_chunk`` is the floor under both (single-scanline steals made
+synchronization ~10x worse in the paper).  A pool chunk pays a full
+pass over the kernel's slice loop whatever its height, so a band is
+drained in about ``log2(rows / steal_chunk)`` kernel calls — the block
+is composited as a block (sections 4.1, 4.5), stealing only mops up
+residual imbalance — while its unclaimed half stays stealable
+throughout.  Intermediate scanlines are independent and each is
 composited exactly once by exactly one worker, so the images stay
-bit-identical with stealing on or off, for both kernels.  Warp-row
-ownership keeps following the static boundaries (section 4.5), and on
-profiled frames a stolen row's cost counters are shipped back by the
-thief, so the feedback loop still sees every row's true cost.
+bit-identical with stealing on or off, for both kernels.  The warp is
+one band-vectorized gather per worker
+(:func:`repro.render.warp.warp_rows`); warp-row ownership keeps
+following the static boundaries (section 4.5), and on profiled frames a
+stolen row's cost counters are shipped back by the thief, so the
+feedback loop still sees every row's true cost.
 ``stealing=False`` (or one worker) restores the purely static pool.
 
 Fault tolerance
@@ -153,8 +160,8 @@ from ..render.serial import ShearWarpRenderer
 from ..render.warp import (
     final_pixel_source_lines,
     warp_coeffs,
+    warp_rows,
     warp_rows_by_pid,
-    warp_scanline,
 )
 from ..transforms.factorization import PERMUTATIONS, ShearWarpFactorization
 from .backend import BackendCapabilities, FrameSpec, as_frame_specs
@@ -184,10 +191,12 @@ COMPOSITE_KERNELS = ("scanline", "block")
 #: process pool, ``"thread"`` the no-copy threading pool.
 POOL_BACKENDS = ("mp", "thread")
 
-#: Default stealing granularity, scanlines per claim/steal (section 4.4).
-#: Larger than the event-driven simulator's default (2): a pool chunk
-#: also pays one Python kernel invocation, so the sweet spot sits a bit
-#: higher; single-scanline chunks recreate the paper's ~10x sync blowup.
+#: Default stealing grain: the *fewest* scanlines a claim or steal takes
+#: (section 4.4).  Claims are guided — half of what is left, never less
+#: than this — because a pool chunk pays a full pass over the kernel's
+#: slice loop whatever its height; the floor keeps the tail of a band
+#: from dissolving into the single-scanline chunks that recreate the
+#: paper's ~10x sync blowup.
 DEFAULT_STEAL_CHUNK = 8
 
 #: Default supervisor cadence: how often worker sentinels and frame
@@ -260,7 +269,9 @@ class PoolConfig:
         ``0`` disables the feedback loop (always-uniform partitions).
     stealing / steal_chunk:
         Chunked task stealing on top of the static partition (paper
-        section 4.4) and its granularity in scanlines.
+        section 4.4).  Claims are guided — an owner takes half of its
+        remaining block, a thief half of the victim's — and
+        ``steal_chunk`` is the minimum chunk, in scanlines.
     trace / trace_capacity:
         Per-worker span/counter ring recording (:mod:`repro.obs`).
     timeout_s:
@@ -582,8 +593,8 @@ class FramePlanner:
                 raise ValueError(
                     f"region.owned covers {len(owned)} lines, frame has {n_v}"
                 )
-            # Lines outside the shard get no warp owner here: the pid
-            # comparison in warp_scanline never matches -1, so final
+            # Lines outside the shard get no warp owner here: the warp's
+            # pid comparison never matches -1, so final
             # pixels sourced from them stay zero in this pool's buffer
             # and are taken from the owning shard by the merge tree.
             owner = np.where(owned, owner, -1)
@@ -853,20 +864,27 @@ def _composite_range(img, lo, hi, rle, fact, kernel, profiled, rec, frame):
     return None
 
 
-def _claim_own_chunk(claims, lock, pid, chunk) -> tuple[int, int] | None:
-    """Advance this worker's head cursor by up to ``chunk`` scanlines."""
+def _claim_own_chunk(claims, lock, pid, grain) -> tuple[int, int] | None:
+    """Claim the next chunk off the head of this worker's own block.
+
+    Guided: half of what is left (rounded up), never less than ``grain``
+    scanlines — so a band of ``n`` rows is drained in about
+    ``log2(n / grain)`` kernel calls while its unclaimed half stays
+    stealable the whole time.
+    """
     with lock:
         lo = int(claims[pid, 0])
-        hi_lim = int(claims[pid, 1])
-        if lo >= hi_lim:
+        rem = int(claims[pid, 1]) - lo
+        if rem <= 0:
             return None
-        hi = min(lo + chunk, hi_lim)
+        hi = lo + min(rem, max(grain, (rem + 1) // 2))
         claims[pid, 0] = hi
     return lo, hi
 
 
-def _steal_chunk(claims, locks, pid, chunk) -> tuple[int, int] | None:
-    """Trim up to ``chunk`` scanlines off the most-loaded victim's tail.
+def _steal_chunk(claims, locks, pid, grain) -> tuple[int, int] | None:
+    """Trim a chunk off the most-loaded victim's tail: half of what it
+    has left (rounded down), never less than ``grain`` scanlines.
 
     The victim scan reads the cursors without locks (stale values only
     cost us a sub-optimal victim); the claim itself re-checks under the
@@ -888,10 +906,69 @@ def _steal_chunk(claims, locks, pid, chunk) -> tuple[int, int] | None:
             lo = int(claims[best, 0])
             hi = int(claims[best, 1])
             if hi > lo:
-                new_tail = max(lo, hi - chunk)
+                new_tail = hi - min(hi - lo, max(grain, (hi - lo) // 2))
                 claims[best, 1] = new_tail
                 return new_tail, hi
         # Raced: the victim drained between scan and lock — rescan.
+
+
+def _composite_share(img, band, claims, locks, pid, grain, rle, fact, kernel,
+                     profiled, rec, frame, burn_per_row=0.0, fault=None):
+    """Composite worker ``pid``'s share of one frame (both pools' loop).
+
+    Static pool (``claims is None``): the whole ``band`` in one kernel
+    call.  Stealing pool: drain the head of our own block in guided
+    chunks, then turn thief until every block is drained.  Records the
+    ``steal`` spans and the frame's counters (rows, steals, kernel
+    calls, slice-cache deltas) on ``rec``; returns ``(frags, n_steals,
+    n_steal_rows)`` where ``frags`` is the per-chunk cost fragments
+    ``[(v_start, costs)]`` on profiled frames, else ``None``.
+    """
+    frags: list[tuple[int, np.ndarray]] | None = [] if profiled else None
+    n_rows = n_calls = n_steals = n_steal_rows = 0
+    if rec is not None:
+        cache = rle.slice_cache
+        hits0, misses0, decode_s0 = cache.hits, cache.misses, cache.decode_s
+
+    def run(lo: int, hi: int) -> None:
+        nonlocal n_rows, n_calls
+        frag = _composite_range(img, lo, hi, rle, fact, kernel, profiled,
+                                rec, frame)
+        n_rows += hi - lo
+        # The scanline kernel is invoked once per row of the chunk.
+        n_calls += 1 if kernel == "block" else hi - lo
+        if frag is not None:
+            frags.append((lo, frag))
+        if burn_per_row:
+            _burn(burn_per_row * (hi - lo))
+
+    if claims is None:
+        if band[1] > band[0]:
+            run(*band)
+    else:
+        while (got := _claim_own_chunk(claims, locks[pid], pid, grain)) is not None:
+            run(*got)
+        _maybe_fault(fault, pid, frame, "steal")
+        while True:
+            if rec is not None:
+                ts0 = rec.now()
+            got = _steal_chunk(claims, locks, pid, grain)
+            if got is None:
+                break
+            if rec is not None:
+                rec.span(frame, "steal", ts0, rec.now())
+            n_steals += 1
+            n_steal_rows += got[1] - got[0]
+            run(*got)
+    if rec is not None:
+        rec.count(frame, "rows", n_rows)
+        rec.count(frame, "steals", n_steals)
+        rec.count(frame, "steal_rows", n_steal_rows)
+        rec.count(frame, "kernel_calls", n_calls)
+        rec.count(frame, "cache_hits", cache.hits - hits0)
+        rec.count(frame, "cache_misses", cache.misses - misses0)
+        rec.count(frame, "decode_us", (cache.decode_s - decode_s0) * 1e6)
+    return frags, n_steals, n_steal_rows
 
 
 def _worker_loop(pid: int) -> None:
@@ -966,7 +1043,7 @@ def _render_job(pid, job, renderer, kernel, done, barrier, shm_i, shm_f,
                 steal_chunk, claim_locks, buffers, claims, cells, release,
                 use_doorbell, bell, burn_per_row, fault, rec, t_wait0) -> None:
     """Run one frame's composite + warp and report completion."""
-    frame, buf, fact, v_lo, v_hi, owner, warp_rows, profiled, timestep = job
+    frame, buf, fact, v_lo, v_hi, owner, final_rows, profiled, timestep = job
     if rec is not None:
         rec.span(frame, "wait", t_wait0, rec.now())
     # Pipelining gate: frame f may enter buffer f % buffers only once
@@ -974,14 +1051,13 @@ def _render_job(pid, job, renderer, kernel, done, barrier, shm_i, shm_f,
     _await_release(release, buf, frame, buffers, rec)
     err: str | None = None
     # Per-chunk cost fragments [(v_start, costs)] on profiled frames.
-    frags: list[tuple[int, np.ndarray]] | None = [] if profiled else None
-    n_steals = n_steal_rows = n_rows = 0
+    frags: list[tuple[int, np.ndarray]] | None = None
+    n_steals = n_steal_rows = 0
     t_comp = t_warp = 0.0
     # Span clocks pre-bound so the finally block can record even when
     # a phase died before its start time was taken (the bogus span is
     # discarded with the failed frame's timeline).
     tc0 = tb0 = 0.0
-    cache_stats0: tuple[int, int] | None = None
     # CPU time, not wall clock: on an oversubscribed host a worker's
     # wall time includes slices it spent descheduled, which would
     # poison both the profile and the busy-time report.
@@ -991,16 +1067,12 @@ def _render_job(pid, job, renderer, kernel, done, barrier, shm_i, shm_f,
         ny, nx = fact.final_shape
         base_i = buf * 2 * inter_floats
         base_f = buf * 2 * final_floats
-        full_c = np.ndarray(
-            (cap_iv, cap_iu), np.float32, buffer=shm_i.buf, offset=base_i * 4
+        img = IntermediateImage.over(
+            np.ndarray((cap_iv, cap_iu), np.float32, buffer=shm_i.buf,
+                       offset=base_i * 4)[:n_v, :n_u],
+            np.ndarray((cap_iv, cap_iu), np.float32, buffer=shm_i.buf,
+                       offset=(base_i + inter_floats) * 4)[:n_v, :n_u],
         )
-        full_o = np.ndarray(
-            (cap_iv, cap_iu), np.float32, buffer=shm_i.buf,
-            offset=(base_i + inter_floats) * 4,
-        )
-        img = IntermediateImage((n_v, n_u))
-        img.color = full_c[:n_v, :n_u]
-        img.opacity = full_o[:n_v, :n_u]
 
         try:
             _maybe_fault(fault, pid, frame, "decode")
@@ -1010,65 +1082,14 @@ def _render_job(pid, job, renderer, kernel, done, barrier, shm_i, shm_f,
             if rec is not None:
                 tc0 = rec.now()
                 rec.span(frame, "decode", td0, tc0)
-                cache = rle.slice_cache
-                cache_stats0 = (cache.hits, cache.misses, cache.decode_s)
             if profiled:
                 _maybe_fault(fault, pid, frame, "profile")
             _maybe_fault(fault, pid, frame, "composite")
-            if claims is None:
-                # Static pool: one kernel call over the whole band.
-                frag = _composite_range(img, v_lo, v_hi, rle, fact,
-                                        kernel, profiled, rec, frame)
-                n_rows = max(0, v_hi - v_lo)
-                if frag is not None:
-                    frags.append((v_lo, frag))
-                if burn_per_row:
-                    _burn(burn_per_row * n_rows)
-            else:
-                cl = claims[buf]
-                my_lock = claim_locks[pid]
-                # Drain the head of our own block, chunk by chunk...
-                while True:
-                    got = _claim_own_chunk(cl, my_lock, pid, steal_chunk)
-                    if got is None:
-                        break
-                    lo, hi = got
-                    frag = _composite_range(img, lo, hi, rle, fact,
-                                            kernel, profiled, rec, frame)
-                    n_rows += hi - lo
-                    if frag is not None:
-                        frags.append((lo, frag))
-                    if burn_per_row:
-                        _burn(burn_per_row * (hi - lo))
-                # ...then turn thief until every block is drained.
-                _maybe_fault(fault, pid, frame, "steal")
-                while True:
-                    if rec is not None:
-                        ts0 = rec.now()
-                    got = _steal_chunk(cl, claim_locks, pid, steal_chunk)
-                    if got is None:
-                        break
-                    if rec is not None:
-                        rec.span(frame, "steal", ts0, rec.now())
-                    lo, hi = got
-                    n_steals += 1
-                    n_steal_rows += hi - lo
-                    frag = _composite_range(img, lo, hi, rle, fact,
-                                            kernel, profiled, rec, frame)
-                    n_rows += hi - lo
-                    if frag is not None:
-                        frags.append((lo, frag))
-                    if burn_per_row:
-                        _burn(burn_per_row * (hi - lo))
-            if rec is not None:
-                rec.count(frame, "rows", n_rows)
-                rec.count(frame, "steals", n_steals)
-                rec.count(frame, "steal_rows", n_steal_rows)
-                rec.count(frame, "cache_hits", cache.hits - cache_stats0[0])
-                rec.count(frame, "cache_misses",
-                          cache.misses - cache_stats0[1])
-                rec.count(frame, "decode_us",
-                          (cache.decode_s - cache_stats0[2]) * 1e6)
+            frags, n_steals, n_steal_rows = _composite_share(
+                img, (v_lo, v_hi), None if claims is None else claims[buf],
+                claim_locks, pid, steal_chunk, rle, fact, kernel, profiled,
+                rec, frame, burn_per_row, fault,
+            )
         finally:
             # Busy time stops at the barrier: the wait measures the
             # *imbalance*, not this worker's work.
@@ -1088,18 +1109,14 @@ def _render_job(pid, job, renderer, kernel, done, barrier, shm_i, shm_f,
         _maybe_fault(fault, pid, frame, "warp")
         if rec is not None:
             tw0 = rec.now()
-        final = FinalImage((ny, nx))
-        final.color = np.ndarray(
-            (cap_fy, cap_fx), np.float32, buffer=shm_f.buf, offset=base_f * 4
-        )[:ny, :nx]
-        final.alpha = np.ndarray(
-            (cap_fy, cap_fx), np.float32, buffer=shm_f.buf,
-            offset=(base_f + final_floats) * 4,
-        )[:ny, :nx]
-        coeffs = warp_coeffs(fact)  # one 2x2 inverse per frame
-        for y in warp_rows:
-            warp_scanline(final, int(y), img, fact, line_owner=owner,
-                          pid=pid, coeffs=coeffs)
+        final = FinalImage.over(
+            np.ndarray((cap_fy, cap_fx), np.float32, buffer=shm_f.buf,
+                       offset=base_f * 4)[:ny, :nx],
+            np.ndarray((cap_fy, cap_fx), np.float32, buffer=shm_f.buf,
+                       offset=(base_f + final_floats) * 4)[:ny, :nx],
+        )
+        # One band-vectorized gather over the rows this block can feed.
+        warp_rows(final, final_rows, img, fact, line_owner=owner, pid=pid)
         t_warp = time.process_time() - t1
         if rec is not None:
             rec.span(frame, "warp", tw0, rec.now())
@@ -2077,12 +2094,14 @@ class MPRenderPool:
         buf = info["buf"]
         n_v, n_u = fact.intermediate_shape
         ny, nx = fact.final_shape
-        img = IntermediateImage((n_v, n_u))
-        img.color = self._inter_view(buf, 0)[:n_v, :n_u].copy()
-        img.opacity = self._inter_view(buf, 1)[:n_v, :n_u].copy()
-        final = FinalImage((ny, nx))
-        final.color = self._final_view(buf, 0)[:ny, :nx].copy()
-        final.alpha = self._final_view(buf, 1)[:ny, :nx].copy()
+        img = IntermediateImage.over(
+            self._inter_view(buf, 0)[:n_v, :n_u].copy(),
+            self._inter_view(buf, 1)[:n_v, :n_u].copy(),
+        )
+        final = FinalImage.over(
+            self._final_view(buf, 0)[:ny, :nx].copy(),
+            self._final_view(buf, 1)[:ny, :nx].copy(),
+        )
         self._results[frame] = MPRenderResult(
             final=final,
             intermediate=img,

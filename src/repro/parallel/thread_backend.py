@@ -18,10 +18,11 @@ pool pays none of the process pool's structural dispatch costs:
   result (no copy-out, no re-zeroing, no buffer-release protocol).
 
 Everything partition-shaped is literally shared with the MP backend —
-:class:`~repro.parallel.mp_backend.FramePlanner`, the chunk claim/steal
-helpers and the cost-fragment calibration are imported from
-``mp_backend`` — so the two backends cannot drift apart and their
-images are bit-identical to each other and to the serial renderer.
+:class:`~repro.parallel.mp_backend.FramePlanner`, the guided
+claim/steal drain loop (``_composite_share``) and the cost-fragment
+calibration are imported from ``mp_backend`` — so the two backends
+cannot drift apart and their images are bit-identical to each other
+and to the serial renderer.
 
 Concurrency structure
 ---------------------
@@ -66,7 +67,7 @@ from ..obs.timeline import export_chrome_trace as _export_chrome_trace
 from ..render.fast import render_fast
 from ..render.image import FinalImage, IntermediateImage
 from ..render.serial import ShearWarpRenderer
-from ..render.warp import warp_coeffs, warp_scanline
+from ..render.warp import warp_rows
 from . import mp_backend as _mpb
 from .backend import BackendCapabilities, as_frame_specs
 from .mp_backend import (
@@ -78,11 +79,8 @@ from .mp_backend import (
     PoolConfig,
     PoolUnrecoverable,
     _apply_cost_fragments,
-    _burn,
-    _claim_own_chunk,
-    _composite_range,
+    _composite_share,
     _config_from,
-    _steal_chunk,
     _warn_legacy,
 )
 
@@ -367,11 +365,10 @@ class ThreadRenderPool:
         delay = _mpb._TEST_ROW_DELAY  # read live so tests can monkeypatch
         burn_per_row = delay[1] if delay is not None and delay[0] == pid else 0.0
         err: str | None = None
-        frags: list[tuple[int, np.ndarray]] | None = [] if profiled else None
-        n_steals = n_steal_rows = n_rows = 0
+        frags: list[tuple[int, np.ndarray]] | None = None
+        n_steals = n_steal_rows = 0
         t_comp = t_warp = 0.0
         tc0 = tb0 = 0.0
-        cache_stats0: tuple[int, int, float] | None = None
         # Per-thread CPU time: the exact analogue of the MP workers'
         # per-process clock, unpolluted by other threads' slices.
         t0 = time.thread_time()
@@ -383,62 +380,11 @@ class ThreadRenderPool:
                 if rec_tr is not None:
                     tc0 = rec_tr.now()
                     rec_tr.span(frame, "decode", td0, tc0)
-                    cache = rle.slice_cache
-                    cache_stats0 = (cache.hits, cache.misses, cache.decode_s)
-                if claims is None:
-                    frag = _composite_range(img, v_lo, v_hi, rle, fact,
-                                            self.kernel, profiled, rec_tr, frame)
-                    n_rows = max(0, v_hi - v_lo)
-                    if frag is not None:
-                        frags.append((v_lo, frag))
-                    if burn_per_row:
-                        _burn(burn_per_row * n_rows)
-                else:
-                    my_lock = self._claim_locks[pid]
-                    while True:
-                        got = _claim_own_chunk(claims, my_lock, pid,
-                                               self.steal_chunk)
-                        if got is None:
-                            break
-                        lo, hi = got
-                        frag = _composite_range(img, lo, hi, rle, fact,
-                                                self.kernel, profiled,
-                                                rec_tr, frame)
-                        n_rows += hi - lo
-                        if frag is not None:
-                            frags.append((lo, frag))
-                        if burn_per_row:
-                            _burn(burn_per_row * (hi - lo))
-                    while True:
-                        if rec_tr is not None:
-                            ts0 = rec_tr.now()
-                        got = _steal_chunk(claims, self._claim_locks, pid,
-                                           self.steal_chunk)
-                        if got is None:
-                            break
-                        if rec_tr is not None:
-                            rec_tr.span(frame, "steal", ts0, rec_tr.now())
-                        lo, hi = got
-                        n_steals += 1
-                        n_steal_rows += hi - lo
-                        frag = _composite_range(img, lo, hi, rle, fact,
-                                                self.kernel, profiled,
-                                                rec_tr, frame)
-                        n_rows += hi - lo
-                        if frag is not None:
-                            frags.append((lo, frag))
-                        if burn_per_row:
-                            _burn(burn_per_row * (hi - lo))
-                if rec_tr is not None:
-                    rec_tr.count(frame, "rows", n_rows)
-                    rec_tr.count(frame, "steals", n_steals)
-                    rec_tr.count(frame, "steal_rows", n_steal_rows)
-                    rec_tr.count(frame, "cache_hits",
-                                 cache.hits - cache_stats0[0])
-                    rec_tr.count(frame, "cache_misses",
-                                 cache.misses - cache_stats0[1])
-                    rec_tr.count(frame, "decode_us",
-                                 (cache.decode_s - cache_stats0[2]) * 1e6)
+                frags, n_steals, n_steal_rows = _composite_share(
+                    img, (v_lo, v_hi), claims, self._claim_locks, pid,
+                    self.steal_chunk, rle, fact, self.kernel, profiled,
+                    rec_tr, frame, burn_per_row,
+                )
             finally:
                 t_comp = time.thread_time() - t0
                 if rec_tr is not None:
@@ -453,11 +399,8 @@ class ThreadRenderPool:
             t1 = time.thread_time()
             if rec_tr is not None:
                 tw0 = rec_tr.now()
-            coeffs = warp_coeffs(fact)
-            owner = rec["owner"]
-            for y in rec["rows_by_pid"][pid]:
-                warp_scanline(final, int(y), img, fact, line_owner=owner,
-                              pid=pid, coeffs=coeffs)
+            warp_rows(final, rec["rows_by_pid"][pid], img, fact,
+                      line_owner=rec["owner"], pid=pid)
             t_warp = time.thread_time() - t1
             if rec_tr is not None:
                 rec_tr.span(frame, "warp", tw0, rec_tr.now())

@@ -11,6 +11,7 @@ from .warp import (
     final_pixel_source_lines,
     warp_coeffs,
     warp_frame,
+    warp_rows,
     warp_rows_by_pid,
     warp_scanline,
     warp_tile,
@@ -43,6 +44,7 @@ __all__ = [
     "final_pixel_source_lines",
     "warp_coeffs",
     "warp_frame",
+    "warp_rows",
     "warp_rows_by_pid",
     "warp_scanline",
     "warp_tile",

@@ -21,7 +21,15 @@ real host.  This kernel composites the whole band per slice instead:
 * **per-row early termination** — an active-row mask retires a scanline
   from the remaining slices the moment the reference kernel's
   whole-scanline termination test would have fired for it, so saturated
-  rows stop costing anything.
+  rows stop costing anything;
+* **slice geometry hoisted out of the loop** — the slice offsets, the
+  per-(slice, row) ``jA / fj / useA / useB`` with their blend weights
+  and run/voxel counts, and the per-slice ``u_lo / u_hi / m / fu`` are
+  computed as arrays once per call (the same float64 elementwise
+  operations, hence the same bits), and a slice with no candidate row in
+  the band is skipped outright.  What is left per slice is the resample
+  and the composite themselves, which is what keeps a band split into a
+  few pool chunks close to the cost of the whole-band call.
 
 The kernel performs the reference kernel's per-pixel arithmetic in the
 same operand order and precision, so its output is **bit-identical** to
@@ -135,45 +143,86 @@ def composite_scanline_block(
     in_loop = np.ones(H, dtype=bool)
     vs = np.arange(v_lo, v_hi, dtype=np.float64)
 
-    # Span of the last slice traversed — the reference kernel's sound
-    # early-termination window (see composite_image_scanline).
-    u_off_last, _ = fact.slice_offsets(int(fact.k_front_to_back[-1]))
-    last_lo = max(0, int(np.ceil(float(u_off_last) - 1.0)))
-    last_hi = min(n_u, int(np.floor(float(u_off_last) + ni - 1e-9)) + 1)
-
+    # Slice geometry, hoisted: everything below is a function of (slice)
+    # or (slice, row) only, so it is evaluated once per call for all nk
+    # slices — the reference kernel's float64 operations, elementwise
+    # over arrays, hence the same values bit for bit.  Row ``p`` of each
+    # array belongs to the ``p``-th slice in front-to-back order.
     run_count = rle.run_count
     vox_count = rle.vox_count
+    ks = np.asarray(fact.k_front_to_back, dtype=np.int64)
+    u_offs, v_offs = fact.slice_offsets(ks)
+    # Per-(slice, row) vertical resampling: (jA, fj) and which of the two
+    # contributing voxel scanlines exist.
+    j_f = vs[None, :] - v_offs[:, None]
+    jA = np.floor(j_f)
+    fj = j_f - jA
+    jAi = jA.astype(np.int64)
+    useA = (jAi >= 0) & (jAi < nj)
+    useB = (jAi >= -1) & (jAi < nj - 1) & (fj > 0.0)
+    cand = useA | useB
+    # The reference kernel's weights are Python floats, which NumPy's
+    # weak-scalar promotion rounds to float32 at the multiply; doing the
+    # same rounding here (float64 subtraction first, then the cast)
+    # keeps the whole blend in float32 and bit-identical.
+    wA_all = np.where(useA, 1.0 - fj, 0.0).astype(np.float32)
+    wB_all = np.where(useB, fj, 0.0).astype(np.float32)
+    # Per-slice horizontal footprint (constant across the band) and the
+    # bilinear column fraction.
+    u_lo_all = np.maximum(0, np.ceil(u_offs - 1.0).astype(np.int64))
+    u_hi_all = np.minimum(n_u, np.floor(u_offs + ni - 1e-9).astype(np.int64) + 1)
+    m_all = np.floor(u_lo_all - u_offs).astype(np.int64)
+    fu_all = (u_lo_all - u_offs) - m_all
+    # Runs/voxels of the (at most two) contributing voxel scanlines.
+    k_col = ks[:, None]
+    rowA = np.where(useA, jAi, 0)
+    rowB = np.where(useB, jAi + 1, 0)
+    occupied_all = (
+        np.where(useA, vox_count[k_col, rowA], 0)
+        + np.where(useB, vox_count[k_col, rowB], 0)
+    ) > 0
+    if want:
+        runs_all = (
+            np.where(useA, run_count[k_col, rowA], 0)
+            + np.where(useB, run_count[k_col, rowB], 0)
+        )
+    # Rows a slice has to look at: the reference kernel counts skipped
+    # pixels on every candidate row, so with counters on the gate is
+    # ``cand``; without them only rows with voxels to resample matter
+    # (a subset of ``cand``, so the composited pixels are the same).
+    gate = cand if want else occupied_all
+    # Slices that can touch this band at all; the rest cost one counter
+    # bump (below) instead of a pass through the loop body.
+    touch = np.nonzero(gate.any(axis=1) & (u_hi_all > u_lo_all))[0]
+    # Python scalars for the loop: a NumPy float64 scalar is not "weak"
+    # and would promote the float32 resampling below to float64.
+    ks_l, u_lo_l, u_hi_l = ks.tolist(), u_lo_all.tolist(), u_hi_all.tolist()
+    m_l, fu_l = m_all.tolist(), fu_all.tolist()
 
-    for k in fact.k_front_to_back:
-        k = int(k)
+    # Span of the last slice traversed — the reference kernel's sound
+    # early-termination window (see composite_image_scanline).
+    last_lo, last_hi = u_lo_l[-1], u_hi_l[-1]
+
+    # Slices the reference loop has entered so far (it counts a
+    # ``loop_iters`` for every in-loop row of every slice, touching or
+    # not; in_loop only changes inside touching slices, so the skipped
+    # ones are settled in one add at the next touching slice).
+    seen = 0
+    for p in touch.tolist():
         if not in_loop.any():
             break
         if want:
-            rc.loop_iters[in_loop] += 1
-        u_off, v_off = fact.slice_offsets(k)
-        u_off = float(u_off)
-        v_off = float(v_off)
-
-        # Per-row (jA, fj): the same float64 arithmetic as the reference
-        # kernel, evaluated for the whole band at once.
-        j_f = vs - v_off
-        jA = np.floor(j_f)
-        fj = j_f - jA
-        jAi = jA.astype(np.int64)
-        useA = (jAi >= 0) & (jAi < nj)
-        useB = (jAi >= -1) & (jAi < nj - 1) & (fj > 0.0)
-        rows = in_loop & (useA | useB)
+            rc.loop_iters[in_loop] += p + 1 - seen
+        seen = p + 1
+        k = ks_l[p]
+        rows = in_loop & gate[p]
         if not rows.any():
             continue
 
-        # Horizontal footprint of this slice (constant across the band).
-        u_lo = max(0, int(np.ceil(u_off - 1.0)))
-        u_hi = min(n_u, int(np.floor(u_off + ni - 1e-9)) + 1)
-        if u_hi <= u_lo:
-            continue
+        u_lo, u_hi = u_lo_l[p], u_hi_l[p]
         L = u_hi - u_lo
-        m = int(np.floor(u_lo - u_off))
-        fu = (u_lo - u_off) - m
+        m = m_l[p]
+        fu = fu_l[p]
 
         O = opac[v_lo:v_hi, u_lo:u_hi]
         C = col[v_lo:v_hi, u_lo:u_hi]
@@ -190,24 +239,14 @@ def composite_scanline_block(
         r2 = r1[live]
         act = act[live]
 
-        # Runs/voxels of the (at most two) contributing voxel scanlines.
-        jA2 = jAi[r2]
-        uA = useA[r2]
-        uB = useB[r2]
-        rowA = np.where(uA, jA2, 0)
-        rowB = np.where(uB, jA2 + 1, 0)
         if want:
-            rc.run_entries[r2] += (
-                np.where(uA, run_count[k, rowA], 0)
-                + np.where(uB, run_count[k, rowB], 0)
-            )
-        nvox = np.where(uA, vox_count[k, rowA], 0) + np.where(uB, vox_count[k, rowB], 0)
-        occupied = nvox > 0
+            rc.run_entries[r2] += runs_all[p, r2]
+        occupied = occupied_all[p, r2]
         if not occupied.any():
             continue
         r3 = r2[occupied]
         act = act[occupied]
-        jA3 = jAi[r3]
+        jA3 = jAi[p, r3]
 
         # Bilinear resample: gather the two contributing plane rows per
         # scanline (an out-of-range row lands on the transparent pad) and
@@ -224,13 +263,8 @@ def composite_scanline_block(
         cA = gAc[:, :-1] * one_fu + gAc[:, 1:] * fu
         aB = gBo[:, :-1] * one_fu + gBo[:, 1:] * fu
         cB = gBc[:, :-1] * one_fu + gBc[:, 1:] * fu
-        # The reference kernel's weights are Python floats, which NumPy's
-        # weak-scalar promotion rounds to float32 at the multiply; doing
-        # the same rounding here (float64 subtraction first, then the
-        # cast) keeps the whole blend in float32 and bit-identical.
-        fj3 = fj[r3]
-        wA = np.where(useA[r3], 1.0 - fj3, 0.0).astype(np.float32)[:, None]
-        wB = np.where(useB[r3], fj3, 0.0).astype(np.float32)[:, None]
+        wA = wA_all[p, r3][:, None]
+        wB = wB_all[p, r3][:, None]
         samp_a = wA * aA + wB * aB
         samp_c = wA * cA + wB * cB
 
@@ -265,6 +299,9 @@ def composite_scanline_block(
         if saturated.any():
             in_loop[r4[saturated]] = False
 
+    if want:
+        # Non-touching slices behind the last touching one.
+        rc.loop_iters[in_loop] += len(ks_l) - seen
     if counters is not None:
         rc.aggregate(into=counters)
     return img

@@ -6,7 +6,9 @@ actually *using* the renderer, compositing goes through the block kernel
 (:mod:`repro.render.block`) — slice-major, four shifted-plane
 multiply-adds per slice, per-row early termination — called here with
 the whole frame as one degenerate band.  The warp is a single vectorized
-inverse-mapped gather.
+inverse-mapped gather: :func:`repro.render.warp.warp_rows` over every
+row with no owner mask — the same function a pool worker calls on the
+rows of its own band, so the vectorized warp exists once.
 
 Both fast phases are **bit-identical** to the reference kernels (same
 per-pixel operations, operand order and rounding), typically ~5-20x
@@ -22,6 +24,7 @@ from ..volume.rle import RLEVolume
 from .block import composite_scanline_block
 from .image import FinalImage, IntermediateImage
 from .serial import RenderResult, ShearWarpRenderer
+from .warp import warp_rows
 
 __all__ = ["composite_frame_fast", "warp_frame_fast", "render_fast"]
 
@@ -40,35 +43,9 @@ def warp_frame_fast(
     img: IntermediateImage,
     fact: ShearWarpFactorization,
 ) -> FinalImage:
-    """Warp the whole final image with one vectorized gather."""
-    ny, nx = final.shape
-    n_v, n_u = img.shape
-    a_inv = np.linalg.inv(fact.warp[:2, :2])
-    b = fact.warp[:2, 2]
-    xs, ys = np.meshgrid(np.arange(nx, dtype=np.float64),
-                         np.arange(ny, dtype=np.float64))
-    u = a_inv[0, 0] * (xs - b[0]) + a_inv[0, 1] * (ys - b[1])
-    v = a_inv[1, 0] * (xs - b[0]) + a_inv[1, 1] * (ys - b[1])
-    valid = (u >= 0) & (u <= n_u - 1) & (v >= 0) & (v <= n_v - 1)
-
-    uu, vv = u[valid], v[valid]
-    u0 = np.floor(uu).astype(np.intp)
-    v0 = np.floor(vv).astype(np.intp)
-    # The float64 source coordinates must be demoted *before* the weights
-    # are formed: the reference warp blends with float32 weights, and a
-    # float64 weight would silently promote the float32 gather below and
-    # round differently.
-    fu = (uu - u0).astype(np.float32)
-    fv = (vv - v0).astype(np.float32)
-    u1 = np.minimum(u0 + 1, n_u - 1)
-    v1 = np.minimum(v0 + 1, n_v - 1)
-    one = np.float32(1.0)
-    w00, w10 = (one - fu) * (one - fv), fu * (one - fv)
-    w01, w11 = (one - fu) * fv, fu * fv
-    for src, dst in ((img.color, final.color), (img.opacity, final.alpha)):
-        out = (w00 * src[v0, u0] + w10 * src[v0, u1]
-               + w01 * src[v1, u0] + w11 * src[v1, u1])
-        dst[valid] = out
+    """Warp the whole final image with one vectorized gather: the
+    all-rows, no-owner call of :func:`repro.render.warp.warp_rows`."""
+    warp_rows(final, np.arange(final.ny), img, fact)
     return final
 
 

@@ -24,6 +24,14 @@ OPAQUE_THRESHOLD = 0.95
 BYTES_PER_PIXEL = 8
 
 
+def _plane_shape(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
+    """Common 2-D shape of two planes an image is about to wrap."""
+    if a.ndim != 2 or a.shape != b.shape or 0 in a.shape:
+        raise ValueError(f"planes must share one non-empty 2-D shape, "
+                         f"got {a.shape} and {b.shape}")
+    return a.shape
+
+
 @dataclass
 class IntermediateImage:
     """Composited image in sheared space: ``(n_v, n_u)`` rows x columns."""
@@ -39,6 +47,16 @@ class IntermediateImage:
             raise ValueError(f"invalid intermediate image shape {self.shape}")
         self.color = np.zeros((n_v, n_u), dtype=np.float32)
         self.opacity = np.zeros((n_v, n_u), dtype=np.float32)
+
+    @classmethod
+    def over(cls, color: np.ndarray, opacity: np.ndarray) -> "IntermediateImage":
+        """Wrap existing planes (shared-memory views, copies) in place —
+        no allocation, no zeroing."""
+        self = cls.__new__(cls)
+        self.shape = _plane_shape(color, opacity)
+        self.opaque_threshold = OPAQUE_THRESHOLD
+        self.color, self.opacity = color, opacity
+        return self
 
     @property
     def n_v(self) -> int:
@@ -78,6 +96,14 @@ class FinalImage:
             raise ValueError(f"invalid final image shape {self.shape}")
         self.color = np.zeros((ny, nx), dtype=np.float32)
         self.alpha = np.zeros((ny, nx), dtype=np.float32)
+
+    @classmethod
+    def over(cls, color: np.ndarray, alpha: np.ndarray) -> "FinalImage":
+        """Wrap existing planes in place — no allocation, no zeroing."""
+        self = cls.__new__(cls)
+        self.shape = _plane_shape(color, alpha)
+        self.color, self.alpha = color, alpha
+        return self
 
     @property
     def ny(self) -> int:

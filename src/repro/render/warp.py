@@ -20,6 +20,7 @@ from .instrument import Region, TraceSink, WorkCounters
 __all__ = [
     "warp_coeffs",
     "warp_scanline",
+    "warp_rows",
     "warp_tile",
     "warp_frame",
     "final_pixel_source_lines",
@@ -43,6 +44,31 @@ def warp_coeffs(fact: ShearWarpFactorization) -> tuple[np.ndarray, np.ndarray]:
     a 2x2 ``np.linalg.inv`` per final-image row.
     """
     return _inverse_coeffs(fact)
+
+
+def _inverse_map(
+    ys: np.ndarray,
+    nx: int,
+    intermediate_shape: tuple[int, int],
+    coeffs: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source coordinates ``(u, v)`` and validity of final rows ``ys``.
+
+    :func:`warp_scanline`'s inverse-mapping arithmetic with ``dy``
+    broadcast over the row axis; all three results have shape
+    ``(len(ys), nx)``.  The elementwise IEEE operations are
+    value-identical under broadcasting, so row ``i`` holds bit for bit
+    what ``warp_scanline(final, ys[i], ...)`` computes — the two MUST
+    stay in lockstep.
+    """
+    n_v, n_u = intermediate_shape
+    a_inv, b = coeffs
+    dx = np.arange(0, nx, dtype=np.float64)[None, :] - b[0]
+    dy = np.asarray(ys, dtype=np.float64)[:, None] - b[1]
+    u = a_inv[0, 0] * dx + a_inv[0, 1] * dy
+    v = a_inv[1, 0] * dx + a_inv[1, 1] * dy
+    valid = (u >= 0.0) & (u <= n_u - 1) & (v >= 0.0) & (v <= n_v - 1)
+    return u, v, valid
 
 
 def warp_scanline(
@@ -136,6 +162,66 @@ def warp_scanline(
     return n
 
 
+def warp_rows(
+    final: FinalImage,
+    rows: np.ndarray,
+    img: IntermediateImage,
+    fact: ShearWarpFactorization,
+    line_owner: np.ndarray | None = None,
+    pid: int | None = None,
+    coeffs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> int:
+    """Warp the final-image rows ``rows`` (full width) in one gather.
+
+    This is :func:`warp_scanline`'s inverse-map / ownership / bilinear
+    arithmetic evaluated for all of ``rows`` at once, so the result is
+    **bit-identical** to looping ``warp_scanline`` over ``rows`` —
+    without the per-row Python call.  It is the one vectorized warp: a
+    pool worker passes the rows its partition can contribute to plus
+    ``line_owner``/``pid`` (pixels whose source scanline another worker
+    owns are left untouched), and
+    :func:`repro.render.fast.warp_frame_fast` is the all-rows, no-owner
+    call.  Returns the number of final pixels written.
+    """
+    # Sorted and de-duplicated, so the row-major order of the boolean
+    # selections below is the order of the scatter mask.
+    rows = np.unique(np.asarray(rows, dtype=np.intp))
+    if rows.size == 0:
+        return 0
+    n_v, n_u = img.shape
+    u, v, valid = _inverse_map(
+        rows, final.nx, img.shape,
+        coeffs if coeffs is not None else _inverse_coeffs(fact),
+    )
+    if line_owner is not None:
+        v0_all = np.clip(np.floor(v).astype(np.intp), 0, n_v - 1)
+        valid &= line_owner[v0_all] == pid
+
+    uu = u[valid]
+    if uu.size == 0:
+        return 0
+    vv = v[valid]
+    u0 = np.floor(uu).astype(np.intp)
+    v0 = np.floor(vv).astype(np.intp)
+    # Demote the float64 source coordinates *before* forming the
+    # weights: a float64 weight would promote the float32 gather below
+    # and round differently from the reference warp.
+    fu = (uu - u0).astype(np.float32)
+    fv = (vv - v0).astype(np.float32)
+    u1 = np.minimum(u0 + 1, n_u - 1)
+    v1 = np.minimum(v0 + 1, n_v - 1)
+    w00 = (1 - fu) * (1 - fv)
+    w10 = fu * (1 - fv)
+    w01 = (1 - fu) * fv
+    w11 = fu * fv
+    mask = np.zeros(final.shape, dtype=bool)
+    mask[rows] = valid
+    for src, dst in ((img.color, final.color), (img.opacity, final.alpha)):
+        dst[mask] = (w00 * src[v0, u0] + w10 * src[v0, u1]
+                     + w01 * src[v1, u0] + w11 * src[v1, u1])
+    return int(uu.size)
+
+
 def warp_tile(
     final: FinalImage,
     y0: int,
@@ -205,32 +291,22 @@ def pixel_source_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per final pixel: its source scanline ``v0`` and validity mask.
 
-    This is :func:`warp_scanline`'s inverse-mapping arithmetic —
-    ``u``/``v``, the validity test, ``v0 = clip(floor(v), 0, n_v - 1)``
-    — evaluated for every row at once by broadcasting ``dy`` over the
-    row axis.  The elementwise IEEE operations are value-identical
-    under broadcasting, so ``v0[y, x]`` is bit-for-bit the scanline
-    ``warp_scanline(final, y, ...)`` would look up for pixel ``x``;
-    the two MUST stay in lockstep, because the shard merge tree uses
-    this map to decide which pool's framebuffer owns each final pixel
-    (``line_owner[v0]`` is exactly the ownership test the per-scanline
-    warp applies).
+    ``v0 = clip(floor(v), 0, n_v - 1)`` over the shared inverse map, so
+    ``v0[y, x]`` is bit-for-bit the scanline the warp looks up for
+    pixel ``(y, x)``: the shard merge tree uses this map to decide which
+    pool's framebuffer owns each final pixel (``line_owner[v0]`` is
+    exactly the ownership test the warp applies).
 
     Returns ``(v0, valid)``, both of shape ``final_shape``; ``v0`` is
     meaningful only where ``valid`` is True (invalid pixels are never
     written by any warp and stay zero in every framebuffer).
     """
     ny, nx = final_shape
-    n_v, n_u = intermediate_shape
-    a_inv, b = coeffs if coeffs is not None else _inverse_coeffs(fact)
-    xs = np.arange(0, nx, dtype=np.float64)
-    ys = np.arange(0, ny, dtype=np.float64)
-    dx = xs[None, :] - b[0]
-    dy = ys[:, None] - b[1]
-    u = a_inv[0, 0] * dx + a_inv[0, 1] * dy
-    v = a_inv[1, 0] * dx + a_inv[1, 1] * dy
-    valid = (u >= 0.0) & (u <= n_u - 1) & (v >= 0.0) & (v <= n_v - 1)
-    v0 = np.clip(np.floor(v).astype(np.intp), 0, n_v - 1)
+    _, v, valid = _inverse_map(
+        np.arange(ny), nx, intermediate_shape,
+        coeffs if coeffs is not None else _inverse_coeffs(fact),
+    )
+    v0 = np.clip(np.floor(v).astype(np.intp), 0, intermediate_shape[0] - 1)
     return v0, valid
 
 

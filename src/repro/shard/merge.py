@@ -165,7 +165,6 @@ def merge_framebuffers(
             np.copyto(fbs[dst].alpha[:ny, :nx], fbs[src].alpha[:ny, :nx],
                       where=mask)
             merges += 1
-    out = FinalImage((ny, nx))
-    out.color[...] = fbs[0].color[:ny, :nx]
-    out.alpha[...] = fbs[0].alpha[:ny, :nx]
+    out = FinalImage.over(fbs[0].color[:ny, :nx].copy(),
+                          fbs[0].alpha[:ny, :nx].copy())
     return out, merges

@@ -410,7 +410,10 @@ class ShardedRenderService:
         fact = splan["fact"]
         n_v, n_u = fact.intermediate_shape
         own = splan["shard_owner"]
-        inter = IntermediateImage((n_v, n_u))
+        # Every line has exactly one owning shard, so the gather below
+        # writes every row: no need to allocate-and-zero first.
+        inter = IntermediateImage.over(np.empty((n_v, n_u), np.float32),
+                                       np.empty((n_v, n_u), np.float32))
         for s, r in enumerate(results):
             rows = own == s
             inter.color[rows] = r.intermediate.color[rows]

@@ -152,6 +152,51 @@ class TestGoldenEquivalence:
                 img, 0, img.n_v, rle, fact, row_counters=BlockRowCounters(1, img.n_v)
             )
 
+    def test_band_outside_volume_footprint(self, mri_renderer):
+        """Rows no slice projects onto: every slice is skipped outright,
+        nothing is written, and the counters still read what the
+        reference loop counts (one ``loop_iters`` per slice per row)."""
+        fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(20, 30, 0))
+        rle = mri_renderer.rle_for(fact)
+        n_v, n_u = fact.intermediate_shape
+        lo, hi = n_v + 2, n_v + 7  # below the sheared footprint
+        ref = IntermediateImage((n_v + 8, n_u))
+        got = IntermediateImage((n_v + 8, n_u))
+        rc = BlockRowCounters(lo, hi)
+        composite_scanline_block(got, lo, hi, rle, fact, row_counters=rc)
+        assert not got.opacity.any() and not got.color.any()
+        for v in range(lo, hi):
+            c = WorkCounters()
+            composite_image_scanline(ref, v, rle, fact, counters=c)
+            assert c.loop_iters == rle.shape_ijk[2]
+            for f in COUNTER_FIELDS:
+                assert getattr(c, f) == getattr(rc.row(v), f), (v, f)
+        # A band straddling the footprint's edge agrees with the loop too.
+        composite_scanline_block(got, n_v - 3, n_v + 8, rle, fact)
+        for v in range(n_v - 3, n_v + 8):
+            composite_image_scanline(ref, v, rle, fact)
+        assert np.array_equal(ref.opacity, got.opacity)
+        assert np.array_equal(ref.color, got.color)
+
+    @pytest.mark.parametrize("angles", [(0, 0, 0), (12, -9, 30)])
+    def test_single_slice_volume(self, angles):
+        """``nk = 1``: the first slice is also the last one traversed."""
+        raw = np.zeros((14, 12, 1), dtype=np.uint8)
+        raw[3:11, 2:9, 0] = 200
+        r = ShearWarpRenderer(raw, binary_transfer_function(100))
+        fact = r.factorize_view(r.view_from_angles(*angles))
+        rle = r.rle_for(fact)
+        assert rle.shape_ijk[2] == 1
+        ref, ref_c = reference_composite(rle, fact)
+        got = IntermediateImage(fact.intermediate_shape)
+        got_c = WorkCounters()
+        composite_scanline_block(got, 0, got.n_v, rle, fact, counters=got_c)
+        assert got.opacity.any()
+        assert np.array_equal(ref.opacity, got.opacity)
+        assert np.array_equal(ref.color, got.color)
+        for f in COUNTER_FIELDS:
+            assert getattr(ref_c, f) == getattr(got_c, f), f
+
     def test_empty_band_is_noop(self, mri_renderer):
         fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(20, 30, 0))
         rle = mri_renderer.rle_for(fact)

@@ -9,6 +9,17 @@ from repro.cli import main
 
 
 class TestCLI:
+    def test_pyproject_version_is_the_package_version(self):
+        """One version: the build reads it from ``repro.__version__``."""
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+            meta = tomllib.load(f)
+        assert "version" not in meta["project"]
+        assert meta["project"]["dynamic"] == ["version"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"}
+
     def test_info(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out

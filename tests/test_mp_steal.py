@@ -7,8 +7,13 @@ counts, busy-time rebalancing, observability counters) layered on top
 via the deterministic imbalance-injection hook.
 """
 
+import math
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.parallel.mp_backend as mpb
 from repro.datasets import density_wedge
@@ -27,6 +32,91 @@ def renderer():
 def _render_pool(renderer, view, **kwargs):
     with MPRenderPool(renderer, **kwargs) as pool:
         return pool.render(view)
+
+
+def _claim_bound(n: int, grain: int) -> int:
+    """Kernel calls an owner alone may need for ``n`` rows."""
+    return max(0, math.ceil(math.log2(n / grain))) + 2
+
+
+class TestGuidedClaims:
+    """The claim/steal cursor protocol, driven in-process: guided
+    halving with ``steal_chunk`` as the floor."""
+
+    @given(
+        sizes=st.lists(st.integers(0, 200), min_size=1, max_size=5),
+        grain=st.integers(1, 16),
+        data=st.data(),
+    )
+    def test_every_row_handed_out_exactly_once(self, sizes, grain, data):
+        """Any interleaving of owners claiming and thieves stealing
+        covers every row of every band exactly once, each chunk no
+        smaller than ``min(grain, remaining)``."""
+        n = len(sizes)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        claims = np.stack([bounds[:-1], bounds[1:]], axis=1).astype(np.int64)
+        locks = [threading.Lock() for _ in range(n)]
+        seen = np.zeros(int(bounds[-1]), dtype=np.int64)
+        # An owner turns thief only once its own block is drained, and
+        # stops for good when a steal finds nothing — as the workers do.
+        state = ["own"] * n
+        while any(s != "done" for s in state):
+            pid = data.draw(st.sampled_from(
+                [p for p in range(n) if state[p] != "done"]))
+            if state[pid] == "own":
+                rem = int(claims[pid, 1] - claims[pid, 0])
+                got = mpb._claim_own_chunk(claims, locks[pid], pid, grain)
+                if got is None:
+                    assert rem == 0
+                    state[pid] = "steal"
+                    continue
+            else:
+                before = claims.copy()
+                got = mpb._steal_chunk(claims, locks, pid, grain)
+                if got is None:
+                    others = np.delete(before, pid, axis=0)
+                    assert (others[:, 1] <= others[:, 0]).all()
+                    state[pid] = "done"
+                    continue
+                victim = int(np.nonzero((before != claims).any(axis=1))[0][0])
+                rem = int(before[victim, 1] - before[victim, 0])
+                assert victim != pid and got[1] == before[victim, 1]
+            lo, hi = got
+            assert hi - lo >= min(grain, rem) and hi - lo <= rem
+            seen[lo:hi] += 1
+        assert (seen == 1).all()
+        assert (claims[:, 0] == claims[:, 1]).all()
+
+    @given(n=st.integers(1, 5000), grain=st.integers(1, 64))
+    def test_owner_alone_drains_in_log_many_claims(self, n, grain):
+        claims = np.array([[0, n]], dtype=np.int64)
+        lock = threading.Lock()
+        calls, nxt = 0, 0
+        while (got := mpb._claim_own_chunk(claims, lock, 0, grain)) is not None:
+            assert got[0] == nxt  # head-first, contiguous
+            nxt = got[1]
+            calls += 1
+        assert nxt == n
+        assert calls <= _claim_bound(n, grain)
+
+    def test_hundred_row_band_is_five_calls_not_thirteen(self):
+        claims = np.array([[0, 100]], dtype=np.int64)
+        lock = threading.Lock()
+        got = []
+        while (c := mpb._claim_own_chunk(claims, lock, 0, 8)) is not None:
+            got.append(c[1] - c[0])
+        assert got == [50, 25, 13, 8, 4]
+
+    def test_thief_takes_half_of_the_tail(self):
+        claims = np.array([[10, 110], [200, 200]], dtype=np.int64)
+        locks = [threading.Lock(), threading.Lock()]
+        assert mpb._steal_chunk(claims, locks, 1, 8) == (60, 110)
+        assert mpb._steal_chunk(claims, locks, 1, 8) == (35, 60)
+        # Below two grains the floor takes over: 9 left -> 8, then 1.
+        claims[0] = (0, 9)
+        assert mpb._steal_chunk(claims, locks, 1, 8) == (1, 9)
+        assert mpb._steal_chunk(claims, locks, 1, 8) == (0, 1)
+        assert mpb._steal_chunk(claims, locks, 1, 8) is None
 
 
 class TestStealBitIdentity:

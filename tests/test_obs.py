@@ -1,12 +1,13 @@
 """Tests for the observability layer (repro.obs) and its wiring."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import repro.parallel.mp_backend as mpb
-from repro.datasets import mri_brain
+from repro.datasets import density_wedge, mri_brain
 from repro.obs import (
     COUNTERS,
     PHASES,
@@ -235,6 +236,59 @@ class TestMPTracing:
 
         assert main(["stats", str(path)]) == 0
         assert "decode_us" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("backend", ["mp", "thread"])
+    @pytest.mark.parametrize("phantom, shape", [
+        (mri_brain, (64, 64, 64)),
+        # Tall bands (~65 rows a worker), where 8-row chunks would need
+        # 9 kernel calls a worker-frame against the bound's 5.
+        (density_wedge, (64, 128, 64)),
+    ])
+    def test_kernel_calls_stay_logarithmic_in_rows(self, backend, phantom,
+                                                   shape, tmp_path, capsys):
+        """The regression guard for guided claims, as a count instead of
+        a timing: a default pool's worker enters the block kernel about
+        ``log2(rows / steal_chunk)`` times per frame (plus once per
+        steal), not once per ``steal_chunk`` rows."""
+        import repro
+        from repro.cli import main
+
+        big = ShearWarpRenderer(phantom(shape), mri_transfer_function())
+        views = [big.view_from_angles(20, 30 + 5 * i, 0) for i in range(4)]
+        with repro.open_pool(big, n_procs=2, backend=backend,
+                             trace=True) as pool:
+            grain = pool.config.steal_chunk
+            results = pool.render_animation(views)
+            path = tmp_path / "trace.json"
+            pool.export_chrome_trace(str(path))
+        total = fixed = 0
+        for res in results:
+            per_worker: dict[int, dict[str, float]] = {}
+            for c in res.timeline.counters:
+                per_worker.setdefault(c.pid, {})[c.name] = c.value
+            assert set(per_worker) == {0, 1}
+            for got in per_worker.values():
+                rows, calls = got["rows"], got["kernel_calls"]
+                bound = (max(0, math.ceil(math.log2(rows / grain))) + 2
+                         + got.get("steals", 0))
+                assert 1 <= calls <= bound
+                total += calls
+                # What calls of at most ``grain`` rows would have needed.
+                fixed += math.ceil(rows / grain)
+        if shape[1] > 64:
+            assert total < fixed
+        summary = summarize_trace(load_chrome_trace(str(path)))
+        assert summary["counters"]["kernel_calls"] == total
+        assert main(["stats", str(path)]) == 0
+        assert "kernel_calls" in capsys.readouterr().out
+
+    def test_scanline_kernel_calls_count_rows(self, renderer):
+        """The scanline kernel is entered once per scanline."""
+        view = renderer.view_from_angles(20, 30, 0)
+        with MPRenderPool(renderer, n_procs=2, kernel="scanline",
+                          profile_period=0, trace=True) as pool:
+            totals = pool.render(view).timeline.counter_totals()
+        assert totals["kernel_calls"] == totals["rows"] > 0
 
     def test_tracing_is_bit_identical_to_disabled(self, renderer):
         """The acceptance criterion: tracing must not change the images."""

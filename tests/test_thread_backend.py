@@ -96,7 +96,7 @@ class TestBitIdentity:
 
 def _flaky_composite(fail_frames, fire_once=True):
     """A _composite_range wrapper raising for chosen frames (thread-safe)."""
-    real = tb._composite_range
+    real = tb._mpb._composite_range
     lock = threading.Lock()
     fired: set[int] = set()
 
@@ -112,7 +112,7 @@ def _flaky_composite(fail_frames, fire_once=True):
 
 class TestErrorContract:
     def test_retry_recovers_bit_identical(self, renderer, monkeypatch):
-        monkeypatch.setattr(tb, "_composite_range", _flaky_composite({1}))
+        monkeypatch.setattr(tb._mpb, "_composite_range", _flaky_composite({1}))
         views = _views(renderer, 4)
         refs = [render_fast(renderer, v) for v in views]
         cfg = PoolConfig(n_procs=2, max_retries=2, degrade_to_serial=False)
@@ -127,7 +127,7 @@ class TestErrorContract:
 
     def test_degrade_to_serial(self, renderer, monkeypatch):
         monkeypatch.setattr(
-            tb, "_composite_range", _flaky_composite({1}, fire_once=False)
+            tb._mpb, "_composite_range", _flaky_composite({1}, fire_once=False)
         )
         views = _views(renderer, 3)
         refs = [render_fast(renderer, v) for v in views]
@@ -144,7 +144,7 @@ class TestErrorContract:
 
     def test_frame_failed_surfaces(self, renderer, monkeypatch):
         monkeypatch.setattr(
-            tb, "_composite_range", _flaky_composite({1}, fire_once=False)
+            tb._mpb, "_composite_range", _flaky_composite({1}, fire_once=False)
         )
         views = _views(renderer, 3)
         cfg = PoolConfig(n_procs=2, max_retries=0, degrade_to_serial=False)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import mri_brain, solid_sphere
 from repro.render import (
@@ -14,6 +16,7 @@ from repro.render.warp import (
     final_pixel_source_lines,
     warp_coeffs,
     warp_frame,
+    warp_rows,
     warp_rows_by_pid,
     warp_scanline,
     warp_tile,
@@ -132,6 +135,93 @@ class TestWarpVectorization:
         got = warp_rows_by_pid(src, owner, n_procs)
         for pid in range(n_procs):
             assert list(got[pid]) == want[pid]
+
+
+def _scanline_loop(fact, img, rows, owner=None, pid=None, fill=0.0):
+    """The reference: ``warp_scanline`` row by row into a pre-filled image."""
+    final = FinalImage(fact.final_shape)
+    final.color[:] = final.alpha[:] = fill
+    n = sum(warp_scanline(final, int(y), img, fact, line_owner=owner, pid=pid)
+            for y in rows)
+    return final, n
+
+
+class TestWarpRows:
+    """``warp_rows`` is the ``warp_scanline`` loop, bit for bit."""
+
+    # Principal-axis ties (45 deg), axis-aligned 90 deg views and the
+    # identity are where the factorization degenerates.
+    DEGENERATE = [(0, 0, 0), (0, 90, 0), (90, 0, 0), (0, 45, 0), (45, 0, 0),
+                  (0, 135, 0), (0, 180, 90), (35.264, 45, 0)]
+
+    @settings(max_examples=25)
+    @given(
+        angles=st.one_of(
+            st.sampled_from(DEGENERATE),
+            st.tuples(st.floats(-180, 180), st.floats(-180, 180),
+                      st.floats(-180, 180)),
+        ),
+        n_procs=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_matches_scanline_loop(self, scene, angles, n_procs, data):
+        r, _, _ = scene
+        fact = r.factorize_view(r.view_from_angles(*angles))
+        img = IntermediateImage(fact.intermediate_shape)
+        # Any pixel values do: the warp only resamples them.
+        rng = np.random.default_rng(7)
+        img.color[:] = rng.random(img.shape, dtype=np.float32)
+        img.opacity[:] = rng.random(img.shape, dtype=np.float32)
+        ny = fact.final_shape[0]
+        rows = np.array(sorted(data.draw(
+            st.sets(st.integers(0, ny - 1), max_size=ny))), dtype=np.int64)
+        owner = (np.arange(img.n_v) * 5) % n_procs
+        owner[::7] = -1  # shard mode: lines nobody in this pool owns
+        for own, pid in [(None, None)] + [(owner, p) for p in range(n_procs)]:
+            want, n_want = _scanline_loop(fact, img, rows, own, pid, fill=-1.0)
+            got = FinalImage(fact.final_shape)
+            got.color[:] = got.alpha[:] = -1.0
+            n_got = warp_rows(got, rows, img, fact, line_owner=own, pid=pid)
+            assert n_got == n_want
+            assert np.array_equal(got.color, want.color)
+            assert np.array_equal(got.alpha, want.alpha)
+
+    @pytest.mark.parametrize("rows", [[], [0], [3], [2, 9, 10, 17]])
+    def test_row_sets(self, scene, rows):
+        """Empty, single and non-contiguous row sets; rows not asked
+        for, and pixels another processor owns, keep their old value."""
+        _, fact, img = scene
+        owner = np.arange(img.n_v) % 2
+        want, n_want = _scanline_loop(fact, img, rows, owner, 1, fill=-1.0)
+        got = FinalImage(fact.final_shape)
+        got.color[:] = got.alpha[:] = -1.0
+        assert warp_rows(got, np.array(rows, dtype=np.int64), img, fact,
+                         line_owner=owner, pid=1) == n_want
+        assert np.array_equal(got.color, want.color)
+        assert np.array_equal(got.alpha, want.alpha)
+        untouched = np.ones(got.shape, dtype=bool)
+        untouched[rows] = False
+        assert (got.color[untouched] == -1.0).all()
+
+    def test_owners_partition_the_frame(self, scene):
+        _, fact, img = scene
+        full = FinalImage(fact.final_shape)
+        warp_frame(full, img, fact)
+        owner = np.arange(img.n_v) % 3
+        split = FinalImage(fact.final_shape)
+        rows = np.arange(split.ny)
+        written = sum(warp_rows(split, rows, img, fact, line_owner=owner, pid=p)
+                      for p in range(3))
+        assert np.array_equal(split.color, full.color)
+        assert np.array_equal(split.alpha, full.alpha)
+        assert written == warp_rows(FinalImage(fact.final_shape), rows, img, fact)
+
+    def test_unsorted_duplicate_rows_and_precomputed_coeffs(self, scene):
+        _, fact, img = scene
+        want, _ = _scanline_loop(fact, img, [4, 5, 11])
+        got = FinalImage(fact.final_shape)
+        warp_rows(got, np.array([11, 4, 5, 4]), img, fact, coeffs=warp_coeffs(fact))
+        assert np.array_equal(got.color, want.color)
 
 
 class TestWarpGeometry:
