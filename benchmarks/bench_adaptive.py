@@ -45,8 +45,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from common import Stopwatch, host_cpu_info, save_bench_json  # noqa: E402
 
+import repro  # noqa: E402
 from repro.datasets import density_wedge  # noqa: E402
-from repro.parallel.mp_backend import MPRenderPool  # noqa: E402
 from repro.render import ShearWarpRenderer  # noqa: E402
 from repro.volume import mri_transfer_function  # noqa: E402
 
@@ -64,8 +64,8 @@ def run_animation(
 ) -> dict:
     """Render the animation once; return timings, spreads and images."""
     # stealing=False isolates the static-partition claim (see module doc).
-    with MPRenderPool(renderer, n_procs=n_procs, kernel=kernel,
-                      profile_period=profile_period, stealing=False) as pool:
+    with repro.open_pool(renderer, n_procs=n_procs, kernel=kernel,
+                         profile_period=profile_period, stealing=False) as pool:
         pool.render(views[0])  # warm up fork + first slice decodes
         with Stopwatch() as sw:
             handles = [pool.submit(v) for v in views]

@@ -10,14 +10,15 @@ execution path.  Three serial configurations composite one frame:
   block call, kept separate to catch wiring regressions);
 
 then the parallel backends render a short animation at 1-4 workers with
-both kernels and four dispatch protocols:
+both kernels and four ways of driving a pool:
 
-* ``oneshot``  — fork + setup every frame (the worst case);
-* ``perframe`` — persistent :class:`MPRenderPool`, classic per-frame
-  submit/result round-trips (``doorbell=False, pipeline=False``);
-* ``batched``  — one queue message per worker for the whole animation,
-  shm-doorbell completion, cross-frame pipelining (the defaults);
-* ``threaded`` — the no-copy :class:`ThreadRenderPool`, batched.
+* ``oneshot``  — ``repro.render_frame``: fork + setup every frame (the
+  worst case);
+* ``perframe`` — persistent mp pool, explicit per-frame ``submit`` /
+  ``result`` pairs (one queue message per worker per frame);
+* ``batched``  — ``render_animation``: one queue message per worker for
+  the whole animation, cross-frame pipelining;
+* ``threaded`` — the no-copy thread pool (``backend="thread"``), batched.
 
 A traced pass splits the per-frame dispatch *tax* (wait + barrier +
 doorbell + parent dispatch span time) out of the block-kernel runs so
@@ -44,13 +45,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from common import best_of, host_cpu_info, save_bench_json  # noqa: E402
 
+import repro  # noqa: E402
 from repro.datasets import ct_head, mri_brain  # noqa: E402
-from repro.parallel.mp_backend import (  # noqa: E402
-    MPRenderPool,
-    PoolConfig,
-    render_parallel_mp,
-)
-from repro.parallel.thread_backend import ThreadRenderPool  # noqa: E402
 from repro.render import (  # noqa: E402
     IntermediateImage,
     ShearWarpRenderer,
@@ -129,26 +125,24 @@ def bench_parallel(
         out[str(n)] = {}
         for kernel in ("scanline", "block"):
             oneshot = best_of(
-                lambda: render_parallel_mp(renderer, views[0], n_procs=n, kernel=kernel),
+                lambda: repro.render_frame(renderer, views[0], n_procs=n,
+                                           kernel=kernel),
                 reps,
             )
-            # Classic per-frame protocol: one submit/result round-trip,
-            # pickled done messages — the pre-batching baseline.
-            cfg = PoolConfig(n_procs=n, kernel=kernel,
-                             doorbell=False, pipeline=False)
-            with MPRenderPool(renderer, config=cfg) as pool:
+            with repro.open_pool(renderer, n_procs=n, kernel=kernel) as pool:
                 pool.render(views[0])  # warm up fork + decodes
+                # Per-frame submit/result pairs: a queue message per
+                # worker per frame.
                 perframe = best_of(
                     lambda: _perframe_animation(pool, views), reps
                 ) / len(views)
-            # Batched + doorbell + pipelined (the defaults).
-            with MPRenderPool(renderer, n_procs=n, kernel=kernel) as pool:
-                pool.render(views[0])
+                # One batch per worker for the whole animation.
                 batched = best_of(
                     lambda: pool.render_animation(views), reps
                 ) / len(views)
             # The no-copy thread pool, batched.
-            with ThreadRenderPool(renderer, n_procs=n, kernel=kernel) as pool:
+            with repro.open_pool(renderer, n_procs=n, kernel=kernel,
+                                 backend="thread") as pool:
                 pool.render(views[0])
                 threaded = best_of(
                     lambda: pool.render_animation(views), reps
@@ -194,17 +188,16 @@ def bench_dispatch_overhead(
     never pollutes the headline timings.
     """
     out: dict = {}
-    cfg_pf = PoolConfig(n_procs=n, trace=True, doorbell=False, pipeline=False)
-    with MPRenderPool(renderer, config=cfg_pf) as pool:
+    with repro.open_pool(renderer, n_procs=n, trace=True) as pool:
         out["perframe"] = _traced_overhead(
             pool, lambda: _perframe_animation(pool, views), views
         )
-    cfg_b = PoolConfig(n_procs=n, trace=True)
-    with MPRenderPool(renderer, config=cfg_b) as pool:
+    with repro.open_pool(renderer, n_procs=n, trace=True) as pool:
         out["batched"] = _traced_overhead(
             pool, lambda: pool.render_animation(views), views
         )
-    with ThreadRenderPool(renderer, config=cfg_b) as pool:
+    with repro.open_pool(renderer, n_procs=n, trace=True,
+                         backend="thread") as pool:
         out["threaded"] = _traced_overhead(
             pool, lambda: pool.render_animation(views), views
         )

@@ -39,7 +39,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from common import Stopwatch, host_cpu_info, save_bench_json  # noqa: E402
 
-from repro.parallel.mp_backend import PoolConfig  # noqa: E402
+from repro.parallel.poolcore import PoolConfig  # noqa: E402
 from repro.serve import RenderClient, RenderServer, ServeConfig  # noqa: E402
 
 #: Client fleet sizes (the >= 3 levels the report commits to).

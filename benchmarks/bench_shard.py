@@ -45,10 +45,11 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from common import Stopwatch, host_cpu_info, save_bench_json  # noqa: E402
 
+import repro  # noqa: E402
 from repro.datasets import density_wedge  # noqa: E402
-from repro.parallel.mp_backend import PoolConfig  # noqa: E402
+from repro.parallel.poolcore import PoolConfig  # noqa: E402
 from repro.render import ShearWarpRenderer  # noqa: E402
-from repro.shard import ShardedRenderService  # noqa: E402
+from repro.shard import ShardConfig  # noqa: E402
 from repro.volume import mri_transfer_function  # noqa: E402
 
 SHAPE = (48, 48, 32)
@@ -64,9 +65,11 @@ SMOKE_ROW_DELAY_S = 0.003
 def run_fleet(renderer, views, *, shards, n_procs, profile_period,
               warmup=True) -> dict:
     """Render the animation through one shard fleet; return measurements."""
-    cfg = PoolConfig(n_procs=n_procs, shards=shards, stealing=False,
-                     profile_period=profile_period)
-    with ShardedRenderService(renderer, cfg) as svc:
+    # A ShardConfig opens the shard service even for the 1-shard row,
+    # so every row pays (and reports) the same gather/merge plumbing.
+    cfg = ShardConfig(shards=shards, pool=PoolConfig(
+        n_procs=n_procs, stealing=False, profile_period=profile_period))
+    with repro.open_pool(renderer, cfg) as svc:
         if warmup:
             svc.render(views[0])  # fork + first slice decodes off the clock
         with Stopwatch() as sw:

@@ -6,7 +6,7 @@ load, and stealing mops up whatever the prediction missed — an occluder
 that moved, a processor slowed by interference.  This benchmark measures
 that claim on the real ``multiprocessing`` backend under *injected*
 interference: worker 0 is slowed by a deterministic CPU burn per
-scanline it composites (the ``_TEST_ROW_DELAY`` hook, the same knob the
+scanline it composites (the ``TEST_ROW_DELAY`` hook, the same knob the
 test suite uses), a disturbance no static profile can predict because it
 depends on which worker gets the rows, not on the rows themselves.
 
@@ -43,9 +43,10 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from common import Stopwatch, host_cpu_info, save_bench_json  # noqa: E402
 
-import repro.parallel.mp_backend as mpb  # noqa: E402
+import repro  # noqa: E402
+import repro.parallel.poolcore as poolcore  # noqa: E402
 from repro.datasets import density_wedge  # noqa: E402
-from repro.parallel.mp_backend import DEFAULT_STEAL_CHUNK, MPRenderPool  # noqa: E402
+from repro.parallel.poolcore import DEFAULT_STEAL_CHUNK  # noqa: E402
 from repro.render import ShearWarpRenderer  # noqa: E402
 from repro.volume import mri_transfer_function  # noqa: E402
 
@@ -73,8 +74,8 @@ def run_animation(
     **pool_kwargs,
 ) -> dict:
     """Render the animation once; return timings, spreads and images."""
-    with MPRenderPool(renderer, n_procs=n_procs, steal_chunk=steal_chunk,
-                      **pool_kwargs) as pool:
+    with repro.open_pool(renderer, n_procs=n_procs, steal_chunk=steal_chunk,
+                         **pool_kwargs) as pool:
         pool.render(views[0])  # warm up fork + first slice decodes
         with Stopwatch() as sw:
             handles = [pool.submit(v) for v in views]
@@ -113,14 +114,14 @@ def main(argv: list[str] | None = None) -> int:
 
     # Slow worker 0 down for *every* mode: the hook reaches the workers
     # through fork, so it must be set before each pool is constructed.
-    mpb._TEST_ROW_DELAY = (0, delay)
+    poolcore.TEST_ROW_DELAY = (0, delay)
     try:
         rows = {
             mode: run_animation(renderer, views, args.procs, chunk, **kwargs)
             for mode, kwargs in MODES.items()
         }
     finally:
-        mpb._TEST_ROW_DELAY = None
+        poolcore.TEST_ROW_DELAY = None
 
     images = {mode: row.pop("images") for mode, row in rows.items()}
     exact = all(

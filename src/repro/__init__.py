@@ -33,9 +33,9 @@ Subpackages
 ``obs``          span tracing, Chrome trace export, metrics
 """
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
-#: Facade symbols re-exported (lazily) from :mod:`repro.parallel.mp_backend`.
+#: Facade symbols re-exported (lazily) from :mod:`repro.parallel`.
 _POOL_EXPORTS = (
     "PoolConfig",
     "MPRenderPool",
@@ -93,7 +93,7 @@ def open_pool(renderer, config=None, **overrides):
     :class:`~repro.shard.ShardConfig` may be passed as ``config`` for
     heterogeneous fleets.
     """
-    from .parallel.mp_backend import MPRenderPool, PoolConfig
+    from .parallel import MPRenderPool, PoolConfig, ThreadRenderPool
     from .shard import ShardConfig
 
     if isinstance(config, ShardConfig):
@@ -108,46 +108,31 @@ def open_pool(renderer, config=None, **overrides):
         from .shard import ShardedRenderService
 
         return ShardedRenderService(renderer, config)
-    if config.backend == "thread":
-        from .parallel.thread_backend import ThreadRenderPool
-
-        return ThreadRenderPool(renderer, config=config)
-    return MPRenderPool(renderer, config=config)
+    kind = ThreadRenderPool if config.backend == "thread" else MPRenderPool
+    return kind(renderer, config)
 
 
 def render_frame(renderer, view, config=None, **overrides):
     """Render one frame through a transient pool of the configured backend.
 
-    The one-shot counterpart of :func:`open_pool`: ``profile_period``
+    The one-shot counterpart of :func:`open_pool` — ``open_pool(...)``
+    plus ``render(view)``.  Without a ``config``, ``profile_period``
     defaults to 0 here (a single frame has no next frame for its profile
-    to balance) and the mp pool runs with a single image buffer.
+    to balance).  For animations keep a pool alive across frames
+    instead: fork, shared-memory setup and the first slice decodes are
+    then paid once, and a measured profile has a next frame to balance.
     """
-    from .parallel.mp_backend import PoolConfig, render_parallel_mp
-    from .shard import ShardConfig
-
-    if (
-        isinstance(config, ShardConfig)
-        or (config is not None and config.shards > 1)
-        or overrides.get("shards", 1) > 1
-    ):
-        with open_pool(renderer, config, **overrides) as svc:
-            return svc.render(view)
     if config is None:
-        config = PoolConfig(profile_period=0, **overrides)
-    elif overrides:
-        config = config.replace(**overrides)
-    if config.backend == "thread":
-        from .parallel.thread_backend import render_parallel_threads
-
-        return render_parallel_threads(renderer, view, config=config)
-    return render_parallel_mp(renderer, view, config=config)
+        overrides.setdefault("profile_period", 0)
+    with open_pool(renderer, config, **overrides) as pool:
+        return pool.render(view)
 
 
 def __getattr__(name: str):
     if name in _POOL_EXPORTS:
         from . import parallel
 
-        return getattr(parallel.mp_backend, name)
+        return getattr(parallel, name)
     if name in _BACKEND_EXPORTS:
         from .parallel import backend
 

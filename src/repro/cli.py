@@ -36,7 +36,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    from .parallel.mp_backend import MPPoolError
+    from .parallel.poolcore import MPPoolError
 
     try:
         return _run_render(args)
@@ -56,14 +56,13 @@ def _run_render(args: argparse.Namespace) -> int:
     from .analysis.harness import get_renderer
     from .render.fast import render_fast
 
-    from .parallel.mp_backend import DEFAULT_STEAL_CHUNK, PoolConfig
+    from .parallel.poolcore import DEFAULT_STEAL_CHUNK, PoolConfig
 
     frames = max(1, args.frames)
     tracing = bool(args.trace_out)
     if args.steal_chunk is None:
         args.steal_chunk = DEFAULT_STEAL_CHUNK
-    # One PoolConfig drives both parallel paths (PoolConfig is the
-    # canonical pool API; the per-call kwargs are a legacy shim).
+    # One PoolConfig drives both parallel paths.
     cfg = PoolConfig(
         n_procs=max(1, args.procs),
         kernel=args.kernel,
@@ -74,8 +73,6 @@ def _run_render(args: argparse.Namespace) -> int:
         timeout_s=args.timeout_s,
         degrade_to_serial=args.degrade == "on",
         backend=args.backend,
-        doorbell=args.doorbell == "on",
-        pipeline=args.batch == "on",
         shards=max(1, args.shards),
         **({} if args.max_retries is None else
            {"max_retries": args.max_retries}),
@@ -89,9 +86,9 @@ def _run_render(args: argparse.Namespace) -> int:
     if frames > 1 or cfg.shards > 1:
         # Animation through a persistent pool: this is the path where
         # --profile-period matters (profiles measured on one frame
-        # balance the partitions of the following frames).  --batch on
-        # (the default) submits the whole animation as one batch per
-        # worker; --backend picks processes or threads; --shards > 1
+        # balance the partitions of the following frames).  The whole
+        # animation goes out as one batch per worker; --backend picks
+        # processes or threads; --shards > 1
         # opens a sharded fleet of pools merged sort-last (the facade
         # dispatches on cfg.shards — same pool API either way).
         from . import open_pool
@@ -118,18 +115,12 @@ def _run_render(args: argparse.Namespace) -> int:
                  if cfg.shards > 1 else f"{max(1, args.procs)} procs")
         how = (f"{frames} frames, {fleet}, "
                f"{args.backend} backend, {args.kernel} kernel, "
-               f"{'batched' if cfg.pipeline else 'per-frame'}, {split}, {dyn}")
+               f"batched, {split}, {dyn}")
     elif args.procs > 1:
+        from . import render_frame
         from .obs import export_chrome_trace
 
-        if cfg.backend == "thread":
-            from .parallel.thread_backend import (
-                render_parallel_threads as _render_one,
-            )
-        else:
-            from .parallel.mp_backend import render_parallel_mp as _render_one
-
-        result = _render_one(renderer, view, config=cfg)
+        result = render_frame(renderer, view, config=cfg)
         if tracing:
             export_chrome_trace(
                 args.trace_out,
@@ -337,8 +328,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     over_phases = [p for p in ("wait", "barrier", "doorbell", "dispatch")
                    if p in phases]
     if not over_phases:
-        # Serial traces and doorbell=off runs record no dispatch-side
-        # spans at all — the split below would be 0-vs-0 noise.
+        # Serial traces record no dispatch-side spans at all — the
+        # split below would be 0-vs-0 noise.
         print("\ndispatch overhead: n/a (no wait/barrier/doorbell/dispatch "
               "spans in this trace)")
     else:
@@ -364,7 +355,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .parallel.mp_backend import PoolConfig
+    from .parallel.poolcore import PoolConfig
     from .serve import ServeConfig, run_server
 
     cfg = ServeConfig(
@@ -464,14 +455,6 @@ def main(argv: list[str] | None = None) -> int:
                         "shared memory (mp) or a no-copy thread pool "
                         "exploiting numpy's GIL release (thread); "
                         "bit-identical images either way")
-    p.add_argument("--batch", choices=["on", "off"], default="on",
-                   help="submit a --frames animation as one batch per "
-                        "worker (pipelined, amortized dispatch) instead "
-                        "of per-frame submit/result round-trips")
-    p.add_argument("--doorbell", choices=["on", "off"], default="on",
-                   help="mp backend: report frame completion through "
-                        "shared-memory cells instead of pickled "
-                        "done-queue messages")
     p.add_argument("--shards", type=int, default=1, metavar="N",
                    help="split the intermediate image into N contiguous "
                         "scanline shards, each rendered by its own pool "

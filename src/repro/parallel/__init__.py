@@ -1,21 +1,21 @@
-"""Execution models: event-driven logical processors and multiprocessing."""
+"""Execution models: event-driven logical processors, and the real
+render pools (one core, a process and a thread transport)."""
 
 from .backend import BackendCapabilities, FrameSpec, RenderBackend, as_frame_specs
 from .execution import FrameReport, PhaseReport, simulate_animation, simulate_frame
-from .mp_backend import (
+from .mp_backend import MPRenderPool
+from .poolcore import (
     FrameFailed,
     FrameTimeout,
     MPPoolError,
-    MPRenderPool,
     MPRenderResult,
     PoolClosed,
     PoolConfig,
     PoolUnrecoverable,
     WorkerDied,
-    render_parallel_mp,
 )
 from .scheduler import ProcSchedule, ScheduleResult, Unit, schedule
-from .thread_backend import ThreadRenderPool, render_parallel_threads
+from .thread_backend import ThreadRenderPool
 
 __all__ = [
     "RenderBackend",
@@ -35,9 +35,7 @@ __all__ = [
     "WorkerDied",
     "PoolClosed",
     "PoolUnrecoverable",
-    "render_parallel_mp",
     "ThreadRenderPool",
-    "render_parallel_threads",
     "ProcSchedule",
     "ScheduleResult",
     "Unit",

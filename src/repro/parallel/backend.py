@@ -44,7 +44,7 @@ class FrameSpec:
     ``factorize_view`` accepts).  ``timestep`` selects the encoding of a
     time-varying renderer — ``None`` means "the static volume", which
     every renderer accepts.  ``region`` optionally restricts compositing
-    to a :class:`~repro.parallel.mp_backend.FrameRegion` (the shard
+    to a :class:`~repro.parallel.poolcore.FrameRegion` (the shard
     service uses this internally; most callers leave it ``None``).
     """
 

@@ -1,0 +1,1369 @@
+"""The render-pool core: one frame lifecycle, shared by every transport.
+
+The paper's new algorithm wins by using *one* contiguous partition for
+both of a frame's phases (sections 4.1, 4.5); this module is the same
+idea one level up.  Everything about a pooled frame that does not depend
+on *how* workers are run lives here exactly once:
+
+* the typed errors, :class:`PoolConfig`, :class:`FrameRegion` and the
+  result type :class:`MPRenderResult`;
+* :class:`FramePlanner` — factorization, the non-empty band, the paper's
+  profile feedback loop (sections 4.2-4.3: workers ship per-scanline
+  costs back on profiled frames, later frames are split with
+  :func:`~repro.core.partition.contiguous_partition` over that profile,
+  and a principal-axis switch invalidates it) and warp-row ownership
+  (section 4.5);
+* the *dynamic* half (section 4.4): guided chunk claims over a shared
+  ``(head, tail)`` cursor pair per worker (:func:`claim_own_chunk`,
+  :func:`steal_victim_chunk`, :func:`composite_share`) — an owner takes
+  half of what is left off the head of its block, a thief half of the
+  most-loaded victim's tail, never less than ``steal_chunk`` scanlines,
+  so a band drains in about ``log2(rows / steal_chunk)`` kernel calls;
+* :func:`run_frame` — the worker's frame body (decode → composite →
+  barrier → warp, with its spans, CPU clocks and fault points);
+* :class:`PoolCore` — the frame ledger: ``submit`` / ``submit_batch`` /
+  ``result`` / ``render`` / ``render_animation``, per-worker completion
+  accounting, the finish → retry → degrade → fail state machine,
+  timeline collection, ``fault_counters`` and ``export_chrome_trace``;
+* the fault- and delay-injection hooks tests, benchmarks and CI use.
+
+A *transport* subclasses :class:`PoolCore` and supplies only what
+genuinely differs: where a frame's images come from and go to, how jobs
+reach workers, how a completion is reported, and what a retry costs.
+:class:`~repro.parallel.mp_backend.MPRenderPool` (fork + shared-memory
+images + doorbell + supervisor) and
+:class:`~repro.parallel.thread_backend.ThreadRenderPool` (threads +
+per-frame arrays) are the two transports; both plan, composite, account
+and recover through this module, so they cannot drift apart — the basis
+of their bit-identity to each other and to the serial renderer.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import os
+import signal
+import threading
+import time
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
+
+from ..core.partition import (
+    contiguous_partition,
+    line_ownership,
+    uniform_contiguous_partition,
+)
+from ..core.profiling import (
+    ProfileSchedule,
+    ScanlineProfile,
+    scanline_cost,
+    scanline_cost_rows,
+)
+from ..obs.metrics import MetricsRegistry, busy_spread, metrics_from_timelines
+from ..obs.recorder import DEFAULT_RING_CAPACITY, RingReader, SpanRecorder
+from ..obs.timeline import FrameTimeline
+from ..obs.timeline import export_chrome_trace as _export_chrome_trace
+from ..render.block import BlockRowCounters, composite_scanline_block
+from ..render.compositing import composite_image_scanline, nonempty_scanline_bounds
+from ..render.fast import render_fast
+from ..render.image import FinalImage, IntermediateImage
+from ..render.instrument import WorkCounters
+from ..render.warp import (
+    final_pixel_source_lines,
+    warp_coeffs,
+    warp_rows,
+    warp_rows_by_pid,
+)
+from ..transforms.factorization import PERMUTATIONS, ShearWarpFactorization
+from .backend import BackendCapabilities, as_frame_specs
+
+__all__ = [
+    "COMPOSITE_KERNELS",
+    "POOL_BACKENDS",
+    "DEFAULT_STEAL_CHUNK",
+    "MPPoolError",
+    "FrameFailed",
+    "FrameTimeout",
+    "WorkerDied",
+    "PoolClosed",
+    "PoolUnrecoverable",
+    "PoolConfig",
+    "FrameRegion",
+    "FramePlanner",
+    "MPRenderResult",
+    "PoolCore",
+    "WorkerContext",
+    "run_frame",
+    "capacity_shapes",
+    "composite_range",
+    "seed_claims",
+    "claim_own_chunk",
+    "steal_victim_chunk",
+    "composite_share",
+    "apply_cost_fragments",
+    "FAULT_PHASES",
+    "FAULT_KINDS",
+    "fault_from_env",
+    "row_delay_from_env",
+    "armed_fault",
+    "worker_burn_per_row",
+]
+
+#: Compositing kernels a worker can run over its partition.
+COMPOSITE_KERNELS = ("scanline", "block")
+
+#: Pool backends selectable through ``PoolConfig.backend`` (dispatched
+#: by the ``repro.open_pool`` facade): ``"mp"`` is the process pool,
+#: ``"thread"`` the no-copy threading pool.
+POOL_BACKENDS = ("mp", "thread")
+
+#: Default stealing grain: the *fewest* scanlines a claim or steal takes
+#: (section 4.4).  Claims are guided — half of what is left, never less
+#: than this — because a pool chunk pays a full pass over the kernel's
+#: slice loop whatever its height; the floor keeps the tail of a band
+#: from dissolving into the single-scanline chunks that recreate the
+#: paper's ~10x sync blowup.
+DEFAULT_STEAL_CHUNK = 8
+
+
+# -- typed pool errors --------------------------------------------------------
+
+
+class MPPoolError(RuntimeError):
+    """Base of every typed render-pool error.
+
+    Subclasses ``RuntimeError`` so callers written against the old
+    untyped API keep catching what they caught before.
+    """
+
+
+class FrameFailed(MPPoolError):
+    """A frame's workers raised, and retries/degradation were exhausted."""
+
+
+class FrameTimeout(MPPoolError):
+    """A frame exceeded :attr:`PoolConfig.timeout_s` and could not be
+    recovered within the configured retries."""
+
+
+class WorkerDied(MPPoolError):
+    """A worker process died (SIGKILL, OOM, crash) and the frame could
+    not be recovered within the configured retries."""
+
+
+class PoolClosed(MPPoolError):
+    """The pool was closed — raised by ``submit`` on a closed pool and
+    by ``result`` waiters when ``close()`` lands mid-wait."""
+
+
+class PoolUnrecoverable(MPPoolError):
+    """The pool itself is broken (worker respawn failed, supervisor
+    died) and cannot render anything further."""
+
+
+# -- configuration ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PoolConfig:
+    """Every render-pool knob, validated in one place.
+
+    This is the one front door: build a config and hand it to
+    ``repro.open_pool(renderer, config=cfg)`` /
+    ``repro.render_frame(renderer, view, config=cfg)`` (or to a pool
+    class directly, ``MPRenderPool(renderer, cfg)``); the facade's
+    keyword overrides (``open_pool(r, n_procs=4)``) build one for you.
+
+    Parameters
+    ----------
+    n_procs:
+        Worker count.
+    kernel:
+        ``"block"`` (default, vectorized) or ``"scanline"``
+        (instrumented reference); bit-identical images either way.
+    profile_period:
+        Re-profile every this many frames (paper section 4.2);
+        ``0`` disables the feedback loop (always-uniform partitions).
+    stealing / steal_chunk:
+        Chunked task stealing on top of the static partition (paper
+        section 4.4).  Claims are guided — an owner takes half of its
+        remaining block, a thief half of the victim's — and
+        ``steal_chunk`` is the minimum chunk, in scanlines.
+    trace / trace_capacity:
+        Per-worker span/counter ring recording (:mod:`repro.obs`).
+    timeout_s:
+        Per-frame deadline in seconds, measured from dispatch.  A frame
+        still incomplete past its deadline is treated as a fault (hung
+        or wedged worker) and recovered.  ``None`` (default) disables
+        the deadline — worker *deaths* are still detected via their
+        sentinels; only silent hangs need a timeout to be caught.
+        (The thread pool ignores it: a thread can neither die silently
+        nor be terminated.)
+    max_retries:
+        How many times a lost frame (dead worker, timeout, worker
+        exception) is re-dispatched before giving up on the pool for
+        that frame.
+    degrade_to_serial:
+        After ``max_retries`` is exhausted (or if the pool cannot
+        respawn workers at all), render the frame serially in the
+        parent instead of failing it.  The serial renderer is the
+        bit-identity reference, so a degraded animation still produces
+        exactly the same images.
+    backend:
+        ``"mp"`` (the process pool,
+        :class:`~repro.parallel.mp_backend.MPRenderPool`) or
+        ``"thread"`` (the no-copy
+        :class:`~repro.parallel.thread_backend.ThreadRenderPool`
+        exploiting numpy's GIL release).  Dispatched by the
+        ``repro.open_pool`` facade; the pool classes themselves ignore
+        it.
+    shards:
+        How many scanline shards to split the intermediate image into,
+        each rendered by its *own* pool instance and merged by the
+        sort-last tree of :class:`repro.shard.ShardedRenderService`.
+        Dispatched by the ``repro.open_pool`` facade (``shards > 1``
+        builds a shard fleet instead of a single pool); the pool
+        classes themselves ignore it, like ``backend``.
+    """
+
+    n_procs: int = 2
+    kernel: str = "block"
+    profile_period: int = 5
+    stealing: bool = True
+    steal_chunk: int = DEFAULT_STEAL_CHUNK
+    trace: bool = False
+    trace_capacity: int = DEFAULT_RING_CAPACITY
+    timeout_s: float | None = None
+    max_retries: int = 2
+    degrade_to_serial: bool = True
+    backend: str = "mp"
+    shards: int = 1
+
+    def __post_init__(self) -> None:
+        if self.n_procs < 1:
+            raise ValueError("need at least one worker")
+        if self.shards < 1:
+            raise ValueError("need at least one shard")
+        if self.kernel not in COMPOSITE_KERNELS:
+            raise ValueError(
+                f"kernel must be one of {COMPOSITE_KERNELS}, got {self.kernel!r}"
+            )
+        if self.backend not in POOL_BACKENDS:
+            raise ValueError(
+                f"backend must be one of {POOL_BACKENDS}, got {self.backend!r}"
+            )
+        if self.profile_period < 0:
+            raise ValueError("profile_period must be >= 0 (0 disables profiling)")
+        if self.steal_chunk < 1:
+            raise ValueError("steal_chunk must be >= 1 scanline")
+        if self.trace_capacity < 1:
+            raise ValueError("trace_capacity must be >= 1")
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ValueError("timeout_s must be positive (None disables it)")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+
+    def replace(self, **changes) -> "PoolConfig":
+        """A copy with ``changes`` applied (re-validated)."""
+        return dataclasses.replace(self, **changes)
+
+
+# -- frame planning -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FrameRegion:
+    """Restriction of one frame to a shard of the intermediate image.
+
+    A :class:`repro.shard.ShardedRenderService` splits the intermediate
+    scanlines into contiguous shards and hands each shard's pool one of
+    these per frame.  The region lives entirely in the parent's planning
+    step — nothing about it is pickled to the workers; it only clamps
+    the composite band and masks warp-row ownership, and the job tuples
+    carry the already-restricted plan.
+
+    Attributes
+    ----------
+    comp_lo / comp_hi:
+        The scanline band ``[comp_lo, comp_hi)`` this pool must
+        composite.  Besides its owned lines this includes the *ghost*
+        line below each owned line: a final pixel with source line
+        ``v0`` bilinearly samples lines ``v0`` and ``v0 + 1``, so the
+        compositing band overlaps one line into the next shard.
+    owned:
+        Boolean mask over all ``n_v`` intermediate scanlines: the lines
+        whose *warp output* this pool owns.  Lines outside the mask get
+        warp ownership ``-1`` (no worker warps them here), which is how
+        the shard service keeps final pixels disjoint across pools.
+    """
+
+    comp_lo: int
+    comp_hi: int
+    owned: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if self.comp_lo > self.comp_hi:
+            raise ValueError("comp_lo must be <= comp_hi")
+
+
+class FramePlanner:
+    """Frame planning + the paper's profile feedback loop, backend-neutral.
+
+    Owns everything a pool needs to turn a view matrix into a dispatch
+    record: the factorization, the non-empty scanline band, the
+    profiling schedule (sections 4.2-4.3), the last measured
+    :class:`ScanlineProfile` and its validity key, partition boundaries
+    (uniform or profile-balanced), warp-row ownership (section 4.5) and
+    the boundary-drift metric.  Every transport plans through one
+    instance of this class, so the backends cannot drift apart — the
+    basis of their bit-identity.
+    """
+
+    def __init__(self, renderer, n_procs: int, profile_period: int,
+                 metrics: MetricsRegistry) -> None:
+        self.renderer = renderer
+        self.n_procs = n_procs
+        self.metrics = metrics
+        self.schedule = (
+            ProfileSchedule(period=profile_period) if profile_period > 0 else None
+        )
+        # Last assembled profile and the (axis, perm) it was measured
+        # under — a principal-axis switch changes the intermediate-image
+        # coordinate system, so the profile stops predicting anything.
+        self.profile: ScanlineProfile | None = None
+        self.profile_key: tuple[int, tuple[int, int, int]] | None = None
+        self._last_boundaries: np.ndarray | None = None
+        self._last_part_key: tuple[int, tuple[int, int, int]] | None = None
+
+    def plan(self, view: np.ndarray, inter_cap=None, final_cap=None,
+             region: FrameRegion | None = None,
+             timestep: int | None = None) -> dict:
+        """Everything needed to dispatch one frame (deterministic).
+
+        ``region`` (shard mode) clamps the composite band to the shard's
+        ``[comp_lo, comp_hi)`` and masks warp ownership to the shard's
+        owned lines; the rest of the plan — partitioning, profiling,
+        warp-row assignment — runs unchanged inside that restriction.
+
+        ``timestep`` selects a time-varying renderer's encoding (static
+        renderers ignore it).  Note the profile validity key stays
+        ``(axis, perm)``: the §4.2 loop *predicts* the next frame's cost
+        from the last measured frame's, and a moving volume is exactly
+        the drift that prediction is supposed to absorb — so a timestep
+        switch does not invalidate the profile, it stresses it.
+        """
+        fact = self.renderer.factorize_view(view)
+        n_v, n_u = fact.intermediate_shape
+        ny, nx = fact.final_shape
+        if inter_cap is not None and (
+            n_v > inter_cap[0] or n_u > inter_cap[1]
+            or ny > final_cap[0] or nx > final_cap[1]
+        ):
+            raise RuntimeError(
+                f"frame shapes {(n_v, n_u)}/{(ny, nx)} exceed pool capacity "
+                f"{inter_cap}/{final_cap} — is the view matrix scaled?"
+            )
+        rle = self.renderer.rle_for(fact, timestep=timestep)
+        v_lo, v_hi = nonempty_scanline_bounds(rle, fact)
+        if region is not None:
+            v_lo = max(v_lo, int(region.comp_lo))
+            v_hi = max(v_lo, min(v_hi, int(region.comp_hi)))
+        if self.profile is not None and self.profile_key != (fact.axis, fact.perm):
+            self.profile = None
+            self.metrics.counter("pool/profile_invalidations").inc()
+        profiled = False
+        if self.schedule is not None:
+            profiled = self.schedule.should_profile() or self.profile is None
+            self.schedule.advance()
+        boundaries = self.partition(v_lo, v_hi)
+        # Partition-boundary drift between successive frames of the
+        # same principal axis: how far the feedback loop moves the split.
+        part_key = (fact.axis, fact.perm)
+        if (
+            self._last_boundaries is not None
+            and self._last_part_key == part_key
+            and len(self._last_boundaries) == len(boundaries)
+        ):
+            self.metrics.histogram("pool/boundary_drift").observe(
+                float(np.abs(boundaries - self._last_boundaries).mean())
+            )
+        self._last_boundaries = boundaries
+        self._last_part_key = part_key
+        owner = line_ownership(boundaries, n_v)
+        if region is not None:
+            owned = np.asarray(region.owned, dtype=bool)
+            if len(owned) != n_v:
+                raise ValueError(
+                    f"region.owned covers {len(owned)} lines, frame has {n_v}"
+                )
+            # Lines outside the shard get no warp owner here: the warp's
+            # pid comparison never matches -1, so final
+            # pixels sourced from them stay zero in this pool's buffer
+            # and are taken from the owning shard by the merge tree.
+            owner = np.where(owned, owner, -1)
+        coeffs = warp_coeffs(fact)
+        src_lines = final_pixel_source_lines((ny, nx), fact, coeffs=coeffs)
+        rows_by_pid = warp_rows_by_pid(src_lines, owner, self.n_procs)
+        return {
+            "fact": fact,
+            "view": np.array(view, dtype=np.float64, copy=True),
+            "timestep": timestep,
+            "profiled": profiled,
+            "v_lo": v_lo,
+            "v_hi": v_hi,
+            "boundaries": boundaries,
+            "owner": owner,
+            "rows_by_pid": rows_by_pid,
+            "key": part_key,
+        }
+
+    def partition(self, v_lo: int, v_hi: int) -> np.ndarray:
+        """Contiguous boundaries for the next frame (section 4.3).
+
+        The profile is in the frame-it-was-measured-on's scanline
+        coordinates; successive animation viewpoints differ by a few
+        degrees, so reusing the indices is the paper's prediction step.
+        Boundaries are clamped to this frame's non-empty band.
+        """
+        prof = self.profile
+        if prof is None or prof.total <= 0:
+            return uniform_contiguous_partition(v_lo, v_hi, self.n_procs)
+        prof = prof.trim_empty()
+        if len(prof.costs) < self.n_procs:
+            return uniform_contiguous_partition(v_lo, v_hi, self.n_procs)
+        bounds = contiguous_partition(prof.costs, self.n_procs, v_lo=prof.v_lo)
+        bounds = np.clip(bounds, v_lo, v_hi)
+        bounds[0], bounds[-1] = v_lo, v_hi
+        for p in range(1, self.n_procs + 1):
+            bounds[p] = max(bounds[p], bounds[p - 1])
+        return bounds
+
+    def install_profile(self, v_lo: int, costs: np.ndarray, key) -> None:
+        """Adopt a freshly measured per-scanline profile."""
+        self.profile = ScanlineProfile(v_lo, costs)
+        self.profile_key = key
+
+
+def apply_cost_fragments(rec: dict, pid: int, frags, t_comp: float,
+                         t_warp: float) -> None:
+    """Fold one worker's per-chunk cost fragments into a frame record.
+
+    Calibrates the op-count profile to measured *time*, which is what
+    the partition must balance (the paper's native profile is elapsed
+    time too): every chunk this worker composited — including rows it
+    stole — is scaled so together they sum to its compositing CPU time.
+    Each scanline was composited by exactly one worker, so the
+    assembled profile covers every row exactly once even when rows
+    crossed blocks.
+    """
+    if rec["costs"] is None:
+        rec["costs"] = np.zeros(
+            max(0, rec["v_hi"] - rec["v_lo"]), dtype=np.float64
+        )
+    total = sum(float(f.sum()) for _, f in frags)
+    scale = (t_comp / total) if total > 0 and t_comp > 0 else 1.0
+    base = rec["v_lo"]
+    for chunk_lo, f in frags:
+        off = chunk_lo - base
+        rec["costs"][off:off + len(f)] = np.asarray(f, np.float64) * scale
+    # Warp CPU time is spread over this worker's *static* block (warp
+    # rows follow the boundaries, not who stole what), so warp load
+    # moves with the boundaries on the next partition.
+    b = rec["boundaries"]
+    blo, bhi = int(b[pid]), int(b[pid + 1])
+    if bhi > blo:
+        rec["costs"][blo - base:bhi - base] += t_warp / (bhi - blo)
+
+
+# -- chaos hooks (tests, benchmarks, CI) --------------------------------------
+
+
+def row_delay_from_env() -> tuple[int, float] | None:
+    """Parse the ``REPRO_MP_ROW_DELAY`` chaos knob (``"pid:sec_per_row"``)."""
+    spec = os.environ.get("REPRO_MP_ROW_DELAY")
+    if not spec:
+        return None
+    pid_s, sec_s = spec.split(":", 1)
+    return int(pid_s), float(sec_s)
+
+
+#: Imbalance-injection hook for tests, benchmarks and CI: ``(pid,
+#: seconds_per_row)`` makes worker ``pid`` burn that much *CPU* per
+#: scanline it composites — a deterministic stand-in for a slow or
+#: interfered-with processor.  Set the env var above or monkeypatch this
+#: before pool construction (workers snapshot it when they start).
+TEST_ROW_DELAY: tuple[int, float] | None = row_delay_from_env()
+
+#: Worker phases at which a fault can be injected.
+FAULT_PHASES = ("decode", "composite", "profile", "steal", "warp")
+
+#: Kinds of injectable fault: SIGKILL the worker, hang it forever, or
+#: raise out of the phase.
+FAULT_KINDS = ("kill", "hang", "raise")
+
+
+def fault_from_env() -> tuple[int, int, str, str] | None:
+    """Parse ``REPRO_MP_FAULT`` (``"pid:frame:kind[:phase]"``).
+
+    ``kind`` is one of :data:`FAULT_KINDS`, ``phase`` one of
+    :data:`FAULT_PHASES` (default ``composite``).
+    """
+    spec = os.environ.get("REPRO_MP_FAULT")
+    if not spec:
+        return None
+    parts = spec.split(":")
+    if len(parts) not in (3, 4):
+        raise ValueError(f"REPRO_MP_FAULT must be pid:frame:kind[:phase], got {spec!r}")
+    pid, frame, kind = int(parts[0]), int(parts[1]), parts[2]
+    phase = parts[3] if len(parts) == 4 else "composite"
+    if kind not in FAULT_KINDS:
+        raise ValueError(f"REPRO_MP_FAULT kind must be one of {FAULT_KINDS}")
+    if phase not in FAULT_PHASES:
+        raise ValueError(f"REPRO_MP_FAULT phase must be one of {FAULT_PHASES}")
+    return pid, frame, kind, phase
+
+
+#: Deterministic fault-injection hook, mirroring ``TEST_ROW_DELAY``:
+#: ``(pid, frame, kind, phase)`` makes worker ``pid`` fail on frame
+#: ``frame`` when it reaches ``phase``.  Set ``REPRO_MP_FAULT`` or
+#: monkeypatch this before pool construction.  Only the process pool
+#: arms it (a thread cannot be killed without the whole process), and
+#: only for its *first* worker generation, so a respawned worker does
+#: not re-trip it and recovery can be observed succeeding.
+TEST_FAULT: tuple[int, int, str, str] | None = fault_from_env()
+
+
+def armed_fault() -> tuple[int, int, str, str] | None:
+    """The fault a transport's first worker generation should arm
+    (the current :data:`TEST_FAULT`)."""
+    return TEST_FAULT
+
+
+def worker_burn_per_row(pid: int) -> float:
+    """Seconds of CPU worker ``pid`` burns per composited scanline
+    under the current :data:`TEST_ROW_DELAY` (0.0 when unarmed)."""
+    delay = TEST_ROW_DELAY
+    return delay[1] if delay is not None and delay[0] == pid else 0.0
+
+
+def _burn(seconds: float) -> None:
+    """Busy-wait so the injected delay shows up in CPU (process) time."""
+    t0 = time.perf_counter()
+    while time.perf_counter() - t0 < seconds:
+        pass
+
+
+def _maybe_fault(fault, pid: int, frame: int, phase: str) -> None:
+    """Trip the armed fault if it matches this (pid, frame, phase)."""
+    if fault is None:
+        return
+    fpid, fframe, kind, fphase = fault
+    if pid != fpid or frame != fframe or phase != fphase:
+        return
+    if kind == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    elif kind == "hang":
+        while True:  # until the supervisor terminates us
+            time.sleep(3600.0)
+    elif kind == "raise":
+        raise RuntimeError(f"injected {phase} fault (REPRO_MP_FAULT)")
+
+
+# -- result type and capacity -------------------------------------------------
+
+
+@dataclass
+class MPRenderResult:
+    """Output of a real parallel render.
+
+    Besides the images, the pool reports how the frame was split and how
+    long each worker actually computed (``busy_s[pid]``, compositing +
+    warp CPU time, barrier waits excluded) — the observables the
+    paper's load-balance evaluation is built on.
+    """
+
+    final: FinalImage
+    intermediate: IntermediateImage
+    fact: ShearWarpFactorization
+    n_procs: int
+    boundaries: np.ndarray | None = None
+    profiled: bool = False
+    busy_s: np.ndarray | None = field(default=None, repr=False)
+    timeline: FrameTimeline | None = field(default=None, repr=False)
+    #: Successful chunk steals across all workers, and the scanlines they
+    #: moved (zero on a static pool or a frame that never went idle).
+    steals: int = 0
+    steal_rows: int = 0
+    #: How many times this frame was re-dispatched after a fault (0 on
+    #: the healthy path).
+    retries: int = 0
+    #: True when retries ran out and the frame was rendered serially in
+    #: the parent (bit-identical images; no per-worker observables).
+    degraded: bool = False
+    #: Per-scanline calibrated costs on profiled frames (``None``
+    #: otherwise), starting at scanline ``costs_v_lo`` — the raw
+    #: material the shard service stitches its cross-shard profile from.
+    costs: np.ndarray | None = field(default=None, repr=False)
+    costs_v_lo: int = 0
+
+    @property
+    def busy_spread(self) -> float | None:
+        """Per-worker busy-time spread ``(max - min) / mean`` (see
+        :func:`repro.obs.busy_spread`); ``None`` if busy times are absent."""
+        return None if self.busy_s is None else busy_spread(self.busy_s)
+
+
+def capacity_shapes(
+    vol_shape: tuple[int, int, int]
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Largest (intermediate, final) image shapes any view can produce.
+
+    The factorization guarantees ``|shear| <= 1`` along the principal
+    axis, so for permutation ``(ni, nj, nk)`` the intermediate image is
+    at most ``(nj + nk, ni + nk)``; the residual warp is a rotation plus
+    translation of that rectangle, bounded by its diagonal.
+    """
+    cap_u = cap_v = 0
+    for perm in PERMUTATIONS.values():
+        ni, nj, nk = (vol_shape[perm[0]], vol_shape[perm[1]], vol_shape[perm[2]])
+        cap_u = max(cap_u, int(np.ceil((ni - 1) + (nk - 1))) + 2)
+        cap_v = max(cap_v, int(np.ceil((nj - 1) + (nk - 1))) + 2)
+    diag = int(np.ceil(np.hypot(cap_u - 1, cap_v - 1))) + 2
+    return (cap_v, cap_u), (diag, diag)
+
+
+# -- the worker side: claim, steal, composite, one frame ----------------------
+
+
+def composite_range(img, lo, hi, rle, fact, kernel, profiled, rec, frame):
+    """Composite scanlines ``[lo, hi)``; per-row costs when profiling.
+
+    One claimed chunk (or, with stealing off, the whole band).  The
+    block kernel's per-row arithmetic is row-independent, so splitting a
+    band into chunks leaves every pixel bit-identical.
+    """
+    if hi <= lo:
+        return None
+    if kernel == "block":
+        if profiled:
+            rows = BlockRowCounters(lo, hi)
+            composite_scanline_block(img, lo, hi, rle, fact, row_counters=rows)
+            if rec is not None:
+                tp0 = rec.now()
+            costs = scanline_cost_rows(rows)
+            if rec is not None:
+                # Nested inside this frame's composite span.
+                rec.span(frame, "profile", tp0, rec.now())
+            return costs
+        composite_scanline_block(img, lo, hi, rle, fact)
+        return None
+    if profiled:
+        costs = np.zeros(hi - lo, dtype=np.float64)
+        for v in range(lo, hi):
+            counters = WorkCounters()
+            composite_image_scanline(img, v, rle, fact, counters=counters)
+            costs[v - lo] = scanline_cost(counters)
+        return costs
+    for v in range(lo, hi):
+        composite_image_scanline(img, v, rle, fact)
+    return None
+
+
+def seed_claims(claims: np.ndarray, boundaries: np.ndarray) -> None:
+    """Point every worker's ``(head, tail)`` cursor pair in the
+    ``(n_procs, 2)`` array ``claims`` at its static block."""
+    claims[:, 0] = boundaries[:-1]
+    claims[:, 1] = boundaries[1:]
+
+
+def claim_own_chunk(claims, lock, pid, grain) -> tuple[int, int] | None:
+    """Claim the next chunk off the head of this worker's own block.
+
+    Guided: half of what is left (rounded up), never less than ``grain``
+    scanlines — so a band of ``n`` rows is drained in about
+    ``log2(n / grain)`` kernel calls while its unclaimed half stays
+    stealable the whole time.
+    """
+    with lock:
+        lo = int(claims[pid, 0])
+        rem = int(claims[pid, 1]) - lo
+        if rem <= 0:
+            return None
+        hi = lo + min(rem, max(grain, (rem + 1) // 2))
+        claims[pid, 0] = hi
+    return lo, hi
+
+
+def steal_victim_chunk(claims, locks, pid, grain) -> tuple[int, int] | None:
+    """Trim a chunk off the most-loaded victim's tail: half of what it
+    has left (rounded down), never less than ``grain`` scanlines.
+
+    The victim scan reads the cursors without locks (stale values only
+    cost us a sub-optimal victim); the claim itself re-checks under the
+    victim's lock, so a scanline is never handed out twice.  Returns
+    ``None`` once no victim has unclaimed work left.
+    """
+    n_procs = len(locks)
+    while True:
+        best, best_rem = -1, 0
+        for q in range(n_procs):
+            if q == pid:
+                continue
+            rem = int(claims[q, 1]) - int(claims[q, 0])
+            if rem > best_rem:
+                best, best_rem = q, rem
+        if best < 0:
+            return None
+        with locks[best]:
+            lo = int(claims[best, 0])
+            hi = int(claims[best, 1])
+            if hi > lo:
+                new_tail = hi - min(hi - lo, max(grain, (hi - lo) // 2))
+                claims[best, 1] = new_tail
+                return new_tail, hi
+        # Raced: the victim drained between scan and lock — rescan.
+
+
+def composite_share(img, band, claims, locks, pid, grain, rle, fact, kernel,
+                    profiled, rec, frame, burn_per_row=0.0, fault=None):
+    """Composite worker ``pid``'s share of one frame (every pool's loop).
+
+    Static pool (``claims is None``): the whole ``band`` in one kernel
+    call.  Stealing pool: drain the head of our own block in guided
+    chunks, then turn thief until every block is drained.  Records the
+    ``steal`` spans and the frame's counters (rows, steals, kernel
+    calls, slice-cache deltas) on ``rec``; returns ``(frags, n_steals,
+    n_steal_rows)`` where ``frags`` is the per-chunk cost fragments
+    ``[(v_start, costs)]`` on profiled frames, else ``None``.
+    """
+    frags: list[tuple[int, np.ndarray]] | None = [] if profiled else None
+    n_rows = n_calls = n_steals = n_steal_rows = 0
+    if rec is not None:
+        cache = rle.slice_cache
+        hits0, misses0, decode_s0 = cache.hits, cache.misses, cache.decode_s
+
+    def run(lo: int, hi: int) -> None:
+        nonlocal n_rows, n_calls
+        frag = composite_range(img, lo, hi, rle, fact, kernel, profiled,
+                               rec, frame)
+        n_rows += hi - lo
+        # The scanline kernel is invoked once per row of the chunk.
+        n_calls += 1 if kernel == "block" else hi - lo
+        if frag is not None:
+            frags.append((lo, frag))
+        if burn_per_row:
+            _burn(burn_per_row * (hi - lo))
+
+    if claims is None:
+        if band[1] > band[0]:
+            run(*band)
+    else:
+        while (got := claim_own_chunk(claims, locks[pid], pid, grain)) is not None:
+            run(*got)
+        _maybe_fault(fault, pid, frame, "steal")
+        while True:
+            if rec is not None:
+                ts0 = rec.now()
+            got = steal_victim_chunk(claims, locks, pid, grain)
+            if got is None:
+                break
+            if rec is not None:
+                rec.span(frame, "steal", ts0, rec.now())
+            n_steals += 1
+            n_steal_rows += got[1] - got[0]
+            run(*got)
+    if rec is not None:
+        rec.count(frame, "rows", n_rows)
+        rec.count(frame, "steals", n_steals)
+        rec.count(frame, "steal_rows", n_steal_rows)
+        rec.count(frame, "kernel_calls", n_calls)
+        rec.count(frame, "cache_hits", cache.hits - hits0)
+        rec.count(frame, "cache_misses", cache.misses - misses0)
+        rec.count(frame, "decode_us", (cache.decode_s - decode_s0) * 1e6)
+    return frags, n_steals, n_steal_rows
+
+
+@dataclass
+class WorkerContext:
+    """What one worker needs to run any frame, handed over by its
+    transport when the worker starts."""
+
+    pid: int
+    renderer: object
+    kernel: str
+    steal_chunk: int
+    #: One lock per worker's claim cursor pair: the owner takes only its
+    #: own lock, a thief only the victim's (empty when stealing is off).
+    claim_locks: list
+    #: Separates the frame's two phases across the whole worker set.
+    barrier: object
+    #: CPU clock of this worker alone (``time.process_time`` in a forked
+    #: worker, ``time.thread_time`` on a thread) — not wall clock: on an
+    #: oversubscribed host wall time includes slices spent descheduled,
+    #: which would poison both the profile and the busy-time report.
+    clock: Callable[[], float]
+    #: Span recorder, or ``None`` on an untraced pool: every recording
+    #: site is guarded, so the disabled path does zero observability
+    #: work (no clock reads, no allocation).
+    rec: SpanRecorder | None = None
+    burn_per_row: float = 0.0
+    fault: tuple | None = None
+
+
+def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
+              profiled: bool, timestep, img, final, claims):
+    """One worker's share of one frame: decode → composite → barrier → warp.
+
+    ``img`` / ``final`` are the frame's images wherever the transport
+    keeps them; ``claims`` its ``(n_procs, 2)`` cursor array (``None``
+    on a static pool).  A barrier still separates the phases: however
+    the partition is balanced, a worker's warp rows bilinearly sample
+    the boundary scanline pair its neighbor composited, so the warp may
+    only start once compositing is complete everywhere.  Returns
+    ``(err, frags, t_comp, t_warp, n_steals, n_steal_rows)`` — ``err``
+    is the exception text if a phase raised, ``frags`` the per-chunk
+    cost fragments of a profiled frame.
+    """
+    pid, rec, fault, clock = ctx.pid, ctx.rec, ctx.fault, ctx.clock
+    err: str | None = None
+    frags: list[tuple[int, np.ndarray]] | None = None
+    n_steals = n_steal_rows = 0
+    t_comp = t_warp = 0.0
+    # Span clocks pre-bound so the finally block can record even when
+    # a phase died before its start time was taken (the bogus span is
+    # discarded with the failed frame's timeline).
+    tc0 = tb0 = 0.0
+    t0 = clock()
+    try:
+        try:
+            _maybe_fault(fault, pid, frame, "decode")
+            if rec is not None:
+                td0 = rec.now()
+            rle = ctx.renderer.rle_for(fact, timestep=timestep)
+            if rec is not None:
+                tc0 = rec.now()
+                rec.span(frame, "decode", td0, tc0)
+            if profiled:
+                _maybe_fault(fault, pid, frame, "profile")
+            _maybe_fault(fault, pid, frame, "composite")
+            frags, n_steals, n_steal_rows = composite_share(
+                img, band, claims, ctx.claim_locks, pid, ctx.steal_chunk, rle,
+                fact, ctx.kernel, profiled, rec, frame, ctx.burn_per_row, fault,
+            )
+        finally:
+            # Busy time stops at the barrier: the wait measures the
+            # *imbalance*, not this worker's work.
+            t_comp = clock() - t0
+            if rec is not None:
+                tb0 = rec.now()
+                rec.span(frame, "composite", tc0, tb0)
+            # Siblings block on this barrier no matter what happened
+            # above — reaching it even on error prevents a deadlock.
+            # (A *dead* sibling can never arrive; a transport whose
+            # workers can die detects that and stops the stragglers.)
+            ctx.barrier.wait()
+            if rec is not None:
+                rec.span(frame, "barrier", tb0, rec.now())
+        t1 = clock()
+        _maybe_fault(fault, pid, frame, "warp")
+        if rec is not None:
+            tw0 = rec.now()
+        # One band-vectorized gather over the rows this block can feed.
+        warp_rows(final, final_rows, img, fact, line_owner=owner, pid=pid)
+        t_warp = clock() - t1
+        if rec is not None:
+            rec.span(frame, "warp", tw0, rec.now())
+    except Exception as exc:  # noqa: BLE001 - reported through the ledger
+        err = f"{type(exc).__name__}: {exc}"
+        frags = None
+    return err, frags, t_comp, t_warp, n_steals, n_steal_rows
+
+
+# -- the frame ledger ---------------------------------------------------------
+
+
+class PoolCore:
+    """The frame ledger every render pool shares; subclass to add a transport.
+
+    Owns a frame from ``submit`` to ``result``: planning, the in-flight
+    record, per-worker completion accounting, the finish → retry →
+    degrade → fail state machine, timelines and counters.  ``result()``
+    never blocks forever on a healthy transport: it returns the frame,
+    raises the frame's typed error (:class:`FrameFailed`,
+    :class:`FrameTimeout`, :class:`WorkerDied`, :class:`PoolClosed`,
+    :class:`PoolUnrecoverable`), or — with ``degrade_to_serial`` —
+    returns a bit-identical serially rendered frame.
+
+    A transport implements (all called with the pool condition held):
+
+    ``_send_locked(frames)``
+        Give each frame its images and claim cursors and get its jobs to
+        every worker — one message per worker, in the same order on all.
+    ``_take_images_locked(frame, rec) -> (intermediate, final)``
+        Hand over a finished frame's images and free whatever held them.
+    ``_retry_locked(frame, cause)``
+        A worker raised on ``frame`` with retries left; the worker set
+        is intact.  Usually :meth:`_redispatch_locked`.
+    ``close()``
+        Stop the workers; set ``_closed`` and wake every waiter.
+
+    and may override ``_await_slot_locked`` (block ``submit`` until the
+    next frame has somewhere to render), ``_release_locked`` (a frame
+    left without its images being taken), ``_raise_if_dead`` (liveness of
+    whatever completes frames) and the ``inter_cap`` / ``final_cap``
+    image capacity.  Workers run :func:`run_frame` and report through
+    :meth:`_worker_done_locked`.
+    """
+
+    #: Name of the transport in exported trace metadata.
+    transport = ""
+    #: Largest frame the transport's images can hold (``None``: any).
+    inter_cap: tuple[int, int] | None = None
+    final_cap: tuple[int, int] | None = None
+
+    def __init__(self, renderer, config: PoolConfig | None = None) -> None:
+        self._closed = False
+        self._cond = threading.Condition()
+        self._broken: str | None = None
+        if config is None:
+            config = PoolConfig()
+        elif not isinstance(config, PoolConfig):
+            raise TypeError(
+                f"config must be a PoolConfig, got {type(config).__name__}"
+            )
+        self.renderer = renderer
+        self.config = config
+        self.n_procs = config.n_procs
+        self.kernel = config.kernel
+        self.profile_period = config.profile_period
+        self.stealing = config.stealing
+        self.steal_chunk = config.steal_chunk
+        self.trace = config.trace
+        self.trace_capacity = config.trace_capacity
+        # One worker has nobody to steal from; skip the claim traffic.
+        self._steal_active = config.stealing and config.n_procs > 1
+
+        # Observability: the registry always exists (submit updates pool
+        # health gauges either way); span recording only when tracing.
+        self.metrics = MetricsRegistry()
+        self._planner = FramePlanner(
+            renderer, config.n_procs, config.profile_period, self.metrics
+        )
+        self.timelines: list[FrameTimeline] = []
+        self.trace_epoch = time.perf_counter()
+        #: Parent-side readers over the workers' span rings (the
+        #: transport fills this in when tracing).
+        self._readers: list[RingReader] = []
+        self._frame_obs: dict[int, FrameTimeline] = {}
+        self._sup_rec: SpanRecorder | None = None
+        self._sup_reader: RingReader | None = None
+        if config.trace:
+            # The parent records dispatch/recovery spans on its own
+            # track, one past the worker pids.
+            self._sup_rec = SpanRecorder.in_memory(epoch=self.trace_epoch)
+            self._sup_reader = RingReader(
+                self._sup_rec.cursor, self._sup_rec.records, pid=config.n_procs
+            )
+
+        self._next_frame = 0
+        self._inflight: dict[int, dict] = {}  # frame -> per-frame record
+        self._results: dict[int, MPRenderResult] = {}
+        # Frames that failed for good: frame -> typed exception.  Each
+        # frame's error is raised only from its own result() call, never
+        # from a sibling's.
+        self._failed: dict[int, MPPoolError] = {}
+
+    # -- transport seam ------------------------------------------------------
+
+    def _send_locked(self, frames: list[int]) -> None:
+        raise NotImplementedError
+
+    def _take_images_locked(self, frame: int, rec: dict):
+        raise NotImplementedError
+
+    def _retry_locked(self, frame: int, cause: str) -> None:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        raise NotImplementedError
+
+    def _await_slot_locked(self) -> None:
+        """Block until the next frame has somewhere to render."""
+
+    def _release_locked(self, frame: int, rec: dict) -> None:
+        """``frame`` left the pool without its images being taken."""
+
+    def _raise_if_dead(self) -> None:
+        """Raise :class:`PoolUnrecoverable` if nothing can complete frames."""
+
+    # -- frame lifecycle -----------------------------------------------------
+
+    @property
+    def capabilities(self) -> BackendCapabilities:
+        """What this pool can do (the :class:`RenderBackend` struct)."""
+        return BackendCapabilities(
+            trace=self.trace,
+            steal=self._steal_active,
+            profile=self.profile_period > 0,
+            shard=False,
+        )
+
+    def submit(self, view: np.ndarray,
+               region: FrameRegion | None = None,
+               timestep: int | None = None) -> int:
+        """Dispatch one frame to the workers; returns its frame id.
+
+        Blocks only if the transport has nowhere to render it yet (the
+        process pool: both image buffers still hold unfinished frames).
+        The partition is profile-balanced whenever a valid profile from
+        an earlier frame exists, uniform otherwise.  ``region``
+        restricts the frame to one shard's band (see
+        :class:`FrameRegion`); ``timestep`` selects a time-varying
+        renderer's encoding.  Raises :class:`PoolClosed` /
+        :class:`PoolUnrecoverable` on a pool that can no longer accept
+        work.
+        """
+        with self._cond:
+            self._raise_if_unusable()
+            t_d0 = self._sup_rec.now() if self._sup_rec is not None else 0.0
+            plan = self._planner.plan(view, self.inter_cap, self.final_cap,
+                                      region=region, timestep=timestep)
+            # Everything fallible is done — only now wait for a slot
+            # and claim a frame id, so a failed submit leaves no
+            # bookkeeping behind.
+            self._await_slot_locked()
+            frame = self._claim_frame_locked(plan, batched=False)
+            self._dispatch_locked([frame])
+            self._sample_gauges_locked()
+            if self._sup_rec is not None:
+                self._sup_rec.span(frame, "dispatch", t_d0, self._sup_rec.now())
+            return frame
+
+    def submit_batch(self, frame_specs) -> list[int]:
+        """Dispatch a whole animation in one queue round-trip per worker.
+
+        ``frame_specs`` is a sequence of bare views and/or
+        :class:`~repro.parallel.backend.FrameSpec` items (the
+        :class:`RenderBackend` batch form, which carries per-frame
+        timesteps and regions).
+
+        Every frame is planned up front — the profile feedback loop
+        still advances frame to frame, and planning is deterministic, so
+        the partitions (and therefore the pixels) are identical to
+        per-frame submission.  Each worker then receives its entire job
+        list as a *single* queue message and runs frame to frame without
+        re-synchronizing with the parent: the parent's collection of
+        frame ``f`` overlaps the workers' compositing of ``f+1``
+        (MovieMaker's stage overlap), and the queue/wakeup cost is
+        amortized over the batch instead of paid per frame.
+
+        Returns the frame ids in submission order; collect them with
+        :meth:`result` (in order, for image reuse to stream).
+
+        Because every frame is planned before any completes, a profile
+        measured *inside* the batch balances the next batch, not this
+        one — the feedback loop crosses batch boundaries.  Partitions
+        never change pixels (only which worker composites which rows),
+        so batched output stays bit-identical to per-frame submission.
+        """
+        specs = as_frame_specs(frame_specs)
+        with self._cond:
+            self._raise_if_unusable()
+            if not specs:
+                return []
+            t_d0 = self._sup_rec.now() if self._sup_rec is not None else 0.0
+            # Plan everything before claiming anything: a view that
+            # fails planning must not strand its batch-mates in flight.
+            plans = [
+                self._planner.plan(s.view, self.inter_cap, self.final_cap,
+                                   region=s.region, timestep=s.timestep)
+                for s in specs
+            ]
+            frames = [self._claim_frame_locked(p, batched=True) for p in plans]
+            self._dispatch_locked(frames)
+            self.metrics.counter("pool/batch_frames").inc(len(frames))
+            self._sample_gauges_locked()
+            if self._sup_rec is not None:
+                self._sup_rec.span(frames[0], "dispatch", t_d0,
+                                   self._sup_rec.now())
+            return frames
+
+    def result(self, frame: int) -> MPRenderResult:
+        """Wait for ``frame`` and return its images.
+
+        Never blocks forever: every in-flight frame is completed,
+        retried, degraded or failed.  Raises the frame's *own* typed
+        error (:class:`FrameFailed`, :class:`FrameTimeout`,
+        :class:`WorkerDied`) — idempotently: calling ``result()`` again
+        on a failed frame re-raises the *same* error (the serve layer
+        retries and reports per client, so a failure must stay
+        observable, not decay into ``KeyError``).  Raises
+        :class:`PoolClosed` if the pool is closed while the frame is
+        still in flight; :class:`PoolUnrecoverable` if the pool itself
+        broke.
+        """
+        with self._cond:
+            while True:
+                if frame in self._failed:
+                    raise self._failed[frame]
+                if frame in self._results:
+                    return self._results.pop(frame)
+                if frame not in self._inflight:
+                    raise KeyError(f"unknown frame {frame}")
+                self._wait_locked(f"pool closed while frame {frame} was in flight")
+
+    def render(self, view: np.ndarray) -> MPRenderResult:
+        """Render one frame synchronously."""
+        return self.result(self.submit(view))
+
+    def render_animation(self, views) -> list[MPRenderResult]:
+        """Render a sequence of views (or
+        :class:`~repro.parallel.backend.FrameSpec` items) as one batch,
+        returning results in order."""
+        return [self.result(f) for f in self.submit_batch(views)]
+
+    def _wait_locked(self, closed_msg: str = "pool is closed") -> None:
+        """One bounded wait on the pool condition, with liveness checks."""
+        if self._broken is not None:
+            raise PoolUnrecoverable(self._broken)
+        if self._closed:
+            raise PoolClosed(closed_msg)
+        self._raise_if_dead()
+        self._cond.wait(timeout=0.2)
+
+    def _raise_if_unusable(self) -> None:
+        if self._closed:
+            raise PoolClosed("pool is closed")
+        if self._broken is not None:
+            raise PoolUnrecoverable(self._broken)
+
+    def _claim_frame_locked(self, plan: dict, batched: bool) -> int:
+        """Allocate the next frame id and its in-flight record.
+
+        ``batched`` marks a frame dispatched with successors already
+        queued behind it — what a transport needs to price a retry.
+        """
+        frame = self._next_frame
+        self._next_frame += 1
+        self._inflight[frame] = {
+            "attempt": 0,
+            "batched": batched,
+            "busy": np.zeros(self.n_procs, dtype=np.float64),
+            **plan,
+        }
+        return frame
+
+    def _dispatch_locked(self, frames: list[int]) -> None:
+        """(Re-)send ``frames``: fresh per-attempt accounting, then the
+        transport.  The saved record reproduces the exact same
+        partition, so a retried frame is bit-identical to what the lost
+        attempt would have produced."""
+        for frame in frames:
+            rec = self._inflight[frame]
+            rec["done"] = 0
+            rec["errors"] = []
+            rec["costs"] = None
+            rec["busy"][:] = 0.0
+            rec["steals"] = 0
+            rec["steal_rows"] = 0
+        self._send_locked(frames)
+
+    def _sample_gauges_locked(self) -> None:
+        """Pool-health gauges, sampled at submit time."""
+        self.metrics.gauge("pool/queue_depth").set(len(self._inflight))
+
+    # -- completion: account, finish, retry, degrade, fail -------------------
+
+    def _worker_done_locked(self, frame: int, pid: int, err: str | None,
+                            frags, t_comp: float, t_warp: float,
+                            n_steals: int, n_steal_rows: int) -> None:
+        """Account worker ``pid``'s :func:`run_frame` outcome to
+        ``frame``; the last worker to report finishes the frame."""
+        rec = self._inflight.get(frame)
+        if rec is None:
+            return
+        rec["done"] += 1
+        rec["busy"][pid] = t_comp + t_warp
+        rec["steals"] += int(n_steals)
+        rec["steal_rows"] += int(n_steal_rows)
+        if err is not None:
+            rec["errors"].append(f"worker {pid}: {err}")
+        elif frags:
+            apply_cost_fragments(rec, pid, frags, t_comp, t_warp)
+        if rec["done"] >= self.n_procs:
+            self._finish_locked(frame)
+
+    def _finish_locked(self, frame: int) -> None:
+        """All workers reported: hand over, retry, degrade, or fail."""
+        rec = self._inflight[frame]
+        timeline = self._collect_timeline_locked(frame)
+        if rec["errors"]:
+            # A worker raised but the set is intact.  The failed
+            # attempt's timeline was drained above and is dropped (its
+            # spans may be truncated).
+            msg = "; ".join(rec["errors"])
+            if rec["attempt"] < self.config.max_retries:
+                self._retry_locked(frame, msg)
+            else:
+                self._exhausted_locked(frame, FrameFailed(msg))
+            return
+        if timeline is not None:
+            self.timelines.append(timeline)
+            metrics_from_timelines([timeline], self.metrics)
+        if rec["steals"]:
+            self.metrics.counter("pool/steals").inc(rec["steals"])
+            self.metrics.counter("pool/steal_rows").inc(rec["steal_rows"])
+        if rec["profiled"] and rec["costs"] is not None:
+            self._planner.install_profile(rec["v_lo"], rec["costs"], rec["key"])
+        del self._inflight[frame]
+        img, final = self._take_images_locked(frame, rec)
+        self._results[frame] = MPRenderResult(
+            final=final,
+            intermediate=img,
+            fact=rec["fact"],
+            n_procs=self.n_procs,
+            boundaries=rec["boundaries"],
+            profiled=rec["profiled"],
+            busy_s=rec["busy"],
+            timeline=timeline,
+            steals=rec["steals"],
+            steal_rows=rec["steal_rows"],
+            retries=rec["attempt"],
+            costs=rec["costs"],
+            costs_v_lo=int(rec["v_lo"]),
+        )
+
+    def _count_retry_locked(self, frame: int) -> None:
+        self._inflight[frame]["attempt"] += 1
+        self.metrics.counter("pool/frames_retried").inc()
+
+    def _redispatch_locked(self, frame: int) -> None:
+        """Retry ``frame`` behind whatever the workers already hold."""
+        self._count_retry_locked(frame)
+        self._dispatch_locked([frame])
+
+    def _exhausted_locked(self, frame: int, exc: MPPoolError) -> None:
+        """``frame`` is out of retries: degrade to serial, or fail with
+        ``exc``."""
+        if self.config.degrade_to_serial:
+            self._degrade_locked(frame)
+        else:
+            self._fail_locked(frame, exc)
+
+    def _fail_locked(self, frame: int, exc: MPPoolError) -> None:
+        self._release_locked(frame, self._inflight.pop(frame))
+        self._failed[frame] = exc
+
+    def _degrade_locked(self, frame: int) -> None:
+        """Render ``frame`` serially in the parent — the last resort.
+
+        The serial fast path is the pool's bit-identity reference, so a
+        degraded frame carries exactly the pixels the workers would have
+        produced; only the per-worker observables are absent.
+        """
+        rec = self._inflight.pop(frame)
+        self._release_locked(frame, rec)
+        try:
+            res = render_fast(self.renderer, rec["view"],
+                              timestep=rec.get("timestep"))
+        except Exception as exc:  # noqa: BLE001 - surface, don't hang
+            self._failed[frame] = FrameFailed(
+                f"degraded serial render of frame {frame} failed: "
+                f"{type(exc).__name__}: {exc}"
+            )
+            return
+        self.metrics.counter("pool/degraded_frames").inc()
+        self._results[frame] = MPRenderResult(
+            final=res.final,
+            intermediate=res.intermediate,
+            fact=res.fact,
+            n_procs=self.n_procs,
+            boundaries=rec["boundaries"],
+            profiled=False,
+            busy_s=None,
+            timeline=None,
+            retries=rec["attempt"],
+            degraded=True,
+        )
+
+    # -- observability -------------------------------------------------------
+
+    def _collect_timeline_locked(self, frame: int) -> FrameTimeline | None:
+        """Drain the span rings and return ``frame``'s assembled timeline.
+
+        Every worker has reported ``frame`` by the time this runs, and
+        each report happens-after that worker's ring writes, so the
+        frame's records are all visible.  Records of *later* frames
+        still in flight stay parked in ``_frame_obs`` until their own
+        finish.
+        """
+        if not self.trace:
+            return None
+        for reader in (*self._readers, self._sup_reader):
+            for r in reader.drain():
+                tl = self._frame_obs.get(r.frame)
+                if tl is None:
+                    tl = self._frame_obs[r.frame] = FrameTimeline(r.frame)
+                tl.add(r)
+        dropped = sum(r.dropped for r in self._readers)
+        if dropped:
+            # Ring wrapped before the parent drained — never silent.
+            self.metrics.gauge("trace/dropped_records").set(dropped)
+        return self._frame_obs.pop(frame, None)
+
+    def fault_counters(self) -> dict[str, int]:
+        """Current recovery counters (zeros on a healthy pool;
+        ``worker_restarts`` stays 0 on a transport whose workers cannot
+        die)."""
+        counters = self.metrics.counters
+        return {
+            name: int(counters[key].value) if key in counters else 0
+            for name, key in (
+                ("worker_restarts", "pool/worker_restarts"),
+                ("frames_retried", "pool/frames_retried"),
+                ("degraded_frames", "pool/degraded_frames"),
+            )
+        }
+
+    def export_chrome_trace(self, path: str, metadata: dict | None = None) -> None:
+        """Write every completed frame's timeline as Chrome trace JSON.
+
+        The file loads in Perfetto / ``chrome://tracing`` with one track
+        per worker (plus the parent's ``dispatch`` / ``recover`` spans
+        on track ``n_procs``).  Requires the pool to have been built
+        with ``trace=True``.
+        """
+        if not self.trace:
+            raise RuntimeError("pool was created without trace=True")
+        meta = {
+            "n_procs": self.n_procs,
+            "kernel": self.kernel,
+            "profile_period": self.profile_period,
+            "stealing": self._steal_active,
+            "steal_chunk": self.steal_chunk,
+            "frames": len(self.timelines),
+            "backend": self.transport,
+            "batch_frames": int(
+                self.metrics.counter("pool/batch_frames").value
+            ),
+        }
+        meta.update(self.fault_counters())
+        if metadata:
+            meta.update(metadata)
+        _export_chrome_trace(path, self.timelines, metadata=meta)
+
+    # -- context manager -----------------------------------------------------
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # best-effort if close() was forgotten
+        try:
+            self.close()
+        except Exception:
+            pass

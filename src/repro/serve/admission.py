@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 
 from ..obs.metrics import MetricsRegistry
-from ..parallel.mp_backend import MPPoolError
+from ..parallel.poolcore import MPPoolError
 
 __all__ = ["ServerBusy", "AdmissionController"]
 
@@ -22,7 +22,7 @@ __all__ = ["ServerBusy", "AdmissionController"]
 class ServerBusy(MPPoolError):
     """The server's in-flight window is full — retry later.
 
-    Extends :class:`~repro.parallel.mp_backend.MPPoolError` so service
+    Extends :class:`~repro.parallel.poolcore.MPPoolError` so service
     clients handle one typed hierarchy for every way a render can fail,
     whether the pool or the front end rejected it.
     """

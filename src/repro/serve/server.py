@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.metrics import Histogram, MetricsRegistry
-from ..parallel.mp_backend import MPPoolError, PoolConfig
+from ..parallel.poolcore import MPPoolError, PoolConfig
 from .admission import AdmissionController, ServerBusy
 from .cache import DEFAULT_FRAME_CACHE_CAPACITY, CachedFrame, FrameCache
 from .protocol import (
@@ -79,7 +79,7 @@ DEFAULT_MOVIE_TIMESTEPS = 4
 @dataclass(frozen=True)
 class ServeConfig:
     """Every render-server knob, validated in one place (the serve-layer
-    sibling of :class:`~repro.parallel.mp_backend.PoolConfig`).
+    sibling of :class:`~repro.parallel.poolcore.PoolConfig`).
 
     Parameters
     ----------

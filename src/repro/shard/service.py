@@ -6,7 +6,7 @@ gets its own :class:`~repro.parallel.mp_backend.MPRenderPool` (or
 thread pool), and the final image is reassembled through the explicit
 tile-ownership map and binary merge tree of :mod:`repro.shard.merge`.
 Every pool renders the *same* frame restricted to a
-:class:`~repro.parallel.mp_backend.FrameRegion` — its composite band
+:class:`~repro.parallel.poolcore.FrameRegion` — its composite band
 (owned scanlines plus the one ghost line each warp sample pair needs)
 and its warp-ownership mask — so the union of the pools' disjoint
 pixel sets is bit-identical to a single-pool render of the whole frame.
@@ -44,14 +44,14 @@ from ..obs.metrics import MetricsRegistry, busy_spread
 from ..obs.recorder import RingReader, SpanRecorder
 from ..obs.timeline import FrameTimeline
 from ..obs.timeline import export_chrome_trace as _export_chrome_trace
-from ..parallel import mp_backend as _mpb
+from ..parallel import poolcore
 from ..parallel.backend import BackendCapabilities, as_frame_specs
-from ..parallel.mp_backend import (
+from ..parallel.mp_backend import MPRenderPool
+from ..parallel.poolcore import (
     FrameRegion,
-    MPRenderPool,
     MPRenderResult,
     PoolConfig,
-    _capacity_shapes,
+    capacity_shapes,
 )
 from ..parallel.thread_backend import ThreadRenderPool
 from ..render.compositing import nonempty_scanline_bounds
@@ -106,7 +106,7 @@ def _shard_delays_from_env() -> dict[int, tuple[int, float]]:
 class ShardPlanner:
     """Shard-boundary planning: section 4.3 one level up.
 
-    The same machinery :class:`~repro.parallel.mp_backend.FramePlanner`
+    The same machinery :class:`~repro.parallel.poolcore.FramePlanner`
     applies to *scanlines within one pool* — profile-balanced contiguous
     partitioning, reuse of a previous frame's measured costs, and
     invalidation when the principal axis switches — applied to *shard
@@ -263,7 +263,7 @@ class ShardedRenderService:
         self._merge_reader: RingReader | None = None
 
         delays = _shard_delays_from_env()
-        _, final_cap = _capacity_shapes(renderer.shape)
+        _, final_cap = capacity_shapes(renderer.shape)
         try:
             for s in range(self.n_shards):
                 pcfg = scfg.pool_config(s)
@@ -294,20 +294,21 @@ class ShardedRenderService:
     def _open_pool(self, cfg: PoolConfig, delay: tuple[int, float] | None):
         """Construct one shard's pool, optionally with an injected delay.
 
-        The mp workers snapshot ``_TEST_ROW_DELAY`` at fork, so setting
-        it only around construction scopes the delay to this one shard.
-        Thread pools read the knob live and would leak it to siblings,
-        so the per-shard delay is mp-only.
+        Workers snapshot ``poolcore.TEST_ROW_DELAY`` when their pool is
+        constructed, so setting it only around construction scopes the
+        delay to this one shard.  The delay is a CPU burn, which on a
+        thread would hold the GIL and slow every sibling shard too, so
+        the per-shard delay is mp-only.
         """
         kind = ThreadRenderPool if cfg.backend == "thread" else MPRenderPool
         if delay is None or cfg.backend != "mp":
-            return kind(self.renderer, config=cfg)
-        saved = _mpb._TEST_ROW_DELAY
-        _mpb._TEST_ROW_DELAY = delay
+            return kind(self.renderer, cfg)
+        saved = poolcore.TEST_ROW_DELAY
+        poolcore.TEST_ROW_DELAY = delay
         try:
-            return kind(self.renderer, config=cfg)
+            return kind(self.renderer, cfg)
         finally:
-            _mpb._TEST_ROW_DELAY = saved
+            poolcore.TEST_ROW_DELAY = saved
 
     @property
     def capabilities(self) -> BackendCapabilities:
@@ -349,14 +350,11 @@ class ShardedRenderService:
         )
         return frame_id
 
-    def submit_batch(self, frame_specs, regions=None) -> list[int]:
+    def submit_batch(self, frame_specs) -> list[int]:
         """Queue a batch of views / FrameSpecs; returns their frame ids."""
-        specs = as_frame_specs(frame_specs)
-        if regions is None:
-            regions = [None] * len(specs)
         return [
-            self.submit(s.view, s.region or r, timestep=s.timestep)
-            for s, r in zip(specs, regions)
+            self.submit(s.view, s.region, timestep=s.timestep)
+            for s in as_frame_specs(frame_specs)
         ]
 
     def result(self, frame_id: int) -> MPRenderResult:
@@ -503,7 +501,7 @@ class ShardedRenderService:
         for s, r in enumerate(results):
             if r.timeline is None:
                 continue
-            shift = self._pools[s]._trace_epoch - self._trace_epoch
+            shift = self._pools[s].trace_epoch - self._trace_epoch
             off = self._pid_offset[s]
             for sp in r.timeline.spans:
                 tl.spans.append(

@@ -2,9 +2,9 @@
 
 Every execution model — mp pool, thread pool, shard fleet — must be
 drivable through the same four-member seam (``submit_batch`` /
-``result`` / ``close`` / ``capabilities``), and the legacy per-call
-kwargs shim must steer callers to :class:`PoolConfig` with a
-``DeprecationWarning`` without changing behavior.
+``result`` / ``close`` / ``capabilities``), and the per-call pool
+kwargs deprecated in 1.x are gone in 2.0: the constructors take
+``(renderer, config)`` and nothing else.
 """
 
 import warnings
@@ -22,8 +22,6 @@ from repro.parallel import (
     RenderBackend,
     ThreadRenderPool,
     as_frame_specs,
-    render_parallel_mp,
-    render_parallel_threads,
 )
 from repro.render import ShearWarpRenderer
 from repro.shard import ShardedRenderService
@@ -107,34 +105,19 @@ class TestProtocolConformance:
 
 
 class TestLegacyKwargsDeprecation:
-    """Per-call pool kwargs warn and steer to PoolConfig — but still work."""
+    """The 2.0 removal: per-call pool kwargs raise, ``PoolConfig`` and
+    the facade's overrides are the only (and silent) ways in."""
 
-    def test_mp_pool_ctor_kwargs_warn(self, renderer):
-        with pytest.warns(DeprecationWarning, match="PoolConfig"):
-            pool = MPRenderPool(renderer, n_procs=1, profile_period=0)
-        with pool:
-            pass
-
-    def test_thread_pool_ctor_kwargs_warn(self, renderer):
-        with pytest.warns(DeprecationWarning, match="PoolConfig"):
-            pool = ThreadRenderPool(renderer, n_procs=1, profile_period=0)
-        with pool:
-            pass
-
-    def test_render_parallel_fns_warn_and_match_config_path(self, renderer):
-        view = renderer.view_from_angles(20, 30, 0)
-        with pytest.warns(DeprecationWarning, match="PoolConfig"):
-            legacy = render_parallel_threads(renderer, view, n_procs=1)
-        cfg = PoolConfig(n_procs=1, profile_period=0)
-        modern = render_parallel_threads(renderer, view, config=cfg)
-        assert np.array_equal(legacy.final.color, modern.final.color)
-
-    def test_render_parallel_mp_warns(self, renderer):
-        view = renderer.view_from_angles(20, 30, 0)
-        with pytest.warns(DeprecationWarning, match="PoolConfig"):
-            res = render_parallel_mp(renderer, view, n_procs=1)
-        ref = renderer.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
+    @pytest.mark.parametrize("pool_cls", [MPRenderPool, ThreadRenderPool])
+    def test_legacy_kwargs_raise_type_error(self, renderer, pool_cls):
+        with pytest.raises(TypeError):
+            pool_cls(renderer, n_procs=1, profile_period=0)
+        with pytest.raises(TypeError):
+            pool_cls(renderer, 1)  # the old positional n_procs
+        with pytest.raises(TypeError):
+            pool_cls(renderer, PoolConfig(n_procs=1), trace=True)
+        assert not hasattr(repro.parallel, "render_parallel_mp")
+        assert not hasattr(repro.parallel, "render_parallel_threads")
 
     def test_config_path_stays_silent(self, renderer):
         cfg = PoolConfig(n_procs=1, backend="thread", profile_period=0)

@@ -11,8 +11,8 @@ persistent multiprocessing pool.
 import numpy as np
 import pytest
 
+import repro
 from repro.datasets import ct_head, mri_brain, solid_sphere
-from repro.parallel.mp_backend import MPRenderPool, render_parallel_mp
 from repro.render import (
     BlockRowCounters,
     FinalImage,
@@ -383,7 +383,7 @@ class TestMPRenderPool:
     def test_animation_bit_exact(self, renderer):
         views = [renderer.view_from_angles(20, 30 + 5 * i, 0) for i in range(4)]
         refs = [renderer.render(v) for v in views]
-        with MPRenderPool(renderer, n_procs=2, kernel="block") as pool:
+        with repro.open_pool(renderer, n_procs=2, kernel="block") as pool:
             results = [pool.render(v) for v in views]
         for res, ref in zip(results, refs):
             assert np.array_equal(res.final.color, ref.final.color)
@@ -393,7 +393,7 @@ class TestMPRenderPool:
     def test_pipelined_submit_out_of_order_results(self, renderer):
         views = [renderer.view_from_angles(10, 15 * i, 0) for i in range(3)]
         refs = [renderer.render(v) for v in views]
-        with MPRenderPool(renderer, n_procs=2, buffers=2) as pool:
+        with repro.open_pool(renderer, n_procs=2) as pool:
             handles = [pool.submit(v) for v in views]
             out = {h: pool.result(h) for h in reversed(handles)}
         for h, ref in zip(handles, refs):
@@ -402,26 +402,24 @@ class TestMPRenderPool:
     def test_scanline_kernel_parity(self, renderer):
         view = renderer.view_from_angles(25, -10, 5)
         ref = renderer.render(view)
-        with MPRenderPool(renderer, n_procs=3, kernel="scanline", buffers=1) as pool:
+        with repro.open_pool(renderer, n_procs=3, kernel="scanline") as pool:
             res = pool.render(view)
         assert np.array_equal(res.final.color, ref.final.color)
 
     def test_one_shot_wrapper_matches(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
         ref = renderer.render(view)
-        res = render_parallel_mp(renderer, view, n_procs=2)
+        res = repro.render_frame(renderer, view, n_procs=2)
         assert np.array_equal(res.final.color, ref.final.color)
         assert res.n_procs == 2
 
     def test_validation(self, renderer):
         with pytest.raises(ValueError):
-            MPRenderPool(renderer, n_procs=0)
+            repro.open_pool(renderer, n_procs=0)
         with pytest.raises(ValueError):
-            MPRenderPool(renderer, kernel="nope")
-        with pytest.raises(ValueError):
-            MPRenderPool(renderer, buffers=0)
+            repro.open_pool(renderer, kernel="nope")
         with pytest.raises(RuntimeError):
-            with MPRenderPool(renderer, n_procs=1) as pool:
+            with repro.open_pool(renderer, n_procs=1) as pool:
                 pool.close()
                 pool.submit(np.eye(4))
 

@@ -88,11 +88,11 @@ class TestCLIErrorPaths:
         """A mid-batch worker failure with recovery disabled must exit
         non-zero with the typed error *name* on stderr — not a
         traceback — and leave no shared-memory segment behind."""
-        import repro.parallel.mp_backend as mpb
+        import repro.parallel.poolcore as poolcore
 
         # Worker 0 raises out of frame 1's compositing; retries and
         # serial degradation are off, so the animation fails mid-batch.
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 1, "raise", "composite"))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "raise", "composite"))
         shm_dir = "/dev/shm"
         before = (set(os.listdir(shm_dir)) if os.path.isdir(shm_dir)
                   else None)

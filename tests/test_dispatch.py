@@ -1,18 +1,19 @@
 """Batched submission, pipelining and the shm doorbell (MP backend).
 
-Every dispatch protocol must produce bit-identical images and work
-counters to the serial reference and to the classic per-frame pool —
-the partitions and the pixels may never depend on *how* frames reach
-the workers.  Plus the fault half: a worker killed mid-batch must be
+Batched and per-frame submission must produce bit-identical images and
+work counters to the serial reference and to each other — the
+partitions and the pixels may never depend on *how* frames reach the
+workers.  Plus the fault half: a worker killed mid-batch must be
 recovered with only the unfinished frames re-dispatched.
 """
 
 import numpy as np
 import pytest
 
-import repro.parallel.mp_backend as mpb
+import repro.parallel.poolcore as poolcore
 from repro.datasets import mri_brain
-from repro.parallel.mp_backend import MPRenderPool, PoolConfig
+from repro.parallel.mp_backend import MPRenderPool
+from repro.parallel.poolcore import PoolConfig
 from repro.render import ShearWarpRenderer
 from repro.render.fast import render_fast
 from repro.volume import mri_transfer_function
@@ -51,41 +52,27 @@ class TestBatchedBitIdentity:
         _assert_identical(res, refs)
 
     def test_batched_matches_perframe_protocol(self, renderer):
-        """One batch message == per-frame submits == doorbell-off pool."""
+        """One batch message == per-frame submit / result pairs."""
         views = _views(renderer)
         cfg = PoolConfig(n_procs=2, profile_period=2)
         with MPRenderPool(renderer, config=cfg) as pool:
             batched = [pool.result(f) for f in pool.submit_batch(views)]
-        with MPRenderPool(renderer, config=cfg.replace(pipeline=False)) as pool:
+        with MPRenderPool(renderer, config=cfg) as pool:
             handles = [pool.submit(v) for v in views]
             perframe = [pool.result(h) for h in handles]
-        with MPRenderPool(renderer, config=cfg.replace(doorbell=False,
-                                                       pipeline=False)) as pool:
-            handles = [pool.submit(v) for v in views]
-            legacy = [pool.result(h) for h in handles]
         # Pixels must agree exactly.  Partition *boundaries* may not:
         # the profile feedback loop calibrates per-row costs with
         # measured CPU time, so band splits after a profiled frame are
         # run-dependent — which is precisely why the images themselves
         # being identical is the invariant worth asserting.
         _assert_identical(batched, perframe)
-        _assert_identical(batched, legacy)
-
-    def test_doorbell_off_batched(self, renderer):
-        """Batching works with the legacy done-queue completion too."""
-        views = _views(renderer, 4)
-        refs = [render_fast(renderer, v) for v in views]
-        cfg = PoolConfig(n_procs=2, doorbell=False)
-        with MPRenderPool(renderer, config=cfg) as pool:
-            res = pool.render_animation(views)
-        _assert_identical(res, refs)
 
     def test_batch_deeper_than_buffers(self, renderer):
         """A batch far deeper than the buffer ring streams correctly
         (release-cursor gating + deferred claim seeding)."""
         views = _views(renderer, 8)
         refs = [render_fast(renderer, v) for v in views]
-        cfg = PoolConfig(n_procs=2, buffers=2, profile_period=3)
+        cfg = PoolConfig(n_procs=2, profile_period=3)
         with MPRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
         _assert_identical(res, refs)
@@ -103,19 +90,18 @@ class TestBatchedBitIdentity:
         meta = json.loads(path.read_text())["otherData"]
         assert meta["batch_frames"] == 4
         assert meta["backend"] == "mp"
-        assert meta["doorbell"] is True
+        assert "doorbell" not in meta
 
     def test_empty_batch(self, renderer):
         with MPRenderPool(renderer, config=PoolConfig(n_procs=2)) as pool:
             assert pool.submit_batch([]) == []
             assert pool.render_animation([]) == []
 
-    def test_pipeline_off_render_animation(self, renderer):
+    def test_perframe_submit_counts_no_batch_frames(self, renderer):
         views = _views(renderer, 3)
         refs = [render_fast(renderer, v) for v in views]
-        cfg = PoolConfig(n_procs=2, pipeline=False)
-        with MPRenderPool(renderer, config=cfg) as pool:
-            res = pool.render_animation(views)
+        with MPRenderPool(renderer, config=PoolConfig(n_procs=2)) as pool:
+            res = [pool.result(h) for h in [pool.submit(v) for v in views]]
             assert pool.metrics.counter("pool/batch_frames").value == 0
         _assert_identical(res, refs)
 
@@ -134,11 +120,10 @@ class TestMidBatchFaults:
         doorbell not yet rung — in which case retrying frame 1 is the
         correct behaviour, not a double render.
         """
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 2, "kill", "composite"))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 2, "kill", "composite"))
         views = _views(renderer, 6)
         refs = [render_fast(renderer, v) for v in views]
-        cfg = PoolConfig(n_procs=2, buffers=2, max_retries=2,
-                         degrade_to_serial=False)
+        cfg = PoolConfig(n_procs=2, max_retries=2, degrade_to_serial=False)
         with MPRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
             fc = pool.fault_counters()
@@ -157,7 +142,7 @@ class TestMidBatchFaults:
         """A worker exception mid-batch escalates to pool recovery (the
         retry may not queue behind the rest of the batch) and still
         produces identical frames."""
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (1, 1, "raise", "composite"))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 1, "raise", "composite"))
         views = _views(renderer, 5)
         refs = [render_fast(renderer, v) for v in views]
         cfg = PoolConfig(n_procs=2, max_retries=2, degrade_to_serial=False)
@@ -172,7 +157,7 @@ class TestMidBatchFaults:
 class TestDispatchObservability:
     def test_dispatch_and_doorbell_spans_recorded(self, renderer):
         views = _views(renderer, 4)
-        cfg = PoolConfig(n_procs=2, trace=True, buffers=2)
+        cfg = PoolConfig(n_procs=2, trace=True)
         with MPRenderPool(renderer, config=cfg) as pool:
             pool.render_animation(views)
             phases = set()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import repro
-import repro.parallel.mp_backend as mpb
+import repro.parallel.poolcore as poolcore
 from repro.datasets import beating_heart
 from repro.movie import (
     MoviePipeline,
@@ -197,7 +197,7 @@ class TestMovieBitIdentity:
         self._run(renderer, n_procs=1, shards=2, profile_period=0)
 
     def test_mp_backend_survives_mid_movie_kill(self, renderer, monkeypatch):
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 2, "kill", "composite"))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 2, "kill", "composite"))
         specs = _specs(renderer, self.N_FRAMES)
         with repro.open_pool(renderer, n_procs=2, profile_period=0) as pool:
             results = [pool.result(f) for f in pool.submit_batch(specs)]

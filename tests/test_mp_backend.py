@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-import repro.parallel.mp_backend as mpb
+import repro
+import repro.parallel.poolcore as poolcore
 from repro.core.partition import uniform_contiguous_partition
 from repro.datasets import density_wedge, mri_brain, solid_sphere
-from repro.parallel.mp_backend import MPRenderPool, render_parallel_mp
 from repro.render import ShearWarpRenderer
+from repro.render.fast import render_fast
 from repro.volume import binary_transfer_function, mri_transfer_function
 
 
@@ -20,35 +21,35 @@ class TestMPBackend:
     def test_matches_serial_two_workers(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
         ref = renderer.render(view)
-        res = render_parallel_mp(renderer, view, n_procs=2)
+        res = repro.render_frame(renderer, view, n_procs=2)
         assert np.allclose(res.final.color, ref.final.color, atol=1e-5)
         assert np.allclose(res.final.alpha, ref.final.alpha, atol=1e-5)
 
     def test_matches_serial_four_workers(self, renderer):
         view = renderer.view_from_angles(-15, 40, 10)
         ref = renderer.render(view)
-        res = render_parallel_mp(renderer, view, n_procs=4)
+        res = repro.render_frame(renderer, view, n_procs=4)
         assert np.allclose(res.final.color, ref.final.color, atol=1e-5)
 
     def test_single_worker(self, renderer):
         view = renderer.view_from_angles(0, 10, 0)
         ref = renderer.render(view)
-        res = render_parallel_mp(renderer, view, n_procs=1)
+        res = repro.render_frame(renderer, view, n_procs=1)
         assert np.allclose(res.final.color, ref.final.color, atol=1e-5)
 
     def test_sphere_axis_view(self):
         r = ShearWarpRenderer(solid_sphere((16, 16, 16)), binary_transfer_function(128))
-        res = render_parallel_mp(r, np.eye(4), n_procs=2)
+        res = repro.render_frame(r, np.eye(4), n_procs=2)
         cy, cx = res.final.ny // 2, res.final.nx // 2
         assert res.final.alpha[cy, cx] > 0.9
 
     def test_rejects_zero_workers(self, renderer):
         with pytest.raises(ValueError):
-            render_parallel_mp(renderer, np.eye(4), n_procs=0)
+            repro.render_frame(renderer, np.eye(4), n_procs=0)
 
     def test_rejects_negative_profile_period(self, renderer):
         with pytest.raises(ValueError):
-            MPRenderPool(renderer, n_procs=1, profile_period=-1)
+            repro.open_pool(renderer, n_procs=1, profile_period=-1)
 
 
 class TestPoolErrors:
@@ -60,7 +61,7 @@ class TestPoolErrors:
         *first* call only; the patch reaches the workers through fork, so
         frame 0 fails in every worker while frames 1+ render normally.
         """
-        real = mpb.composite_scanline_block
+        real = poolcore.composite_scanline_block
         calls = {"n": 0}  # per-process after fork: each worker counts its own
 
         def flaky(*args, **kwargs):
@@ -69,14 +70,14 @@ class TestPoolErrors:
                 raise RuntimeError("injected compositing failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(mpb, "composite_scanline_block", flaky)
+        monkeypatch.setattr(poolcore, "composite_scanline_block", flaky)
         v0 = renderer.view_from_angles(20, 30, 0)
         v1 = renderer.view_from_angles(20, 33, 0)
         v2 = renderer.view_from_angles(20, 36, 0)
         # Retries/degradation off: this test is about error *attribution*
         # (the fault-recovery paths are covered in test_mp_faults.py).
-        with MPRenderPool(renderer, n_procs=2, buffers=2, profile_period=0,
-                          max_retries=0, degrade_to_serial=False) as pool:
+        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+                             max_retries=0, degrade_to_serial=False) as pool:
             f0 = pool.submit(v0)
             f1 = pool.submit(v1)
             # The sibling collected first still succeeds and is correct.
@@ -98,15 +99,25 @@ class TestPoolErrors:
 
     def test_failed_submit_leaves_pool_state_clean(self, renderer):
         """A submit that dies on the capacity check must not consume a
-        frame id or mark a buffer occupied/dirty."""
+        frame id or mark a buffer occupied/dirty — and the check is per
+        dimension: a view scaled along x *or* y alone overflows only one
+        side of the capacity and must still be refused (a lexicographic
+        tuple compare let the x-only case through, truncating the
+        frame)."""
         good = renderer.view_from_angles(20, 30, 0)
-        bad = good.copy()
-        bad[:3, :3] *= 3.0  # upscales the image beyond pool capacity
-        with MPRenderPool(renderer, n_procs=2, profile_period=0) as pool:
-            with pytest.raises(RuntimeError, match="capacity"):
-                pool.submit(bad)
+        with repro.open_pool(renderer, n_procs=2, profile_period=0) as pool:
+            cap = pool.final_cap
+            for rows in (slice(0, 3), slice(0, 1), slice(1, 2)):  # xyz, x, y
+                bad = good.copy()
+                bad[rows, :3] *= 3.0  # upscales the image beyond capacity
+                ny, nx = render_fast(renderer, bad).final.shape
+                assert ny > cap[0] or nx > cap[1]
+                with pytest.raises(RuntimeError, match="capacity"):
+                    pool.submit(bad)
+                with pytest.raises(RuntimeError, match="capacity"):
+                    pool.submit_batch([good, bad])
             frame = pool.submit(good)
-            assert frame == 0  # the failed submit consumed no frame id
+            assert frame == 0  # the failed submits consumed no frame id
             res = pool.result(frame)
             ref = renderer.render(good)
             assert np.allclose(res.final.color, ref.final.color, atol=1e-5)
@@ -115,8 +126,8 @@ class TestPoolErrors:
 class TestAdaptivePartition:
     def _animate(self, renderer, views, profile_period, n_procs=3,
                  kernel="block"):
-        with MPRenderPool(renderer, n_procs=n_procs, kernel=kernel,
-                          profile_period=profile_period) as pool:
+        with repro.open_pool(renderer, n_procs=n_procs, kernel=kernel,
+                             profile_period=profile_period) as pool:
             handles = [pool.submit(v) for v in views]
             return [pool.result(h) for h in handles]
 
@@ -155,7 +166,7 @@ class TestAdaptivePartition:
 
     def test_reports_boundaries_and_busy_times(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
-        with MPRenderPool(renderer, n_procs=2, profile_period=3) as pool:
+        with repro.open_pool(renderer, n_procs=2, profile_period=3) as pool:
             res = pool.render(view)
         assert res.boundaries is not None and len(res.boundaries) == 3
         assert np.all(np.diff(res.boundaries) >= 0)
@@ -166,7 +177,7 @@ class TestAdaptivePartition:
         """Crossing a principal-axis boundary must force a uniform
         re-profiling frame: the old profile's scanline coordinates no
         longer exist in the new intermediate image."""
-        with MPRenderPool(renderer, n_procs=3, profile_period=100) as pool:
+        with repro.open_pool(renderer, n_procs=3, profile_period=100) as pool:
             r0 = pool.render(renderer.view_from_angles(10, 20, 0))
             r1 = pool.render(renderer.view_from_angles(10, 24, 0))
             r2 = pool.render(renderer.view_from_angles(10, 70, 0))

@@ -1,6 +1,6 @@
 """Fault-injection tests for the self-healing multiprocessing pool.
 
-Each test arms the deterministic fault hook (``mpb._TEST_FAULT``, the
+Each test arms the deterministic fault hook (``poolcore.TEST_FAULT``, the
 monkeypatch twin of the ``REPRO_MP_FAULT`` env knob — it reaches the
 workers through fork) to kill, hang or blow up one worker at one phase
 of one frame, then asserts the supervisor recovers the animation with
@@ -15,15 +15,14 @@ import numpy as np
 import pytest
 
 import repro
-import repro.parallel.mp_backend as mpb
+import repro.parallel.poolcore as poolcore
 from repro.datasets import mri_brain
-from repro.parallel.mp_backend import (
+from repro.parallel.mp_backend import MPRenderPool
+from repro.parallel.poolcore import (
     FrameTimeout,
-    MPRenderPool,
     PoolClosed,
     PoolConfig,
     WorkerDied,
-    render_parallel_mp,
 )
 from repro.render import ShearWarpRenderer
 from repro.volume import mri_transfer_function
@@ -39,7 +38,7 @@ def _views(renderer, n):
 
 
 def _animate(renderer, views, **pool_kwargs):
-    with MPRenderPool(renderer, **pool_kwargs) as pool:
+    with repro.open_pool(renderer, **pool_kwargs) as pool:
         handles = [pool.submit(v) for v in views]
         results = [pool.result(h) for h in handles]
         counters = pool.fault_counters()
@@ -58,9 +57,9 @@ class TestFaultInjection:
 
     # profile_period=2 makes frame 1 a non-profiled frame and frame 0 a
     # profiled one, so the "profile" phase fault has a frame to hit.
-    @pytest.mark.parametrize("phase", mpb.FAULT_PHASES)
+    @pytest.mark.parametrize("phase", poolcore.FAULT_PHASES)
     def test_kill_recovers_bit_identical(self, renderer, monkeypatch, phase):
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 1, "kill", phase))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "kill", phase))
         views = _views(renderer, 4)
         results, counters = _animate(renderer, views, n_procs=2,
                                      profile_period=2)
@@ -71,10 +70,10 @@ class TestFaultInjection:
         assert any(r.retries > 0 for r in results)
         assert not any(r.degraded for r in results)
 
-    @pytest.mark.parametrize("phase", mpb.FAULT_PHASES)
+    @pytest.mark.parametrize("phase", poolcore.FAULT_PHASES)
     def test_raise_retries_bit_identical(self, renderer, monkeypatch, phase):
         """An exception leaves the worker set intact: retry, no respawn."""
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (1, 1, "raise", phase))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 1, "raise", phase))
         views = _views(renderer, 4)
         results, counters = _animate(renderer, views, n_procs=2,
                                      profile_period=2)
@@ -83,10 +82,10 @@ class TestFaultInjection:
         assert counters["worker_restarts"] == 0
         assert results[1].retries >= 1
 
-    @pytest.mark.parametrize("kernel", mpb.COMPOSITE_KERNELS)
+    @pytest.mark.parametrize("kernel", poolcore.COMPOSITE_KERNELS)
     def test_kill_recovery_on_both_kernels(self, renderer, monkeypatch,
                                            kernel):
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 0, "kill", "composite"))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
         views = _views(renderer, 3)
         results, counters = _animate(renderer, views, n_procs=2,
                                      kernel=kernel, profile_period=0)
@@ -95,7 +94,7 @@ class TestFaultInjection:
 
     def test_hang_caught_by_timeout(self, renderer, monkeypatch):
         """A silently hung worker trips the frame deadline, not a hang."""
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 0, "hang", "composite"))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "hang", "composite"))
         views = _views(renderer, 3)
         results, counters = _animate(renderer, views, n_procs=2,
                                      profile_period=0, timeout_s=1.0)
@@ -110,9 +109,9 @@ class TestFaultInjection:
 
         # Slow worker 0 down so frames are still in flight when the
         # signal lands (same knob the stealing tests use).
-        monkeypatch.setattr(mpb, "_TEST_ROW_DELAY", (0, 0.005))
+        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.005))
         views = _views(renderer, 6)
-        with MPRenderPool(renderer, n_procs=2, profile_period=0) as pool:
+        with repro.open_pool(renderer, n_procs=2, profile_period=0) as pool:
             shm_names = [pool._shm_i.name, pool._shm_f.name]
             handles = [pool.submit(v) for v in views]
             os.kill(pool._workers[0].pid, signal.SIGKILL)
@@ -128,10 +127,10 @@ class TestFaultInjection:
 
     def test_traced_pool_records_recovery(self, renderer, monkeypatch,
                                           tmp_path):
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 0, "kill", "composite"))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
         views = _views(renderer, 3)
-        with MPRenderPool(renderer, n_procs=2, profile_period=0,
-                          trace=True) as pool:
+        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+                             trace=True) as pool:
             handles = [pool.submit(v) for v in views]
             results = [pool.result(h) for h in handles]
             path = tmp_path / "fault_trace.json"
@@ -154,9 +153,9 @@ class TestFaultInjection:
 
 class TestTypedErrors:
     def test_worker_death_raises_typed_error(self, renderer, monkeypatch):
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 0, "kill", "composite"))
-        with MPRenderPool(renderer, n_procs=2, profile_period=0,
-                          max_retries=0, degrade_to_serial=False) as pool:
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
+        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+                             max_retries=0, degrade_to_serial=False) as pool:
             frame = pool.submit(renderer.view_from_angles(20, 30, 0))
             with pytest.raises(WorkerDied):
                 pool.result(frame)
@@ -170,20 +169,20 @@ class TestTypedErrors:
 
     def test_timeout_raises_frame_timeout(self, renderer, monkeypatch):
         """result() never blocks past timeout_s: typed error, not a hang."""
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 0, "hang", "composite"))
-        with MPRenderPool(renderer, n_procs=2, profile_period=0,
-                          timeout_s=0.5, max_retries=0,
-                          degrade_to_serial=False) as pool:
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "hang", "composite"))
+        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+                             timeout_s=0.5, max_retries=0,
+                             degrade_to_serial=False) as pool:
             frame = pool.submit(renderer.view_from_angles(20, 30, 0))
             with pytest.raises(FrameTimeout):
                 pool.result(frame)
 
     def test_degrades_to_serial_bit_identical(self, renderer, monkeypatch):
         """Retries exhausted -> in-parent serial render, same pixels."""
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 0, "kill", "composite"))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
         view = renderer.view_from_angles(20, 30, 0)
-        with MPRenderPool(renderer, n_procs=2, profile_period=0,
-                          max_retries=0) as pool:
+        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+                             max_retries=0) as pool:
             res = pool.render(view)
             counters = pool.fault_counters()
         assert res.degraded
@@ -195,8 +194,8 @@ class TestTypedErrors:
     def test_close_wakes_result_waiter_with_pool_closed(self, renderer,
                                                         monkeypatch):
         """The old deadlock: close() during an in-flight result()."""
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 0, "hang", "composite"))
-        pool = MPRenderPool(renderer, n_procs=2, profile_period=0)
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "hang", "composite"))
+        pool = repro.open_pool(renderer, n_procs=2, profile_period=0)
         frame = pool.submit(renderer.view_from_angles(20, 30, 0))
         caught = []
 
@@ -216,7 +215,7 @@ class TestTypedErrors:
         assert caught and isinstance(caught[0], PoolClosed)
 
     def test_submit_on_closed_pool_raises(self, renderer):
-        pool = MPRenderPool(renderer, n_procs=1)
+        pool = repro.open_pool(renderer, n_procs=1)
         pool.close()
         with pytest.raises(PoolClosed):
             pool.submit(renderer.view_from_angles(20, 30, 0))
@@ -226,9 +225,9 @@ class TestNoLeaks:
     def test_fault_recovery_leaks_no_shm(self, renderer, monkeypatch):
         """Recovery respawns against the same segments; close unlinks
         every one of them even after a mid-animation worker death."""
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 1, "kill", "composite"))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "kill", "composite"))
         views = _views(renderer, 3)
-        pool = MPRenderPool(renderer, n_procs=2, profile_period=0, trace=True)
+        pool = repro.open_pool(renderer, n_procs=2, profile_period=0, trace=True)
         names = [pool._shm_i.name, pool._shm_f.name,
                  pool._shm_c.name, pool._shm_t.name]
         handles = [pool.submit(v) for v in views]
@@ -248,8 +247,6 @@ class TestPoolConfig:
             PoolConfig(n_procs=0)
         with pytest.raises(ValueError, match="kernel"):
             PoolConfig(kernel="simd")
-        with pytest.raises(ValueError, match="buffer"):
-            PoolConfig(buffers=0)
         with pytest.raises(ValueError, match="profile_period"):
             PoolConfig(profile_period=-1)
         with pytest.raises(ValueError, match="steal_chunk"):
@@ -258,8 +255,6 @@ class TestPoolConfig:
             PoolConfig(timeout_s=0.0)
         with pytest.raises(ValueError, match="max_retries"):
             PoolConfig(max_retries=-1)
-        with pytest.raises(ValueError, match="poll_s"):
-            PoolConfig(poll_s=0.0)
 
     def test_replace_revalidates(self):
         cfg = PoolConfig(n_procs=2)
@@ -272,27 +267,28 @@ class TestPoolConfig:
             PoolConfig().n_procs = 3  # frozen dataclass
 
     def test_legacy_kwargs_build_the_same_config(self, renderer):
-        with MPRenderPool(renderer, n_procs=2, kernel="scanline",
-                          profile_period=0, stealing=False) as pool:
+        """What used to be per-call pool kwargs are ``open_pool``
+        overrides now, and build exactly the config they name."""
+        with repro.open_pool(renderer, n_procs=2, kernel="scanline",
+                             profile_period=0, stealing=False) as pool:
             assert pool.config == PoolConfig(n_procs=2, kernel="scanline",
                                              profile_period=0, stealing=False)
 
     def test_config_and_kwargs_is_an_error(self, renderer):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError):
             MPRenderPool(renderer, n_procs=2, config=PoolConfig())
 
     def test_legacy_validation_still_raises(self, renderer):
         # Same errors the pre-config pool raised from __init__.
         with pytest.raises(ValueError):
-            MPRenderPool(renderer, n_procs=0)
+            repro.open_pool(renderer, n_procs=0)
         with pytest.raises(ValueError):
-            MPRenderPool(renderer, kernel="nope")
+            repro.open_pool(renderer, kernel="nope")
 
     def test_one_shot_accepts_config(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
         ref = renderer.render(view)
-        res = render_parallel_mp(renderer, view,
-                                 config=PoolConfig(n_procs=2, buffers=2))
+        res = repro.render_frame(renderer, view, config=PoolConfig(n_procs=2))
         assert res.n_procs == 2
         assert np.array_equal(res.final.color, ref.final.color)
 
@@ -323,20 +319,20 @@ class TestFacade:
 class TestFaultEnvParsing:
     def test_parses_full_spec(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_FAULT", "1:3:hang:warp")
-        assert mpb._fault_from_env() == (1, 3, "hang", "warp")
+        assert poolcore.fault_from_env() == (1, 3, "hang", "warp")
 
     def test_phase_defaults_to_composite(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_FAULT", "0:0:kill")
-        assert mpb._fault_from_env() == (0, 0, "kill", "composite")
+        assert poolcore.fault_from_env() == (0, 0, "kill", "composite")
 
     def test_rejects_bad_kind_and_phase(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_FAULT", "0:0:explode")
         with pytest.raises(ValueError):
-            mpb._fault_from_env()
+            poolcore.fault_from_env()
         monkeypatch.setenv("REPRO_MP_FAULT", "0:0:kill:teleport")
         with pytest.raises(ValueError):
-            mpb._fault_from_env()
+            poolcore.fault_from_env()
 
     def test_absent_is_none(self, monkeypatch):
         monkeypatch.delenv("REPRO_MP_FAULT", raising=False)
-        assert mpb._fault_from_env() is None
+        assert poolcore.fault_from_env() is None

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 import repro.parallel.mp_backend as mpb
+import repro.parallel.poolcore as poolcore
 from repro.datasets import density_wedge
-from repro.parallel.mp_backend import MPRenderPool
 from repro.render import ShearWarpRenderer
 from repro.volume import mri_transfer_function
 
@@ -30,7 +31,7 @@ def renderer():
 
 
 def _render_pool(renderer, view, **kwargs):
-    with MPRenderPool(renderer, **kwargs) as pool:
+    with repro.open_pool(renderer, **kwargs) as pool:
         return pool.render(view)
 
 
@@ -65,14 +66,14 @@ class TestGuidedClaims:
                 [p for p in range(n) if state[p] != "done"]))
             if state[pid] == "own":
                 rem = int(claims[pid, 1] - claims[pid, 0])
-                got = mpb._claim_own_chunk(claims, locks[pid], pid, grain)
+                got = poolcore.claim_own_chunk(claims, locks[pid], pid, grain)
                 if got is None:
                     assert rem == 0
                     state[pid] = "steal"
                     continue
             else:
                 before = claims.copy()
-                got = mpb._steal_chunk(claims, locks, pid, grain)
+                got = poolcore.steal_victim_chunk(claims, locks, pid, grain)
                 if got is None:
                     others = np.delete(before, pid, axis=0)
                     assert (others[:, 1] <= others[:, 0]).all()
@@ -92,7 +93,7 @@ class TestGuidedClaims:
         claims = np.array([[0, n]], dtype=np.int64)
         lock = threading.Lock()
         calls, nxt = 0, 0
-        while (got := mpb._claim_own_chunk(claims, lock, 0, grain)) is not None:
+        while (got := poolcore.claim_own_chunk(claims, lock, 0, grain)) is not None:
             assert got[0] == nxt  # head-first, contiguous
             nxt = got[1]
             calls += 1
@@ -103,20 +104,20 @@ class TestGuidedClaims:
         claims = np.array([[0, 100]], dtype=np.int64)
         lock = threading.Lock()
         got = []
-        while (c := mpb._claim_own_chunk(claims, lock, 0, 8)) is not None:
+        while (c := poolcore.claim_own_chunk(claims, lock, 0, 8)) is not None:
             got.append(c[1] - c[0])
         assert got == [50, 25, 13, 8, 4]
 
     def test_thief_takes_half_of_the_tail(self):
         claims = np.array([[10, 110], [200, 200]], dtype=np.int64)
         locks = [threading.Lock(), threading.Lock()]
-        assert mpb._steal_chunk(claims, locks, 1, 8) == (60, 110)
-        assert mpb._steal_chunk(claims, locks, 1, 8) == (35, 60)
+        assert poolcore.steal_victim_chunk(claims, locks, 1, 8) == (60, 110)
+        assert poolcore.steal_victim_chunk(claims, locks, 1, 8) == (35, 60)
         # Below two grains the floor takes over: 9 left -> 8, then 1.
         claims[0] = (0, 9)
-        assert mpb._steal_chunk(claims, locks, 1, 8) == (1, 9)
-        assert mpb._steal_chunk(claims, locks, 1, 8) == (0, 1)
-        assert mpb._steal_chunk(claims, locks, 1, 8) is None
+        assert poolcore.steal_victim_chunk(claims, locks, 1, 8) == (1, 9)
+        assert poolcore.steal_victim_chunk(claims, locks, 1, 8) == (0, 1)
+        assert poolcore.steal_victim_chunk(claims, locks, 1, 8) is None
 
 
 class TestStealBitIdentity:
@@ -131,7 +132,7 @@ class TestStealBitIdentity:
         assert ref.steals == 0 and ref.steal_rows == 0
         # Slow worker 0 down so its siblings actually turn thief (the
         # hook reaches the workers through fork, so set it pre-pool).
-        monkeypatch.setattr(mpb, "_TEST_ROW_DELAY", (0, 0.002))
+        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.002))
         res = _render_pool(renderer, view, n_procs=3, kernel=kernel,
                            stealing=True, steal_chunk=2, profile_period=0)
         assert np.array_equal(res.final.color, ref.final.color)
@@ -145,8 +146,8 @@ class TestStealBitIdentity:
         to the static profiled pool frame by frame."""
         views = [renderer.view_from_angles(20, 30 + 4 * i, 0) for i in range(4)]
         for stealing in (False, True):
-            with MPRenderPool(renderer, n_procs=2, profile_period=2,
-                              stealing=stealing, steal_chunk=2) as pool:
+            with repro.open_pool(renderer, n_procs=2, profile_period=2,
+                                 stealing=stealing, steal_chunk=2) as pool:
                 frames = [pool.submit(v) for v in views]
                 results = [pool.result(f) for f in frames]
             if stealing:
@@ -165,7 +166,7 @@ class TestForcedImbalance:
     def test_steals_happen_and_rebalance_busy_time(self, renderer, monkeypatch):
         """With one worker slowed 4 ms/row, the thief must take work
         (steals > 0) and the slow worker's busy time must drop."""
-        monkeypatch.setattr(mpb, "_TEST_ROW_DELAY", (0, 0.004))
+        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.004))
         view = renderer.view_from_angles(20, 30, 0)
         ref = _render_pool(renderer, view, n_procs=2, stealing=False,
                            profile_period=0, trace=True)
@@ -183,10 +184,10 @@ class TestForcedImbalance:
         """The steals/steal_rows the result reports must equal what the
         workers recorded into the span rings, and a steal span must be
         present in the timeline."""
-        monkeypatch.setattr(mpb, "_TEST_ROW_DELAY", (0, 0.004))
+        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.004))
         view = renderer.view_from_angles(20, 30, 0)
-        with MPRenderPool(renderer, n_procs=2, stealing=True, steal_chunk=2,
-                          profile_period=0, trace=True) as pool:
+        with repro.open_pool(renderer, n_procs=2, stealing=True, steal_chunk=2,
+                             profile_period=0, trace=True) as pool:
             res = pool.render(view)
             metrics = pool.metrics
         assert res.steals > 0
@@ -203,10 +204,10 @@ class TestStealDisabled:
     def test_disabled_pool_records_zero_steal_events(self, renderer, monkeypatch):
         """stealing=False must leave no steal trace anywhere, even under
         imbalance: no claim segment, no counters, no spans."""
-        monkeypatch.setattr(mpb, "_TEST_ROW_DELAY", (0, 0.002))
+        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.002))
         view = renderer.view_from_angles(20, 30, 0)
-        with MPRenderPool(renderer, n_procs=2, stealing=False,
-                          profile_period=0, trace=True) as pool:
+        with repro.open_pool(renderer, n_procs=2, stealing=False,
+                             profile_period=0, trace=True) as pool:
             assert pool._shm_c is None
             res = pool.render(view)
         assert res.steals == 0 and res.steal_rows == 0
@@ -218,7 +219,7 @@ class TestStealDisabled:
         """One worker has no victim: the claim machinery is skipped
         entirely (no shm segment) even with stealing=True."""
         view = renderer.view_from_angles(20, 30, 0)
-        with MPRenderPool(renderer, n_procs=1, stealing=True) as pool:
+        with repro.open_pool(renderer, n_procs=1, stealing=True) as pool:
             assert pool._shm_c is None
             res = pool.render(view)
         assert res.steals == 0
@@ -227,13 +228,13 @@ class TestStealDisabled:
 class TestStealValidation:
     def test_rejects_zero_chunk(self, renderer):
         with pytest.raises(ValueError, match="steal_chunk"):
-            MPRenderPool(renderer, n_procs=2, steal_chunk=0)
+            repro.open_pool(renderer, n_procs=2, steal_chunk=0)
 
     def test_render_parallel_mp_passes_stealing_through(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
-        ref = mpb.render_parallel_mp(renderer, view, n_procs=2, stealing=False)
-        res = mpb.render_parallel_mp(renderer, view, n_procs=2, stealing=True,
-                                     steal_chunk=1)
+        ref = repro.render_frame(renderer, view, n_procs=2, stealing=False)
+        res = repro.render_frame(renderer, view, n_procs=2, stealing=True,
+                                 steal_chunk=1)
         assert np.array_equal(res.final.color, ref.final.color)
 
 
@@ -256,7 +257,7 @@ class TestClaimShmTeardown:
 
         monkeypatch.setattr(mpb.shared_memory, "SharedMemory", Flaky)
         with pytest.raises(OSError, match="injected"):
-            MPRenderPool(renderer, n_procs=2, stealing=True, trace=True)
+            repro.open_pool(renderer, n_procs=2, stealing=True, trace=True)
         assert len(made) == 3
         monkeypatch.undo()
         from multiprocessing import shared_memory as sm

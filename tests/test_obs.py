@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import repro
 import repro.parallel.mp_backend as mpb
 from repro.datasets import density_wedge, mri_brain
 from repro.obs import (
@@ -27,7 +28,6 @@ from repro.obs import (
     summarize_trace,
     validate_chrome_trace,
 )
-from repro.parallel.mp_backend import MPRenderPool, render_parallel_mp
 from repro.render import ShearWarpRenderer
 from repro.volume import mri_transfer_function
 
@@ -178,8 +178,8 @@ class TestMPTracing:
 
     def test_traced_animation_exports_valid_trace(self, renderer, tmp_path):
         views = self._views(renderer, 3)
-        with MPRenderPool(renderer, n_procs=2, profile_period=1,
-                          trace=True) as pool:
+        with repro.open_pool(renderer, n_procs=2, profile_period=1,
+                             trace=True) as pool:
             results = [pool.result(pool.submit(v)) for v in views]
             assert len(pool.timelines) == 3
             assert [tl.frame for tl in pool.timelines] == [0, 1, 2]
@@ -285,8 +285,8 @@ class TestMPTracing:
     def test_scanline_kernel_calls_count_rows(self, renderer):
         """The scanline kernel is entered once per scanline."""
         view = renderer.view_from_angles(20, 30, 0)
-        with MPRenderPool(renderer, n_procs=2, kernel="scanline",
-                          profile_period=0, trace=True) as pool:
+        with repro.open_pool(renderer, n_procs=2, kernel="scanline",
+                             profile_period=0, trace=True) as pool:
             totals = pool.render(view).timeline.counter_totals()
         assert totals["kernel_calls"] == totals["rows"] > 0
 
@@ -294,8 +294,8 @@ class TestMPTracing:
         """The acceptance criterion: tracing must not change the images."""
         views = self._views(renderer, 2)
         def run(trace):
-            with MPRenderPool(renderer, n_procs=2, profile_period=1,
-                              trace=trace) as pool:
+            with repro.open_pool(renderer, n_procs=2, profile_period=1,
+                                 trace=trace) as pool:
                 return [pool.result(pool.submit(v)) for v in views]
         traced, plain = run(True), run(False)
         for t, p in zip(traced, plain):
@@ -306,25 +306,25 @@ class TestMPTracing:
 
     def test_one_shot_trace(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
-        res = render_parallel_mp(renderer, view, n_procs=2, trace=True)
+        res = repro.render_frame(renderer, view, n_procs=2, trace=True)
         assert res.timeline is not None
         assert res.timeline.phase_seconds().keys() >= {"composite", "warp"}
         assert res.busy_spread is not None and res.busy_spread >= 0
 
     def test_untraced_pool_still_has_metrics(self, renderer):
-        with MPRenderPool(renderer, n_procs=2, profile_period=0) as pool:
+        with repro.open_pool(renderer, n_procs=2, profile_period=0) as pool:
             pool.render(renderer.view_from_angles(20, 30, 0))
             assert pool.timelines == []
             assert "pool/queue_depth" in pool.metrics.snapshot()["gauges"]
 
     def test_export_requires_trace(self, renderer, tmp_path):
-        with MPRenderPool(renderer, n_procs=1) as pool:
+        with repro.open_pool(renderer, n_procs=1) as pool:
             with pytest.raises(RuntimeError, match="trace=True"):
                 pool.export_chrome_trace(str(tmp_path / "t.json"))
 
     def test_rejects_bad_trace_capacity(self, renderer):
         with pytest.raises(ValueError):
-            MPRenderPool(renderer, n_procs=1, trace_capacity=0)
+            repro.open_pool(renderer, n_procs=1, trace_capacity=0)
 
 
 class TestPoolTeardown:
@@ -346,7 +346,7 @@ class TestPoolTeardown:
 
         monkeypatch.setattr(mpb.shared_memory, "SharedMemory", Flaky)
         with pytest.raises(OSError, match="injected"):
-            MPRenderPool(renderer, n_procs=2)
+            repro.open_pool(renderer, n_procs=2)
         assert len(made) == 1
         monkeypatch.undo()
         from multiprocessing import shared_memory as sm
@@ -354,7 +354,7 @@ class TestPoolTeardown:
             sm.SharedMemory(name=made[0])  # already unlinked
 
     def test_double_close_is_safe(self, renderer):
-        pool = MPRenderPool(renderer, n_procs=1)
+        pool = repro.open_pool(renderer, n_procs=1)
         pool.close()
         pool.close()
         pool.__del__()

@@ -1,0 +1,231 @@
+"""The pool core's frame ledger, driven by an in-process fake transport.
+
+No fork, no worker threads: the fake transport parks dispatched frames
+in a list and the test plays the one worker itself — running the core's
+real :func:`run_frame` body, or reporting an error in its place.  The
+finish → retry → degrade → fail state machine is therefore stated once
+here, not once per backend; the mp and thread suites only cover what
+their transports add (processes dying, buffers, threads).
+"""
+
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.datasets import mri_brain
+from repro.parallel.poolcore import (
+    FrameFailed,
+    PoolClosed,
+    PoolConfig,
+    PoolCore,
+    WorkerContext,
+    run_frame,
+)
+from repro.render import ShearWarpRenderer
+from repro.render.fast import render_fast
+from repro.render.image import FinalImage, IntermediateImage
+from repro.volume import mri_transfer_function
+
+
+class _NoBarrier:
+    def wait(self) -> None:
+        pass
+
+
+class FakePool(PoolCore):
+    """One synchronous 'worker': dispatched frames wait in ``sent``
+    until the test calls :meth:`work`."""
+
+    transport = "fake"
+
+    def __init__(self, renderer, config):
+        super().__init__(renderer, config)
+        assert self.n_procs == 1
+        self.sent: list[int] = []
+        self.released: list[int] = []
+        self.ctx = WorkerContext(
+            pid=0, renderer=renderer, kernel=self.kernel,
+            steal_chunk=self.steal_chunk, claim_locks=[],
+            barrier=_NoBarrier(), clock=time.process_time,
+        )
+
+    def _send_locked(self, frames):
+        for frame in frames:
+            rec = self._inflight[frame]
+            rec["img"] = IntermediateImage(rec["fact"].intermediate_shape)
+            rec["final"] = FinalImage(rec["fact"].final_shape)
+        self.sent.extend(frames)
+
+    def _take_images_locked(self, frame, rec):
+        return rec["img"], rec["final"]
+
+    def _release_locked(self, frame, rec):
+        self.released.append(frame)
+
+    def _retry_locked(self, frame, cause):
+        self._redispatch_locked(frame)
+
+    def close(self):
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
+    def work(self, fail: str | None = None) -> int:
+        """Play the worker for the oldest dispatched frame; ``fail``
+        reports that error text instead of rendering."""
+        frame = self.sent.pop(0)
+        with self._cond:
+            rec = self._inflight[frame]
+            b = rec["boundaries"]
+            outcome = (fail, None, 0.0, 0.0, 0, 0) if fail else run_frame(
+                self.ctx, frame, rec["fact"], (int(b[0]), int(b[1])),
+                rec["owner"], rec["rows_by_pid"][0], rec["profiled"],
+                rec.get("timestep"), rec["img"], rec["final"], None,
+            )
+            self._worker_done_locked(frame, 0, *outcome)
+            self._cond.notify_all()
+        return frame
+
+
+@pytest.fixture(scope="module")
+def renderer():
+    return ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
+
+
+def _views(renderer, n=3):
+    return [renderer.view_from_angles(20, 30 + 4 * i, 2 * i) for i in range(n)]
+
+
+def _pool(renderer, **overrides):
+    return FakePool(renderer, PoolConfig(n_procs=1, **overrides))
+
+
+def _assert_identical(res, ref):
+    assert np.array_equal(res.final.color, ref.final.color)
+    assert np.array_equal(res.final.alpha, ref.final.alpha)
+    assert np.array_equal(res.intermediate.color, ref.intermediate.color)
+    assert np.array_equal(res.intermediate.opacity, ref.intermediate.opacity)
+
+
+class TestLedger:
+    def test_success_is_bit_identical_and_feeds_the_profile(self, renderer):
+        views = _views(renderer)
+        with _pool(renderer, profile_period=1) as pool:
+            frames = pool.submit_batch(views)
+            assert pool.sent == frames == [0, 1, 2]
+            for _ in frames:
+                pool.work()
+            results = [pool.result(f) for f in frames]
+            assert pool._planner.profile is not None  # installed on finish
+            assert pool.fault_counters() == {
+                "worker_restarts": 0, "frames_retried": 0, "degraded_frames": 0,
+            }
+        for view, res in zip(views, results):
+            _assert_identical(res, render_fast(renderer, view))
+            assert res.retries == 0 and not res.degraded
+            assert res.profiled and res.costs is not None
+            assert res.busy_s.shape == (1,)
+        assert pool.released == []  # images were taken, not dropped
+
+    def test_worker_error_retries_then_succeeds(self, renderer):
+        view = _views(renderer, 1)[0]
+        with _pool(renderer, max_retries=2, degrade_to_serial=False) as pool:
+            frame = pool.submit(view)
+            pool.work(fail="Boom: injected")
+            assert pool.sent == [frame]  # re-dispatched, same id
+            assert pool.fault_counters()["frames_retried"] == 1
+            pool.work()
+            res = pool.result(frame)
+        _assert_identical(res, render_fast(renderer, view))
+        assert res.retries == 1 and not res.degraded
+
+    def test_retries_exhausted_degrades_bit_identical(self, renderer):
+        view = _views(renderer, 1)[0]
+        with _pool(renderer, max_retries=1, degrade_to_serial=True) as pool:
+            frame = pool.submit(view)
+            pool.work(fail="Boom: first")
+            pool.work(fail="Boom: second")
+            assert pool.sent == [] and pool.released == [frame]
+            res = pool.result(frame)
+            assert pool.fault_counters() == {
+                "worker_restarts": 0, "frames_retried": 1, "degraded_frames": 1,
+            }
+        _assert_identical(res, render_fast(renderer, view))
+        assert res.degraded and res.retries == 1
+        assert res.busy_s is None and res.timeline is None
+
+    def test_degrade_off_fails_typed_and_idempotent(self, renderer):
+        views = _views(renderer, 2)
+        with _pool(renderer, max_retries=0, degrade_to_serial=False) as pool:
+            bad, good = pool.submit_batch(views)
+            pool.work(fail="Boom: injected")
+            pool.work()
+            with pytest.raises(FrameFailed, match="worker 0: Boom: injected") as first:
+                pool.result(bad)
+            with pytest.raises(FrameFailed) as again:
+                pool.result(bad)
+            assert again.value is first.value  # the same error, every call
+            assert pool.released == [bad]
+            # The failure is the frame's own: its batch-mate is untouched.
+            _assert_identical(pool.result(good), render_fast(renderer, views[1]))
+
+    def test_unknown_frame_is_a_key_error(self, renderer):
+        with _pool(renderer) as pool:
+            with pytest.raises(KeyError):
+                pool.result(7)
+            frame = pool.submit(_views(renderer, 1)[0])
+            pool.work()
+            pool.result(frame)
+            with pytest.raises(KeyError):  # delivered results are handed over once
+                pool.result(frame)
+
+    def test_results_collect_out_of_order(self, renderer):
+        views = _views(renderer)
+        with _pool(renderer, profile_period=0) as pool:
+            frames = [pool.submit(v) for v in views]
+            for _ in frames:
+                pool.work()
+            got = {f: pool.result(f) for f in reversed(frames)}
+        for view, frame in zip(views, frames):
+            _assert_identical(got[frame], render_fast(renderer, view))
+
+    def test_close_wakes_a_waiter_with_pool_closed(self, renderer):
+        pool = _pool(renderer)
+        frame = pool.submit(_views(renderer, 1)[0])  # never worked on
+        caught = []
+
+        def wait():
+            try:
+                pool.result(frame)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                caught.append(exc)
+
+        waiter = threading.Thread(target=wait)
+        waiter.start()
+        time.sleep(0.05)
+        pool.close()
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert len(caught) == 1 and isinstance(caught[0], PoolClosed)
+        with pytest.raises(PoolClosed):
+            pool.submit(_views(renderer, 1)[0])
+
+    def test_traced_frames_assemble_timelines(self, renderer, tmp_path):
+        from repro.obs.recorder import RingReader, SpanRecorder
+
+        with _pool(renderer, trace=True) as pool:
+            rec = SpanRecorder.in_memory(epoch=pool.trace_epoch)
+            pool.ctx.rec = rec
+            pool._readers.append(RingReader(rec.cursor, rec.records, pid=0))
+            frames = pool.submit_batch(_views(renderer, 2))
+            for _ in frames:
+                pool.work()
+            results = [pool.result(f) for f in frames]
+            pool.export_chrome_trace(str(tmp_path / "trace.json"))
+        for res in results:
+            phases = {s.phase for s in res.timeline.spans}
+            assert {"decode", "composite", "barrier", "warp"} <= phases
+        assert "dispatch" in {s.phase for s in results[0].timeline.spans}
+        assert len(pool.timelines) == 2

@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.parallel.mp_backend import MPPoolError, PoolConfig
+from repro.parallel.poolcore import MPPoolError, PoolConfig
 from repro.serve import (
     AdmissionController,
     CachedFrame,

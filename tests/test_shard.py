@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import repro
-import repro.parallel.mp_backend as mpb
+import repro.parallel.poolcore as poolcore
 from repro.datasets import mri_brain
-from repro.parallel.mp_backend import PoolConfig
+from repro.parallel.poolcore import PoolConfig
 from repro.render import ShearWarpRenderer
 from repro.shard import (
     ShardConfig,
@@ -273,7 +273,7 @@ class TestShardFaultIsolation:
         # forking; without the spawn lock the two recoveries could
         # interleave and fork one pool's workers against the other
         # pool's queues and barrier (an intermittent cross-pool wedge).
-        monkeypatch.setattr(mpb, "_TEST_FAULT", (0, 1, "kill", "composite"))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "kill", "composite"))
         views = _views(renderer, 4)
         with ShardedRenderService(
             renderer, PoolConfig(n_procs=2, shards=2, profile_period=2)

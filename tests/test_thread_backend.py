@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import repro
-import repro.parallel.mp_backend as mpb
-import repro.parallel.thread_backend as tb
+import repro.parallel.poolcore as poolcore
 from repro.datasets import mri_brain
-from repro.parallel.mp_backend import FrameFailed, PoolClosed, PoolConfig
-from repro.parallel.thread_backend import ThreadRenderPool, render_parallel_threads
+from repro.parallel.poolcore import FrameFailed, PoolClosed, PoolConfig
+from repro.parallel.thread_backend import ThreadRenderPool
 from repro.render import ShearWarpRenderer
 from repro.render.fast import render_fast
 from repro.volume import mri_transfer_function
@@ -59,14 +58,14 @@ class TestBitIdentity:
         cfg = PoolConfig(n_procs=2, profile_period=2)
         with ThreadRenderPool(renderer, config=cfg) as pool:
             batched = [pool.result(f) for f in pool.submit_batch(views)]
-        with ThreadRenderPool(renderer, config=cfg.replace(pipeline=False)) as pool:
+        with ThreadRenderPool(renderer, config=cfg) as pool:
             handles = [pool.submit(v) for v in views]
             perframe = [pool.result(h) for h in handles]
         _assert_identical(batched, perframe)
 
     def test_forced_steals_stay_identical(self, renderer, monkeypatch):
         """Slow worker 0 down so worker 1 must steal; pixels unchanged."""
-        monkeypatch.setattr(mpb, "_TEST_ROW_DELAY", (0, 0.003))
+        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.003))
         views = _views(renderer, 3)
         refs = [render_fast(renderer, v) for v in views]
         cfg = PoolConfig(n_procs=2, stealing=True, steal_chunk=2)
@@ -78,8 +77,8 @@ class TestBitIdentity:
     def test_module_level_helper(self, renderer):
         view = renderer.view_from_angles(25, 40, 5)
         ref = render_fast(renderer, view)
-        res = render_parallel_threads(renderer, view,
-                                      config=PoolConfig(n_procs=2))
+        res = repro.render_frame(renderer, view,
+                                 config=PoolConfig(n_procs=2, backend="thread"))
         assert np.array_equal(res.final.color, ref.final.color)
         assert np.array_equal(res.final.alpha, ref.final.alpha)
 
@@ -95,8 +94,8 @@ class TestBitIdentity:
 
 
 def _flaky_composite(fail_frames, fire_once=True):
-    """A _composite_range wrapper raising for chosen frames (thread-safe)."""
-    real = tb._mpb._composite_range
+    """A composite_range wrapper raising for chosen frames (thread-safe)."""
+    real = poolcore.composite_range
     lock = threading.Lock()
     fired: set[int] = set()
 
@@ -112,7 +111,7 @@ def _flaky_composite(fail_frames, fire_once=True):
 
 class TestErrorContract:
     def test_retry_recovers_bit_identical(self, renderer, monkeypatch):
-        monkeypatch.setattr(tb._mpb, "_composite_range", _flaky_composite({1}))
+        monkeypatch.setattr(poolcore, "composite_range", _flaky_composite({1}))
         views = _views(renderer, 4)
         refs = [render_fast(renderer, v) for v in views]
         cfg = PoolConfig(n_procs=2, max_retries=2, degrade_to_serial=False)
@@ -127,7 +126,7 @@ class TestErrorContract:
 
     def test_degrade_to_serial(self, renderer, monkeypatch):
         monkeypatch.setattr(
-            tb._mpb, "_composite_range", _flaky_composite({1}, fire_once=False)
+            poolcore, "composite_range", _flaky_composite({1}, fire_once=False)
         )
         views = _views(renderer, 3)
         refs = [render_fast(renderer, v) for v in views]
@@ -144,7 +143,7 @@ class TestErrorContract:
 
     def test_frame_failed_surfaces(self, renderer, monkeypatch):
         monkeypatch.setattr(
-            tb._mpb, "_composite_range", _flaky_composite({1}, fire_once=False)
+            poolcore, "composite_range", _flaky_composite({1}, fire_once=False)
         )
         views = _views(renderer, 3)
         cfg = PoolConfig(n_procs=2, max_retries=0, degrade_to_serial=False)
@@ -188,5 +187,5 @@ class TestLifecycleAndObs:
 
         meta = json.loads(path.read_text())["otherData"]
         assert meta["backend"] == "thread"
-        assert meta["doorbell"] is False
+        assert "doorbell" not in meta
         assert meta["batch_frames"] == 4
