@@ -56,27 +56,30 @@ def _run_render(args: argparse.Namespace) -> int:
     from .analysis.harness import get_renderer
     from .render.fast import render_fast
 
-    from .parallel.poolcore import DEFAULT_STEAL_CHUNK, PoolConfig
+    from .parallel.poolcore import PoolConfig
 
     frames = max(1, args.frames)
     tracing = bool(args.trace_out)
-    if args.steal_chunk is None:
-        args.steal_chunk = DEFAULT_STEAL_CHUNK
     # One PoolConfig drives both parallel paths.
-    cfg = PoolConfig(
-        n_procs=max(1, args.procs),
-        kernel=args.kernel,
-        profile_period=args.profile_period,
-        stealing=args.stealing == "on",
-        steal_chunk=args.steal_chunk,
-        trace=tracing,
-        timeout_s=args.timeout_s,
-        degrade_to_serial=args.degrade == "on",
-        backend=args.backend,
-        shards=max(1, args.shards),
-        **({} if args.max_retries is None else
-           {"max_retries": args.max_retries}),
-    )
+    try:
+        cfg = PoolConfig(
+            n_procs=max(1, args.procs),
+            kernel=args.kernel,
+            profile_period=args.profile_period,
+            stealing=args.stealing == "on",
+            steal_chunk=args.steal_chunk,
+            trace=tracing,
+            timeout_s=args.timeout_s,
+            degrade_to_serial=args.degrade == "on",
+            backend=args.backend,
+            shards=max(1, args.shards),
+            **({} if args.max_retries is None else
+               {"max_retries": args.max_retries}),
+        )
+    except ValueError as exc:
+        # An out-of-range flag value is a usage error (exit status 2,
+        # one line), not a traceback.
+        args.usage_error(str(exc))
     if args.movie:
         return _run_movie(args, cfg, frames)
     renderer = get_renderer(args.dataset, args.scale)
@@ -410,6 +413,7 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    from .parallel.poolcore import DEFAULT_STEAL_CHUNK
 
     sub.add_parser("info", help="list data sets and platforms")
 
@@ -435,9 +439,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--stealing", choices=["on", "off"], default="on",
                    help="chunked task stealing between workers on top of "
                         "the static partition (paper section 4.4)")
-    p.add_argument("--steal-chunk", type=int, default=None, metavar="N",
-                   help="fewest scanlines a guided claim/steal takes "
-                        "(default 8)")
+    p.add_argument("--steal-chunk", type=int, default=DEFAULT_STEAL_CHUNK,
+                   metavar="N",
+                   help="stealing grain: the fewest scanlines a guided "
+                        "claim/steal takes or leaves behind; a band under "
+                        f"two grains is never split (default {DEFAULT_STEAL_CHUNK}, "
+                        "one kernel call's fixed cost in rows)")
     p.add_argument("--timeout-s", type=float, default=None, metavar="S",
                    help="per-frame deadline: a frame still incomplete after "
                         "S seconds is treated as a fault and recovered "
@@ -482,6 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write a Chrome trace-event JSON of per-worker phase "
                         "spans (open in Perfetto or chrome://tracing)")
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("stats", help="summarize a trace written by render "
                                      "--trace-out or a metrics snapshot "

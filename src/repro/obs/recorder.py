@@ -64,10 +64,12 @@ PHASES = ("wait", "decode", "composite", "profile", "steal", "barrier", "warp",
 #: kernels pull slices); like the hit/miss tallies it is a delta of the
 #: encoding's cache, which the thread pool's workers share.
 #: ``kernel_calls`` is how many times the worker entered a compositing
-#: kernel for the frame: one per claimed chunk with the block kernel
-#: (so guided claims keep it near ``log2(rows / steal_chunk)``), one per
-#: scanline with the scanline kernel.  New counters are appended last
-#: so existing counter ids stay stable.
+#: kernel for the frame: one per claimed chunk with the block kernel —
+#: one own claim plus one per steal when the worker's own band is under
+#: two ``steal_chunk`` grains (every benchmark workload at the default
+#: grain), at most ``floor(log2(own_rows / steal_chunk)) + 1`` own
+#: claims otherwise — and one per scanline with the scanline kernel.
+#: New counters are appended last so existing counter ids stay stable.
 COUNTERS = ("rows", "cache_hits", "cache_misses", "steals", "steal_rows",
             "decode_us", "kernel_calls")
 

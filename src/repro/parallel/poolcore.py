@@ -13,12 +13,16 @@ on *how* workers are run lives here exactly once:
   :func:`~repro.core.partition.contiguous_partition` over that profile,
   and a principal-axis switch invalidates it) and warp-row ownership
   (section 4.5);
-* the *dynamic* half (section 4.4): guided chunk claims over a shared
-  ``(head, tail)`` cursor pair per worker (:func:`claim_own_chunk`,
-  :func:`steal_victim_chunk`, :func:`composite_share`) — an owner takes
-  half of what is left off the head of its block, a thief half of the
-  most-loaded victim's tail, never less than ``steal_chunk`` scanlines,
-  so a band drains in about ``log2(rows / steal_chunk)`` kernel calls;
+* the *dynamic* half (section 4.4): guided, cost-aware chunk claims
+  over a shared ``(head, tail)`` cursor pair per worker
+  (:func:`claim_own_chunk`, :func:`steal_victim_chunk`,
+  :func:`composite_share`) — an owner takes half of what is left off
+  the head of its block, a thief half of the most-loaded victim's tail,
+  and whoever finds fewer than two ``steal_chunk`` grains left takes
+  them all, so no kernel call is smaller than a grain.  The partition
+  does the work and stealing mops up the residue: at the default grain
+  (a kernel call's fixed cost in rows) a band under two grains is *one*
+  kernel call, a taller one about ``log2(rows / steal_chunk)``;
 * :func:`run_frame` — the worker's frame body (decode → composite →
   barrier → warp, with its spans, CPU clocks and fault points);
 * :class:`PoolCore` — the frame ledger: ``submit`` / ``submit_batch`` /
@@ -119,13 +123,17 @@ COMPOSITE_KERNELS = ("scanline", "block")
 #: ``"thread"`` the no-copy threading pool.
 POOL_BACKENDS = ("mp", "thread")
 
-#: Default stealing grain: the *fewest* scanlines a claim or steal takes
-#: (section 4.4).  Claims are guided — half of what is left, never less
-#: than this — because a pool chunk pays a full pass over the kernel's
-#: slice loop whatever its height; the floor keeps the tail of a band
-#: from dissolving into the single-scanline chunks that recreate the
-#: paper's ~10x sync blowup.
-DEFAULT_STEAL_CHUNK = 8
+#: Default stealing grain, in scanlines: no claim, no steal and no
+#: remainder they leave behind is smaller than this (section 4.4), and a
+#: band under two grains is one kernel call.  It is the break-even of a
+#: block-kernel call's fixed cost: a call costs ``F + c * rows`` with
+#: ``F`` — the ~40 NumPy calls per touched slice, paid whatever the
+#: chunk's height — worth 43-62 rows at 32^3, 64^3 and 128^3
+#: (EXPERIMENTS.md "PR 17"), so a chunk below it spends more on being a
+#: separate call than on its rows.  At the default the static partition
+#: does the work and stealing only fires on bands of two grains or more;
+#: pass a small ``steal_chunk`` to split finer (tests, ``bench_steal``).
+DEFAULT_STEAL_CHUNK = 48
 
 
 # -- typed pool errors --------------------------------------------------------
@@ -184,13 +192,22 @@ class PoolConfig:
         ``"block"`` (default, vectorized) or ``"scanline"``
         (instrumented reference); bit-identical images either way.
     profile_period:
-        Re-profile every this many frames (paper section 4.2);
-        ``0`` disables the feedback loop (always-uniform partitions).
+        Re-profile every this many frames (paper section 4.2), plus one
+        frame whenever no profile is valid for the view's principal
+        axis (a fresh pool, an axis switch) — requested once, however
+        many frames are planned before it completes.  ``0`` disables
+        the feedback loop (always-uniform partitions).
     stealing / steal_chunk:
         Chunked task stealing on top of the static partition (paper
-        section 4.4).  Claims are guided — an owner takes half of its
-        remaining block, a thief half of the victim's — and
-        ``steal_chunk`` is the minimum chunk, in scanlines.
+        section 4.4).  ``steal_chunk`` is the grain, in scanlines:
+        claims are guided — an owner takes half of its remaining block,
+        a thief half of the victim's — while two grains or more remain,
+        and whatever is left below that goes in one piece, so no chunk
+        and no remainder is smaller than the grain.  The default
+        (:data:`DEFAULT_STEAL_CHUNK`) is the measured row-equivalent of
+        one block-kernel call's fixed cost: bands shorter than two
+        grains are composited in a single call by their owner and never
+        split.
     trace / trace_capacity:
         Per-worker span/counter ring recording (:mod:`repro.obs`).
     timeout_s:
@@ -313,7 +330,8 @@ class FramePlanner:
 
     Owns everything a pool needs to turn a view matrix into a dispatch
     record: the factorization, the non-empty scanline band, the
-    profiling schedule (sections 4.2-4.3), the last measured
+    profiling schedule (sections 4.2-4.3: one frame in ``profile_period``
+    and one per missing profile), the last measured
     :class:`ScanlineProfile` and its validity key, partition boundaries
     (uniform or profile-balanced), warp-row ownership (section 4.5) and
     the boundary-drift metric.  Every transport plans through one
@@ -334,6 +352,11 @@ class FramePlanner:
         # coordinate system, so the profile stops predicting anything.
         self.profile: ScanlineProfile | None = None
         self.profile_key: tuple[int, tuple[int, int, int]] | None = None
+        # The (axis, perm) of the last frame planned as profiled.  A
+        # batch is planned before any of its frames completes, so "no
+        # valid profile" stays true for the whole batch; without this
+        # every frame behind the first would be profiled too.
+        self._requested_key: tuple[int, tuple[int, int, int]] | None = None
         self._last_boundaries: np.ndarray | None = None
         self._last_part_key: tuple[int, tuple[int, int, int]] | None = None
 
@@ -370,27 +393,36 @@ class FramePlanner:
         if region is not None:
             v_lo = max(v_lo, int(region.comp_lo))
             v_hi = max(v_lo, min(v_hi, int(region.comp_hi)))
-        if self.profile is not None and self.profile_key != (fact.axis, fact.perm):
+        key = (fact.axis, fact.perm)
+        if self.profile is not None and self.profile_key != key:
             self.profile = None
             self.metrics.counter("pool/profile_invalidations").inc()
         profiled = False
         if self.schedule is not None:
-            profiled = self.schedule.should_profile() or self.profile is None
+            # A profiled frame costs 15-27 % more to composite (the
+            # paper's 10-15 %, section 4.2), so a missing profile is
+            # requested once per key, not on every frame planned before
+            # the requested one completes; otherwise only the schedule
+            # profiles.
+            profiled = self.schedule.should_profile() or (
+                self.profile is None and self._requested_key != key
+            )
             self.schedule.advance()
+            if profiled:
+                self._requested_key = key
         boundaries = self.partition(v_lo, v_hi)
         # Partition-boundary drift between successive frames of the
         # same principal axis: how far the feedback loop moves the split.
-        part_key = (fact.axis, fact.perm)
         if (
             self._last_boundaries is not None
-            and self._last_part_key == part_key
+            and self._last_part_key == key
             and len(self._last_boundaries) == len(boundaries)
         ):
             self.metrics.histogram("pool/boundary_drift").observe(
                 float(np.abs(boundaries - self._last_boundaries).mean())
             )
         self._last_boundaries = boundaries
-        self._last_part_key = part_key
+        self._last_part_key = key
         owner = line_ownership(boundaries, n_v)
         if region is not None:
             owned = np.asarray(region.owned, dtype=bool)
@@ -416,7 +448,7 @@ class FramePlanner:
             "boundaries": boundaries,
             "owner": owner,
             "rows_by_pid": rows_by_pid,
-            "key": part_key,
+            "key": key,
         }
 
     def partition(self, v_lo: int, v_hi: int) -> np.ndarray:
@@ -678,27 +710,39 @@ def seed_claims(claims: np.ndarray, boundaries: np.ndarray) -> None:
     claims[:, 1] = boundaries[1:]
 
 
+def _guided_take(rem: int, grain: int, half: int) -> int:
+    """Rows one claim takes of ``rem`` unclaimed ones: ``half`` while at
+    least two grains are left (so ``half`` and what it leaves behind are
+    both at least ``grain``), everything after that — splitting less
+    than two grains would buy somebody a kernel call whose fixed cost
+    exceeds its rows."""
+    return half if rem >= 2 * grain else rem
+
+
 def claim_own_chunk(claims, lock, pid, grain) -> tuple[int, int] | None:
     """Claim the next chunk off the head of this worker's own block.
 
-    Guided: half of what is left (rounded up), never less than ``grain``
-    scanlines — so a band of ``n`` rows is drained in about
-    ``log2(n / grain)`` kernel calls while its unclaimed half stays
-    stealable the whole time.
+    Guided and cost-aware: half of what is left (rounded up) while at
+    least two grains remain, then everything — a band under two grains
+    is one claim, a band of ``n`` rows at most ``floor(log2(n / grain))
+    + 1``, and whatever is still unclaimed stays stealable in chunks of
+    at least ``grain`` rows.
     """
     with lock:
         lo = int(claims[pid, 0])
         rem = int(claims[pid, 1]) - lo
         if rem <= 0:
             return None
-        hi = lo + min(rem, max(grain, (rem + 1) // 2))
+        hi = lo + _guided_take(rem, grain, (rem + 1) // 2)
         claims[pid, 0] = hi
     return lo, hi
 
 
 def steal_victim_chunk(claims, locks, pid, grain) -> tuple[int, int] | None:
     """Trim a chunk off the most-loaded victim's tail: half of what it
-    has left (rounded down), never less than ``grain`` scanlines.
+    has left (rounded down), or all of it once fewer than two grains
+    remain — never less than ``grain`` scanlines unless that is all
+    there is.
 
     The victim scan reads the cursors without locks (stale values only
     cost us a sub-optimal victim); the claim itself re-checks under the
@@ -720,7 +764,7 @@ def steal_victim_chunk(claims, locks, pid, grain) -> tuple[int, int] | None:
             lo = int(claims[best, 0])
             hi = int(claims[best, 1])
             if hi > lo:
-                new_tail = hi - min(hi - lo, max(grain, (hi - lo) // 2))
+                new_tail = hi - _guided_take(hi - lo, grain, (hi - lo) // 2)
                 claims[best, 1] = new_tail
                 return new_tail, hi
         # Raced: the victim drained between scan and lock — rescan.
@@ -1049,24 +1093,27 @@ class PoolCore:
         :class:`RenderBackend` batch form, which carries per-frame
         timesteps and regions).
 
-        Every frame is planned up front — the profile feedback loop
-        still advances frame to frame, and planning is deterministic, so
-        the partitions (and therefore the pixels) are identical to
-        per-frame submission.  Each worker then receives its entire job
-        list as a *single* queue message and runs frame to frame without
-        re-synchronizing with the parent: the parent's collection of
-        frame ``f`` overlaps the workers' compositing of ``f+1``
-        (MovieMaker's stage overlap), and the queue/wakeup cost is
-        amortized over the batch instead of paid per frame.
+        Every frame is planned up front, before any of them completes,
+        so the whole batch is partitioned from the profile that was
+        valid when it was submitted (uniformly if there was none) and a
+        profile measured *inside* the batch balances the next batch,
+        not this one.  The planner's schedule still runs frame to frame:
+        one frame in ``profile_period`` is profiled, and a missing
+        profile — fresh pool, principal-axis switch — is requested once,
+        on the first frame that lacks it, not on every frame behind it.
+        Each worker then receives its entire job list as a *single*
+        queue message and runs frame to frame without re-synchronizing
+        with the parent: the parent's collection of frame ``f`` overlaps
+        the workers' compositing of ``f+1`` (MovieMaker's stage
+        overlap), and the queue/wakeup cost is amortized over the batch
+        instead of paid per frame.
 
         Returns the frame ids in submission order; collect them with
         :meth:`result` (in order, for image reuse to stream).
 
-        Because every frame is planned before any completes, a profile
-        measured *inside* the batch balances the next batch, not this
-        one — the feedback loop crosses batch boundaries.  Partitions
-        never change pixels (only which worker composites which rows),
-        so batched output stays bit-identical to per-frame submission.
+        Partitions and profiling never change pixels (only which worker
+        composites which rows, and which frames count their work), so
+        batched output is bit-identical to per-frame submission.
         """
         specs = as_frame_specs(frame_specs)
         with self._cond:

@@ -106,6 +106,23 @@ class TestCLIErrorPaths:
         if before is not None:  # pool teardown unlinked every segment
             assert set(os.listdir(shm_dir)) - before == set()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--steal-chunk", "0", "steal_chunk"),
+        ("--profile-period", "-1", "profile_period"),
+        ("--max-retries", "-1", "max_retries"),
+        ("--timeout-s", "0", "timeout_s"),
+    ])
+    def test_out_of_range_pool_flag_is_a_usage_error(self, capsys, flag,
+                                                     value, field):
+        """A value ``PoolConfig`` rejects exits 2 through the parser
+        with the field named on one line — not a ValueError traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--procs", "2", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro render: error: {field} must be" in err
+        assert "Traceback" not in err
+
     def test_stats_on_metrics_snapshot(self, capsys, tmp_path):
         """`repro stats` renders serve metrics snapshots (counters in
         greppable name=value form), not just Chrome traces."""

@@ -7,9 +7,12 @@ workers.  Plus the fault half: a worker killed mid-batch must be
 recovered with only the unfinished frames re-dispatched.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+import repro
 import repro.parallel.poolcore as poolcore
 from repro.datasets import mri_brain
 from repro.parallel.mp_backend import MPRenderPool
@@ -76,6 +79,23 @@ class TestBatchedBitIdentity:
         with MPRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
         _assert_identical(res, refs)
+
+    @pytest.mark.parametrize("backend", ["mp", "thread"])
+    def test_batch_profiles_once_per_period_not_every_frame(self, renderer,
+                                                            backend):
+        """A batch is planned before any of its frames completes; the
+        profile it lacks is requested once (and once more at the axis
+        switch), not on every frame behind the first."""
+        views = [renderer.view_from_angles(20, 30 + 2 * i, 0) for i in range(20)]
+        refs = [render_fast(renderer, v) for v in views]
+        with repro.open_pool(renderer, n_procs=2, backend=backend,
+                             profile_period=5) as pool:
+            res = pool.render_animation(views)
+        _assert_identical(res, refs)
+        switches = sum(a.fact.axis != b.fact.axis for a, b in zip(res, res[1:]))
+        assert switches == 1
+        assert res[0].profiled
+        assert sum(r.profiled for r in res) <= math.ceil(20 / 5) + switches + 1
 
     def test_batch_frames_counter_and_metadata(self, renderer, tmp_path):
         views = _views(renderer, 4)

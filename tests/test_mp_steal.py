@@ -35,14 +35,21 @@ def _render_pool(renderer, view, **kwargs):
         return pool.render(view)
 
 
+def _assert_same_images(res, ref):
+    assert np.array_equal(res.final.color, ref.final.color)
+    assert np.array_equal(res.final.alpha, ref.final.alpha)
+    assert np.array_equal(res.intermediate.color, ref.intermediate.color)
+    assert np.array_equal(res.intermediate.opacity, ref.intermediate.opacity)
+
+
 def _claim_bound(n: int, grain: int) -> int:
     """Kernel calls an owner alone may need for ``n`` rows."""
-    return max(0, math.ceil(math.log2(n / grain))) + 2
+    return max(1, math.floor(math.log2(n / grain)) + 1)
 
 
 class TestGuidedClaims:
     """The claim/steal cursor protocol, driven in-process: guided
-    halving with ``steal_chunk`` as the floor."""
+    halving down to two grains, then everything that is left."""
 
     @given(
         sizes=st.lists(st.integers(0, 200), min_size=1, max_size=5),
@@ -52,7 +59,8 @@ class TestGuidedClaims:
     def test_every_row_handed_out_exactly_once(self, sizes, grain, data):
         """Any interleaving of owners claiming and thieves stealing
         covers every row of every band exactly once, each chunk no
-        smaller than ``min(grain, remaining)``."""
+        smaller than ``min(grain, remaining)`` and leaving its victim
+        either nothing or at least a grain."""
         n = len(sizes)
         bounds = np.concatenate(([0], np.cumsum(sizes)))
         claims = np.stack([bounds[:-1], bounds[1:]], axis=1).astype(np.int64)
@@ -65,6 +73,7 @@ class TestGuidedClaims:
             pid = data.draw(st.sampled_from(
                 [p for p in range(n) if state[p] != "done"]))
             if state[pid] == "own":
+                victim = pid
                 rem = int(claims[pid, 1] - claims[pid, 0])
                 got = poolcore.claim_own_chunk(claims, locks[pid], pid, grain)
                 if got is None:
@@ -84,6 +93,8 @@ class TestGuidedClaims:
                 assert victim != pid and got[1] == before[victim, 1]
             lo, hi = got
             assert hi - lo >= min(grain, rem) and hi - lo <= rem
+            left = int(claims[victim, 1] - claims[victim, 0])
+            assert left == rem - (hi - lo) and (left == 0 or left >= grain)
             seen[lo:hi] += 1
         assert (seen == 1).all()
         assert (claims[:, 0] == claims[:, 1]).all()
@@ -99,24 +110,25 @@ class TestGuidedClaims:
             calls += 1
         assert nxt == n
         assert calls <= _claim_bound(n, grain)
+        if n < 2 * grain:
+            assert calls == 1  # a band under two grains is never split
 
-    def test_hundred_row_band_is_five_calls_not_thirteen(self):
+    def test_hundred_row_band_is_four_calls_none_under_the_grain(self):
         claims = np.array([[0, 100]], dtype=np.int64)
         lock = threading.Lock()
         got = []
         while (c := poolcore.claim_own_chunk(claims, lock, 0, 8)) is not None:
             got.append(c[1] - c[0])
-        assert got == [50, 25, 13, 8, 4]
+        assert got == [50, 25, 13, 12]
 
     def test_thief_takes_half_of_the_tail(self):
         claims = np.array([[10, 110], [200, 200]], dtype=np.int64)
         locks = [threading.Lock(), threading.Lock()]
         assert poolcore.steal_victim_chunk(claims, locks, 1, 8) == (60, 110)
         assert poolcore.steal_victim_chunk(claims, locks, 1, 8) == (35, 60)
-        # Below two grains the floor takes over: 9 left -> 8, then 1.
+        # Below two grains nothing is split: a 9-row tail goes whole.
         claims[0] = (0, 9)
-        assert poolcore.steal_victim_chunk(claims, locks, 1, 8) == (1, 9)
-        assert poolcore.steal_victim_chunk(claims, locks, 1, 8) == (0, 1)
+        assert poolcore.steal_victim_chunk(claims, locks, 1, 8) == (0, 9)
         assert poolcore.steal_victim_chunk(claims, locks, 1, 8) is None
 
 
@@ -135,10 +147,7 @@ class TestStealBitIdentity:
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.002))
         res = _render_pool(renderer, view, n_procs=3, kernel=kernel,
                            stealing=True, steal_chunk=2, profile_period=0)
-        assert np.array_equal(res.final.color, ref.final.color)
-        assert np.array_equal(res.final.alpha, ref.final.alpha)
-        assert np.array_equal(res.intermediate.color, ref.intermediate.color)
-        assert np.array_equal(res.intermediate.opacity, ref.intermediate.opacity)
+        _assert_same_images(res, ref)
 
     def test_stealing_bit_identical_with_profile_loop(self, renderer):
         """Profiled frames ship per-chunk cost fragments; a short
@@ -179,6 +188,23 @@ class TestForcedImbalance:
         assert max(res.busy_s) < max(ref.busy_s)
         assert res.busy_spread < ref.busy_spread
         assert np.array_equal(res.final.color, ref.final.color)
+
+    def test_default_grain_steals_whole_grains_on_tall_bands(self, monkeypatch):
+        """At the default grain only a band of two grains or more can
+        be split: on one, a slowed owner still sheds work, in chunks no
+        smaller than the grain, and the pixels do not notice."""
+        grain = poolcore.DEFAULT_STEAL_CHUNK
+        tall = ShearWarpRenderer(density_wedge((32, 240, 16)),
+                                 mri_transfer_function())
+        view = tall.view_from_angles(20, 30, 0)
+        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.001))
+        ref = _render_pool(tall, view, n_procs=2, stealing=False,
+                           profile_period=0)
+        res = _render_pool(tall, view, n_procs=2, profile_period=0)
+        assert (np.diff(res.boundaries) >= 2 * grain).all()
+        assert res.steals > 0
+        assert res.steal_rows >= res.steals * grain
+        _assert_same_images(res, ref)
 
     def test_steal_counters_flow_through_trace(self, renderer, monkeypatch):
         """The steals/steal_rows the result reports must equal what the

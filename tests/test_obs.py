@@ -8,6 +8,7 @@ import pytest
 
 import repro
 import repro.parallel.mp_backend as mpb
+import repro.parallel.poolcore as poolcore
 from repro.datasets import density_wedge, mri_brain
 from repro.obs import (
     COUNTERS,
@@ -216,11 +217,14 @@ class TestMPTracing:
         cold-cache frame, absent once every lookup hits."""
         import repro
 
-        # A fresh renderer, so no worker inherits warm slice caches.
+        # A fresh renderer, so no worker inherits warm slice caches —
+        # and no stealing, so no band moves to the other process's cache
+        # between the two frames (at this size a band is one claim, and
+        # whichever worker wakes first may take both).
         cold = ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
         view = cold.view_from_angles(20, 30, 0)
         with repro.open_pool(cold, n_procs=2, backend=backend, trace=True,
-                             profile_period=0) as pool:
+                             profile_period=0, stealing=False) as pool:
             first = pool.result(pool.submit(view)).timeline
             second = pool.result(pool.submit(view)).timeline
             path = tmp_path / "trace.json"
@@ -240,16 +244,17 @@ class TestMPTracing:
     @pytest.mark.parametrize("backend", ["mp", "thread"])
     @pytest.mark.parametrize("phantom, shape", [
         (mri_brain, (64, 64, 64)),
-        # Tall bands (~65 rows a worker), where 8-row chunks would need
-        # 9 kernel calls a worker-frame against the bound's 5.
+        # Taller bands (~65 rows a worker): still under two default
+        # grains, so still one call where 8-row chunks would need nine.
         (density_wedge, (64, 128, 64)),
     ])
     def test_kernel_calls_stay_logarithmic_in_rows(self, backend, phantom,
                                                    shape, tmp_path, capsys):
         """The regression guard for guided claims, as a count instead of
-        a timing: a default pool's worker enters the block kernel about
-        ``log2(rows / steal_chunk)`` times per frame (plus once per
-        steal), not once per ``steal_chunk`` rows."""
+        a timing: a default pool's worker enters the block kernel once
+        for an own band under two grains (plus once per steal), not
+        once per ``steal_chunk`` rows; taller bands, which take about
+        ``log2(rows / steal_chunk)`` claims, are ``test_mp_steal``'s."""
         import repro
         from repro.cli import main
 
@@ -261,20 +266,28 @@ class TestMPTracing:
             results = pool.render_animation(views)
             path = tmp_path / "trace.json"
             pool.export_chrome_trace(str(path))
+        assert grain == poolcore.DEFAULT_STEAL_CHUNK
         total = fixed = 0
         for res in results:
-            per_worker: dict[int, dict[str, float]] = {}
+            bands = np.diff(res.boundaries)
+            assert (bands < 2 * grain).all()  # so no band may be split
+            # Zero counts are not recorded: a worker whose sibling got to
+            # all of its band first has none at all.
+            per_worker: dict[int, dict[str, float]] = {0: {}, 1: {}}
             for c in res.timeline.counters:
-                per_worker.setdefault(c.pid, {})[c.name] = c.value
-            assert set(per_worker) == {0, 1}
+                per_worker[c.pid][c.name] = c.value
+            frame_calls = 0
             for got in per_worker.values():
-                rows, calls = got["rows"], got["kernel_calls"]
-                bound = (max(0, math.ceil(math.log2(rows / grain))) + 2
-                         + got.get("steals", 0))
-                assert 1 <= calls <= bound
-                total += calls
+                rows, calls = got.get("rows", 0), got.get("kernel_calls", 0)
+                own = rows - got.get("steal_rows", 0)
+                # One call for the own band, one per stolen chunk.
+                assert calls == (own > 0) + got.get("steals", 0)
+                frame_calls += calls
                 # What calls of at most ``grain`` rows would have needed.
                 fixed += math.ceil(rows / grain)
+            # Whoever composites it, a band is one kernel call.
+            assert frame_calls == np.count_nonzero(bands)
+            total += frame_calls
         if shape[1] > 64:
             assert total < fixed
         summary = summarize_trace(load_chrome_trace(str(path)))

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from repro.datasets import mri_brain
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel.poolcore import (
     FrameFailed,
+    FramePlanner,
     PoolClosed,
     PoolConfig,
     PoolCore,
@@ -229,3 +231,62 @@ class TestLedger:
             assert {"decode", "composite", "barrier", "warp"} <= phases
         assert "dispatch" in {s.phase for s in results[0].timeline.spans}
         assert len(pool.timelines) == 2
+
+
+class TestProfileRequests:
+    """Which frames the planner marks profiled (section 4.2): one in
+    ``profile_period``, plus one per missing profile — not every frame
+    planned while the requested profile is still in flight."""
+
+    @staticmethod
+    def _plan(planner, renderer, angles):
+        return [planner.plan(renderer.view_from_angles(20, ry, 0))
+                for ry in angles]
+
+    @staticmethod
+    def _profiled(plans):
+        return {i for i, p in enumerate(plans) if p["profiled"]}
+
+    @staticmethod
+    def _planner(renderer, period=5):
+        return FramePlanner(renderer, 2, period, MetricsRegistry())
+
+    def test_batch_profiles_one_frame_per_period(self, renderer):
+        plans = self._plan(self._planner(renderer), renderer,
+                           [10 + i for i in range(20)])
+        assert len({p["key"] for p in plans}) == 1
+        assert self._profiled(plans) == {0, 5, 10, 15}
+
+    def test_axis_switch_adds_its_first_frame_only(self, renderer):
+        # 2 degrees a frame from 30: the principal axis switches once,
+        # near 45 degrees, between two of the schedule's frames.
+        plans = self._plan(self._planner(renderer), renderer,
+                           [30 + 2 * i for i in range(20)])
+        keys = [p["key"] for p in plans]
+        first_new = next(i for i, k in enumerate(keys) if k != keys[0])
+        assert first_new % 5 != 0 and len(set(keys)) == 2
+        assert self._profiled(plans) == {0, 5, 10, 15, first_new}
+
+    def test_installed_profile_leaves_only_the_schedule(self, renderer):
+        planner = self._planner(renderer)
+        first = self._plan(planner, renderer, [10])[0]
+        assert first["profiled"]
+        planner.install_profile(
+            first["v_lo"], np.ones(first["v_hi"] - first["v_lo"]), first["key"])
+        plans = [first] + self._plan(planner, renderer,
+                                     [11 + i for i in range(11)])
+        assert self._profiled(plans) == {0, 5, 10}
+        # The profile is gone again after an axis switch: asked for once.
+        plans = self._plan(planner, renderer, [60, 61, 62])
+        assert self._profiled(plans) == {0}
+
+    def test_synchronous_render_profiles_frame_zero_and_every_fifth(
+            self, renderer):
+        with _pool(renderer, profile_period=5) as pool:
+            profiled = set()
+            for i in range(12):
+                frame = pool.submit(renderer.view_from_angles(20, 10 + i, 0))
+                pool.work()
+                if pool.result(frame).profiled:
+                    profiled.add(i)
+        assert profiled == {0, 5, 10}
