@@ -142,21 +142,6 @@ def breakdown_table(
     return format_table(headers, rows)
 
 
-def best_of(fn, reps: int) -> float:
-    """Best wall-clock seconds over ``reps`` runs (min filters host noise).
-
-    The one timing helper every wall-clock benchmark shares, backed by
-    :class:`repro.obs.Stopwatch` so they all use the same clock as the
-    tracing layer.
-    """
-    best = float("inf")
-    for _ in range(max(1, reps)):
-        with Stopwatch() as sw:
-            fn()
-        best = min(best, sw.seconds)
-    return best
-
-
 def one_round(fn):
     """pytest-benchmark adapter: run the figure exactly once."""
 

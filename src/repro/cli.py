@@ -63,7 +63,7 @@ def _run_render(args: argparse.Namespace) -> int:
     # One PoolConfig drives both parallel paths.
     try:
         cfg = PoolConfig(
-            n_procs=max(1, args.procs),
+            n_procs=args.procs,
             kernel=args.kernel,
             profile_period=args.profile_period,
             stealing=args.stealing == "on",
@@ -114,8 +114,8 @@ def _run_render(args: argparse.Namespace) -> int:
         dyn = (f"stealing chunk={args.steal_chunk} "
                f"({steals} steals, {steal_rows} rows)"
                if cfg.stealing and args.procs > 1 else "no stealing")
-        fleet = (f"{cfg.shards} shards x {max(1, args.procs)} procs"
-                 if cfg.shards > 1 else f"{max(1, args.procs)} procs")
+        fleet = (f"{cfg.shards} shards x {args.procs} procs"
+                 if cfg.shards > 1 else f"{args.procs} procs")
         how = (f"{frames} frames, {fleet}, "
                f"{args.backend} backend, {args.kernel} kernel, "
                f"batched, {split}, {dyn}")
@@ -361,6 +361,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .parallel.poolcore import PoolConfig
     from .serve import ServeConfig, run_server
 
+    try:
+        pool = PoolConfig(n_procs=args.procs, backend=args.backend,
+                          kernel=args.kernel, profile_period=0,
+                          shards=max(1, args.shards))
+    except ValueError as exc:
+        args.usage_error(str(exc))  # exit status 2, one line
     cfg = ServeConfig(
         host=args.host,
         port=args.port,
@@ -369,9 +375,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_dataset=args.dataset,
         default_scale=args.scale,
         idle_pool_s=args.idle_pool_s,
-        pool=PoolConfig(n_procs=max(1, args.procs), backend=args.backend,
-                        kernel=args.kernel, profile_period=0,
-                        shards=max(1, args.shards)),
+        pool=pool,
     )
 
     def ready(address: tuple[str, int]) -> None:
@@ -528,6 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write a metrics snapshot JSON on shutdown "
                         "(summarize with `repro stats PATH`)")
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("speedup", help="old-vs-new speedup curve on one machine")
     p.add_argument("--dataset", default="mri512")

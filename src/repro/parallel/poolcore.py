@@ -127,13 +127,15 @@ POOL_BACKENDS = ("mp", "thread")
 #: remainder they leave behind is smaller than this (section 4.4), and a
 #: band under two grains is one kernel call.  It is the break-even of a
 #: block-kernel call's fixed cost: a call costs ``F + c * rows`` with
-#: ``F`` — the ~40 NumPy calls per touched slice, paid whatever the
-#: chunk's height — worth 43-62 rows at 32^3, 64^3 and 128^3
-#: (EXPERIMENTS.md "PR 17"), so a chunk below it spends more on being a
+#: ``F`` — the ~80 small NumPy calls per touched slice, paid whatever
+#: the chunk's height — worth 63-103 rows at 32^3, 64^3 and 128^3 since
+#: the kernel resamples only its candidates (EXPERIMENTS.md "PR 18": a
+#: row got 1.6-2.7x cheaper, the fixed part 1.3-1.4x; 43-62 rows and a
+#: grain of 48 before), so a chunk below it spends more on being a
 #: separate call than on its rows.  At the default the static partition
 #: does the work and stealing only fires on bands of two grains or more;
 #: pass a small ``steal_chunk`` to split finer (tests, ``bench_steal``).
-DEFAULT_STEAL_CHUNK = 48
+DEFAULT_STEAL_CHUNK = 80
 
 
 # -- typed pool errors --------------------------------------------------------
@@ -260,7 +262,7 @@ class PoolConfig:
 
     def __post_init__(self) -> None:
         if self.n_procs < 1:
-            raise ValueError("need at least one worker")
+            raise ValueError("n_procs must be >= 1 (need at least one worker)")
         if self.shards < 1:
             raise ValueError("need at least one shard")
         if self.kernel not in COMPOSITE_KERNELS:
@@ -581,10 +583,15 @@ def worker_burn_per_row(pid: int) -> float:
 
 
 def _burn(seconds: float) -> None:
-    """Busy-wait so the injected delay shows up in CPU (process) time."""
+    """Busy-wait so the injected delay shows up in CPU time, offering
+    the GIL at every spin: the stand-in is for one slow *processor*.  A
+    bare ``pass`` loop on the thread transport keeps the GIL for a whole
+    switch interval (5 ms) each time a sibling's NumPy call lets go of
+    it, which slows the sibling by far more than the delay slows the
+    worker it was aimed at."""
     t0 = time.perf_counter()
     while time.perf_counter() - t0 < seconds:
-        pass
+        time.sleep(0)
 
 
 def _maybe_fault(fault, pid: int, frame: int, phase: str) -> None:

@@ -9,27 +9,33 @@ real host.  This kernel composites the whole band per slice instead:
 
 * **slice-major traversal** — the volume is streamed once, front to
   back, exactly the order the real renderer (and the trace replay)
-  uses; each slice's decoded plane comes from the RLE volume's
-  decoded-slice LRU so animation frames and sibling workers stop
-  re-decoding the same runs, and a miss is one vectorized pass over
-  the slice's runs (``RLEVolume.decode_slice_padded``), not a
-  per-scanline walk;
-* **constant ``(fu, fj)`` per slice** — because ``k`` is the principal
-  axis, the bilinear fractions are constant across a slice's entire
-  footprint, so resampling a band is four shifted-plane multiply-adds
-  (the structure the original VolPack inner loop exploits);
+  uses; each slice's decoded planes come from the RLE volume's
+  decoded-slice LRU (``RLEVolume.slice_entry``) so animation frames and
+  sibling workers stop re-decoding the same runs;
+* **candidate-sparse resampling** — shear-warp is fast because it walks
+  voxel runs and non-opaque pixel runs in lockstep, and so does this
+  kernel: per slice it resamples only the *candidates*, the pixels
+  still unsaturated (one bool band per call, updated where a slice
+  composites) **and** under the slice's bilinear footprint mask (cached
+  beside the planes: a corner of the 2x2 neighbourhood is
+  non-transparent).  Any other pixel resamples to exactly 0, which the
+  reference kernel drops at ``samp_a > 0``.  ``(fu, fj)`` are constant
+  per (slice, row) because ``k`` is the principal axis, so the
+  candidates' four corners are gathered by flat index and blended as
+  1-D arrays — a few percent of the ``rows x span`` footprint;
 * **per-row early termination** — an active-row mask retires a scanline
-  from the remaining slices the moment the reference kernel's
-  whole-scanline termination test would have fired for it, so saturated
-  rows stop costing anything;
+  the moment the reference kernel's whole-scanline termination test
+  would have fired for it.  Only rows that saturated a pixel in the
+  current slice are tested: a row that composited was live, so without
+  a new saturation it still holds an unsaturated pixel in the window,
+  and a row that composited nothing is not tested by the reference
+  either (it ``continue``s first);
 * **slice geometry hoisted out of the loop** — the slice offsets, the
   per-(slice, row) ``jA / fj / useA / useB`` with their blend weights
   and run/voxel counts, and the per-slice ``u_lo / u_hi / m / fu`` are
   computed as arrays once per call (the same float64 elementwise
   operations, hence the same bits), and a slice with no candidate row in
-  the band is skipped outright.  What is left per slice is the resample
-  and the composite themselves, which is what keeps a band split into a
-  few pool chunks close to the cost of the whole-band call.
+  the band is skipped outright.
 
 The kernel performs the reference kernel's per-pixel arithmetic in the
 same operand order and precision, so its output is **bit-identical** to
@@ -191,8 +197,8 @@ def composite_scanline_block(
     # ``cand``; without them only rows with voxels to resample matter
     # (a subset of ``cand``, so the composited pixels are the same).
     gate = cand if want else occupied_all
-    # Slices that can touch this band at all; the rest cost one counter
-    # bump (below) instead of a pass through the loop body.
+    # Slices that can touch this band at all; the rest are never entered
+    # (``loop_iters`` is settled per row, when it leaves the loop).
     touch = np.nonzero(gate.any(axis=1) & (u_hi_all > u_lo_all))[0]
     # Python scalars for the loop: a NumPy float64 scalar is not "weak"
     # and would promote the float32 resampling below to float64.
@@ -203,105 +209,100 @@ def composite_scanline_block(
     # early-termination window (see composite_image_scanline).
     last_lo, last_hi = u_lo_l[-1], u_hi_l[-1]
 
-    # Slices the reference loop has entered so far (it counts a
-    # ``loop_iters`` for every in-loop row of every slice, touching or
-    # not; in_loop only changes inside touching slices, so the skipped
-    # ones are settled in one add at the next touching slice).
-    seen = 0
+    # Pixels still under the opacity threshold: one bool band per call,
+    # kept current at the pixels a slice composites (nothing else in the
+    # band changes), so no slice compares float opacities again.
+    unsat = opac[v_lo:v_hi] < thr
+    stride = ni + 2  # row stride of a padded plane, for flat corner indices
+
     for p in touch.tolist():
-        if not in_loop.any():
-            break
-        if want:
-            rc.loop_iters[in_loop] += p + 1 - seen
-        seen = p + 1
-        k = ks_l[p]
         rows = in_loop & gate[p]
         if not rows.any():
             continue
-
         u_lo, u_hi = u_lo_l[p], u_hi_l[p]
         L = u_hi - u_lo
-        m = m_l[p]
-        fu = fu_l[p]
-
-        O = opac[v_lo:v_hi, u_lo:u_hi]
-        C = col[v_lo:v_hi, u_lo:u_hi]
+        col0, fu = m_l[p] + 1, fu_l[p]  # col0: padded column under u_lo
 
         # Rows with any non-saturated pixel left in the span.
-        r1 = np.nonzero(rows)[0]
-        act = O[r1] < thr
-        n_active = act.sum(axis=1)
+        r1 = np.flatnonzero(rows)
+        act = unsat[r1, u_lo:u_hi]
         if want:
+            n_active = np.count_nonzero(act, axis=1)
             rc.pixels_skipped[r1] += L - n_active
-        live = n_active > 0
-        if not live.any():
-            continue
-        r2 = r1[live]
-        act = act[live]
-
-        if want:
+            live = n_active > 0
+            r2 = r1[live]
             rc.run_entries[r2] += runs_all[p, r2]
-        occupied = occupied_all[p, r2]
-        if not occupied.any():
+            keep = live & occupied_all[p, r1]
+        else:
+            keep = act.any(axis=1)  # the gate already was ``occupied_all``
+        if not keep.any():
             continue
-        r3 = r2[occupied]
-        act = act[occupied]
-        jA3 = jAi[p, r3]
+        r3 = r1[keep]
+        row0 = jAi[p, r3] + 1  # padded-plane row of voxel scanline jA
 
-        # Bilinear resample: gather the two contributing plane rows per
-        # scanline (an out-of-range row lands on the transparent pad) and
-        # blend with the reference kernel's exact weights and operand
-        # order — row A/B with (1 - fu, fu), then (wA, wB).
-        p_o, p_c = rle.decode_slice_padded(k)
-        colA, colB = m + 1, m + 2 + L
-        gAo = p_o[jA3 + 1, colA:colB]
-        gBo = p_o[jA3 + 2, colA:colB]
-        gAc = p_c[jA3 + 1, colA:colB]
-        gBc = p_c[jA3 + 2, colA:colB]
+        # Candidates: unsaturated pixels with a non-transparent corner.
+        p_o, p_c, foot = rle.slice_entry(ks_l[p])
+        at = np.flatnonzero(act[keep] & foot[row0, col0 : col0 + L])
+        if at.size == 0:
+            continue
+        ri, ci = np.divmod(at, L)
+        rr = r3[ri]
+
+        # Bilinear resample at the candidates: the four corners by flat
+        # index (an out-of-range row or column lands on the transparent
+        # pad), blended with the reference kernel's exact weights and
+        # operand order — row A/B with (1 - fu, fu), then (wA, wB) — in
+        # float32, elementwise.
+        c00 = (row0 * stride + col0)[ri] + ci
+        c01, c10, c11 = c00 + 1, c00 + stride, c00 + (stride + 1)
         one_fu = 1.0 - fu
-        aA = gAo[:, :-1] * one_fu + gAo[:, 1:] * fu
-        cA = gAc[:, :-1] * one_fu + gAc[:, 1:] * fu
-        aB = gBo[:, :-1] * one_fu + gBo[:, 1:] * fu
-        cB = gBc[:, :-1] * one_fu + gBc[:, 1:] * fu
-        wA = wA_all[p, r3][:, None]
-        wB = wB_all[p, r3][:, None]
-        samp_a = wA * aA + wB * aB
-        samp_c = wA * cA + wB * cB
+        wA, wB = wA_all[p, rr], wB_all[p, rr]
+        samp_a, samp_c = (
+            wA * (plane.take(c00) * one_fu + plane.take(c01) * fu)
+            + wB * (plane.take(c10) * one_fu + plane.take(c11) * fu)
+            for plane in (p_o, p_c)
+        )
 
-        sel = act & (samp_a > 0.0)
-        n_work = sel.sum(axis=1)
+        sel = samp_a > 0.0
+        rr = rr[sel]
         if want:
-            rc.resample_ops[r3] += n_work
-            rc.composite_ops[r3] += n_work
-        worked = n_work > 0
-        if not worked.any():
+            n_work = np.bincount(rr, minlength=H)
+            rc.resample_ops += n_work
+            rc.composite_ops += n_work
+        if rr.size == 0:
             continue
-        r4 = r3[worked]
 
-        # Over-composite the selected pixels in place.  The flattened
-        # boolean selections enumerate the same (row, pixel) pairs in the
-        # same row-major order, so the float64 intermediate products and
-        # the final float32 rounding match the reference kernel exactly.
-        sel4 = sel[worked]
-        full = np.zeros((H, L), dtype=bool)
-        full[r4] = sel4
-        vals_a = samp_a[worked][sel4]
-        vals_c = samp_c[worked][sel4]
-        trans = 1.0 - O[full]
-        C[full] += trans * vals_a * vals_c
-        O[full] += trans * vals_a
+        # Over-composite in place, by (row, column) index into the image
+        # planes themselves: a pixel appears once per slice, and nothing
+        # is flattened (``reshape(-1)`` of a strided plane is a copy).
+        uu = ci[sel] + u_lo
+        pix = (rr + v_lo, uu)
+        old_o = opac[pix]
+        add_o = (1.0 - old_o) * samp_a[sel]
+        col[pix] += add_o * samp_c[sel]
+        new_o = old_o + add_o
+        opac[pix] = new_o
 
-        # Whole-scanline early termination, per row: sound only if every
-        # pixel any remaining slice could touch is saturated.
-        rem_lo = min(u_lo, last_lo)
-        rem_hi = max(u_hi, last_hi)
-        saturated = np.all(opac[v_lo:v_hi, rem_lo:rem_hi][r4] >= thr, axis=1)
-        if saturated.any():
-            in_loop[r4[saturated]] = False
+        # Whole-scanline early termination, on the rows that saturated a
+        # pixel here: sound only if every pixel any remaining slice could
+        # touch is saturated.
+        crossed = new_o >= thr
+        if crossed.any():
+            rr = rr[crossed]
+            unsat[rr, uu[crossed]] = False
+            hit = np.flatnonzero(np.bincount(rr, minlength=H))
+            window = slice(min(u_lo, last_lo), max(u_hi, last_hi))
+            gone = hit[~unsat[hit, window].any(axis=1)]
+            in_loop[gone] = False
+            if want:
+                # One ``loop_iters`` per slice the reference loop entered,
+                # touching or not: p + 1 for a row that breaks here.
+                rc.loop_iters[gone] += p + 1
+            if not in_loop.any():
+                break
 
     if want:
-        # Non-touching slices behind the last touching one.
-        rc.loop_iters[in_loop] += len(ks_l) - seen
+        rc.loop_iters[in_loop] += len(ks_l)  # never broke: every slice
     if counters is not None:
         rc.aggregate(into=counters)
     return img

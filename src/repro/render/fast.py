@@ -3,9 +3,10 @@
 The scanline kernel in :mod:`repro.render.compositing` is the faithful,
 instrumentable unit of work the parallel studies are built on.  For
 actually *using* the renderer, compositing goes through the block kernel
-(:mod:`repro.render.block`) — slice-major, four shifted-plane
-multiply-adds per slice, per-row early termination — called here with
-the whole frame as one degenerate band.  The warp is a single vectorized
+(:mod:`repro.render.block`) — slice-major, resampling only the
+unsaturated pixels under each slice's non-transparent voxels, per-row
+early termination — called here with the whole frame as one degenerate
+band.  The warp is a single vectorized
 inverse-mapped gather: :func:`repro.render.warp.warp_rows` over every
 row with no owner mask — the same function a pool worker calls on the
 rows of its own band, so the vectorized warp exists once.

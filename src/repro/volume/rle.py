@@ -70,10 +70,14 @@ class SliceCache:
     filling misses; the pools report its per-frame delta as the
     ``decode_us`` counter.
 
-    The cache stores the *padded* planes (one transparent border row and
-    column on each side) because that is the form both vectorized kernels
-    consume; the unpadded view is sliced out on demand.  Cached planes
-    are read-only so a stray consumer cannot corrupt the shared state.
+    An entry is what :meth:`RLEVolume.slice_entry` builds on a miss: the
+    two *padded* planes (one transparent border row and column on each
+    side, the form the vectorized kernel samples; the unpadded view is
+    sliced out on demand) and the slice's bilinear footprint mask, which
+    tells the kernel where a sample can be non-zero at all.  All three
+    live and die together — one eviction, one ``clear``, one
+    ``decode_s`` — and are read-only so a stray consumer cannot corrupt
+    the shared state.
 
     Thread-safety: the threading backend's workers share one cache per
     encoding.  Entry lookups and recency updates were always safe under
@@ -92,7 +96,7 @@ class SliceCache:
         self.hits = 0
         self.misses = 0
         self.decode_s = 0.0
-        self._planes: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._planes: OrderedDict[int, tuple[np.ndarray, ...]] = OrderedDict()
         self._lock = threading.Lock()
 
     def __reduce__(self):
@@ -104,7 +108,7 @@ class SliceCache:
     def __len__(self) -> int:
         return len(self._planes)
 
-    def get(self, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    def get(self, k: int) -> tuple[np.ndarray, ...] | None:
         with self._lock:
             entry = self._planes.get(k)
             if entry is None:
@@ -115,9 +119,9 @@ class SliceCache:
             return entry
 
     def put(
-        self, k: int, planes: tuple[np.ndarray, np.ndarray], fill_s: float = 0.0
+        self, k: int, planes: tuple[np.ndarray, ...], fill_s: float = 0.0
     ) -> None:
-        """Insert slice ``k``'s planes; ``fill_s`` is what decoding them cost."""
+        """Insert slice ``k``'s entry; ``fill_s`` is what building it cost."""
         with self._lock:
             self.decode_s += fill_s
             self._planes[k] = planes
@@ -225,10 +229,27 @@ class RLEVolume:
     def decode_slice_padded(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Dense planes of slice ``k`` with one transparent pad row/column
         on each side — shape ``(nj + 2, ni + 2)``, the form the vectorized
-        compositing kernels sample (out-of-volume reads land on the pad).
+        compositing kernel samples (out-of-volume reads land on the pad).
+
+        The first two arrays of :meth:`slice_entry`: same LRU, same
+        read-only planes.
+        """
+        return self.slice_entry(k)[:2]
+
+    def slice_entry(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Slice ``k``'s cache entry: ``(opacity, color, foot)``.
+
+        ``opacity`` / ``color`` are the padded planes of
+        :meth:`decode_slice_padded`.  ``foot`` is the slice's *bilinear
+        footprint mask*, bool of shape ``(nj + 1, ni + 1)``:
+        ``foot[a, b]`` is set when any of the four padded voxels
+        ``[a:a+2, b:b+2]`` a bilinear sample reads is non-transparent —
+        view-independent, and a superset of where a sample's opacity can
+        be positive (the weights may still be zero).  The block kernel
+        resamples only under it.
 
         Results come from a bounded per-encoding LRU
-        (:attr:`slice_cache`) and are read-only.
+        (:attr:`slice_cache`), one lookup per call, and are read-only.
 
         A miss decodes the whole slice at once.  Its ``nj`` scanlines'
         runs are one contiguous range of ``run_lengths``; a run is
@@ -237,7 +258,8 @@ class RLEVolume:
         mask over the concatenation would flip at each scanline);
         repeating that parity by the run lengths gives the slice's voxel
         mask, and boolean assignment fills it row-major — the traversal
-        order the voxel records are stored in.
+        order the voxel records are stored in.  The footprint mask is
+        that voxel mask, padded, OR-ed over each 2x2 neighbourhood.
         """
         k = int(k)
         cache = self.slice_cache
@@ -259,10 +281,14 @@ class RLEVolume:
         col = np.zeros((nj + 2, ni + 2), dtype=np.float32)
         opac[1:-1, 1:-1][mask] = self.voxel_opacity[v0:v1]
         col[1:-1, 1:-1][mask] = self.voxel_color[v0:v1]
-        opac.setflags(write=False)
-        col.setflags(write=False)
-        cache.put(k, (opac, col), time.perf_counter() - t0)
-        return opac, col
+        padded = np.zeros((nj + 2, ni + 2), dtype=bool)
+        padded[1:-1, 1:-1] = mask
+        across = padded[:, :-1] | padded[:, 1:]
+        entry = (opac, col, across[:-1] | across[1:])
+        for plane in entry:
+            plane.setflags(write=False)
+        cache.put(k, entry, time.perf_counter() - t0)
+        return entry
 
     # -- size accounting ----------------------------------------------------
 

@@ -10,6 +10,8 @@ persistent multiprocessing pool.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.datasets import ct_head, mri_brain, solid_sphere
@@ -24,7 +26,10 @@ from repro.render import (
     warp_frame,
     warp_frame_fast,
 )
+from repro.render.image import BYTES_PER_PIXEL
+from repro.render.instrument import Region, TraceSink
 from repro.volume import (
+    TransferFunction,
     binary_transfer_function,
     ct_transfer_function,
     mri_transfer_function,
@@ -203,6 +208,228 @@ class TestGoldenEquivalence:
         img = IntermediateImage(fact.intermediate_shape)
         composite_scanline_block(img, 5, 5, rle, fact)
         assert not img.opacity.any()
+
+
+def _assert_same_frame(ref, ref_c, got, got_c):
+    assert np.array_equal(ref.opacity, got.opacity)
+    assert np.array_equal(ref.color, got.color)
+    for f in COUNTER_FIELDS:
+        assert getattr(ref_c, f) == getattr(got_c, f), f
+
+
+def _assert_rows_match_reference(ref, got, rc, rle, fact):
+    """Run the scanline reference over ``ref`` (the image ``got`` held
+    before its block call) row by row: every row's counters and every
+    pixel must equal what the block call left in ``rc`` and ``got``.
+    Returns the reference's per-row counters."""
+    rows = []
+    for v in range(ref.n_v):
+        rows.append(composite_image_scanline(ref, v, rle, fact, counters=WorkCounters()))
+        for f in COUNTER_FIELDS:
+            assert getattr(rows[v], f) == getattr(rc.row(v), f), (v, f)
+    assert np.array_equal(ref.opacity, got.opacity)
+    assert np.array_equal(ref.color, got.color)
+    return rows
+
+
+class _CompositedPixels(TraceSink):
+    """Trace sink that keeps, per slice key, the intermediate-image
+    pixels the scanline kernel wrote (its read-modify-write ranges)."""
+
+    def __init__(self, n_u):
+        self.n_u, self.k, self.pixels = n_u, None, []
+
+    def set_key(self, key):
+        self.k = key
+
+    def access(self, region, start_byte, n_bytes, write=False):
+        if region == Region.INTERMEDIATE and write:
+            v, u = divmod(start_byte // BYTES_PER_PIXEL, self.n_u)
+            self.pixels += [(self.k, v, u + d) for d in range(n_bytes // BYTES_PER_PIXEL)]
+
+
+class TestCandidateSparseState:
+    """The state the candidate-sparse resample adds to the kernel: the
+    footprint mask it resamples under and the unsaturated-pixel band it
+    carries through a call."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        rx=st.floats(-60, 60), ry=st.floats(-180, 180), rz=st.floats(-45, 45),
+        sparsity=st.sampled_from([0.5, 0.85]),
+        seed=st.integers(0, 1000),
+    )
+    def test_footprint_covers_every_composited_pixel(self, rx, ry, rz, sparsity, seed):
+        """Superset property: whatever the scanline reference composites
+        in slice ``k`` lies under ``foot`` — so resampling only there
+        cannot drop a sample."""
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(120, 256, (9, 8, 7)).astype(np.uint8)
+        raw[rng.random(raw.shape) < sparsity] = 0
+        r = ShearWarpRenderer(raw, mri_transfer_function())
+        fact = r.factorize_view(r.view_from_angles(rx, ry, rz))
+        rle = r.rle_for(fact)
+        img = IntermediateImage(fact.intermediate_shape)
+        sink = _CompositedPixels(img.n_u)
+        for v in range(img.n_v):
+            composite_image_scanline(img, v, rle, fact, trace=sink)
+        assert sink.pixels or not rle.voxel_opacity.size
+        for k, v, u in sink.pixels:
+            u_off, v_off = (float(x) for x in fact.slice_offsets(k))
+            u_lo = max(0, int(np.ceil(u_off - 1.0)))
+            m = int(np.floor(u_lo - u_off))
+            jA = int(np.floor(v - v_off))
+            assert rle.slice_entry(k)[2][jA + 1, m + 1 + u - u_lo], (k, v, u)
+
+    @pytest.mark.parametrize("second", [(20, 30, 0), (-25, 50, 10), (15, 100, 0)])
+    def test_call_on_a_finished_frame(self, ct_renderer, second):
+        """The ``unsat`` band starts from whatever the image holds:
+        compositing view B over a finished frame of view A (saturated
+        and half-filled pixels) matches the scanline reference run over
+        a copy, pixels and counters, whole and per row."""
+        first = ct_renderer.factorize_view(ct_renderer.view_from_angles(20, 30, 0))
+        fact = ct_renderer.factorize_view(ct_renderer.view_from_angles(*second))
+        shape = tuple(max(a, b) for a, b in zip(first.intermediate_shape,
+                                                fact.intermediate_shape))
+        got = IntermediateImage(shape)
+        composite_scanline_block(got, 0, got.n_v, ct_renderer.rle_for(first), first)
+        assert (got.opacity >= got.opaque_threshold).any()
+        assert ((got.opacity > 0) & (got.opacity < got.opaque_threshold)).any()
+        ref = IntermediateImage.over(got.color.copy(), got.opacity.copy())
+        rle = ct_renderer.rle_for(fact)
+        rc = BlockRowCounters(0, got.n_v)
+        composite_scanline_block(got, 0, got.n_v, rle, fact, row_counters=rc)
+        _assert_rows_match_reference(ref, got, rc, rle, fact)
+        assert rc.aggregate().pixels_skipped > 0
+
+    @pytest.mark.parametrize("with_counters", [False, True])
+    def test_saturated_band_costs_no_lookup(self, mri_renderer, with_counters):
+        fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(20, 30, 0))
+        rle = mri_renderer.rle_for(fact)
+        rng = np.random.default_rng(5)
+        img = IntermediateImage(fact.intermediate_shape)
+        img.color[:] = rng.random(img.shape)
+        img.opacity[:] = rng.uniform(img.opaque_threshold, 1.0, img.shape)
+        lo, hi = 2, img.n_v - 2
+        ref = IntermediateImage.over(img.color.copy(), img.opacity.copy())
+        ref_c, got_c = WorkCounters(), WorkCounters() if with_counters else None
+        for v in range(lo, hi):
+            composite_image_scanline(ref, v, rle, fact, counters=ref_c)
+        before = (img.color.tobytes(), img.opacity.tobytes())
+        cache = rle.slice_cache
+        lookups = cache.hits + cache.misses
+        composite_scanline_block(img, lo, hi, rle, fact, counters=got_c)
+        assert cache.hits + cache.misses == lookups
+        assert (img.color.tobytes(), img.opacity.tobytes()) == before
+        if with_counters:
+            _assert_same_frame(ref, ref_c, img, got_c)
+            assert got_c.pixels_skipped > 0 and got_c.composite_ops == 0
+
+    def test_idle_saturated_rows_stay_in_the_loop(self):
+        """The termination test is for rows that just saturated a pixel.
+        A row that was opaque on entry never works, so the reference
+        never tests it: it keeps counting ``loop_iters`` and
+        ``pixels_skipped`` to the last slice while its neighbours cross
+        the threshold."""
+        r = ShearWarpRenderer(solid_sphere((18, 18, 18)), binary_transfer_function(128))
+        fact = r.factorize_view(r.view_from_angles(10, 20, 0))
+        rle = r.rle_for(fact)
+        got = IntermediateImage(fact.intermediate_shape)
+        got.opacity[1::2] = 1.0
+        ref = IntermediateImage.over(got.color.copy(), got.opacity.copy())
+        rc = BlockRowCounters(0, got.n_v)
+        composite_scanline_block(got, 0, got.n_v, rle, fact, row_counters=rc)
+        rows = _assert_rows_match_reference(ref, got, rc, rle, fact)
+        mid = got.n_v // 2 | 1
+        # An idle row sat through every slice while its blank neighbour
+        # composited and saturated pixels.
+        assert rows[mid].loop_iters == rle.nk and rows[mid].composite_ops == 0
+        assert rows[mid].pixels_skipped > 0
+        assert rows[mid - 1].composite_ops > 0
+        assert (got.opacity[mid - 1] >= got.opaque_threshold).any()
+
+    def test_non_contiguous_planes(self, mri_renderer):
+        """``IntermediateImage.over`` accepts any 2-D planes; writing by
+        (row, column) index reaches a column-sliced view of a wider
+        array, where a flattened alias would be a silent copy."""
+        fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(20, 30, 0))
+        rle = mri_renderer.rle_for(fact)
+        ref, ref_c = reference_composite(rle, fact)
+        n_v, n_u = fact.intermediate_shape
+        wide_c = np.full((n_v, n_u + 7), -1.0, dtype=np.float32)
+        wide_o = np.full((n_v, 2 * n_u + 3), -1.0, dtype=np.float32)
+        color, opacity = wide_c[:, 3 : 3 + n_u], wide_o[:, 1 : 1 + 2 * n_u : 2]
+        color[:] = 0.0
+        opacity[:] = 0.0
+        assert not color.flags.c_contiguous and not opacity.flags.c_contiguous
+        got, got_c = IntermediateImage.over(color, opacity), WorkCounters()
+        composite_scanline_block(got, 0, n_v, rle, fact, counters=got_c)
+        _assert_same_frame(ref, ref_c, got, got_c)
+        assert got.opacity.any()
+        # Nothing outside the views was written.
+        assert (wide_c[:, :3] == -1).all() and (wide_c[:, 3 + n_u :] == -1).all()
+        assert (wide_o[:, 0::2] == -1).all()
+
+
+class TestStrictSuperset:
+    """Views where the footprint mask holds pixels that resample to 0
+    (a zero bilinear weight), and the edge rows that read the pad."""
+
+    @staticmethod
+    def _dense(shape, seed=0):
+        # Faint everywhere, so nothing saturates and every row of every
+        # slice keeps working, edge rows included.
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(1, 256, shape).astype(np.uint8)
+        tf = TransferFunction(opacity_points=((0, 0.0), (1, 0.06), (255, 0.12)))
+        return ShearWarpRenderer(raw, tf)
+
+    @staticmethod
+    def _check(r, angles):
+        fact = r.factorize_view(r.view_from_angles(*angles))
+        rle = r.rle_for(fact)
+        ref = IntermediateImage(fact.intermediate_shape)
+        got = IntermediateImage(fact.intermediate_shape)
+        rc = BlockRowCounters(0, got.n_v)
+        composite_scanline_block(got, 0, got.n_v, rle, fact, row_counters=rc)
+        _assert_rows_match_reference(ref, got, rc, rle, fact)
+        assert got.opacity.any()
+        return rle, fact, got
+
+    @pytest.mark.parametrize("angles", [(0, 0, 0), (0, 90, 0), (90, 0, 0), (0, 0, 90)])
+    def test_axis_aligned_views_have_zero_weights(self, angles):
+        """``fu == 0`` and ``fj == 0``: three of the four corners weigh
+        nothing, so a candidate whose only non-transparent corner is one
+        of those is resampled and then dropped at ``samp_a > 0``."""
+        raw = np.zeros((9, 8, 7), dtype=np.uint8)
+        raw[2:6, 3:6, 1:5] = 200
+        r = ShearWarpRenderer(raw, mri_transfer_function())
+        rle, fact, got = self._check(r, angles)
+        # Exactly 0, or the 6e-17 that cos(90 deg) leaves: a fraction of
+        # 0 on some slices and of 1 - 1 ulp on others.
+        assert abs(fact.shear_i) < 1e-15 and abs(fact.shear_j) < 1e-15
+        p_o, _, foot = rle.slice_entry(int(rle.vox_count.sum(axis=1).argmax()))
+        # The mask is strictly larger than where the top-left corner —
+        # the only one with weight at fu = fj = 0 — is non-transparent.
+        assert (foot & ~(p_o[:-1, :-1] > 0)).any()
+
+    @pytest.mark.parametrize("angles", [(7, 0, 0), (-7, 0, 0), (9, 80, 0), (12, -17, 3)])
+    def test_edge_rows_read_the_pad(self, angles):
+        """A dense volume sheared by a fraction of a voxel: the first
+        image row of each slice has ``jA == -1`` (only row B exists) and
+        the last ``jA == nj - 1`` (only row A), both non-transparent."""
+        r = self._dense((8, 7, 6))
+        rle, fact, got = self._check(r, angles)
+        # Both edge cases occur: some row's jA is -1 with fj > 0, and
+        # some row's jA is nj - 1, in a slice that projects onto them.
+        _, v_off = fact.slice_offsets(np.arange(rle.nk))
+        jA = np.floor(np.arange(got.n_v)[None, :] - v_off[:, None])
+        assert (jA == -1).any() and (jA == rle.nj - 1).any()
+
+    @pytest.mark.parametrize("shape", [(9, 1, 6), (1, 8, 6), (9, 7, 1), (1, 1, 5), (1, 1, 1)])
+    @pytest.mark.parametrize("angles", [(0, 0, 0), (12, -9, 30), (25, 70, 0), (80, 10, 0)])
+    def test_one_row_and_one_slice_volumes(self, shape, angles):
+        self._check(self._dense(shape, seed=sum(shape)), angles)
 
 
 class TestWarpFastBitExact:

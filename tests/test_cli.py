@@ -107,6 +107,8 @@ class TestCLIErrorPaths:
             assert set(os.listdir(shm_dir)) - before == set()
 
     @pytest.mark.parametrize("flag, value, field", [
+        ("--procs", "0", "n_procs"),
+        ("--procs", "-3", "n_procs"),
         ("--steal-chunk", "0", "steal_chunk"),
         ("--profile-period", "-1", "profile_period"),
         ("--max-retries", "-1", "max_retries"),
@@ -121,6 +123,16 @@ class TestCLIErrorPaths:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"repro render: error: {field} must be" in err
+        assert "Traceback" not in err
+
+    def test_serve_rejects_a_worker_count_below_one(self, capsys):
+        """``serve --procs 0`` is the same usage error, raised before
+        anything listens."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--procs", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro serve: error: n_procs must be" in err
         assert "Traceback" not in err
 
     def test_stats_on_metrics_snapshot(self, capsys, tmp_path):

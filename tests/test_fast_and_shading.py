@@ -46,6 +46,20 @@ class TestFastPath:
         fast = render_fast(r, view)
         assert np.allclose(fast.final.alpha, ref.final.alpha, atol=1e-5)
 
+    def test_composite_frame_fast_is_the_whole_frame_block_call(self, renderer):
+        """Bit for bit — the wiring check the retired ``bench_kernel``
+        script carried as its ``fast`` configuration."""
+        from repro.render import IntermediateImage, composite_scanline_block
+
+        fact = renderer.factorize_view(renderer.view_from_angles(-35, 55, 10))
+        rle = renderer.rle_for(fact)
+        fast = composite_frame_fast(IntermediateImage(fact.intermediate_shape), rle, fact)
+        block = IntermediateImage(fact.intermediate_shape)
+        composite_scanline_block(block, 0, block.n_v, rle, fact)
+        assert fast.opacity.any()
+        assert np.array_equal(fast.opacity, block.opacity)
+        assert np.array_equal(fast.color, block.color)
+
     def test_fast_is_actually_faster(self):
         import time
 

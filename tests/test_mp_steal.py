@@ -194,7 +194,10 @@ class TestForcedImbalance:
         be split: on one, a slowed owner still sheds work, in chunks no
         smaller than the grain, and the pixels do not notice."""
         grain = poolcore.DEFAULT_STEAL_CHUNK
-        tall = ShearWarpRenderer(density_wedge((32, 240, 16)),
+        # Sized from the constant, so re-measuring the grain never
+        # re-dimensions the phantom: two bands of two grains each, plus
+        # a margin for the empty rim the partition trims off.
+        tall = ShearWarpRenderer(density_wedge((32, 2 * (2 * grain + 24), 16)),
                                  mri_transfer_function())
         view = tall.view_from_angles(20, 30, 0)
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.001))

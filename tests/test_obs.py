@@ -244,9 +244,10 @@ class TestMPTracing:
     @pytest.mark.parametrize("backend", ["mp", "thread"])
     @pytest.mark.parametrize("phantom, shape", [
         (mri_brain, (64, 64, 64)),
-        # Taller bands (~65 rows a worker): still under two default
-        # grains, so still one call where 8-row chunks would need nine.
-        (density_wedge, (64, 128, 64)),
+        # Taller bands, about 1.35 default grains a worker (sized from
+        # the constant): still under two grains, so still one call
+        # where calls of at most a grain would need two.
+        (density_wedge, (64, round(2.7 * poolcore.DEFAULT_STEAL_CHUNK), 64)),
     ])
     def test_kernel_calls_stay_logarithmic_in_rows(self, backend, phantom,
                                                    shape, tmp_path, capsys):

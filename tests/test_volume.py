@@ -17,6 +17,7 @@ from repro.volume import (
     encode_all_axes,
     mri_transfer_function,
 )
+from repro.volume.rle import SliceCache
 
 
 class TestTransferFunction:
@@ -285,3 +286,66 @@ class TestSliceDecode:
             rle.decode_slice_padded(k)
             rle.decode_slice(k)
         assert rle.slice_cache.misses == rle.nk
+
+
+class TestFootprintMask:
+    """The bilinear footprint mask a slice-cache entry carries beside its
+    two planes: what the block kernel resamples under."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 4)),
+        sparsity=st.sampled_from([0.0, 0.5, 0.8, 0.95, 1.0]),
+        axis=st.integers(0, 2),
+        seed=st.integers(0, 10_000),
+    )
+    def test_is_the_2x2_any_of_the_padded_plane(self, shape, sparsity, axis, seed):
+        import pickle
+
+        rng = np.random.default_rng(seed)
+        nk, nj, ni = shape[2], shape[1], shape[0]
+        opac = rng.uniform(0.1, 1.0, (nk, nj, ni)).astype(np.float32)
+        opac[rng.random((nk, nj, ni)) < sparsity] = 0.0
+        rle = encode(_volume_from_kji(opac, opac, axis), axis)
+        cache = rle.slice_cache
+        for k in range(nk):
+            p_o, p_c, foot = rle.slice_entry(k)
+            assert foot.shape == (nj + 1, ni + 1) and foot.dtype == np.bool_
+            assert not foot.flags.writeable
+            brute = np.array([
+                [(p_o[a : a + 2, b : b + 2] > 0).any() for b in range(ni + 1)]
+                for a in range(nj + 1)
+            ])
+            assert np.array_equal(foot, brute)
+            # One entry, one mechanism: a hit serves the same three
+            # objects, and the two-plane accessor is a view of that entry.
+            lookups = cache.hits + cache.misses
+            again = rle.slice_entry(k)
+            assert cache.hits + cache.misses == lookups + 1
+            assert again[0] is p_o and again[1] is p_c and again[2] is foot
+            assert rle.decode_slice_padded(k)[0] is p_o
+        assert len(cache) == nk
+        kept = rle.slice_entry(0)[2]
+        # Cleared: the mask goes with the planes, and is rebuilt equal.
+        rle.clear_slice_cache()
+        assert len(cache) == 0
+        misses = cache.misses
+        rebuilt = rle.slice_entry(0)[2]
+        assert cache.misses == misses + 1
+        assert rebuilt is not kept and np.array_equal(rebuilt, kept)
+        # Pickled: derived state is dropped and rebuilt on demand.
+        clone = pickle.loads(pickle.dumps(rle))
+        assert len(clone.slice_cache) == 0
+        assert np.array_equal(clone.slice_entry(0)[2], kept)
+        assert clone.slice_cache.misses == 1
+
+    def test_mask_is_evicted_with_its_planes(self):
+        rle = encode(_classified((5, 4, 3)), 2)
+        object.__setattr__(rle, "_slice_cache", SliceCache(capacity=2))
+        first = rle.slice_entry(0)
+        rle.slice_entry(1)
+        rle.slice_entry(2)  # evicts slice 0: planes and mask together
+        assert len(rle.slice_cache) == 2
+        again = rle.slice_entry(0)
+        assert all(a is not b for a, b in zip(first, again))
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
