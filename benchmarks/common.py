@@ -28,12 +28,8 @@ from repro.analysis.harness import (  # noqa: E402
     simulate,
     speedup_curve,
 )
-from repro.obs import Stopwatch, busy_spread  # noqa: E402,F401
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
-#: Repository root — the wall-clock ``BENCH_*.json`` reports are published
-#: here (tracked, diffable across PRs) rather than buried in results/.
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Processor counts for speedup figures (paper: up to 32 on DASH and the
 #: simulator, 16 on Challenge/Origin2000).
@@ -46,56 +42,11 @@ HEADLINE = "mri512"
 MRI_SETS = ("mri128", "mri256", "mri512")
 
 
-def host_cpu_info() -> dict:
-    """Host CPU facts every ``BENCH_*.json`` report should carry.
-
-    ``os.cpu_count()`` is the machine's CPU count, but containers and
-    batch schedulers routinely pin the process to a subset — speedup
-    claims are only interpretable against the *affinity* count, so both
-    are recorded.  ``sched_getaffinity`` is Linux-only (absent on
-    macOS/Windows) and can fail even where present (NotImplementedError
-    on exotic platforms, OSError in restricted sandboxes), so every
-    failure mode falls back to ``cpu_count`` instead of crashing the
-    benchmark report.  ``multi_core_host`` is the honesty flag the
-    reports key speedup claims on: parallel-beats-serial headlines are
-    only meaningful when it is true.
-    """
-    cpus = os.cpu_count() or 1
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    affinity = cpus
-    if getaffinity is not None:
-        try:
-            affinity = len(getaffinity(0)) or cpus
-        except (OSError, NotImplementedError):
-            pass
-    return {
-        "host_cpus": cpus,
-        "host_cpus_available": affinity,
-        "multi_core_host": affinity > 1,
-    }
-
-
 def save_result(name: str, text: str) -> None:
     """Archive a figure's table under benchmarks/results/."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as f:
         f.write(text + "\n")
-
-
-def save_bench_json(name: str, report: dict) -> str:
-    """Publish a wall-clock benchmark report as ``<repo>/BENCH_<name>.json``.
-
-    Returns the path written.  These land at the repository root so the
-    perf trajectory of the real execution path is visible (and reviewed)
-    next to the code that moves it.
-    """
-    import json
-
-    path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
-    with open(path, "w") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
-    return path
 
 
 def emit(name: str, text: str) -> str:

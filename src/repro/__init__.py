@@ -33,7 +33,7 @@ Subpackages
 ``obs``          span tracing, Chrome trace export, metrics
 """
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 #: Facade symbols re-exported (lazily) from :mod:`repro.parallel`.
 _POOL_EXPORTS = (
@@ -56,10 +56,7 @@ _BACKEND_EXPORTS = (
 )
 
 #: Facade symbols re-exported (lazily) from :mod:`repro.shard`.
-_SHARD_EXPORTS = (
-    "ShardConfig",
-    "ShardedRenderService",
-)
+_SHARD_EXPORTS = ("ShardedRenderService",)
 
 #: Facade symbols re-exported (lazily) from :mod:`repro.movie`.
 _MOVIE_EXPORTS = (
@@ -89,17 +86,10 @@ def open_pool(renderer, config=None, **overrides):
     ``config.shards > 1`` (``open_pool(r, shards=4)``) opens a
     :class:`~repro.shard.ShardedRenderService` instead — a fleet of
     pools, one per contiguous scanline shard, merged sort-last into
-    bit-identical frames behind the same pool API.  A
-    :class:`~repro.shard.ShardConfig` may be passed as ``config`` for
-    heterogeneous fleets.
+    bit-identical frames behind the same pool API.
     """
     from .parallel import MPRenderPool, PoolConfig, ThreadRenderPool
-    from .shard import ShardConfig
 
-    if isinstance(config, ShardConfig):
-        from .shard import ShardedRenderService
-
-        return ShardedRenderService(renderer, config, **overrides)
     if config is None:
         config = PoolConfig(**overrides)
     elif overrides:

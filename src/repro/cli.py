@@ -58,21 +58,24 @@ def _run_render(args: argparse.Namespace) -> int:
 
     from .parallel.poolcore import PoolConfig
 
-    frames = max(1, args.frames)
+    frames = args.frames
     tracing = bool(args.trace_out)
     # One PoolConfig drives both parallel paths.
     try:
+        if frames < 1:
+            raise ValueError("frames must be >= 1")
+        if args.timesteps < 1:
+            raise ValueError("timesteps must be >= 1")
         cfg = PoolConfig(
             n_procs=args.procs,
             kernel=args.kernel,
             profile_period=args.profile_period,
             stealing=args.stealing == "on",
-            steal_chunk=args.steal_chunk,
             trace=tracing,
             timeout_s=args.timeout_s,
             degrade_to_serial=args.degrade == "on",
             backend=args.backend,
-            shards=max(1, args.shards),
+            shards=args.shards,
             **({} if args.max_retries is None else
                {"max_retries": args.max_retries}),
         )
@@ -111,8 +114,7 @@ def _run_render(args: argparse.Namespace) -> int:
                  if args.profile_period > 0 else "uniform split")
         steals = sum(r.steals for r in results)
         steal_rows = sum(r.steal_rows for r in results)
-        dyn = (f"stealing chunk={args.steal_chunk} "
-               f"({steals} steals, {steal_rows} rows)"
+        dyn = (f"stealing ({steals} steals, {steal_rows} rows)"
                if cfg.stealing and args.procs > 1 else "no stealing")
         fleet = (f"{cfg.shards} shards x {args.procs} procs"
                  if cfg.shards > 1 else f"{args.procs} procs")
@@ -187,11 +189,10 @@ def _run_movie(args: argparse.Namespace, cfg, frames: int) -> int:
     from . import open_pool
     from .movie import MoviePipeline, movie_frame_specs
 
-    timesteps = max(1, args.timesteps)
     if args.dataset == "beating_heart":
         from .movie import beating_heart_renderer
 
-        renderer = beating_heart_renderer(args.scale, timesteps=timesteps)
+        renderer = beating_heart_renderer(args.scale, timesteps=args.timesteps)
     else:
         from .analysis.harness import get_renderer
 
@@ -364,7 +365,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         pool = PoolConfig(n_procs=args.procs, backend=args.backend,
                           kernel=args.kernel, profile_period=0,
-                          shards=max(1, args.shards))
+                          shards=args.shards)
     except ValueError as exc:
         args.usage_error(str(exc))  # exit status 2, one line
     cfg = ServeConfig(
@@ -417,7 +418,6 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    from .parallel.poolcore import DEFAULT_STEAL_CHUNK
 
     sub.add_parser("info", help="list data sets and platforms")
 
@@ -443,12 +443,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--stealing", choices=["on", "off"], default="on",
                    help="chunked task stealing between workers on top of "
                         "the static partition (paper section 4.4)")
-    p.add_argument("--steal-chunk", type=int, default=DEFAULT_STEAL_CHUNK,
-                   metavar="N",
-                   help="stealing grain: the fewest scanlines a guided "
-                        "claim/steal takes or leaves behind; a band under "
-                        f"two grains is never split (default {DEFAULT_STEAL_CHUNK}, "
-                        "one kernel call's fixed cost in rows)")
     p.add_argument("--timeout-s", type=float, default=None, metavar="S",
                    help="per-frame deadline: a frame still incomplete after "
                         "S seconds is treated as a fault and recovered "

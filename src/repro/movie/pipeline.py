@@ -126,8 +126,9 @@ class MoviePipeline:
                 + getattr(backend, "n_shards", 0)
                 + 1
             )
-            epoch = getattr(backend, "_trace_epoch", None)
-            self._rec = SpanRecorder.in_memory(epoch=epoch)
+            # The backend's epoch, so an encode span and the warp that
+            # fed it share one timebase in the exported trace.
+            self._rec = SpanRecorder.in_memory(epoch=backend.trace_epoch)
             self._reader = RingReader(
                 self._rec.cursor, self._rec.records, pid=pid
             )
@@ -229,17 +230,10 @@ class MoviePipeline:
         """JSON-ready snapshot of movie + backend metrics, in the same
         shape ``repro stats`` renders for the serve layer."""
         merged = MetricsRegistry()
-        registries = [self.metrics]
+        merged.merge(self.metrics)
         backend_metrics = getattr(self.backend, "metrics", None)
         if backend_metrics is not None:
-            registries.append(backend_metrics)
-        for reg in registries:
-            for name, h in reg.histograms.items():
-                merged.histogram(name).values.extend(h.values)
-            for name, c in reg.counters.items():
-                merged.counter(name).inc(c.value)
-            for name, g in reg.gauges.items():
-                merged.gauge(name).set(g.value)
+            merged.merge(backend_metrics)
         snap = merged.snapshot()
         snap["kind"] = _SNAPSHOT_KIND
         return snap

@@ -8,7 +8,7 @@ workers, not web-scale), so percentiles are true percentiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
@@ -27,9 +27,9 @@ __all__ = [
 def busy_spread(values) -> float:
     """Load-imbalance scalar ``(max - min) / mean`` over per-worker times.
 
-    The paper's load-balance evaluation (and ``bench_adaptive``) reads
-    this off per-worker busy times: 0 means perfectly even, 1 means the
-    spread equals the mean.  Returns 0.0 for empty or all-zero input.
+    The paper's load-balance evaluation reads this off per-worker busy
+    times: 0 means perfectly even, 1 means the spread equals the mean.
+    Returns 0.0 for empty or all-zero input.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
@@ -144,6 +144,25 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         return self.gauges.setdefault(name, Gauge())
+
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold ``other``'s instruments into this registry.
+
+        Histograms concatenate and counters add.  Two registries share
+        no clock to order a gauge's "last" write by, so a merged gauge
+        keeps the larger value and the larger high-water mark.
+        """
+        for name, h in other.histograms.items():
+            self.histogram(name).values.extend(h.values)
+        for name, c in other.counters.items():
+            self.counter(name).inc(c.value)
+        for name, g in other.gauges.items():
+            mine = self.gauges.get(name)
+            if mine is None:
+                self.gauges[name] = replace(g)
+            else:
+                mine.value = max(mine.value, g.value)
+                mine.max = max(mine.max, g.max)
 
     def snapshot(self) -> dict:
         """Plain-dict dump (JSON-serializable) of every instrument."""

@@ -66,8 +66,8 @@ PHASES = ("wait", "decode", "composite", "profile", "steal", "barrier", "warp",
 #: ``kernel_calls`` is how many times the worker entered a compositing
 #: kernel for the frame: one per claimed chunk with the block kernel —
 #: one own claim plus one per steal when the worker's own band is under
-#: two ``steal_chunk`` grains (every benchmark workload at the default
-#: grain), at most ``floor(log2(own_rows / steal_chunk)) + 1`` own
+#: two grains of ``poolcore.DEFAULT_STEAL_CHUNK`` rows (every benchmark
+#: workload), at most ``floor(log2(own_rows / grain)) + 1`` own
 #: claims otherwise — and one per scanline with the scanline kernel.
 #: New counters are appended last so existing counter ids stay stable.
 COUNTERS = ("rows", "cache_hits", "cache_misses", "steals", "steal_rows",

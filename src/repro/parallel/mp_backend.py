@@ -243,7 +243,7 @@ def _worker_loop(pid: int) -> None:
     bell = _G["bell"]
     shm_t = _G["shm_t"]
     rec = (
-        SpanRecorder.over(shm_t.buf, pid, _G["trace_capacity"], _G["trace_epoch"])
+        SpanRecorder.over(shm_t.buf, pid, epoch=_G["trace_epoch"])
         if shm_t is not None else None
     )
     ctx = WorkerContext(
@@ -408,7 +408,7 @@ class MPRenderPool(PoolCore):
         # pool carries no extra segment.
         if self.trace:
             self._shm_t = shared_memory.SharedMemory(
-                create=True, size=self.n_procs * ring_bytes(self.trace_capacity)
+                create=True, size=self.n_procs * ring_bytes()
             )
             self._reset_trace_rings()
 
@@ -475,7 +475,6 @@ class MPRenderPool(PoolCore):
             shm_d=self._shm_d,
             bell=self._bell,
             shm_t=self._shm_t,
-            trace_capacity=self.trace_capacity,
             trace_epoch=self.trace_epoch,
             generation=generation,
         )
@@ -497,8 +496,7 @@ class MPRenderPool(PoolCore):
             (self._shm_t.size // 8,), np.float64, buffer=self._shm_t.buf
         ).fill(0.0)
         self._readers = [
-            RingReader.over(self._shm_t.buf, pid, self.trace_capacity)
-            for pid in range(self.n_procs)
+            RingReader.over(self._shm_t.buf, pid) for pid in range(self.n_procs)
         ]
 
     # -- where frames render: the two shared buffers -------------------------

@@ -18,18 +18,18 @@ on *how* workers are run lives here exactly once:
   (:func:`claim_own_chunk`, :func:`steal_victim_chunk`,
   :func:`composite_share`) — an owner takes half of what is left off
   the head of its block, a thief half of the most-loaded victim's tail,
-  and whoever finds fewer than two ``steal_chunk`` grains left takes
-  them all, so no kernel call is smaller than a grain.  The partition
-  does the work and stealing mops up the residue: at the default grain
-  (a kernel call's fixed cost in rows) a band under two grains is *one*
-  kernel call, a taller one about ``log2(rows / steal_chunk)``;
+  and whoever finds fewer than two grains (:data:`DEFAULT_STEAL_CHUNK`
+  rows, a kernel call's fixed cost) left takes them all, so no kernel
+  call is smaller than a grain.  The partition does the work and
+  stealing mops up the residue: a band under two grains is *one*
+  kernel call, a taller one about ``log2(rows / grain)``;
 * :func:`run_frame` — the worker's frame body (decode → composite →
   barrier → warp, with its spans, CPU clocks and fault points);
 * :class:`PoolCore` — the frame ledger: ``submit`` / ``submit_batch`` /
   ``result`` / ``render`` / ``render_animation``, per-worker completion
   accounting, the finish → retry → degrade → fail state machine,
   timeline collection, ``fault_counters`` and ``export_chrome_trace``;
-* the fault- and delay-injection hooks tests, benchmarks and CI use.
+* the fault- and delay-injection hooks tests and CI use.
 
 A *transport* subclasses :class:`PoolCore` and supplies only what
 genuinely differs: where a frame's images come from and go to, how jobs
@@ -66,7 +66,7 @@ from ..core.profiling import (
     scanline_cost_rows,
 )
 from ..obs.metrics import MetricsRegistry, busy_spread, metrics_from_timelines
-from ..obs.recorder import DEFAULT_RING_CAPACITY, RingReader, SpanRecorder
+from ..obs.recorder import RingReader, SpanRecorder
 from ..obs.timeline import FrameTimeline
 from ..obs.timeline import export_chrome_trace as _export_chrome_trace
 from ..render.block import BlockRowCounters, composite_scanline_block
@@ -96,6 +96,7 @@ __all__ = [
     "PoolConfig",
     "FrameRegion",
     "FramePlanner",
+    "profile_partition",
     "MPRenderResult",
     "PoolCore",
     "WorkerContext",
@@ -123,7 +124,7 @@ COMPOSITE_KERNELS = ("scanline", "block")
 #: ``"thread"`` the no-copy threading pool.
 POOL_BACKENDS = ("mp", "thread")
 
-#: Default stealing grain, in scanlines: no claim, no steal and no
+#: The stealing grain, in scanlines: no claim, no steal and no
 #: remainder they leave behind is smaller than this (section 4.4), and a
 #: band under two grains is one kernel call.  It is the break-even of a
 #: block-kernel call's fixed cost: a call costs ``F + c * rows`` with
@@ -132,9 +133,11 @@ POOL_BACKENDS = ("mp", "thread")
 #: the kernel resamples only its candidates (EXPERIMENTS.md "PR 18": a
 #: row got 1.6-2.7x cheaper, the fixed part 1.3-1.4x; 43-62 rows and a
 #: grain of 48 before), so a chunk below it spends more on being a
-#: separate call than on its rows.  At the default the static partition
-#: does the work and stealing only fires on bands of two grains or more;
-#: pass a small ``steal_chunk`` to split finer (tests, ``bench_steal``).
+#: separate call than on its rows.  The static partition does the work
+#: and stealing only fires on bands of two grains or more.  A measured
+#: constant, not an option: a pool reads it once, at construction, so a
+#: test that needs finer splitting monkeypatches it before building the
+#: pool, as with ``TEST_ROW_DELAY``.
 DEFAULT_STEAL_CHUNK = 80
 
 
@@ -199,19 +202,20 @@ class PoolConfig:
         axis (a fresh pool, an axis switch) — requested once, however
         many frames are planned before it completes.  ``0`` disables
         the feedback loop (always-uniform partitions).
-    stealing / steal_chunk:
+    stealing:
         Chunked task stealing on top of the static partition (paper
-        section 4.4).  ``steal_chunk`` is the grain, in scanlines:
-        claims are guided — an owner takes half of its remaining block,
-        a thief half of the victim's — while two grains or more remain,
-        and whatever is left below that goes in one piece, so no chunk
-        and no remainder is smaller than the grain.  The default
-        (:data:`DEFAULT_STEAL_CHUNK`) is the measured row-equivalent of
-        one block-kernel call's fixed cost: bands shorter than two
-        grains are composited in a single call by their owner and never
-        split.
-    trace / trace_capacity:
-        Per-worker span/counter ring recording (:mod:`repro.obs`).
+        section 4.4).  Claims are guided — an owner takes half of its
+        remaining block, a thief half of the victim's — while two
+        grains or more remain, and whatever is left below that goes in
+        one piece, so no chunk and no remainder is smaller than the
+        grain.  The grain (:data:`DEFAULT_STEAL_CHUNK`) is the measured
+        row-equivalent of one block-kernel call's fixed cost: bands
+        shorter than two grains are composited in a single call by
+        their owner and never split.
+    trace:
+        Per-worker span/counter ring recording (:mod:`repro.obs`), in
+        rings of :data:`~repro.obs.recorder.DEFAULT_RING_CAPACITY`
+        records.
     timeout_s:
         Per-frame deadline in seconds, measured from dispatch.  A frame
         still incomplete past its deadline is treated as a fault (hung
@@ -251,9 +255,7 @@ class PoolConfig:
     kernel: str = "block"
     profile_period: int = 5
     stealing: bool = True
-    steal_chunk: int = DEFAULT_STEAL_CHUNK
     trace: bool = False
-    trace_capacity: int = DEFAULT_RING_CAPACITY
     timeout_s: float | None = None
     max_retries: int = 2
     degrade_to_serial: bool = True
@@ -264,7 +266,7 @@ class PoolConfig:
         if self.n_procs < 1:
             raise ValueError("n_procs must be >= 1 (need at least one worker)")
         if self.shards < 1:
-            raise ValueError("need at least one shard")
+            raise ValueError("shards must be >= 1 (need at least one shard)")
         if self.kernel not in COMPOSITE_KERNELS:
             raise ValueError(
                 f"kernel must be one of {COMPOSITE_KERNELS}, got {self.kernel!r}"
@@ -275,10 +277,6 @@ class PoolConfig:
             )
         if self.profile_period < 0:
             raise ValueError("profile_period must be >= 0 (0 disables profiling)")
-        if self.steal_chunk < 1:
-            raise ValueError("steal_chunk must be >= 1 scanline")
-        if self.trace_capacity < 1:
-            raise ValueError("trace_capacity must be >= 1")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (None disables it)")
         if self.max_retries < 0:
@@ -412,7 +410,7 @@ class FramePlanner:
             self.schedule.advance()
             if profiled:
                 self._requested_key = key
-        boundaries = self.partition(v_lo, v_hi)
+        boundaries = profile_partition(self.profile, self.n_procs, v_lo, v_hi)
         # Partition-boundary drift between successive frames of the
         # same principal axis: how far the feedback loop moves the split.
         if (
@@ -453,31 +451,33 @@ class FramePlanner:
             "key": key,
         }
 
-    def partition(self, v_lo: int, v_hi: int) -> np.ndarray:
-        """Contiguous boundaries for the next frame (section 4.3).
-
-        The profile is in the frame-it-was-measured-on's scanline
-        coordinates; successive animation viewpoints differ by a few
-        degrees, so reusing the indices is the paper's prediction step.
-        Boundaries are clamped to this frame's non-empty band.
-        """
-        prof = self.profile
-        if prof is None or prof.total <= 0:
-            return uniform_contiguous_partition(v_lo, v_hi, self.n_procs)
-        prof = prof.trim_empty()
-        if len(prof.costs) < self.n_procs:
-            return uniform_contiguous_partition(v_lo, v_hi, self.n_procs)
-        bounds = contiguous_partition(prof.costs, self.n_procs, v_lo=prof.v_lo)
-        bounds = np.clip(bounds, v_lo, v_hi)
-        bounds[0], bounds[-1] = v_lo, v_hi
-        for p in range(1, self.n_procs + 1):
-            bounds[p] = max(bounds[p], bounds[p - 1])
-        return bounds
-
     def install_profile(self, v_lo: int, costs: np.ndarray, key) -> None:
         """Adopt a freshly measured per-scanline profile."""
         self.profile = ScanlineProfile(v_lo, costs)
         self.profile_key = key
+
+
+def profile_partition(profile: ScanlineProfile | None, n: int,
+                      v_lo: int, v_hi: int) -> np.ndarray:
+    """``n`` contiguous blocks over ``[v_lo, v_hi)``, balanced by
+    ``profile`` (section 4.3); uniform without a usable one.
+
+    The profile is in the frame-it-was-measured-on's scanline
+    coordinates; successive animation viewpoints differ by a few
+    degrees, so reusing the indices is the paper's prediction step.
+    Boundaries are clamped to this frame's non-empty band.  Shared by
+    the two levels that partition scanlines: workers within a pool
+    (:class:`FramePlanner`) and shards across pools.
+    """
+    if profile is None or profile.total <= 0:
+        return uniform_contiguous_partition(v_lo, v_hi, n)
+    profile = profile.trim_empty()
+    if len(profile.costs) < n:
+        return uniform_contiguous_partition(v_lo, v_hi, n)
+    bounds = contiguous_partition(profile.costs, n, v_lo=profile.v_lo)
+    bounds = np.clip(bounds, v_lo, v_hi)
+    bounds[0], bounds[-1] = v_lo, v_hi
+    return np.maximum.accumulate(bounds)
 
 
 def apply_cost_fragments(rec: dict, pid: int, frags, t_comp: float,
@@ -511,7 +511,7 @@ def apply_cost_fragments(rec: dict, pid: int, frags, t_comp: float,
         rec["costs"][blo - base:bhi - base] += t_warp / (bhi - blo)
 
 
-# -- chaos hooks (tests, benchmarks, CI) --------------------------------------
+# -- chaos hooks (tests, CI) -------------------------------------------------
 
 
 def row_delay_from_env() -> tuple[int, float] | None:
@@ -523,7 +523,7 @@ def row_delay_from_env() -> tuple[int, float] | None:
     return int(pid_s), float(sec_s)
 
 
-#: Imbalance-injection hook for tests, benchmarks and CI: ``(pid,
+#: Imbalance-injection hook for tests and CI: ``(pid,
 #: seconds_per_row)`` makes worker ``pid`` burn that much *CPU* per
 #: scanline it composites — a deterministic stand-in for a slow or
 #: interfered-with processor.  Set the env var above or monkeypatch this
@@ -990,9 +990,10 @@ class PoolCore:
         self.kernel = config.kernel
         self.profile_period = config.profile_period
         self.stealing = config.stealing
-        self.steal_chunk = config.steal_chunk
+        # The grain this pool's workers run with, read once so every
+        # worker generation of the pool agrees on it.
+        self.steal_chunk = DEFAULT_STEAL_CHUNK
         self.trace = config.trace
-        self.trace_capacity = config.trace_capacity
         # One worker has nobody to steal from; skip the claim traffic.
         self._steal_active = config.stealing and config.n_procs > 1
 

@@ -107,7 +107,7 @@ class ThreadRenderPool(PoolCore):
         for pid in range(n):
             rec = None
             if self.trace:
-                rec = SpanRecorder.in_memory(self.trace_capacity, self.trace_epoch)
+                rec = SpanRecorder.in_memory(epoch=self.trace_epoch)
                 self._readers.append(RingReader(rec.cursor, rec.records, pid))
             ctx = WorkerContext(
                 pid=pid,

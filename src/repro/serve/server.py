@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs.metrics import Histogram, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..parallel.poolcore import MPPoolError, PoolConfig
 from .admission import AdmissionController, ServerBusy
 from .cache import DEFAULT_FRAME_CACHE_CAPACITY, CachedFrame, FrameCache
@@ -580,20 +580,9 @@ class RenderServer:
         """One JSON-ready snapshot: serve metrics merged with every
         pool's registry (``repro stats`` renders these files)."""
         merged = MetricsRegistry()
-        registries = [self.metrics] + [
-            pool.metrics for pool, _ in self._pools.values()
-            if getattr(pool, "metrics", None) is not None
-        ]
-        for reg in registries:
-            for name, h in reg.histograms.items():
-                merged.histograms.setdefault(name, Histogram()).values.extend(
-                    h.values
-                )
-            for name, c in reg.counters.items():
-                merged.counter(name).inc(c.value)
-            for name, g in reg.gauges.items():
-                mg = merged.gauge(name)
-                mg.set(max(mg.value, g.value) if mg._written else g.value)
+        merged.merge(self.metrics)
+        for pool, _ in self._pools.values():
+            merged.merge(pool.metrics)
         snap = merged.snapshot()
         snap["kind"] = SNAPSHOT_KIND
         snap["config"] = {

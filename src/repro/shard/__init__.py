@@ -3,8 +3,9 @@
 The pools of :mod:`repro.parallel` scale the renderer *within* one
 worker pool; this package scales it *across* pools.  The intermediate
 image is split into contiguous scanline shards, each shard rendered by
-its own pool (process- or thread-backed, independently configured and
-independently supervised), and the final image reassembled through an
+its own pool (process- or thread-backed, all cloned from one
+:class:`~repro.parallel.poolcore.PoolConfig` and independently
+supervised), and the final image reassembled through an
 explicit pixel-ownership map and a sort-last binary merge tree — with
 the shard boundaries themselves re-balanced by the paper's profile
 feedback loop run one level up.  Bit-identity with the single-pool
@@ -17,10 +18,9 @@ from .merge import (
     merge_framebuffers,
     merge_schedule,
 )
-from .service import ShardConfig, ShardPlanner, ShardedRenderService
+from .service import ShardPlanner, ShardedRenderService
 
 __all__ = [
-    "ShardConfig",
     "ShardPlanner",
     "ShardedRenderService",
     "ShardFramebuffer",

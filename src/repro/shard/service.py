@@ -21,24 +21,20 @@ when a principal-axis switch makes the old profile meaningless.
 
 Chaos knob: ``REPRO_SHARD_ROW_DELAY="shard:pid:sec[,shard:pid:sec]"``
 slows one worker of one *shard* (process pools only — the delay is
-baked into the pool's fork snapshot at construction), letting tests and
-benchmarks create cross-shard imbalance that the shard-level feedback
-loop must then converge away.
+baked into the pool's fork snapshot at construction), letting tests
+create cross-shard imbalance that the shard-level feedback loop must
+then converge away.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
-from ..core.partition import (
-    contiguous_partition,
-    line_ownership,
-    uniform_contiguous_partition,
-)
+from ..core.partition import line_ownership
 from ..core.profiling import ScanlineProfile
 from ..obs.metrics import MetricsRegistry, busy_spread
 from ..obs.recorder import RingReader, SpanRecorder
@@ -52,43 +48,14 @@ from ..parallel.poolcore import (
     MPRenderResult,
     PoolConfig,
     capacity_shapes,
+    profile_partition,
 )
 from ..parallel.thread_backend import ThreadRenderPool
 from ..render.compositing import nonempty_scanline_bounds
 from ..render.image import IntermediateImage
 from .merge import ShardFramebuffer, TileOwnershipMap, merge_framebuffers
 
-__all__ = ["ShardConfig", "ShardPlanner", "ShardedRenderService"]
-
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """Explicit front door for heterogeneous shard fleets.
-
-    ``repro.open_pool(shards=N)`` covers the common case (N identical
-    pools cloned from one :class:`PoolConfig`); this config additionally
-    allows per-shard pool configs — e.g. an mp pool next to a thread
-    pool, or different worker counts per shard.
-    """
-
-    shards: int = 2
-    pool: PoolConfig = field(default_factory=PoolConfig)
-    #: Optional per-shard overrides; length must equal ``shards``.
-    shard_pools: tuple[PoolConfig, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("need at least one shard")
-        if self.shard_pools is not None and len(self.shard_pools) != self.shards:
-            raise ValueError(
-                f"shard_pools has {len(self.shard_pools)} configs "
-                f"for {self.shards} shards"
-            )
-
-    def pool_config(self, s: int) -> PoolConfig:
-        cfg = self.shard_pools[s] if self.shard_pools is not None else self.pool
-        # A shard's pool is always a plain single-band pool.
-        return cfg.replace(shards=1) if cfg.shards != 1 else cfg
+__all__ = ["ShardPlanner", "ShardedRenderService"]
 
 
 def _shard_delays_from_env() -> dict[int, tuple[int, float]]:
@@ -144,7 +111,7 @@ class ShardPlanner:
             # re-shard, exactly like the pool-level invalidation.
             self.profile = None
             self.metrics.counter("shard/reshard_invalidations").inc()
-        bounds = self.partition(v_lo, v_hi)
+        bounds = profile_partition(self.profile, self.n_shards, v_lo, v_hi)
         if (
             self._last_bounds is not None
             and self._last_key == key
@@ -183,21 +150,6 @@ class ShardPlanner:
             "key": key,
         }
 
-    def partition(self, v_lo: int, v_hi: int) -> np.ndarray:
-        """Shard boundaries for the next frame (uniform until profiled)."""
-        prof = self.profile
-        if prof is None or prof.total <= 0:
-            return uniform_contiguous_partition(v_lo, v_hi, self.n_shards)
-        prof = prof.trim_empty()
-        if len(prof.costs) < self.n_shards:
-            return uniform_contiguous_partition(v_lo, v_hi, self.n_shards)
-        bounds = contiguous_partition(prof.costs, self.n_shards, v_lo=prof.v_lo)
-        bounds = np.clip(bounds, v_lo, v_hi)
-        bounds[0], bounds[-1] = v_lo, v_hi
-        for p in range(1, self.n_shards + 1):
-            bounds[p] = max(bounds[p], bounds[p - 1])
-        return bounds
-
     def install(self, v_lo: int, costs: np.ndarray, key) -> None:
         """Adopt a stitched cross-shard profile; re-shards next frame."""
         self.profile = ScanlineProfile(v_lo, costs)
@@ -211,7 +163,10 @@ class ShardedRenderService:
     Duck-types the pool API (``render`` / ``render_animation`` /
     ``close`` / ``metrics`` / ``fault_counters`` /
     ``export_chrome_trace``), so the facade, the CLI and the render
-    server drive a shard fleet exactly as they drive one pool.
+    server drive a shard fleet exactly as they drive one pool — and it
+    is constructed like one, ``ShardedRenderService(renderer, config)``:
+    ``config.shards`` pools, each a clone of ``config`` with
+    ``shards=1``.
 
     Fault isolation falls out of the pool supervision: a worker death
     inside shard ``s`` is recovered (or degraded) entirely inside pool
@@ -220,28 +175,15 @@ class ShardedRenderService:
     path reproduce the shard's exact owned pixels.
     """
 
-    def __init__(
-        self,
-        renderer,
-        config: PoolConfig | ShardConfig | None = None,
-        **overrides,
-    ) -> None:
+    def __init__(self, renderer, config: PoolConfig | None = None) -> None:
         self._closed = False
         self._pools: list = []
         self._fbs: list[ShardFramebuffer] = []
-        if isinstance(config, ShardConfig):
-            if overrides:
-                raise TypeError("pass either a ShardConfig or keyword overrides")
-            scfg = config
-        else:
-            cfg = config if config is not None else PoolConfig()
-            if overrides:
-                cfg = cfg.replace(**overrides)
-            scfg = ShardConfig(shards=cfg.shards, pool=cfg.replace(shards=1))
+        if config is None:
+            config = PoolConfig()
         self.renderer = renderer
-        self.shard_config = scfg
-        self.n_shards = scfg.shards
-        self.config = scfg.pool.replace(shards=scfg.shards)
+        self.config = config
+        self.n_shards = config.shards
         self.metrics = MetricsRegistry()
         self.metrics.gauge("shard/shards").set(self.n_shards)
         self._planner = ShardPlanner(renderer, self.n_shards, self.metrics)
@@ -252,21 +194,20 @@ class ShardedRenderService:
         self._queued: dict[int, tuple[np.ndarray, int | None]] = {}
         self._ready: dict[int, MPRenderResult] = {}
 
-        self.trace = any(
-            scfg.pool_config(s).trace for s in range(self.n_shards)
-        )
+        self.trace = config.trace
         # The service's trace epoch predates every pool's, so rebasing a
         # pool span onto the service timebase can never go negative.
-        self._trace_epoch = time.perf_counter()
+        self.trace_epoch = time.perf_counter()
         self.timelines: list[FrameTimeline] = []
         self._rec: SpanRecorder | None = None
         self._merge_reader: RingReader | None = None
 
         delays = _shard_delays_from_env()
         _, final_cap = capacity_shapes(renderer.shape)
+        # A shard's pool is always a plain single-band pool.
+        pcfg = config.replace(shards=1)
         try:
             for s in range(self.n_shards):
-                pcfg = scfg.pool_config(s)
                 self._pools.append(self._open_pool(pcfg, delays.get(s)))
                 self._fbs.append(
                     ShardFramebuffer(
@@ -286,7 +227,7 @@ class ShardedRenderService:
             off += pool.n_procs + 1
         self.n_procs = sum(p.n_procs for p in self._pools)
         if self.trace:
-            self._rec = SpanRecorder.in_memory(epoch=self._trace_epoch)
+            self._rec = SpanRecorder.in_memory(epoch=self.trace_epoch)
             self._merge_reader = RingReader(
                 self._rec.cursor, self._rec.records, pid=off
             )
@@ -501,7 +442,7 @@ class ShardedRenderService:
         for s, r in enumerate(results):
             if r.timeline is None:
                 continue
-            shift = self._pools[s].trace_epoch - self._trace_epoch
+            shift = self._pools[s].trace_epoch - self.trace_epoch
             off = self._pid_offset[s]
             for sp in r.timeline.spans:
                 tl.spans.append(

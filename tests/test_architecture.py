@@ -1,13 +1,18 @@
-"""Architecture guards over ``src/repro`` (AST walks, nothing imported).
+"""Architecture guards over ``src/repro`` (AST walks, plus two checks of
+the public configuration surface).
 
 The pool stack is one core (:mod:`repro.parallel.poolcore`) plus two
 transports; these checks keep it that way: no module reaches into
 another module's underscore-private names, the transports do not import
-each other, and the frame lifecycle is written exactly once.
+each other, the frame lifecycle is written exactly once, and the pools
+are configured by one class with a counted number of fields.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 PARALLEL = SRC / "parallel"
@@ -17,10 +22,39 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _cross_module_private_uses(path: Path) -> list[str]:
-    """``from x import _name`` and ``alias._name`` (``alias`` bound by an
-    import) in one source file."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _own_private_names(tree: ast.AST) -> set[str]:
+    """Underscore names one module itself defines: functions, classes,
+    variables, assigned attributes and ``__slots__`` entries."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            names.update(
+                e.value for e in ast.walk(node.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            )
+    return {n for n in names if _private(n)}
+
+
+def _is_name(node: ast.AST, *ids: str) -> bool:
+    return isinstance(node, ast.Name) and node.id in ids
+
+
+def _cross_module_private_uses(source: str, path: str = "<src>") -> list[str]:
+    """Every way one source file reaches a private name it does not own:
+    ``from x import _name``; ``alias._name`` (``alias`` bound by an
+    import); ``obj._name`` on anything but ``self`` / ``cls`` when the
+    module defines no ``_name`` of its own; and ``getattr(obj,
+    "_name")`` (``hasattr`` / ``setattr`` / ``delattr`` too) with the
+    name spelled as a string, on anything but ``self``."""
+    tree = ast.parse(source, filename=path)
     hits: list[str] = []
     imported: set[str] = set()
     for node in ast.walk(tree):
@@ -32,20 +66,53 @@ def _cross_module_private_uses(path: Path) -> list[str]:
                 if node.module != "__future__" and _private(a.name):
                     hits.append(f"{path}:{node.lineno}: from "
                                 f"{'.' * node.level}{node.module or ''} import {a.name}")
+    own = _own_private_names(tree)
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in imported
-            and _private(node.attr)
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            if _is_name(node.value, *imported) or not (
+                _is_name(node.value, "self", "cls") or node.attr in own
+            ):
+                hits.append(f"{path}:{node.lineno}: "
+                            f"{ast.unparse(node.value)}.{node.attr}")
+        elif (
+            isinstance(node, ast.Call)
+            and _is_name(node.func, "getattr", "hasattr", "setattr", "delattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+            and _private(node.args[1].value)
+            and not _is_name(node.args[0], "self")
         ):
-            hits.append(f"{path}:{node.lineno}: {node.value.id}.{node.attr}")
+            hits.append(f"{path}:{node.lineno}: {ast.unparse(node)}")
     return hits
 
 
 def test_no_cross_module_private_access():
-    hits = [h for p in sorted(SRC.rglob("*.py")) for h in _cross_module_private_uses(p)]
+    hits = [
+        h for p in sorted(SRC.rglob("*.py"))
+        for h in _cross_module_private_uses(p.read_text(), str(p))
+    ]
     assert not hits, "underscore-private names used across modules:\n" + "\n".join(hits)
+
+
+def test_private_access_guard_sees_strings_and_locals():
+    """The two forms that slipped past the import-only guard: a private
+    name spelled as a ``getattr`` string, and one read off a local that
+    holds another module's object."""
+    escaped = (
+        "def f(backend, merged):\n"
+        "    epoch = getattr(backend, '_trace_epoch', None)\n"
+        "    return merged.gauge('x')._written\n"
+    )
+    assert len(_cross_module_private_uses(escaped)) == 2
+    owned = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._n = getattr(self, '_m', 0)\n"
+        "    def same(self, other):\n"
+        "        return other._n == self._n\n"
+    )
+    assert _cross_module_private_uses(owned) == []
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -84,3 +151,13 @@ def test_frame_lifecycle_is_defined_once():
             if isinstance(node, ast.FunctionDef) and node.name in defs:
                 defs[node.name].append(name)
     assert defs == {name: ["poolcore.py"] for name in LIFECYCLE}
+
+
+def test_one_config_class_with_ten_fields():
+    """Every independently settable value of a pool is a ``PoolConfig``
+    field; adding one is a decision, not a drive-by."""
+    import repro
+
+    assert len(fields(repro.PoolConfig)) == 10
+    with pytest.raises(AttributeError):
+        repro.ShardConfig

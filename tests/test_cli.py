@@ -109,15 +109,18 @@ class TestCLIErrorPaths:
     @pytest.mark.parametrize("flag, value, field", [
         ("--procs", "0", "n_procs"),
         ("--procs", "-3", "n_procs"),
-        ("--steal-chunk", "0", "steal_chunk"),
         ("--profile-period", "-1", "profile_period"),
         ("--max-retries", "-1", "max_retries"),
         ("--timeout-s", "0", "timeout_s"),
+        ("--shards", "0", "shards"),
+        ("--frames", "0", "frames"),
+        ("--timesteps", "0", "timesteps"),
     ])
     def test_out_of_range_pool_flag_is_a_usage_error(self, capsys, flag,
                                                      value, field):
-        """A value ``PoolConfig`` rejects exits 2 through the parser
-        with the field named on one line — not a ValueError traceback."""
+        """A value ``PoolConfig`` (or the frame / timestep count check)
+        rejects exits 2 through the parser with the field named on one
+        line — not a ValueError traceback, and not a silent clamp."""
         with pytest.raises(SystemExit) as exc:
             main(["render", "--procs", "2", flag, value])
         assert exc.value.code == 2
@@ -134,6 +137,21 @@ class TestCLIErrorPaths:
         err = capsys.readouterr().err
         assert "repro serve: error: n_procs must be" in err
         assert "Traceback" not in err
+
+    def test_serve_rejects_a_shard_count_below_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--shards", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro serve: error: shards must be" in err
+        assert "Traceback" not in err
+
+    def test_steal_chunk_flag_is_gone(self, capsys):
+        """The grain is a constant: the flag that set it is unknown."""
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--procs", "2", "--steal-chunk", "2"])
+        assert exc.value.code == 2
+        assert "--steal-chunk" in capsys.readouterr().err
 
     def test_stats_on_metrics_snapshot(self, capsys, tmp_path):
         """`repro stats` renders serve metrics snapshots (counters in

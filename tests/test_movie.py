@@ -10,6 +10,7 @@ deterministic PNG/NPZ encoders.
 """
 
 import json
+import time
 import zlib
 
 import numpy as np
@@ -306,6 +307,38 @@ class TestMoviePipeline:
         }
         assert len(encode_tracks) == 1
         assert encode_tracks.isdisjoint(other_tracks)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n_procs=2, backend="thread"),
+        dict(n_procs=2),
+        dict(n_procs=1, shards=2),
+    ], ids=["thread", "mp", "shard2"])
+    def test_encode_follows_the_warp_that_fed_it(self, renderer, tmp_path,
+                                                 overrides):
+        """One timebase: the encode track runs on the backend's trace
+        epoch, so in the exported trace a frame's ``encode`` starts
+        after that frame's last ``warp`` ended — however long after the
+        pool the pipeline was built."""
+        specs = _specs(renderer, 3)
+        trace_path = tmp_path / "movie_trace.json"
+        with repro.open_pool(renderer, profile_period=0, trace=True,
+                             **overrides) as pool:
+            # A clock started with the pipeline would run this far
+            # behind the pool's.
+            time.sleep(0.05)
+            pipe = MoviePipeline(pool, str(tmp_path), trace=True)
+            manifest = pipe.run(specs)
+            pipe.export_chrome_trace(str(trace_path))
+        with open(trace_path) as f:
+            spans = [e for e in json.load(f)["traceEvents"]
+                     if e.get("ph") == "X"]
+        for entry in manifest["frames"]:
+            (encode,) = [e for e in spans if e["name"] == "encode"
+                         and e["args"]["frame"] == entry["index"]]
+            warp_end = max(e["ts"] + e["dur"] for e in spans
+                           if e["name"] == "warp"
+                           and e["args"]["frame"] == entry["frame_id"])
+            assert encode["ts"] >= warp_end
 
     def test_rejects_unknown_format(self, renderer, tmp_path):
         with pytest.raises(ValueError):

@@ -7,8 +7,10 @@ import repro
 import repro.parallel.poolcore as poolcore
 from repro.core.partition import uniform_contiguous_partition
 from repro.datasets import density_wedge, mri_brain, solid_sphere
+from repro.obs import busy_spread
 from repro.render import ShearWarpRenderer
 from repro.render.fast import render_fast
+from repro.render.image import IntermediateImage
 from repro.volume import binary_transfer_function, mri_transfer_function
 
 
@@ -163,6 +165,38 @@ class TestAdaptivePartition:
             for u, a in zip(uni, ada)
         )
         assert moved
+
+    def test_profile_partition_evens_out_counted_work(self):
+        """The paper's section 4.3 claim as a count, not a timing: on the
+        skewed wedge, the work the scanline kernel *counts* inside each
+        worker's band is spread more evenly over the workers on frames
+        partitioned from a measured profile than on the uniform run of
+        the same views.  Frames are rendered one at a time, so every
+        frame after the first is planned with a profile installed."""
+        renderer = ShearWarpRenderer(density_wedge((24, 24, 16)),
+                                     mri_transfer_function())
+        views = [renderer.view_from_angles(18, 8 + 3 * i, 0)
+                 for i in range(6)]
+
+        def counted_spread(res):
+            # Per-row ``scanline_cost`` of the scanline kernel's
+            # ``WorkCounters``, as a profiled worker counts it.
+            rle = renderer.rle_for(res.fact)
+            img = IntermediateImage(res.fact.intermediate_shape)
+            return busy_spread([
+                poolcore.composite_range(img, lo, hi, rle, res.fact,
+                                         "scanline", True, None, 0).sum()
+                for lo, hi in zip(res.boundaries[:-1], res.boundaries[1:])
+            ])
+
+        spread = {}
+        for period in (0, 2):
+            with repro.open_pool(renderer, n_procs=3, kernel="scanline",
+                                 profile_period=period,
+                                 stealing=False) as pool:
+                results = [pool.render(v) for v in views]
+            spread[period] = np.mean([counted_spread(r) for r in results[1:]])
+        assert spread[2] < spread[0]
 
     def test_reports_boundaries_and_busy_times(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)

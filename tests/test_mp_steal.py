@@ -30,6 +30,14 @@ def renderer():
     return ShearWarpRenderer(density_wedge((24, 24, 16)), mri_transfer_function())
 
 
+@pytest.fixture
+def fine_grain(monkeypatch):
+    """Let 2-row chunks be claimed and stolen.  The grain is a measured
+    constant, read by a pool when it is built — so this must be in
+    effect before the pool under test is opened."""
+    monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 2)
+
+
 def _render_pool(renderer, view, **kwargs):
     with repro.open_pool(renderer, **kwargs) as pool:
         return pool.render(view)
@@ -135,7 +143,7 @@ class TestGuidedClaims:
 class TestStealBitIdentity:
     @pytest.mark.parametrize("kernel", ["block", "scanline"])
     def test_stealing_bit_identical_to_static_pool(self, renderer, kernel,
-                                                   monkeypatch):
+                                                   monkeypatch, fine_grain):
         """Static pool vs. stealing pool under forced steals: every pixel
         of both images must match exactly, for both kernels."""
         view = renderer.view_from_angles(20, 30, 0)
@@ -146,17 +154,18 @@ class TestStealBitIdentity:
         # hook reaches the workers through fork, so set it pre-pool).
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.002))
         res = _render_pool(renderer, view, n_procs=3, kernel=kernel,
-                           stealing=True, steal_chunk=2, profile_period=0)
+                           stealing=True, profile_period=0)
         _assert_same_images(res, ref)
 
-    def test_stealing_bit_identical_with_profile_loop(self, renderer):
+    def test_stealing_bit_identical_with_profile_loop(self, renderer,
+                                                      fine_grain):
         """Profiled frames ship per-chunk cost fragments; a short
         animation with the feedback loop active must stay bit-identical
         to the static profiled pool frame by frame."""
         views = [renderer.view_from_angles(20, 30 + 4 * i, 0) for i in range(4)]
         for stealing in (False, True):
             with repro.open_pool(renderer, n_procs=2, profile_period=2,
-                                 stealing=stealing, steal_chunk=2) as pool:
+                                 stealing=stealing) as pool:
                 frames = [pool.submit(v) for v in views]
                 results = [pool.result(f) for f in frames]
             if stealing:
@@ -172,7 +181,8 @@ class TestStealBitIdentity:
 
 
 class TestForcedImbalance:
-    def test_steals_happen_and_rebalance_busy_time(self, renderer, monkeypatch):
+    def test_steals_happen_and_rebalance_busy_time(self, renderer, monkeypatch,
+                                                   fine_grain):
         """With one worker slowed 4 ms/row, the thief must take work
         (steals > 0) and the slow worker's busy time must drop."""
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.004))
@@ -180,7 +190,7 @@ class TestForcedImbalance:
         ref = _render_pool(renderer, view, n_procs=2, stealing=False,
                            profile_period=0, trace=True)
         res = _render_pool(renderer, view, n_procs=2, stealing=True,
-                           steal_chunk=2, profile_period=0, trace=True)
+                           profile_period=0, trace=True)
         assert res.steals > 0
         assert res.steal_rows >= res.steals
         # The slow worker sheds rows to the thief: its busy time (the
@@ -209,13 +219,14 @@ class TestForcedImbalance:
         assert res.steal_rows >= res.steals * grain
         _assert_same_images(res, ref)
 
-    def test_steal_counters_flow_through_trace(self, renderer, monkeypatch):
+    def test_steal_counters_flow_through_trace(self, renderer, monkeypatch,
+                                               fine_grain):
         """The steals/steal_rows the result reports must equal what the
         workers recorded into the span rings, and a steal span must be
         present in the timeline."""
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.004))
         view = renderer.view_from_angles(20, 30, 0)
-        with repro.open_pool(renderer, n_procs=2, stealing=True, steal_chunk=2,
+        with repro.open_pool(renderer, n_procs=2, stealing=True,
                              profile_period=0, trace=True) as pool:
             res = pool.render(view)
             metrics = pool.metrics
@@ -255,15 +266,20 @@ class TestStealDisabled:
 
 
 class TestStealValidation:
-    def test_rejects_zero_chunk(self, renderer):
-        with pytest.raises(ValueError, match="steal_chunk"):
-            repro.open_pool(renderer, n_procs=2, steal_chunk=0)
+    def test_steal_chunk_is_not_an_option(self, renderer):
+        """The grain is ``poolcore.DEFAULT_STEAL_CHUNK``; neither the
+        config nor the facade takes one."""
+        with pytest.raises(TypeError, match="steal_chunk"):
+            repro.PoolConfig(steal_chunk=8)
+        with pytest.raises(TypeError, match="steal_chunk"):
+            repro.open_pool(renderer, steal_chunk=2)
 
-    def test_render_parallel_mp_passes_stealing_through(self, renderer):
+    def test_render_parallel_mp_passes_stealing_through(self, renderer,
+                                                        monkeypatch):
         view = renderer.view_from_angles(20, 30, 0)
         ref = repro.render_frame(renderer, view, n_procs=2, stealing=False)
-        res = repro.render_frame(renderer, view, n_procs=2, stealing=True,
-                                 steal_chunk=1)
+        monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 1)
+        res = repro.render_frame(renderer, view, n_procs=2, stealing=True)
         assert np.array_equal(res.final.color, ref.final.color)
 
 

@@ -115,6 +115,32 @@ class TestMetrics:
         assert snap["counters"]["frames"] == 1
         assert "phase/composite" in reg.format_table()
 
+    def test_merge_folds_one_registry_into_another(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.histogram("h").observe(1.0)
+        b.histogram("h").observe(3.0)
+        a.counter("c").inc(2)
+        b.counter("c").inc(5)
+        b.counter("only_b").inc()
+        for v in (4, 1):
+            a.gauge("g").set(v)
+        for v in (3, 2):
+            b.gauge("g").set(v)
+        b.gauge("only_b").set(-1)
+        a.merge(b)
+        snap = a.snapshot()
+        assert snap["histograms"]["h"]["count"] == 2
+        assert snap["histograms"]["h"]["total"] == 4.0
+        assert snap["counters"] == {"c": 7, "only_b": 1}
+        # No common clock orders "last": the larger value, the larger
+        # high-water mark.
+        assert snap["gauges"]["g"] == {"value": 2, "max": 4}
+        assert snap["gauges"]["only_b"] == {"value": -1, "max": -1}
+        # ``b`` is read, not adopted: writing to the merged gauge
+        # leaves the source alone.
+        a.gauge("only_b").set(9)
+        assert b.gauge("only_b").value == -1
+
     def test_metrics_from_timelines(self):
         tl = FrameTimeline(0)
         tl.add(Span(0, 0, "composite", 0.0, 2.0))
@@ -254,8 +280,8 @@ class TestMPTracing:
         """The regression guard for guided claims, as a count instead of
         a timing: a default pool's worker enters the block kernel once
         for an own band under two grains (plus once per steal), not
-        once per ``steal_chunk`` rows; taller bands, which take about
-        ``log2(rows / steal_chunk)`` claims, are ``test_mp_steal``'s."""
+        once per grain of rows; taller bands, which take about
+        ``log2(rows / grain)`` claims, are ``test_mp_steal``'s."""
         import repro
         from repro.cli import main
 
@@ -263,7 +289,7 @@ class TestMPTracing:
         views = [big.view_from_angles(20, 30 + 5 * i, 0) for i in range(4)]
         with repro.open_pool(big, n_procs=2, backend=backend,
                              trace=True) as pool:
-            grain = pool.config.steal_chunk
+            grain = pool.steal_chunk
             results = pool.render_animation(views)
             path = tmp_path / "trace.json"
             pool.export_chrome_trace(str(path))
@@ -336,9 +362,12 @@ class TestMPTracing:
             with pytest.raises(RuntimeError, match="trace=True"):
                 pool.export_chrome_trace(str(tmp_path / "t.json"))
 
-    def test_rejects_bad_trace_capacity(self, renderer):
-        with pytest.raises(ValueError):
-            repro.open_pool(renderer, n_procs=1, trace_capacity=0)
+    def test_trace_capacity_is_not_an_option(self, renderer):
+        """Rings hold ``obs.recorder.DEFAULT_RING_CAPACITY`` records."""
+        with pytest.raises(TypeError, match="trace_capacity"):
+            repro.PoolConfig(trace_capacity=1)
+        with pytest.raises(TypeError, match="trace_capacity"):
+            repro.open_pool(renderer, n_procs=1, trace_capacity=1)
 
 
 class TestPoolTeardown:

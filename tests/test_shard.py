@@ -20,11 +20,7 @@ import repro.parallel.poolcore as poolcore
 from repro.datasets import mri_brain
 from repro.parallel.poolcore import PoolConfig
 from repro.render import ShearWarpRenderer
-from repro.shard import (
-    ShardConfig,
-    ShardedRenderService,
-    merge_schedule,
-)
+from repro.shard import ShardedRenderService, merge_schedule
 from repro.volume import mri_transfer_function
 
 
@@ -93,34 +89,22 @@ class TestBitIdentity:
 
 
 class TestShardConfig:
+    """``PoolConfig(shards=N)`` is the one way to ask for a fleet."""
+
     def test_validation(self):
         with pytest.raises(ValueError, match="shard"):
-            ShardConfig(shards=0)
-        with pytest.raises(ValueError, match="shard_pools"):
-            ShardConfig(shards=3, shard_pools=(PoolConfig(), PoolConfig()))
+            PoolConfig(shards=0)
 
     def test_config_and_overrides_is_an_error(self, renderer):
-        with pytest.raises(TypeError, match="overrides"):
-            ShardedRenderService(renderer, ShardConfig(shards=2), n_procs=2)
+        """The service is constructed like a pool: a config, no kwargs."""
+        with pytest.raises(TypeError, match="n_procs"):
+            ShardedRenderService(renderer, PoolConfig(shards=2), n_procs=2)
 
-    def test_pool_config_strips_shards(self):
-        scfg = ShardConfig(shards=3, pool=PoolConfig(shards=3, n_procs=2))
-        for s in range(3):
-            assert scfg.pool_config(s).shards == 1
-
-    def test_heterogeneous_fleet_bit_identical(self, renderer):
-        """An mp pool and a thread pool can serve one frame together."""
-        views = _views(renderer, 2)
-        scfg = ShardConfig(
-            shards=2,
-            shard_pools=(
-                PoolConfig(n_procs=2, backend="mp", profile_period=2),
-                PoolConfig(n_procs=2, backend="thread", profile_period=2),
-            ),
-        )
-        with ShardedRenderService(renderer, scfg) as svc:
-            results = svc.render_animation(views)
-        _assert_bit_identical(renderer, views, results)
+    def test_pool_config_strips_shards(self, renderer):
+        cfg = PoolConfig(shards=3, n_procs=1, backend="thread")
+        with ShardedRenderService(renderer, cfg) as svc:
+            assert svc.config == cfg
+            assert [p.config for p in svc._pools] == [cfg.replace(shards=1)] * 3
 
 
 class TestMergeSchedule:
@@ -159,12 +143,6 @@ class TestFacade:
         ref = renderer.render(view)
         assert np.array_equal(res.final.color, ref.final.color)
 
-    def test_open_pool_accepts_shard_config(self, renderer):
-        scfg = ShardConfig(shards=2, pool=PoolConfig(n_procs=2))
-        with repro.open_pool(renderer, scfg) as svc:
-            assert isinstance(svc, ShardedRenderService)
-            assert svc.n_shards == 2
-
     def test_render_frame_with_shards(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
         ref = renderer.render(view)
@@ -172,7 +150,6 @@ class TestFacade:
         assert np.array_equal(res.final.color, ref.final.color)
 
     def test_top_level_exports(self):
-        assert repro.ShardConfig is ShardConfig
         assert repro.ShardedRenderService is ShardedRenderService
 
 

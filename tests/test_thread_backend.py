@@ -66,9 +66,11 @@ class TestBitIdentity:
     def test_forced_steals_stay_identical(self, renderer, monkeypatch):
         """Slow worker 0 down so worker 1 must steal; pixels unchanged."""
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.003))
+        # Read by the pool when it is built: 2-row chunks can be stolen.
+        monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 2)
         views = _views(renderer, 3)
         refs = [render_fast(renderer, v) for v in views]
-        cfg = PoolConfig(n_procs=2, stealing=True, steal_chunk=2)
+        cfg = PoolConfig(n_procs=2, stealing=True)
         with ThreadRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
         _assert_identical(res, refs)
