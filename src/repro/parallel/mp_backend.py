@@ -27,13 +27,19 @@ supplies what only forked workers over shared memory need:
   whole batch as *one* job-queue message and runs frame to frame without
   re-synchronizing with the parent; a per-buffer *release cursor* in
   shared memory lets it start frame ``f`` the moment the parent has
-  collected frame ``f - 2``.
-* **The shm doorbell.**  Instead of a pickled done-queue message per
-  worker per frame, each worker writes its completion record (frame id,
-  busy times, steal counters) into a small shared segment and rings a
-  shared event; the supervisor reads completion with a memory scan.
-  The done queue survives only for error strings and profile cost
-  fragments, which are rare and variable-sized.
+  collected frame ``f - 2``.  A message goes out once the buffer of its
+  first frame is free; until then the core holds it in the parent, so
+  ``submit`` never waits, the job pipes stay shallow however deep the
+  callers queue, and a frame is partitioned from the newest profile.
+* **The shm doorbell — the one way out.**  Nothing a worker reports is
+  pickled: it writes its completion record (frame id, flags, busy
+  times, steal counters) into a small shared segment and rings a shared
+  event, and the supervisor reads completion with a memory scan.  The
+  same segment holds, per image buffer, the profiled frame's cost row —
+  filled in place by whichever worker composited each scanline, the
+  paper's shared profile array (sections 4.2-4.3) — and a fixed-size
+  text slot per worker for the one variable-sized thing a worker can
+  have to say, an exception's message.
 
 Fault tolerance
 ---------------
@@ -48,9 +54,10 @@ it against the existing shared-memory segments (fresh queues, barrier
 and claim locks; rings re-zeroed; claim cursors re-seeded) and
 **resubmits** every lost frame, up to :attr:`PoolConfig.max_retries`
 times.  An exception escaping a worker's kernel leaves the set intact
-and is retried by re-dispatch — unless the frame was part of a batch:
-its queued successors would reorder buffer reuse, so a failed batched
-frame escalates to the same full recovery.  When retries are exhausted
+and is retried by re-dispatch — unless the workers already hold a later
+frame assigned the same image buffer (the rest of its batch): a retry
+queued behind it would reorder buffer reuse, so that failure escalates
+to the same full recovery.  When retries are exhausted
 the core degrades the frame to an in-parent serial render
 (:attr:`PoolConfig.degrade_to_serial`) or fails it with a typed error
 (:class:`FrameTimeout`, :class:`WorkerDied`, :class:`FrameFailed`), so
@@ -69,10 +76,8 @@ the test suite); the wall-clock speedup study is
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue as queue_mod
 import threading
 import time
-from collections import deque
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -112,10 +117,15 @@ __all__ = [
     "PoolUnrecoverable",
     "BUFFERS",
     "POLL_S",
+    "ERR_SLOT_BYTES",
+    "ERR_TRUNCATED",
 ]
 
-#: Shared image buffers cycled across frames: with two, frame ``n + 1``
-#: only waits for frame ``n - 1`` to be collected.
+#: Shared image buffers cycled across frames: frame ``f`` renders in
+#: buffer ``f % BUFFERS``, behind frame ``f - BUFFERS`` if that still
+#: holds it — with two, frame ``n + 1`` only waits for frame ``n - 1`` to
+#: be collected.  An occupant's retirement re-zeroes what it wrote
+#: (``_release_locked``), so a released buffer is always clean.
 BUFFERS = 2
 
 #: Supervisor cadence in seconds: how often worker sentinels and frame
@@ -133,31 +143,46 @@ POLL_S = 0.05
 #: id sees the rest of the record.
 _CELL_FLOATS = 6
 
-#: Cell flag bit: this worker also put a message (error string and/or
-#: profile cost fragments) on the done queue for this frame.
-_FLAG_QUEUE_MSG = 1
+#: Cell flag bit: the worker raised on this frame, and its error slot
+#: holds the exception's text.
+_FLAG_ERROR = 1
+
+#: Bytes of one worker's error slot (UTF-8, NUL-padded): room for an
+#: exception's type and the head of its message.  A longer text is cut
+#: on a character boundary and ends in :data:`ERR_TRUNCATED`.
+ERR_SLOT_BYTES = 512
+ERR_TRUNCATED = " ...[truncated]"
 
 
-def _doorbell_bytes(n_procs: int) -> int:
-    """Bytes of the doorbell segment: completion cells + release cursors."""
-    return BUFFERS * n_procs * _CELL_FLOATS * 8 + BUFFERS * 8
-
-
-def _doorbell_views(buf, n_procs: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, release) views over the doorbell segment.
+def _doorbell_dtype(n_procs: int, cost_len: int) -> np.dtype:
+    """The doorbell segment as one record (bytes last: the rest stays
+    8-byte aligned).
 
     ``cells[buf, pid]`` is worker ``pid``'s completion record for the
-    frame occupying image buffer ``buf``; ``release[buf]`` is the last
+    frame occupying image buffer ``buf`` and ``errors[buf, pid]`` the
+    text behind its :data:`_FLAG_ERROR`; ``release[buf]`` is the last
     frame the parent has fully collected *and re-zeroed* out of that
     buffer — the cursor a worker gates on before writing frame
-    ``release[buf] + BUFFERS`` into it.
+    ``release[buf] + BUFFERS`` into it; ``costs[buf]`` is that frame's
+    cost row when it is profiled, one float64 per intermediate scanline
+    of the tallest frame the pool can hold (``cost_len``).
     """
-    cells = np.ndarray((BUFFERS, n_procs, _CELL_FLOATS), np.float64, buffer=buf)
-    release = np.ndarray(
-        (BUFFERS,), np.int64, buffer=buf,
-        offset=BUFFERS * n_procs * _CELL_FLOATS * 8,
-    )
-    return cells, release
+    return np.dtype([
+        ("cells", np.float64, (BUFFERS, n_procs, _CELL_FLOATS)),
+        ("release", np.int64, (BUFFERS,)),
+        ("costs", np.float64, (BUFFERS, cost_len)),
+        ("errors", np.uint8, (BUFFERS, n_procs, ERR_SLOT_BYTES)),
+    ])
+
+
+def _error_bytes(text: str) -> np.ndarray:
+    """``text`` as one error slot's bytes (see :data:`ERR_SLOT_BYTES`)."""
+    data = text.encode("utf-8", "replace")
+    if len(data) > ERR_SLOT_BYTES:
+        marker = ERR_TRUNCATED.encode("utf-8")
+        head = data[:ERR_SLOT_BYTES - len(marker)]
+        data = head.decode("utf-8", "ignore").encode("utf-8") + marker
+    return np.frombuffer(data.ljust(ERR_SLOT_BYTES, b"\0"), np.uint8)
 
 
 def _await_release(release, buf: int, frame: int, rec) -> None:
@@ -229,7 +254,6 @@ def _worker_loop(pid: int) -> None:
     barrier between the frame's two phases.
     """
     jobs = _G["job_queues"][pid]
-    done = _G["done_queue"]
     shm_i, shm_f = _G["shm_i"], _G["shm_f"]
     inter_cap, final_cap = _G["inter_cap"], _G["final_cap"]
     n_procs: int = _G["n_procs"]
@@ -239,7 +263,9 @@ def _worker_loop(pid: int) -> None:
         np.ndarray((BUFFERS, n_procs, 2), np.int64, buffer=shm_c.buf)
         if shm_c is not None else None
     )
-    cells, release = _doorbell_views(_G["shm_d"].buf, n_procs)
+    layout = _doorbell_dtype(n_procs, inter_cap[0])
+    record = np.ndarray((), layout, buffer=_G["shm_d"].buf)
+    cells, release, cost_rows, err_slots = (record[k] for k in layout.names)
     bell = _G["bell"]
     shm_t = _G["shm_t"]
     rec = (
@@ -276,22 +302,20 @@ def _worker_loop(pid: int) -> None:
             color, opacity, fcolor, falpha = _frame_planes(
                 shm_i, shm_f, inter_cap, final_cap, buf, fact
             )
-            err, frags, t_comp, t_warp, n_steals, n_steal_rows = run_frame(
-                ctx, frame, fact, (v_lo, v_hi), owner, final_rows, profiled,
-                timestep, IntermediateImage.over(color, opacity),
+            err, t_comp, t_warp, n_steals, n_steal_rows = run_frame(
+                ctx, frame, fact, (v_lo, v_hi), owner, final_rows,
+                cost_rows[buf] if profiled else None, timestep,
+                IntermediateImage.over(color, opacity),
                 FinalImage.over(fcolor, falpha),
                 None if claims is None else claims[buf],
             )
             # Completion is a shm write, not a pickle: the parent's
-            # supervisor reads the cell when the bell rings.  Errors and
-            # profile fragments still ride the queue (rare + variable
-            # size); the flag tells the parent to await that message
-            # before accounting the cell.
-            flags = _FLAG_QUEUE_MSG if (err is not None or frags) else 0
-            if flags:
-                done.put((pid, frame, err, frags))
+            # supervisor reads the cell when the bell rings — and, behind
+            # the error flag, this worker's text slot.
+            if err is not None:
+                err_slots[buf, pid] = _error_bytes(err)
             cell = cells[buf, pid]
-            cell[1] = flags
+            cell[1] = 0 if err is None else _FLAG_ERROR
             cell[2] = t_comp
             cell[3] = t_warp
             cell[4] = n_steals
@@ -345,7 +369,6 @@ class MPRenderPool(PoolCore):
         # without AttributeErrors and without leaking shm segments.
         self._workers: list = []
         self._job_queues: list = []
-        self._done_queue = None
         self._shm_i = self._shm_f = self._shm_c = self._shm_t = None
         self._shm_d = None
         self._stop = threading.Event()
@@ -386,23 +409,20 @@ class MPRenderPool(PoolCore):
             )
             self._claims.fill(0)
 
-        # Doorbell segment: per-buffer completion cells plus the release
-        # cursors the workers gate buffer reuse on (batched pipelining).
-        self._shm_d = shared_memory.SharedMemory(
-            create=True, size=_doorbell_bytes(self.n_procs)
+        # Doorbell segment: everything the workers report — per-buffer
+        # completion cells, cost rows and error slots — plus the release
+        # cursors they gate buffer reuse on (batched pipelining).
+        layout = _doorbell_dtype(self.n_procs, self.inter_cap[0])
+        self._shm_d = shared_memory.SharedMemory(create=True, size=layout.itemsize)
+        record = np.ndarray((), layout, buffer=self._shm_d.buf)
+        self._cells, self._release, self._cost_rows, self._err_slots = (
+            record[k] for k in layout.names
         )
-        self._cells, self._release = _doorbell_views(self._shm_d.buf, self.n_procs)
         self._cells.fill(0.0)
         self._cells[:, :, 0] = -1.0  # no frame has completed anywhere
         # Buffer b is born free for frame b: its gate target is b - BUFFERS.
         self._release[:] = np.arange(BUFFERS) - BUFFERS
-        # Deferred claim-cursor seeding: buf -> frames dispatched into a
-        # buffer whose earlier occupant was still in flight (batch mode).
-        self._claims_pending: dict[int, deque] = {}
         self._last_complete_t = time.monotonic()
-        # Is the oldest frame waiting on an error/fragment queue message
-        # already in flight?  Makes the supervisor poll fast.
-        self._q_deferred = False
 
         # The span rings are allocated only when tracing so an untraced
         # pool carries no extra segment.
@@ -411,12 +431,6 @@ class MPRenderPool(PoolCore):
                 create=True, size=self.n_procs * ring_bytes()
             )
             self._reset_trace_rings()
-
-        # Per-buffer state: the *latest* frame assigned to it.  The
-        # buffer's contents are re-zeroed when each occupant retires
-        # (see ``_release_locked``), so a freshly released buffer is
-        # always clean for its next frame.
-        self._buf_frame: list[int | None] = [None] * BUFFERS
 
         self._spawn_workers(generation=0)
         self._supervisor = threading.Thread(
@@ -439,7 +453,6 @@ class MPRenderPool(PoolCore):
     def _spawn_workers_locked(self, generation: int) -> None:
         ctx = mp.get_context("fork")
         self._job_queues = [ctx.SimpleQueue() for _ in range(self.n_procs)]
-        self._done_queue = ctx.Queue()
         # One lock per worker's claim cursor pair: the owner takes only
         # its own lock, a thief takes only the victim's — claim and steal
         # never serialise unrelated workers.
@@ -462,7 +475,6 @@ class MPRenderPool(PoolCore):
             renderer=self.renderer,
             kernel=self.kernel,
             job_queues=self._job_queues,
-            done_queue=self._done_queue,
             barrier=self._barrier,
             shm_i=self._shm_i,
             shm_f=self._shm_f,
@@ -501,61 +513,50 @@ class MPRenderPool(PoolCore):
 
     # -- where frames render: the two shared buffers -------------------------
 
-    def _await_slot_locked(self) -> None:
-        """Wait until the next frame's buffer is free: with two buffers
-        a submit blocks only on the frame two behind it."""
-        buf = self._next_frame % BUFFERS
-        while (prev := self._buf_frame[buf]) is not None and prev in self._inflight:
-            self._wait_locked()  # supervisor completes/retires frames
-
-    def _claim_frame_locked(self, plan: dict, batched: bool) -> int:
-        frame = super()._claim_frame_locked(plan, batched)
-        buf = frame % BUFFERS
-        self._buf_frame[buf] = frame
-        self._inflight[frame].update(buf=buf, was_dispatched=False, deadline=None)
-        return frame
+    def _cost_row_locked(self, frame: int, rec: dict) -> np.ndarray:
+        """The buffer's shared row: the core copies the frame's band
+        out of it before the buffer is released."""
+        return self._cost_rows[frame % BUFFERS]
 
     def _sample_gauges_locked(self) -> None:
         """Also how many shared buffers are still occupied by unfinished
         frames."""
         super()._sample_gauges_locked()
         self.metrics.gauge("pool/buffer_occupancy").set(
-            sum(1 for f in self._buf_frame if f is not None and f in self._inflight)
+            len({frame % BUFFERS for frame in self._inflight})
         )
+
+    def _can_start_locked(self, frame: int) -> bool:
+        """A message goes out once the frame that had its first frame's
+        buffer has retired.  Every earlier frame but ``frame - 1`` has
+        retired by then, so a job pipe holds at most one unread
+        one-frame message and no worker is gated on the parent — which
+        writes the pipes with the pool condition held, and could not
+        release anything while a write waited on a backlog."""
+        return frame - BUFFERS not in self._inflight
 
     def _send_locked(self, frames: list[int]) -> None:
         """One job-queue message per worker holding its job for every
         frame of ``frames`` (a one-frame list for ``submit`` and
         retries)."""
-        # In batch mode an earlier in-flight frame may still occupy a
-        # frame's buffer; find each buffer's oldest occupant once.
-        oldest = [
-            min((g for g in self._inflight if g % BUFFERS == buf), default=None)
-            for buf in range(BUFFERS)
-        ]
-        per_worker: list[list[tuple]] = [[] for _ in range(self.n_procs)]
-        for frame in frames:
-            jobs = self._prepare_frame_locked(frame, oldest[frame % BUFFERS] < frame)
-            for pid, job in enumerate(jobs):
-                per_worker[pid].append(job)
-        for q, jobs in zip(self._job_queues, per_worker):
-            q.put(jobs)
+        jobs = [self._prepare_frame_locked(frame) for frame in frames]
+        for pid, q in enumerate(self._job_queues):
+            q.put([per_pid[pid] for per_pid in jobs])
 
-    def _prepare_frame_locked(self, frame: int, occupied: bool) -> list[tuple]:
+    def _prepare_frame_locked(self, frame: int) -> list[tuple]:
         """Ready ``frame``'s buffer and build its per-worker jobs.
 
-        ``occupied``: an earlier in-flight frame still holds the buffer.
-        Its *retirement* then zeroes the images and seeds our claim
-        cursors, all before the release cursor lets any worker in.
+        Past the first frame of a message the buffer's last occupant
+        may still be in flight.  Its *retirement* then zeroes the images
+        and seeds our claim cursors (``_release_locked``), all before
+        the release cursor lets any worker in.
         """
         rec = self._inflight[frame]
-        buf = rec["buf"]
+        buf = frame % BUFFERS
         fact = rec["fact"]
         boundaries = rec["boundaries"]
-        if occupied:
-            self._claims_pending.setdefault(buf, deque()).append(frame)
-        else:
-            if rec["was_dispatched"]:
+        if frame - BUFFERS not in self._inflight:
+            if rec["sent"]:
                 # Re-dispatch into a free buffer: clear the lost
                 # attempt's partial writes.
                 self._zero_images_locked(buf, fact)
@@ -566,10 +567,6 @@ class MPRenderPool(PoolCore):
                 # happens-before edge that makes these writes visible
                 # to every worker.
                 seed_claims(self._claims[buf], boundaries)
-        # Error strings / cost fragments that arrived on the done queue
-        # for this attempt: pid -> (err, frags).
-        rec["queued"] = {}
-        rec["was_dispatched"] = True
         rec["deadline"] = (
             time.monotonic() + self.config.timeout_s
             if self.config.timeout_s is not None else None
@@ -584,7 +581,7 @@ class MPRenderPool(PoolCore):
                 rec["owner"],
                 rec["rows_by_pid"][pid],
                 rec["profiled"],
-                rec.get("timestep"),
+                rec["timestep"],
             )
             for pid in range(self.n_procs)
         ]
@@ -593,7 +590,7 @@ class MPRenderPool(PoolCore):
         """Copy a completed frame out of its shared buffer and retire it."""
         t0 = time.perf_counter()
         color, opacity, fcolor, falpha = (
-            plane.copy() for plane in self._planes(rec["buf"], rec["fact"])
+            plane.copy() for plane in self._planes(frame % BUFFERS, rec["fact"])
         )
         img = IntermediateImage.over(color, opacity)
         final = FinalImage.over(fcolor, falpha)
@@ -625,27 +622,24 @@ class MPRenderPool(PoolCore):
 
         Zeroes the regions the frame wrote, resets the buffer's
         completion cells, seeds the next occupant's claim cursors if it
-        was dispatched while the buffer was still busy (batch mode), and
+        was dispatched while the buffer was still busy, and
         only *then* bumps the release cursor — the cursor is the
         happens-before edge the gated worker spins on, so everything
         written here is visible before any worker touches the buffer.
-        Also re-arms the progress clock the frame deadlines run on.
+        Also re-arms the progress clock the frame deadlines run on, and
+        sends whatever message was held back for this buffer.
         """
-        buf = rec["buf"]
-        if rec["was_dispatched"]:
+        buf = frame % BUFFERS
+        if rec["sent"]:
             self._zero_images_locked(buf, rec["fact"])
         self._cells[buf, :, 0] = -1.0
-        pending = self._claims_pending.get(buf)
-        while pending:
-            nxt = pending.popleft()
-            nrec = self._inflight.get(nxt)
-            if nxt > frame and nrec is not None and nrec["buf"] == buf:
-                if self._claims is not None:
-                    seed_claims(self._claims[buf], nrec["boundaries"])
-                break
+        nxt = self._inflight.get(frame + BUFFERS)
+        if self._claims is not None and nxt is not None and nxt["sent"]:
+            seed_claims(self._claims[buf], nxt["boundaries"])
         if self._release[buf] < frame:
             self._release[buf] = frame
         self._last_complete_t = time.monotonic()
+        self._feed_locked()
 
     # -- supervision ---------------------------------------------------------
 
@@ -665,29 +659,15 @@ class MPRenderPool(PoolCore):
 
         The bell is cleared *before* the cells are read: a cell written
         after the read re-rings it, so no completion is ever missed.
-        The done queue is drained non-blocking for the rare
-        error/fragment messages; a frame whose cells flag such a message
-        still in flight is deferred and the loop polls fast until it
-        lands.
         """
         while not self._stop.is_set():
             bell = self._bell
-            bell.wait(0.002 if self._q_deferred else POLL_S)
+            bell.wait(POLL_S)
             bell.clear()
             with self._cond:
                 if self._closed or self._stop.is_set():
                     return
                 try:
-                    while True:
-                        try:
-                            pid, frame, err, frags = self._done_queue.get_nowait()
-                        except queue_mod.Empty:
-                            break
-                        except (OSError, ValueError, EOFError):
-                            return  # queue torn down: pool is closing
-                        rec = self._inflight.get(frame)
-                        if rec is not None:
-                            rec["queued"][pid] = (err, frags)
                     self._process_doorbell_locked()
                     now = time.monotonic()
                     if now >= self._health_due:
@@ -707,31 +687,23 @@ class MPRenderPool(PoolCore):
 
         Completion is in frame order (each worker runs its jobs in
         order), so scan from the oldest in-flight frame and stop at the
-        first incomplete one.  A frame whose cells flag an
-        error/fragment queue message still in flight is deferred until
-        the message lands; then every worker's cell (plus its queued
-        error or fragments) is handed to the core's accounting, whose
-        last call finishes the frame.
+        first incomplete one.  Every worker's cell (plus the text in its
+        error slot, if it flags one) is handed to the core's accounting,
+        whose last call finishes the frame.
         """
-        self._q_deferred = False
         while self._inflight:
             frame = min(self._inflight)
-            rec = self._inflight[frame]
-            cells = self._cells[rec["buf"]]
+            buf = frame % BUFFERS
+            cells = self._cells[buf]
             if not bool(np.all(cells[:, 0] == frame)):
                 return
-            queued = rec["queued"]
-            if any(
-                int(cells[pid, 1]) & _FLAG_QUEUE_MSG and pid not in queued
-                for pid in range(self.n_procs)
-            ):
-                self._q_deferred = True
-                return
             for pid in range(self.n_procs):
-                _, _, t_comp, t_warp, n_steals, n_steal_rows = cells[pid]
-                err, frags = queued.get(pid, (None, None))
-                self._worker_done_locked(frame, pid, err, frags, t_comp,
-                                         t_warp, n_steals, n_steal_rows)
+                _, flags, t_comp, t_warp, n_steals, n_steal_rows = cells[pid]
+                err = None
+                if int(flags) & _FLAG_ERROR:
+                    err = bytes(self._err_slots[buf, pid]).rstrip(b"\0").decode()
+                self._worker_done_locked(frame, pid, err, t_comp, t_warp,
+                                         n_steals, n_steal_rows)
             if frame in self._inflight:
                 return  # re-dispatched (retry/recovery) — wait afresh
 
@@ -751,7 +723,7 @@ class MPRenderPool(PoolCore):
         if self._inflight and self.config.timeout_s is not None:
             frame = min(self._inflight)
             rec = self._inflight[frame]
-            if rec["deadline"] is not None and now > max(
+            if rec.get("deadline") is not None and now > max(
                 rec["deadline"], self._last_complete_t + self.config.timeout_s
             ):
                 expired = [frame]
@@ -761,14 +733,15 @@ class MPRenderPool(PoolCore):
     def _retry_locked(self, frame: int, cause: str) -> None:
         """A worker raised but the set is intact: re-dispatch — the
         frame's buffer regions stay marked dirty, so the re-dispatch
-        zeroes whatever was written — unless ``frame`` was batched."""
-        if self._inflight[frame]["batched"]:
-            # Workers still hold the rest of the batch in their
-            # queues; appending a retry *behind* it would reorder
-            # buffer reuse.  Escalate to full recovery instead:
-            # queues are rebuilt and every unfinished frame is
-            # re-dispatched in order (finished frames are already
-            # materialized and are not re-rendered).
+        zeroes whatever was written — unless the workers already hold
+        a later frame assigned the same buffer."""
+        nxt = self._inflight.get(frame + BUFFERS)
+        if nxt is not None and nxt["sent"]:
+            # A retry appended *behind* that frame's job would reorder
+            # buffer reuse.  Escalate to full recovery instead: queues
+            # are rebuilt and every unfinished frame is re-dispatched in
+            # order (finished frames are already materialized and are
+            # not re-rendered).
             self._recover_locked([], [], cause=f"frame {frame}: {cause}")
         else:
             self._redispatch_locked(frame)
@@ -810,14 +783,22 @@ class MPRenderPool(PoolCore):
             except Exception:  # noqa: BLE001
                 pass
         self.metrics.counter("pool/worker_restarts").inc(len(self._workers))
-        self._close_queues()
-        # The old generation's completion cells and deferred claim
-        # seeds are stale; the re-dispatch below rebuilds both.
+        for q in self._job_queues:
+            try:
+                q.close()
+            except Exception:  # noqa: BLE001
+                pass
+        # The old generation's completion cells are stale; the
+        # re-dispatch below rebuilds them, and sends the held messages'
+        # frames along with the lost ones.
         self._cells[:, :, 0] = -1.0
-        self._claims_pending.clear()
+        self._held.clear()
 
-        # Retire or retry every in-flight frame.
+        # Retire or retry every in-flight frame the workers had been
+        # sent (a held one lost nothing and keeps its retries).
         for frame in sorted(self._inflight):
+            if not self._inflight[frame]["sent"]:
+                continue
             attempt = self._inflight[frame]["attempt"]
             if attempt < self.config.max_retries:
                 self._count_retry_locked(frame)
@@ -852,20 +833,6 @@ class MPRenderPool(PoolCore):
         self.metrics.histogram("pool/recovery_s").observe(
             time.perf_counter() - t0
         )
-
-    def _close_queues(self) -> None:
-        """Drop the per-generation queues (best effort, never raises)."""
-        for q in self._job_queues:
-            try:
-                q.close()
-            except Exception:  # noqa: BLE001
-                pass
-        self._job_queues = []
-        if self._done_queue is not None:
-            try:
-                self._done_queue.close()
-            except Exception:  # noqa: BLE001
-                pass
 
     # -- teardown ------------------------------------------------------------
 

@@ -8,8 +8,9 @@ on *how* workers are run lives here exactly once:
 * the typed errors, :class:`PoolConfig`, :class:`FrameRegion` and the
   result type :class:`MPRenderResult`;
 * :class:`FramePlanner` — factorization, the non-empty band, the paper's
-  profile feedback loop (sections 4.2-4.3: workers ship per-scanline
-  costs back on profiled frames, later frames are split with
+  profile feedback loop (sections 4.2-4.3: on profiled frames each
+  worker writes the costs of the scanlines it composited into the
+  frame's one shared cost row, later frames are split with
   :func:`~repro.core.partition.contiguous_partition` over that profile,
   and a principal-axis switch invalidates it) and warp-row ownership
   (section 4.5);
@@ -24,15 +25,18 @@ on *how* workers are run lives here exactly once:
   stealing mops up the residue: a band under two grains is *one*
   kernel call, a taller one about ``log2(rows / grain)``;
 * :func:`run_frame` — the worker's frame body (decode → composite →
-  barrier → warp, with its spans, CPU clocks and fault points);
-* :class:`PoolCore` — the frame ledger: ``submit`` / ``submit_batch`` /
-  ``result`` / ``render`` / ``render_animation``, per-worker completion
-  accounting, the finish → retry → degrade → fail state machine,
+  barrier → warp, with its spans, CPU clocks, fault points and the
+  in-place calibration of a profiled frame's costs);
+* :class:`PoolCore` — the frame ledger: ``submit_batch`` (and its
+  one-frame form ``submit``) / ``result`` / ``render`` /
+  ``render_animation``, the queue of admitted messages that cannot
+  start yet, per-worker completion accounting, the finish → retry →
+  degrade → fail state machine,
   timeline collection, ``fault_counters`` and ``export_chrome_trace``;
 * the fault- and delay-injection hooks tests and CI use.
 
 A *transport* subclasses :class:`PoolCore` and supplies only what
-genuinely differs: where a frame's images come from and go to, how jobs
+genuinely differs: where a frame's images and cost row live, how jobs
 reach workers, how a completion is reported, and what a retry costs.
 :class:`~repro.parallel.mp_backend.MPRenderPool` (fork + shared-memory
 images + doorbell + supervisor) and
@@ -49,6 +53,7 @@ import os
 import signal
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,7 +86,7 @@ from ..render.warp import (
     warp_rows_by_pid,
 )
 from ..transforms.factorization import PERMUTATIONS, ShearWarpFactorization
-from .backend import BackendCapabilities, as_frame_specs
+from .backend import BackendCapabilities, FrameSpec, as_frame_specs
 
 __all__ = [
     "COMPOSITE_KERNELS",
@@ -107,11 +112,9 @@ __all__ = [
     "claim_own_chunk",
     "steal_victim_chunk",
     "composite_share",
-    "apply_cost_fragments",
     "FAULT_PHASES",
     "FAULT_KINDS",
     "fault_from_env",
-    "row_delay_from_env",
     "armed_fault",
     "worker_burn_per_row",
 ]
@@ -334,9 +337,11 @@ class FramePlanner:
     and one per missing profile), the last measured
     :class:`ScanlineProfile` and its validity key, partition boundaries
     (uniform or profile-balanced), warp-row ownership (section 4.5) and
-    the boundary-drift metric.  Every transport plans through one
-    instance of this class, so the backends cannot drift apart — the
-    basis of their bit-identity.
+    the boundary-drift metric.  A plan has two halves: :meth:`admit`
+    when the frame is submitted, :meth:`partition` when its message
+    goes to the workers.  Every transport plans through one instance of
+    this class, so the backends cannot drift apart — the basis of their
+    bit-identity.
     """
 
     def __init__(self, renderer, n_procs: int, profile_period: int,
@@ -353,29 +358,21 @@ class FramePlanner:
         self.profile: ScanlineProfile | None = None
         self.profile_key: tuple[int, tuple[int, int, int]] | None = None
         # The (axis, perm) of the last frame planned as profiled.  A
-        # batch is planned before any of its frames completes, so "no
-        # valid profile" stays true for the whole batch; without this
-        # every frame behind the first would be profiled too.
+        # batch is partitioned before any of its frames completes, so
+        # "no valid profile" stays true for the whole batch; without
+        # this every frame behind the first would be profiled too.
         self._requested_key: tuple[int, tuple[int, int, int]] | None = None
         self._last_boundaries: np.ndarray | None = None
         self._last_part_key: tuple[int, tuple[int, int, int]] | None = None
 
-    def plan(self, view: np.ndarray, inter_cap=None, final_cap=None,
-             region: FrameRegion | None = None,
-             timestep: int | None = None) -> dict:
-        """Everything needed to dispatch one frame (deterministic).
-
-        ``region`` (shard mode) clamps the composite band to the shard's
-        ``[comp_lo, comp_hi)`` and masks warp ownership to the shard's
-        owned lines; the rest of the plan — partitioning, profiling,
-        warp-row assignment — runs unchanged inside that restriction.
-
-        ``timestep`` selects a time-varying renderer's encoding (static
-        renderers ignore it).  Note the profile validity key stays
-        ``(axis, perm)``: the §4.2 loop *predicts* the next frame's cost
-        from the last measured frame's, and a moving volume is exactly
-        the drift that prediction is supposed to absorb — so a timestep
-        switch does not invalidate the profile, it stresses it.
+    def admit(self, view: np.ndarray, inter_cap=None, final_cap=None,
+              region: FrameRegion | None = None,
+              timestep: int | None = None) -> dict:
+        """The half of a plan that can refuse a frame: factorization,
+        the capacity check and the non-empty band — clamped to
+        ``region``'s ``[comp_lo, comp_hi)`` in shard mode, of
+        ``timestep``'s encoding on a time-varying renderer.  Touches no
+        planner state, so a refused frame leaves nothing behind.
         """
         fact = self.renderer.factorize_view(view)
         n_v, n_u = fact.intermediate_shape
@@ -393,7 +390,30 @@ class FramePlanner:
         if region is not None:
             v_lo = max(v_lo, int(region.comp_lo))
             v_hi = max(v_lo, min(v_hi, int(region.comp_hi)))
-        key = (fact.axis, fact.perm)
+            if len(region.owned) != n_v:
+                raise ValueError(
+                    f"region.owned covers {len(region.owned)} lines, "
+                    f"frame has {n_v}"
+                )
+        return dict(
+            fact=fact, view=np.array(view, dtype=np.float64, copy=True),
+            timestep=timestep, region=region, v_lo=v_lo, v_hi=v_hi,
+            key=(fact.axis, fact.perm),
+        )
+
+    def partition(self, plan: dict) -> dict:
+        """The half of a plan that *is* the feedback loop, added to
+        ``plan`` in place: whether the frame is profiled, its boundaries
+        from the newest valid profile and the warp rows that follow them
+        — masked to a ``region``'s owned lines (deterministic).
+
+        Note the profile validity key stays ``(axis, perm)``: the §4.2
+        loop *predicts* the next frame's cost from the last measured
+        frame's, and a moving volume is exactly the drift that
+        prediction is supposed to absorb — so a timestep switch does
+        not invalidate the profile, it stresses it.
+        """
+        fact, key, region = plan["fact"], plan["key"], plan["region"]
         if self.profile is not None and self.profile_key != key:
             self.profile = None
             self.metrics.counter("pool/profile_invalidations").inc()
@@ -410,7 +430,9 @@ class FramePlanner:
             self.schedule.advance()
             if profiled:
                 self._requested_key = key
-        boundaries = profile_partition(self.profile, self.n_procs, v_lo, v_hi)
+        boundaries = profile_partition(
+            self.profile, self.n_procs, plan["v_lo"], plan["v_hi"]
+        )
         # Partition-boundary drift between successive frames of the
         # same principal axis: how far the feedback loop moves the split.
         if (
@@ -423,33 +445,25 @@ class FramePlanner:
             )
         self._last_boundaries = boundaries
         self._last_part_key = key
-        owner = line_ownership(boundaries, n_v)
+        owner = line_ownership(boundaries, fact.intermediate_shape[0])
         if region is not None:
-            owned = np.asarray(region.owned, dtype=bool)
-            if len(owned) != n_v:
-                raise ValueError(
-                    f"region.owned covers {len(owned)} lines, frame has {n_v}"
-                )
             # Lines outside the shard get no warp owner here: the warp's
             # pid comparison never matches -1, so final
             # pixels sourced from them stay zero in this pool's buffer
             # and are taken from the owning shard by the merge tree.
-            owner = np.where(owned, owner, -1)
+            owner = np.where(np.asarray(region.owned, dtype=bool), owner, -1)
         coeffs = warp_coeffs(fact)
-        src_lines = final_pixel_source_lines((ny, nx), fact, coeffs=coeffs)
-        rows_by_pid = warp_rows_by_pid(src_lines, owner, self.n_procs)
-        return {
-            "fact": fact,
-            "view": np.array(view, dtype=np.float64, copy=True),
-            "timestep": timestep,
-            "profiled": profiled,
-            "v_lo": v_lo,
-            "v_hi": v_hi,
-            "boundaries": boundaries,
-            "owner": owner,
-            "rows_by_pid": rows_by_pid,
-            "key": key,
-        }
+        src_lines = final_pixel_source_lines(fact.final_shape, fact, coeffs=coeffs)
+        plan.update(
+            profiled=profiled, boundaries=boundaries, owner=owner,
+            rows_by_pid=warp_rows_by_pid(src_lines, owner, self.n_procs),
+        )
+        return plan
+
+    def plan(self, *args, **kwargs) -> dict:
+        """Everything needed to dispatch one frame: :meth:`admit` and
+        :meth:`partition` in one step."""
+        return self.partition(self.admit(*args, **kwargs))
 
     def install_profile(self, v_lo: int, costs: np.ndarray, key) -> None:
         """Adopt a freshly measured per-scanline profile."""
@@ -480,55 +494,15 @@ def profile_partition(profile: ScanlineProfile | None, n: int,
     return np.maximum.accumulate(bounds)
 
 
-def apply_cost_fragments(rec: dict, pid: int, frags, t_comp: float,
-                         t_warp: float) -> None:
-    """Fold one worker's per-chunk cost fragments into a frame record.
-
-    Calibrates the op-count profile to measured *time*, which is what
-    the partition must balance (the paper's native profile is elapsed
-    time too): every chunk this worker composited — including rows it
-    stole — is scaled so together they sum to its compositing CPU time.
-    Each scanline was composited by exactly one worker, so the
-    assembled profile covers every row exactly once even when rows
-    crossed blocks.
-    """
-    if rec["costs"] is None:
-        rec["costs"] = np.zeros(
-            max(0, rec["v_hi"] - rec["v_lo"]), dtype=np.float64
-        )
-    total = sum(float(f.sum()) for _, f in frags)
-    scale = (t_comp / total) if total > 0 and t_comp > 0 else 1.0
-    base = rec["v_lo"]
-    for chunk_lo, f in frags:
-        off = chunk_lo - base
-        rec["costs"][off:off + len(f)] = np.asarray(f, np.float64) * scale
-    # Warp CPU time is spread over this worker's *static* block (warp
-    # rows follow the boundaries, not who stole what), so warp load
-    # moves with the boundaries on the next partition.
-    b = rec["boundaries"]
-    blo, bhi = int(b[pid]), int(b[pid + 1])
-    if bhi > blo:
-        rec["costs"][blo - base:bhi - base] += t_warp / (bhi - blo)
-
-
 # -- chaos hooks (tests, CI) -------------------------------------------------
-
-
-def row_delay_from_env() -> tuple[int, float] | None:
-    """Parse the ``REPRO_MP_ROW_DELAY`` chaos knob (``"pid:sec_per_row"``)."""
-    spec = os.environ.get("REPRO_MP_ROW_DELAY")
-    if not spec:
-        return None
-    pid_s, sec_s = spec.split(":", 1)
-    return int(pid_s), float(sec_s)
 
 
 #: Imbalance-injection hook for tests and CI: ``(pid,
 #: seconds_per_row)`` makes worker ``pid`` burn that much *CPU* per
 #: scanline it composites — a deterministic stand-in for a slow or
-#: interfered-with processor.  Set the env var above or monkeypatch this
-#: before pool construction (workers snapshot it when they start).
-TEST_ROW_DELAY: tuple[int, float] | None = row_delay_from_env()
+#: interfered-with processor.  Monkeypatch this before pool construction
+#: (workers snapshot it when they start).
+TEST_ROW_DELAY: tuple[int, float] | None = None
 
 #: Worker phases at which a fault can be injected.
 FAULT_PHASES = ("decode", "composite", "profile", "steal", "warp")
@@ -778,18 +752,20 @@ def steal_victim_chunk(claims, locks, pid, grain) -> tuple[int, int] | None:
 
 
 def composite_share(img, band, claims, locks, pid, grain, rle, fact, kernel,
-                    profiled, rec, frame, burn_per_row=0.0, fault=None):
+                    costs, rec, frame, burn_per_row=0.0, fault=None):
     """Composite worker ``pid``'s share of one frame (every pool's loop).
 
     Static pool (``claims is None``): the whole ``band`` in one kernel
     call.  Stealing pool: drain the head of our own block in guided
-    chunks, then turn thief until every block is drained.  Records the
-    ``steal`` spans and the frame's counters (rows, steals, kernel
-    calls, slice-cache deltas) on ``rec``; returns ``(frags, n_steals,
-    n_steal_rows)`` where ``frags`` is the per-chunk cost fragments
-    ``[(v_start, costs)]`` on profiled frames, else ``None``.
+    chunks, then turn thief until every block is drained.  On a profiled
+    frame ``costs`` is the frame's cost row (``None`` otherwise) and
+    every chunk's per-scanline op counts are written straight into it,
+    at the chunk's own scanlines.  Records the ``steal`` spans and the
+    frame's counters (rows, steals, kernel calls, slice-cache deltas) on
+    ``rec``; returns ``(chunks, n_steals, n_steal_rows)`` where
+    ``chunks`` lists the ``(lo, hi)`` ranges this worker composited.
     """
-    frags: list[tuple[int, np.ndarray]] | None = [] if profiled else None
+    chunks: list[tuple[int, int]] = []
     n_rows = n_calls = n_steals = n_steal_rows = 0
     if rec is not None:
         cache = rle.slice_cache
@@ -797,13 +773,14 @@ def composite_share(img, band, claims, locks, pid, grain, rle, fact, kernel,
 
     def run(lo: int, hi: int) -> None:
         nonlocal n_rows, n_calls
-        frag = composite_range(img, lo, hi, rle, fact, kernel, profiled,
-                               rec, frame)
+        frag = composite_range(img, lo, hi, rle, fact, kernel,
+                               costs is not None, rec, frame)
         n_rows += hi - lo
         # The scanline kernel is invoked once per row of the chunk.
         n_calls += 1 if kernel == "block" else hi - lo
+        chunks.append((lo, hi))
         if frag is not None:
-            frags.append((lo, frag))
+            costs[lo:hi] = frag
         if burn_per_row:
             _burn(burn_per_row * (hi - lo))
 
@@ -833,7 +810,22 @@ def composite_share(img, band, claims, locks, pid, grain, rle, fact, kernel,
         rec.count(frame, "cache_hits", cache.hits - hits0)
         rec.count(frame, "cache_misses", cache.misses - misses0)
         rec.count(frame, "decode_us", (cache.decode_s - decode_s0) * 1e6)
-    return frags, n_steals, n_steal_rows
+    return chunks, n_steals, n_steal_rows
+
+
+def _calibrate_costs(costs: np.ndarray, chunks, t_comp: float) -> None:
+    """Turn the op counts one worker wrote into ``costs`` into *time*,
+    which is what the partition must balance (the paper's native profile
+    is elapsed time too): every chunk it composited — including rows it
+    stole — is scaled so together they sum to its compositing CPU time.
+    Each scanline is composited by exactly one worker, so the frame's
+    row is covered exactly once even when rows crossed blocks, and no
+    two workers touch the same element before the barrier."""
+    total = sum(float(costs[lo:hi].sum()) for lo, hi in chunks)
+    if total > 0 and t_comp > 0:
+        scale = t_comp / total
+        for lo, hi in chunks:
+            costs[lo:hi] *= scale
 
 
 @dataclass
@@ -864,7 +856,7 @@ class WorkerContext:
 
 
 def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
-              profiled: bool, timestep, img, final, claims):
+              costs, timestep, img, final, claims):
     """One worker's share of one frame: decode → composite → barrier → warp.
 
     ``img`` / ``final`` are the frame's images wherever the transport
@@ -872,14 +864,26 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
     on a static pool).  A barrier still separates the phases: however
     the partition is balanced, a worker's warp rows bilinearly sample
     the boundary scanline pair its neighbor composited, so the warp may
-    only start once compositing is complete everywhere.  Returns
-    ``(err, frags, t_comp, t_warp, n_steals, n_steal_rows)`` — ``err``
-    is the exception text if a phase raised, ``frags`` the per-chunk
-    cost fragments of a profiled frame.
+    only start once compositing is complete everywhere.
+
+    ``costs`` is the frame's cost row on a profiled frame, ``None``
+    otherwise: float64, indexed by intermediate scanline and shared by
+    the whole worker set — the paper's one profile array (sections
+    4.2-4.3), written where the pixels are.  Before the barrier this
+    worker stores the calibrated cost of every scanline it composited
+    (:func:`_calibrate_costs`); after it, it adds its warp CPU time,
+    spread evenly, to its *static* block ``band`` — warp rows follow the
+    boundaries, not who stole what, so warp load moves with the
+    boundaries on the next partition.  The barrier orders that ``+=``
+    after every ``=``, whichever worker made it.
+
+    Returns ``(err, t_comp, t_warp, n_steals, n_steal_rows)`` — ``err``
+    is the exception text if a phase raised (the cost row is then
+    incomplete, and the frame is retried or failed, never installed).
     """
     pid, rec, fault, clock = ctx.pid, ctx.rec, ctx.fault, ctx.clock
     err: str | None = None
-    frags: list[tuple[int, np.ndarray]] | None = None
+    chunks: list[tuple[int, int]] = []
     n_steals = n_steal_rows = 0
     t_comp = t_warp = 0.0
     # Span clocks pre-bound so the finally block can record even when
@@ -896,17 +900,19 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
             if rec is not None:
                 tc0 = rec.now()
                 rec.span(frame, "decode", td0, tc0)
-            if profiled:
+            if costs is not None:
                 _maybe_fault(fault, pid, frame, "profile")
             _maybe_fault(fault, pid, frame, "composite")
-            frags, n_steals, n_steal_rows = composite_share(
+            chunks, n_steals, n_steal_rows = composite_share(
                 img, band, claims, ctx.claim_locks, pid, ctx.steal_chunk, rle,
-                fact, ctx.kernel, profiled, rec, frame, ctx.burn_per_row, fault,
+                fact, ctx.kernel, costs, rec, frame, ctx.burn_per_row, fault,
             )
         finally:
             # Busy time stops at the barrier: the wait measures the
             # *imbalance*, not this worker's work.
             t_comp = clock() - t0
+            if costs is not None:
+                _calibrate_costs(costs, chunks, t_comp)
             if rec is not None:
                 tb0 = rec.now()
                 rec.span(frame, "composite", tc0, tb0)
@@ -924,12 +930,13 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
         # One band-vectorized gather over the rows this block can feed.
         warp_rows(final, final_rows, img, fact, line_owner=owner, pid=pid)
         t_warp = clock() - t1
+        if costs is not None and band[1] > band[0]:
+            costs[band[0]:band[1]] += t_warp / (band[1] - band[0])
         if rec is not None:
             rec.span(frame, "warp", tw0, rec.now())
     except Exception as exc:  # noqa: BLE001 - reported through the ledger
         err = f"{type(exc).__name__}: {exc}"
-        frags = None
-    return err, frags, t_comp, t_warp, n_steals, n_steal_rows
+    return err, t_comp, t_warp, n_steals, n_steal_rows
 
 
 # -- the frame ledger ---------------------------------------------------------
@@ -950,22 +957,28 @@ class PoolCore:
     A transport implements (all called with the pool condition held):
 
     ``_send_locked(frames)``
-        Give each frame its images and claim cursors and get its jobs to
-        every worker — one message per worker, in the same order on all.
+        Give each frame its images and claim cursors and get its jobs
+        to every worker: one message per worker, in the same order on
+        all.
     ``_take_images_locked(frame, rec) -> (intermediate, final)``
         Hand over a finished frame's images and free whatever held them.
-    ``_retry_locked(frame, cause)``
-        A worker raised on ``frame`` with retries left; the worker set
-        is intact.  Usually :meth:`_redispatch_locked`.
     ``close()``
         Stop the workers; set ``_closed`` and wake every waiter.
 
-    and may override ``_await_slot_locked`` (block ``submit`` until the
-    next frame has somewhere to render), ``_release_locked`` (a frame
-    left without its images being taken), ``_raise_if_dead`` (liveness of
-    whatever completes frames) and the ``inter_cap`` / ``final_cap``
-    image capacity.  Workers run :func:`run_frame` and report through
-    :meth:`_worker_done_locked`.
+    and may override ``_can_start_locked`` (has a message's first frame
+    somewhere to render yet?  A transport that can say no calls
+    :meth:`_feed_locked` when that changes), ``_cost_row_locked`` (a
+    cost row workers that cannot reach the parent's memory can write),
+    ``_retry_locked`` (a worker raised with retries left and the set
+    intact; by default :meth:`_redispatch_locked`), ``_release_locked``
+    (a frame left without its images being taken), ``_raise_if_dead``
+    (liveness of whatever completes frames) and the ``inter_cap`` /
+    ``final_cap`` image capacity.  Admission never waits: a message
+    that cannot start yet is held in the parent (``_held``, the one
+    place an undelivered job lives) until :meth:`_feed_locked`
+    partitions and sends it.  Workers run :func:`run_frame` — which
+    leaves a profiled frame's costs in ``rec["costs"]`` — and report
+    its outcome through :meth:`_worker_done_locked`.
     """
 
     #: Name of the transport in exported trace metadata.
@@ -1021,6 +1034,9 @@ class PoolCore:
 
         self._next_frame = 0
         self._inflight: dict[int, dict] = {}  # frame -> per-frame record
+        # Messages (frame-id lists, one per submit call) admitted but
+        # not yet sent: the transport cannot start their first frame.
+        self._held: deque[list[int]] = deque()
         self._results: dict[int, MPRenderResult] = {}
         # Frames that failed for good: frame -> typed exception.  Each
         # frame's error is raised only from its own result() call, never
@@ -1036,13 +1052,19 @@ class PoolCore:
         raise NotImplementedError
 
     def _retry_locked(self, frame: int, cause: str) -> None:
-        raise NotImplementedError
+        self._redispatch_locked(frame)
 
     def close(self) -> None:
         raise NotImplementedError
 
-    def _await_slot_locked(self) -> None:
-        """Block until the next frame has somewhere to render."""
+    def _can_start_locked(self, frame: int) -> bool:
+        """Can the workers be handed ``frame`` now?"""
+        return True
+
+    def _cost_row_locked(self, frame: int, rec: dict) -> np.ndarray:
+        """Where the workers write a profiled frame's costs: float64,
+        indexed by intermediate scanline."""
+        return np.zeros(rec["fact"].intermediate_shape[0], dtype=np.float64)
 
     def _release_locked(self, frame: int, rec: dict) -> None:
         """``frame`` left the pool without its images being taken."""
@@ -1065,33 +1087,19 @@ class PoolCore:
     def submit(self, view: np.ndarray,
                region: FrameRegion | None = None,
                timestep: int | None = None) -> int:
-        """Dispatch one frame to the workers; returns its frame id.
+        """Dispatch one frame; returns its frame id.
 
-        Blocks only if the transport has nowhere to render it yet (the
-        process pool: both image buffers still hold unfinished frames).
-        The partition is profile-balanced whenever a valid profile from
-        an earlier frame exists, uniform otherwise.  ``region``
-        restricts the frame to one shard's band (see
-        :class:`FrameRegion`); ``timestep`` selects a time-varying
-        renderer's encoding.  Raises :class:`PoolClosed` /
-        :class:`PoolUnrecoverable` on a pool that can no longer accept
-        work.
+        A one-spec :meth:`submit_batch` — same admission, same frame
+        ids, same dispatch — that ``pool/batch_frames`` does not count.
+        It never waits for somewhere to render: a frame the transport
+        cannot start yet is held in the parent and partitioned when it
+        goes out, so a loop of ``submit`` calls both pipelines and
+        closes the feedback loop.  ``region`` restricts the frame to
+        one shard's band (see :class:`FrameRegion`); ``timestep``
+        selects a time-varying renderer's encoding.
         """
         with self._cond:
-            self._raise_if_unusable()
-            t_d0 = self._sup_rec.now() if self._sup_rec is not None else 0.0
-            plan = self._planner.plan(view, self.inter_cap, self.final_cap,
-                                      region=region, timestep=timestep)
-            # Everything fallible is done — only now wait for a slot
-            # and claim a frame id, so a failed submit leaves no
-            # bookkeeping behind.
-            self._await_slot_locked()
-            frame = self._claim_frame_locked(plan, batched=False)
-            self._dispatch_locked([frame])
-            self._sample_gauges_locked()
-            if self._sup_rec is not None:
-                self._sup_rec.span(frame, "dispatch", t_d0, self._sup_rec.now())
-            return frame
+            return self._submit_locked([FrameSpec(view, timestep, region)])[0]
 
     def submit_batch(self, frame_specs) -> list[int]:
         """Dispatch a whole animation in one queue round-trip per worker.
@@ -1099,51 +1107,61 @@ class PoolCore:
         ``frame_specs`` is a sequence of bare views and/or
         :class:`~repro.parallel.backend.FrameSpec` items (the
         :class:`RenderBackend` batch form, which carries per-frame
-        timesteps and regions).
+        timesteps and regions).  This is the one way a frame enters the
+        pool.
 
-        Every frame is planned up front, before any of them completes,
-        so the whole batch is partitioned from the profile that was
-        valid when it was submitted (uniformly if there was none) and a
-        profile measured *inside* the batch balances the next batch,
-        not this one.  The planner's schedule still runs frame to frame:
-        one frame in ``profile_period`` is profiled, and a missing
-        profile — fresh pool, principal-axis switch — is requested once,
-        on the first frame that lacks it, not on every frame behind it.
-        Each worker then receives its entire job list as a *single*
-        queue message and runs frame to frame without re-synchronizing
-        with the parent: the parent's collection of frame ``f`` overlaps
-        the workers' compositing of ``f+1`` (MovieMaker's stage
-        overlap), and the queue/wakeup cost is amortized over the batch
-        instead of paid per frame.
+        A batch is admitted, partitioned and sent as a whole — at once
+        on a pool that can start its first frame, otherwise when the
+        frames ahead of it have retired — so all of it is partitioned
+        from the profile that was valid at that moment (uniformly if
+        there was none) and a profile measured *inside* the batch
+        balances the next message, not this one.  The planner's schedule
+        still runs frame to frame: one frame in ``profile_period`` is
+        profiled, and a missing profile — fresh pool, principal-axis
+        switch — is requested once, on the first frame that lacks it,
+        not on every frame behind it.  Each worker receives its entire
+        job list as a *single* queue message and runs frame to frame
+        without re-synchronizing with the parent: the parent's
+        collection of frame ``f`` overlaps the workers' compositing of
+        ``f+1`` (MovieMaker's stage overlap), and the queue/wakeup cost
+        is amortized over the batch instead of paid per frame.
 
         Returns the frame ids in submission order; collect them with
-        :meth:`result` (in order, for image reuse to stream).
+        :meth:`result` (in order, for image reuse to stream).  Raises
+        :class:`PoolClosed` / :class:`PoolUnrecoverable` on a pool that
+        can no longer accept work.
 
         Partitions and profiling never change pixels (only which worker
         composites which rows, and which frames count their work), so
-        batched output is bit-identical to per-frame submission.
+        the output is bit-identical however the frames were grouped.
         """
         specs = as_frame_specs(frame_specs)
         with self._cond:
-            self._raise_if_unusable()
-            if not specs:
-                return []
-            t_d0 = self._sup_rec.now() if self._sup_rec is not None else 0.0
-            # Plan everything before claiming anything: a view that
-            # fails planning must not strand its batch-mates in flight.
-            plans = [
-                self._planner.plan(s.view, self.inter_cap, self.final_cap,
-                                   region=s.region, timestep=s.timestep)
-                for s in specs
-            ]
-            frames = [self._claim_frame_locked(p, batched=True) for p in plans]
-            self._dispatch_locked(frames)
+            frames = self._submit_locked(specs)
             self.metrics.counter("pool/batch_frames").inc(len(frames))
-            self._sample_gauges_locked()
-            if self._sup_rec is not None:
-                self._sup_rec.span(frames[0], "dispatch", t_d0,
-                                   self._sup_rec.now())
             return frames
+
+    def _submit_locked(self, specs: list[FrameSpec]) -> list[int]:
+        """Admit ``specs`` and queue them as one message per worker."""
+        self._raise_if_unusable()
+        if not specs:
+            return []
+        t_d0 = self._sup_rec.now() if self._sup_rec is not None else 0.0
+        # Admit everything before claiming anything: a view that is
+        # refused must leave no bookkeeping behind, nor strand its
+        # batch-mates in flight.
+        admitted = [
+            self._planner.admit(s.view, self.inter_cap, self.final_cap,
+                                region=s.region, timestep=s.timestep)
+            for s in specs
+        ]
+        frames = [self._claim_frame_locked(a) for a in admitted]
+        self._held.append(frames)
+        self._feed_locked()
+        self._sample_gauges_locked()
+        if self._sup_rec is not None:
+            self._sup_rec.span(frames[0], "dispatch", t_d0, self._sup_rec.now())
+        return frames
 
     def result(self, frame: int) -> MPRenderResult:
         """Wait for ``frame`` and return its images.
@@ -1167,7 +1185,13 @@ class PoolCore:
                     return self._results.pop(frame)
                 if frame not in self._inflight:
                     raise KeyError(f"unknown frame {frame}")
-                self._wait_locked(f"pool closed while frame {frame} was in flight")
+                # One bounded wait, with liveness checks.
+                if self._broken is not None:
+                    raise PoolUnrecoverable(self._broken)
+                if self._closed:
+                    raise PoolClosed(f"pool closed while frame {frame} was in flight")
+                self._raise_if_dead()
+                self._cond.wait(timeout=0.2)
 
     def render(self, view: np.ndarray) -> MPRenderResult:
         """Render one frame synchronously."""
@@ -1179,51 +1203,52 @@ class PoolCore:
         returning results in order."""
         return [self.result(f) for f in self.submit_batch(views)]
 
-    def _wait_locked(self, closed_msg: str = "pool is closed") -> None:
-        """One bounded wait on the pool condition, with liveness checks."""
-        if self._broken is not None:
-            raise PoolUnrecoverable(self._broken)
-        if self._closed:
-            raise PoolClosed(closed_msg)
-        self._raise_if_dead()
-        self._cond.wait(timeout=0.2)
-
     def _raise_if_unusable(self) -> None:
         if self._closed:
             raise PoolClosed("pool is closed")
         if self._broken is not None:
             raise PoolUnrecoverable(self._broken)
 
-    def _claim_frame_locked(self, plan: dict, batched: bool) -> int:
-        """Allocate the next frame id and its in-flight record.
-
-        ``batched`` marks a frame dispatched with successors already
-        queued behind it — what a transport needs to price a retry.
-        """
+    def _claim_frame_locked(self, admitted: dict) -> int:
+        """Allocate the next frame id and its in-flight record."""
         frame = self._next_frame
         self._next_frame += 1
         self._inflight[frame] = {
             "attempt": 0,
-            "batched": batched,
+            "sent": False,  # partitioned, and handed to the transport?
             "busy": np.zeros(self.n_procs, dtype=np.float64),
-            **plan,
+            **admitted,
         }
         return frame
 
     def _dispatch_locked(self, frames: list[int]) -> None:
-        """(Re-)send ``frames``: fresh per-attempt accounting, then the
-        transport.  The saved record reproduces the exact same
-        partition, so a retried frame is bit-identical to what the lost
-        attempt would have produced."""
-        for frame in frames:
-            rec = self._inflight[frame]
-            rec["done"] = 0
-            rec["errors"] = []
-            rec["costs"] = None
-            rec["busy"][:] = 0.0
-            rec["steals"] = 0
-            rec["steal_rows"] = 0
-        self._send_locked(frames)
+        """Re-send ``frames`` (a retry, a recovery) ahead of whatever
+        is still held: they are older than every held frame."""
+        if frames:
+            self._held.appendleft(frames)
+            self._feed_locked()
+
+    def _feed_locked(self) -> None:
+        """Send every held message whose first frame can start, oldest
+        first.  A frame is partitioned here, when the workers can take
+        it, so it sees every profile installed until then; one sent
+        before keeps its saved partition, so a retry is bit-identical
+        to what the lost attempt would have produced."""
+        while self._held and self._can_start_locked(self._held[0][0]):
+            frames = self._held.popleft()
+            for frame in frames:
+                rec = self._inflight[frame]
+                if not rec["sent"]:
+                    self._planner.partition(rec)
+                # Fresh per-attempt accounting.
+                rec.update(done=0, errors=[], steals=0, steal_rows=0)
+                rec["busy"][:] = 0.0
+                rec["costs"] = (
+                    self._cost_row_locked(frame, rec) if rec["profiled"] else None
+                )
+            self._send_locked(frames)
+            for frame in frames:
+                self._inflight[frame]["sent"] = True
 
     def _sample_gauges_locked(self) -> None:
         """Pool-health gauges, sampled at submit time."""
@@ -1232,7 +1257,7 @@ class PoolCore:
     # -- completion: account, finish, retry, degrade, fail -------------------
 
     def _worker_done_locked(self, frame: int, pid: int, err: str | None,
-                            frags, t_comp: float, t_warp: float,
+                            t_comp: float, t_warp: float,
                             n_steals: int, n_steal_rows: int) -> None:
         """Account worker ``pid``'s :func:`run_frame` outcome to
         ``frame``; the last worker to report finishes the frame."""
@@ -1245,8 +1270,6 @@ class PoolCore:
         rec["steal_rows"] += int(n_steal_rows)
         if err is not None:
             rec["errors"].append(f"worker {pid}: {err}")
-        elif frags:
-            apply_cost_fragments(rec, pid, frags, t_comp, t_warp)
         if rec["done"] >= self.n_procs:
             self._finish_locked(frame)
 
@@ -1270,8 +1293,12 @@ class PoolCore:
         if rec["steals"]:
             self.metrics.counter("pool/steals").inc(rec["steals"])
             self.metrics.counter("pool/steal_rows").inc(rec["steal_rows"])
-        if rec["profiled"] and rec["costs"] is not None:
-            self._planner.install_profile(rec["v_lo"], rec["costs"], rec["key"])
+        costs = None
+        if rec["profiled"]:
+            # A private copy of the frame's band, taken before the
+            # transport gets the row back with the images.
+            costs = rec["costs"][rec["v_lo"]:rec["v_hi"]].copy()
+            self._planner.install_profile(rec["v_lo"], costs, rec["key"])
         del self._inflight[frame]
         img, final = self._take_images_locked(frame, rec)
         self._results[frame] = MPRenderResult(
@@ -1286,7 +1313,7 @@ class PoolCore:
             steals=rec["steals"],
             steal_rows=rec["steal_rows"],
             retries=rec["attempt"],
-            costs=rec["costs"],
+            costs=costs,
             costs_v_lo=int(rec["v_lo"]),
         )
 

@@ -13,7 +13,8 @@ process pool's structural dispatch costs:
 * **no fork** — workers are daemon threads sharing the renderer object
   directly (no copy-on-write snapshot to take or keep coherent);
 * **no pickling** — a job is just an ``int`` frame id; plans, images
-  and cost fragments are passed by reference under one lock;
+  and the profiled frame's cost row are the frame record's own objects,
+  reached by reference;
 * **no shared-memory churn** — each frame composites into a fresh
   private :class:`~repro.render.image.IntermediateImage` /
   :class:`~repro.render.image.FinalImage`, which then *becomes* the
@@ -152,9 +153,6 @@ class ThreadRenderPool(PoolCore):
         extracted from a shared buffer."""
         return rec["img"], rec["final"]
 
-    def _retry_locked(self, frame: int, cause: str) -> None:
-        self._redispatch_locked(frame)
-
     # -- worker side ---------------------------------------------------------
 
     def _worker(self, ctx: WorkerContext) -> None:
@@ -192,7 +190,7 @@ class ThreadRenderPool(PoolCore):
         outcome = run_frame(
             ctx, frame, rec["fact"],
             (int(boundaries[pid]), int(boundaries[pid + 1])),
-            rec["owner"], rec["rows_by_pid"][pid], rec["profiled"],
+            rec["owner"], rec["rows_by_pid"][pid], rec["costs"],
             rec.get("timestep"), rec["img"], rec["final"], rec["claims"],
         )
         with self._cond:

@@ -85,10 +85,15 @@ def unpack_messages(buf: bytes) -> tuple[list[dict], bytes]:
 
 
 async def read_message(reader: asyncio.StreamReader) -> dict | None:
-    """Read one message from an asyncio stream; ``None`` on clean EOF."""
+    """Read one message from an asyncio stream; ``None`` on clean EOF
+    (the stream ends *between* messages — a cut length prefix is not)."""
     try:
         head = await reader.readexactly(_LEN.size)
-    except (asyncio.IncompleteReadError, ConnectionError):
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            raise ProtocolError("connection closed mid-message") from exc
+        return None
+    except ConnectionError:
         return None
     (n,) = _LEN.unpack(head)
     if n > MAX_MESSAGE_BYTES:
@@ -104,23 +109,26 @@ def read_message_sync(sock: socket.socket) -> dict | None:
     """Blocking-socket twin of :func:`read_message` (used by the CLI
     one-shot client and the CI smoke)."""
     head = _recv_exact(sock, _LEN.size)
-    if head is None:
+    if not head:
         return None
+    if len(head) < _LEN.size:
+        raise ProtocolError("connection closed mid-message")
     (n,) = _LEN.unpack(head)
     if n > MAX_MESSAGE_BYTES:
         raise ProtocolError(f"declared message length {n} exceeds limit")
     body = _recv_exact(sock, n)
-    if body is None:
+    if len(body) < n:
         raise ProtocolError("connection closed mid-message")
     return _parse_body(body)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+def _recv_exact(sock: socket.socket, n: int) -> bytes:
+    """The next ``n`` bytes — fewer only if the peer closed first."""
     chunks = bytearray()
     while len(chunks) < n:
         chunk = sock.recv(n - len(chunks))
         if not chunk:
-            return None if not chunks else None
+            break
         chunks.extend(chunk)
     return bytes(chunks)
 

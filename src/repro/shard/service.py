@@ -45,6 +45,7 @@ from ..parallel.backend import BackendCapabilities, as_frame_specs
 from ..parallel.mp_backend import MPRenderPool
 from ..parallel.poolcore import (
     FrameRegion,
+    MPPoolError,
     MPRenderResult,
     PoolConfig,
     capacity_shapes,
@@ -193,6 +194,9 @@ class ShardedRenderService:
         self._next_submit = 0
         self._queued: dict[int, tuple[np.ndarray, int | None]] = {}
         self._ready: dict[int, MPRenderResult] = {}
+        # Frames that failed for good, kept per id like the pools'
+        # ledgers keep theirs: every result() re-raises the same error.
+        self._failed: dict[int, MPPoolError] = {}
 
         self.trace = config.trace
         # The service's trace epoch predates every pool's, so rebasing a
@@ -300,14 +304,18 @@ class ShardedRenderService:
 
     def result(self, frame_id: int) -> MPRenderResult:
         """Render every queued frame up to ``frame_id`` (in id order)
-        and return ``frame_id``'s merged result."""
-        if frame_id in self._ready:
-            return self._ready.pop(frame_id)
-        if frame_id not in self._queued:
-            raise KeyError(f"unknown frame {frame_id}")
+        and return ``frame_id``'s merged result — or raise its typed
+        error, the same object on every call, as the pools do."""
         for fid in sorted(f for f in self._queued if f <= frame_id):
             view, timestep = self._queued.pop(fid)
-            self._ready[fid] = self._render_one(view, timestep=timestep)
+            try:
+                self._ready[fid] = self._render_one(view, timestep=timestep)
+            except MPPoolError as exc:
+                self._failed[fid] = exc
+        if frame_id in self._failed:
+            raise self._failed[frame_id]
+        if frame_id not in self._ready:
+            raise KeyError(f"unknown frame {frame_id}")
         return self._ready.pop(frame_id)
 
     def render_animation(self, views) -> list[MPRenderResult]:
@@ -330,9 +338,16 @@ class ShardedRenderService:
             pool.submit(view, region=splan["regions"][s], timestep=timestep)
             for s, pool in enumerate(self._pools)
         ]
-        results = [
-            pool.result(h) for pool, h in zip(self._pools, handles)
-        ]
+        # Collect every shard's handle, also behind a failed one: a
+        # result nobody asks for stays in its pool's ledger for good.
+        results, failure = [], None
+        for pool, h in zip(self._pools, handles):
+            try:
+                results.append(pool.result(h))
+            except MPPoolError as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
         t0 = time.perf_counter()
         merged = self._merge(frame, splan, results)
         self.metrics.histogram("shard/merge_s").observe(time.perf_counter() - t0)

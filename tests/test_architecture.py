@@ -4,8 +4,9 @@ the public configuration surface).
 The pool stack is one core (:mod:`repro.parallel.poolcore`) plus two
 transports; these checks keep it that way: no module reaches into
 another module's underscore-private names, the transports do not import
-each other, the frame lifecycle is written exactly once, and the pools
-are configured by one class with a counted number of fields.
+each other, the frame lifecycle is written exactly once, a process
+worker reports through shared memory only, admission never waits, and
+the pools are configured by one class with a counted number of fields.
 """
 
 import ast
@@ -151,6 +152,37 @@ def test_frame_lifecycle_is_defined_once():
             if isinstance(node, ast.FunctionDef) and node.name in defs:
                 defs[node.name].append(name)
     assert defs == {name: ["poolcore.py"] for name in LIFECYCLE}
+
+
+def _call_names(tree: ast.AST) -> set[str]:
+    """``a.b.c(...)`` -> ``"a.b.c"`` for every call under ``tree``."""
+    return {ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+
+
+def test_one_way_in_one_way_out():
+    """The process transport has no worker→parent queue (everything a
+    worker reports is a shared-memory write), a worker takes jobs off
+    its pipe in one place and keeps no second store of them (what
+    cannot start yet is held in the parent), and the core has no
+    slot-waiting admission path."""
+    mp_tree = ast.parse((PARALLEL / "mp_backend.py").read_text())
+    assert not _call_names(mp_tree) & {"ctx.Queue", "mp.Queue"}
+    (worker_loop,) = [
+        n for n in ast.walk(mp_tree)
+        if isinstance(n, ast.FunctionDef) and n.name == "_worker_loop"
+    ]
+    assert not [c for c in _call_names(worker_loop) if c.endswith(".put")]
+    pipe_reads = [
+        n for n in ast.walk(mp_tree)
+        if isinstance(n, ast.Call) and ast.unparse(n.func) == "jobs.get"
+    ]
+    assert len(pipe_reads) == 1
+    assert not [c for c in _call_names(mp_tree) if c.endswith(".empty")]
+    core_defs = {
+        n.name for n in ast.walk(ast.parse((PARALLEL / "poolcore.py").read_text()))
+        if isinstance(n, ast.FunctionDef)
+    }
+    assert "_await_slot_locked" not in core_defs
 
 
 def test_one_config_class_with_ten_fields():

@@ -8,6 +8,7 @@ recovered with only the unfinished frames re-dispatched.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -124,6 +125,67 @@ class TestBatchedBitIdentity:
             res = [pool.result(h) for h in [pool.submit(v) for v in views]]
             assert pool.metrics.counter("pool/batch_frames").value == 0
         _assert_identical(res, refs)
+
+    @pytest.mark.parametrize("backend", ["mp", "thread"])
+    def test_back_to_back_submits_collected_in_reverse(self, renderer,
+                                                       backend):
+        """``submit`` is a one-frame batch: it never waits for a buffer.
+        On mp the third and fourth frames are held in the parent until
+        the frame two ahead of each retires — whatever the order the
+        caller collects in."""
+        views = _views(renderer, 4)
+        refs = [render_fast(renderer, v) for v in views]
+        with repro.open_pool(renderer, n_procs=2, backend=backend) as pool:
+            handles = [pool.submit(v) for v in views]
+            assert handles == [0, 1, 2, 3]
+            got = {h: pool.result(h) for h in reversed(handles)}
+        _assert_identical([got[h] for h in handles], refs)
+
+    @pytest.mark.parametrize("how", ["submit", "batch_of_one", "killed"])
+    def test_deep_perframe_submission_never_wedges_on_a_full_job_pipe(
+            self, renderer, monkeypatch, how):
+        """Far more one-frame messages than a worker's job pipe holds
+        (40 at 64^3), submitted with nothing collected.  The parent
+        writes a pipe with the pool condition held and a gated worker
+        reads nothing until a release that needs that condition, so
+        what cannot start yet has to wait in the parent — also when
+        worker 0 is SIGKILLed on frame 1 with 198 frames behind it,
+        where a blocked write would keep the supervisor from ever
+        seeing the death."""
+        if how == "killed":
+            monkeypatch.setattr(poolcore, "TEST_FAULT",
+                                (0, 1, "kill", "composite"))
+        views = [renderer.view_from_angles(20, 30 + 0.4 * i, 0)
+                 for i in range(200)]
+        done, counters = [], {}
+
+        def run():
+            cfg = PoolConfig(n_procs=2, degrade_to_serial=False)
+            with MPRenderPool(renderer, cfg) as pool:
+                if how == "batch_of_one":
+                    handles = [pool.submit_batch([v])[0] for v in views]
+                else:
+                    handles = [pool.submit(v) for v in views]
+                done.extend(pool.result(h) for h in handles)
+                counters.update(pool.fault_counters())
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=120.0)
+        assert not worker.is_alive()
+        assert len(done) == len(views)
+        _assert_identical(done[-2:], [render_fast(renderer, v) for v in views[-2:]])
+        if how == "killed":
+            assert counters["worker_restarts"] == 2
+            # Only what the workers had been sent was lost and retried:
+            # frame 1 and — frame 2 goes out when frame 0 retires —
+            # whichever of those two was with them; the 197 held frames
+            # lost nothing.
+            assert counters["frames_retried"] == 2
+            assert done[1].retries == 1
+            assert not any(r.retries for r in done[3:])
+        else:
+            assert counters["worker_restarts"] == 0
 
 
 class TestMidBatchFaults:

@@ -17,8 +17,13 @@ import pytest
 import repro
 import repro.parallel.poolcore as poolcore
 from repro.datasets import mri_brain
-from repro.parallel.mp_backend import MPRenderPool
+from repro.parallel.mp_backend import (
+    ERR_SLOT_BYTES,
+    ERR_TRUNCATED,
+    MPRenderPool,
+)
 from repro.parallel.poolcore import (
+    FrameFailed,
     FrameTimeout,
     PoolClosed,
     PoolConfig,
@@ -153,7 +158,93 @@ class TestFaultInjection:
         )
 
 
+def _warp_raising(monkeypatch, on_call=None, message="injected warp failure"):
+    """Patch the warp so worker 1 raises — on its ``on_call``-th call
+    only (each worker warps once per frame attempt, so call ``k + 1`` is
+    frame ``k``), or on every call.  The patch reaches process workers
+    through fork, each with its own call count; a ``TEST_FAULT`` raise
+    would re-trip on the retry, which runs on the same generation."""
+    real = poolcore.warp_rows
+    calls = {"n": 0}
+
+    def flaky(*args, pid, **kwargs):
+        if pid == 1:
+            calls["n"] += 1
+            if on_call is None or calls["n"] == on_call:
+                raise RuntimeError(message)
+        return real(*args, pid=pid, **kwargs)
+
+    monkeypatch.setattr(poolcore, "warp_rows", flaky)
+
+
+class TestRetryRule:
+    """What a worker exception costs is decided from the ledger at the
+    moment of failure: re-dispatch, unless the workers already hold a
+    later frame assigned the failed frame's buffer."""
+
+    def test_frames_held_in_the_parent_do_not_escalate(self, renderer,
+                                                       monkeypatch):
+        """Four pipelined ``submit``s, the first raises once: frames 2
+        and 3 wait in the parent, not with the workers, so the retry
+        goes out ahead of them and nobody is restarted."""
+        views = _views(renderer, 4)
+        _warp_raising(monkeypatch, on_call=1)
+        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+                             degrade_to_serial=False) as pool:
+            handles = [pool.submit(v) for v in views]
+            results = [pool.result(h) for h in handles]
+            counters = pool.fault_counters()
+        _assert_bit_identical(renderer, views, results)
+        assert counters == {
+            "worker_restarts": 0, "frames_retried": 1, "degraded_frames": 0,
+        }
+        assert [r.retries for r in results] == [1, 0, 0, 0]
+
+    @pytest.mark.parametrize("how", ["submit", "batch_of_one", "last_of_four"])
+    def test_nothing_behind_it_in_its_buffer_is_a_plain_redispatch(
+            self, renderer, monkeypatch, how):
+        views = _views(renderer, 4 if how == "last_of_four" else 1)
+        _warp_raising(monkeypatch, on_call=len(views))
+        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+                             degrade_to_serial=False) as pool:
+            if how == "submit":
+                handles = [pool.submit(views[0])]
+            else:
+                handles = pool.submit_batch(views)
+            results = [pool.result(h) for h in handles]
+            counters = pool.fault_counters()
+        _assert_bit_identical(renderer, views, results)
+        assert counters == {
+            "worker_restarts": 0, "frames_retried": 1, "degraded_frames": 0,
+        }
+        assert [r.retries for r in results] == [0] * (len(views) - 1) + [1]
+
+
 class TestTypedErrors:
+    @pytest.mark.parametrize("backend", ["mp", "thread"])
+    def test_long_worker_error_is_cut_to_its_slot(self, renderer, monkeypatch,
+                                                  backend):
+        """A process worker's exception text travels in a fixed-size
+        slot: type name and head of the message survive, the cut falls
+        on a character boundary and is marked.  A thread hands the
+        string over whole."""
+        message = "\u00e9" * 1000  # two bytes each; the cut lands mid-character
+        _warp_raising(monkeypatch, message=message)
+        with repro.open_pool(renderer, n_procs=2, backend=backend,
+                             max_retries=0, degrade_to_serial=False) as pool:
+            frame = pool.submit(renderer.view_from_angles(20, 30, 0))
+            with pytest.raises(FrameFailed) as failed:
+                pool.result(frame)
+        text = str(failed.value)
+        head = "worker 1: RuntimeError: " + "\u00e9" * 100
+        assert text.startswith(head)
+        if backend == "thread":
+            assert text == "worker 1: RuntimeError: " + message
+        else:
+            assert text.endswith(ERR_TRUNCATED)
+            slot = text.removeprefix("worker 1: ").encode("utf-8")
+            assert ERR_SLOT_BYTES - 1 <= len(slot) <= ERR_SLOT_BYTES
+
     def test_worker_death_raises_typed_error(self, renderer, monkeypatch):
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
         with repro.open_pool(renderer, n_procs=2, profile_period=0,

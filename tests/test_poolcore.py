@@ -14,6 +14,8 @@ import time
 import numpy as np
 import pytest
 
+import repro
+import repro.parallel.poolcore as poolcore
 from repro.datasets import mri_brain
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.poolcore import (
@@ -81,9 +83,9 @@ class FakePool(PoolCore):
         with self._cond:
             rec = self._inflight[frame]
             b = rec["boundaries"]
-            outcome = (fail, None, 0.0, 0.0, 0, 0) if fail else run_frame(
+            outcome = (fail, 0.0, 0.0, 0, 0) if fail else run_frame(
                 self.ctx, frame, rec["fact"], (int(b[0]), int(b[1])),
-                rec["owner"], rec["rows_by_pid"][0], rec["profiled"],
+                rec["owner"], rec["rows_by_pid"][0], rec["costs"],
                 rec.get("timestep"), rec["img"], rec["final"], None,
             )
             self._worker_done_locked(frame, 0, *outcome)
@@ -231,6 +233,170 @@ class TestLedger:
             assert {"decode", "composite", "barrier", "warp"} <= phases
         assert "dispatch" in {s.phase for s in results[0].timeline.spans}
         assert len(pool.timelines) == 2
+
+
+class TwoSlotPool(FakePool):
+    """A :class:`FakePool` with the process transport's admission rule:
+    frame ``f`` can start once frame ``f - 2`` has left the pool."""
+
+    def _can_start_locked(self, frame):
+        return frame - 2 not in self._inflight
+
+    def _take_images_locked(self, frame, rec):
+        self._feed_locked()
+        return super()._take_images_locked(frame, rec)
+
+    def _release_locked(self, frame, rec):
+        super()._release_locked(frame, rec)
+        self._feed_locked()
+
+
+class TestHeldMessages:
+    """Admission never waits: a message whose first frame cannot start
+    is held in the parent and partitioned when it is sent — so a loop of
+    ``submit`` calls pipelines *and* closes the feedback loop."""
+
+    @staticmethod
+    def _pool(renderer, **overrides):
+        return TwoSlotPool(renderer, PoolConfig(n_procs=1, **overrides))
+
+    def test_held_frame_is_partitioned_from_what_was_measured_meanwhile(
+            self, renderer):
+        views = _views(renderer, 4)
+        with self._pool(renderer, profile_period=5) as pool:
+            frames = [pool.submit(v) for v in views]
+            assert frames == [0, 1, 2, 3] and pool.sent == [0, 1]
+            assert list(pool._held) == [[2], [3]]
+            # Admitted (a record, a frame id) but not partitioned yet.
+            assert "boundaries" not in pool._inflight[2]
+            assert pool._planner.profile is None
+            pool.work()  # frame 0 retires: its profile is installed ...
+            assert pool.sent == [1, 2] and list(pool._held) == [[3]]
+            measured = pool._planner.profile
+            assert measured is not None  # ... before frame 2 was cut
+            pool.work()
+            pool.work()
+            pool.work()
+            results = [pool.result(f) for f in frames]
+            assert not pool._held
+            assert pool._planner.profile is measured  # nothing re-profiled
+        assert [r.profiled for r in results] == [True, False, False, False]
+        for view, res in zip(views, results):
+            _assert_identical(res, render_fast(renderer, view))
+
+    def test_second_batch_waits_whole_behind_the_first(self, renderer):
+        views = _views(renderer, 3)
+        with self._pool(renderer, profile_period=0) as pool:
+            first = pool.submit_batch(views)
+            second = pool.submit_batch(views[:2])
+            assert pool.sent == first and list(pool._held) == [second]
+            pool.work()
+            assert pool.sent == [1, 2]  # frame 3 still waits for frame 1
+            pool.work()
+            assert pool.sent == [2, 3, 4]  # ... and takes frame 4 along
+            for _ in range(3):
+                pool.work()
+            results = [pool.result(f) for f in first + second]
+        for view, res in zip(views + views[:2], results):
+            _assert_identical(res, render_fast(renderer, view))
+
+    def test_retry_goes_ahead_of_what_is_held(self, renderer):
+        views = _views(renderer, 4)
+        with self._pool(renderer, max_retries=1, profile_period=0) as pool:
+            frames = [pool.submit(v) for v in views]
+            pool.work(fail="Boom: injected")
+            # Frame 0 is still in flight, so frame 2 stays held behind
+            # its retry; the held frames have used none of their retries.
+            assert pool.sent == [1, 0] and list(pool._held) == [[2], [3]]
+            assert pool.fault_counters()["frames_retried"] == 1
+            pool.work()  # frame 1: frame 3 is not sent past frame 2
+            assert pool.sent == [0] and list(pool._held) == [[2], [3]]
+            pool.work()
+            assert pool.sent == [2, 3]
+            pool.work()
+            pool.work()
+            results = [pool.result(f) for f in frames]
+        assert [r.retries for r in results] == [1, 0, 0, 0]
+        for view, res in zip(views, results):
+            _assert_identical(res, render_fast(renderer, view))
+
+    def test_refused_view_leaves_no_planner_state(self, renderer):
+        """Admission reads nothing of the feedback loop: a batch refused
+        for one view does not advance the schedule for its mates."""
+        good = _views(renderer, 1)[0]
+        bad = good.copy()
+        bad[:3, :3] *= 3.0  # upscales the image beyond capacity
+        with self._pool(renderer, profile_period=5) as pool:
+            pool.inter_cap, pool.final_cap = poolcore.capacity_shapes(
+                renderer.shape)
+            with pytest.raises(RuntimeError, match="capacity"):
+                pool.submit_batch([good, bad])
+            assert pool._planner.schedule.frame == 0 and not pool._inflight
+            assert pool.submit(good) == 0
+
+
+class TestCostRow:
+    """A profiled frame's costs, written in place by the workers
+    (``run_frame``) into the frame's one cost row: the calibration the
+    partition is balanced on, on every transport."""
+
+    @staticmethod
+    def _open(renderer, transport):
+        if transport == "fake":
+            return _pool(renderer, profile_period=1)
+        return repro.open_pool(renderer, n_procs=2, backend=transport,
+                               profile_period=1)
+
+    @staticmethod
+    def _render(pool, view):
+        if isinstance(pool, FakePool):
+            frame = pool.submit(view)
+            pool.work()
+            return pool.result(frame)
+        return pool.render(view)
+
+    @pytest.mark.parametrize("transport", ["mp", "thread", "fake"])
+    def test_calibrated_costs_cover_the_band_and_outlive_the_buffer(
+            self, renderer, transport, monkeypatch):
+        # A 2-row grain and a slowed worker 0: worker 1 turns thief, so
+        # rows are costed by a worker whose static block they are not in.
+        monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 2)
+        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.004))
+        views = _views(renderer)
+        pool = self._open(renderer, transport)
+        try:
+            results = [self._render(pool, views[0])]
+            first = results[0]
+            installed = pool._planner.profile
+            # Private copies, not views of the buffer's shared row —
+            # which is unmapped by the time they are read again below.
+            assert first.costs.flags.owndata and installed.costs.flags.owndata
+            kept = first.costs.copy(), installed.costs.copy()
+            # Two more profiled frames: on the process pool the second
+            # of them renders in the buffer ``first`` was measured in.
+            results += [self._render(pool, v) for v in views[1:]]
+            assert np.array_equal(first.costs, kept[0])
+            assert np.array_equal(installed.costs, kept[1])
+        finally:
+            pool.close()
+        if transport != "fake":
+            assert any(res.steals for res in results)
+        summed = 0
+        for res in results:
+            v_lo, v_hi = int(res.boundaries[0]), int(res.boundaries[-1])
+            assert res.profiled and res.costs_v_lo == v_lo
+            assert res.costs.shape == (v_hi - v_lo,)
+            assert np.isfinite(res.costs).all() and (res.costs >= 0).all()
+            if res.steal_rows < np.diff(res.boundaries).min():
+                # Nobody lost a whole block, so every worker composited:
+                # its chunks are scaled to its compositing CPU time, and
+                # its warp share adds its warp CPU time.
+                assert np.isclose(res.costs.sum(), res.busy_s.sum())
+                summed += 1
+        assert summed
+        assert installed.v_lo == first.costs_v_lo
+        assert np.array_equal(first.costs, kept[0])
+        assert np.array_equal(installed.costs, kept[1])
 
 
 class TestProfileRequests:

@@ -10,6 +10,7 @@ backpressure are asserted, not raced.
 """
 
 import asyncio
+import socket
 import threading
 
 import numpy as np
@@ -34,6 +35,8 @@ from repro.serve.protocol import (
     decode_plane,
     encode_plane,
     pack_message,
+    read_message,
+    read_message_sync,
     unpack_messages,
 )
 
@@ -89,6 +92,33 @@ class TestProtocol:
         header = (MAX_MESSAGE_BYTES + 1).to_bytes(4, "big")
         with pytest.raises(ProtocolError):
             unpack_messages(bytearray(header))
+
+    @pytest.mark.parametrize("sent", [0, 1, 2, 3])
+    def test_truncated_length_prefix_is_not_a_clean_eof(self, sent):
+        """A stream that ends between messages is EOF (``None``); one
+        that ends inside the 4-byte length prefix is a protocol error —
+        in the blocking and the asyncio reader alike."""
+        head = pack_message({"op": "ping"})[:sent]
+
+        def sync_read():
+            ours, theirs = socket.socketpair()
+            with ours, theirs:
+                theirs.sendall(head)
+                theirs.shutdown(socket.SHUT_WR)
+                return read_message_sync(ours)
+
+        async def async_read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(head)
+            reader.feed_eof()
+            return await read_message(reader)
+
+        for read in (sync_read, lambda: run(async_read())):
+            if sent == 0:
+                assert read() is None
+            else:
+                with pytest.raises(ProtocolError, match="mid-message"):
+                    read()
 
     def test_plane_roundtrip_is_exact_and_readonly(self):
         plane = np.random.default_rng(0).random((7, 5)).astype(np.float32)
@@ -350,13 +380,21 @@ class TestServer:
                                            "classification": "nope"})
                 ping = await c.request({"op": "ping"})  # conn still alive
                 await c.close()
-                return bad_op, bad_cls, ping
+                # Two bytes of a length prefix, then a half-close: the
+                # server says what was wrong before it hangs up.
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(pack_message({"op": "ping"})[:2])
+                writer.write_eof()
+                cut = await read_message(reader)
+                writer.close()
+                return bad_op, bad_cls, ping, cut
 
-        bad_op, bad_cls, ping = run(body())
+        bad_op, bad_cls, ping, cut = run(body())
         assert bad_op["status"] == "error"
         assert bad_cls["status"] == "error"
         assert bad_cls["error"] == "ValueError"
         assert ping["status"] == "ok"
+        assert cut["status"] == "error" and cut["error"] == "ProtocolError"
 
     def test_shutdown_op_can_be_disabled(self):
         server = RenderServer(thread_config(allow_shutdown=False))

@@ -261,6 +261,40 @@ class TestShardFaultIsolation:
         assert all(c["worker_restarts"] >= 1 for c in per_shard)
 
 
+class TestFailedFrame:
+    """A frame one shard cannot render fails alone, and stays failed."""
+
+    @pytest.mark.parametrize("backend", ["mp", "thread"])
+    def test_result_reraises_the_same_error_and_strands_nothing(
+            self, renderer, monkeypatch, backend):
+        from repro.parallel.poolcore import FrameFailed
+        from repro.render.compositing import nonempty_scanline_bounds
+
+        real = poolcore.composite_range
+
+        def flaky(img, lo, hi, rle, fact, kernel, profiled, rec, frame):
+            # Frame 1's lowest non-empty scanline is shard 0's: only
+            # that pool fails; its sibling renders its half of frame 1.
+            if frame == 1 and lo == nonempty_scanline_bounds(rle, fact)[0]:
+                raise RuntimeError("injected composite failure")
+            return real(img, lo, hi, rle, fact, kernel, profiled, rec, frame)
+
+        monkeypatch.setattr(poolcore, "composite_range", flaky)
+        views = _views(renderer, 3)
+        with repro.open_pool(renderer, n_procs=2, shards=2, backend=backend,
+                             max_retries=0, degrade_to_serial=False) as svc:
+            ids = svc.submit_batch(views)
+            with pytest.raises(FrameFailed, match="injected") as first:
+                svc.result(ids[1])
+            with pytest.raises(FrameFailed) as again:
+                svc.result(ids[1])
+            assert again.value is first.value
+            good = [svc.result(ids[0]), svc.result(ids[2])]
+            for pool in svc._pools:
+                assert not pool._inflight and not pool._results
+        _assert_bit_identical(renderer, [views[0], views[2]], good)
+
+
 class TestTrace:
     def test_shard_trace_exports_and_validates(self, renderer, tmp_path):
         views = _views(renderer, 2)
