@@ -89,8 +89,9 @@ def _run_render(args: argparse.Namespace) -> int:
     view = renderer.view_from_angles(args.rx, args.ry, args.rz)
     fault_counters = None
     t0 = time.perf_counter()
-    if frames > 1 or cfg.shards > 1:
-        # Animation through a persistent pool: this is the path where
+    if frames > 1 or cfg.shards > 1 or args.procs > 1:
+        # Every pooled render, a single frame included, is an animation
+        # through a persistent pool: this is the path where
         # --profile-period matters (profiles measured on one frame
         # balance the partitions of the following frames).  The whole
         # animation goes out as one batch per worker; --backend picks
@@ -118,22 +119,9 @@ def _run_render(args: argparse.Namespace) -> int:
                if cfg.stealing and args.procs > 1 else "no stealing")
         fleet = (f"{cfg.shards} shards x {args.procs} procs"
                  if cfg.shards > 1 else f"{args.procs} procs")
-        how = (f"{frames} frames, {fleet}, "
+        how = (f"{frames} frame{'s' * (frames > 1)}, {fleet}, "
                f"{args.backend} backend, {args.kernel} kernel, "
                f"batched, {split}, {dyn}")
-    elif args.procs > 1:
-        from . import render_frame
-        from .obs import export_chrome_trace
-
-        result = render_frame(renderer, view, config=cfg)
-        if tracing:
-            export_chrome_trace(
-                args.trace_out,
-                [result.timeline] if result.timeline is not None else [],
-                metadata={"dataset": args.dataset, "scale": args.scale,
-                          "n_procs": args.procs, "kernel": args.kernel},
-            )
-        how = f"{args.procs} procs, {args.backend} backend, {args.kernel} kernel"
     else:
         recorder = None
         if tracing:

@@ -1193,9 +1193,10 @@ class PoolCore:
                 self._raise_if_dead()
                 self._cond.wait(timeout=0.2)
 
-    def render(self, view: np.ndarray) -> MPRenderResult:
+    def render(self, view: np.ndarray,
+               timestep: int | None = None) -> MPRenderResult:
         """Render one frame synchronously."""
-        return self.result(self.submit(view))
+        return self.result(self.submit(view, timestep=timestep))
 
     def render_animation(self, views) -> list[MPRenderResult]:
         """Render a sequence of views (or

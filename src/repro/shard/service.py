@@ -11,24 +11,22 @@ Every pool renders the *same* frame restricted to a
 and its warp-ownership mask — so the union of the pools' disjoint
 pixel sets is bit-identical to a single-pool render of the whole frame.
 
-The service also runs the paper's section 4.2-4.3 feedback loop one
-level up (:class:`ShardPlanner`): on profiled frames every pool ships
-its calibrated per-scanline costs back, the service stitches them into
-one cross-shard profile, and the *shard boundaries themselves* are
-re-balanced with the same :func:`contiguous_partition` construction the
-pools use for scanlines — with the same (axis, perm) invalidation rule
-when a principal-axis switch makes the old profile meaningless.
+The service has no frame state machine of its own: ``submit_batch``
+dispatches every frame to every pool, so a frame in flight lives in the
+pools' ledgers (:class:`~repro.parallel.poolcore.PoolCore` — admission,
+batching, pipelining, retry, degrade, idempotent failure) and
+``result`` only gathers and merges.
 
-Chaos knob: ``REPRO_SHARD_ROW_DELAY="shard:pid:sec[,shard:pid:sec]"``
-slows one worker of one *shard* (process pools only — the delay is
-baked into the pool's fork snapshot at construction), letting tests
-create cross-shard imbalance that the shard-level feedback loop must
-then converge away.
+It also runs the paper's section 4.2-4.3 feedback loop one level up
+(:class:`ShardPlanner`): a profiled frame's per-scanline costs are
+stitched into one cross-shard profile that re-balances the *shard
+boundaries themselves*, with the pools' construction, (axis, perm)
+invalidation rule and cadence — a batch is cut from the profile valid
+when it was submitted; what it measures balances the next message.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import replace
 
@@ -36,17 +34,18 @@ import numpy as np
 
 from ..core.partition import line_ownership
 from ..core.profiling import ScanlineProfile
-from ..obs.metrics import MetricsRegistry, busy_spread
+from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import RingReader, SpanRecorder
 from ..obs.timeline import FrameTimeline
 from ..obs.timeline import export_chrome_trace as _export_chrome_trace
 from ..parallel import poolcore
-from ..parallel.backend import BackendCapabilities, as_frame_specs
+from ..parallel.backend import BackendCapabilities, FrameSpec, as_frame_specs
 from ..parallel.mp_backend import MPRenderPool
 from ..parallel.poolcore import (
     FrameRegion,
     MPPoolError,
     MPRenderResult,
+    PoolClosed,
     PoolConfig,
     capacity_shapes,
     profile_partition,
@@ -58,17 +57,11 @@ from .merge import ShardFramebuffer, TileOwnershipMap, merge_framebuffers
 
 __all__ = ["ShardPlanner", "ShardedRenderService"]
 
-
-def _shard_delays_from_env() -> dict[int, tuple[int, float]]:
-    """Parse ``REPRO_SHARD_ROW_DELAY`` (``"shard:pid:sec_per_row,..."``)."""
-    spec = os.environ.get("REPRO_SHARD_ROW_DELAY")
-    if not spec:
-        return {}
-    out: dict[int, tuple[int, float]] = {}
-    for part in spec.split(","):
-        shard_s, pid_s, sec_s = part.split(":")
-        out[int(shard_s)] = (int(pid_s), float(sec_s))
-    return out
+#: Test hook, ``poolcore.TEST_ROW_DELAY`` one level up: ``{shard:
+#: (worker, seconds_per_row)}`` slows one worker of that shard's (mp)
+#: pool, so a test can create the cross-shard imbalance the feedback
+#: loop must converge away.  Read when a service is constructed.
+TEST_SHARD_ROW_DELAY: dict[int, tuple[int, float]] = {}
 
 
 class ShardPlanner:
@@ -90,11 +83,9 @@ class ShardPlanner:
         self.metrics = metrics
         self.profile: ScanlineProfile | None = None
         self.profile_key: tuple[int, tuple[int, int, int]] | None = None
-        self._last_bounds: np.ndarray | None = None
-        self._last_key: tuple[int, tuple[int, int, int]] | None = None
 
     def plan(self, view: np.ndarray, timestep: int | None = None) -> dict:
-        """Shard boundaries, per-shard regions, and the pixel-owner map.
+        """Shard boundaries, the line-owner map and per-shard regions.
 
         ``timestep`` selects a time-varying renderer's encoding; like
         the pool-level planner, the shard profile's validity key stays
@@ -108,23 +99,11 @@ class ShardPlanner:
         key = (fact.axis, fact.perm)
         if self.profile is not None and self.profile_key != key:
             # Axis switch: the profile is in the old intermediate-image
-            # coordinates and predicts nothing — fall back to a uniform
-            # re-shard, exactly like the pool-level invalidation.
+            # coordinates — re-shard uniformly, like the pools' own rule.
             self.profile = None
             self.metrics.counter("shard/reshard_invalidations").inc()
         bounds = profile_partition(self.profile, self.n_shards, v_lo, v_hi)
-        if (
-            self._last_bounds is not None
-            and self._last_key == key
-            and len(self._last_bounds) == len(bounds)
-        ):
-            self.metrics.histogram("shard/boundary_drift").observe(
-                float(np.abs(bounds - self._last_bounds).mean())
-            )
-        self._last_bounds, self._last_key = bounds, key
         shard_owner = line_ownership(bounds, n_v)
-        in_band = np.zeros(n_v, dtype=bool)
-        in_band[v_lo:v_hi] = True
         regions = []
         for s in range(self.n_shards):
             owned = shard_owner == s
@@ -133,7 +112,7 @@ class ShardPlanner:
             # v0 + 1 even when the next shard owns it.
             need = owned.copy()
             need[1:] |= owned[:-1]
-            need &= in_band
+            need[:v_lo] = need[v_hi:] = False
             idx = np.flatnonzero(need)
             if len(idx):
                 comp_lo, comp_hi = int(idx[0]), int(idx[-1]) + 1
@@ -147,7 +126,6 @@ class ShardPlanner:
             "bounds": bounds,
             "shard_owner": shard_owner,
             "regions": regions,
-            "tile_map": TileOwnershipMap(fact, shard_owner),
             "key": key,
         }
 
@@ -161,12 +139,13 @@ class ShardPlanner:
 class ShardedRenderService:
     """N pools, one frame: scatter shard regions, gather, merge.
 
-    Duck-types the pool API (``render`` / ``render_animation`` /
-    ``close`` / ``metrics`` / ``fault_counters`` /
-    ``export_chrome_trace``), so the facade, the CLI and the render
-    server drive a shard fleet exactly as they drive one pool — and it
-    is constructed like one, ``ShardedRenderService(renderer, config)``:
-    ``config.shards`` pools, each a clone of ``config`` with
+    Has the pool API and behaves like a pool at that seam —
+    :meth:`submit_batch` has dispatched every frame when it returns,
+    the pools render them in the background, pipelined frame to frame,
+    and :meth:`result` gathers in any order — so the facade, the CLI,
+    the movie pipeline and the render server drive a fleet exactly as
+    they drive one pool.  It is constructed like one, ``(renderer,
+    config)``: ``config.shards`` pools, each a clone of ``config`` with
     ``shards=1``.
 
     Fault isolation falls out of the pool supervision: a worker death
@@ -188,12 +167,10 @@ class ShardedRenderService:
         self.metrics = MetricsRegistry()
         self.metrics.gauge("shard/shards").set(self.n_shards)
         self._planner = ShardPlanner(renderer, self.n_shards, self.metrics)
-        self._frame = 0
-        # RenderBackend submit/result bookkeeping: queued specs render
-        # lazily, in id order, when result() first needs them.
-        self._next_submit = 0
-        self._queued: dict[int, tuple[np.ndarray, int | None]] = {}
-        self._ready: dict[int, MPRenderResult] = {}
+        self._next_frame = 0
+        # Dispatched, not yet gathered: fleet frame id -> (its shard
+        # plan, its handle in each pool).
+        self._frames: dict[int, tuple[dict, tuple[int, ...]]] = {}
         # Frames that failed for good, kept per id like the pools'
         # ledgers keep theirs: every result() re-raises the same error.
         self._failed: dict[int, MPPoolError] = {}
@@ -203,53 +180,41 @@ class ShardedRenderService:
         # pool span onto the service timebase can never go negative.
         self.trace_epoch = time.perf_counter()
         self.timelines: list[FrameTimeline] = []
-        self._rec: SpanRecorder | None = None
-        self._merge_reader: RingReader | None = None
-
-        delays = _shard_delays_from_env()
         _, final_cap = capacity_shapes(renderer.shape)
+        backing = "shm" if config.backend == "mp" else "array"
         # A shard's pool is always a plain single-band pool.
         pcfg = config.replace(shards=1)
         try:
             for s in range(self.n_shards):
-                self._pools.append(self._open_pool(pcfg, delays.get(s)))
-                self._fbs.append(
-                    ShardFramebuffer(
-                        final_cap,
-                        backing="shm" if pcfg.backend == "mp" else "array",
-                    )
+                self._pools.append(
+                    self._open_pool(pcfg, TEST_SHARD_ROW_DELAY.get(s))
                 )
+                self._fbs.append(ShardFramebuffer(final_cap, backing=backing))
         except BaseException:
             self.close()
             raise
+        self.n_procs = self.n_shards * pcfg.n_procs
         # Global trace track layout: shard s's workers + supervisor live
-        # at [offset(s), offset(s) + n_procs], the merge track after all.
-        self._pid_offset = []
-        off = 0
-        for pool in self._pools:
-            self._pid_offset.append(off)
-            off += pool.n_procs + 1
-        self.n_procs = sum(p.n_procs for p in self._pools)
+        # at [s * stride, s * stride + n_procs], the merge track after all.
+        self._track_stride = pcfg.n_procs + 1
+        self._rec: SpanRecorder | None = None
         if self.trace:
             self._rec = SpanRecorder.in_memory(epoch=self.trace_epoch)
             self._merge_reader = RingReader(
-                self._rec.cursor, self._rec.records, pid=off
+                self._rec.cursor, self._rec.records,
+                pid=self.n_shards * self._track_stride,
             )
 
     def _open_pool(self, cfg: PoolConfig, delay: tuple[int, float] | None):
-        """Construct one shard's pool, optionally with an injected delay.
-
-        Workers snapshot ``poolcore.TEST_ROW_DELAY`` when their pool is
-        constructed, so setting it only around construction scopes the
-        delay to this one shard.  The delay is a CPU burn, which on a
-        thread would hold the GIL and slow every sibling shard too, so
-        the per-shard delay is mp-only.
-        """
+        """Construct one shard's pool, optionally with an injected delay:
+        workers snapshot ``poolcore.TEST_ROW_DELAY`` when their pool is
+        constructed, so setting it only around construction scopes it to
+        this shard.  mp-only: the delay is a CPU burn, which on a thread
+        would hold the GIL and slow every shard."""
         kind = ThreadRenderPool if cfg.backend == "thread" else MPRenderPool
-        if delay is None or cfg.backend != "mp":
-            return kind(self.renderer, cfg)
         saved = poolcore.TEST_ROW_DELAY
-        poolcore.TEST_ROW_DELAY = delay
+        if delay is not None and cfg.backend == "mp":
+            poolcore.TEST_ROW_DELAY = delay
         try:
             return kind(self.renderer, cfg)
         finally:
@@ -265,99 +230,95 @@ class ShardedRenderService:
             shard=self.n_shards > 1,
         )
 
-    def render(self, view: np.ndarray,
-               timestep: int | None = None) -> MPRenderResult:
-        """Render one frame across all shards and merge it."""
-        return self._render_one(np.asarray(view, dtype=np.float64),
-                                timestep=timestep)
+    def submit_batch(self, frame_specs) -> list[int]:
+        """Dispatch a batch of views / FrameSpecs; returns their frame
+        ids.  The one way a frame enters the fleet.
 
-    def submit(self, view: np.ndarray, region=None,
-               timestep: int | None = None) -> int:
-        """Queue one frame; returns its frame id (RenderBackend form).
-
-        The service assigns each pool its own shard region, so a
-        caller-supplied ``region`` is rejected.  Queued frames render
-        *lazily and in id order* when :meth:`result` first needs them:
-        the per-frame gather is what lets the service stitch a
-        cross-shard profile and re-shard before the next frame, so
-        out-of-order rendering would change the feedback sequence (and
-        only that — pixels are partition-independent either way).
+        Every spec's shard regions are cut from the shard profile valid
+        now (a loop of :meth:`render` re-shards frame to frame, a batch
+        does not), then each pool gets the whole batch as *one*
+        ``submit_batch`` and pipelines it with no fleet in the loop.
+        The service assigns the regions, so a spec carrying one is
+        rejected; whatever a pool refuses (a view over capacity, a
+        closed pool) raises from here and leaves no frame in a ledger.
         """
-        if region is not None:
+        specs = as_frame_specs(frame_specs)
+        if any(s.region is not None for s in specs):
             raise ValueError(
                 "ShardedRenderService assigns shard regions itself; "
                 "submit() does not accept a region"
             )
-        frame_id = self._next_submit
-        self._next_submit += 1
-        self._queued[frame_id] = (
-            np.asarray(view, dtype=np.float64), timestep
-        )
-        return frame_id
+        plans = [self._planner.plan(s.view, timestep=s.timestep) for s in specs]
+        handles: list[list[int]] = []
+        try:
+            for s, pool in enumerate(self._pools):
+                handles.append(pool.submit_batch([
+                    FrameSpec(spec.view, spec.timestep, plan["regions"][s])
+                    for spec, plan in zip(specs, plans)
+                ]))
+        except Exception:
+            # A later pool refused what earlier ones accepted: gather
+            # and drop those, or they sit in their ledgers for good.
+            self._gather(handles)
+            raise
+        ids = list(range(self._next_frame, self._next_frame + len(specs)))
+        self._next_frame += len(ids)
+        # zip(*handles): per frame, its handle in each pool.
+        self._frames.update(zip(ids, zip(plans, zip(*handles))))
+        return ids
 
-    def submit_batch(self, frame_specs) -> list[int]:
-        """Queue a batch of views / FrameSpecs; returns their frame ids."""
-        return [
-            self.submit(s.view, s.region, timestep=s.timestep)
-            for s in as_frame_specs(frame_specs)
-        ]
+    def submit(self, view: np.ndarray, region=None,
+               timestep: int | None = None) -> int:
+        """Dispatch one frame — a one-spec :meth:`submit_batch`."""
+        return self.submit_batch([FrameSpec(view, timestep, region)])[0]
+
+    def _gather(self, handles: list[list[int]]):
+        """Collect ``handles[s]`` from pool ``s`` — every one, also
+        behind a failed one: a result nobody asks for stays in its
+        ledger for good.  Returns the results and the first error."""
+        results, failure = [], None
+        for pool, issued in zip(self._pools, handles):
+            for h in issued:
+                try:
+                    results.append(pool.result(h))
+                except MPPoolError as exc:
+                    failure = failure or exc
+        return results, failure
 
     def result(self, frame_id: int) -> MPRenderResult:
-        """Render every queued frame up to ``frame_id`` (in id order)
-        and return ``frame_id``'s merged result — or raise its typed
-        error, the same object on every call, as the pools do."""
-        for fid in sorted(f for f in self._queued if f <= frame_id):
-            view, timestep = self._queued.pop(fid)
-            try:
-                self._ready[fid] = self._render_one(view, timestep=timestep)
-            except MPPoolError as exc:
-                self._failed[fid] = exc
+        """Gather ``frame_id``'s shards, in any order, and merge them —
+        or raise its typed error, the same object on every call."""
         if frame_id in self._failed:
             raise self._failed[frame_id]
-        if frame_id not in self._ready:
+        if frame_id not in self._frames:
             raise KeyError(f"unknown frame {frame_id}")
-        return self._ready.pop(frame_id)
-
-    def render_animation(self, views) -> list[MPRenderResult]:
-        """Render a view sequence in lockstep across the shard fleet.
-
-        Goes through the :class:`RenderBackend` submit/result pair;
-        frames still render one at a time (see :meth:`submit`) so the
-        shard-level feedback loop is preserved.
-        """
-        return [self.result(f) for f in self.submit_batch(views)]
-
-    def _render_one(self, view: np.ndarray,
-                    timestep: int | None = None) -> MPRenderResult:
-        frame = self._frame
-        self._frame += 1
-        splan = self._planner.plan(view, timestep=timestep)
-        # Scatter: every pool gets the same view, restricted to its
-        # shard's region; pools run their workers concurrently.
-        handles = [
-            pool.submit(view, region=splan["regions"][s], timestep=timestep)
-            for s, pool in enumerate(self._pools)
-        ]
-        # Collect every shard's handle, also behind a failed one: a
-        # result nobody asks for stays in its pool's ledger for good.
-        results, failure = [], None
-        for pool, h in zip(self._pools, handles):
-            try:
-                results.append(pool.result(h))
-            except MPPoolError as exc:
-                failure = failure or exc
+        if self._closed:  # the merge framebuffers are gone
+            raise PoolClosed(f"fleet closed before frame {frame_id} was gathered")
+        splan, handles = self._frames.pop(frame_id)
+        results, failure = self._gather([[h] for h in handles])
         if failure is not None:
+            self._failed[frame_id] = failure
             raise failure
         t0 = time.perf_counter()
-        merged = self._merge(frame, splan, results)
+        merged = self._merge(frame_id, splan, results)
         self.metrics.histogram("shard/merge_s").observe(time.perf_counter() - t0)
         self._stitch_profile(splan, results)
         if self.trace:
-            self._collect_timeline(frame, results)
+            self._collect_timeline(frame_id, results)
         spread = merged.busy_spread
         if spread is not None:
             self.metrics.histogram("shard/busy_spread").observe(spread)
         return merged
+
+    def render(self, view: np.ndarray,
+               timestep: int | None = None) -> MPRenderResult:
+        """Render one frame across all shards and merge it."""
+        return self.result(self.submit(view, timestep=timestep))
+
+    def render_animation(self, views) -> list[MPRenderResult]:
+        """Render a sequence of views (or FrameSpecs) as one batch,
+        returning the merged frames in order."""
+        return [self.result(f) for f in self.submit_batch(views)]
 
     def _merge(self, frame: int, splan: dict, results) -> MPRenderResult:
         """Gather: merge-tree the finals, row-gather the intermediates."""
@@ -372,12 +333,13 @@ class ShardedRenderService:
             rows = own == s
             inter.color[rows] = r.intermediate.color[rows]
             inter.opacity[rows] = r.intermediate.opacity[rows]
+        # Built here, not with the plan: a final-image-sized map per
+        # frame would otherwise sit in ``_frames`` for a whole batch.
+        tiles = TileOwnershipMap(fact, own)
         t0 = self._rec.now() if self._rec is not None else 0.0
         for s, r in enumerate(results):
             self._fbs[s].load(r.final)
-        final, merges = merge_framebuffers(
-            self._fbs, splan["tile_map"], fact.final_shape
-        )
+        final, merges = merge_framebuffers(self._fbs, tiles, fact.final_shape)
         if self._rec is not None:
             self._rec.span(frame, "merge", t0, self._rec.now())
         self.metrics.counter("shard/merges").inc(merges)
@@ -404,21 +366,15 @@ class ShardedRenderService:
     def _stitch_profile(self, splan: dict, results) -> None:
         """Assemble one cross-shard cost profile from a profiled frame.
 
-        Each pool profiled per-scanline *op counts* only for scanlines
-        inside its own composite band; stitching by shard ownership
-        covers the global band exactly once.  The stitched slice of each
-        shard is then calibrated into seconds by the shard's measured
-        busy time (``busy_s / op_total`` — the shard's observed
-        seconds-per-op rate).  Op counts alone are content-derived and
-        identical no matter which pool composites a row, so they can
-        never see *interference* — a shard slowed by a noisy neighbor,
-        or by the ``REPRO_SHARD_ROW_DELAY`` chaos knob.  The busy
-        calibration is what turns the profile into a prediction of
-        wall-clock cost per shard, letting the next re-shard shrink a
-        slow shard's band (section 4.2's measure-then-repartition loop,
-        applied across pools).  Requires *every* owning shard to have
-        profiled this frame — a degraded shard has no costs, so that
-        frame simply doesn't feed back.
+        Each pool's costs cover only its own composite band; stitching
+        by shard ownership covers the global band exactly once.  Each
+        shard's slice is scaled to the shard's measured busy time, so
+        the profile predicts *wall-clock* cost per shard — including
+        interference op counts cannot see (a noisy neighbour,
+        :data:`TEST_SHARD_ROW_DELAY`) — and the next re-shard shrinks a
+        slow shard's band.  Requires *every* owning shard to have
+        profiled the frame: a degraded shard has no costs, so that
+        frame does not feed back.
         """
         v_lo, v_hi = splan["v_lo"], splan["v_hi"]
         if v_hi <= v_lo:
@@ -435,11 +391,9 @@ class ShardedRenderService:
             rel = idx - r.costs_v_lo
             inside = (rel >= 0) & (rel < len(r.costs))
             vals = r.costs[rel[inside]].astype(np.float64)
-            ops = vals.sum()
-            if ops > 0 and r.busy_s is not None:
-                busy = float(np.asarray(r.busy_s).sum())
-                if busy > 0:
-                    vals = vals * (busy / ops)
+            ops, busy = vals.sum(), float(r.busy_s.sum())
+            if ops > 0 and busy > 0:
+                vals = vals * (busy / ops)
             full[idx[inside] - v_lo] = vals
         self._planner.install(v_lo, full, splan["key"])
 
@@ -449,35 +403,30 @@ class ShardedRenderService:
         """One service-level timeline: pool tracks re-tagged, merge track.
 
         Pool spans are rebased from the pool's epoch to the service's
-        (the offset is the pool's construction delay, a nonnegative
-        constant, so per-track ordering is preserved) and worker ids are
-        shifted onto the global track layout.
+        (a nonnegative constant, so per-track ordering is preserved) and
+        worker ids are shifted onto the global track layout.
         """
         tl = FrameTimeline(frame)
         for s, r in enumerate(results):
             if r.timeline is None:
                 continue
             shift = self._pools[s].trace_epoch - self.trace_epoch
-            off = self._pid_offset[s]
+            off = s * self._track_stride
             for sp in r.timeline.spans:
                 tl.spans.append(
                     replace(sp, pid=off + sp.pid, t0=sp.t0 + shift, t1=sp.t1 + shift)
                 )
             for c in r.timeline.counters:
                 tl.counters.append(replace(c, pid=off + c.pid))
-        if self._merge_reader is not None:
-            for rec in self._merge_reader.drain():
-                tl.add(rec)
+        for rec in self._merge_reader.drain():
+            tl.add(rec)
         tl.spans.sort(key=lambda sp: (sp.pid, sp.t0))
         self.timelines.append(tl)
 
     def fault_counters(self) -> dict[str, int]:
         """Recovery counters summed across the fleet (zeros when healthy)."""
-        total: dict[str, int] = {}
-        for pool in self._pools:
-            for k, v in pool.fault_counters().items():
-                total[k] = total.get(k, 0) + v
-        return total
+        per_shard = self.shard_fault_counters()
+        return {k: sum(c[k] for c in per_shard) for k in per_shard[0]}
 
     def shard_fault_counters(self) -> list[dict[str, int]]:
         """Per-shard recovery counters (fault-isolation observability)."""
@@ -511,17 +460,10 @@ class ShardedRenderService:
 
     def close(self) -> None:
         """Close every pool and release the shard framebuffers."""
-        if self._closed:
-            return
         self._closed = True
-        for pool in self._pools:
+        for owned in (*self._pools, *self._fbs):
             try:
-                pool.close()
-            except Exception:  # noqa: BLE001 - teardown must not raise
-                pass
-        for fb in self._fbs:
-            try:
-                fb.close()
+                owned.close()
             except Exception:  # noqa: BLE001 - teardown must not raise
                 pass
 

@@ -5,8 +5,9 @@ The pool stack is one core (:mod:`repro.parallel.poolcore`) plus two
 transports; these checks keep it that way: no module reaches into
 another module's underscore-private names, the transports do not import
 each other, the frame lifecycle is written exactly once, a process
-worker reports through shared memory only, admission never waits, and
-the pools are configured by one class with a counted number of fields.
+worker reports through shared memory only, admission never waits, a
+shard fleet queues no frames of its own, and the pools are configured
+by one class with a counted number of fields.
 """
 
 import ast
@@ -183,6 +184,32 @@ def test_one_way_in_one_way_out():
         if isinstance(n, ast.FunctionDef)
     }
     assert "_await_slot_locked" not in core_defs
+
+
+def test_a_fleet_frame_lives_in_its_pools_ledgers():
+    """The shard service keeps no frame queue of its own: a frame enters
+    the pools at ``submit_batch``, so ``result`` only gathers — it
+    issues no ``.submit`` / ``.submit_batch`` / ``.render`` call — and
+    the lazy store (``_queued`` / ``_ready``) is not assigned anywhere
+    in the module."""
+    tree = ast.parse((SRC / "shard" / "service.py").read_text())
+    (service,) = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.ClassDef) and n.name == "ShardedRenderService"
+    ]
+    (result,) = [
+        n for n in service.body
+        if isinstance(n, ast.FunctionDef) and n.name == "result"
+    ]
+    dispatching = {"submit", "submit_batch", "render", "render_animation"}
+    assert not [
+        c for c in _call_names(result) if c.rsplit(".", 1)[-1] in dispatching
+    ]
+    stored = {
+        n.attr for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+    }
+    assert not stored & {"_queued", "_ready"}
 
 
 def test_one_config_class_with_ten_fields():

@@ -87,6 +87,30 @@ class TestProtocolConformance:
             ref = renderer.render(view)
             assert np.array_equal(res.final.color, ref.final.color)
 
+    @pytest.mark.parametrize("overrides", POOL_SHAPES)
+    def test_submit_on_a_closed_backend_raises_from_submit(self, renderer,
+                                                           overrides):
+        """A closed backend refuses work at the submit call itself, not
+        later from ``result()``."""
+        pool = repro.open_pool(renderer, **overrides)
+        pool.close()
+        with pytest.raises(repro.PoolClosed):
+            pool.submit_batch(_views(renderer, 2))
+
+    @pytest.mark.parametrize("overrides", POOL_SHAPES)
+    def test_render_selects_a_timestep(self, overrides):
+        from repro.movie import beating_heart_renderer
+        from repro.render.fast import render_fast
+
+        heart = beating_heart_renderer(0.25, timesteps=3)
+        view = heart.view_from_angles(20, 30, 0)
+        with repro.open_pool(heart, **overrides) as pool:
+            for t in (2, 0):
+                res = pool.render(view, timestep=t)
+                ref = render_fast(heart, view, timestep=t)
+                assert np.array_equal(res.final.color, ref.final.color)
+                assert np.array_equal(res.final.alpha, ref.final.alpha)
+
     def test_as_frame_specs_passthrough(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
         spec = FrameSpec(view=view, timestep=2)

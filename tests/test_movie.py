@@ -262,6 +262,23 @@ class TestMoviePipeline:
         assert ov["wall_s"] > 0 and ov["encode_s"] > 0
         assert ov["overlapped_encode_s"] <= ov["encode_s"]
 
+    def test_png_sequence_through_a_fleet_survives_a_worker_kill(
+            self, renderer, tmp_path, monkeypatch):
+        """CI's retired movie smoke, as an assertion: worker 0 of every
+        shard's pool SIGKILLs itself on frame 1, the pools recover, and
+        every PNG is still the serial reference's bytes."""
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "kill", "composite"))
+        specs = _specs(renderer, 4)
+        with repro.open_pool(renderer, n_procs=2, shards=2,
+                             profile_period=0) as fleet:
+            MoviePipeline(fleet, str(tmp_path), fmt="png").run(specs)
+            counters = fleet.fault_counters()
+        assert counters["worker_restarts"] >= 2
+        assert counters["degraded_frames"] == 0
+        for i, ref in enumerate(_refs(renderer, specs)):
+            blob = (tmp_path / f"frame_{i:04d}.png").read_bytes()
+            assert blob == encode_png(to_gray8(np.asarray(ref.final.color)))
+
     def test_npz_sequence_is_lossless(self, renderer, tmp_path):
         specs = _specs(renderer, 2)
         with repro.open_pool(

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 import repro.parallel.poolcore as poolcore
+import repro.shard.service as shard_service
 from repro.datasets import mri_brain
 from repro.parallel.poolcore import PoolConfig
 from repro.render import ShearWarpRenderer
@@ -182,7 +183,8 @@ class TestReshardFeedback:
                                                   monkeypatch):
         """Injected interference on shard 0: op counts can't see it, the
         busy-calibrated profile can — the re-shard shrinks its band."""
-        monkeypatch.setenv("REPRO_SHARD_ROW_DELAY", "0:0:0.005")
+        monkeypatch.setattr(shard_service, "TEST_SHARD_ROW_DELAY",
+                            {0: (0, 0.005)})
         views = _views(renderer, 4)
         with ShardedRenderService(
             renderer,
@@ -202,14 +204,126 @@ class TestReshardFeedback:
 
     def test_bit_identical_under_injected_shard_delay(self, renderer,
                                                       monkeypatch):
-        """The chaos knob slows one shard; pixels must not change."""
-        monkeypatch.setenv("REPRO_SHARD_ROW_DELAY", "0:0:0.002")
+        """The test hook slows one shard; pixels must not change."""
+        monkeypatch.setattr(shard_service, "TEST_SHARD_ROW_DELAY",
+                            {0: (0, 0.002)})
         views = _views(renderer, 3)
         with ShardedRenderService(
             renderer, PoolConfig(n_procs=2, shards=2, profile_period=2)
         ) as svc:
             results = svc.render_animation(views)
         _assert_bit_identical(renderer, views, results)
+
+
+def _ledgers(svc):
+    """(frames in flight, finished results) of every shard pool's
+    ledger, each read atomically."""
+    out = []
+    for pool in svc._pools:
+        with pool._cond:
+            out.append((len(pool._inflight), len(pool._results)))
+    return out
+
+
+@pytest.mark.parametrize("backend", ["mp", "thread"])
+def test_submit_batch_dispatches(renderer, backend):
+    """``submit_batch`` hands every frame to every shard's pool before
+    it returns — one pool batch per fleet batch — and the pools finish
+    them with nobody calling ``result()``."""
+    views = _views(renderer, 4)
+    with repro.open_pool(renderer, n_procs=1, shards=2, backend=backend,
+                         profile_period=2) as svc:
+        ids = svc.submit_batch(views)
+        assert [a + b for a, b in _ledgers(svc)] == [len(views)] * 2
+        deadline = time.monotonic() + 60.0
+        while _ledgers(svc) != [(0, len(views))] * 2:
+            assert time.monotonic() < deadline, _ledgers(svc)
+            time.sleep(0.01)
+        assert svc.metrics.counter("shard/merges").value == 0
+        for pool in svc._pools:
+            assert pool.metrics.counter("pool/batch_frames").value == len(views)
+        results = [svc.result(f) for f in ids]
+        assert _ledgers(svc) == [(0, 0)] * 2
+    _assert_bit_identical(renderer, views, results)
+
+
+class TestDispatchSemantics:
+    """What a fleet inherits from the ledgers it sits on."""
+
+    def test_out_of_order_result_gathers_only_its_own_frame(self, renderer):
+        views = _views(renderer, 3)
+        with repro.open_pool(renderer, n_procs=1, shards=2,
+                             profile_period=0) as svc:
+            ids = svc.submit_batch(views)
+            last = svc.result(ids[2])
+            # One frame merged; the earlier ids are still the pools'.
+            assert svc.metrics.counter("shard/merges").value == 1
+            assert set(svc._frames) == {ids[0], ids[1]}
+            results = [svc.result(ids[0]), svc.result(ids[1]), last]
+            with pytest.raises(KeyError):
+                svc.result(ids[2])  # consumed
+        _assert_bit_identical(renderer, views, results)
+
+    def test_a_batch_is_cut_from_the_profile_valid_at_submit(
+            self, renderer, monkeypatch):
+        """The pools' cadence one level up: every frame of a batch
+        carries the boundaries of the profile valid when it went out;
+        what the batch measured moves the *next* batch's (a loop of
+        ``render()`` moves them frame to frame — see
+        ``test_busy_feedback_shrinks_a_slowed_shard``)."""
+        monkeypatch.setattr(shard_service, "TEST_SHARD_ROW_DELAY",
+                            {0: (0, 0.005)})
+        views = [renderer.view_from_angles(20, 30, 0)] * 3
+        with ShardedRenderService(
+            renderer,
+            PoolConfig(n_procs=2, shards=2, stealing=False, profile_period=1),
+        ) as svc:
+            first = svc.render_animation(views)
+            second = svc.render_animation(views)
+        for batch in (first, second):
+            assert all(np.array_equal(r.boundaries, batch[0].boundaries)
+                       for r in batch)
+        # Shard 0 is slowed: the first batch's profile shrinks its band.
+        assert second[0].boundaries[1] < first[0].boundaries[1]
+        _assert_bit_identical(renderer, views, first + second)
+
+    def test_a_refused_batch_strands_nothing(self, renderer):
+        """A spec the fleet or a pool refuses part-way through a batch
+        leaves no frame of that batch in any ledger."""
+        views = _views(renderer, 3)
+        scaled = views[1].copy()
+        scaled[:3, :3] *= 3.0  # beyond the pools' image capacity
+        with repro.open_pool(renderer, n_procs=1, shards=2,
+                             profile_period=0) as svc:
+            with pytest.raises(ValueError, match="region"):
+                svc.submit_batch([views[0],
+                                  repro.FrameSpec(views[1], region=object()),
+                                  views[2]])
+            with pytest.raises(RuntimeError, match="capacity"):
+                svc.submit_batch([views[0], scaled, views[2]])
+            assert _ledgers(svc) == [(0, 0)] * 2 and not svc._frames
+            results = svc.render_animation(views)
+        _assert_bit_identical(renderer, views, results)
+
+    def test_a_later_pool_refusing_drops_what_earlier_pools_took(
+            self, renderer):
+        views = _views(renderer, 3)
+        with repro.open_pool(renderer, n_procs=1, shards=2,
+                             profile_period=0) as svc:
+            svc._pools[1].close()
+            with pytest.raises(repro.PoolClosed):
+                svc.submit_batch(views)
+            assert _ledgers(svc) == [(0, 0)] * 2 and not svc._frames
+            assert (svc._pools[0].metrics.counter("pool/batch_frames").value
+                    == len(views))
+
+    def test_result_on_a_closed_fleet_is_typed(self, renderer):
+        svc = repro.open_pool(renderer, n_procs=1, shards=2,
+                              backend="thread", profile_period=0)
+        ids = svc.submit_batch(_views(renderer, 2))
+        svc.close()
+        with pytest.raises(repro.PoolClosed):
+            svc.result(ids[0])
 
 
 class TestShardFaultIsolation:
@@ -220,7 +334,8 @@ class TestShardFaultIsolation:
         # signal lands (the same knob the single-pool kill test uses).
         # The delay and frame count give the animation a wall clock of
         # a second or more, so the early kill cannot race completion.
-        monkeypatch.setenv("REPRO_SHARD_ROW_DELAY", "1:0:0.01")
+        monkeypatch.setattr(shard_service, "TEST_SHARD_ROW_DELAY",
+                            {1: (0, 0.01)})
         views = _views(renderer, 8)
         results = []
         with ShardedRenderService(
