@@ -24,13 +24,14 @@ supplies what only forked workers over shared memory need:
   cursors for stealing live in a shared ``(buffer, worker, head/tail)``
   array.
 * **Batched dispatch and cross-frame pipelining.**  Each worker gets a
-  whole batch as *one* job-queue message and runs frame to frame without
-  re-synchronizing with the parent; a per-buffer *release cursor* in
-  shared memory lets it start frame ``f`` the moment the parent has
-  collected frame ``f - 2``.  A message goes out once the buffer of its
-  first frame is free; until then the core holds it in the parent, so
-  ``submit`` never waits, the job pipes stay shallow however deep the
-  callers queue, and a frame is partitioned from the newest profile.
+  whole batch as *one* message on its own job pipe and runs frame to
+  frame without re-synchronizing with the parent; a per-buffer *release
+  cursor* in shared memory lets it start frame ``f`` the moment the
+  parent has collected frame ``f - 2``.  A message goes out once the
+  buffer of its first frame is free; until then the core holds it in
+  the parent, so ``submit`` never waits, the job pipes stay shallow
+  however deep the callers queue, and a frame is partitioned from the
+  newest profile.
 * **The shm doorbell — the one way out.**  Nothing a worker reports is
   pickled: it writes its completion record (frame id, flags, busy
   times, steal counters) into a small shared segment and rings a shared
@@ -50,15 +51,18 @@ compute).  The pool is therefore *self-healing*: a supervisor thread in
 the parent watches the doorbell, polls worker sentinels and per-frame
 deadlines every :data:`POLL_S` seconds, and on a fault — an OOM-killed
 fork, a SIGKILLed or hung worker — stops the worker set, **respawns**
-it against the existing shared-memory segments (fresh queues, barrier
-and claim locks; rings re-zeroed; claim cursors re-seeded) and
+it against the existing shared-memory segments (fresh job pipes,
+barrier and claim locks; rings re-zeroed; claim cursors re-seeded) and
 **resubmits** every lost frame, up to :attr:`PoolConfig.max_retries`
-times.  An exception escaping a worker's kernel leaves the set intact
-and is retried by re-dispatch — unless the workers already hold a later
-frame assigned the same image buffer (the rest of its batch): a retry
-queued behind it would reorder buffer reuse, so that failure escalates
-to the same full recovery.  When retries are exhausted
-the core degrades the frame to an in-parent serial render
+times.  A worker's job pipe has one reader, the worker, and the parent
+waits on a full pipe only while the whole set lives (:func:`_write_job`),
+so a message larger than the pipe cannot wedge the supervisor behind a
+dead worker.  An exception escaping a worker's kernel leaves the set
+intact and is retried by re-dispatch — unless the workers already hold
+a later frame assigned the same image buffer (the rest of its batch): a
+retry queued behind it would reorder buffer reuse, so that failure
+escalates to the same full recovery.  When retries are exhausted the
+core degrades the frame to an in-parent serial render
 (:attr:`PoolConfig.degrade_to_serial`) or fails it with a typed error
 (:class:`FrameTimeout`, :class:`WorkerDied`, :class:`FrameFailed`), so
 ``result()`` never hangs.  Recovery is observable:
@@ -76,6 +80,9 @@ the test suite); the wall-clock speedup study is
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import pickle
+import select
 import threading
 import time
 from multiprocessing import shared_memory
@@ -185,6 +192,29 @@ def _error_bytes(text: str) -> np.ndarray:
     return np.frombuffer(data.ljust(ERR_SLOT_BYTES, b"\0"), np.uint8)
 
 
+def _write_job(fd: int, batch, sentinels: list[int]) -> bool:
+    """Write one pickled job message to a worker's non-blocking pipe.
+
+    Waits for room for as long as every worker of the set lives.  A
+    message can outgrow the pipe, and a worker only drains it between
+    batches — never while it is dead, nor while it waits at the barrier
+    for a dead sibling — so a blocking write would wedge its caller, who
+    holds the pool condition recovery needs.  Returns False once a
+    worker has died (its pipe then raises ``EPIPE``, or its sentinel
+    fires): the recovery the health check runs re-sends the frames.
+    """
+    data = memoryview(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+    while data:
+        try:
+            data = data[os.write(fd, data):]
+        except BlockingIOError:
+            if select.select(sentinels, [fd], [])[0]:
+                return False
+        except BrokenPipeError:
+            return False
+    return True
+
+
 def _await_release(release, buf: int, frame: int, rec) -> None:
     """Gate a worker until the parent has collected ``frame - BUFFERS``.
 
@@ -235,8 +265,10 @@ _G: dict = {}
 # pools.  ``_G`` is process-global, and with several pools alive each
 # pool's *supervisor thread* respawns workers after a fault: two
 # concurrent recoveries could interleave so one pool's workers fork
-# against the other pool's queues and barrier (a cross-pool wedge), or
-# against an already-cleared ``_G``.  Holding one lock across the whole
+# against the other pool's pipes and barrier (a cross-pool wedge), or
+# against an already-cleared ``_G``; and a pool's read ends, closed in
+# the parent right after its fork, must not reach another pool's
+# workers in between.  Holding one lock across the whole
 # spawn also keeps the fork away from another pool's concurrent
 # multiprocessing-object creation (shared-heap and resource-tracker
 # locks must not be mid-operation in the fork snapshot).
@@ -246,14 +278,21 @@ _SPAWN_LOCK = threading.Lock()
 def _worker_loop(pid: int) -> None:
     """Composite and warp this worker's partition, frame after frame.
 
-    A job-queue message is ``None`` (shutdown) or a *batch* — a list of
+    A job-pipe message is ``None`` (shutdown) or a *batch* — a list of
     job tuples the worker runs back to back without returning to the
-    queue.  Between batched frames the worker re-synchronizes with the
+    pipe.  Between batched frames the worker re-synchronizes with the
     parent only through the per-buffer release cursor (so it never runs
     more than ``BUFFERS`` frames ahead of collection) and the shared
     barrier between the frame's two phases.
     """
-    jobs = _G["job_queues"][pid]
+    # Keep only our own read end: once we die, nobody can read our pipe
+    # and the parent's write fails instead of waiting for us.
+    pipes = _G["job_pipes"]
+    for q, (r, w) in enumerate(pipes):
+        os.close(w)
+        if q != pid:
+            os.close(r)
+    jobs = open(pipes[pid][0], "rb")
     shm_i, shm_f = _G["shm_i"], _G["shm_f"]
     inter_cap, final_cap = _G["inter_cap"], _G["final_cap"]
     n_procs: int = _G["n_procs"]
@@ -290,7 +329,7 @@ def _worker_loop(pid: int) -> None:
 
     t_wait0 = 0.0 if rec is None else rec.now()
     while True:
-        batch = jobs.get()
+        batch = pickle.load(jobs)
         if batch is None:
             return
         for frame, buf, fact, v_lo, v_hi, owner, final_rows, profiled, timestep in batch:
@@ -368,7 +407,7 @@ class MPRenderPool(PoolCore):
         # later point (bad config, failed shm allocation, fork failure)
         # without AttributeErrors and without leaking shm segments.
         self._workers: list = []
-        self._job_queues: list = []
+        self._job_fds: list[int] = []  # write ends of the job pipes
         self._shm_i = self._shm_f = self._shm_c = self._shm_t = None
         self._shm_d = None
         self._stop = threading.Event()
@@ -441,7 +480,7 @@ class MPRenderPool(PoolCore):
     def _spawn_workers(self, generation: int) -> None:
         """Fork a worker set against the existing shared segments.
 
-        Queues, barrier and claim locks are created fresh each
+        Job pipes, barrier and claim locks are created fresh each
         generation: after a fault the old ones may hold stale jobs,
         wedged waiters or semaphores owned by dead processes, and
         rebuilding them is the only state-reset that needs no
@@ -452,7 +491,6 @@ class MPRenderPool(PoolCore):
 
     def _spawn_workers_locked(self, generation: int) -> None:
         ctx = mp.get_context("fork")
-        self._job_queues = [ctx.SimpleQueue() for _ in range(self.n_procs)]
         # One lock per worker's claim cursor pair: the owner takes only
         # its own lock, a thief takes only the victim's — claim and steal
         # never serialise unrelated workers.
@@ -471,10 +509,14 @@ class MPRenderPool(PoolCore):
         # reuse the same shared memory, aliasing both pools' barrier
         # state and wedging their workers mid-frame.
         self._barrier = ctx.Barrier(self.n_procs)
+        pipes = [os.pipe() for _ in range(self.n_procs)]
+        self._job_fds = [w for _, w in pipes]
+        for fd in self._job_fds:
+            os.set_blocking(fd, False)  # see _write_job
         _G.update(
             renderer=self.renderer,
             kernel=self.kernel,
-            job_queues=self._job_queues,
+            job_pipes=pipes,
             barrier=self._barrier,
             shm_i=self._shm_i,
             shm_f=self._shm_f,
@@ -499,8 +541,11 @@ class MPRenderPool(PoolCore):
                 w.start()
         finally:
             # The fork snapshot is taken at start(); drop the parent-side
-            # references so nothing leaks into a later pool's snapshot.
+            # references so nothing leaks into a later pool's snapshot,
+            # and the read ends so each is held by its worker alone.
             _G.clear()
+            for r, _ in pipes:
+                os.close(r)
 
     def _reset_trace_rings(self) -> None:
         """Zero the span rings and restart the parent-side readers."""
@@ -536,12 +581,16 @@ class MPRenderPool(PoolCore):
         return frame - BUFFERS not in self._inflight
 
     def _send_locked(self, frames: list[int]) -> None:
-        """One job-queue message per worker holding its job for every
+        """One job-pipe message per worker holding its job for every
         frame of ``frames`` (a one-frame list for ``submit`` and
-        retries)."""
+        retries).  Gives up once a worker has died: the frames stay
+        marked sent, and the recovery that death triggers re-sends
+        them."""
         jobs = [self._prepare_frame_locked(frame) for frame in frames]
-        for pid, q in enumerate(self._job_queues):
-            q.put([per_pid[pid] for per_pid in jobs])
+        sentinels = [w.sentinel for w in self._workers]
+        for pid, fd in enumerate(self._job_fds):
+            if not _write_job(fd, [per_pid[pid] for per_pid in jobs], sentinels):
+                return
 
     def _prepare_frame_locked(self, frame: int) -> list[tuple]:
         """Ready ``frame``'s buffer and build its per-worker jobs.
@@ -563,7 +612,7 @@ class MPRenderPool(PoolCore):
             self._cells[buf, :, 0] = -1.0
             if self._claims is not None:
                 # Seed the claim cursors to the static boundaries
-                # *before* the jobs go out — the queue put is the
+                # *before* the jobs go out — the pipe write is the
                 # happens-before edge that makes these writes visible
                 # to every worker.
                 seed_claims(self._claims[buf], boundaries)
@@ -738,7 +787,7 @@ class MPRenderPool(PoolCore):
         nxt = self._inflight.get(frame + BUFFERS)
         if nxt is not None and nxt["sent"]:
             # A retry appended *behind* that frame's job would reorder
-            # buffer reuse.  Escalate to full recovery instead: queues
+            # buffer reuse.  Escalate to full recovery instead: pipes
             # are rebuilt and every unfinished frame is re-dispatched in
             # order (finished frames are already materialized and are
             # not re-rendered).
@@ -752,7 +801,7 @@ class MPRenderPool(PoolCore):
 
         A dead or wedged worker poisons everything downstream of the
         shared barrier, so recovery stops the *whole* set: terminate
-        all workers, rebuild queues/barrier/locks, respawn against the
+        all workers, rebuild pipes/barrier/locks, respawn against the
         existing shm segments, and resubmit every in-flight frame (its
         saved partition makes the retry bit-identical).  Frames out of
         retries degrade to an in-parent serial render or fail typed.
@@ -783,11 +832,7 @@ class MPRenderPool(PoolCore):
             except Exception:  # noqa: BLE001
                 pass
         self.metrics.counter("pool/worker_restarts").inc(len(self._workers))
-        for q in self._job_queues:
-            try:
-                q.close()
-            except Exception:  # noqa: BLE001
-                pass
+        self._close_job_pipes()
         # The old generation's completion cells are stale; the
         # re-dispatch below rebuilds them, and sends the held messages'
         # frames along with the lost ones.
@@ -836,6 +881,11 @@ class MPRenderPool(PoolCore):
 
     # -- teardown ------------------------------------------------------------
 
+    def _close_job_pipes(self) -> None:
+        for fd in self._job_fds:
+            os.close(fd)
+        self._job_fds = []
+
     def close(self) -> None:
         """Stop the supervisor and workers and release the shared buffers.
 
@@ -860,7 +910,7 @@ class MPRenderPool(PoolCore):
         if stop is not None:
             stop.set()
         # Unstick any worker spinning on a buffer-release gate so it can
-        # drain its queue through to the shutdown sentinel.
+        # drain its pipe through to the shutdown sentinel.
         release = getattr(self, "_release", None)
         if release is not None:
             release[:] = np.iinfo(np.int64).max // 2
@@ -878,15 +928,15 @@ class MPRenderPool(PoolCore):
             and sup is not threading.current_thread()
         ):
             sup.join(timeout=5.0)
-        for q in getattr(self, "_job_queues", []):
-            try:
-                q.put(None)
-            except Exception:  # noqa: BLE001 - queue may be half-built
+        # A worker whose start() never ran has no sentinel and no exit.
+        workers = [w for w in getattr(self, "_workers", []) if w.pid is not None]
+        for fd in getattr(self, "_job_fds", []):
+            try:  # returns at once if a worker of the set is dead
+                _write_job(fd, None, [w.sentinel for w in workers])
+            except OSError:
                 pass
-        for w in getattr(self, "_workers", []):
+        for w in workers:
             try:
-                if w.pid is None:  # never started (start() failed earlier)
-                    continue
                 w.join(timeout=5.0)
                 if w.is_alive():
                     w.terminate()
@@ -896,6 +946,8 @@ class MPRenderPool(PoolCore):
                     w.join()
             except Exception:  # noqa: BLE001 - teardown must not raise
                 pass
+        if getattr(self, "_job_fds", None):
+            self._close_job_pipes()
         for name in ("_shm_i", "_shm_f", "_shm_c", "_shm_t", "_shm_d"):
             shm = getattr(self, name, None)
             if shm is None:

@@ -12,8 +12,9 @@ on *how* workers are run lives here exactly once:
   worker writes the costs of the scanlines it composited into the
   frame's one shared cost row, later frames are split with
   :func:`~repro.core.partition.contiguous_partition` over that profile,
-  and a principal-axis switch invalidates it) and warp-row ownership
-  (section 4.5);
+  and a principal-axis switch invalidates it) and scanline ownership
+  (section 4.5) — for a pool's workers and, one level up, for a shard
+  fleet's pools;
 * the *dynamic* half (section 4.4): guided, cost-aware chunk claims
   over a shared ``(head, tail)`` cursor pair per worker
   (:func:`claim_own_chunk`, :func:`steal_victim_chunk`,
@@ -79,12 +80,7 @@ from ..render.compositing import composite_image_scanline, nonempty_scanline_bou
 from ..render.fast import render_fast
 from ..render.image import FinalImage, IntermediateImage
 from ..render.instrument import WorkCounters
-from ..render.warp import (
-    final_pixel_source_lines,
-    warp_coeffs,
-    warp_rows,
-    warp_rows_by_pid,
-)
+from ..render.warp import final_pixel_source_lines, warp_rows, warp_rows_by_pid
 from ..transforms.factorization import PERMUTATIONS, ShearWarpFactorization
 from .backend import BackendCapabilities, FrameSpec, as_frame_specs
 
@@ -331,24 +327,28 @@ class FrameRegion:
 class FramePlanner:
     """Frame planning + the paper's profile feedback loop, backend-neutral.
 
-    Owns everything a pool needs to turn a view matrix into a dispatch
-    record: the factorization, the non-empty scanline band, the
+    Cuts a frame's non-empty scanline band into ``n_blocks`` contiguous
+    blocks: a pool's workers, or a shard fleet's pools — the one rule at
+    both levels.  Owns the factorization, the non-empty band, the
     profiling schedule (sections 4.2-4.3: one frame in ``profile_period``
-    and one per missing profile), the last measured
+    and one per missing profile; ``0`` for a planner that only consumes
+    profiles, as a fleet's does), the last measured
     :class:`ScanlineProfile` and its validity key, partition boundaries
-    (uniform or profile-balanced), warp-row ownership (section 4.5) and
-    the boundary-drift metric.  A plan has two halves: :meth:`admit`
-    when the frame is submitted, :meth:`partition` when its message
-    goes to the workers.  Every transport plans through one instance of
-    this class, so the backends cannot drift apart — the basis of their
-    bit-identity.
+    (uniform or profile-balanced) and line ownership (section 4.5).  A
+    plan has two halves: :meth:`admit` when the frame is submitted,
+    :meth:`partition` when it goes out.  Every transport plans through
+    one instance of this class, so the backends cannot drift apart — the
+    basis of their bit-identity.  An axis switch that drops the profile
+    increments the counter named ``invalidations``.
     """
 
-    def __init__(self, renderer, n_procs: int, profile_period: int,
-                 metrics: MetricsRegistry) -> None:
+    def __init__(self, renderer, n_blocks: int, profile_period: int,
+                 metrics: MetricsRegistry,
+                 invalidations: str = "pool/profile_invalidations") -> None:
         self.renderer = renderer
-        self.n_procs = n_procs
+        self.n_blocks = n_blocks
         self.metrics = metrics
+        self.invalidations = invalidations
         self.schedule = (
             ProfileSchedule(period=profile_period) if profile_period > 0 else None
         )
@@ -362,8 +362,6 @@ class FramePlanner:
         # "no valid profile" stays true for the whole batch; without
         # this every frame behind the first would be profiled too.
         self._requested_key: tuple[int, tuple[int, int, int]] | None = None
-        self._last_boundaries: np.ndarray | None = None
-        self._last_part_key: tuple[int, tuple[int, int, int]] | None = None
 
     def admit(self, view: np.ndarray, inter_cap=None, final_cap=None,
               region: FrameRegion | None = None,
@@ -404,8 +402,9 @@ class FramePlanner:
     def partition(self, plan: dict) -> dict:
         """The half of a plan that *is* the feedback loop, added to
         ``plan`` in place: whether the frame is profiled, its boundaries
-        from the newest valid profile and the warp rows that follow them
-        — masked to a ``region``'s owned lines (deterministic).
+        from the newest valid profile and the line ownership that
+        follows them — masked to a ``region``'s owned lines
+        (deterministic).
 
         Note the profile validity key stays ``(axis, perm)``: the §4.2
         loop *predicts* the next frame's cost from the last measured
@@ -416,7 +415,7 @@ class FramePlanner:
         fact, key, region = plan["fact"], plan["key"], plan["region"]
         if self.profile is not None and self.profile_key != key:
             self.profile = None
-            self.metrics.counter("pool/profile_invalidations").inc()
+            self.metrics.counter(self.invalidations).inc()
         profiled = False
         if self.schedule is not None:
             # A profiled frame costs 15-27 % more to composite (the
@@ -431,20 +430,8 @@ class FramePlanner:
             if profiled:
                 self._requested_key = key
         boundaries = profile_partition(
-            self.profile, self.n_procs, plan["v_lo"], plan["v_hi"]
+            self.profile, self.n_blocks, plan["v_lo"], plan["v_hi"]
         )
-        # Partition-boundary drift between successive frames of the
-        # same principal axis: how far the feedback loop moves the split.
-        if (
-            self._last_boundaries is not None
-            and self._last_part_key == key
-            and len(self._last_boundaries) == len(boundaries)
-        ):
-            self.metrics.histogram("pool/boundary_drift").observe(
-                float(np.abs(boundaries - self._last_boundaries).mean())
-            )
-        self._last_boundaries = boundaries
-        self._last_part_key = key
         owner = line_ownership(boundaries, fact.intermediate_shape[0])
         if region is not None:
             # Lines outside the shard get no warp owner here: the warp's
@@ -452,18 +439,8 @@ class FramePlanner:
             # pixels sourced from them stay zero in this pool's buffer
             # and are taken from the owning shard by the merge tree.
             owner = np.where(np.asarray(region.owned, dtype=bool), owner, -1)
-        coeffs = warp_coeffs(fact)
-        src_lines = final_pixel_source_lines(fact.final_shape, fact, coeffs=coeffs)
-        plan.update(
-            profiled=profiled, boundaries=boundaries, owner=owner,
-            rows_by_pid=warp_rows_by_pid(src_lines, owner, self.n_procs),
-        )
+        plan.update(profiled=profiled, boundaries=boundaries, owner=owner)
         return plan
-
-    def plan(self, *args, **kwargs) -> dict:
-        """Everything needed to dispatch one frame: :meth:`admit` and
-        :meth:`partition` in one step."""
-        return self.partition(self.admit(*args, **kwargs))
 
     def install_profile(self, v_lo: int, costs: np.ndarray, key) -> None:
         """Adopt a freshly measured per-scanline profile."""
@@ -479,9 +456,9 @@ def profile_partition(profile: ScanlineProfile | None, n: int,
     The profile is in the frame-it-was-measured-on's scanline
     coordinates; successive animation viewpoints differ by a few
     degrees, so reusing the indices is the paper's prediction step.
-    Boundaries are clamped to this frame's non-empty band.  Shared by
-    the two levels that partition scanlines: workers within a pool
-    (:class:`FramePlanner`) and shards across pools.
+    Boundaries are clamped to this frame's non-empty band.
+    :class:`FramePlanner` calls it at both levels that partition
+    scanlines: workers within a pool and shards across pools.
     """
     if profile is None or profile.total <= 0:
         return uniform_contiguous_partition(v_lo, v_hi, n)
@@ -615,9 +592,11 @@ class MPRenderResult:
     #: True when retries ran out and the frame was rendered serially in
     #: the parent (bit-identical images; no per-worker observables).
     degraded: bool = False
-    #: Per-scanline calibrated costs on profiled frames (``None``
-    #: otherwise), starting at scanline ``costs_v_lo`` — the raw
-    #: material the shard service stitches its cross-shard profile from.
+    #: Per-scanline costs in CPU seconds on profiled frames (``None``
+    #: otherwise), starting at scanline ``costs_v_lo``: each worker's
+    #: op counts scaled to its compositing time, plus its warp time
+    #: spread over its block — what the shard service gathers, as is,
+    #: into its cross-shard profile.
     costs: np.ndarray | None = field(default=None, repr=False)
     costs_v_lo: int = 0
 
@@ -1241,6 +1220,11 @@ class PoolCore:
                 rec = self._inflight[frame]
                 if not rec["sent"]:
                     self._planner.partition(rec)
+                    # The final rows each worker's warp can feed.
+                    src_lines = final_pixel_source_lines(
+                        rec["fact"].final_shape, rec["fact"])
+                    rec["rows_by_pid"] = warp_rows_by_pid(
+                        src_lines, rec["owner"], self.n_procs)
                 # Fresh per-attempt accounting.
                 rec.update(done=0, errors=[], steals=0, steal_rows=0)
                 rec["busy"][:] = 0.0

@@ -8,8 +8,8 @@ its own pool (process- or thread-backed, all cloned from one
 supervised), and the final image reassembled through an
 explicit pixel-ownership map and a sort-last binary merge tree — with
 the shard boundaries themselves re-balanced by the paper's profile
-feedback loop run one level up.  Bit-identity with the single-pool
-renderer, at every shard count, is the contract.
+feedback loop run one level up, by the pools' own planner.  Bit-identity
+with the single-pool renderer, at every shard count, is the contract.
 """
 
 from .merge import (
@@ -18,10 +18,9 @@ from .merge import (
     merge_framebuffers,
     merge_schedule,
 )
-from .service import ShardPlanner, ShardedRenderService
+from .service import ShardedRenderService
 
 __all__ = [
-    "ShardPlanner",
     "ShardedRenderService",
     "ShardFramebuffer",
     "TileOwnershipMap",

@@ -17,12 +17,16 @@ pools' ledgers (:class:`~repro.parallel.poolcore.PoolCore` — admission,
 batching, pipelining, retry, degrade, idempotent failure) and
 ``result`` only gathers and merges.
 
-It also runs the paper's section 4.2-4.3 feedback loop one level up
-(:class:`ShardPlanner`): a profiled frame's per-scanline costs are
-stitched into one cross-shard profile that re-balances the *shard
-boundaries themselves*, with the pools' construction, (axis, perm)
-invalidation rule and cadence — a batch is cut from the profile valid
-when it was submitted; what it measures balances the next message.
+It also runs the paper's section 4.2-4.3 feedback loop one level up,
+with the pools' own :class:`~repro.parallel.poolcore.FramePlanner`
+whose blocks are shards: the costs a profiled frame's pools measured —
+CPU seconds per scanline, so a slowed shard's lines cost more — are
+gathered over each shard's owned lines into one cross-shard profile
+that re-balances the *shard boundaries themselves*, with the pools'
+(axis, perm) invalidation rule and cadence: a batch is cut from the
+profile valid when it was submitted; what it measures balances the next
+message.  What is the fleet's own is the ghost line
+(:func:`shard_regions`) and the tile ownership of the merge.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..core.partition import line_ownership
-from ..core.profiling import ScanlineProfile
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import RingReader, SpanRecorder
 from ..obs.timeline import FrameTimeline
@@ -42,20 +44,20 @@ from ..parallel import poolcore
 from ..parallel.backend import BackendCapabilities, FrameSpec, as_frame_specs
 from ..parallel.mp_backend import MPRenderPool
 from ..parallel.poolcore import (
+    FramePlanner,
     FrameRegion,
     MPPoolError,
     MPRenderResult,
     PoolClosed,
     PoolConfig,
+    PoolCore,
     capacity_shapes,
-    profile_partition,
 )
 from ..parallel.thread_backend import ThreadRenderPool
-from ..render.compositing import nonempty_scanline_bounds
 from ..render.image import IntermediateImage
 from .merge import ShardFramebuffer, TileOwnershipMap, merge_framebuffers
 
-__all__ = ["ShardPlanner", "ShardedRenderService"]
+__all__ = ["ShardedRenderService", "shard_regions"]
 
 #: Test hook, ``poolcore.TEST_ROW_DELAY`` one level up: ``{shard:
 #: (worker, seconds_per_row)}`` slows one worker of that shard's (mp)
@@ -64,76 +66,26 @@ __all__ = ["ShardPlanner", "ShardedRenderService"]
 TEST_SHARD_ROW_DELAY: dict[int, tuple[int, float]] = {}
 
 
-class ShardPlanner:
-    """Shard-boundary planning: section 4.3 one level up.
+def shard_regions(owner: np.ndarray, n_shards: int, v_lo: int,
+                  v_hi: int) -> list[FrameRegion]:
+    """Each shard's :class:`FrameRegion` from a fleet plan's line owner.
 
-    The same machinery :class:`~repro.parallel.poolcore.FramePlanner`
-    applies to *scanlines within one pool* — profile-balanced contiguous
-    partitioning, reuse of a previous frame's measured costs, and
-    invalidation when the principal axis switches — applied to *shard
-    boundaries across pools*.  Each pool then re-partitions its band
-    into per-worker blocks with its own planner, so the two levels
-    compose into the nested split of
-    :func:`repro.core.partition.nested_contiguous_partition`.
+    Shard ``s`` owns the lines ``owner == s`` and composites them plus
+    the *ghost* line below each — a pixel sourced from line ``v0``
+    bilinearly samples ``(v0, v0 + 1)``, so the shard owning ``v0``
+    needs ``v0 + 1`` even when the next shard owns it — clipped to the
+    non-empty band ``[v_lo, v_hi)``.
     """
-
-    def __init__(self, renderer, n_shards: int, metrics: MetricsRegistry) -> None:
-        self.renderer = renderer
-        self.n_shards = n_shards
-        self.metrics = metrics
-        self.profile: ScanlineProfile | None = None
-        self.profile_key: tuple[int, tuple[int, int, int]] | None = None
-
-    def plan(self, view: np.ndarray, timestep: int | None = None) -> dict:
-        """Shard boundaries, the line-owner map and per-shard regions.
-
-        ``timestep`` selects a time-varying renderer's encoding; like
-        the pool-level planner, the shard profile's validity key stays
-        ``(axis, perm)`` so cross-shard feedback predicts across
-        timestep switches too.
-        """
-        fact = self.renderer.factorize_view(view)
-        n_v, _ = fact.intermediate_shape
-        rle = self.renderer.rle_for(fact, timestep=timestep)
-        v_lo, v_hi = nonempty_scanline_bounds(rle, fact)
-        key = (fact.axis, fact.perm)
-        if self.profile is not None and self.profile_key != key:
-            # Axis switch: the profile is in the old intermediate-image
-            # coordinates — re-shard uniformly, like the pools' own rule.
-            self.profile = None
-            self.metrics.counter("shard/reshard_invalidations").inc()
-        bounds = profile_partition(self.profile, self.n_shards, v_lo, v_hi)
-        shard_owner = line_ownership(bounds, n_v)
-        regions = []
-        for s in range(self.n_shards):
-            owned = shard_owner == s
-            # Ghost line: a pixel sourced from line v0 bilinearly samples
-            # (v0, v0 + 1), so the shard owning v0 must also *composite*
-            # v0 + 1 even when the next shard owns it.
-            need = owned.copy()
-            need[1:] |= owned[:-1]
-            need[:v_lo] = need[v_hi:] = False
-            idx = np.flatnonzero(need)
-            if len(idx):
-                comp_lo, comp_hi = int(idx[0]), int(idx[-1]) + 1
-            else:
-                comp_lo = comp_hi = int(v_lo)
-            regions.append(FrameRegion(comp_lo, comp_hi, owned))
-        return {
-            "fact": fact,
-            "v_lo": int(v_lo),
-            "v_hi": int(v_hi),
-            "bounds": bounds,
-            "shard_owner": shard_owner,
-            "regions": regions,
-            "key": key,
-        }
-
-    def install(self, v_lo: int, costs: np.ndarray, key) -> None:
-        """Adopt a stitched cross-shard profile; re-shards next frame."""
-        self.profile = ScanlineProfile(v_lo, costs)
-        self.profile_key = key
-        self.metrics.counter("shard/reshards").inc()
+    regions = []
+    for s in range(n_shards):
+        owned = owner == s
+        need = owned.copy()
+        need[1:] |= owned[:-1]
+        need[:v_lo] = need[v_hi:] = False
+        idx = np.flatnonzero(need)
+        lo, hi = (int(idx[0]), int(idx[-1]) + 1) if len(idx) else (v_lo, v_lo)
+        regions.append(FrameRegion(lo, hi, owned))
+    return regions
 
 
 class ShardedRenderService:
@@ -166,7 +118,10 @@ class ShardedRenderService:
         self.n_shards = config.shards
         self.metrics = MetricsRegistry()
         self.metrics.gauge("shard/shards").set(self.n_shards)
-        self._planner = ShardPlanner(renderer, self.n_shards, self.metrics)
+        # The pools' planner, with shards for blocks: it consumes the
+        # profiles the pools measure, so it schedules none of its own.
+        self._planner = FramePlanner(renderer, self.n_shards, 0, self.metrics,
+                                     "shard/reshard_invalidations")
         self._next_frame = 0
         # Dispatched, not yet gathered: fleet frame id -> (its shard
         # plan, its handle in each pool).
@@ -180,7 +135,8 @@ class ShardedRenderService:
         # pool span onto the service timebase can never go negative.
         self.trace_epoch = time.perf_counter()
         self.timelines: list[FrameTimeline] = []
-        _, final_cap = capacity_shapes(renderer.shape)
+        # What the merge framebuffers hold, and so what a view may need.
+        self._caps = capacity_shapes(renderer.shape)
         backing = "shm" if config.backend == "mp" else "array"
         # A shard's pool is always a plain single-band pool.
         pcfg = config.replace(shards=1)
@@ -189,7 +145,7 @@ class ShardedRenderService:
                 self._pools.append(
                     self._open_pool(pcfg, TEST_SHARD_ROW_DELAY.get(s))
                 )
-                self._fbs.append(ShardFramebuffer(final_cap, backing=backing))
+                self._fbs.append(ShardFramebuffer(self._caps[1], backing=backing))
         except BaseException:
             self.close()
             raise
@@ -234,13 +190,15 @@ class ShardedRenderService:
         """Dispatch a batch of views / FrameSpecs; returns their frame
         ids.  The one way a frame enters the fleet.
 
-        Every spec's shard regions are cut from the shard profile valid
-        now (a loop of :meth:`render` re-shards frame to frame, a batch
-        does not), then each pool gets the whole batch as *one*
-        ``submit_batch`` and pipelines it with no fleet in the loop.
-        The service assigns the regions, so a spec carrying one is
-        rejected; whatever a pool refuses (a view over capacity, a
-        closed pool) raises from here and leaves no frame in a ledger.
+        Every spec is admitted (a view over capacity is refused) before
+        any is partitioned, so a refused batch leaves the shard profile
+        as it was.  Then every spec's shard regions are cut from the
+        shard profile valid now (a loop of :meth:`render` re-shards
+        frame to frame, a batch does not), and each pool gets the whole
+        batch as *one* ``submit_batch`` and pipelines it with no fleet
+        in the loop.  The service assigns the regions, so a spec
+        carrying one is rejected; whatever a pool refuses (a closed
+        pool) raises from here and leaves no frame in a ledger.
         """
         specs = as_frame_specs(frame_specs)
         if any(s.region is not None for s in specs):
@@ -248,13 +206,16 @@ class ShardedRenderService:
                 "ShardedRenderService assigns shard regions itself; "
                 "submit() does not accept a region"
             )
-        plans = [self._planner.plan(s.view, timestep=s.timestep) for s in specs]
+        plans = [self._planner.admit(s.view, *self._caps, timestep=s.timestep)
+                 for s in specs]
+        regions = [shard_regions(self._planner.partition(p)["owner"],
+                                 self.n_shards, p["v_lo"], p["v_hi"]) for p in plans]
         handles: list[list[int]] = []
         try:
             for s, pool in enumerate(self._pools):
                 handles.append(pool.submit_batch([
-                    FrameSpec(spec.view, spec.timestep, plan["regions"][s])
-                    for spec, plan in zip(specs, plans)
+                    FrameSpec(spec.view, spec.timestep, region[s])
+                    for spec, region in zip(specs, regions)
                 ]))
         except Exception:
             # A later pool refused what earlier ones accepted: gather
@@ -305,26 +266,19 @@ class ShardedRenderService:
         self._stitch_profile(splan, results)
         if self.trace:
             self._collect_timeline(frame_id, results)
-        spread = merged.busy_spread
-        if spread is not None:
-            self.metrics.histogram("shard/busy_spread").observe(spread)
+        self.metrics.histogram("shard/busy_spread").observe(merged.busy_spread)
         return merged
 
-    def render(self, view: np.ndarray,
-               timestep: int | None = None) -> MPRenderResult:
-        """Render one frame across all shards and merge it."""
-        return self.result(self.submit(view, timestep=timestep))
-
-    def render_animation(self, views) -> list[MPRenderResult]:
-        """Render a sequence of views (or FrameSpecs) as one batch,
-        returning the merged frames in order."""
-        return [self.result(f) for f in self.submit_batch(views)]
+    # ``submit`` + ``result`` / ``submit_batch`` + ``result``: the pools'
+    # own one-liners, which need nothing but those two methods.
+    render = PoolCore.render
+    render_animation = PoolCore.render_animation
 
     def _merge(self, frame: int, splan: dict, results) -> MPRenderResult:
         """Gather: merge-tree the finals, row-gather the intermediates."""
         fact = splan["fact"]
         n_v, n_u = fact.intermediate_shape
-        own = splan["shard_owner"]
+        own = splan["owner"]
         # Every line has exactly one owning shard, so the gather below
         # writes every row: no need to allocate-and-zero first.
         inter = IntermediateImage.over(np.empty((n_v, n_u), np.float32),
@@ -354,7 +308,7 @@ class ShardedRenderService:
             intermediate=inter,
             fact=fact,
             n_procs=self.n_procs,
-            boundaries=splan["bounds"],
+            boundaries=splan["boundaries"],
             profiled=all(r.profiled for r in results),
             busy_s=busy,
             steals=sum(r.steals for r in results),
@@ -364,38 +318,32 @@ class ShardedRenderService:
         )
 
     def _stitch_profile(self, splan: dict, results) -> None:
-        """Assemble one cross-shard cost profile from a profiled frame.
+        """Gather one cross-shard cost profile from a profiled frame:
+        each line's cost as its owning shard's pool measured it.
 
-        Each pool's costs cover only its own composite band; stitching
-        by shard ownership covers the global band exactly once.  Each
-        shard's slice is scaled to the shard's measured busy time, so
-        the profile predicts *wall-clock* cost per shard — including
-        interference op counts cannot see (a noisy neighbour,
-        :data:`TEST_SHARD_ROW_DELAY`) — and the next re-shard shrinks a
-        slow shard's band.  Requires *every* owning shard to have
-        profiled the frame: a degraded shard has no costs, so that
-        frame does not feed back.
+        A pool's costs are CPU seconds already, interference op counts
+        cannot see included (a noisy neighbour,
+        :data:`TEST_SHARD_ROW_DELAY`), so a slow shard's lines cost more
+        and the next re-shard shrinks its band.  They cover the pool's
+        composite band, which holds every line the shard owns, so the
+        gather covers the frame's band exactly once.  Requires *every*
+        owning shard to have profiled the frame: a degraded shard has no
+        costs, so that frame does not feed back.
         """
         v_lo, v_hi = splan["v_lo"], splan["v_hi"]
         if v_hi <= v_lo:
             return
-        own = splan["shard_owner"][v_lo:v_hi]
-        full = np.zeros(v_hi - v_lo, dtype=np.float64)
+        own = splan["owner"][v_lo:v_hi]
+        costs = np.empty(v_hi - v_lo)
         for s, r in enumerate(results):
-            mask = own == s
-            if not mask.any():
+            mine = np.flatnonzero(own == s)
+            if not len(mine):
                 continue  # shard owns only empty margins this frame
-            if not r.profiled or r.degraded or r.costs is None:
+            if r.costs is None:
                 return
-            idx = np.flatnonzero(mask) + v_lo
-            rel = idx - r.costs_v_lo
-            inside = (rel >= 0) & (rel < len(r.costs))
-            vals = r.costs[rel[inside]].astype(np.float64)
-            ops, busy = vals.sum(), float(r.busy_s.sum())
-            if ops > 0 and busy > 0:
-                vals = vals * (busy / ops)
-            full[idx[inside] - v_lo] = vals
-        self._planner.install(v_lo, full, splan["key"])
+            costs[mine] = r.costs[mine + v_lo - r.costs_v_lo]
+        self._planner.install_profile(v_lo, costs, splan["key"])
+        self.metrics.counter("shard/reshards").inc()
 
     # -- observability -------------------------------------------------------
 

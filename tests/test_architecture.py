@@ -6,8 +6,9 @@ transports; these checks keep it that way: no module reaches into
 another module's underscore-private names, the transports do not import
 each other, the frame lifecycle is written exactly once, a process
 worker reports through shared memory only, admission never waits, a
-shard fleet queues no frames of its own, and the pools are configured
-by one class with a counted number of fields.
+shard fleet queues no frames of its own and plans with the pools'
+planner, and the pools are configured by one class with a counted
+number of fields.
 """
 
 import ast
@@ -173,11 +174,13 @@ def test_one_way_in_one_way_out():
         if isinstance(n, ast.FunctionDef) and n.name == "_worker_loop"
     ]
     assert not [c for c in _call_names(worker_loop) if c.endswith(".put")]
+    assert "os.write" not in _call_names(worker_loop)
     pipe_reads = [
         n for n in ast.walk(mp_tree)
-        if isinstance(n, ast.Call) and ast.unparse(n.func) == "jobs.get"
+        if isinstance(n, ast.Call) and ast.unparse(n.func) == "pickle.load"
     ]
     assert len(pipe_reads) == 1
+    assert pipe_reads[0] in list(ast.walk(worker_loop))
     assert not [c for c in _call_names(mp_tree) if c.endswith(".empty")]
     core_defs = {
         n.name for n in ast.walk(ast.parse((PARALLEL / "poolcore.py").read_text()))
@@ -210,6 +213,39 @@ def test_a_fleet_frame_lives_in_its_pools_ledgers():
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
     }
     assert not stored & {"_queued", "_ready"}
+
+
+def test_one_planner_at_both_levels():
+    """Shard boundaries are cut by the pools' ``FramePlanner`` with
+    shards for blocks: outside ``core/`` (the profile type itself and
+    the simulated renderer of the paper's machines), ``profile_partition``
+    is called and a ``ScanlineProfile`` constructed only inside that
+    class, and the shard service imports none of the pieces a second
+    planner would be built from."""
+    import repro.shard
+
+    with pytest.raises(AttributeError):
+        repro.shard.ShardPlanner
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).parts[0] == "core":
+            continue
+        tree = ast.parse(path.read_text())
+        planners = [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.ClassDef) and n.name == "FramePlanner"
+        ]
+        inside = {id(n) for c in planners for n in ast.walk(c)}
+        sites += [
+            (path.name, ast.unparse(n.func), id(n) in inside)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and ast.unparse(n.func).rsplit(".", 1)[-1]
+            in {"profile_partition", "ScanlineProfile"}
+        ]
+    assert {name for _, name, _ in sites} == {"profile_partition", "ScanlineProfile"}
+    assert all(inside for *_, inside in sites), sites
+    imported = _imported_modules(SRC / "shard" / "service.py")
+    assert not imported & {"line_ownership", "profile_partition", "ScanlineProfile"}
 
 
 def test_one_config_class_with_ten_fields():

@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
+import asyncio
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -72,6 +78,52 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "old" in out and "new" in out
+
+    def test_serve_caches_a_repeat_and_shuts_down(self, capsys, tmp_path):
+        """``repro serve`` as a user starts it: one parseable line says
+        where it listens, a repeated request is a cache hit, the
+        ``shutdown`` op ends it with status 0, and ``repro stats``
+        reads the hit back from its metrics snapshot.  (Coalescing is
+        pinned deterministically by ``tests/test_serve.py``.)"""
+        from repro.serve import RenderClient
+
+        metrics = tmp_path / "serve_metrics.json"
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--procs", "2",
+             "--dataset", "mri128", "--scale", "0.08",
+             "--metrics-out", str(metrics)],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, line
+            port = int(line.split("listening on ")[1].split()[0].rsplit(":", 1)[1])
+
+            async def session():
+                client = await RenderClient.connect("127.0.0.1", port)
+                try:
+                    req = {"op": "render", "ry": 30.0}
+                    first = await client.request(dict(req))
+                    repeat = await client.request(dict(req))
+                    await client.request({"op": "shutdown"})
+                finally:
+                    await client.close()
+                return first, repeat
+
+            first, repeat = asyncio.run(session())
+            proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert first["status"] == "ok" and not first["cached"]
+        assert repeat["cached"] is True
+        assert proc.returncode == 0
+        assert main(["stats", str(metrics)]) == 0
+        hits = re.search(r"serve/cache_hits=(\d+)", capsys.readouterr().out)
+        assert hits and int(hits.group(1)) >= 1
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -9,7 +9,12 @@ telling the truth.  The typed-error and :class:`PoolConfig` API
 contracts of the redesign are covered here too.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +161,77 @@ class TestFaultInjection:
             for r in recovered if r.timeline is not None
             for s in r.timeline.spans
         )
+
+
+#: A worker is killed in frame 1 just as a 150-frame message (about
+#: 170 KB pickled, well past a 64 KB pipe) goes out behind it.  Run in
+#: a subprocess with a watchdog, so that a pool that wedges fails the
+#: test (exit status 3, its workers killed so that its shared memory is
+#: reclaimed) instead of wedging the suite.
+_KILL_UNDER_A_LARGE_BATCH = """
+import os
+import sys
+import threading
+import numpy as np
+import repro.parallel.poolcore as poolcore
+from repro.datasets import mri_brain
+from repro.parallel.mp_backend import MPRenderPool
+from repro.parallel.poolcore import PoolConfig
+from repro.render import ShearWarpRenderer
+from repro.render.fast import render_fast
+from repro.volume import mri_transfer_function
+
+r = ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
+poolcore.TEST_FAULT = (int(sys.argv[1]), 1, "kill", "composite")
+views = [r.view_from_angles(20, 30 + 0.5 * i, 0) for i in range(152)]
+pool = MPRenderPool(r, PoolConfig(n_procs=2))
+results = []
+
+def run():
+    ids = pool.submit_batch(views[:2]) + pool.submit_batch(views[2:])
+    results.extend(pool.result(i) for i in ids)
+
+watched = threading.Thread(target=run, daemon=True)
+watched.start()
+watched.join(60)
+if watched.is_alive():
+    for w in pool._workers:
+        w.kill()
+    os._exit(3)
+restarts = pool.fault_counters()["worker_restarts"]
+pool.close()
+identical = 0
+for view, res in zip(views, results):
+    ref = render_fast(r, view)
+    identical += bool(np.array_equal(res.final.color, ref.final.color)
+                      and np.array_equal(res.final.alpha, ref.final.alpha))
+print(identical, restarts)
+"""
+
+
+@pytest.mark.parametrize("killed", [0, 1])
+def test_worker_killed_under_a_message_larger_than_its_pipe(killed):
+    """The supervisor writes job pipes with the pool condition held.  A
+    message that outgrows the pipe must not wait on a dead worker — nor
+    on its sibling, wedged at the barrier the dead one never reaches —
+    or recovery, which needs that condition, never runs."""
+    src = Path(repro.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILL_UNDER_A_LARGE_BATCH, str(killed)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:  # even the watchdog is stuck
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode != 3, "the pool hung on a killed worker's full job pipe"
+    assert proc.returncode == 0, err
+    identical, restarts = map(int, out.split())
+    assert identical == 152
+    assert restarts >= 1
 
 
 def _warp_raising(monkeypatch, on_call=None, message="injected warp failure"):

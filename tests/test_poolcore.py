@@ -406,7 +406,7 @@ class TestProfileRequests:
 
     @staticmethod
     def _plan(planner, renderer, angles):
-        return [planner.plan(renderer.view_from_angles(20, ry, 0))
+        return [planner.partition(planner.admit(renderer.view_from_angles(20, ry, 0)))
                 for ry in angles]
 
     @staticmethod

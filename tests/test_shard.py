@@ -14,14 +14,21 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.parallel.poolcore as poolcore
 import repro.shard.service as shard_service
+from repro.core.partition import line_ownership
 from repro.datasets import mri_brain
-from repro.parallel.poolcore import PoolConfig
+from repro.obs.metrics import MetricsRegistry
+from repro.parallel.poolcore import FramePlanner, PoolConfig
 from repro.render import ShearWarpRenderer
-from repro.shard import ShardedRenderService, merge_schedule
+from repro.render.image import FinalImage, IntermediateImage
+from repro.render.warp import pixel_source_rows, warp_rows
+from repro.shard import ShardedRenderService, TileOwnershipMap, merge_schedule
+from repro.shard.service import shard_regions
 from repro.volume import mri_transfer_function
 
 
@@ -181,8 +188,9 @@ class TestReshardFeedback:
 
     def test_busy_feedback_shrinks_a_slowed_shard(self, renderer,
                                                   monkeypatch):
-        """Injected interference on shard 0: op counts can't see it, the
-        busy-calibrated profile can — the re-shard shrinks its band."""
+        """Injected interference on shard 0: a pool's cost row is CPU
+        seconds, the injected burn included, so the gathered profile
+        sees it — the re-shard shrinks the slowed shard's band."""
         monkeypatch.setattr(shard_service, "TEST_SHARD_ROW_DELAY",
                             {0: (0, 0.005)})
         views = _views(renderer, 4)
@@ -196,11 +204,32 @@ class TestReshardFeedback:
             lo, mid, hi = (int(res.boundaries[i]) for i in (0, 1, 2))
             return (mid - lo) / max(1, hi - lo)
 
-        # Frame 0 runs on the uniform split; the busy-calibrated
-        # re-shard it feeds back must hand the slowed shard a smaller
-        # band for the rest of the animation.
+        # Frame 0 runs on the uniform split; the re-shard it feeds back
+        # must hand the slowed shard a smaller band for the rest of the
+        # animation.
         assert mid_fraction(results[-1]) < mid_fraction(results[0]) - 0.1
         _assert_bit_identical(renderer, views, results)
+
+    def test_installed_profile_is_the_pools_costs_gathered(self, renderer):
+        """No second calibration: every line of the fleet's profile is
+        exactly the cost its owning shard's pool measured."""
+        got = {}
+        with ShardedRenderService(
+            renderer, PoolConfig(n_procs=2, shards=3, profile_period=1)
+        ) as svc:
+            for s, pool in enumerate(svc._pools):
+                def spy(handle, real=pool.result, s=s):
+                    got[s] = real(handle)
+                    return got[s]
+                pool.result = spy
+            res = svc.render(renderer.view_from_angles(20, 30, 0))
+            profile = svc._planner.profile
+        owner = line_ownership(res.boundaries, res.fact.intermediate_shape[0])
+        v_lo, v_hi = int(res.boundaries[0]), int(res.boundaries[-1])
+        want = [got[owner[v]].costs[v - got[owner[v]].costs_v_lo]
+                for v in range(v_lo, v_hi)]
+        assert profile.v_lo == v_lo
+        assert np.array_equal(profile.costs, want)
 
     def test_bit_identical_under_injected_shard_delay(self, renderer,
                                                       monkeypatch):
@@ -305,6 +334,31 @@ class TestDispatchSemantics:
             results = svc.render_animation(views)
         _assert_bit_identical(renderer, views, results)
 
+    def test_a_batch_refused_at_admission_leaves_the_shard_planner_alone(
+            self, renderer):
+        """Every spec is admitted before any is partitioned: a batch with
+        an over-capacity view changes neither the shard profile nor its
+        key, even when the batch opens with an axis switch that would
+        have invalidated the profile."""
+        first = renderer.view_from_angles(5, 5, 0)
+        flipped = renderer.view_from_angles(85, 5, 0)  # another principal axis
+        scaled = first.copy()
+        scaled[:3, :3] *= 3.0  # beyond the fleet's image capacity
+        with repro.open_pool(renderer, n_procs=1, shards=2,
+                             profile_period=1) as svc:
+            svc.render(first)
+            planner = svc._planner
+            profile, key = planner.profile, planner.profile_key
+            assert profile is not None
+            with pytest.raises(RuntimeError, match="capacity"):
+                svc.submit_batch([flipped, scaled])
+            assert planner.profile is profile and planner.profile_key == key
+            # The pools schedule profiling; the fleet's planner has no
+            # schedule a refused batch could have advanced.
+            assert planner.schedule is None
+            assert svc.metrics.counter("shard/reshard_invalidations").value == 0
+            assert _ledgers(svc) == [(0, 0)] * 2 and not svc._frames
+
     def test_a_later_pool_refusing_drops_what_earlier_pools_took(
             self, renderer):
         views = _views(renderer, 3)
@@ -324,6 +378,52 @@ class TestDispatchSemantics:
         svc.close()
         with pytest.raises(repro.PoolClosed):
             svc.result(ids[0])
+
+
+class TestShardPlanning:
+    """What the fleet decides on its own — each shard's region (owned
+    lines plus ghost lines) and the tile ownership of the merge — over
+    random views, shard counts and installed profiles."""
+
+    @settings(max_examples=60)
+    @given(rx=st.integers(-90, 90), ry=st.integers(-180, 180),
+           n=st.integers(1, 5), seed=st.integers(0, 2**16), uniform=st.booleans())
+    def test_regions_and_tiles(self, renderer, rx, ry, n, seed, uniform):
+        planner = FramePlanner(renderer, n, 0, MetricsRegistry())
+        plan = planner.admit(renderer.view_from_angles(rx, ry, 0))
+        v_lo, v_hi = plan["v_lo"], plan["v_hi"]
+        if not uniform:
+            costs = np.random.default_rng(seed).random(v_hi - v_lo)
+            planner.install_profile(v_lo, costs, plan["key"])
+        owner = planner.partition(plan)["owner"]
+        regions = shard_regions(owner, n, v_lo, v_hi)
+
+        # The owned masks partition the lines: one owner each.
+        owned = np.array([r.owned for r in regions])
+        assert (owned.sum(axis=0) == 1).all()
+        for r in regions:
+            # The composite band: owned lines plus the ghost line below
+            # each, clipped to the non-empty band.
+            need = {w for v in np.flatnonzero(r.owned) for w in (v, v + 1)}
+            need &= set(range(v_lo, v_hi))
+            if need:
+                assert (r.comp_lo, r.comp_hi) == (min(need), max(need) + 1)
+            else:
+                assert r.comp_lo == r.comp_hi
+
+        # Tile ownership: every pixel with a source line has exactly one
+        # owning shard, and that shard's warp writes exactly its tiles.
+        fact = plan["fact"]
+        tiles = TileOwnershipMap(fact, owner)
+        _, valid = pixel_source_rows(fact.final_shape, fact.intermediate_shape, fact)
+        assert ((tiles.pixel_owner >= 0) == valid).all()
+        ones = np.ones(fact.intermediate_shape, np.float32)
+        img = IntermediateImage.over(ones, ones.copy())
+        for s, r in enumerate(regions):
+            final = FinalImage(fact.final_shape)
+            warp_rows(final, np.arange(fact.final_shape[0]), img, fact,
+                      line_owner=np.where(r.owned, 0, -1), pid=0)
+            assert ((final.alpha != 0) == (tiles.pixel_owner == s)).all()
 
 
 class TestShardFaultIsolation:
