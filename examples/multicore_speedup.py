@@ -6,9 +6,9 @@ measures wall-clock time vs worker count — both as a sequence of
 one-shot renders (fork + setup every frame, how the backend used to
 work) and through a persistent :class:`MPRenderPool` rendering a short
 animation, where fork, shared-memory setup and slice decoding are paid
-once.  The ``--kernel`` flag switches every worker between the
-per-scanline reference kernel and the vectorized block kernel; both
-produce bit-identical images.
+once.  Every worker composites with the vectorized block kernel, the
+same one the serial ``render_fast`` baseline uses; images are checked
+bit for bit against the per-scanline reference renderer.
 
 (On a single-core host the parallel runs add process overhead without
 speedup — the 1997-platform results come from the simulator, not from
@@ -20,8 +20,7 @@ costs, and following frames split the intermediate image so each worker
 gets equal *measured* work instead of equal scanline counts — same
 images, tighter per-worker busy times on lopsided views.
 
-Run:  python examples/multicore_speedup.py [size] [--kernel block|scanline]
-                                           [--profile-period K]
+Run:  python examples/multicore_speedup.py [size] [--profile-period K]
 """
 
 from __future__ import annotations
@@ -35,25 +34,28 @@ import numpy as np
 import repro
 from repro.datasets import mri_brain
 from repro.render import ShearWarpRenderer
+from repro.render.fast import render_fast
 from repro.volume import mri_transfer_function
 
 N_FRAMES = 8  # animation length for the pooled runs
 
 
-def main(size: int = 64, kernel: str = "block", profile_period: int = 4) -> None:
+def main(size: int = 64, profile_period: int = 4) -> None:
     cores = os.cpu_count() or 1
-    print(f"Host has {cores} core(s); compositing kernel: {kernel}.")
+    print(f"Host has {cores} core(s).")
     volume = mri_brain((size, size, int(size * 0.65)))
     renderer = ShearWarpRenderer(volume, mri_transfer_function())
     views = [renderer.view_from_angles(20, 30 + 3 * i, 0) for i in range(N_FRAMES)]
     view = views[0]
     # One config describes the whole study; each run varies one knob.
-    base = repro.PoolConfig(kernel=kernel, profile_period=0)
+    base = repro.PoolConfig(profile_period=0)
 
-    t0 = time.perf_counter()
     ref = renderer.render(view)
+    render_fast(renderer, view)  # warm the slice cache, as the pools do
+    t0 = time.perf_counter()
+    render_fast(renderer, view)
     serial = time.perf_counter() - t0
-    print(f"serial render (scanline kernel): {serial * 1e3:7.1f} ms/frame")
+    print(f"serial render_fast: {serial * 1e3:7.1f} ms/frame")
 
     print("\none-shot renders (fork + shared-memory setup every frame):")
     for workers in (1, 2, 4):
@@ -105,9 +107,7 @@ def main(size: int = 64, kernel: str = "block", profile_period: int = 4) -> None
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("size", nargs="?", type=int, default=64)
-    parser.add_argument("--kernel", default="block",
-                        choices=["scanline", "block"])
     parser.add_argument("--profile-period", type=int, default=4,
                         help="re-profile every K frames in the adaptive run")
     args = parser.parse_args()
-    main(args.size, args.kernel, args.profile_period)
+    main(args.size, args.profile_period)

@@ -33,7 +33,7 @@ Subpackages
 ``obs``          span tracing, Chrome trace export, metrics
 """
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 #: Facade symbols re-exported (lazily) from :mod:`repro.parallel`.
 _POOL_EXPORTS = (

@@ -83,23 +83,17 @@ def record_frames(
     steal_chunk: int = DEFAULT_STEAL_CHUNK,
     profile_period: int = 5,
     mem_per_line_touch: float | None = None,
-    kernel: str = "scanline",
 ) -> tuple[ParallelFrame, ...]:
     """Record ``n_frames`` animation frames with one parallel algorithm.
 
     ``mem_per_line_touch`` tunes the new algorithm's profile the way
     running natively on a machine would (its profile measures elapsed
     time there); pass the target machine's coefficient.
-    ``kernel="block"`` records through the vectorized block kernel —
-    much faster, same images/counters/costs, but the frames carry no
-    memory traces and cannot be fed to :func:`simulate`.
     """
     renderer = get_renderer(dataset, scale)
     views = _views(renderer, n_frames)
     if algorithm == "old":
-        factory = OldParallelShearWarp(
-            renderer, n_procs, chunk=chunk, tile=tile, kernel=kernel
-        )
+        factory = OldParallelShearWarp(renderer, n_procs, chunk=chunk, tile=tile)
         return tuple(factory.render_frame(v) for v in views)
     if algorithm == "new":
         kw = {}
@@ -107,8 +101,7 @@ def record_frames(
             kw["mem_per_line_touch"] = mem_per_line_touch
         factory = NewParallelShearWarp(
             renderer, n_procs, steal_chunk=steal_chunk,
-            profile_schedule=ProfileSchedule(period=profile_period),
-            kernel=kernel, **kw,
+            profile_schedule=ProfileSchedule(period=profile_period), **kw,
         )
         return tuple(factory.render_frame(v) for v in views)
     raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -120,7 +113,6 @@ def traced_frames(
     n_procs: int,
     n_frames: int = 3,
     scale: float = DEFAULT_SCALE,
-    kernel: str = "scanline",
     profile_period: int = 5,
 ):
     """Record frames with wall-clock phase spans attached.
@@ -139,11 +131,10 @@ def traced_frames(
     renderer = get_renderer(dataset, scale)
     views = _views(renderer, n_frames)
     if algorithm == "old":
-        factory = OldParallelShearWarp(renderer, n_procs, kernel=kernel,
-                                       recorder=recorder)
+        factory = OldParallelShearWarp(renderer, n_procs, recorder=recorder)
     elif algorithm == "new":
         factory = NewParallelShearWarp(
-            renderer, n_procs, kernel=kernel, recorder=recorder,
+            renderer, n_procs, recorder=recorder,
             profile_schedule=ProfileSchedule(period=profile_period),
         )
     else:
@@ -181,11 +172,6 @@ def simulate(
     inter-frame sharing is where the old algorithm's phase-interface
     communication becomes visible (see ``simulate_animation``).
     """
-    if kw.get("kernel", "scanline") != "scanline":
-        raise ValueError(
-            "simulate() needs memory traces — only kernel='scanline' frames "
-            "carry them (block-kernel frames are for wall-clock runs)"
-        )
     key = (dataset, algorithm, machine_name, n_procs, scale, tuple(sorted(kw.items())))
     if key not in _SIM_CACHE:
         machine = machine_for(machine_name, scale)

@@ -68,7 +68,6 @@ def _run_render(args: argparse.Namespace) -> int:
             raise ValueError("timesteps must be >= 1")
         cfg = PoolConfig(
             n_procs=args.procs,
-            kernel=args.kernel,
             profile_period=args.profile_period,
             stealing=args.stealing == "on",
             trace=tracing,
@@ -120,20 +119,15 @@ def _run_render(args: argparse.Namespace) -> int:
         fleet = (f"{cfg.shards} shards x {args.procs} procs"
                  if cfg.shards > 1 else f"{args.procs} procs")
         how = (f"{frames} frame{'s' * (frames > 1)}, {fleet}, "
-               f"{args.backend} backend, {args.kernel} kernel, "
-               f"batched, {split}, {dyn}")
+               f"{args.backend} backend, batched, {split}, {dyn}")
     else:
         recorder = None
         if tracing:
             from .obs import SpanRecorder
 
             recorder = SpanRecorder.in_memory()
-        if args.kernel == "scanline":
-            result = renderer.render(view, recorder=recorder)
-            how = "serial, scanline kernel"
-        else:
-            result = render_fast(renderer, view, recorder=recorder)
-            how = "serial, block kernel"
+        result = render_fast(renderer, view, recorder=recorder)
+        how = "serial"
         if tracing:
             from .obs import (RingReader, assemble_timelines,
                               export_chrome_trace)
@@ -142,7 +136,7 @@ def _run_render(args: argparse.Namespace) -> int:
             export_chrome_trace(
                 args.trace_out, assemble_timelines([reader]),
                 metadata={"dataset": args.dataset, "scale": args.scale,
-                          "n_procs": 1, "kernel": args.kernel},
+                          "n_procs": 1},
                 process_name="repro serial render",
             )
     dt = (time.perf_counter() - t0) / frames
@@ -352,8 +346,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         pool = PoolConfig(n_procs=args.procs, backend=args.backend,
-                          kernel=args.kernel, profile_period=0,
-                          shards=args.shards)
+                          profile_period=0, shards=args.shards)
     except ValueError as exc:
         args.usage_error(str(exc))  # exit status 2, one line
     cfg = ServeConfig(
@@ -417,8 +410,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--rz", type=float, default=0.0)
     p.add_argument("--procs", type=int, default=1,
                    help="worker processes (>1 uses the shared-memory backend)")
-    p.add_argument("--kernel", default="block", choices=["scanline", "block"],
-                   help="compositing kernel (scanline = instrumented reference)")
     p.add_argument("--frames", type=int, default=1,
                    help="render an animation of this many frames through a "
                         "persistent worker pool (rotating by --ry-step)")
@@ -497,8 +488,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--procs", type=int, default=2,
                    help="worker count of each render pool")
     p.add_argument("--backend", choices=["mp", "thread"], default="mp")
-    p.add_argument("--kernel", default="block", choices=["scanline", "block"],
-                   help="default compositing kernel")
     p.add_argument("--max-inflight", type=int, default=8,
                    help="admission bound: render jobs in flight beyond "
                         "this are rejected with ServerBusy")

@@ -102,10 +102,6 @@ class ParallelFrame:
     profiled: bool = False  # did this frame carry profiling overhead?
     profile: Any = None  # ScanlineProfile measured this frame (if any)
     boundaries: np.ndarray | None = None  # new algorithm's partition
-    #: Compositing kernel the frame was recorded with.  "scanline" tasks
-    #: carry memory traces and can be simulated; "block" frames are for
-    #: wall-clock work (costs and counters only, empty traces).
-    kernel: str = "scanline"
 
     @property
     def composite_cost_total(self) -> float:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..render.block import BlockRowCounters, composite_scanline_block
 from ..render.compositing import composite_image_scanline, nonempty_scanline_bounds
 from ..render.image import FinalImage, IntermediateImage
 from ..render.instrument import ListTraceSink, Region, SegmentedTraceSink, WorkCounters
@@ -67,21 +66,12 @@ class NewParallelShearWarp:
         mem_per_line_touch: float = NOMINAL_MEM_PER_LINE_TOUCH,
         partition: str = "profile",
         stealing: bool = True,
-        kernel: str = "scanline",
         recorder=None,
     ) -> None:
         if n_procs < 1:
             raise ValueError("need at least one processor")
         if partition not in ("profile", "uniform"):
             raise ValueError("partition must be 'profile' or 'uniform'")
-        if kernel not in ("scanline", "block"):
-            raise ValueError("kernel must be 'scanline' or 'block'")
-        # kernel='block' composites each processor's partition through
-        # the vectorized block kernel: identical image, identical work
-        # counters and costs, but no memory traces (frames can feed the
-        # profile-driven partitioner and cost analyses, not the memory
-        # simulator).
-        self.kernel = kernel
         # Ablation knobs: 'uniform' disables the predictive profile
         # (equal-count contiguous split, no profiling overhead);
         # stealing=False isolates what dynamic stealing contributes.
@@ -163,39 +153,25 @@ class NewParallelShearWarp:
         composite_queues: list[list[int]] = [[] for _ in range(self.n_procs)]
         costs = np.zeros(max(0, v_hi - v_lo), dtype=np.float64)
         for pid in range(self.n_procs):
-            lo, hi = int(boundaries[pid]), int(boundaries[pid + 1])
-            block_counters: BlockRowCounters | None = None
-            if self.kernel == "block" and hi > lo:
-                # One vectorized pass over the whole partition; the
-                # per-row counters reproduce what the scanline loop
-                # would have recorded (the tasks just carry no traces).
-                block_counters = BlockRowCounters(lo, hi)
-                composite_scanline_block(img, lo, hi, rle, fact,
-                                         row_counters=block_counters)
-            for v in range(lo, hi):
-                if block_counters is not None:
-                    sink = None
-                    counters = block_counters.row(v)
-                else:
-                    sink = SegmentedTraceSink()
-                    counters = WorkCounters()
-                    composite_image_scanline(img, v, rle, fact,
-                                             counters=counters, trace=sink)
+            for v in range(int(boundaries[pid]), int(boundaries[pid + 1])):
+                sink = SegmentedTraceSink()
+                counters = WorkCounters()
+                composite_image_scanline(img, v, rle, fact,
+                                         counters=counters, trace=sink)
                 cost = scanline_cost(counters)
                 if profiled:
                     # Profiling instructions inflate compositing by 10-15 %
                     # and write the per-scanline profile entry.
                     counters.profile_ops += int(cost * PROFILING_OVERHEAD)
                     cost *= 1.0 + PROFILING_OVERHEAD
-                    if sink is not None:
-                        sink.access(Region.PROFILE, v * 8, 8, write=True)
+                    sink.access(Region.PROFILE, v * 8, 8, write=True)
                 rec = TaskRecord(
                     uid=v,
                     phase=COMPOSITE,
                     pid0=pid,
                     cost=cost,
                     counters=counters,
-                    trace=sink.take_segments() if sink is not None else [],
+                    trace=sink.take_segments(),
                     meta=v,
                 )
                 # The profile predicts per-scanline *time*: instructions
@@ -233,7 +209,7 @@ class NewParallelShearWarp:
         warp_tasks: dict[int, TaskRecord] = {}
         warp_queues: list[list[int]] = [[] for _ in range(self.n_procs)]
         for pid in range(self.n_procs):
-            sink = None if self.kernel == "block" else ListTraceSink()
+            sink = ListTraceSink()
             counters = WorkCounters()
             for y in rows_by_pid[pid]:
                 warp_scanline(final, int(y), img, fact, line_owner=owner,
@@ -245,7 +221,7 @@ class NewParallelShearWarp:
                 pid0=pid,
                 cost=warp_tile_cost(counters),
                 counters=counters,
-                trace=sink.take_segments() if sink is not None else [],
+                trace=sink.take_segments(),
                 meta=(int(boundaries[pid]), int(boundaries[pid + 1])),
             )
             warp_tasks[pid] = rec
@@ -272,5 +248,4 @@ class NewParallelShearWarp:
             profiled=profiled,
             profile=profile,
             boundaries=boundaries,
-            kernel=self.kernel,
         )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..render.block import BlockRowCounters, composite_scanline_block
 from ..render.compositing import composite_image_scanline
 from ..render.image import FinalImage, IntermediateImage
 from ..render.instrument import ListTraceSink, SegmentedTraceSink, WorkCounters
@@ -75,20 +74,14 @@ class OldParallelShearWarp:
         n_procs: int,
         chunk: int = DEFAULT_CHUNK,
         tile: int = DEFAULT_TILE,
-        kernel: str = "scanline",
         recorder=None,
     ) -> None:
         if n_procs < 1:
             raise ValueError("need at least one processor")
-        if kernel not in ("scanline", "block"):
-            raise ValueError("kernel must be 'scanline' or 'block'")
         self.renderer = renderer
         self.n_procs = n_procs
         self.chunk = chunk
         self.tile = tile
-        # kernel='block' composites each chunk through the vectorized
-        # block kernel — same image and counters, no memory traces.
-        self.kernel = kernel
         # Optional repro.obs.SpanRecorder: wall-clock phase spans of the
         # recording pass itself (frame id = frames rendered so far).
         self.recorder = recorder
@@ -115,28 +108,18 @@ class OldParallelShearWarp:
         composite_queues: list[list[int]] = [[] for _ in range(self.n_procs)]
         for pid, chunk_list in enumerate(chunks):
             for (lo, hi) in chunk_list:
-                block_counters: BlockRowCounters | None = None
-                if self.kernel == "block":
-                    block_counters = BlockRowCounters(lo, hi)
-                    composite_scanline_block(img, lo, hi, rle, fact,
-                                             row_counters=block_counters)
                 for v in range(lo, hi):
-                    if block_counters is not None:
-                        counters = block_counters.row(v)
-                        segments = []
-                    else:
-                        sink = SegmentedTraceSink()
-                        counters = WorkCounters()
-                        composite_image_scanline(img, v, rle, fact,
-                                                 counters=counters, trace=sink)
-                        segments = sink.take_segments()
+                    sink = SegmentedTraceSink()
+                    counters = WorkCounters()
+                    composite_image_scanline(img, v, rle, fact,
+                                             counters=counters, trace=sink)
                     rec = TaskRecord(
                         uid=v,
                         phase=COMPOSITE,
                         pid0=pid,
                         cost=scanline_cost(counters),
                         counters=counters,
-                        trace=segments,
+                        trace=sink.take_segments(),
                         meta=v,
                     )
                     composite_units[v] = rec
@@ -155,7 +138,7 @@ class OldParallelShearWarp:
         uid = 0
         for pid, tile_list in enumerate(tiles):
             for (y0, y1, x0, x1) in tile_list:
-                sink = None if self.kernel == "block" else ListTraceSink()
+                sink = ListTraceSink()
                 counters = WorkCounters()
                 warp_tile(final, y0, y1, x0, x1, img, fact,
                           counters=counters, trace=sink, coeffs=coeffs)
@@ -165,7 +148,7 @@ class OldParallelShearWarp:
                     pid0=pid,
                     cost=warp_tile_cost(counters),
                     counters=counters,
-                    trace=sink.take_segments() if sink is not None else [],
+                    trace=sink.take_segments(),
                     meta=(y0, y1, x0, x1),
                 )
                 warp_tasks[uid] = rec
@@ -188,5 +171,4 @@ class OldParallelShearWarp:
             region_sizes=region_sizes(rle, img, final),
             slice_order=tuple(int(k) for k in fact.k_front_to_back),
             steal_chunk=self.chunk,
-            kernel=self.kernel,
         )

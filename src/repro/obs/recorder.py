@@ -63,12 +63,11 @@ PHASES = ("wait", "decode", "composite", "profile", "steal", "barrier", "warp",
 #: during the frame (it lies inside the ``composite`` span, where the
 #: kernels pull slices); like the hit/miss tallies it is a delta of the
 #: encoding's cache, which the thread pool's workers share.
-#: ``kernel_calls`` is how many times the worker entered a compositing
-#: kernel for the frame: one per claimed chunk with the block kernel —
-#: one own claim plus one per steal when the worker's own band is under
-#: two grains of ``poolcore.DEFAULT_STEAL_CHUNK`` rows (every benchmark
-#: workload), at most ``floor(log2(own_rows / grain)) + 1`` own
-#: claims otherwise — and one per scanline with the scanline kernel.
+#: ``kernel_calls`` is how many times the worker entered the block
+#: kernel for the frame, one per claimed chunk: one own claim plus one
+#: per steal when the worker's own band is under two grains of
+#: ``poolcore.DEFAULT_STEAL_CHUNK`` rows (every benchmark workload), at
+#: most ``floor(log2(own_rows / grain)) + 1`` own claims otherwise.
 #: New counters are appended last so existing counter ids stay stable.
 COUNTERS = ("rows", "cache_hits", "cache_misses", "steals", "steal_rows",
             "decode_us", "kernel_calls")

@@ -176,11 +176,6 @@ def simulate_frame(
     directory state across frames — see :func:`simulate_animation`.
     """
     n = frame.n_procs
-    if frame.kernel != "scanline":
-        raise ValueError(
-            f"frame was recorded with the {frame.kernel!r} kernel, which "
-            "carries no memory traces; record with kernel='scanline' to simulate"
-        )
     if addr is None:
         addr = AddressSpace.layout(frame.region_sizes, machine.page_bytes)
     if system is None:

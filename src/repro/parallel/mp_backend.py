@@ -55,10 +55,11 @@ it against the existing shared-memory segments (fresh job pipes,
 barrier and claim locks; rings re-zeroed; claim cursors re-seeded) and
 **resubmits** every lost frame, up to :attr:`PoolConfig.max_retries`
 times.  A worker's job pipe has one reader, the worker, and the parent
-waits on a full pipe only while the whole set lives (:func:`_write_job`),
-so a message larger than the pipe cannot wedge the supervisor behind a
-dead worker.  An exception escaping a worker's kernel leaves the set
-intact and is retried by re-dispatch — unless the workers already hold
+waits on a full pipe only while the whole set lives and the oldest
+frame has not expired (:func:`_write_job`), so a message larger than
+the pipe cannot wedge the supervisor behind a dead or hung worker.  An
+exception escaping a worker's kernel leaves the set intact and is
+retried by re-dispatch — unless the workers already hold
 a later frame assigned the same image buffer (the rest of its batch): a
 retry queued behind it would reorder buffer reuse, so that failure
 escalates to the same full recovery.  When retries are exhausted the
@@ -192,23 +193,28 @@ def _error_bytes(text: str) -> np.ndarray:
     return np.frombuffer(data.ljust(ERR_SLOT_BYTES, b"\0"), np.uint8)
 
 
-def _write_job(fd: int, batch, sentinels: list[int]) -> bool:
+def _write_job(fd: int, batch, sentinels: list[int],
+               deadline: float | None = None) -> bool:
     """Write one pickled job message to a worker's non-blocking pipe.
 
-    Waits for room for as long as every worker of the set lives.  A
-    message can outgrow the pipe, and a worker only drains it between
-    batches — never while it is dead, nor while it waits at the barrier
-    for a dead sibling — so a blocking write would wedge its caller, who
-    holds the pool condition recovery needs.  Returns False once a
-    worker has died (its pipe then raises ``EPIPE``, or its sentinel
-    fires): the recovery the health check runs re-sends the frames.
+    Waits for room for as long as every worker of the set lives, and
+    not past ``deadline`` (a ``time.monotonic()`` instant; ``None``
+    waits without one).  A message can outgrow the pipe, and a worker
+    only drains it between batches — never while it is dead or hung,
+    nor while it waits at the barrier for a sibling that is — so a
+    blocking write would wedge its caller, who holds the pool condition
+    recovery needs.  Returns False once a worker has died (its pipe then
+    raises ``EPIPE``, or its sentinel fires) or the deadline has passed:
+    the recovery the health check runs re-sends the frames.
     """
     data = memoryview(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
     while data:
         try:
             data = data[os.write(fd, data):]
         except BlockingIOError:
-            if select.select(sentinels, [fd], [])[0]:
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
+            dead, room, _ = select.select(sentinels, [fd], [], wait)
+            if dead or not room:
                 return False
         except BrokenPipeError:
             return False
@@ -314,7 +320,6 @@ def _worker_loop(pid: int) -> None:
     ctx = WorkerContext(
         pid=pid,
         renderer=_G["renderer"],
-        kernel=_G["kernel"],
         steal_chunk=_G["steal_chunk"],
         claim_locks=_G["claim_locks"],
         barrier=_G["barrier"],
@@ -515,7 +520,6 @@ class MPRenderPool(PoolCore):
             os.set_blocking(fd, False)  # see _write_job
         _G.update(
             renderer=self.renderer,
-            kernel=self.kernel,
             job_pipes=pipes,
             barrier=self._barrier,
             shm_i=self._shm_i,
@@ -583,13 +587,15 @@ class MPRenderPool(PoolCore):
     def _send_locked(self, frames: list[int]) -> None:
         """One job-pipe message per worker holding its job for every
         frame of ``frames`` (a one-frame list for ``submit`` and
-        retries).  Gives up once a worker has died: the frames stay
-        marked sent, and the recovery that death triggers re-sends
-        them."""
+        retries).  Gives up once a worker has died or the oldest frame
+        has expired: the frames stay marked sent, and the recovery the
+        health check then runs re-sends them."""
         jobs = [self._prepare_frame_locked(frame) for frame in frames]
         sentinels = [w.sentinel for w in self._workers]
+        deadline = self._expiry_locked()
         for pid, fd in enumerate(self._job_fds):
-            if not _write_job(fd, [per_pid[pid] for per_pid in jobs], sentinels):
+            if not _write_job(fd, [per_pid[pid] for per_pid in jobs],
+                              sentinels, deadline):
                 return
 
     def _prepare_frame_locked(self, frame: int) -> list[tuple]:
@@ -767,17 +773,23 @@ class MPRenderPool(PoolCore):
         pipeline as a whole has stopped making progress.
         """
         dead = [pid for pid, w in enumerate(self._workers) if not w.is_alive()]
-        now = time.monotonic()
-        expired: list[int] = []
-        if self._inflight and self.config.timeout_s is not None:
-            frame = min(self._inflight)
-            rec = self._inflight[frame]
-            if rec.get("deadline") is not None and now > max(
-                rec["deadline"], self._last_complete_t + self.config.timeout_s
-            ):
-                expired = [frame]
+        expiry = self._expiry_locked()
+        expired = (
+            [min(self._inflight)]
+            if expiry is not None and time.monotonic() > expiry else []
+        )
         if dead or expired:
             self._recover_locked(dead, expired)
+
+    def _expiry_locked(self) -> float | None:
+        """When the oldest in-flight frame expires (``None``: never)."""
+        timeout = self.config.timeout_s
+        if not self._inflight or timeout is None:
+            return None
+        deadline = self._inflight[min(self._inflight)].get("deadline")
+        if deadline is None:
+            return None
+        return max(deadline, self._last_complete_t + timeout)
 
     def _retry_locked(self, frame: int, cause: str) -> None:
         """A worker raised but the set is intact: re-dispatch — the
@@ -829,9 +841,11 @@ class MPRenderPool(PoolCore):
                 if w.is_alive():
                     w.kill()
                     w.join(timeout=2.0)
+                w.close()  # its sentinel pipe
             except Exception:  # noqa: BLE001
                 pass
         self.metrics.counter("pool/worker_restarts").inc(len(self._workers))
+        self._workers = []
         self._close_job_pipes()
         # The old generation's completion cells are stale; the
         # re-dispatch below rebuilds them, and sends the held messages'
@@ -944,6 +958,7 @@ class MPRenderPool(PoolCore):
                 if w.is_alive():
                     w.kill()
                     w.join()
+                w.close()  # its sentinel pipe
             except Exception:  # noqa: BLE001 - teardown must not raise
                 pass
         if getattr(self, "_job_fds", None):

@@ -65,27 +65,20 @@ from ..core.partition import (
     line_ownership,
     uniform_contiguous_partition,
 )
-from ..core.profiling import (
-    ProfileSchedule,
-    ScanlineProfile,
-    scanline_cost,
-    scanline_cost_rows,
-)
+from ..core.profiling import ProfileSchedule, ScanlineProfile, scanline_cost_rows
 from ..obs.metrics import MetricsRegistry, busy_spread, metrics_from_timelines
 from ..obs.recorder import RingReader, SpanRecorder
 from ..obs.timeline import FrameTimeline
 from ..obs.timeline import export_chrome_trace as _export_chrome_trace
 from ..render.block import BlockRowCounters, composite_scanline_block
-from ..render.compositing import composite_image_scanline, nonempty_scanline_bounds
+from ..render.compositing import nonempty_scanline_bounds
 from ..render.fast import render_fast
 from ..render.image import FinalImage, IntermediateImage
-from ..render.instrument import WorkCounters
 from ..render.warp import final_pixel_source_lines, warp_rows, warp_rows_by_pid
 from ..transforms.factorization import PERMUTATIONS, ShearWarpFactorization
 from .backend import BackendCapabilities, FrameSpec, as_frame_specs
 
 __all__ = [
-    "COMPOSITE_KERNELS",
     "POOL_BACKENDS",
     "DEFAULT_STEAL_CHUNK",
     "MPPoolError",
@@ -110,13 +103,9 @@ __all__ = [
     "composite_share",
     "FAULT_PHASES",
     "FAULT_KINDS",
-    "fault_from_env",
     "armed_fault",
     "worker_burn_per_row",
 ]
-
-#: Compositing kernels a worker can run over its partition.
-COMPOSITE_KERNELS = ("scanline", "block")
 
 #: Pool backends selectable through ``PoolConfig.backend`` (dispatched
 #: by the ``repro.open_pool`` facade): ``"mp"`` is the process pool,
@@ -188,13 +177,16 @@ class PoolConfig:
     class directly, ``MPRenderPool(renderer, cfg)``); the facade's
     keyword overrides (``open_pool(r, n_procs=4)``) build one for you.
 
+    There is no kernel to choose: every worker composites with the block
+    kernel (:func:`~repro.render.block.composite_scanline_block`), which
+    is bit-identical to the instrumented scanline reference in pixels
+    and in every work counter, row by row.  The reference stays where it
+    is the point — the test oracle and the simulator's traced renderers.
+
     Parameters
     ----------
     n_procs:
         Worker count.
-    kernel:
-        ``"block"`` (default, vectorized) or ``"scanline"``
-        (instrumented reference); bit-identical images either way.
     profile_period:
         Re-profile every this many frames (paper section 4.2), plus one
         frame whenever no profile is valid for the view's principal
@@ -251,7 +243,6 @@ class PoolConfig:
     """
 
     n_procs: int = 2
-    kernel: str = "block"
     profile_period: int = 5
     stealing: bool = True
     trace: bool = False
@@ -266,10 +257,6 @@ class PoolConfig:
             raise ValueError("n_procs must be >= 1 (need at least one worker)")
         if self.shards < 1:
             raise ValueError("shards must be >= 1 (need at least one shard)")
-        if self.kernel not in COMPOSITE_KERNELS:
-            raise ValueError(
-                f"kernel must be one of {COMPOSITE_KERNELS}, got {self.kernel!r}"
-            )
         if self.backend not in POOL_BACKENDS:
             raise ValueError(
                 f"backend must be one of {POOL_BACKENDS}, got {self.backend!r}"
@@ -488,36 +475,15 @@ FAULT_PHASES = ("decode", "composite", "profile", "steal", "warp")
 #: raise out of the phase.
 FAULT_KINDS = ("kill", "hang", "raise")
 
-
-def fault_from_env() -> tuple[int, int, str, str] | None:
-    """Parse ``REPRO_MP_FAULT`` (``"pid:frame:kind[:phase]"``).
-
-    ``kind`` is one of :data:`FAULT_KINDS`, ``phase`` one of
-    :data:`FAULT_PHASES` (default ``composite``).
-    """
-    spec = os.environ.get("REPRO_MP_FAULT")
-    if not spec:
-        return None
-    parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise ValueError(f"REPRO_MP_FAULT must be pid:frame:kind[:phase], got {spec!r}")
-    pid, frame, kind = int(parts[0]), int(parts[1]), parts[2]
-    phase = parts[3] if len(parts) == 4 else "composite"
-    if kind not in FAULT_KINDS:
-        raise ValueError(f"REPRO_MP_FAULT kind must be one of {FAULT_KINDS}")
-    if phase not in FAULT_PHASES:
-        raise ValueError(f"REPRO_MP_FAULT phase must be one of {FAULT_PHASES}")
-    return pid, frame, kind, phase
-
-
 #: Deterministic fault-injection hook, mirroring ``TEST_ROW_DELAY``:
 #: ``(pid, frame, kind, phase)`` makes worker ``pid`` fail on frame
-#: ``frame`` when it reaches ``phase``.  Set ``REPRO_MP_FAULT`` or
-#: monkeypatch this before pool construction.  Only the process pool
+#: ``frame`` when it reaches ``phase`` (``kind`` one of
+#: :data:`FAULT_KINDS`, ``phase`` one of :data:`FAULT_PHASES`).
+#: Monkeypatch this before pool construction.  Only the process pool
 #: arms it (a thread cannot be killed without the whole process), and
 #: only for its *first* worker generation, so a respawned worker does
 #: not re-trip it and recovery can be observed succeeding.
-TEST_FAULT: tuple[int, int, str, str] | None = fault_from_env()
+TEST_FAULT: tuple[int, int, str, str] | None = None
 
 
 def armed_fault() -> tuple[int, int, str, str] | None:
@@ -558,7 +524,7 @@ def _maybe_fault(fault, pid: int, frame: int, phase: str) -> None:
         while True:  # until the supervisor terminates us
             time.sleep(3600.0)
     elif kind == "raise":
-        raise RuntimeError(f"injected {phase} fault (REPRO_MP_FAULT)")
+        raise RuntimeError(f"injected {phase} fault (TEST_FAULT)")
 
 
 # -- result type and capacity -------------------------------------------------
@@ -629,8 +595,9 @@ def capacity_shapes(
 # -- the worker side: claim, steal, composite, one frame ----------------------
 
 
-def composite_range(img, lo, hi, rle, fact, kernel, profiled, rec, frame):
-    """Composite scanlines ``[lo, hi)``; per-row costs when profiling.
+def composite_range(img, lo, hi, rle, fact, profiled, rec, frame):
+    """Composite scanlines ``[lo, hi)`` in one block-kernel call; their
+    per-row costs when profiling.
 
     One claimed chunk (or, with stealing off, the whole band).  The
     block kernel's per-row arithmetic is row-independent, so splitting a
@@ -638,29 +605,18 @@ def composite_range(img, lo, hi, rle, fact, kernel, profiled, rec, frame):
     """
     if hi <= lo:
         return None
-    if kernel == "block":
-        if profiled:
-            rows = BlockRowCounters(lo, hi)
-            composite_scanline_block(img, lo, hi, rle, fact, row_counters=rows)
-            if rec is not None:
-                tp0 = rec.now()
-            costs = scanline_cost_rows(rows)
-            if rec is not None:
-                # Nested inside this frame's composite span.
-                rec.span(frame, "profile", tp0, rec.now())
-            return costs
+    if not profiled:
         composite_scanline_block(img, lo, hi, rle, fact)
         return None
-    if profiled:
-        costs = np.zeros(hi - lo, dtype=np.float64)
-        for v in range(lo, hi):
-            counters = WorkCounters()
-            composite_image_scanline(img, v, rle, fact, counters=counters)
-            costs[v - lo] = scanline_cost(counters)
-        return costs
-    for v in range(lo, hi):
-        composite_image_scanline(img, v, rle, fact)
-    return None
+    rows = BlockRowCounters(lo, hi)
+    composite_scanline_block(img, lo, hi, rle, fact, row_counters=rows)
+    if rec is not None:
+        tp0 = rec.now()
+    costs = scanline_cost_rows(rows)
+    if rec is not None:
+        # Nested inside this frame's composite span.
+        rec.span(frame, "profile", tp0, rec.now())
+    return costs
 
 
 def seed_claims(claims: np.ndarray, boundaries: np.ndarray) -> None:
@@ -730,7 +686,7 @@ def steal_victim_chunk(claims, locks, pid, grain) -> tuple[int, int] | None:
         # Raced: the victim drained between scan and lock — rescan.
 
 
-def composite_share(img, band, claims, locks, pid, grain, rle, fact, kernel,
+def composite_share(img, band, claims, locks, pid, grain, rle, fact,
                     costs, rec, frame, burn_per_row=0.0, fault=None):
     """Composite worker ``pid``'s share of one frame (every pool's loop).
 
@@ -745,18 +701,16 @@ def composite_share(img, band, claims, locks, pid, grain, rle, fact, kernel,
     ``chunks`` lists the ``(lo, hi)`` ranges this worker composited.
     """
     chunks: list[tuple[int, int]] = []
-    n_rows = n_calls = n_steals = n_steal_rows = 0
+    n_rows = n_steals = n_steal_rows = 0
     if rec is not None:
         cache = rle.slice_cache
         hits0, misses0, decode_s0 = cache.hits, cache.misses, cache.decode_s
 
     def run(lo: int, hi: int) -> None:
-        nonlocal n_rows, n_calls
-        frag = composite_range(img, lo, hi, rle, fact, kernel,
-                               costs is not None, rec, frame)
+        nonlocal n_rows
+        frag = composite_range(img, lo, hi, rle, fact, costs is not None,
+                               rec, frame)
         n_rows += hi - lo
-        # The scanline kernel is invoked once per row of the chunk.
-        n_calls += 1 if kernel == "block" else hi - lo
         chunks.append((lo, hi))
         if frag is not None:
             costs[lo:hi] = frag
@@ -785,7 +739,7 @@ def composite_share(img, band, claims, locks, pid, grain, rle, fact, kernel,
         rec.count(frame, "rows", n_rows)
         rec.count(frame, "steals", n_steals)
         rec.count(frame, "steal_rows", n_steal_rows)
-        rec.count(frame, "kernel_calls", n_calls)
+        rec.count(frame, "kernel_calls", len(chunks))
         rec.count(frame, "cache_hits", cache.hits - hits0)
         rec.count(frame, "cache_misses", cache.misses - misses0)
         rec.count(frame, "decode_us", (cache.decode_s - decode_s0) * 1e6)
@@ -814,7 +768,6 @@ class WorkerContext:
 
     pid: int
     renderer: object
-    kernel: str
     steal_chunk: int
     #: One lock per worker's claim cursor pair: the owner takes only its
     #: own lock, a thief only the victim's (empty when stealing is off).
@@ -884,7 +837,7 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
             _maybe_fault(fault, pid, frame, "composite")
             chunks, n_steals, n_steal_rows = composite_share(
                 img, band, claims, ctx.claim_locks, pid, ctx.steal_chunk, rle,
-                fact, ctx.kernel, costs, rec, frame, ctx.burn_per_row, fault,
+                fact, costs, rec, frame, ctx.burn_per_row, fault,
             )
         finally:
             # Busy time stops at the barrier: the wait measures the
@@ -979,7 +932,6 @@ class PoolCore:
         self.renderer = renderer
         self.config = config
         self.n_procs = config.n_procs
-        self.kernel = config.kernel
         self.profile_period = config.profile_period
         self.stealing = config.stealing
         # The grain this pool's workers run with, read once so every
@@ -1406,7 +1358,6 @@ class PoolCore:
             raise RuntimeError("pool was created without trace=True")
         meta = {
             "n_procs": self.n_procs,
-            "kernel": self.kernel,
             "profile_period": self.profile_period,
             "stealing": self._steal_active,
             "steal_chunk": self.steal_chunk,

@@ -50,7 +50,7 @@ What differs from the process transport, all inherent to threads:
   submission runs ahead of :meth:`~ThreadRenderPool.result` collection
   (each undelivered frame holds its two images in memory).
 * ``fault_counters()["worker_restarts"]`` is always 0, and the
-  ``REPRO_MP_FAULT`` injection hook is never armed.
+  ``TEST_FAULT`` injection hook is never armed.
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ class ThreadRenderPool(PoolCore):
             ctx = WorkerContext(
                 pid=pid,
                 renderer=renderer,
-                kernel=self.kernel,
                 steal_chunk=self.steal_chunk,
                 claim_locks=claim_locks,
                 barrier=self._barrier,

@@ -4,7 +4,7 @@ This lifts the :class:`~repro.volume.rle.SliceCache` idea one level: the
 slice cache memoizes decoded RLE planes (pure functions of the
 immutable encoding), this cache memoizes *finished frames* (pure
 functions of the canonical request identity — dataset, scale,
-classification, view, kernel).  An animation client orbiting a volume
+classification, view).  An animation client orbiting a volume
 and a dashboard of viewers staring at the same angle both collapse to
 one render per distinct view.
 

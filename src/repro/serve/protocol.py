@@ -11,8 +11,10 @@ tests pin down.
 Request identity
 ----------------
 Two requests are *the same render* when their canonical identity dicts
-match: dataset, proxy scale, classification spec, viewing angles and
-compositing kernel.  :func:`request_key` hashes the canonical JSON of
+match: dataset, proxy scale, classification spec and viewing angles.
+The identity also names a compositing kernel; the server always passes
+``"block"``, the pools' one kernel, so keys keep their historical
+bytes.  :func:`request_key` hashes the canonical JSON of
 that identity — the content address used by both the in-flight
 coalescing map and the whole-frame cache.
 """

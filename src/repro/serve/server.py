@@ -10,8 +10,10 @@ under many clients:
   bounds the renders in flight; excess requests are rejected immediately
   with a typed ``ServerBusy`` instead of queueing without bound.
 * **Request coalescing** — identical in-flight requests (same canonical
-  ``(dataset, classification, view, kernel)`` identity) await *one*
-  pool render and share its frame, byte for byte.
+  ``(dataset, classification, view)`` identity) await *one* pool render
+  and share its frame, byte for byte.  Every pool composites with the
+  one block kernel, so a request names no kernel (a ``kernel`` field is
+  ignored).
 * **A content-addressed whole-frame LRU**
   (:class:`~repro.serve.cache.FrameCache`) returns repeated views
   without touching a pool at all.
@@ -75,6 +77,11 @@ SNAPSHOT_KIND = "repro-metrics"
 #: factory builds; ``movie`` requests with more frames wrap around it.
 DEFAULT_MOVIE_TIMESTEPS = 4
 
+#: The ``kernel`` element of every request identity: the pools'
+#: one compositing kernel, kept in the key so cache keys stay the ones
+#: :func:`~repro.serve.protocol.request_key` has always produced.
+_KERNEL = "block"
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -96,8 +103,8 @@ class ServeConfig:
         Request defaults (a client may override any of them per
         request).
     pool:
-        The :class:`PoolConfig` every pool is built from; a request's
-        ``kernel`` field rebuilds it per pool.  ``profile_period``
+        The :class:`PoolConfig` every pool is built from, as is: one
+        pool per dataset, scale and classification.  ``profile_period``
         defaults to 0 here — service traffic has no frame-to-frame
         coherence for the profile loop to exploit.  ``pool.shards > 1``
         makes every lazily-created "pool" a sharded fleet
@@ -357,7 +364,6 @@ class RenderServer:
         dataset = str(msg.get("dataset", cfg.default_dataset))
         scale = float(msg.get("scale", cfg.default_scale))
         cls_spec = msg.get("classification", cfg.default_classification)
-        kernel = str(msg.get("kernel", cfg.pool.kernel))
         rx = float(msg.get("rx", 20.0))
         ry = float(msg.get("ry", 30.0))
         rz = float(msg.get("rz", 0.0))
@@ -372,12 +378,12 @@ class RenderServer:
             return [
                 canonical_identity(dataset, scale, cls_spec,
                                    (rx, ry + i * step, rz, i % timesteps),
-                                   kernel)
+                                   _KERNEL)
                 for i in range(n_frames)
             ]
         return [
             canonical_identity(dataset, scale, cls_spec,
-                               (rx, ry + i * step, rz), kernel)
+                               (rx, ry + i * step, rz), _KERNEL)
             for i in range(n_frames)
         ]
 
@@ -476,10 +482,10 @@ class RenderServer:
     @staticmethod
     def _pool_key(identity: dict) -> tuple:
         """Pool-map key: everything that forks different renderer state
-        into the workers — dataset, scale, classification, kernel."""
+        into the workers — dataset, scale, classification."""
         return (
             identity["dataset"], identity["scale"],
-            json.dumps(identity["classification"]), identity["kernel"],
+            json.dumps(identity["classification"]),
         )
 
     def _pool_for(self, identity: dict) -> tuple[object, ThreadPoolExecutor]:
@@ -494,19 +500,14 @@ class RenderServer:
         if entry is None:
             import repro
 
-            renderer_key = key[:3]
-            renderer = self._renderers.get(renderer_key)
+            renderer = self._renderers.get(key)
             if renderer is None:
                 renderer = self._renderer_factory(
                     identity["dataset"], identity["scale"],
                     identity["classification"],
                 )
-                self._renderers[renderer_key] = renderer
-            pool = repro.open_pool(
-                renderer, config=self.config.pool.replace(
-                    kernel=identity["kernel"]
-                )
-            )
+                self._renderers[key] = renderer
+            pool = repro.open_pool(renderer, config=self.config.pool)
             executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=f"serve-pool-{len(self._pools)}"
             )

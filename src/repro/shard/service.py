@@ -392,7 +392,6 @@ class ShardedRenderService:
             "backend": "shard",
             "shards": self.n_shards,
             "n_procs": self.n_procs,
-            "kernel": self.config.kernel,
             "profile_period": self.config.profile_period,
             "stealing": self.config.stealing,
             "frames": len(self.timelines),

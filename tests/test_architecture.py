@@ -7,8 +7,8 @@ another module's underscore-private names, the transports do not import
 each other, the frame lifecycle is written exactly once, a process
 worker reports through shared memory only, admission never waits, a
 shard fleet queues no frames of its own and plans with the pools'
-planner, and the pools are configured by one class with a counted
-number of fields.
+planner, the pools run one compositing kernel, and they are configured
+by one class with a counted number of fields.
 """
 
 import ast
@@ -248,11 +248,36 @@ def test_one_planner_at_both_levels():
     assert not imported & {"line_ownership", "profile_partition", "ScanlineProfile"}
 
 
-def test_one_config_class_with_ten_fields():
+def test_one_config_class_with_nine_fields():
     """Every independently settable value of a pool is a ``PoolConfig``
     field; adding one is a decision, not a drive-by."""
     import repro
 
-    assert len(fields(repro.PoolConfig)) == 10
+    assert len(fields(repro.PoolConfig)) == 9
     with pytest.raises(AttributeError):
         repro.ShardConfig
+
+
+def test_one_kernel_in_the_pools():
+    """The pools composite with the block kernel and nothing else: no
+    list of kernels to pick from, and the traced scanline kernel — the
+    test oracle and the simulator's — is not imported by the core or
+    either transport."""
+    import repro.parallel.poolcore
+
+    with pytest.raises(AttributeError):
+        repro.parallel.poolcore.COMPOSITE_KERNELS
+    for name in ("poolcore.py", "mp_backend.py", "thread_backend.py"):
+        assert "composite_image_scanline" not in _imported_modules(PARALLEL / name)
+
+
+def test_the_package_reads_no_environment_variable():
+    """Fault and delay injection are module hooks a test monkeypatches
+    (``poolcore.TEST_FAULT``, ``TEST_ROW_DELAY``), not variables a
+    deployment can set by accident."""
+    reads = [
+        f"{p.name}:{n.lineno}" for p in sorted(SRC.rglob("*.py"))
+        for n in ast.walk(ast.parse(p.read_text()))
+        if isinstance(n, ast.Attribute) and n.attr in {"environ", "getenv"}
+    ]
+    assert not reads

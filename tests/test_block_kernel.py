@@ -2,11 +2,13 @@
 
 The block kernel's contract is *bit-identical* output (np.array_equal,
 not allclose) and identical work counters for any contiguous scanline
-band, so everything built on it — the fast whole-frame path, the
-multiprocessing workers, block-kernel frame recording — inherits the
-reference semantics.  Also covers the decoded-slice LRU and the
+band, so everything built on it — the fast whole-frame path and the
+pools' workers — inherits the reference semantics, and the simulator's
+traced frames count the work that runs.  Also covers the decoded-slice LRU and the
 persistent multiprocessing pool.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -610,7 +612,7 @@ class TestMPRenderPool:
     def test_animation_bit_exact(self, renderer):
         views = [renderer.view_from_angles(20, 30 + 5 * i, 0) for i in range(4)]
         refs = [renderer.render(v) for v in views]
-        with repro.open_pool(renderer, n_procs=2, kernel="block") as pool:
+        with repro.open_pool(renderer, n_procs=2) as pool:
             results = [pool.render(v) for v in views]
         for res, ref in zip(results, refs):
             assert np.array_equal(res.final.color, ref.final.color)
@@ -626,13 +628,6 @@ class TestMPRenderPool:
         for h, ref in zip(handles, refs):
             assert np.array_equal(out[h].final.color, ref.final.color)
 
-    def test_scanline_kernel_parity(self, renderer):
-        view = renderer.view_from_angles(25, -10, 5)
-        ref = renderer.render(view)
-        with repro.open_pool(renderer, n_procs=3, kernel="scanline") as pool:
-            res = pool.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
-
     def test_one_shot_wrapper_matches(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
         ref = renderer.render(view)
@@ -643,8 +638,6 @@ class TestMPRenderPool:
     def test_validation(self, renderer):
         with pytest.raises(ValueError):
             repro.open_pool(renderer, n_procs=0)
-        with pytest.raises(ValueError):
-            repro.open_pool(renderer, kernel="nope")
         with pytest.raises(RuntimeError):
             with repro.open_pool(renderer, n_procs=1) as pool:
                 pool.close()
@@ -652,7 +645,9 @@ class TestMPRenderPool:
 
 
 class TestBlockKernelFrames:
-    """The core renderers' kernel knob: same frames, no traces."""
+    """What the simulator replays is what runs: the core renderers
+    record through the traced scanline kernel only, and every task they
+    record counts exactly the work the block kernel does on its row."""
 
     @pytest.fixture(scope="class")
     def renderer(self):
@@ -662,36 +657,51 @@ class TestBlockKernelFrames:
     def test_frames_match_scanline_kernel(self, renderer, algorithm):
         from repro.core.new_renderer import NewParallelShearWarp
         from repro.core.old_renderer import OldParallelShearWarp
+        from repro.render.fast import render_fast
 
         cls = OldParallelShearWarp if algorithm == "old" else NewParallelShearWarp
-        fs = cls(renderer, 2)
-        fb = cls(renderer, 2, kernel="block")
+        factory = cls(renderer, 2)
         for i in range(2):
             view = renderer.view_from_angles(20, 30 + 3 * i, 0)
-            a, b = fs.render_frame(view), fb.render_frame(view)
-            assert np.array_equal(a.final.color, b.final.color)
-            assert np.array_equal(a.intermediate.opacity, b.intermediate.opacity)
-            assert b.kernel == "block"
-            assert all(t.trace == [] for t in b.composite_units.values())
-            for uid, rec in a.composite_units.items():
-                brec = b.composite_units[uid]
-                assert rec.cost == brec.cost
+            frame, fast = factory.render_frame(view), render_fast(renderer, view)
+            assert np.array_equal(frame.final.color, fast.final.color)
+            assert np.array_equal(frame.intermediate.opacity,
+                                  fast.intermediate.opacity)
+            assert any(t.trace for t in frame.composite_units.values())
+            fact = frame.fact
+            rows = BlockRowCounters(0, fact.intermediate_shape[0])
+            composite_scanline_block(
+                IntermediateImage(fact.intermediate_shape), 0,
+                fact.intermediate_shape[0], renderer.rle_for(fact), fact,
+                row_counters=rows,
+            )
+            for uid, rec in frame.composite_units.items():
                 for f in COUNTER_FIELDS:
-                    assert getattr(rec.counters, f) == getattr(brec.counters, f)
+                    assert getattr(rec.counters, f) == getattr(rows.row(uid), f)
 
     def test_block_frames_refuse_simulation(self, renderer):
+        """There are no block frames left to refuse: the renderers take
+        no kernel, and the frames they record simulate."""
+        from repro.core.frame import ParallelFrame
         from repro.core.new_renderer import NewParallelShearWarp
+        from repro.core.old_renderer import OldParallelShearWarp
         from repro.memsim.machine import MACHINES
         from repro.parallel.execution import simulate_frame
 
-        frame = NewParallelShearWarp(renderer, 2, kernel="block").render_frame(
+        for cls in (OldParallelShearWarp, NewParallelShearWarp):
+            with pytest.raises(TypeError, match="kernel"):
+                cls(renderer, 2, kernel="block")
+        assert "kernel" not in {f.name for f in fields(ParallelFrame)}
+        frame = NewParallelShearWarp(renderer, 2).render_frame(
             renderer.view_from_angles(20, 30, 0)
         )
-        with pytest.raises(ValueError, match="block"):
-            simulate_frame(frame, MACHINES["dash"]())
+        assert simulate_frame(frame, MACHINES["dash"]()).total_time > 0
 
     def test_harness_simulate_guard(self):
-        from repro.analysis.harness import simulate
+        """Nor do the harness entry points: a kernel is not a key."""
+        from repro.analysis.harness import simulate, traced_frames
 
-        with pytest.raises(ValueError, match="scanline"):
+        with pytest.raises(TypeError, match="kernel"):
             simulate("mri128", "new", "dash", 2, scale=0.1, kernel="block")
+        with pytest.raises(TypeError, match="kernel"):
+            traced_frames("mri128", "new", 2, scale=0.1, kernel="block")

@@ -134,6 +134,60 @@ class TestCLI:
             main(["speedup", "--machine", "cray"])
 
 
+#: The render smokes' animation: four frames of a small mri256 proxy
+#: through two workers, with the profile feedback loop on.
+_ANIMATION = ["--dataset", "mri256", "--scale", "0.08", "--procs", "2",
+              "--frames", "4", "--profile-period", "2"]
+#: The movie smoke: two timesteps of the beating heart through a
+#: two-shard fleet.
+_MOVIE = ["--movie", "--dataset", "beating_heart", "--scale", "0.5",
+          "--frames", "4", "--timesteps", "2", "--procs", "2",
+          "--shards", "2"]
+
+
+class TestRenderSmokes:
+    """``repro render`` then ``repro stats``, as an operator runs them:
+    one case per way of rendering, each checked by the counters their
+    output prints that show its mechanism ran."""
+
+    @pytest.mark.parametrize("args, kill, counters", [
+        pytest.param(_ANIMATION, False, [r"pool/batch_frames=[1-9]"],
+                     id="mp"),
+        pytest.param(_ANIMATION + ["--backend", "thread"], False,
+                     [r"backend=thread", r"pool/batch_frames=[1-9]"],
+                     id="thread"),
+        pytest.param(_ANIMATION, True,
+                     [r"worker_restarts=[1-9]", r"frames_retried=[1-9]"],
+                     id="kill"),
+        pytest.param(_ANIMATION + ["--shards", "2"], False,
+                     [r"shard/merges=[1-9]", r"worker_restarts=0"],
+                     id="shards"),
+        pytest.param(_MOVIE, True,
+                     [r"movie/frames_encoded=[1-9]",
+                      r"worker_restarts=[1-9]"],
+                     id="movie-kill"),
+    ])
+    def test_render_then_stats(self, monkeypatch, capsys, tmp_path, args,
+                               kill, counters):
+        import repro.parallel.poolcore as poolcore
+
+        if kill:
+            # Worker 0 of every pool is SIGKILLed in frame 1, then the
+            # supervisor recovers it.
+            monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "kill", "composite"))
+        out = tmp_path / "out.json"
+        if "--movie" in args:
+            args = [*args, "--movie-out", str(tmp_path / "frames"),
+                    "--metrics-out", str(out)]
+        else:
+            args = [*args, "--trace-out", str(out)]
+        assert main(["render", *args]) == 0
+        assert main(["stats", str(out)]) == 0
+        text = capsys.readouterr().out
+        for pattern in counters:
+            assert re.search(pattern, text), pattern
+
+
 class TestCLIErrorPaths:
     def test_animation_pool_failure_exits_typed_without_leaks(
             self, monkeypatch, capsys):
@@ -204,6 +258,18 @@ class TestCLIErrorPaths:
             main(["render", "--procs", "2", "--steal-chunk", "2"])
         assert exc.value.code == 2
         assert "--steal-chunk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "--procs", "2", "--kernel", "block"],
+        ["serve", "--kernel", "block"],
+    ])
+    def test_kernel_flag_is_gone(self, capsys, argv):
+        """Every pool composites with the block kernel: neither command
+        has a flag to pick one."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
 
     def test_stats_on_metrics_snapshot(self, capsys, tmp_path):
         """`repro stats` renders serve metrics snapshots (counters in

@@ -42,15 +42,13 @@ def _assert_identical(res, refs):
 
 
 class TestBatchedBitIdentity:
-    @pytest.mark.parametrize("kernel", ["block", "scanline"])
     @pytest.mark.parametrize("stealing", [True, False])
-    def test_batched_matches_serial(self, renderer, kernel, stealing):
-        """submit_batch == serial, both kernels, stealing on/off,
-        profile feedback loop on."""
+    def test_batched_matches_serial(self, renderer, stealing):
+        """submit_batch == serial, stealing on/off, profile feedback
+        loop on."""
         views = _views(renderer)
         refs = [render_fast(renderer, v) for v in views]
-        cfg = PoolConfig(n_procs=2, kernel=kernel, stealing=stealing,
-                         profile_period=2)
+        cfg = PoolConfig(n_procs=2, stealing=stealing, profile_period=2)
         with MPRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
         _assert_identical(res, refs)

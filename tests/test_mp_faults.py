@@ -1,9 +1,9 @@
 """Fault-injection tests for the self-healing multiprocessing pool.
 
-Each test arms the deterministic fault hook (``poolcore.TEST_FAULT``, the
-monkeypatch twin of the ``REPRO_MP_FAULT`` env knob — it reaches the
-workers through fork) to kill, hang or blow up one worker at one phase
-of one frame, then asserts the supervisor recovers the animation with
+Each test arms the deterministic fault hook (``poolcore.TEST_FAULT``,
+monkeypatched before the pool is built — it reaches the workers through
+fork) to kill, hang or blow up one worker at one phase of one frame,
+then asserts the supervisor recovers the animation with
 images bit-identical to the serial reference and the recovery counters
 telling the truth.  The typed-error and :class:`PoolConfig` API
 contracts of the redesign are covered here too.
@@ -36,6 +36,8 @@ from repro.parallel.poolcore import (
 )
 from repro.render import ShearWarpRenderer
 from repro.volume import mri_transfer_function
+
+from .conftest import open_fds
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +95,12 @@ class TestFaultInjection:
         assert counters["worker_restarts"] == 0
         assert results[2].retries >= 1
 
-    @pytest.mark.parametrize("kernel", poolcore.COMPOSITE_KERNELS)
-    def test_kill_recovery_on_both_kernels(self, renderer, monkeypatch,
-                                           kernel):
+    def test_kill_on_the_first_frame_of_an_unprofiled_pool(self, renderer,
+                                                           monkeypatch):
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
         views = _views(renderer, 3)
         results, counters = _animate(renderer, views, n_procs=2,
-                                     kernel=kernel, profile_period=0)
+                                     profile_period=0)
         _assert_bit_identical(renderer, views, results)
         assert counters["worker_restarts"] >= 2
 
@@ -163,12 +164,12 @@ class TestFaultInjection:
         )
 
 
-#: A worker is killed in frame 1 just as a 150-frame message (about
-#: 170 KB pickled, well past a 64 KB pipe) goes out behind it.  Run in
-#: a subprocess with a watchdog, so that a pool that wedges fails the
-#: test (exit status 3, its workers killed so that its shared memory is
-#: reclaimed) instead of wedging the suite.
-_KILL_UNDER_A_LARGE_BATCH = """
+#: A worker is killed (or hangs, under a frame deadline) in frame 1 just
+#: as a 150-frame message (about 170 KB pickled, well past a 64 KB pipe)
+#: goes out behind it.  Run in a subprocess with a watchdog, so that a
+#: pool that wedges fails the test (exit status 3, its workers killed so
+#: that its shared memory is reclaimed) instead of wedging the suite.
+_FAULT_UNDER_A_LARGE_BATCH = """
 import os
 import sys
 import threading
@@ -182,9 +183,11 @@ from repro.render.fast import render_fast
 from repro.volume import mri_transfer_function
 
 r = ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
-poolcore.TEST_FAULT = (int(sys.argv[1]), 1, "kill", "composite")
+pid, kind = int(sys.argv[1]), sys.argv[2]
+poolcore.TEST_FAULT = (pid, 1, kind, "composite")
 views = [r.view_from_angles(20, 30 + 0.5 * i, 0) for i in range(152)]
-pool = MPRenderPool(r, PoolConfig(n_procs=2))
+pool = MPRenderPool(r, PoolConfig(
+    n_procs=2, timeout_s=0.5 if kind == "hang" else None))
 results = []
 
 def run():
@@ -209,15 +212,21 @@ print(identical, restarts)
 """
 
 
-@pytest.mark.parametrize("killed", [0, 1])
-def test_worker_killed_under_a_message_larger_than_its_pipe(killed):
+@pytest.mark.parametrize("worker, kind", [
+    pytest.param(0, "kill", id="0"),
+    pytest.param(1, "kill", id="1"),
+    pytest.param(0, "hang", id="hang"),
+])
+def test_worker_killed_under_a_message_larger_than_its_pipe(worker, kind):
     """The supervisor writes job pipes with the pool condition held.  A
     message that outgrows the pipe must not wait on a dead worker — nor
     on its sibling, wedged at the barrier the dead one never reaches —
-    or recovery, which needs that condition, never runs."""
+    or recovery, which needs that condition, never runs.  A hung worker
+    never dies, so that wait ends at the oldest frame's deadline, after
+    which the health check recovers the set."""
     src = Path(repro.__file__).resolve().parents[1]
     proc = subprocess.Popen(
-        [sys.executable, "-c", _KILL_UNDER_A_LARGE_BATCH, str(killed)],
+        [sys.executable, "-c", _FAULT_UNDER_A_LARGE_BATCH, str(worker), kind],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=str(src)), start_new_session=True,
     )
@@ -227,7 +236,7 @@ def test_worker_killed_under_a_message_larger_than_its_pipe(killed):
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         raise
-    assert proc.returncode != 3, "the pool hung on a killed worker's full job pipe"
+    assert proc.returncode != 3, f"the pool hung behind a full job pipe ({kind} fault)"
     assert proc.returncode == 0, err
     identical, restarts = map(int, out.split())
     assert identical == 152
@@ -409,13 +418,24 @@ class TestNoLeaks:
             with pytest.raises(FileNotFoundError):
                 sm.SharedMemory(name=name)
 
+    def test_closed_pool_holds_no_fds(self, renderer, monkeypatch):
+        """``close()`` gives back every descriptor the pool opened —
+        its workers' sentinel pipes included, for the generation a
+        recovery replaced and for the last one — even while something
+        (a traceback, a caller) still references the pool object."""
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
+        before = open_fds()
+        pool = repro.open_pool(renderer, n_procs=2, profile_period=0)
+        pool.render(renderer.view_from_angles(20, 30, 0))
+        assert pool.fault_counters()["worker_restarts"] >= 2
+        pool.close()
+        assert open_fds() == before
+
 
 class TestPoolConfig:
     def test_validation_lives_on_the_config(self):
         with pytest.raises(ValueError, match="worker"):
             PoolConfig(n_procs=0)
-        with pytest.raises(ValueError, match="kernel"):
-            PoolConfig(kernel="simd")
         with pytest.raises(ValueError, match="profile_period"):
             PoolConfig(profile_period=-1)
         with pytest.raises(ValueError, match="timeout_s"):
@@ -436,10 +456,10 @@ class TestPoolConfig:
     def test_legacy_kwargs_build_the_same_config(self, renderer):
         """What used to be per-call pool kwargs are ``open_pool``
         overrides now, and build exactly the config they name."""
-        with repro.open_pool(renderer, n_procs=2, kernel="scanline",
-                             profile_period=0, stealing=False) as pool:
-            assert pool.config == PoolConfig(n_procs=2, kernel="scanline",
-                                             profile_period=0, stealing=False)
+        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+                             stealing=False) as pool:
+            assert pool.config == PoolConfig(n_procs=2, profile_period=0,
+                                             stealing=False)
 
     def test_config_and_kwargs_is_an_error(self, renderer):
         with pytest.raises(TypeError):
@@ -449,8 +469,14 @@ class TestPoolConfig:
         # Same errors the pre-config pool raised from __init__.
         with pytest.raises(ValueError):
             repro.open_pool(renderer, n_procs=0)
-        with pytest.raises(ValueError):
-            repro.open_pool(renderer, kernel="nope")
+
+    def test_kernel_is_not_an_option(self, renderer):
+        """Every pool composites with the block kernel: neither the
+        config nor the facade takes a kernel."""
+        with pytest.raises(TypeError, match="kernel"):
+            PoolConfig(kernel="block")
+        with pytest.raises(TypeError, match="kernel"):
+            repro.open_pool(renderer, kernel="block")
 
     def test_one_shot_accepts_config(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
@@ -475,31 +501,9 @@ class TestFacade:
     def test_open_pool_with_overrides(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
         cfg = PoolConfig(n_procs=2, profile_period=0)
-        with repro.open_pool(renderer, cfg, kernel="scanline") as pool:
-            assert pool.kernel == "scanline"
+        with repro.open_pool(renderer, cfg, stealing=False) as pool:
+            assert pool.config == cfg.replace(stealing=False)
             assert pool.n_procs == 2
             res = pool.render(view)
         ref = renderer.render(view)
         assert np.array_equal(res.final.color, ref.final.color)
-
-
-class TestFaultEnvParsing:
-    def test_parses_full_spec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_FAULT", "1:3:hang:warp")
-        assert poolcore.fault_from_env() == (1, 3, "hang", "warp")
-
-    def test_phase_defaults_to_composite(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_FAULT", "0:0:kill")
-        assert poolcore.fault_from_env() == (0, 0, "kill", "composite")
-
-    def test_rejects_bad_kind_and_phase(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_FAULT", "0:0:explode")
-        with pytest.raises(ValueError):
-            poolcore.fault_from_env()
-        monkeypatch.setenv("REPRO_MP_FAULT", "0:0:kill:teleport")
-        with pytest.raises(ValueError):
-            poolcore.fault_from_env()
-
-    def test_absent_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MP_FAULT", raising=False)
-        assert poolcore.fault_from_env() is None

@@ -141,20 +141,19 @@ class TestGuidedClaims:
 
 
 class TestStealBitIdentity:
-    @pytest.mark.parametrize("kernel", ["block", "scanline"])
-    def test_stealing_bit_identical_to_static_pool(self, renderer, kernel,
+    def test_stealing_bit_identical_to_static_pool(self, renderer,
                                                    monkeypatch, fine_grain):
         """Static pool vs. stealing pool under forced steals: every pixel
-        of both images must match exactly, for both kernels."""
+        of both images must match exactly."""
         view = renderer.view_from_angles(20, 30, 0)
-        ref = _render_pool(renderer, view, n_procs=3, kernel=kernel,
-                           stealing=False, profile_period=0)
+        ref = _render_pool(renderer, view, n_procs=3, stealing=False,
+                           profile_period=0)
         assert ref.steals == 0 and ref.steal_rows == 0
         # Slow worker 0 down so its siblings actually turn thief (the
         # hook reaches the workers through fork, so set it pre-pool).
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.002))
-        res = _render_pool(renderer, view, n_procs=3, kernel=kernel,
-                           stealing=True, profile_period=0)
+        res = _render_pool(renderer, view, n_procs=3, stealing=True,
+                           profile_period=0)
         _assert_same_images(res, ref)
 
     def test_stealing_bit_identical_with_profile_loop(self, renderer,

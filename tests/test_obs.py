@@ -322,14 +322,6 @@ class TestMPTracing:
         assert main(["stats", str(path)]) == 0
         assert "kernel_calls" in capsys.readouterr().out
 
-    def test_scanline_kernel_calls_count_rows(self, renderer):
-        """The scanline kernel is entered once per scanline."""
-        view = renderer.view_from_angles(20, 30, 0)
-        with repro.open_pool(renderer, n_procs=2, kernel="scanline",
-                             profile_period=0, trace=True) as pool:
-            totals = pool.render(view).timeline.counter_totals()
-        assert totals["kernel_calls"] == totals["rows"] > 0
-
     def test_tracing_is_bit_identical_to_disabled(self, renderer):
         """The acceptance criterion: tracing must not change the images."""
         views = self._views(renderer, 2)
@@ -430,14 +422,13 @@ class TestRendererRecorders:
         from repro.analysis.harness import traced_frames
 
         frames, tls = traced_frames("mri128", "new", 2, n_frames=2,
-                                    scale=0.1, kernel="block",
-                                    profile_period=1)
+                                    scale=0.1, profile_period=1)
         assert len(frames) == 2
         assert [tl.frame for tl in tls] == [0, 1]
         phases = tls[0].phase_seconds()
         assert phases.keys() >= {"decode", "composite", "profile", "warp"}
         frames_old, tls_old = traced_frames("mri128", "old", 2, n_frames=1,
-                                            scale=0.1, kernel="block")
+                                            scale=0.1)
         assert "composite" in tls_old[0].phase_seconds()
 
 

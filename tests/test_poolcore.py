@@ -50,8 +50,8 @@ class FakePool(PoolCore):
         self.sent: list[int] = []
         self.released: list[int] = []
         self.ctx = WorkerContext(
-            pid=0, renderer=renderer, kernel=self.kernel,
-            steal_chunk=self.steal_chunk, claim_locks=[],
+            pid=0, renderer=renderer, steal_chunk=self.steal_chunk,
+            claim_locks=[],
             barrier=_NoBarrier(), clock=time.process_time,
         )
 

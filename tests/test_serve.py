@@ -301,6 +301,33 @@ class TestServer:
         assert single["frames"][0]["sha256"] == anim["frames"][1]["sha256"]
         assert server.metrics.counters["serve/pool_renders"].value == 1
 
+    def test_a_kernel_field_names_the_same_frame(self):
+        """Pools have one kernel, so a request's ``kernel`` field is not
+        part of what it asks for: after a plain request, the same one
+        naming the scanline kernel is a cache hit with the same bytes,
+        and no second pool is opened.  The frame sits under the key a
+        ``"block"`` identity has always hashed to."""
+        server = RenderServer(thread_config())
+
+        async def body():
+            async with server:
+                host, port = server.address
+                c = await RenderClient.connect(host, port)
+                plain = await c.request({"op": "render", "ry": 30.0})
+                named = await c.request({"op": "render", "ry": 30.0,
+                                         "kernel": "scanline"})
+                await c.close()
+                return plain, named, len(server._pools)
+
+        plain, named, n_pools = run(body())
+        assert not plain["cached"] and named["cached"] is True
+        assert named["frames"] == plain["frames"]
+        assert n_pools == 1
+        assert server.metrics.counters["serve/pool_renders"].value == 1
+        key = request_key(canonical_identity(
+            "mri128", 0.08, "mri", (20.0, 30.0, 0.0), "block"))
+        assert server.cache.get(key).sha256 == plain["frames"][0]["sha256"]
+
     def test_movie_op_serves_timestepped_frames(self):
         """The movie op weaves a timestep into each frame identity, the
         frames match the per-timestep serial reference bit for bit, and

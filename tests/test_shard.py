@@ -1,7 +1,7 @@
 """Tests for the sharded multi-pool render service.
 
 The contract under test is the one the merge tree is built on: for any
-shard count, backend, kernel and stealing mode, the merged frame is
+shard count, backend and stealing mode, the merged frame is
 bit-identical to the serial renderer — including while one shard's
 worker set is being killed and recovered, and while the shard-level
 feedback loop is moving the shard boundaries between frames.
@@ -52,21 +52,19 @@ class TestBitIdentity:
     """Merged output == serial output, across the configuration matrix."""
 
     @pytest.mark.parametrize(
-        "backend,shards,stealing,kernel",
+        "backend,shards,stealing",
         [
-            ("mp", 1, True, "block"),
-            ("mp", 2, True, "block"),
-            ("mp", 2, False, "scanline"),
-            ("mp", 4, False, "block"),
-            ("thread", 2, True, "scanline"),
-            ("thread", 2, False, "block"),
-            ("thread", 4, True, "block"),
+            ("mp", 1, True),
+            ("mp", 2, True),
+            ("mp", 4, False),
+            ("thread", 2, False),
+            ("thread", 4, True),
         ],
     )
-    def test_matrix(self, renderer, backend, shards, stealing, kernel):
+    def test_matrix(self, renderer, backend, shards, stealing):
         views = _views(renderer, 3)
         cfg = PoolConfig(n_procs=2, shards=shards, stealing=stealing,
-                         backend=backend, kernel=kernel, profile_period=2)
+                         backend=backend, profile_period=2)
         with ShardedRenderService(renderer, cfg) as svc:
             results = svc.render_animation(views)
             merges = svc.metrics.counter("shard/merges").value
@@ -487,12 +485,12 @@ class TestFailedFrame:
 
         real = poolcore.composite_range
 
-        def flaky(img, lo, hi, rle, fact, kernel, profiled, rec, frame):
+        def flaky(img, lo, hi, rle, fact, profiled, rec, frame):
             # Frame 1's lowest non-empty scanline is shard 0's: only
             # that pool fails; its sibling renders its half of frame 1.
             if frame == 1 and lo == nonempty_scanline_bounds(rle, fact)[0]:
                 raise RuntimeError("injected composite failure")
-            return real(img, lo, hi, rle, fact, kernel, profiled, rec, frame)
+            return real(img, lo, hi, rle, fact, profiled, rec, frame)
 
         monkeypatch.setattr(poolcore, "composite_range", flaky)
         views = _views(renderer, 3)

@@ -1,7 +1,7 @@
 """The threading backend: no fork, no pickling, no copies — same pixels.
 
 :class:`ThreadRenderPool` must be bit-identical to the serial renderer
-(and therefore to the MP pool) across kernels, stealing, and batched vs
+(and therefore to the MP pool) across stealing, and batched vs
 per-frame submission, and must keep the MP pool's error contract
 (retry / degrade / FrameFailed) without any process machinery.
 """
@@ -40,13 +40,11 @@ def _assert_identical(res, refs):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("kernel", ["block", "scanline"])
     @pytest.mark.parametrize("stealing", [True, False])
-    def test_matches_serial(self, renderer, kernel, stealing):
+    def test_matches_serial(self, renderer, stealing):
         views = _views(renderer)
         refs = [render_fast(renderer, v) for v in views]
-        cfg = PoolConfig(n_procs=2, kernel=kernel, stealing=stealing,
-                         profile_period=2)
+        cfg = PoolConfig(n_procs=2, stealing=stealing, profile_period=2)
         with ThreadRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
         _assert_identical(res, refs)
@@ -101,12 +99,12 @@ def _flaky_composite(fail_frames, fire_once=True):
     lock = threading.Lock()
     fired: set[int] = set()
 
-    def flaky(img, lo, hi, rle, fact, kernel, profiled, rec, frame):
+    def flaky(img, lo, hi, rle, fact, profiled, rec, frame):
         with lock:
             if frame in fail_frames and (not fire_once or frame not in fired):
                 fired.add(frame)
                 raise RuntimeError("injected composite failure")
-        return real(img, lo, hi, rle, fact, kernel, profiled, rec, frame)
+        return real(img, lo, hi, rle, fact, profiled, rec, frame)
 
     return flaky
 
