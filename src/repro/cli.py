@@ -252,7 +252,10 @@ def _print_metrics_snapshot(path: str, snap: dict) -> int:
     if counters:
         print("\ncounters:")
         for name, value in sorted(counters.items()):
-            print(f"{name}={value:g}")
+            # Whole counts print exactly (``serve/bytes_sent`` runs to
+            # millions, past ``g``'s six digits).
+            exact = float(value).is_integer()
+            print(f"{name}={value:.0f}" if exact else f"{name}={value:g}")
     gauges = snap.get("gauges") or {}
     if gauges:
         print("\ngauges:")

@@ -3,27 +3,55 @@ one-shot helper.
 
 :class:`RenderClient` is what the load-generator benchmark and the
 tests drive (one connection, many requests); :func:`request_once` is
-the blocking convenience the CI smoke and shell one-liners use.
+the blocking convenience for scripts and shell one-liners.  Both return
+the response header with its raw sections attached (see
+:mod:`repro.serve.protocol`); :func:`response_frames` turns a render
+response's sections into image planes without copying them.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import socket
 
 import numpy as np
 
-from .protocol import decode_plane, pack_message, read_message, read_message_sync
+from .protocol import ProtocolError, pack_message, read_message, read_message_sync
 
 __all__ = ["RenderClient", "request_once", "response_frames"]
 
 
+def _plane(d: dict, sections: list) -> np.ndarray:
+    """One plane of a response: a read-only ``float32`` view of the
+    section it names, once the section, dtype and shape agree."""
+    i, shape, dtype = d["section"], d["shape"], d["dtype"]
+    if type(i) is not int or not 0 <= i < len(sections):
+        raise ProtocolError(f"plane names section {i!r} of {len(sections)}")
+    if dtype != "float32":
+        raise ProtocolError(f"plane dtype {dtype!r} is not float32")
+    if not isinstance(shape, list) or not all(
+        type(n) is int and n >= 0 for n in shape
+    ):
+        raise ProtocolError(f"bad plane shape {shape!r}")
+    if math.prod(shape) * 4 != sections[i].nbytes:
+        raise ProtocolError(
+            f"plane of shape {shape} does not fill its "
+            f"{sections[i].nbytes}-byte section")
+    return np.frombuffer(sections[i], dtype=np.float32).reshape(shape)
+
+
 def response_frames(resp: dict) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Decode a render/animate response's frames to ``(color, alpha)``."""
-    return [
-        (decode_plane(f["color"]), decode_plane(f["alpha"]))
-        for f in resp.get("frames", [])
-    ]
+    """A render/animate/movie response's frames as ``(color, alpha)``
+    read-only arrays over the response's own sections."""
+    sections = resp.get("sections", [])
+    try:
+        return [
+            (_plane(f["color"], sections), _plane(f["alpha"], sections))
+            for f in resp.get("frames", [])
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ProtocolError(f"bad frame entry in response: {exc!r}") from exc
 
 
 class RenderClient:

@@ -3,8 +3,9 @@
 An asyncio front end that owns one or more :func:`repro.open_pool`
 instances and serves single-view and animation renders to many
 concurrent clients over the length-prefixed JSON protocol of
-:mod:`repro.serve.protocol`.  Three mechanisms keep a small pool honest
-under many clients:
+:mod:`repro.serve.protocol`, whose replies carry image planes as raw
+byte sections after the JSON header.  Three mechanisms keep a small
+pool honest under many clients:
 
 * **Admission control** (:class:`~repro.serve.admission.AdmissionController`)
   bounds the renders in flight; excess requests are rejected immediately
@@ -16,7 +17,10 @@ under many clients:
   ignored).
 * **A content-addressed whole-frame LRU**
   (:class:`~repro.serve.cache.FrameCache`) returns repeated views
-  without touching a pool at all.
+  without touching a pool at all.  The cached read-only planes *are*
+  the bytes sent: a reply is its JSON header plus a ``memoryview`` of
+  each plane in one ``writelines``, so a hit encodes a few hundred bytes
+  of header and nothing else.
 
 The event loop never renders: pool work runs on one executor thread per
 pool (a pool is driven by a single thread; concurrency across clients
@@ -31,14 +35,19 @@ Protocol operations (all request/response dicts):
 ``{"op": "ping"}``
     Liveness check; returns the server version.
 ``{"op": "render", "dataset": ..., "rx": ..., "ry": ..., ...}``
-    One frame; response carries base64 float32 ``color``/``alpha``
-    planes, their ``sha256``, and ``cached``/``coalesced`` flags.
+    One frame; the response header names its ``color``/``alpha``
+    planes as ``{"shape", "dtype": "float32", "section": i}`` (frame
+    *k*'s planes are sections 2k and 2k+1), with their ``sha256`` and
+    ``cached``/``coalesced`` flags.
 ``{"op": "animate", ..., "frames": N, "ry_step": d}``
     N frames rotating about y — the batch-movie path; rendered through
     ``pool.render_animation`` (one pipelined batch) and cached per
     frame.
+``{"op": "movie", ..., "frames": N, "timesteps": T}``
+    N frames of the time-varying volume, frame *i* at timestep *i mod T*.
 ``{"op": "stats"}``
-    A metrics snapshot (serve counters merged with every pool's).
+    A metrics snapshot (serve counters merged with every pool's;
+    ``serve/bytes_sent`` counts every reply byte written).
 ``{"op": "shutdown"}``
     Stop the server (when ``ServeConfig.allow_shutdown``).
 """
@@ -55,14 +64,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
-from ..parallel.poolcore import MPPoolError, PoolConfig
+from ..parallel.poolcore import PoolConfig
 from .admission import AdmissionController, ServerBusy
 from .cache import DEFAULT_FRAME_CACHE_CAPACITY, CachedFrame, FrameCache
 from .protocol import (
     ProtocolError,
     canonical_identity,
-    encode_plane,
-    pack_message,
+    pack_sections,
     read_message,
     request_key,
 )
@@ -294,17 +302,14 @@ class RenderServer:
                 try:
                     msg = await read_message(reader)
                 except ProtocolError as exc:
-                    writer.write(pack_message(
-                        {"status": "error", "error": "ProtocolError",
-                         "detail": str(exc)}
-                    ))
-                    await writer.drain()
+                    await self._send(writer, {
+                        "status": "error", "error": "ProtocolError",
+                        "detail": str(exc)})
                     break
                 if msg is None or self._closed:
                     break
-                resp = await self._dispatch(msg)
-                writer.write(pack_message(resp))
-                await writer.drain()
+                resp, planes = await self._dispatch(msg)
+                await self._send(writer, resp, planes)
                 if msg.get("op") == "shutdown" and resp["status"] == "ok":
                     self._shutdown.set()
                     break
@@ -320,21 +325,29 @@ class RenderServer:
             except ConnectionError:
                 pass
 
-    async def _dispatch(self, msg: dict) -> dict:
+    async def _send(self, writer, resp: dict, planes=()) -> None:
+        """Write one reply — header, then ``planes`` as raw sections."""
+        parts = pack_sections(resp, planes)
+        writer.writelines(parts)
+        self.metrics.counter("serve/bytes_sent").inc(sum(len(p) for p in parts))
+        await writer.drain()
+
+    async def _dispatch(self, msg: dict) -> tuple[dict, list[np.ndarray]]:
+        """The reply to one request, and the planes sent after it."""
         op = msg.get("op")
         self.metrics.counter("serve/requests").inc()
         try:
             if op == "ping":
                 from .. import __version__
 
-                return {"status": "ok", "op": "ping", "version": __version__}
+                return {"status": "ok", "op": "ping", "version": __version__}, []
             if op == "stats":
                 return {"status": "ok", "op": "stats",
-                        "metrics": self.metrics_snapshot()}
+                        "metrics": self.metrics_snapshot()}, []
             if op == "shutdown":
                 if not self.config.allow_shutdown:
                     raise PermissionError("shutdown is disabled on this server")
-                return {"status": "ok", "op": "shutdown"}
+                return {"status": "ok", "op": "shutdown"}, []
             if op == "render":
                 return await self._handle_render(msg, n_frames=1)
             if op == "animate":
@@ -348,14 +361,11 @@ class RenderServer:
                     raise ValueError("movie needs frames >= 1")
                 return await self._handle_render(msg, n_frames=n, movie=True)
             raise ValueError(f"unknown op {op!r}")
-        except MPPoolError as exc:
+        except Exception as exc:  # noqa: BLE001 - bad request, not a crash
             # Typed serve/pool errors keep their class name on the wire
             # (ServerBusy is the one clients must branch on).
             return {"status": "error", "error": type(exc).__name__,
-                    "detail": str(exc)}
-        except Exception as exc:  # noqa: BLE001 - bad request, not a crash
-            return {"status": "error", "error": type(exc).__name__,
-                    "detail": str(exc)}
+                    "detail": str(exc)}, []
 
     def _identities(
         self, msg: dict, n_frames: int, movie: bool = False
@@ -389,20 +399,25 @@ class RenderServer:
 
     async def _handle_render(
         self, msg: dict, n_frames: int, movie: bool = False
-    ) -> dict:
+    ) -> tuple[dict, list[np.ndarray]]:
         t0 = time.perf_counter()
         identities = self._identities(msg, n_frames, movie=movie)
         keys = [request_key(i) for i in identities]
         frames, cached, coalesced = await self._resolve(identities, keys)
         elapsed = time.perf_counter() - t0
         if movie:
-            # Every movie frame leaves this server wire-encoded, whether
+            # Every movie frame leaves this server on the wire, whether
             # it was freshly rendered or served from the cache.
             self.metrics.counter("movie/frames_encoded").inc(len(frames))
         self.metrics.histogram("serve/latency_s").observe(elapsed)
         client = str(msg.get("client", "anon"))
         self.metrics.histogram(f"serve/latency_s/{client}").observe(elapsed)
-        return {
+
+        def plane(a: np.ndarray, section: int) -> dict:
+            return {"shape": list(a.shape), "dtype": "float32",
+                    "section": section}
+
+        resp = {
             "status": "ok",
             "op": msg["op"],
             "cached": cached,
@@ -410,11 +425,12 @@ class RenderServer:
             "elapsed_ms": elapsed * 1e3,
             "frames": [
                 {"sha256": f.sha256,
-                 "color": encode_plane(f.color),
-                 "alpha": encode_plane(f.alpha)}
-                for f in frames
+                 "color": plane(f.color, 2 * k),
+                 "alpha": plane(f.alpha, 2 * k + 1)}
+                for k, f in enumerate(frames)
             ],
         }
+        return resp, [a for f in frames for a in (f.color, f.alpha)]
 
     async def _resolve(
         self, identities: list[dict], keys: list[str]

@@ -271,6 +271,45 @@ def test_one_kernel_in_the_pools():
         assert "composite_image_scanline" not in _imported_modules(PARALLEL / name)
 
 
+def test_one_wire_format():
+    """Image planes travel as raw sections after the JSON header and in
+    no other way: the server and client import neither ``base64`` nor
+    the base64 plane codec, which nothing under ``src/`` references
+    outside its definitions in ``protocol.py`` (it stays for the
+    benchmark's layer probe), and a server pings back the version that
+    changed the format."""
+    import asyncio
+
+    import repro
+    from repro.serve import RenderClient, RenderServer
+
+    codec = {"encode_plane", "decode_plane"}
+    for name in ("server.py", "client.py"):
+        assert not _imported_modules(SRC / "serve" / name) & (codec | {"base64"})
+    refs, defs = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.FunctionDef) and n.name in codec:
+                defs.append(f"{path.relative_to(SRC)}:{n.name}")
+            elif (isinstance(n, ast.Name) and n.id in codec
+                  or isinstance(n, ast.Attribute) and n.attr in codec
+                  or isinstance(n, ast.alias) and n.name in codec):
+                refs.append(f"{path.relative_to(SRC)}:{n.lineno}")
+    assert not refs
+    assert sorted(defs) == ["serve/protocol.py:decode_plane",
+                            "serve/protocol.py:encode_plane"]
+
+    async def ping() -> dict:
+        async with RenderServer() as server:
+            client = await RenderClient.connect(*server.address)
+            resp = await client.request({"op": "ping"})
+            await client.close()
+        return resp
+
+    resp = asyncio.run(asyncio.wait_for(ping(), 30.0))
+    assert resp["version"] == repro.__version__ == "6.0.0"
+
+
 def test_the_package_reads_no_environment_variable():
     """Fault and delay injection are module hooks a test monkeypatches
     (``poolcore.TEST_FAULT``, ``TEST_ROW_DELAY``), not variables a

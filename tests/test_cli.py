@@ -122,8 +122,12 @@ class TestCLI:
         assert repeat["cached"] is True
         assert proc.returncode == 0
         assert main(["stats", str(metrics)]) == 0
-        hits = re.search(r"serve/cache_hits=(\d+)", capsys.readouterr().out)
+        out = capsys.readouterr().out
+        hits = re.search(r"serve/cache_hits=(\d+)", out)
         assert hits and int(hits.group(1)) >= 1
+        # Two frames went out as raw planes: at least their bytes.
+        sent = re.search(r"serve/bytes_sent=(\d+)", out)
+        assert sent and int(sent.group(1)) > 2 * first["sections"][0].nbytes
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -10,13 +10,18 @@ backpressure are asserted, not raced.
 """
 
 import asyncio
+import json
 import socket
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.parallel.poolcore import MPPoolError, PoolConfig
+from repro.render.fast import render_fast
 from repro.serve import (
     AdmissionController,
     CachedFrame,
@@ -27,6 +32,7 @@ from repro.serve import (
     ServerBusy,
     canonical_identity,
     request_key,
+    request_once,
     response_frames,
 )
 from repro.serve.protocol import (
@@ -35,10 +41,12 @@ from repro.serve.protocol import (
     decode_plane,
     encode_plane,
     pack_message,
+    pack_sections,
     read_message,
     read_message_sync,
     unpack_messages,
 )
+from repro.serve.server import _default_renderer_factory
 
 #: Cheapest real workload: tiny proxy volume, one thread-backend worker.
 TINY = dict(default_dataset="mri128", default_scale=0.08)
@@ -74,6 +82,196 @@ class GatedRender:
         return RenderServer._pool_render(pool, views)
 
 
+def read_sync(blob: bytes) -> list[dict]:
+    """Every message ``read_message_sync`` finds in ``blob`` before a
+    clean EOF (the socket times out rather than hang)."""
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        ours.settimeout(10.0)
+        theirs.sendall(blob)
+        theirs.shutdown(socket.SHUT_WR)
+        out = []
+        while (msg := read_message_sync(ours)) is not None:
+            out.append(msg)
+        return out
+
+
+def read_async(blob: bytes) -> list[dict]:
+    """The same through ``read_message`` on an asyncio stream."""
+    async def body():
+        reader = asyncio.StreamReader()
+        reader.feed_data(blob)
+        reader.feed_eof()
+        out = []
+        while (msg := await read_message(reader)) is not None:
+            out.append(msg)
+        return out
+
+    return run(body(), timeout=10.0)
+
+
+STREAM_READERS = [read_sync, read_async]
+
+
+def plane_header(a: np.ndarray, section) -> dict:
+    return {"shape": list(a.shape), "dtype": "float32", "section": section}
+
+
+def reply(pairs) -> tuple[dict, list[np.ndarray]]:
+    """A render reply for ``(color, alpha)`` pairs, and its sections."""
+    frames = [
+        {"sha256": "", "color": plane_header(c, 2 * k),
+         "alpha": plane_header(a, 2 * k + 1)}
+        for k, (c, a) in enumerate(pairs)
+    ]
+    return {"status": "ok", "frames": frames}, [p for pair in pairs for p in pair]
+
+
+def wire(resp: dict, sections) -> bytes:
+    return b"".join(pack_sections(resp, sections))
+
+
+#: Small float32 planes (any bits, NaNs included: compared as bytes).
+PLANE = hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                min_side=1, max_side=6))
+PAIRS = st.lists(st.tuples(PLANE, PLANE), min_size=1, max_size=3)
+
+
+def as_bytes(pairs) -> list[tuple[bytes, bytes]]:
+    return [(c.tobytes(), a.tobytes()) for c, a in pairs]
+
+
+class TestSections:
+    """Planes as raw sections after the JSON header, through all three
+    readers — and framing fuzz: every bad input ends in a
+    ``ProtocolError`` (or a clean ``None`` at EOF), never in another
+    exception or a hang."""
+
+    def test_a_message_without_sections_is_unchanged(self):
+        msg = {"status": "ok", "op": "ping", "version": "x"}
+        assert pack_sections(msg, []) == [pack_message(msg)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=PAIRS)
+    def test_planes_roundtrip_through_every_reader(self, pairs):
+        """Bytes in, same bytes out, read-only, with the framing in step:
+        the message after the reply is read intact."""
+        resp, sections = reply(pairs)
+        blob = wire(resp, sections) + pack_message({"op": "ping"})
+        (got, ping), tail = unpack_messages(blob)
+        streams = [read(blob) for read in STREAM_READERS]
+        for msgs in [[got, ping]] + streams:
+            assert msgs[1] == {"op": "ping"}
+            assert len(msgs[0]["sections"]) == 2 * len(pairs)
+            frames = response_frames(msgs[0])
+            assert as_bytes(frames) == as_bytes(pairs)
+            assert [(c.shape, a.shape) for c, a in frames] == \
+                [(c.shape, a.shape) for c, a in pairs]
+            assert not any(x.flags.writeable for f in frames for x in f)
+        assert tail == b""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=PAIRS, data=st.data())
+    def test_a_cut_message_is_a_protocol_error(self, pairs, data):
+        """Cut inside the header or inside the sections: the stream
+        readers say so; ``unpack_messages`` keeps waiting for the rest."""
+        blob = wire(*reply(pairs))
+        head = 4 + int.from_bytes(blob[:4], "big")
+        cut = data.draw(st.one_of(st.integers(1, head - 1),
+                                  st.integers(head, len(blob) - 1)))
+        part = blob[:cut]
+        for read in STREAM_READERS:
+            with pytest.raises(ProtocolError, match="mid-message"):
+                read(part)
+        assert unpack_messages(part) == ([], part)
+
+    @settings(max_examples=60, deadline=None)
+    @given(body=st.one_of(
+        st.binary(max_size=48),
+        st.sampled_from([b"[]", b"3", b'"x"', b"null", b"{", b"\xff{}"]),
+    ))
+    def test_a_header_that_is_not_a_json_object_is_a_protocol_error(self, body):
+        try:
+            assume(not isinstance(json.loads(body.decode("utf-8")), dict))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            pass
+        blob = len(body).to_bytes(4, "big") + body
+        for read in STREAM_READERS:
+            with pytest.raises(ProtocolError):
+                read(blob)
+        with pytest.raises(ProtocolError):
+            unpack_messages(blob)
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=st.one_of(
+        st.lists(st.integers(max_value=-1), min_size=1, max_size=3),
+        st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.text(max_size=3), st.booleans(), st.none(),
+                           st.lists(st.integers(0, 9), max_size=2)),
+                 min_size=1, max_size=3),
+        st.one_of(st.integers(), st.text(max_size=3), st.booleans(),
+                  st.none(), st.dictionaries(st.text(max_size=2),
+                                             st.integers(), max_size=2)),
+    ))
+    def test_a_malformed_section_table_is_a_protocol_error(self, table):
+        blob = pack_message({"status": "ok", "sections": table})
+        for read in STREAM_READERS:
+            with pytest.raises(ProtocolError, match="section table"):
+                read(blob)
+        with pytest.raises(ProtocolError, match="section table"):
+            unpack_messages(blob)
+
+    @settings(max_examples=30, deadline=None)
+    @given(table=st.lists(st.integers(0, 2**40), min_size=1, max_size=4)
+           .filter(lambda t: sum(t) >= MAX_MESSAGE_BYTES))
+    def test_a_section_table_past_the_size_limit_is_refused_unread(self, table):
+        """Refused from the header alone: nothing is allocated and no
+        section byte is waited for (the stream has none)."""
+        blob = pack_message({"status": "ok", "sections": table})
+        for read in STREAM_READERS:
+            with pytest.raises(ProtocolError, match="exceeds limit"):
+                read(blob)
+        with pytest.raises(ProtocolError, match="exceeds limit"):
+            unpack_messages(blob)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=PAIRS, fault=st.sampled_from(
+        ["section", "dtype", "shape", "missing"]), data=st.data())
+    def test_a_plane_that_disagrees_with_its_section_is_a_protocol_error(
+        self, pairs, fault, data
+    ):
+        """Framing is fine, the plane header is not: the message reads,
+        and ``response_frames`` refuses it."""
+        resp, sections = reply(pairs)
+        k = data.draw(st.integers(0, len(pairs) - 1))
+        name = data.draw(st.sampled_from(["color", "alpha"]))
+        plane = resp["frames"][k][name]
+        if fault == "section":
+            plane["section"] = data.draw(st.one_of(
+                st.integers(max_value=-1), st.integers(min_value=len(sections)),
+                st.floats(), st.text(max_size=2), st.none()))
+        elif fault == "dtype":
+            plane["dtype"] = data.draw(st.sampled_from(
+                ["float64", "uint8", "<f4", "", None, 4]))
+        elif fault == "shape":
+            nbytes = sections[plane["section"]].nbytes
+            shape = data.draw(st.one_of(
+                st.lists(st.integers(-3, 40), max_size=3),
+                st.lists(st.floats(0, 9), min_size=1, max_size=2),
+                st.integers(), st.none()))
+            assume(not (isinstance(shape, list)
+                        and all(type(n) is int and n >= 0 for n in shape)
+                        and int(np.prod(shape)) * 4 == nbytes))
+            plane["shape"] = shape
+        else:
+            del plane[data.draw(st.sampled_from(["section", "dtype", "shape"]))]
+        blob = wire(resp, sections)
+        msgs = [unpack_messages(blob)[0]] + [read(blob) for read in STREAM_READERS]
+        for (msg,) in msgs:
+            with pytest.raises(ProtocolError):
+                response_frames(msg)
+
+
 class TestProtocol:
     def test_roundtrip_across_chunk_boundaries(self):
         msgs = [{"op": "ping"}, {"op": "render", "ry": 30.0, "n": [1, 2]}]
@@ -99,26 +297,12 @@ class TestProtocol:
         that ends inside the 4-byte length prefix is a protocol error —
         in the blocking and the asyncio reader alike."""
         head = pack_message({"op": "ping"})[:sent]
-
-        def sync_read():
-            ours, theirs = socket.socketpair()
-            with ours, theirs:
-                theirs.sendall(head)
-                theirs.shutdown(socket.SHUT_WR)
-                return read_message_sync(ours)
-
-        async def async_read():
-            reader = asyncio.StreamReader()
-            reader.feed_data(head)
-            reader.feed_eof()
-            return await read_message(reader)
-
-        for read in (sync_read, lambda: run(async_read())):
+        for read in STREAM_READERS:
             if sent == 0:
-                assert read() is None
+                assert read(head) == []
             else:
                 with pytest.raises(ProtocolError, match="mid-message"):
-                    read()
+                    read(head)
 
     def test_plane_roundtrip_is_exact_and_readonly(self):
         plane = np.random.default_rng(0).random((7, 5)).astype(np.float32)
@@ -422,6 +606,124 @@ class TestServer:
         assert bad_cls["error"] == "ValueError"
         assert ping["status"] == "ok"
         assert cut["status"] == "error" and cut["error"] == "ProtocolError"
+
+    @pytest.mark.parametrize("table", [[-1], "3", [1.5], [MAX_MESSAGE_BYTES]])
+    def test_a_bad_section_table_is_answered_and_others_are_served(self, table):
+        """A request whose header declares a bad section table gets the
+        typed error and its connection is closed; a second client's
+        cache hit is served all the same."""
+        server = RenderServer(thread_config())
+
+        async def body():
+            async with server:
+                host, port = server.address
+                good = await RenderClient.connect(host, port)
+                first = await good.request({"op": "render", "ry": 30.0})
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(pack_message({"op": "render", "sections": table}))
+                bad = await read_message(reader)
+                after = await read_message(reader)
+                writer.close()
+                hit = await good.request({"op": "render", "ry": 30.0})
+                await good.close()
+                return first, bad, after, hit
+
+        first, bad, after, hit = run(body())
+        assert bad["status"] == "error" and bad["error"] == "ProtocolError"
+        assert after is None
+        assert hit["status"] == "ok" and hit["cached"] is True
+        assert as_bytes(response_frames(hit)) == as_bytes(response_frames(first))
+
+    def test_the_blocking_client_reads_the_same_planes(self):
+        """``request_once`` (``read_message_sync``) returns the planes
+        ``RenderClient`` does, read-only."""
+        server = RenderServer(thread_config())
+        req = {"op": "render", "ry": 30.0}
+
+        async def body():
+            async with server:
+                host, port = server.address
+                c = await RenderClient.connect(host, port)
+                via_async = await c.request(dict(req))
+                await c.close()
+                via_sync = await asyncio.to_thread(
+                    request_once, host, port, dict(req))
+                return via_async, via_sync
+
+        via_async, via_sync = run(body())
+        assert via_sync["cached"] is True
+        frames = response_frames(via_sync)
+        assert as_bytes(frames) == as_bytes(response_frames(via_async))
+        (color, alpha), = frames
+        assert color.shape == alpha.shape and color.ndim == 2
+        assert not color.flags.writeable and not alpha.flags.writeable
+
+    def test_multi_frame_replies_are_two_sections_a_frame(self):
+        """An ``animate`` of 3 (read by the blocking client) and a
+        ``movie`` of 3 (by the asyncio client) carry 6 sections each,
+        and every frame is serial ``render_fast``'s, bit for bit."""
+        server = RenderServer(thread_config())
+        anim_req = {"op": "animate", "frames": 3, "ry": 30.0, "ry_step": 3.0}
+        movie_req = {"op": "movie", "frames": 3, "timesteps": 2,
+                     "dataset": "beating_heart", "scale": 0.5,
+                     "ry": 30.0, "ry_step": 5.0}
+
+        async def body():
+            async with server:
+                host, port = server.address
+                anim = await asyncio.to_thread(
+                    request_once, host, port, anim_req)
+                c = await RenderClient.connect(host, port)
+                movie = await c.request(movie_req)
+                await c.close()
+                return anim, movie
+
+        anim, movie = run(body())
+        for resp in (anim, movie):
+            assert resp["status"] == "ok" and len(resp["sections"]) == 6
+        mri = _default_renderer_factory("mri128", 0.08, "mri")
+        heart = _default_renderer_factory("beating_heart", 0.5, "mri")
+        for i, ((ca, aa), (cm, am)) in enumerate(
+            zip(response_frames(anim), response_frames(movie))
+        ):
+            ref = render_fast(mri, mri.view_from_angles(20.0, 30.0 + 3 * i, 0.0))
+            assert np.array_equal(ca, ref.final.color)
+            assert np.array_equal(aa, ref.final.alpha)
+            ref = render_fast(heart, heart.view_from_angles(
+                20.0, 30.0 + 5 * i, 0.0), timestep=i % 2)
+            assert np.array_equal(cm, ref.final.color)
+            assert np.array_equal(am, ref.final.alpha)
+
+    def test_bytes_sent_counts_a_hit_exactly(self):
+        """``serve/bytes_sent`` grows by exactly what a hit puts on the
+        wire — length prefix, header, the two planes — and the ``stats``
+        op reports it."""
+        server = RenderServer(thread_config())
+        req = {"op": "render", "ry": 30.0}
+
+        async def body():
+            async with server:
+                host, port = server.address
+                c = await RenderClient.connect(host, port)
+                miss = await c.request(dict(req))
+                before = server.metrics.counter("serve/bytes_sent").value
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(pack_message(dict(req)))
+                n = int.from_bytes(await reader.readexactly(4), "big")
+                header = json.loads(await reader.readexactly(n))
+                await reader.readexactly(sum(header["sections"]))
+                after = server.metrics.counter("serve/bytes_sent").value
+                writer.close()
+                stats = await c.request({"op": "stats"})
+                await c.close()
+                return miss, header, n, after - before, stats
+
+        miss, header, n, sent, stats = run(body())
+        assert header["cached"] is True
+        (color, alpha), = response_frames(miss)
+        assert header["sections"] == [color.nbytes, alpha.nbytes]
+        assert sent == 4 + n + color.nbytes + alpha.nbytes
+        assert stats["metrics"]["counters"]["serve/bytes_sent"] >= sent
 
     def test_shutdown_op_can_be_disabled(self):
         server = RenderServer(thread_config(allow_shutdown=False))
