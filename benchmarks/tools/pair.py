@@ -12,8 +12,10 @@ each in its own subprocess, and alternates which side goes first (the
 second run of a pair tends to set up slower).  Then, for every
 end-to-end metric of ``BENCHMARK.json``, it prints each side's median
 [q1, q3], the change's median delta against the reference's quartile
-distance, and the pairs the change won; last, the verdict of this
-checkout's ``run.py compare`` on the two sets of runs.  The summaries,
+distance, a seeded bootstrap 95 % interval on that delta (pairs
+resampled whole), the two-sided sign-test p-value of the per-pair
+differences (ties dropped) and the pairs the change won; last, the
+verdict of this checkout's ``run.py compare`` on the two sets of runs.  The summaries,
 the metric list and the verdict are ``run.py``'s own (its ``summarize``,
 ``E2E`` and ``compare_main``).  ``--out`` keeps the two reports
 (``ref.json``, ``change.json``) in the ``run.py --out`` shape, so
@@ -26,6 +28,9 @@ import argparse
 import importlib.util
 import io
 import json
+import math
+import random
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -34,6 +39,35 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 RUNNER = Path("benchmarks") / "e2e" / "run.py"
+#: Bootstrap resamples behind each interval.
+BOOTSTRAP = 2000
+
+
+def sign_test(diffs) -> float:
+    """Two-sided sign-test p-value of paired differences, ties dropped:
+    the chance of a split at least this lopsided if either side wins a
+    pair with probability 1/2 (1.0 when every pair ties)."""
+    up = sum(d > 0 for d in diffs)
+    down = sum(d < 0 for d in diffs)
+    n = up + down
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, k) for k in range(min(up, down) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
+def bootstrap_delta(ref, change, seed: int,
+                    samples: int = BOOTSTRAP) -> tuple[float, float]:
+    """Percentile 95 % interval of ``median(change) - median(ref)``,
+    resampling whole pairs with ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    n = len(ref)
+    deltas = sorted(
+        statistics.median(change[i] for i in idx)
+        - statistics.median(ref[i] for i in idx)
+        for idx in ([rng.randrange(n) for _ in range(n)] for _ in range(samples))
+    )
+    return deltas[int(0.025 * samples)], deltas[math.ceil(0.975 * samples) - 1]
 
 
 def export(ref: str, repo: Path, dest: Path) -> None:
@@ -106,19 +140,21 @@ def main(argv: list[str], root: Path = ROOT) -> int:
               "vs this checkout")
         print(f"{'metric':17s} {'ref median [q1, q3]':>30s} "
               f"{'change median [q1, q3]':>30s} {'delta':>9s} "
-              f"{'ref q3-q1':>9s}  won")
+              f"{'ref q3-q1':>9s} {'delta 95% CI':>22s} {'sign p':>7s}  won")
         for name, m in runner.E2E.items():
             a, b = summaries["ref"][name], summaries["change"][name]
+            ref = [r["metrics"][name] for r in runs["ref"]]
+            change = [c["metrics"][name] for c in runs["change"]]
             sign = 1.0 if m["better"] == "lower" else -1.0
-            won = sum(
-                sign * (c["metrics"][name] - r["metrics"][name]) < 0
-                for r, c in zip(runs["ref"], runs["change"])
-            )
+            won = sum(sign * (c - r) < 0 for r, c in zip(ref, change))
+            lo, hi = bootstrap_delta(ref, change, args.seed)
+            p = sign_test([c - r for r, c in zip(ref, change)])
             cells = [f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
                      for s in (a, b)]
+            interval = f"[{lo:.4g}, {hi:.4g}]"
             print(f"{name:17s} {cells[0]:>30s} {cells[1]:>30s} "
                   f"{b['median'] - a['median']:9.4g} {a['q3'] - a['q1']:9.4g}"
-                  f"  {won}/{args.pairs}")
+                  f" {interval:>22s} {p:7.3g}  {won}/{args.pairs}")
         failed = [sum(r["failed"] for r in runs[s]) for s in ("ref", "change")]
         print(f"frames failed: ref {failed[0]}, change {failed[1]}\n")
 

@@ -34,7 +34,7 @@ def main(n_frames: int = 8, out_dir: str = "movie_frames") -> None:
     specs = movie_frame_specs(renderer, n_frames)
     # Any backend works here — swap in backend="thread" or shards=2 and
     # the pipeline (and the pixels) do not change.
-    with repro.open_pool(renderer, n_procs=2, profile_period=2) as pool:
+    with repro.open_pool(renderer, n_procs=2) as pool:
         pipe = MoviePipeline(pool, out_dir, fmt="png")
         manifest = pipe.run(specs)
 

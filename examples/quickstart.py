@@ -4,7 +4,7 @@ Shows the minimal pipeline: phantom volume -> transfer function ->
 renderer -> one frame from an oblique viewpoint, plus a crude ASCII
 rendering of the result so you can *see* it — and the same frame again
 through the real multiprocessing backend via the top-level facade
-(``repro.PoolConfig`` + ``repro.render_frame``), bit-identical.
+(``repro.PoolConfig`` + ``repro.open_pool``), bit-identical.
 
 Run:  python examples/quickstart.py
 """
@@ -65,7 +65,8 @@ def main() -> None:
     print("\nSame frame through the parallel backend (2 worker processes)...")
     cfg = repro.PoolConfig(n_procs=2)
     t0 = time.perf_counter()
-    par = repro.render_frame(renderer, view, config=cfg)
+    with repro.open_pool(renderer, config=cfg) as pool:
+        par = pool.render(view)
     dt = time.perf_counter() - t0
     same = np.array_equal(par.final.color, result.final.color)
     print(f"  {dt:.2f}s: image {'bit-identical to serial' if same else 'MISMATCH'}")

@@ -10,11 +10,10 @@ three layers::
 
     import repro
 
-    cfg = repro.PoolConfig(n_procs=4, profile_period=5)
-    res = repro.render_frame(renderer, view, config=cfg)   # one frame
-
-    with repro.open_pool(renderer, config=cfg) as pool:    # animation
-        handles = [pool.submit(v) for v in views]
+    cfg = repro.PoolConfig(n_procs=4)
+    with repro.open_pool(renderer, config=cfg) as pool:
+        res = pool.render(view)                             # one frame
+        handles = pool.submit_batch(views)                  # animation
         results = [pool.result(h) for h in handles]
 
 Everything is imported lazily: ``import repro`` stays cheap and pulls
@@ -33,7 +32,7 @@ Subpackages
 ``obs``          span tracing, Chrome trace export, metrics
 """
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 #: Facade symbols re-exported (lazily) from :mod:`repro.parallel`.
 _POOL_EXPORTS = (
@@ -51,7 +50,6 @@ _POOL_EXPORTS = (
 #: Facade symbols re-exported (lazily) from :mod:`repro.parallel.backend`.
 _BACKEND_EXPORTS = (
     "RenderBackend",
-    "BackendCapabilities",
     "FrameSpec",
 )
 
@@ -66,7 +64,7 @@ _MOVIE_EXPORTS = (
 )
 
 __all__ = [
-    "__version__", "open_pool", "render_frame", *_POOL_EXPORTS,
+    "__version__", "open_pool", *_POOL_EXPORTS,
     *_BACKEND_EXPORTS, *_SHARD_EXPORTS, *_MOVIE_EXPORTS,
 ]
 
@@ -86,7 +84,10 @@ def open_pool(renderer, config=None, **overrides):
     ``config.shards > 1`` (``open_pool(r, shards=4)``) opens a
     :class:`~repro.shard.ShardedRenderService` instead — a fleet of
     pools, one per contiguous scanline shard, merged sort-last into
-    bit-identical frames behind the same pool API.
+    bit-identical frames behind the same pool API.  One frame is
+    ``open_pool(...)`` plus ``render(view)``; keep the pool for the next
+    one, so fork, shared-memory setup and the first slice decodes are
+    paid once and a measured profile has a next frame to balance.
     """
     from .parallel import MPRenderPool, PoolConfig, ThreadRenderPool
 
@@ -100,22 +101,6 @@ def open_pool(renderer, config=None, **overrides):
         return ShardedRenderService(renderer, config)
     kind = ThreadRenderPool if config.backend == "thread" else MPRenderPool
     return kind(renderer, config)
-
-
-def render_frame(renderer, view, config=None, **overrides):
-    """Render one frame through a transient pool of the configured backend.
-
-    The one-shot counterpart of :func:`open_pool` — ``open_pool(...)``
-    plus ``render(view)``.  Without a ``config``, ``profile_period``
-    defaults to 0 here (a single frame has no next frame for its profile
-    to balance).  For animations keep a pool alive across frames
-    instead: fork, shared-memory setup and the first slice decodes are
-    then paid once, and a measured profile has a next frame to balance.
-    """
-    if config is None:
-        overrides.setdefault("profile_period", 0)
-    with open_pool(renderer, config, **overrides) as pool:
-        return pool.render(view)
 
 
 def __getattr__(name: str):

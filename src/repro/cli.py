@@ -68,8 +68,6 @@ def _run_render(args: argparse.Namespace) -> int:
             raise ValueError("timesteps must be >= 1")
         cfg = PoolConfig(
             n_procs=args.procs,
-            profile_period=args.profile_period,
-            stealing=args.stealing == "on",
             trace=tracing,
             timeout_s=args.timeout_s,
             degrade_to_serial=args.degrade == "on",
@@ -90,13 +88,12 @@ def _run_render(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if frames > 1 or cfg.shards > 1 or args.procs > 1:
         # Every pooled render, a single frame included, is an animation
-        # through a persistent pool: this is the path where
-        # --profile-period matters (profiles measured on one frame
-        # balance the partitions of the following frames).  The whole
-        # animation goes out as one batch per worker; --backend picks
-        # processes or threads; --shards > 1
-        # opens a sharded fleet of pools merged sort-last (the facade
-        # dispatches on cfg.shards — same pool API either way).
+        # through a persistent pool.  The whole animation goes out as
+        # one batch per worker, so its first frame per principal axis
+        # is profiled for the next batch to balance on; --backend picks
+        # processes or threads; --shards > 1 opens a sharded fleet of
+        # pools merged sort-last (the facade dispatches on cfg.shards —
+        # same pool API either way).
         from . import open_pool
 
         views = [renderer.view_from_angles(args.rx, args.ry + i * args.ry_step,
@@ -110,16 +107,15 @@ def _run_render(args: argparse.Namespace) -> int:
                                          metadata={"dataset": args.dataset,
                                                    "scale": args.scale})
         result = results[-1]
-        split = (f"profile-balanced k={args.profile_period}"
-                 if args.profile_period > 0 else "uniform split")
+        profiled = sum(r.profiled for r in results)
         steals = sum(r.steals for r in results)
         steal_rows = sum(r.steal_rows for r in results)
         dyn = (f"stealing ({steals} steals, {steal_rows} rows)"
-               if cfg.stealing and args.procs > 1 else "no stealing")
+               if args.procs > 1 else "no stealing")
         fleet = (f"{cfg.shards} shards x {args.procs} procs"
                  if cfg.shards > 1 else f"{args.procs} procs")
         how = (f"{frames} frame{'s' * (frames > 1)}, {fleet}, "
-               f"{args.backend} backend, batched, {split}, {dyn}")
+               f"{args.backend} backend, batched, {profiled} profiled, {dyn}")
     else:
         recorder = None
         if tracing:
@@ -331,7 +327,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"\ndispatch overhead (wait+barrier+doorbell+dispatch): "
               f"{over_s / n_frames * 1e3:.2f} ms vs composite "
               f"{comp_s / n_frames * 1e3:.2f} ms per frame ({ratio}; "
-              f"pool/batch_frames={meta.get('batch_frames', 0)})")
+              f"pool/batch_frames={meta.get('batch_frames', 0)}, "
+              f"pool/profiled_frames={meta.get('profiled_frames', 0)})")
     if frames:
         spreads = [busy_spread(list(busy.values()))
                    for busy in frames.values() if busy]
@@ -349,7 +346,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         pool = PoolConfig(n_procs=args.procs, backend=args.backend,
-                          profile_period=0, shards=args.shards)
+                          shards=args.shards)
     except ValueError as exc:
         args.usage_error(str(exc))  # exit status 2, one line
     cfg = ServeConfig(
@@ -418,13 +415,6 @@ def main(argv: list[str] | None = None) -> int:
                         "persistent worker pool (rotating by --ry-step)")
     p.add_argument("--ry-step", type=float, default=3.0,
                    help="per-frame y-rotation increment for --frames > 1")
-    p.add_argument("--profile-period", type=int, default=5,
-                   help="re-profile every k frames and balance partitions "
-                        "from the measured per-scanline costs (paper "
-                        "section 4.2-4.3); 0 = uniform split")
-    p.add_argument("--stealing", choices=["on", "off"], default="on",
-                   help="chunked task stealing between workers on top of "
-                        "the static partition (paper section 4.4)")
     p.add_argument("--timeout-s", type=float, default=None, metavar="S",
                    help="per-frame deadline: a frame still incomplete after "
                         "S seconds is treated as a fault and recovered "

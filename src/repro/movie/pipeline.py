@@ -80,7 +80,7 @@ class MoviePipeline:
     backend:
         Anything conforming to the :class:`~repro.parallel.backend.
         RenderBackend` protocol (``submit_batch`` / ``result`` /
-        ``capabilities``).  The pipeline never closes it.
+        ``trace``).  The pipeline never closes it.
     out_dir:
         Directory for the image sequence (created if missing).
     fmt:
@@ -243,7 +243,7 @@ class MoviePipeline:
         parent's encode track (requires both to have been traced)."""
         if self._rec is None:
             raise RuntimeError("pipeline was created without trace=True")
-        if not self.backend.capabilities.trace:
+        if not self.backend.trace:
             raise RuntimeError("backend was created without trace=True")
         self._drain_encode_spans()
         meta = {

@@ -1,7 +1,7 @@
 """Execution models: event-driven logical processors, and the real
 render pools (one core, a process and a thread transport)."""
 
-from .backend import BackendCapabilities, FrameSpec, RenderBackend, as_frame_specs
+from .backend import FrameSpec, RenderBackend, as_frame_specs
 from .execution import FrameReport, PhaseReport, simulate_animation, simulate_frame
 from .mp_backend import MPRenderPool
 from .poolcore import (
@@ -19,7 +19,6 @@ from .thread_backend import ThreadRenderPool
 
 __all__ = [
     "RenderBackend",
-    "BackendCapabilities",
     "FrameSpec",
     "as_frame_specs",
     "FrameReport",

@@ -13,12 +13,13 @@ item 5 API redesign: a minimal structural protocol all three conform to,
   :class:`FrameSpec` (or bare views; see :func:`as_frame_specs`),
 - ``result(frame_id)`` — block for one frame's result, in any order,
 - ``close()`` — release workers/pools,
-- ``capabilities`` — a :class:`BackendCapabilities` struct callers can
-  branch on instead of ``isinstance`` checks.
+- ``trace`` — whether it records spans (``export_chrome_trace``); the
+  one thing a caller has to ask, since every pool steals when it has a
+  second worker and profiles on demand.
 
 ``RenderBackend`` is ``runtime_checkable`` so ``isinstance(pool,
 RenderBackend)`` works as a structural test, with the usual caveat that
-only method *presence* is checked.
+only member *presence* is checked.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 __all__ = [
-    "BackendCapabilities",
     "FrameSpec",
     "RenderBackend",
     "as_frame_specs",
@@ -53,30 +53,11 @@ class FrameSpec:
     region: object | None = None
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can do, as data instead of ``isinstance`` checks.
-
-    ``trace``    — can export a Chrome trace (``export_chrome_trace``).
-    ``steal``    — runs the chunked claim/steal loop (steal counters are
-                   meaningful).
-    ``profile``  — runs the §4.2 profile feedback loop across frames.
-    ``shard``    — splits the intermediate image across multiple pools
-                   (``shards`` > 1 semantics; merge counters exist).
-    """
-
-    trace: bool = False
-    steal: bool = False
-    profile: bool = False
-    shard: bool = False
-
-
 @runtime_checkable
 class RenderBackend(Protocol):
     """Structural protocol every render pool conforms to."""
 
-    @property
-    def capabilities(self) -> BackendCapabilities: ...
+    trace: bool
 
     def submit_batch(self, frame_specs: Sequence) -> list[int]: ...
 

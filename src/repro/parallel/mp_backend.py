@@ -303,7 +303,7 @@ def _worker_loop(pid: int) -> None:
     inter_cap, final_cap = _G["inter_cap"], _G["final_cap"]
     n_procs: int = _G["n_procs"]
     shm_c = _G["shm_c"]
-    # (BUFFERS, n_procs, 2) head/tail cursors; None when stealing is off.
+    # (BUFFERS, n_procs, 2) head/tail cursors; None for one worker.
     claims = (
         np.ndarray((BUFFERS, n_procs, 2), np.int64, buffer=shm_c.buf)
         if shm_c is not None else None
@@ -442,9 +442,10 @@ class MPRenderPool(PoolCore):
         np.ndarray((final_floats,), np.float32, buffer=self._shm_f.buf).fill(0.0)
         # Claim cursors for chunked stealing: one (head, tail) int64 pair
         # per worker per image buffer, zeroed so an uninitialised slot
-        # reads as an empty (drained) assignment.
+        # reads as an empty (drained) assignment.  One worker has nobody
+        # to steal from.
         self._claims: np.ndarray | None = None
-        if self._steal_active:
+        if self.n_procs > 1:
             self._shm_c = shared_memory.SharedMemory(
                 create=True, size=BUFFERS * self.n_procs * 2 * 8
             )
@@ -500,7 +501,7 @@ class MPRenderPool(PoolCore):
         # its own lock, a thief takes only the victim's — claim and steal
         # never serialise unrelated workers.
         claim_locks = (
-            [ctx.Lock() for _ in range(self.n_procs)] if self._steal_active else []
+            [ctx.Lock() for _ in range(self.n_procs)] if self.n_procs > 1 else []
         )
         # Fresh bell per generation: a terminated worker's last ring must
         # not wake the supervisor into reading its half-written cells

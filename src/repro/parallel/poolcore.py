@@ -12,9 +12,10 @@ on *how* workers are run lives here exactly once:
   worker writes the costs of the scanlines it composited into the
   frame's one shared cost row, later frames are split with
   :func:`~repro.core.partition.contiguous_partition` over that profile,
-  and a principal-axis switch invalidates it) and scanline ownership
-  (section 4.5) — for a pool's workers and, one level up, for a shard
-  fleet's pools;
+  a principal-axis switch invalidates it, and a profile is requested
+  on demand — once per key while one is outstanding, again after
+  :data:`PROFILE_REUSE` frames) and scanline ownership (section 4.5) —
+  for a pool's workers and, one level up, for a shard fleet's pools;
 * the *dynamic* half (section 4.4): guided, cost-aware chunk claims
   over a shared ``(head, tail)`` cursor pair per worker
   (:func:`claim_own_chunk`, :func:`steal_victim_chunk`,
@@ -65,7 +66,7 @@ from ..core.partition import (
     line_ownership,
     uniform_contiguous_partition,
 )
-from ..core.profiling import ProfileSchedule, ScanlineProfile, scanline_cost_rows
+from ..core.profiling import ScanlineProfile, scanline_cost_rows
 from ..obs.metrics import MetricsRegistry, busy_spread, metrics_from_timelines
 from ..obs.recorder import RingReader, SpanRecorder
 from ..obs.timeline import FrameTimeline
@@ -76,11 +77,12 @@ from ..render.fast import render_fast
 from ..render.image import FinalImage, IntermediateImage
 from ..render.warp import final_pixel_source_lines, warp_rows, warp_rows_by_pid
 from ..transforms.factorization import PERMUTATIONS, ShearWarpFactorization
-from .backend import BackendCapabilities, FrameSpec, as_frame_specs
+from .backend import FrameSpec, as_frame_specs
 
 __all__ = [
     "POOL_BACKENDS",
     "DEFAULT_STEAL_CHUNK",
+    "PROFILE_REUSE",
     "MPPoolError",
     "FrameFailed",
     "FrameTimeout",
@@ -128,6 +130,14 @@ POOL_BACKENDS = ("mp", "thread")
 #: pool, as with ``TEST_ROW_DELAY``.
 DEFAULT_STEAL_CHUNK = 80
 
+#: Frames a measured profile is reused for before its key asks for a
+#: fresh one (section 4.2's "every k frames"): a key is re-profiled once
+#: this many frames have been planned since its last request, so a
+#: one-frame stream profiles frames 0, 5, 10, ...  A constant, not an
+#: option; :meth:`FramePlanner.partition` reads it on every call, so a
+#: test monkeypatches it, as it does :data:`DEFAULT_STEAL_CHUNK`.
+PROFILE_REUSE = 5
+
 
 # -- typed pool errors --------------------------------------------------------
 
@@ -172,37 +182,25 @@ class PoolConfig:
     """Every render-pool knob, validated in one place.
 
     This is the one front door: build a config and hand it to
-    ``repro.open_pool(renderer, config=cfg)`` /
-    ``repro.render_frame(renderer, view, config=cfg)`` (or to a pool
-    class directly, ``MPRenderPool(renderer, cfg)``); the facade's
-    keyword overrides (``open_pool(r, n_procs=4)``) build one for you.
+    ``repro.open_pool(renderer, config=cfg)`` (or to a pool class
+    directly, ``MPRenderPool(renderer, cfg)``); the facade's keyword
+    overrides (``open_pool(r, n_procs=4)``) build one for you.
 
     There is no kernel to choose: every worker composites with the block
     kernel (:func:`~repro.render.block.composite_scanline_block`), which
     is bit-identical to the instrumented scanline reference in pixels
     and in every work counter, row by row.  The reference stays where it
     is the point — the test oracle and the simulator's traced renderers.
+    Nor is the paper's feedback loop configured: the pool profiles on
+    demand (:class:`FramePlanner`, :data:`PROFILE_REUSE`) and steals
+    whenever it has a second worker (section 4.4: guided claims down to
+    two grains of :data:`DEFAULT_STEAL_CHUNK` rows, so a band under two
+    grains is one kernel call by its owner).
 
     Parameters
     ----------
     n_procs:
         Worker count.
-    profile_period:
-        Re-profile every this many frames (paper section 4.2), plus one
-        frame whenever no profile is valid for the view's principal
-        axis (a fresh pool, an axis switch) — requested once, however
-        many frames are planned before it completes.  ``0`` disables
-        the feedback loop (always-uniform partitions).
-    stealing:
-        Chunked task stealing on top of the static partition (paper
-        section 4.4).  Claims are guided — an owner takes half of its
-        remaining block, a thief half of the victim's — while two
-        grains or more remain, and whatever is left below that goes in
-        one piece, so no chunk and no remainder is smaller than the
-        grain.  The grain (:data:`DEFAULT_STEAL_CHUNK`) is the measured
-        row-equivalent of one block-kernel call's fixed cost: bands
-        shorter than two grains are composited in a single call by
-        their owner and never split.
     trace:
         Per-worker span/counter ring recording (:mod:`repro.obs`), in
         rings of :data:`~repro.obs.recorder.DEFAULT_RING_CAPACITY`
@@ -243,8 +241,6 @@ class PoolConfig:
     """
 
     n_procs: int = 2
-    profile_period: int = 5
-    stealing: bool = True
     trace: bool = False
     timeout_s: float | None = None
     max_retries: int = 2
@@ -261,8 +257,6 @@ class PoolConfig:
             raise ValueError(
                 f"backend must be one of {POOL_BACKENDS}, got {self.backend!r}"
             )
-        if self.profile_period < 0:
-            raise ValueError("profile_period must be >= 0 (0 disables profiling)")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (None disables it)")
         if self.max_retries < 0:
@@ -316,39 +310,39 @@ class FramePlanner:
 
     Cuts a frame's non-empty scanline band into ``n_blocks`` contiguous
     blocks: a pool's workers, or a shard fleet's pools — the one rule at
-    both levels.  Owns the factorization, the non-empty band, the
-    profiling schedule (sections 4.2-4.3: one frame in ``profile_period``
-    and one per missing profile; ``0`` for a planner that only consumes
-    profiles, as a fleet's does), the last measured
-    :class:`ScanlineProfile` and its validity key, partition boundaries
-    (uniform or profile-balanced) and line ownership (section 4.5).  A
-    plan has two halves: :meth:`admit` when the frame is submitted,
-    :meth:`partition` when it goes out.  Every transport plans through
-    one instance of this class, so the backends cannot drift apart — the
-    basis of their bit-identity.  An axis switch that drops the profile
-    increments the counter named ``invalidations``.
+    both levels.  Owns the factorization, the non-empty band, which
+    frames are profiled (sections 4.2-4.3, decided in :meth:`partition`
+    alone), the last measured :class:`ScanlineProfile` and its validity
+    key, partition boundaries (uniform or profile-balanced) and line
+    ownership (section 4.5).  A plan has two halves: :meth:`admit` when
+    the frame is submitted, :meth:`partition` when it goes out.  Every
+    transport plans through one instance of this class, so the backends
+    cannot drift apart — the basis of their bit-identity.  An axis
+    switch that drops the profile increments the counter named
+    ``invalidations``.  A fleet's planner consumes the profiles its
+    pools measure and ignores its own ``profiled`` flags.
     """
 
-    def __init__(self, renderer, n_blocks: int, profile_period: int,
-                 metrics: MetricsRegistry,
+    def __init__(self, renderer, n_blocks: int, metrics: MetricsRegistry,
                  invalidations: str = "pool/profile_invalidations") -> None:
         self.renderer = renderer
         self.n_blocks = n_blocks
         self.metrics = metrics
         self.invalidations = invalidations
-        self.schedule = (
-            ProfileSchedule(period=profile_period) if profile_period > 0 else None
-        )
         # Last assembled profile and the (axis, perm) it was measured
         # under — a principal-axis switch changes the intermediate-image
         # coordinate system, so the profile stops predicting anything.
         self.profile: ScanlineProfile | None = None
         self.profile_key: tuple[int, tuple[int, int, int]] | None = None
-        # The (axis, perm) of the last frame planned as profiled.  A
-        # batch is partitioned before any of its frames completes, so
-        # "no valid profile" stays true for the whole batch; without
-        # this every frame behind the first would be profiled too.
-        self._requested_key: tuple[int, tuple[int, int, int]] | None = None
+        # Frames planned so far, and per key the count from which its
+        # profile is stale (PROFILE_REUSE frames after its last request).
+        self._planned = 0
+        self._due: dict = {}
+        # Keys whose requested profile has neither been installed nor
+        # lost with its frame.  A batch is partitioned before any of its
+        # frames completes; without this every frame behind the first
+        # would be profiled too.
+        self._outstanding: set = set()
 
     def admit(self, view: np.ndarray, inter_cap=None, final_cap=None,
               region: FrameRegion | None = None,
@@ -403,19 +397,17 @@ class FramePlanner:
         if self.profile is not None and self.profile_key != key:
             self.profile = None
             self.metrics.counter(self.invalidations).inc()
-        profiled = False
-        if self.schedule is not None:
-            # A profiled frame costs 15-27 % more to composite (the
-            # paper's 10-15 %, section 4.2), so a missing profile is
-            # requested once per key, not on every frame planned before
-            # the requested one completes; otherwise only the schedule
-            # profiles.
-            profiled = self.schedule.should_profile() or (
-                self.profile is None and self._requested_key != key
-            )
-            self.schedule.advance()
-            if profiled:
-                self._requested_key = key
+        # A profiled frame costs 38-44 % more to composite (the paper's
+        # 10-15 %, section 4.2), so a key asks for a profile only when it
+        # has none or has reused one for PROFILE_REUSE frames — and never
+        # while a request of its own is still outstanding.
+        profiled = key not in self._outstanding and (
+            self.profile is None or self._planned >= self._due.get(key, 0)
+        )
+        if profiled:
+            self._outstanding.add(key)
+            self._due[key] = self._planned + PROFILE_REUSE
+        self._planned += 1
         boundaries = profile_partition(
             self.profile, self.n_blocks, plan["v_lo"], plan["v_hi"]
         )
@@ -430,9 +422,17 @@ class FramePlanner:
         return plan
 
     def install_profile(self, v_lo: int, costs: np.ndarray, key) -> None:
-        """Adopt a freshly measured per-scanline profile."""
+        """Adopt a freshly measured per-scanline profile: ``key``'s
+        request is answered."""
         self.profile = ScanlineProfile(v_lo, costs)
         self.profile_key = key
+        self._outstanding.discard(key)
+
+    def drop_request(self, key) -> None:
+        """``key``'s profiled frame failed or degraded: its profile will
+        never arrive, so the next frame of ``key`` asks again."""
+        self._outstanding.discard(key)
+        self._due.pop(key, None)
 
 
 def profile_partition(profile: ScanlineProfile | None, n: int,
@@ -599,7 +599,7 @@ def composite_range(img, lo, hi, rle, fact, profiled, rec, frame):
     """Composite scanlines ``[lo, hi)`` in one block-kernel call; their
     per-row costs when profiling.
 
-    One claimed chunk (or, with stealing off, the whole band).  The
+    One claimed chunk (or, on a one-worker pool, the whole band).  The
     block kernel's per-row arithmetic is row-independent, so splitting a
     band into chunks leaves every pixel bit-identical.
     """
@@ -690,8 +690,8 @@ def composite_share(img, band, claims, locks, pid, grain, rle, fact,
                     costs, rec, frame, burn_per_row=0.0, fault=None):
     """Composite worker ``pid``'s share of one frame (every pool's loop).
 
-    Static pool (``claims is None``): the whole ``band`` in one kernel
-    call.  Stealing pool: drain the head of our own block in guided
+    One-worker pool (``claims is None``): the whole ``band`` in one
+    kernel call.  Otherwise: drain the head of our own block in guided
     chunks, then turn thief until every block is drained.  On a profiled
     frame ``costs`` is the frame's cost row (``None`` otherwise) and
     every chunk's per-scanline op counts are written straight into it,
@@ -770,7 +770,7 @@ class WorkerContext:
     renderer: object
     steal_chunk: int
     #: One lock per worker's claim cursor pair: the owner takes only its
-    #: own lock, a thief only the victim's (empty when stealing is off).
+    #: own lock, a thief only the victim's (empty on a one-worker pool).
     claim_locks: list
     #: Separates the frame's two phases across the whole worker set.
     barrier: object
@@ -793,7 +793,7 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
 
     ``img`` / ``final`` are the frame's images wherever the transport
     keeps them; ``claims`` its ``(n_procs, 2)`` cursor array (``None``
-    on a static pool).  A barrier still separates the phases: however
+    on a one-worker pool).  A barrier still separates the phases: however
     the partition is balanced, a worker's warp rows bilinearly sample
     the boundary scanline pair its neighbor composited, so the warp may
     only start once compositing is complete everywhere.
@@ -932,21 +932,16 @@ class PoolCore:
         self.renderer = renderer
         self.config = config
         self.n_procs = config.n_procs
-        self.profile_period = config.profile_period
-        self.stealing = config.stealing
         # The grain this pool's workers run with, read once so every
-        # worker generation of the pool agrees on it.
+        # worker generation of the pool agrees on it.  (One worker has
+        # nobody to steal from: a transport skips the claim traffic.)
         self.steal_chunk = DEFAULT_STEAL_CHUNK
         self.trace = config.trace
-        # One worker has nobody to steal from; skip the claim traffic.
-        self._steal_active = config.stealing and config.n_procs > 1
 
         # Observability: the registry always exists (submit updates pool
         # health gauges either way); span recording only when tracing.
         self.metrics = MetricsRegistry()
-        self._planner = FramePlanner(
-            renderer, config.n_procs, config.profile_period, self.metrics
-        )
+        self._planner = FramePlanner(renderer, config.n_procs, self.metrics)
         self.timelines: list[FrameTimeline] = []
         self.trace_epoch = time.perf_counter()
         #: Parent-side readers over the workers' span rings (the
@@ -1005,16 +1000,6 @@ class PoolCore:
 
     # -- frame lifecycle -----------------------------------------------------
 
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        """What this pool can do (the :class:`RenderBackend` struct)."""
-        return BackendCapabilities(
-            trace=self.trace,
-            steal=self._steal_active,
-            profile=self.profile_period > 0,
-            shard=False,
-        )
-
     def submit(self, view: np.ndarray,
                region: FrameRegion | None = None,
                timestep: int | None = None) -> int:
@@ -1046,16 +1031,16 @@ class PoolCore:
         frames ahead of it have retired — so all of it is partitioned
         from the profile that was valid at that moment (uniformly if
         there was none) and a profile measured *inside* the batch
-        balances the next message, not this one.  The planner's schedule
-        still runs frame to frame: one frame in ``profile_period`` is
-        profiled, and a missing profile — fresh pool, principal-axis
-        switch — is requested once, on the first frame that lacks it,
-        not on every frame behind it.  Each worker receives its entire
-        job list as a *single* queue message and runs frame to frame
-        without re-synchronizing with the parent: the parent's
-        collection of frame ``f`` overlaps the workers' compositing of
-        ``f+1`` (MovieMaker's stage overlap), and the queue/wakeup cost
-        is amortized over the batch instead of paid per frame.
+        balances the next message, not this one.  The planner therefore
+        asks for at most one profile per ``(axis, perm)`` key while it is
+        outstanding: a batch on one key profiles its first frame only,
+        one across an axis switch also the first frame of the new key.
+        Each worker receives its entire job list as a *single* queue
+        message and runs frame to frame without re-synchronizing with
+        the parent: the parent's collection of frame ``f`` overlaps the
+        workers' compositing of ``f+1`` (MovieMaker's stage overlap),
+        and the queue/wakeup cost is amortized over the batch instead of
+        paid per frame.
 
         Returns the frame ids in submission order; collect them with
         :meth:`result` (in order, for image reuse to stream).  Raises
@@ -1236,6 +1221,7 @@ class PoolCore:
             # transport gets the row back with the images.
             costs = rec["costs"][rec["v_lo"]:rec["v_hi"]].copy()
             self._planner.install_profile(rec["v_lo"], costs, rec["key"])
+            self.metrics.counter("pool/profiled_frames").inc()
         del self._inflight[frame]
         img, final = self._take_images_locked(frame, rec)
         self._results[frame] = MPRenderResult(
@@ -1265,7 +1251,10 @@ class PoolCore:
 
     def _exhausted_locked(self, frame: int, exc: MPPoolError) -> None:
         """``frame`` is out of retries: degrade to serial, or fail with
-        ``exc``."""
+        ``exc``.  Either way a profile it was to measure never arrives."""
+        rec = self._inflight[frame]
+        if rec.get("profiled"):
+            self._planner.drop_request(rec["key"])
         if self.config.degrade_to_serial:
             self._degrade_locked(frame)
         else:
@@ -1280,7 +1269,9 @@ class PoolCore:
 
         The serial fast path is the pool's bit-identity reference, so a
         degraded frame carries exactly the pixels the workers would have
-        produced; only the per-worker observables are absent.
+        produced; only the per-worker observables are absent (and the
+        boundaries of a frame still held in the parent, which was never
+        partitioned).
         """
         rec = self._inflight.pop(frame)
         self._release_locked(frame, rec)
@@ -1299,7 +1290,7 @@ class PoolCore:
             intermediate=res.intermediate,
             fact=res.fact,
             n_procs=self.n_procs,
-            boundaries=rec["boundaries"],
+            boundaries=rec.get("boundaries"),
             profiled=False,
             busy_s=None,
             timeline=None,
@@ -1358,13 +1349,14 @@ class PoolCore:
             raise RuntimeError("pool was created without trace=True")
         meta = {
             "n_procs": self.n_procs,
-            "profile_period": self.profile_period,
-            "stealing": self._steal_active,
             "steal_chunk": self.steal_chunk,
             "frames": len(self.timelines),
             "backend": self.transport,
             "batch_frames": int(
                 self.metrics.counter("pool/batch_frames").value
+            ),
+            "profiled_frames": int(
+                self.metrics.counter("pool/profiled_frames").value
             ),
         }
         meta.update(self.fault_counters())

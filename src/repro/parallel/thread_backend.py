@@ -141,7 +141,7 @@ class ThreadRenderPool(PoolCore):
             rec["img"] = IntermediateImage(fact.intermediate_shape)
             rec["final"] = FinalImage(fact.final_shape)
             rec["claims"] = None
-            if self._steal_active:
+            if self.n_procs > 1:
                 rec["claims"] = np.empty((self.n_procs, 2), dtype=np.int64)
                 seed_claims(rec["claims"], rec["boundaries"])
         for q in self._queues:

@@ -112,9 +112,10 @@ class ServeConfig:
         request).
     pool:
         The :class:`PoolConfig` every pool is built from, as is: one
-        pool per dataset, scale and classification.  ``profile_period``
-        defaults to 0 here — service traffic has no frame-to-frame
-        coherence for the profile loop to exploit.  ``pool.shards > 1``
+        pool per dataset, scale and classification; like every pool it
+        profiles on demand, one frame in
+        :data:`~repro.parallel.poolcore.PROFILE_REUSE` of a one-frame
+        request stream.  ``pool.shards > 1``
         makes every lazily-created "pool" a sharded fleet
         (:class:`~repro.shard.ShardedRenderService`) — the server drives
         it through the identical API and never knows the difference.
@@ -137,9 +138,7 @@ class ServeConfig:
     default_dataset: str = "mri128"
     default_scale: float = 0.12
     default_classification: str = "mri"
-    pool: PoolConfig = field(
-        default_factory=lambda: PoolConfig(n_procs=2, profile_period=0)
-    )
+    pool: PoolConfig = field(default_factory=PoolConfig)
     idle_pool_s: float | None = None
     allow_shutdown: bool = True
 

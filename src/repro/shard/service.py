@@ -41,7 +41,7 @@ from ..obs.recorder import RingReader, SpanRecorder
 from ..obs.timeline import FrameTimeline
 from ..obs.timeline import export_chrome_trace as _export_chrome_trace
 from ..parallel import poolcore
-from ..parallel.backend import BackendCapabilities, FrameSpec, as_frame_specs
+from ..parallel.backend import FrameSpec, as_frame_specs
 from ..parallel.mp_backend import MPRenderPool
 from ..parallel.poolcore import (
     FramePlanner,
@@ -119,8 +119,8 @@ class ShardedRenderService:
         self.metrics = MetricsRegistry()
         self.metrics.gauge("shard/shards").set(self.n_shards)
         # The pools' planner, with shards for blocks: it consumes the
-        # profiles the pools measure, so it schedules none of its own.
-        self._planner = FramePlanner(renderer, self.n_shards, 0, self.metrics,
+        # profiles the pools measure, so its ``profiled`` flags go unread.
+        self._planner = FramePlanner(renderer, self.n_shards, self.metrics,
                                      "shard/reshard_invalidations")
         self._next_frame = 0
         # Dispatched, not yet gathered: fleet frame id -> (its shard
@@ -175,16 +175,6 @@ class ShardedRenderService:
             return kind(self.renderer, cfg)
         finally:
             poolcore.TEST_ROW_DELAY = saved
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        """What the fleet can do (the :class:`RenderBackend` struct)."""
-        return BackendCapabilities(
-            trace=self.trace,
-            steal=self.config.stealing and self.config.n_procs > 1,
-            profile=self.config.profile_period > 0,
-            shard=self.n_shards > 1,
-        )
 
     def submit_batch(self, frame_specs) -> list[int]:
         """Dispatch a batch of views / FrameSpecs; returns their frame
@@ -392,9 +382,11 @@ class ShardedRenderService:
             "backend": "shard",
             "shards": self.n_shards,
             "n_procs": self.n_procs,
-            "profile_period": self.config.profile_period,
-            "stealing": self.config.stealing,
             "frames": len(self.timelines),
+            "profiled_frames": sum(
+                int(p.metrics.counter("pool/profiled_frames").value)
+                for p in self._pools
+            ),
             "shard/merges": int(self.metrics.counter("shard/merges").value),
             "shard/reshards": int(self.metrics.counter("shard/reshards").value),
         }

@@ -8,7 +8,8 @@ each other, the frame lifecycle is written exactly once, a process
 worker reports through shared memory only, admission never waits, a
 shard fleet queues no frames of its own and plans with the pools'
 planner, the pools run one compositing kernel, and they are configured
-by one class with a counted number of fields.
+by one class with a counted number of fields, none of which tunes the
+profile feedback loop or stealing.
 """
 
 import ast
@@ -140,7 +141,7 @@ def test_transports_do_not_import_each_other():
 #: Written once, in the core — a transport that re-defines one of these
 #: has forked the frame lifecycle again.
 LIFECYCLE = (
-    "result", "render", "render_animation", "capabilities", "submit",
+    "result", "render", "render_animation", "submit",
     "submit_batch", "_worker_done_locked", "_finish_locked", "_degrade_locked",
     "_collect_timeline_locked", "fault_counters", "export_chrome_trace",
     "__enter__", "__exit__", "__del__", "run_frame",
@@ -248,14 +249,25 @@ def test_one_planner_at_both_levels():
     assert not imported & {"line_ownership", "profile_partition", "ScanlineProfile"}
 
 
-def test_one_config_class_with_nine_fields():
+def test_one_config_class_with_seven_fields():
     """Every independently settable value of a pool is a ``PoolConfig``
-    field; adding one is a decision, not a drive-by."""
+    field; adding one is a decision, not a drive-by.  The feedback loop
+    is the pool's own: no field sets a profile period or turns stealing
+    off, the pool path plans without the simulator's ``ProfileSchedule``,
+    and the one-shot helper and the capabilities struct those knobs
+    needed are gone."""
     import repro
 
-    assert len(fields(repro.PoolConfig)) == 9
+    assert len(fields(repro.PoolConfig)) == 7
+    assert repro.__version__ == "7.0.0"
     with pytest.raises(AttributeError):
         repro.ShardConfig
+    for name in ("render_frame", "BackendCapabilities"):
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+    for name in ("poolcore.py", "mp_backend.py", "thread_backend.py"):
+        assert "ProfileSchedule" not in _imported_modules(PARALLEL / name)
+    assert "ProfileSchedule" not in _imported_modules(SRC / "shard" / "service.py")
 
 
 def test_one_kernel_in_the_pools():
@@ -276,8 +288,7 @@ def test_one_wire_format():
     no other way: the server and client import neither ``base64`` nor
     the base64 plane codec, which nothing under ``src/`` references
     outside its definitions in ``protocol.py`` (it stays for the
-    benchmark's layer probe), and a server pings back the version that
-    changed the format."""
+    benchmark's layer probe), and a server pings back its version."""
     import asyncio
 
     import repro
@@ -307,7 +318,7 @@ def test_one_wire_format():
         return resp
 
     resp = asyncio.run(asyncio.wait_for(ping(), 30.0))
-    assert resp["version"] == repro.__version__ == "6.0.0"
+    assert resp["version"] == repro.__version__
 
 
 def test_the_package_reads_no_environment_variable():

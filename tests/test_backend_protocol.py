@@ -2,7 +2,7 @@
 
 Every execution model — mp pool, thread pool, shard fleet — must be
 drivable through the same four-member seam (``submit_batch`` /
-``result`` / ``close`` / ``capabilities``), and the per-call pool
+``result`` / ``close`` / ``trace``), and the per-call pool
 kwargs deprecated in 1.x are gone in 2.0: the constructors take
 ``(renderer, config)`` and nothing else.
 """
@@ -15,7 +15,6 @@ import pytest
 import repro
 from repro.datasets import mri_brain
 from repro.parallel import (
-    BackendCapabilities,
     FrameSpec,
     MPRenderPool,
     PoolConfig,
@@ -38,30 +37,27 @@ def _views(renderer, n):
 
 
 POOL_SHAPES = [
-    pytest.param(dict(n_procs=2, backend="thread", profile_period=0),
-                 id="thread"),
-    pytest.param(dict(n_procs=2, profile_period=0), id="mp"),
-    pytest.param(dict(n_procs=1, shards=2, profile_period=0), id="shard"),
+    pytest.param(dict(n_procs=2, backend="thread"), id="thread"),
+    pytest.param(dict(n_procs=2), id="mp"),
+    pytest.param(dict(n_procs=1, shards=2), id="shard"),
 ]
 
 
 class TestProtocolConformance:
     @pytest.mark.parametrize("overrides", POOL_SHAPES)
     def test_isinstance_and_capabilities(self, renderer, overrides):
+        """What a caller may ask a backend is whether it traces: every
+        pool steals when it has a second worker and profiles on demand,
+        so there is no capabilities struct to consult."""
         with repro.open_pool(renderer, **overrides) as pool:
             assert isinstance(pool, RenderBackend)
-            caps = pool.capabilities
-            assert isinstance(caps, BackendCapabilities)
-            assert caps.trace is False and caps.profile is False
-            assert caps.shard is (overrides.get("shards", 1) > 1)
+            assert pool.trace is False
+            assert not hasattr(pool, "capabilities")
 
     def test_capabilities_reflect_config(self, renderer):
-        cfg = PoolConfig(n_procs=2, backend="thread", trace=True,
-                         profile_period=3, stealing=True)
+        cfg = PoolConfig(n_procs=2, backend="thread", trace=True)
         with repro.open_pool(renderer, config=cfg) as pool:
-            caps = pool.capabilities
-            assert caps.trace and caps.profile and caps.steal
-            assert not caps.shard
+            assert pool.trace is True
 
     @pytest.mark.parametrize("overrides", POOL_SHAPES)
     def test_submit_batch_result_roundtrip(self, renderer, overrides):
@@ -120,8 +116,7 @@ class TestProtocolConformance:
         assert wrapped[1].timestep is None
 
     def test_shard_service_rejects_caller_regions(self, renderer):
-        with repro.open_pool(renderer, n_procs=1, shards=2,
-                             profile_period=0) as svc:
+        with repro.open_pool(renderer, n_procs=1, shards=2) as svc:
             assert isinstance(svc, ShardedRenderService)
             with pytest.raises(ValueError):
                 svc.submit(renderer.view_from_angles(20, 30, 0),
@@ -135,7 +130,7 @@ class TestLegacyKwargsDeprecation:
     @pytest.mark.parametrize("pool_cls", [MPRenderPool, ThreadRenderPool])
     def test_legacy_kwargs_raise_type_error(self, renderer, pool_cls):
         with pytest.raises(TypeError):
-            pool_cls(renderer, n_procs=1, profile_period=0)
+            pool_cls(renderer, n_procs=1)
         with pytest.raises(TypeError):
             pool_cls(renderer, 1)  # the old positional n_procs
         with pytest.raises(TypeError):
@@ -144,7 +139,7 @@ class TestLegacyKwargsDeprecation:
         assert not hasattr(repro.parallel, "render_parallel_threads")
 
     def test_config_path_stays_silent(self, renderer):
-        cfg = PoolConfig(n_procs=1, backend="thread", profile_period=0)
+        cfg = PoolConfig(n_procs=1, backend="thread")
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             with repro.open_pool(renderer, config=cfg) as pool:
@@ -155,6 +150,6 @@ class TestLegacyKwargsDeprecation:
         build a PoolConfig directly and must never warn."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            with repro.open_pool(renderer, n_procs=1, backend="thread",
-                                 profile_period=0) as pool:
+            with repro.open_pool(renderer, n_procs=1,
+                                 backend="thread") as pool:
                 pool.result(pool.submit_batch(_views(renderer, 1))[0])

@@ -629,9 +629,11 @@ class TestMPRenderPool:
             assert np.array_equal(out[h].final.color, ref.final.color)
 
     def test_one_shot_wrapper_matches(self, renderer):
+        """One frame: ``open_pool`` plus ``render``."""
         view = renderer.view_from_angles(20, 30, 0)
         ref = renderer.render(view)
-        res = repro.render_frame(renderer, view, n_procs=2)
+        with repro.open_pool(renderer, n_procs=2) as pool:
+            res = pool.render(view)
         assert np.array_equal(res.final.color, ref.final.color)
         assert res.n_procs == 2
 

@@ -53,7 +53,6 @@ class TestCLI:
         rc = main(["render", "--movie", "--dataset", "beating_heart",
                    "--scale", "0.5", "--frames", "3", "--timesteps", "2",
                    "--procs", "1", "--backend", "thread",
-                   "--profile-period", "0",
                    "--movie-out", str(out_dir),
                    "--metrics-out", str(metrics)])
         assert rc == 0
@@ -139,9 +138,9 @@ class TestCLI:
 
 
 #: The render smokes' animation: four frames of a small mri256 proxy
-#: through two workers, with the profile feedback loop on.
+#: through two workers (the batch profiles its first frame).
 _ANIMATION = ["--dataset", "mri256", "--scale", "0.08", "--procs", "2",
-              "--frames", "4", "--profile-period", "2"]
+              "--frames", "4"]
 #: The movie smoke: two timesteps of the beating heart through a
 #: two-shard fleet.
 _MOVIE = ["--movie", "--dataset", "beating_heart", "--scale", "0.5",
@@ -155,7 +154,8 @@ class TestRenderSmokes:
     output prints that show its mechanism ran."""
 
     @pytest.mark.parametrize("args, kill, counters", [
-        pytest.param(_ANIMATION, False, [r"pool/batch_frames=[1-9]"],
+        pytest.param(_ANIMATION, False, [r"pool/batch_frames=[1-9]",
+                                          r"pool/profiled_frames=1\b"],
                      id="mp"),
         pytest.param(_ANIMATION + ["--backend", "thread"], False,
                      [r"backend=thread", r"pool/batch_frames=[1-9]"],
@@ -207,7 +207,7 @@ class TestCLIErrorPaths:
         before = (set(os.listdir(shm_dir)) if os.path.isdir(shm_dir)
                   else None)
         rc = main(["render", "--dataset", "mri128", "--scale", "0.08",
-                   "--procs", "2", "--frames", "3", "--profile-period", "0",
+                   "--procs", "2", "--frames", "3",
                    "--max-retries", "0", "--degrade", "off"])
         assert rc == 1
         err = capsys.readouterr().err
@@ -219,7 +219,6 @@ class TestCLIErrorPaths:
     @pytest.mark.parametrize("flag, value, field", [
         ("--procs", "0", "n_procs"),
         ("--procs", "-3", "n_procs"),
-        ("--profile-period", "-1", "profile_period"),
         ("--max-retries", "-1", "max_retries"),
         ("--timeout-s", "0", "timeout_s"),
         ("--shards", "0", "shards"),
@@ -274,6 +273,18 @@ class TestCLIErrorPaths:
             main(argv)
         assert exc.value.code == 2
         assert "--kernel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "--procs", "2", "--profile-period", "5"],
+        ["render", "--procs", "2", "--stealing", "off"],
+    ])
+    def test_profile_period_and_stealing_flags_are_gone(self, capsys, argv):
+        """The pool profiles on demand and steals whenever it has a
+        second worker: neither has a flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[3] in capsys.readouterr().err
 
     def test_stats_on_metrics_snapshot(self, capsys, tmp_path):
         """`repro stats` renders serve metrics snapshots (counters in

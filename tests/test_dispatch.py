@@ -7,7 +7,6 @@ workers.  Plus the fault half: a worker killed mid-batch must be
 recovered with only the unfinished frames re-dispatched.
 """
 
-import math
 import threading
 
 import numpy as np
@@ -44,11 +43,11 @@ def _assert_identical(res, refs):
 class TestBatchedBitIdentity:
     @pytest.mark.parametrize("stealing", [True, False])
     def test_batched_matches_serial(self, renderer, stealing):
-        """submit_batch == serial, stealing on/off, profile feedback
-        loop on."""
+        """submit_batch == serial, stealing on/off (a pool steals when it
+        has a second worker), profile feedback loop on."""
         views = _views(renderer)
         refs = [render_fast(renderer, v) for v in views]
-        cfg = PoolConfig(n_procs=2, stealing=stealing, profile_period=2)
+        cfg = PoolConfig(n_procs=2 if stealing else 1)
         with MPRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
         _assert_identical(res, refs)
@@ -56,7 +55,7 @@ class TestBatchedBitIdentity:
     def test_batched_matches_perframe_protocol(self, renderer):
         """One batch message == per-frame submit / result pairs."""
         views = _views(renderer)
-        cfg = PoolConfig(n_procs=2, profile_period=2)
+        cfg = PoolConfig(n_procs=2)
         with MPRenderPool(renderer, config=cfg) as pool:
             batched = [pool.result(f) for f in pool.submit_batch(views)]
         with MPRenderPool(renderer, config=cfg) as pool:
@@ -74,7 +73,7 @@ class TestBatchedBitIdentity:
         (release-cursor gating + deferred claim seeding)."""
         views = _views(renderer, 8)
         refs = [render_fast(renderer, v) for v in views]
-        cfg = PoolConfig(n_procs=2, profile_period=3)
+        cfg = PoolConfig(n_procs=2)
         with MPRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
         _assert_identical(res, refs)
@@ -83,24 +82,27 @@ class TestBatchedBitIdentity:
     def test_batch_profiles_once_per_period_not_every_frame(self, renderer,
                                                             backend):
         """A batch is planned before any of its frames completes; the
-        profile it lacks is requested once (and once more at the axis
-        switch), not on every frame behind the first."""
+        profile it lacks is requested once per key (and so once more at
+        the axis switch), not on every frame behind the first — nor
+        again when the PROFILE_REUSE period runs out while the request
+        is outstanding."""
         views = [renderer.view_from_angles(20, 30 + 2 * i, 0) for i in range(20)]
         refs = [render_fast(renderer, v) for v in views]
-        with repro.open_pool(renderer, n_procs=2, backend=backend,
-                             profile_period=5) as pool:
+        with repro.open_pool(renderer, n_procs=2, backend=backend) as pool:
             res = pool.render_animation(views)
+            counted = pool.metrics.counter("pool/profiled_frames").value
         _assert_identical(res, refs)
-        switches = sum(a.fact.axis != b.fact.axis for a, b in zip(res, res[1:]))
-        assert switches == 1
-        assert res[0].profiled
-        assert sum(r.profiled for r in res) <= math.ceil(20 / 5) + switches + 1
+        axes = [r.fact.axis for r in res]
+        first_new = next(i for i, a in enumerate(axes) if a != axes[0])
+        assert len(set(axes[first_new:])) == 1
+        assert {i for i, r in enumerate(res) if r.profiled} == {0, first_new}
+        assert counted == 2
 
     def test_batch_frames_counter_and_metadata(self, renderer, tmp_path):
         views = _views(renderer, 4)
         cfg = PoolConfig(n_procs=2, trace=True)
         with MPRenderPool(renderer, config=cfg) as pool:
-            pool.render_animation(views)
+            results = pool.render_animation(views)
             assert pool.metrics.counter("pool/batch_frames").value == 4
             path = tmp_path / "trace.json"
             pool.export_chrome_trace(str(path))
@@ -108,6 +110,7 @@ class TestBatchedBitIdentity:
 
         meta = json.loads(path.read_text())["otherData"]
         assert meta["batch_frames"] == 4
+        assert meta["profiled_frames"] == sum(r.profiled for r in results) >= 1
         assert meta["backend"] == "mp"
         assert "doorbell" not in meta
 

@@ -184,23 +184,28 @@ class TestMovieBitIdentity:
         _assert_bit_identical(results, _refs(renderer, specs))
 
     def test_thread_backend(self, renderer):
-        self._run(renderer, n_procs=2, backend="thread", profile_period=0)
+        self._run(renderer, n_procs=2, backend="thread")
 
     def test_mp_backend(self, renderer):
-        self._run(renderer, n_procs=2, profile_period=0)
+        self._run(renderer, n_procs=2)
 
-    def test_mp_backend_profiled(self, renderer):
+    def test_mp_backend_profiled(self, renderer, monkeypatch):
         """The moving wedge churns the profile between frames; the
         re-balanced partitions must not change a single pixel."""
-        self._run(renderer, n_procs=2, profile_period=1)
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
+        specs = _specs(renderer, self.N_FRAMES)
+        with repro.open_pool(renderer, n_procs=2) as pool:
+            results = [pool.render(s.view, timestep=s.timestep) for s in specs]
+        assert all(r.profiled for r in results)
+        _assert_bit_identical(results, _refs(renderer, specs))
 
     def test_shard_fleet(self, renderer):
-        self._run(renderer, n_procs=1, shards=2, profile_period=0)
+        self._run(renderer, n_procs=1, shards=2)
 
     def test_mp_backend_survives_mid_movie_kill(self, renderer, monkeypatch):
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 2, "kill", "composite"))
         specs = _specs(renderer, self.N_FRAMES)
-        with repro.open_pool(renderer, n_procs=2, profile_period=0) as pool:
+        with repro.open_pool(renderer, n_procs=2) as pool:
             results = [pool.result(f) for f in pool.submit_batch(specs)]
             counters = pool.fault_counters()
         assert counters["worker_restarts"] >= 1
@@ -214,28 +219,26 @@ class TestProfileLoopAcrossTimesteps:
     stresses), and the profiled run stays bit-identical regardless of
     how wrong the moving wedge makes the prediction."""
 
-    def test_profile_survives_timestep_switches(self, renderer):
+    def test_profile_survives_timestep_switches(self, renderer, monkeypatch):
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
         switches_before = renderer.timestep_switches
         specs = _specs(renderer, 6)
-        with repro.open_pool(
-            renderer, n_procs=2, backend="thread", profile_period=1
-        ) as pool:
-            results = [pool.result(f) for f in pool.submit_batch(specs)]
+        with repro.open_pool(renderer, n_procs=2, backend="thread") as pool:
+            results = [pool.render(s.view, timestep=s.timestep) for s in specs]
         # The timestep moved underneath the profile loop, every frame
         # still measured a profile, and no pixel changed.
         assert renderer.timestep_switches > switches_before
         assert all(r.profiled and r.costs is not None for r in results)
         _assert_bit_identical(results, _refs(renderer, specs))
 
-    def test_wedge_swing_moves_partition_boundary(self):
+    def test_wedge_swing_moves_partition_boundary(self, monkeypatch):
         """A big slow wedge really does shift work between frames: the
         profile-balanced row partition differs across timesteps."""
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
         r = beating_heart_renderer(0.75, timesteps=2)
         specs = movie_frame_specs(r, 4, timesteps=2)
-        with repro.open_pool(
-            r, n_procs=2, backend="thread", profile_period=1
-        ) as pool:
-            results = [pool.result(f) for f in pool.submit_batch(specs)]
+        with repro.open_pool(r, n_procs=2, backend="thread") as pool:
+            results = [pool.render(s.view, timestep=s.timestep) for s in specs]
         bounds = {
             tuple(res.boundaries)
             for res in results[1:]
@@ -249,7 +252,7 @@ class TestMoviePipeline:
     def test_png_sequence_matches_reference_encoder(self, renderer, tmp_path):
         specs = _specs(renderer, 4)
         with repro.open_pool(
-            renderer, n_procs=1, backend="thread", profile_period=0
+            renderer, n_procs=1, backend="thread"
         ) as pool:
             pipe = MoviePipeline(pool, str(tmp_path), fmt="png")
             manifest = pipe.run(specs)
@@ -269,8 +272,7 @@ class TestMoviePipeline:
         every PNG is still the serial reference's bytes."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "kill", "composite"))
         specs = _specs(renderer, 4)
-        with repro.open_pool(renderer, n_procs=2, shards=2,
-                             profile_period=0) as fleet:
+        with repro.open_pool(renderer, n_procs=2, shards=2) as fleet:
             MoviePipeline(fleet, str(tmp_path), fmt="png").run(specs)
             counters = fleet.fault_counters()
         assert counters["worker_restarts"] >= 2
@@ -282,7 +284,7 @@ class TestMoviePipeline:
     def test_npz_sequence_is_lossless(self, renderer, tmp_path):
         specs = _specs(renderer, 2)
         with repro.open_pool(
-            renderer, n_procs=1, backend="thread", profile_period=0
+            renderer, n_procs=1, backend="thread"
         ) as pool:
             MoviePipeline(pool, str(tmp_path), fmt="npz").run(specs)
         for i, ref in enumerate(_refs(renderer, specs)):
@@ -293,7 +295,7 @@ class TestMoviePipeline:
     def test_metrics_snapshot_counts_frames(self, renderer, tmp_path):
         specs = _specs(renderer, 3)
         with repro.open_pool(
-            renderer, n_procs=1, backend="thread", profile_period=0
+            renderer, n_procs=1, backend="thread"
         ) as pool:
             pipe = MoviePipeline(pool, str(tmp_path))
             pipe.run(specs)
@@ -305,7 +307,7 @@ class TestMoviePipeline:
     def test_encode_spans_land_on_their_own_track(self, renderer, tmp_path):
         specs = _specs(renderer, 3)
         with repro.open_pool(
-            renderer, n_procs=2, backend="thread", profile_period=0,
+            renderer, n_procs=2, backend="thread",
             trace=True,
         ) as pool:
             pipe = MoviePipeline(pool, str(tmp_path), trace=True)
@@ -338,7 +340,7 @@ class TestMoviePipeline:
         pool the pipeline was built."""
         specs = _specs(renderer, 3)
         trace_path = tmp_path / "movie_trace.json"
-        with repro.open_pool(renderer, profile_period=0, trace=True,
+        with repro.open_pool(renderer, trace=True,
                              **overrides) as pool:
             # A clock started with the pipeline would run this far
             # behind the pool's.

@@ -19,39 +19,49 @@ def renderer():
     return ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
 
 
+def _render(renderer, view, **overrides):
+    with repro.open_pool(renderer, **overrides) as pool:
+        return pool.render(view)
+
+
 class TestMPBackend:
     def test_matches_serial_two_workers(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
         ref = renderer.render(view)
-        res = repro.render_frame(renderer, view, n_procs=2)
+        res = _render(renderer, view, n_procs=2)
         assert np.allclose(res.final.color, ref.final.color, atol=1e-5)
         assert np.allclose(res.final.alpha, ref.final.alpha, atol=1e-5)
 
     def test_matches_serial_four_workers(self, renderer):
         view = renderer.view_from_angles(-15, 40, 10)
         ref = renderer.render(view)
-        res = repro.render_frame(renderer, view, n_procs=4)
+        res = _render(renderer, view, n_procs=4)
         assert np.allclose(res.final.color, ref.final.color, atol=1e-5)
 
     def test_single_worker(self, renderer):
         view = renderer.view_from_angles(0, 10, 0)
         ref = renderer.render(view)
-        res = repro.render_frame(renderer, view, n_procs=1)
+        res = _render(renderer, view, n_procs=1)
         assert np.allclose(res.final.color, ref.final.color, atol=1e-5)
 
     def test_sphere_axis_view(self):
         r = ShearWarpRenderer(solid_sphere((16, 16, 16)), binary_transfer_function(128))
-        res = repro.render_frame(r, np.eye(4), n_procs=2)
+        res = _render(r, np.eye(4), n_procs=2)
         cy, cx = res.final.ny // 2, res.final.nx // 2
         assert res.final.alpha[cy, cx] > 0.9
 
     def test_rejects_zero_workers(self, renderer):
         with pytest.raises(ValueError):
-            repro.render_frame(renderer, np.eye(4), n_procs=0)
+            repro.open_pool(renderer, n_procs=0)
 
     def test_rejects_negative_profile_period(self, renderer):
-        with pytest.raises(ValueError):
-            repro.open_pool(renderer, n_procs=1, profile_period=-1)
+        """Nor any other: the pool profiles on demand
+        (``poolcore.PROFILE_REUSE``), so neither the config nor the
+        facade takes a period."""
+        with pytest.raises(TypeError, match="profile_period"):
+            repro.PoolConfig(profile_period=-1)
+        with pytest.raises(TypeError, match="profile_period"):
+            repro.open_pool(renderer, n_procs=1, profile_period=5)
 
 
 class TestPoolErrors:
@@ -78,8 +88,8 @@ class TestPoolErrors:
         v2 = renderer.view_from_angles(20, 36, 0)
         # Retries/degradation off: this test is about error *attribution*
         # (the fault-recovery paths are covered in test_mp_faults.py).
-        with repro.open_pool(renderer, n_procs=2, profile_period=0,
-                             max_retries=0, degrade_to_serial=False) as pool:
+        with repro.open_pool(renderer, n_procs=2, max_retries=0,
+                             degrade_to_serial=False) as pool:
             f0 = pool.submit(v0)
             f1 = pool.submit(v1)
             # The sibling collected first still succeeds and is correct.
@@ -107,7 +117,7 @@ class TestPoolErrors:
         tuple compare let the x-only case through, truncating the
         frame)."""
         good = renderer.view_from_angles(20, 30, 0)
-        with repro.open_pool(renderer, n_procs=2, profile_period=0) as pool:
+        with repro.open_pool(renderer, n_procs=2) as pool:
             cap = pool.final_cap
             for rows in (slice(0, 3), slice(0, 1), slice(1, 2)):  # xyz, x, y
                 bad = good.copy()
@@ -137,55 +147,56 @@ class TestPoolErrors:
 WEDGE = (64, 96, 32)
 
 
-class TestAdaptivePartition:
-    def _animate(self, renderer, views, profile_period, n_procs=3):
-        with repro.open_pool(renderer, n_procs=n_procs,
-                             profile_period=profile_period) as pool:
-            handles = [pool.submit(v) for v in views]
-            return [pool.result(h) for h in handles]
+def _uniform(res, n_procs):
+    """The uniform split of ``res``'s non-empty band."""
+    return uniform_contiguous_partition(
+        int(res.boundaries[0]), int(res.boundaries[-1]), n_procs)
 
-    def test_adaptive_bit_identical_to_uniform(self):
+
+class TestAdaptivePartition:
+    def test_adaptive_bit_identical_to_uniform(self, monkeypatch):
         """Profile-balanced partitions only move scanlines between
-        workers — the animation's images must match the uniform split
-        bit for bit, even though the boundaries differ.
+        workers — the animation's images must match the serial render
+        (and so the uniform split's) bit for bit, even though the
+        boundaries differ.
 
         Uses the skewed wedge phantom: on a near-symmetric volume the
         balanced partition can legitimately coincide with the uniform
         split, which would make the boundaries-moved assertion vacuous.
         """
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         renderer = ShearWarpRenderer(density_wedge(WEDGE),
                                      mri_transfer_function())
         views = [renderer.view_from_angles(18, 8 + 3 * i, 0)
                  for i in range(6)]
-        uni = self._animate(renderer, views, profile_period=0)
-        ada = self._animate(renderer, views, profile_period=2)
-        for u, a in zip(uni, ada):
-            assert np.array_equal(u.final.color, a.final.color)
-            assert np.array_equal(u.final.alpha, a.final.alpha)
-            assert np.array_equal(u.intermediate.color, a.intermediate.color)
-        assert not any(u.profiled for u in uni)
+        with repro.open_pool(renderer, n_procs=3) as pool:
+            ada = [pool.result(pool.submit(v)) for v in views]
+        for v, a in zip(views, ada):
+            ref = render_fast(renderer, v)
+            assert np.array_equal(ref.final.color, a.final.color)
+            assert np.array_equal(ref.final.alpha, a.final.alpha)
+            assert np.array_equal(ref.intermediate.color, a.intermediate.color)
         assert ada[0].profiled  # no profile exists yet on frame 0
+        assert np.array_equal(ada[0].boundaries, _uniform(ada[0], 3))
         # On a real (non-flat) volume the measured profile must move at
         # least one boundary away from the uniform split.
-        moved = any(
-            not np.array_equal(u.boundaries, a.boundaries)
-            for u, a in zip(uni, ada)
-        )
-        assert moved
+        assert any(not np.array_equal(a.boundaries, _uniform(a, 3))
+                   for a in ada[1:])
 
-    def test_profile_partition_evens_out_counted_work(self):
+    def test_profile_partition_evens_out_counted_work(self, monkeypatch):
         """The paper's section 4.3 claim as a count, not a timing: on the
         skewed wedge, the work the kernel *counts* inside each worker's
         band is spread more evenly over the workers on frames
-        partitioned from a measured profile than on the uniform run of
-        the same views.  Frames are rendered one at a time, so every
-        frame after the first is planned with a profile installed."""
+        partitioned from a measured profile than by the uniform split of
+        the same frames' bands.  Frames are rendered one at a time, so
+        every frame after the first is planned with a profile installed."""
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         renderer = ShearWarpRenderer(density_wedge(WEDGE),
                                      mri_transfer_function())
         views = [renderer.view_from_angles(18, 8 + 3 * i, 0)
                  for i in range(12)]
 
-        def counted_spread(res):
+        def counted_spread(res, bounds):
             # Per-row ``scanline_cost`` of each band, as a profiled
             # worker counts it.
             rle = renderer.rle_for(res.fact)
@@ -193,40 +204,36 @@ class TestAdaptivePartition:
             return busy_spread([
                 poolcore.composite_range(img, lo, hi, rle, res.fact,
                                          True, None, 0).sum()
-                for lo, hi in zip(res.boundaries[:-1], res.boundaries[1:])
+                for lo, hi in zip(bounds[:-1], bounds[1:])
             ])
 
-        spread = {}
-        for period in (0, 2):
-            with repro.open_pool(renderer, n_procs=3, profile_period=period,
-                                 stealing=False) as pool:
-                results = [pool.render(v) for v in views]
-            spread[period] = np.mean([counted_spread(r) for r in results[1:]])
-        assert spread[2] < spread[0]
+        with repro.open_pool(renderer, n_procs=3) as pool:
+            results = [pool.render(v) for v in views]
+        profiled = np.mean([counted_spread(r, r.boundaries) for r in results[1:]])
+        uniform = np.mean([counted_spread(r, _uniform(r, 3)) for r in results[1:]])
+        assert profiled < uniform
 
     def test_reports_boundaries_and_busy_times(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
-        with repro.open_pool(renderer, n_procs=2, profile_period=3) as pool:
+        with repro.open_pool(renderer, n_procs=2) as pool:
             res = pool.render(view)
         assert res.boundaries is not None and len(res.boundaries) == 3
         assert np.all(np.diff(res.boundaries) >= 0)
         assert res.busy_s is not None and res.busy_s.shape == (2,)
         assert np.all(res.busy_s >= 0)
 
-    def test_axis_switch_invalidates_profile(self, renderer):
+    def test_axis_switch_invalidates_profile(self, renderer, monkeypatch):
         """Crossing a principal-axis boundary must force a uniform
         re-profiling frame: the old profile's scanline coordinates no
         longer exist in the new intermediate image."""
-        with repro.open_pool(renderer, n_procs=3, profile_period=100) as pool:
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 100)
+        with repro.open_pool(renderer, n_procs=3) as pool:
             r0 = pool.render(renderer.view_from_angles(10, 20, 0))
             r1 = pool.render(renderer.view_from_angles(10, 24, 0))
             r2 = pool.render(renderer.view_from_angles(10, 70, 0))
         assert r0.profiled and not r1.profiled
         assert r2.fact.axis != r1.fact.axis  # the switch actually happened
         assert r2.profiled  # invalidation forced a fresh measurement
-        uniform = uniform_contiguous_partition(
-            int(r2.boundaries[0]), int(r2.boundaries[-1]), 3
-        )
-        assert np.array_equal(r2.boundaries, uniform)
+        assert np.array_equal(r2.boundaries, _uniform(r2, 3))
         ref = renderer.render(renderer.view_from_angles(10, 70, 0))
         assert np.allclose(r2.final.color, ref.final.color, atol=1e-5)

@@ -32,6 +32,7 @@ from repro.parallel.poolcore import (
     FrameTimeout,
     PoolClosed,
     PoolConfig,
+    PoolUnrecoverable,
     WorkerDied,
 )
 from repro.render import ShearWarpRenderer
@@ -67,15 +68,16 @@ def _assert_bit_identical(renderer, views, results):
 class TestFaultInjection:
     """Kill/hang/raise one worker at each phase; the animation survives."""
 
-    # profile_period=2 makes the schedule profile frames 0 and 2 however
-    # the four submits interleave with completions, so the "profile"
-    # phase fault armed on frame 2 always has a frame to hit.
+    # PROFILE_REUSE=2 makes the planner profile frames 0 and 2 (frame 2
+    # is held in the parent until frame 0 has retired and answered its
+    # request), so the "profile" phase fault armed on frame 2 always has
+    # a frame to hit.
     @pytest.mark.parametrize("phase", poolcore.FAULT_PHASES)
     def test_kill_recovers_bit_identical(self, renderer, monkeypatch, phase):
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 2, "kill", phase))
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         views = _views(renderer, 4)
-        results, counters = _animate(renderer, views, n_procs=2,
-                                     profile_period=2)
+        results, counters = _animate(renderer, views, n_procs=2)
         _assert_bit_identical(renderer, views, results)
         assert counters["worker_restarts"] >= 2  # the whole set respawned
         assert counters["frames_retried"] >= 1
@@ -87,9 +89,9 @@ class TestFaultInjection:
     def test_raise_retries_bit_identical(self, renderer, monkeypatch, phase):
         """An exception leaves the worker set intact: retry, no respawn."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 2, "raise", phase))
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         views = _views(renderer, 4)
-        results, counters = _animate(renderer, views, n_procs=2,
-                                     profile_period=2)
+        results, counters = _animate(renderer, views, n_procs=2)
         _assert_bit_identical(renderer, views, results)
         assert counters["frames_retried"] >= 1
         assert counters["worker_restarts"] == 0
@@ -99,8 +101,7 @@ class TestFaultInjection:
                                                            monkeypatch):
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
         views = _views(renderer, 3)
-        results, counters = _animate(renderer, views, n_procs=2,
-                                     profile_period=0)
+        results, counters = _animate(renderer, views, n_procs=2)
         _assert_bit_identical(renderer, views, results)
         assert counters["worker_restarts"] >= 2
 
@@ -108,8 +109,7 @@ class TestFaultInjection:
         """A silently hung worker trips the frame deadline, not a hang."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "hang", "composite"))
         views = _views(renderer, 3)
-        results, counters = _animate(renderer, views, n_procs=2,
-                                     profile_period=0, timeout_s=1.0)
+        results, counters = _animate(renderer, views, n_procs=2, timeout_s=1.0)
         _assert_bit_identical(renderer, views, results)
         assert counters["worker_restarts"] >= 2
         assert counters["frames_retried"] >= 1
@@ -123,7 +123,7 @@ class TestFaultInjection:
         # signal lands (same knob the stealing tests use).
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.005))
         views = _views(renderer, 6)
-        with repro.open_pool(renderer, n_procs=2, profile_period=0) as pool:
+        with repro.open_pool(renderer, n_procs=2) as pool:
             shm_names = [pool._shm_i.name, pool._shm_f.name]
             handles = [pool.submit(v) for v in views]
             os.kill(pool._workers[0].pid, signal.SIGKILL)
@@ -141,8 +141,7 @@ class TestFaultInjection:
                                           tmp_path):
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
         views = _views(renderer, 3)
-        with repro.open_pool(renderer, n_procs=2, profile_period=0,
-                             trace=True) as pool:
+        with repro.open_pool(renderer, n_procs=2, trace=True) as pool:
             handles = [pool.submit(v) for v in views]
             results = [pool.result(h) for h in handles]
             path = tmp_path / "fault_trace.json"
@@ -274,7 +273,7 @@ class TestRetryRule:
         goes out ahead of them and nobody is restarted."""
         views = _views(renderer, 4)
         _warp_raising(monkeypatch, on_call=1)
-        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+        with repro.open_pool(renderer, n_procs=2,
                              degrade_to_serial=False) as pool:
             handles = [pool.submit(v) for v in views]
             results = [pool.result(h) for h in handles]
@@ -290,7 +289,7 @@ class TestRetryRule:
             self, renderer, monkeypatch, how):
         views = _views(renderer, 4 if how == "last_of_four" else 1)
         _warp_raising(monkeypatch, on_call=len(views))
-        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+        with repro.open_pool(renderer, n_procs=2,
                              degrade_to_serial=False) as pool:
             if how == "submit":
                 handles = [pool.submit(views[0])]
@@ -303,6 +302,43 @@ class TestRetryRule:
             "worker_restarts": 0, "frames_retried": 1, "degraded_frames": 0,
         }
         assert [r.retries for r in results] == [0] * (len(views) - 1) + [1]
+
+
+class TestRespawnFailure:
+    @pytest.mark.parametrize("degrade", [True, False], ids=["degrade", "fail"])
+    def test_held_frames_are_settled_when_the_respawn_fails(
+            self, renderer, monkeypatch, degrade):
+        """Worker 0 dies on frame 0 of four pipelined ``submit``s and no
+        new worker set can be forked.  Every frame in flight is settled
+        — frames 2 and 3, still held in the parent and never
+        partitioned, too: bit-identical and degraded, or failed with a
+        typed error.  None is lost to a ``KeyError`` in the supervisor."""
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
+        spawn = MPRenderPool._spawn_workers
+
+        def spawn_once(self, generation):
+            if generation >= 1:
+                raise OSError("injected respawn failure")
+            spawn(self, generation)
+
+        monkeypatch.setattr(MPRenderPool, "_spawn_workers", spawn_once)
+        views = _views(renderer, 4)
+        with repro.open_pool(renderer, n_procs=2,
+                             degrade_to_serial=degrade) as pool:
+            handles = [pool.submit(v) for v in views]
+            if degrade:
+                results = [pool.result(h) for h in handles]
+            else:
+                for h in handles:
+                    with pytest.raises(PoolUnrecoverable, match="respawn"):
+                        pool.result(h)
+            broken = pool._broken
+        assert broken.startswith("worker respawn failed: OSError")
+        if degrade:
+            _assert_bit_identical(renderer, views, results)
+            assert all(r.degraded for r in results)
+            assert [r.boundaries is None for r in results] == [
+                False, False, True, True]
 
 
 class TestTypedErrors:
@@ -332,7 +368,7 @@ class TestTypedErrors:
 
     def test_worker_death_raises_typed_error(self, renderer, monkeypatch):
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
-        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+        with repro.open_pool(renderer, n_procs=2,
                              max_retries=0, degrade_to_serial=False) as pool:
             frame = pool.submit(renderer.view_from_angles(20, 30, 0))
             with pytest.raises(WorkerDied):
@@ -348,7 +384,7 @@ class TestTypedErrors:
     def test_timeout_raises_frame_timeout(self, renderer, monkeypatch):
         """result() never blocks past timeout_s: typed error, not a hang."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "hang", "composite"))
-        with repro.open_pool(renderer, n_procs=2, profile_period=0,
+        with repro.open_pool(renderer, n_procs=2,
                              timeout_s=0.5, max_retries=0,
                              degrade_to_serial=False) as pool:
             frame = pool.submit(renderer.view_from_angles(20, 30, 0))
@@ -359,8 +395,7 @@ class TestTypedErrors:
         """Retries exhausted -> in-parent serial render, same pixels."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
         view = renderer.view_from_angles(20, 30, 0)
-        with repro.open_pool(renderer, n_procs=2, profile_period=0,
-                             max_retries=0) as pool:
+        with repro.open_pool(renderer, n_procs=2, max_retries=0) as pool:
             res = pool.render(view)
             counters = pool.fault_counters()
         assert res.degraded
@@ -373,7 +408,7 @@ class TestTypedErrors:
                                                         monkeypatch):
         """The old deadlock: close() during an in-flight result()."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "hang", "composite"))
-        pool = repro.open_pool(renderer, n_procs=2, profile_period=0)
+        pool = repro.open_pool(renderer, n_procs=2)
         frame = pool.submit(renderer.view_from_angles(20, 30, 0))
         caught = []
 
@@ -405,7 +440,7 @@ class TestNoLeaks:
         every one of them even after a mid-animation worker death."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "kill", "composite"))
         views = _views(renderer, 3)
-        pool = repro.open_pool(renderer, n_procs=2, profile_period=0, trace=True)
+        pool = repro.open_pool(renderer, n_procs=2, trace=True)
         names = [pool._shm_i.name, pool._shm_f.name,
                  pool._shm_c.name, pool._shm_t.name]
         handles = [pool.submit(v) for v in views]
@@ -425,7 +460,7 @@ class TestNoLeaks:
         (a traceback, a caller) still references the pool object."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
         before = open_fds()
-        pool = repro.open_pool(renderer, n_procs=2, profile_period=0)
+        pool = repro.open_pool(renderer, n_procs=2)
         pool.render(renderer.view_from_angles(20, 30, 0))
         assert pool.fault_counters()["worker_restarts"] >= 2
         pool.close()
@@ -436,8 +471,6 @@ class TestPoolConfig:
     def test_validation_lives_on_the_config(self):
         with pytest.raises(ValueError, match="worker"):
             PoolConfig(n_procs=0)
-        with pytest.raises(ValueError, match="profile_period"):
-            PoolConfig(profile_period=-1)
         with pytest.raises(ValueError, match="timeout_s"):
             PoolConfig(timeout_s=0.0)
         with pytest.raises(ValueError, match="max_retries"):
@@ -456,10 +489,10 @@ class TestPoolConfig:
     def test_legacy_kwargs_build_the_same_config(self, renderer):
         """What used to be per-call pool kwargs are ``open_pool``
         overrides now, and build exactly the config they name."""
-        with repro.open_pool(renderer, n_procs=2, profile_period=0,
-                             stealing=False) as pool:
-            assert pool.config == PoolConfig(n_procs=2, profile_period=0,
-                                             stealing=False)
+        with repro.open_pool(renderer, n_procs=2, max_retries=1,
+                             degrade_to_serial=False) as pool:
+            assert pool.config == PoolConfig(n_procs=2, max_retries=1,
+                                             degrade_to_serial=False)
 
     def test_config_and_kwargs_is_an_error(self, renderer):
         with pytest.raises(TypeError):
@@ -479,9 +512,12 @@ class TestPoolConfig:
             repro.open_pool(renderer, kernel="block")
 
     def test_one_shot_accepts_config(self, renderer):
+        """One frame is ``open_pool`` plus ``render``, configured the
+        same way as an animation."""
         view = renderer.view_from_angles(20, 30, 0)
         ref = renderer.render(view)
-        res = repro.render_frame(renderer, view, config=PoolConfig(n_procs=2))
+        with repro.open_pool(renderer, config=PoolConfig(n_procs=2)) as pool:
+            res = pool.render(view)
         assert res.n_procs == 2
         assert np.array_equal(res.final.color, ref.final.color)
 
@@ -493,16 +529,20 @@ class TestFacade:
         assert repro.WorkerDied is WorkerDied
 
     def test_render_frame(self, renderer):
+        """A frame through the facade's overrides: ``open_pool`` plus
+        ``render`` (the one-shot helper is gone)."""
         view = renderer.view_from_angles(20, 30, 0)
         ref = renderer.render(view)
-        res = repro.render_frame(renderer, view, n_procs=2)
+        with repro.open_pool(renderer, n_procs=2) as pool:
+            res = pool.render(view)
         assert np.array_equal(res.final.color, ref.final.color)
+        assert not hasattr(repro, "render_frame")
 
     def test_open_pool_with_overrides(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
-        cfg = PoolConfig(n_procs=2, profile_period=0)
-        with repro.open_pool(renderer, cfg, stealing=False) as pool:
-            assert pool.config == cfg.replace(stealing=False)
+        cfg = PoolConfig(n_procs=2)
+        with repro.open_pool(renderer, cfg, max_retries=1) as pool:
+            assert pool.config == cfg.replace(max_retries=1)
             assert pool.n_procs == 2
             res = pool.render(view)
         ref = renderer.render(view)

@@ -20,6 +20,7 @@ import repro.parallel.mp_backend as mpb
 import repro.parallel.poolcore as poolcore
 from repro.datasets import density_wedge
 from repro.render import ShearWarpRenderer
+from repro.render.fast import render_fast
 from repro.volume import mri_transfer_function
 
 
@@ -143,31 +144,30 @@ class TestGuidedClaims:
 class TestStealBitIdentity:
     def test_stealing_bit_identical_to_static_pool(self, renderer,
                                                    monkeypatch, fine_grain):
-        """Static pool vs. stealing pool under forced steals: every pixel
-        of both images must match exactly."""
+        """Static pool (one worker: nobody to steal from) vs. stealing
+        pool under forced steals: every pixel of both images must match
+        exactly."""
         view = renderer.view_from_angles(20, 30, 0)
-        ref = _render_pool(renderer, view, n_procs=3, stealing=False,
-                           profile_period=0)
+        ref = _render_pool(renderer, view, n_procs=1)
         assert ref.steals == 0 and ref.steal_rows == 0
         # Slow worker 0 down so its siblings actually turn thief (the
         # hook reaches the workers through fork, so set it pre-pool).
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.002))
-        res = _render_pool(renderer, view, n_procs=3, stealing=True,
-                           profile_period=0)
+        res = _render_pool(renderer, view, n_procs=3)
         _assert_same_images(res, ref)
 
     def test_stealing_bit_identical_with_profile_loop(self, renderer,
-                                                      fine_grain):
+                                                      monkeypatch, fine_grain):
         """Profiled frames ship per-chunk cost fragments; a short
         animation with the feedback loop active must stay bit-identical
         to the static profiled pool frame by frame."""
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         views = [renderer.view_from_angles(20, 30 + 4 * i, 0) for i in range(4)]
-        for stealing in (False, True):
-            with repro.open_pool(renderer, n_procs=2, profile_period=2,
-                                 stealing=stealing) as pool:
+        for n_procs in (1, 2):
+            with repro.open_pool(renderer, n_procs=n_procs) as pool:
                 frames = [pool.submit(v) for v in views]
                 results = [pool.result(f) for f in frames]
-            if stealing:
+            if n_procs == 2:
                 for got, want in zip(results, static):
                     assert np.array_equal(got.final.color, want.final.color)
                     assert np.array_equal(got.final.alpha, want.final.alpha)
@@ -179,24 +179,48 @@ class TestStealBitIdentity:
                 static = results
 
 
+def _guided_steals(rows: int, grain: int) -> int:
+    """Steals a thief needs to drain an untouched ``rows``-row block:
+    half of what is left while two grains remain, then the rest."""
+    steals = 0
+    while rows:
+        rows -= rows // 2 if rows >= 2 * grain else rows
+        steals += 1
+    return steals
+
+
 class TestForcedImbalance:
-    def test_steals_happen_and_rebalance_busy_time(self, renderer, monkeypatch,
-                                                   fine_grain):
-        """With one worker slowed 4 ms/row, the thief must take work
-        (steals > 0) and the slow worker's busy time must drop."""
-        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.004))
+    def test_gated_thief_drains_the_held_block_in_guided_steals(
+            self, renderer, monkeypatch, fine_grain):
+        """Worker 0 is held before its first claim until worker 1's steal
+        loop has run dry, so worker 1 composites its own block and then
+        steals all of worker 0's, half of what is left at a time: an
+        exact count, on the thread transport, with no timing involved."""
+        real_claim, real_steal = poolcore.claim_own_chunk, poolcore.steal_victim_chunk
+        drained = threading.Event()
+
+        def claim(claims, lock, pid, grain):
+            if pid == 0:
+                assert drained.wait(30.0)
+            return real_claim(claims, lock, pid, grain)
+
+        def steal(claims, locks, pid, grain):
+            got = real_steal(claims, locks, pid, grain)
+            if pid == 1 and got is None:
+                drained.set()
+            return got
+
+        monkeypatch.setattr(poolcore, "claim_own_chunk", claim)
+        monkeypatch.setattr(poolcore, "steal_victim_chunk", steal)
         view = renderer.view_from_angles(20, 30, 0)
-        ref = _render_pool(renderer, view, n_procs=2, stealing=False,
-                           profile_period=0, trace=True)
-        res = _render_pool(renderer, view, n_procs=2, stealing=True,
-                           profile_period=0, trace=True)
-        assert res.steals > 0
-        assert res.steal_rows >= res.steals
-        # The slow worker sheds rows to the thief: its busy time (the
-        # frame's critical path) must come down, and with it the spread.
-        assert max(res.busy_s) < max(ref.busy_s)
-        assert res.busy_spread < ref.busy_spread
-        assert np.array_equal(res.final.color, ref.final.color)
+        with repro.open_pool(renderer, n_procs=2, backend="thread",
+                             trace=True) as pool:
+            res = pool.render(view)
+        block = int(res.boundaries[1] - res.boundaries[0])
+        assert res.steals == _guided_steals(block, 2) >= 3
+        assert res.steal_rows == block
+        assert res.timeline.counter_totals()["steals"] == res.steals
+        _assert_same_images(res, render_fast(renderer, view))
 
     def test_default_grain_steals_whole_grains_on_tall_bands(self, monkeypatch):
         """At the default grain only a band of two grains or more can
@@ -210,13 +234,11 @@ class TestForcedImbalance:
                                  mri_transfer_function())
         view = tall.view_from_angles(20, 30, 0)
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.001))
-        ref = _render_pool(tall, view, n_procs=2, stealing=False,
-                           profile_period=0)
-        res = _render_pool(tall, view, n_procs=2, profile_period=0)
+        res = _render_pool(tall, view, n_procs=2)
         assert (np.diff(res.boundaries) >= 2 * grain).all()
         assert res.steals > 0
         assert res.steal_rows >= res.steals * grain
-        _assert_same_images(res, ref)
+        _assert_same_images(res, render_fast(tall, view))
 
     def test_steal_counters_flow_through_trace(self, renderer, monkeypatch,
                                                fine_grain):
@@ -225,8 +247,7 @@ class TestForcedImbalance:
         present in the timeline."""
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.004))
         view = renderer.view_from_angles(20, 30, 0)
-        with repro.open_pool(renderer, n_procs=2, stealing=True,
-                             profile_period=0, trace=True) as pool:
+        with repro.open_pool(renderer, n_procs=2, trace=True) as pool:
             res = pool.render(view)
             metrics = pool.metrics
         assert res.steals > 0
@@ -241,12 +262,12 @@ class TestForcedImbalance:
 
 class TestStealDisabled:
     def test_disabled_pool_records_zero_steal_events(self, renderer, monkeypatch):
-        """stealing=False must leave no steal trace anywhere, even under
-        imbalance: no claim segment, no counters, no spans."""
+        """A pool without a second worker steals nothing and leaves no
+        steal trace anywhere, even under imbalance: no claim segment, no
+        counters, no spans."""
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.002))
         view = renderer.view_from_angles(20, 30, 0)
-        with repro.open_pool(renderer, n_procs=2, stealing=False,
-                             profile_period=0, trace=True) as pool:
+        with repro.open_pool(renderer, n_procs=1, trace=True) as pool:
             assert pool._shm_c is None
             res = pool.render(view)
         assert res.steals == 0 and res.steal_rows == 0
@@ -256,9 +277,9 @@ class TestStealDisabled:
 
     def test_single_worker_pool_never_steals(self, renderer):
         """One worker has no victim: the claim machinery is skipped
-        entirely (no shm segment) even with stealing=True."""
+        entirely (no shm segment)."""
         view = renderer.view_from_angles(20, 30, 0)
-        with repro.open_pool(renderer, n_procs=1, stealing=True) as pool:
+        with repro.open_pool(renderer, n_procs=1) as pool:
             assert pool._shm_c is None
             res = pool.render(view)
         assert res.steals == 0
@@ -273,13 +294,13 @@ class TestStealValidation:
         with pytest.raises(TypeError, match="steal_chunk"):
             repro.open_pool(renderer, steal_chunk=2)
 
-    def test_render_parallel_mp_passes_stealing_through(self, renderer,
-                                                        monkeypatch):
-        view = renderer.view_from_angles(20, 30, 0)
-        ref = repro.render_frame(renderer, view, n_procs=2, stealing=False)
-        monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 1)
-        res = repro.render_frame(renderer, view, n_procs=2, stealing=True)
-        assert np.array_equal(res.final.color, ref.final.color)
+    def test_stealing_is_not_an_option(self, renderer):
+        """A pool steals whenever it has a second worker; neither the
+        config nor the facade can turn that off."""
+        with pytest.raises(TypeError, match="stealing"):
+            repro.PoolConfig(stealing=False)
+        with pytest.raises(TypeError, match="stealing"):
+            repro.open_pool(renderer, stealing=False)
 
 
 class TestClaimShmTeardown:
@@ -301,7 +322,7 @@ class TestClaimShmTeardown:
 
         monkeypatch.setattr(mpb.shared_memory, "SharedMemory", Flaky)
         with pytest.raises(OSError, match="injected"):
-            repro.open_pool(renderer, n_procs=2, stealing=True, trace=True)
+            repro.open_pool(renderer, n_procs=2, trace=True)
         assert len(made) == 3
         monkeypatch.undo()
         from multiprocessing import shared_memory as sm

@@ -205,8 +205,7 @@ class TestMPTracing:
 
     def test_traced_animation_exports_valid_trace(self, renderer, tmp_path):
         views = self._views(renderer, 3)
-        with repro.open_pool(renderer, n_procs=2, profile_period=1,
-                             trace=True) as pool:
+        with repro.open_pool(renderer, n_procs=2, trace=True) as pool:
             results = [pool.result(pool.submit(v)) for v in views]
             assert len(pool.timelines) == 3
             assert [tl.frame for tl in pool.timelines] == [0, 1, 2]
@@ -244,13 +243,13 @@ class TestMPTracing:
         import repro
 
         # A fresh renderer, so no worker inherits warm slice caches —
-        # and no stealing, so no band moves to the other process's cache
-        # between the two frames (at this size a band is one claim, and
-        # whichever worker wakes first may take both).
+        # and one worker, so no band moves to another process's cache
+        # between the two frames (not by a steal, nor by the partition
+        # the first frame's profile cuts for the second).
         cold = ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
         view = cold.view_from_angles(20, 30, 0)
-        with repro.open_pool(cold, n_procs=2, backend=backend, trace=True,
-                             profile_period=0, stealing=False) as pool:
+        with repro.open_pool(cold, n_procs=1, backend=backend,
+                             trace=True) as pool:
             first = pool.result(pool.submit(view)).timeline
             second = pool.result(pool.submit(view)).timeline
             path = tmp_path / "trace.json"
@@ -326,8 +325,7 @@ class TestMPTracing:
         """The acceptance criterion: tracing must not change the images."""
         views = self._views(renderer, 2)
         def run(trace):
-            with repro.open_pool(renderer, n_procs=2, profile_period=1,
-                                 trace=trace) as pool:
+            with repro.open_pool(renderer, n_procs=2, trace=trace) as pool:
                 return [pool.result(pool.submit(v)) for v in views]
         traced, plain = run(True), run(False)
         for t, p in zip(traced, plain):
@@ -338,13 +336,14 @@ class TestMPTracing:
 
     def test_one_shot_trace(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
-        res = repro.render_frame(renderer, view, n_procs=2, trace=True)
+        with repro.open_pool(renderer, n_procs=2, trace=True) as pool:
+            res = pool.render(view)
         assert res.timeline is not None
         assert res.timeline.phase_seconds().keys() >= {"composite", "warp"}
         assert res.busy_spread is not None and res.busy_spread >= 0
 
     def test_untraced_pool_still_has_metrics(self, renderer):
-        with repro.open_pool(renderer, n_procs=2, profile_period=0) as pool:
+        with repro.open_pool(renderer, n_procs=2) as pool:
             pool.render(renderer.view_from_angles(20, 30, 0))
             assert pool.timelines == []
             assert "pool/queue_depth" in pool.metrics.snapshot()["gauges"]

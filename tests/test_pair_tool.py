@@ -80,6 +80,10 @@ def test_pairs_alternate_and_the_change_wins(tmp_path, monkeypatch, capsys):
     rows = {line.split()[0]: line for line in out.splitlines() if line}
     assert rows["frame_ms_p50"].endswith("3/3")
     assert rows["frames_per_s"].endswith("3/3")
+    # Every pair moves by the same amount, so every resample's delta is
+    # that amount; three wins out of three: p = 2 / 2**3.
+    assert rows["frame_ms_p50"].endswith("[-4, -4]    0.25  3/3")
+    assert rows["frames_per_s"].endswith("[80, 80]    0.25  3/3")
     assert "stub compare w w" in out
     assert "compare: no metric worse than its bound" in out
     ref = json.loads((tmp_path / "out" / "ref.json").read_text())
@@ -100,3 +104,25 @@ def test_the_real_runner_offers_what_pair_uses():
     assert summary["frame_ms_p50"]["median"] == 2.0
     assert {"q1", "q3"} <= set(summary["frame_ms_p50"])
     assert callable(runner.compare_main)
+
+
+def test_sign_test_drops_ties_and_is_two_sided():
+    sign_test = _load().sign_test
+    # Three ups, one down, one tie: 2 * (C(4,0) + C(4,1)) / 2**4.
+    assert sign_test([1.0, -1.0, 0.0, 2.0, 3.0]) == 0.625
+    assert sign_test([-1.0] * 10) == 2 / 2 ** 10
+    assert sign_test([0.0, 0.0]) == 1.0
+    assert sign_test([1.0, -1.0]) == 1.0
+
+
+def test_bootstrap_interval_is_seeded_and_resamples_pairs():
+    bootstrap_delta = _load().bootstrap_delta
+    # A constant per-pair shift survives every resample of whole pairs.
+    assert bootstrap_delta([1.0, 2.0, 3.0], [2.0, 3.0, 4.0], seed=1) == (1.0, 1.0)
+    # Two pairs: a resample holds pair 0 twice (delta 0, p = 1/4), pair
+    # 1 twice (10, 1/4) or one of each (5, 1/2), so both 2.5 % tails
+    # fall inside the end atoms.
+    assert bootstrap_delta([0.0, 0.0], [0.0, 10.0], seed=7) == (0.0, 10.0)
+    got = bootstrap_delta([3.0, 1.0, 4.0, 1.0], [5.0, 9.0, 2.0, 6.0], seed=3)
+    assert got == bootstrap_delta([3.0, 1.0, 4.0, 1.0], [5.0, 9.0, 2.0, 6.0], seed=3)
+    assert got[0] <= 3.5 <= got[1]  # holds the observed delta, 5.5 - 2

@@ -13,6 +13,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.parallel.poolcore as poolcore
@@ -116,7 +118,7 @@ def _assert_identical(res, ref):
 class TestLedger:
     def test_success_is_bit_identical_and_feeds_the_profile(self, renderer):
         views = _views(renderer)
-        with _pool(renderer, profile_period=1) as pool:
+        with _pool(renderer) as pool:
             frames = pool.submit_batch(views)
             assert pool.sent == frames == [0, 1, 2]
             for _ in frames:
@@ -126,11 +128,14 @@ class TestLedger:
             assert pool.fault_counters() == {
                 "worker_restarts": 0, "frames_retried": 0, "degraded_frames": 0,
             }
+            assert pool.metrics.counter("pool/profiled_frames").value == 1
         for view, res in zip(views, results):
             _assert_identical(res, render_fast(renderer, view))
             assert res.retries == 0 and not res.degraded
-            assert res.profiled and res.costs is not None
             assert res.busy_s.shape == (1,)
+        # One request for the batch's one key, answered by its first frame.
+        assert [res.profiled for res in results] == [True, False, False]
+        assert [res.costs is not None for res in results] == [True, False, False]
         assert pool.released == []  # images were taken, not dropped
 
     def test_worker_error_retries_then_succeeds(self, renderer):
@@ -187,7 +192,7 @@ class TestLedger:
 
     def test_results_collect_out_of_order(self, renderer):
         views = _views(renderer)
-        with _pool(renderer, profile_period=0) as pool:
+        with _pool(renderer) as pool:
             frames = [pool.submit(v) for v in views]
             for _ in frames:
                 pool.work()
@@ -263,7 +268,7 @@ class TestHeldMessages:
     def test_held_frame_is_partitioned_from_what_was_measured_meanwhile(
             self, renderer):
         views = _views(renderer, 4)
-        with self._pool(renderer, profile_period=5) as pool:
+        with self._pool(renderer) as pool:
             frames = [pool.submit(v) for v in views]
             assert frames == [0, 1, 2, 3] and pool.sent == [0, 1]
             assert list(pool._held) == [[2], [3]]
@@ -286,7 +291,7 @@ class TestHeldMessages:
 
     def test_second_batch_waits_whole_behind_the_first(self, renderer):
         views = _views(renderer, 3)
-        with self._pool(renderer, profile_period=0) as pool:
+        with self._pool(renderer) as pool:
             first = pool.submit_batch(views)
             second = pool.submit_batch(views[:2])
             assert pool.sent == first and list(pool._held) == [second]
@@ -302,7 +307,7 @@ class TestHeldMessages:
 
     def test_retry_goes_ahead_of_what_is_held(self, renderer):
         views = _views(renderer, 4)
-        with self._pool(renderer, max_retries=1, profile_period=0) as pool:
+        with self._pool(renderer, max_retries=1) as pool:
             frames = [pool.submit(v) for v in views]
             pool.work(fail="Boom: injected")
             # Frame 0 is still in flight, so frame 2 stays held behind
@@ -322,16 +327,18 @@ class TestHeldMessages:
 
     def test_refused_view_leaves_no_planner_state(self, renderer):
         """Admission reads nothing of the feedback loop: a batch refused
-        for one view does not advance the schedule for its mates."""
+        for one view plans nothing and requests no profile for its mates."""
         good = _views(renderer, 1)[0]
         bad = good.copy()
         bad[:3, :3] *= 3.0  # upscales the image beyond capacity
-        with self._pool(renderer, profile_period=5) as pool:
+        with self._pool(renderer) as pool:
             pool.inter_cap, pool.final_cap = poolcore.capacity_shapes(
                 renderer.shape)
             with pytest.raises(RuntimeError, match="capacity"):
                 pool.submit_batch([good, bad])
-            assert pool._planner.schedule.frame == 0 and not pool._inflight
+            planner = pool._planner
+            assert planner._planned == 0 and not planner._outstanding
+            assert not pool._inflight
             assert pool.submit(good) == 0
 
 
@@ -343,9 +350,8 @@ class TestCostRow:
     @staticmethod
     def _open(renderer, transport):
         if transport == "fake":
-            return _pool(renderer, profile_period=1)
-        return repro.open_pool(renderer, n_procs=2, backend=transport,
-                               profile_period=1)
+            return _pool(renderer)
+        return repro.open_pool(renderer, n_procs=2, backend=transport)
 
     @staticmethod
     def _render(pool, view):
@@ -360,8 +366,10 @@ class TestCostRow:
             self, renderer, transport, monkeypatch):
         # A 2-row grain and a slowed worker 0: worker 1 turns thief, so
         # rows are costed by a worker whose static block they are not in.
+        # Every synchronous frame is profiled.
         monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 2)
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.004))
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
         views = _views(renderer)
         pool = self._open(renderer, transport)
         try:
@@ -400,9 +408,15 @@ class TestCostRow:
 
 
 class TestProfileRequests:
-    """Which frames the planner marks profiled (section 4.2): one in
-    ``profile_period``, plus one per missing profile — not every frame
-    planned while the requested profile is still in flight."""
+    """Which frames the planner marks profiled (section 4.2): a frame of a
+    key with no profile, and one :data:`~poolcore.PROFILE_REUSE` frames
+    after the key's last request — never while that request is still
+    outstanding, so a batch, cut before any of its frames completes,
+    asks once per key."""
+
+    #: Two degrees a frame from 30: the principal axis switches once,
+    #: near 45 degrees.
+    SWITCH = [30 + 2 * i for i in range(20)]
 
     @staticmethod
     def _plan(planner, renderer, angles):
@@ -414,41 +428,72 @@ class TestProfileRequests:
         return {i for i, p in enumerate(plans) if p["profiled"]}
 
     @staticmethod
-    def _planner(renderer, period=5):
-        return FramePlanner(renderer, 2, period, MetricsRegistry())
+    def _planner(renderer):
+        return FramePlanner(renderer, 2, MetricsRegistry())
 
-    def test_batch_profiles_one_frame_per_period(self, renderer):
-        plans = self._plan(self._planner(renderer), renderer,
-                           [10 + i for i in range(20)])
+    @staticmethod
+    def _batch_on_the_fake_transport(renderer, angles):
+        with _pool(renderer) as pool:
+            frames = pool.submit_batch(
+                [renderer.view_from_angles(20, ry, 0) for ry in angles])
+            for _ in frames:
+                pool.work()
+            results = [pool.result(f) for f in frames]
+        return results, {i for i, r in enumerate(results) if r.profiled}
+
+    def test_batch_profiles_one_frame_per_key(self, renderer):
+        angles = [10 + i for i in range(20)]
+        plans = self._plan(self._planner(renderer), renderer, angles)
         assert len({p["key"] for p in plans}) == 1
-        assert self._profiled(plans) == {0, 5, 10, 15}
+        assert self._profiled(plans) == {0}
+        assert self._batch_on_the_fake_transport(renderer, angles)[1] == {0}
 
     def test_axis_switch_adds_its_first_frame_only(self, renderer):
-        # 2 degrees a frame from 30: the principal axis switches once,
-        # near 45 degrees, between two of the schedule's frames.
-        plans = self._plan(self._planner(renderer), renderer,
-                           [30 + 2 * i for i in range(20)])
+        plans = self._plan(self._planner(renderer), renderer, self.SWITCH)
         keys = [p["key"] for p in plans]
         first_new = next(i for i, k in enumerate(keys) if k != keys[0])
-        assert first_new % 5 != 0 and len(set(keys)) == 2
-        assert self._profiled(plans) == {0, 5, 10, 15, first_new}
+        assert len(set(keys)) == 2
+        assert self._profiled(plans) == {0, first_new}
+        results, profiled = self._batch_on_the_fake_transport(renderer, self.SWITCH)
+        assert [(r.fact.axis, r.fact.perm) for r in results] == keys
+        assert profiled == {0, first_new}
 
     def test_installed_profile_leaves_only_the_schedule(self, renderer):
+        """Installed as soon as measured, a key's profile is reused for
+        PROFILE_REUSE frames, then requested afresh."""
         planner = self._planner(renderer)
-        first = self._plan(planner, renderer, [10])[0]
-        assert first["profiled"]
-        planner.install_profile(
-            first["v_lo"], np.ones(first["v_hi"] - first["v_lo"]), first["key"])
-        plans = [first] + self._plan(planner, renderer,
-                                     [11 + i for i in range(11)])
+        plans = []
+        for ry in range(10, 22):
+            plan = self._plan(planner, renderer, [ry])[0]
+            if plan["profiled"]:
+                planner.install_profile(plan["v_lo"],
+                                        np.ones(plan["v_hi"] - plan["v_lo"]),
+                                        plan["key"])
+            plans.append(plan)
         assert self._profiled(plans) == {0, 5, 10}
         # The profile is gone again after an axis switch: asked for once.
         plans = self._plan(planner, renderer, [60, 61, 62])
         assert self._profiled(plans) == {0}
 
+    def test_a_lost_profile_is_asked_for_by_the_next_frame(self, renderer):
+        """A request whose frame fails or degrades is dropped, reuse
+        clock and all: the next frame of the key asks again, although
+        the key's old profile has not aged PROFILE_REUSE frames since."""
+        planner = self._planner(renderer)
+        first = self._plan(planner, renderer, [10])[0]
+        planner.install_profile(first["v_lo"], np.ones(first["v_hi"] - first["v_lo"]),
+                                first["key"])
+        plans = self._plan(planner, renderer, [11, 12, 13, 14, 15, 16])
+        assert self._profiled(plans) == {4}  # frame 5: the profile is stale
+        plans = self._plan(planner, renderer, [17])
+        assert self._profiled(plans) == set()  # still outstanding
+        planner.drop_request(first["key"])  # frame 5 was lost
+        plans = self._plan(planner, renderer, [18, 19])
+        assert self._profiled(plans) == {0}
+
     def test_synchronous_render_profiles_frame_zero_and_every_fifth(
             self, renderer):
-        with _pool(renderer, profile_period=5) as pool:
+        with _pool(renderer) as pool:
             profiled = set()
             for i in range(12):
                 frame = pool.submit(renderer.view_from_angles(20, 10 + i, 0))
@@ -456,3 +501,118 @@ class TestProfileRequests:
                 if pool.result(frame).profiled:
                     profiled.add(i)
         assert profiled == {0, 5, 10}
+
+    @settings(max_examples=20, deadline=None)
+    @given(reuse=st.integers(1, 7), n=st.integers(1, 16))
+    def test_one_key_stream_profiles_every_reuse_th_frame(self, renderer,
+                                                          reuse, n):
+        saved = poolcore.PROFILE_REUSE
+        poolcore.PROFILE_REUSE = reuse
+        try:
+            with _pool(renderer) as pool:
+                profiled = set()
+                for i in range(n):
+                    frame = pool.submit(renderer.view_from_angles(20, 10 + 0.5 * i, 0))
+                    pool.sent.pop(0)
+                    with pool._cond:  # a clean report: no pixels needed
+                        pool._worker_done_locked(frame, 0, None, 0.0, 0.0, 0, 0)
+                    if pool.result(frame).profiled:
+                        profiled.add(i)
+        finally:
+            poolcore.PROFILE_REUSE = saved
+        assert profiled == set(range(0, n, reuse))
+
+
+class TestRequestRule:
+    """The request rule as invariants over random traffic on the fake
+    transport with the process pool's two-slot admission: batches of
+    one to four frames on either of two principal axes, each frame
+    reported done or failed as it reaches the worker, and retries that
+    run out into a degraded or failed frame."""
+
+    #: ``ry`` of a view on each of two principal axes.
+    AXES = (10.0, 60.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(st.one_of(
+            st.tuples(st.just("submit"), st.integers(1, 4), st.integers(0, 1)),
+            st.tuples(st.just("report"), st.booleans()),
+        ), min_size=1, max_size=30),
+        degrade=st.booleans(),
+        retries=st.integers(0, 1),
+        reuse=st.integers(1, 4),
+    )
+    def test_invariants(self, renderer, ops, degrade, retries, reuse):
+        saved = poolcore.PROFILE_REUSE
+        poolcore.PROFILE_REUSE = reuse
+        try:
+            self._drive(renderer, ops, degrade, retries)
+        finally:
+            poolcore.PROFILE_REUSE = saved
+
+    def _drive(self, renderer, ops, degrade, retries):
+        pool = TwoSlotPool(renderer, PoolConfig(
+            n_procs=1, max_retries=retries, degrade_to_serial=degrade))
+        planner = pool._planner
+        partition, drop_request = planner.partition, planner.drop_request
+        planned: dict[int, bool] = {}  # frame -> profiled, as first cut
+        released: set = set()  # keys whose profiled frame was lost
+
+        def spy_partition(plan):
+            (frame,) = [f for f, rec in pool._inflight.items() if rec is plan]
+            key = plan["key"]
+            fresh = key not in planner._outstanding and (
+                planner.profile is None or planner.profile_key != key)
+            partition(plan)
+            # A retry adds no request: every frame is cut once.
+            assert frame not in planned
+            planned[frame] = plan["profiled"]
+            # Neither a profile nor a request: this frame asks.
+            assert plan["profiled"] or not fresh
+            # A lost profile is asked for again by the next frame of its key.
+            assert plan["profiled"] or key not in released
+            released.discard(key)
+
+        def spy_drop_request(key):
+            drop_request(key)
+            released.add(key)
+
+        planner.partition, planner.drop_request = spy_partition, spy_drop_request
+        step = 0
+        with pool:
+            for op in ops:
+                if op[0] == "submit":
+                    ry = self.AXES[op[2]]
+                    pool.submit_batch([renderer.view_from_angles(20, ry + 0.1 * (step + i), 0)
+                                       for i in range(op[1])])
+                    step += op[1]
+                elif pool.sent:
+                    frame = pool.sent.pop(0)
+                    # The process pool turns a failure whose slot already
+                    # holds a later frame into a full recovery, which this
+                    # fake does not model: such a frame reports done.
+                    later = pool._inflight.get(frame + 2)
+                    fail = op[1] and not (later and later["sent"])
+                    with pool._cond:
+                        pool._worker_done_locked(
+                            frame, 0, "Boom: injected" if fail else None,
+                            0.0, 0.0, 0, 0)
+                # At most one outstanding request per key, in the ledger.
+                keys = [rec["key"] for rec in pool._inflight.values()
+                        if rec.get("profiled")]
+                assert len(keys) == len(set(keys))
+                assert set(keys) == planner._outstanding
+            while pool.sent:
+                frame = pool.sent.pop(0)
+                with pool._cond:
+                    pool._worker_done_locked(frame, 0, None, 0.0, 0.0, 0, 0)
+            assert not pool._inflight and not pool._held
+            assert set(planned) == set(range(step))
+            for frame in range(step):
+                try:
+                    res = pool.result(frame)
+                except FrameFailed:
+                    assert not degrade
+                    continue
+                assert res.profiled == (planned[frame] and not res.degraded)

@@ -54,7 +54,7 @@ TINY = dict(default_dataset="mri128", default_scale=0.08)
 
 def thread_config(**overrides) -> ServeConfig:
     return ServeConfig(
-        pool=PoolConfig(n_procs=1, backend="thread", profile_period=0),
+        pool=PoolConfig(n_procs=1, backend="thread"),
         **TINY,
         **overrides,
     )
@@ -517,7 +517,7 @@ class TestServer:
         frames match the per-timestep serial reference bit for bit, and
         the encoded-frame counter ticks."""
         server = RenderServer(ServeConfig(
-            pool=PoolConfig(n_procs=1, backend="thread", profile_period=0),
+            pool=PoolConfig(n_procs=1, backend="thread"),
             default_dataset="beating_heart", default_scale=0.5,
         ))
 
@@ -811,8 +811,7 @@ class TestShardedServe:
         """``pool.shards > 1`` makes the server's pool a shard fleet;
         nothing else about the serving path changes."""
         cfg = ServeConfig(
-            pool=PoolConfig(n_procs=1, backend="thread", shards=2,
-                            profile_period=0),
+            pool=PoolConfig(n_procs=1, backend="thread", shards=2),
             **TINY,
         )
         server = RenderServer(cfg)
@@ -845,7 +844,7 @@ class TestShutdownNoLeak:
         """The mp pools' shared-memory segments are unlinked by
         ``server.close()`` — no leak even with a client connected."""
         cfg = ServeConfig(
-            pool=PoolConfig(n_procs=2, profile_period=0), **TINY
+            pool=PoolConfig(n_procs=2), **TINY
         )
         server = RenderServer(cfg)
 

@@ -62,9 +62,10 @@ class TestBitIdentity:
         ],
     )
     def test_matrix(self, renderer, backend, shards, stealing):
+        """``stealing``: each shard's pool has a second worker."""
         views = _views(renderer, 3)
-        cfg = PoolConfig(n_procs=2, shards=shards, stealing=stealing,
-                         backend=backend, profile_period=2)
+        cfg = PoolConfig(n_procs=2 if stealing else 1, shards=shards,
+                         backend=backend)
         with ShardedRenderService(renderer, cfg) as svc:
             results = svc.render_animation(views)
             merges = svc.metrics.counter("shard/merges").value
@@ -76,7 +77,7 @@ class TestBitIdentity:
         view = renderer.view_from_angles(20, 30, 0)
         ref = renderer.render(view)
         with ShardedRenderService(
-            renderer, PoolConfig(n_procs=2, shards=2, profile_period=0)
+            renderer, PoolConfig(n_procs=2, shards=2)
         ) as svc:
             res = svc.render(view)
         assert np.array_equal(res.intermediate.color, ref.intermediate.color)
@@ -85,7 +86,7 @@ class TestBitIdentity:
     def test_result_shape_matches_pool_result(self, renderer):
         """The merged result duck-types a single pool's MPRenderResult."""
         with ShardedRenderService(
-            renderer, PoolConfig(n_procs=2, shards=2, profile_period=2)
+            renderer, PoolConfig(n_procs=2, shards=2)
         ) as svc:
             res = svc.render(renderer.view_from_angles(20, 30, 0))
             assert svc.n_procs == 4
@@ -152,7 +153,8 @@ class TestFacade:
     def test_render_frame_with_shards(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
         ref = renderer.render(view)
-        res = repro.render_frame(renderer, view, n_procs=2, shards=2)
+        with repro.open_pool(renderer, n_procs=2, shards=2) as svc:
+            res = svc.render(view)
         assert np.array_equal(res.final.color, ref.final.color)
 
     def test_top_level_exports(self):
@@ -162,22 +164,25 @@ class TestFacade:
 class TestReshardFeedback:
     """The section 4.2-4.3 loop one level up: profiles move shard bounds."""
 
-    def test_profiled_frames_reshard(self, renderer):
+    def test_profiled_frames_reshard(self, renderer, monkeypatch):
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         views = _views(renderer, 4)
         with ShardedRenderService(
-            renderer, PoolConfig(n_procs=2, shards=2, profile_period=2)
+            renderer, PoolConfig(n_procs=2, shards=2)
         ) as svc:
-            results = svc.render_animation(views)
+            results = [svc.render(v) for v in views]
             reshards = svc.metrics.counter("shard/reshards").value
             assert svc._planner.profile is not None
         _assert_bit_identical(renderer, views, results)
-        # profile_period=2 over 4 frames -> profiled frames 0 and 2 both
-        # stitched a cross-shard profile back into the shard planner.
+        # PROFILE_REUSE=2 over 4 frames -> the pools profiled frames 0
+        # and 2, and both stitched a cross-shard profile back into the
+        # shard planner.
+        assert [r.profiled for r in results] == [True, False, True, False]
         assert reshards == 2
 
     def test_axis_switch_invalidates_shard_profile(self, renderer):
         with ShardedRenderService(
-            renderer, PoolConfig(n_procs=2, shards=2, profile_period=1)
+            renderer, PoolConfig(n_procs=2, shards=2)
         ) as svc:
             svc.render(renderer.view_from_angles(5, 5, 0))    # axis A
             svc.render(renderer.view_from_angles(85, 5, 0))   # axis flip
@@ -192,9 +197,11 @@ class TestReshardFeedback:
         monkeypatch.setattr(shard_service, "TEST_SHARD_ROW_DELAY",
                             {0: (0, 0.005)})
         views = _views(renderer, 4)
+        # One worker a shard: nobody in shard 0 can steal the slowed
+        # worker's rows, so the whole shard is slow.
         with ShardedRenderService(
             renderer,
-            PoolConfig(n_procs=2, shards=2, stealing=False, profile_period=2),
+            PoolConfig(n_procs=1, shards=2),
         ) as svc:
             results = [svc.render(v) for v in views]
 
@@ -213,7 +220,7 @@ class TestReshardFeedback:
         exactly the cost its owning shard's pool measured."""
         got = {}
         with ShardedRenderService(
-            renderer, PoolConfig(n_procs=2, shards=3, profile_period=1)
+            renderer, PoolConfig(n_procs=2, shards=3)
         ) as svc:
             for s, pool in enumerate(svc._pools):
                 def spy(handle, real=pool.result, s=s):
@@ -236,7 +243,7 @@ class TestReshardFeedback:
                             {0: (0, 0.002)})
         views = _views(renderer, 3)
         with ShardedRenderService(
-            renderer, PoolConfig(n_procs=2, shards=2, profile_period=2)
+            renderer, PoolConfig(n_procs=2, shards=2)
         ) as svc:
             results = svc.render_animation(views)
         _assert_bit_identical(renderer, views, results)
@@ -258,8 +265,7 @@ def test_submit_batch_dispatches(renderer, backend):
     it returns — one pool batch per fleet batch — and the pools finish
     them with nobody calling ``result()``."""
     views = _views(renderer, 4)
-    with repro.open_pool(renderer, n_procs=1, shards=2, backend=backend,
-                         profile_period=2) as svc:
+    with repro.open_pool(renderer, n_procs=1, shards=2, backend=backend) as svc:
         ids = svc.submit_batch(views)
         assert [a + b for a, b in _ledgers(svc)] == [len(views)] * 2
         deadline = time.monotonic() + 60.0
@@ -279,8 +285,7 @@ class TestDispatchSemantics:
 
     def test_out_of_order_result_gathers_only_its_own_frame(self, renderer):
         views = _views(renderer, 3)
-        with repro.open_pool(renderer, n_procs=1, shards=2,
-                             profile_period=0) as svc:
+        with repro.open_pool(renderer, n_procs=1, shards=2) as svc:
             ids = svc.submit_batch(views)
             last = svc.result(ids[2])
             # One frame merged; the earlier ids are still the pools'.
@@ -303,7 +308,7 @@ class TestDispatchSemantics:
         views = [renderer.view_from_angles(20, 30, 0)] * 3
         with ShardedRenderService(
             renderer,
-            PoolConfig(n_procs=2, shards=2, stealing=False, profile_period=1),
+            PoolConfig(n_procs=1, shards=2),
         ) as svc:
             first = svc.render_animation(views)
             second = svc.render_animation(views)
@@ -320,8 +325,7 @@ class TestDispatchSemantics:
         views = _views(renderer, 3)
         scaled = views[1].copy()
         scaled[:3, :3] *= 3.0  # beyond the pools' image capacity
-        with repro.open_pool(renderer, n_procs=1, shards=2,
-                             profile_period=0) as svc:
+        with repro.open_pool(renderer, n_procs=1, shards=2) as svc:
             with pytest.raises(ValueError, match="region"):
                 svc.submit_batch([views[0],
                                   repro.FrameSpec(views[1], region=object()),
@@ -342,8 +346,7 @@ class TestDispatchSemantics:
         flipped = renderer.view_from_angles(85, 5, 0)  # another principal axis
         scaled = first.copy()
         scaled[:3, :3] *= 3.0  # beyond the fleet's image capacity
-        with repro.open_pool(renderer, n_procs=1, shards=2,
-                             profile_period=1) as svc:
+        with repro.open_pool(renderer, n_procs=1, shards=2) as svc:
             svc.render(first)
             planner = svc._planner
             profile, key = planner.profile, planner.profile_key
@@ -351,17 +354,15 @@ class TestDispatchSemantics:
             with pytest.raises(RuntimeError, match="capacity"):
                 svc.submit_batch([flipped, scaled])
             assert planner.profile is profile and planner.profile_key == key
-            # The pools schedule profiling; the fleet's planner has no
-            # schedule a refused batch could have advanced.
-            assert planner.schedule is None
+            # Nothing of the refused batch was planned.
+            assert planner._planned == 1
             assert svc.metrics.counter("shard/reshard_invalidations").value == 0
             assert _ledgers(svc) == [(0, 0)] * 2 and not svc._frames
 
     def test_a_later_pool_refusing_drops_what_earlier_pools_took(
             self, renderer):
         views = _views(renderer, 3)
-        with repro.open_pool(renderer, n_procs=1, shards=2,
-                             profile_period=0) as svc:
+        with repro.open_pool(renderer, n_procs=1, shards=2) as svc:
             svc._pools[1].close()
             with pytest.raises(repro.PoolClosed):
                 svc.submit_batch(views)
@@ -371,7 +372,7 @@ class TestDispatchSemantics:
 
     def test_result_on_a_closed_fleet_is_typed(self, renderer):
         svc = repro.open_pool(renderer, n_procs=1, shards=2,
-                              backend="thread", profile_period=0)
+                              backend="thread")
         ids = svc.submit_batch(_views(renderer, 2))
         svc.close()
         with pytest.raises(repro.PoolClosed):
@@ -387,7 +388,7 @@ class TestShardPlanning:
     @given(rx=st.integers(-90, 90), ry=st.integers(-180, 180),
            n=st.integers(1, 5), seed=st.integers(0, 2**16), uniform=st.booleans())
     def test_regions_and_tiles(self, renderer, rx, ry, n, seed, uniform):
-        planner = FramePlanner(renderer, n, 0, MetricsRegistry())
+        planner = FramePlanner(renderer, n, MetricsRegistry())
         plan = planner.admit(renderer.view_from_angles(rx, ry, 0))
         v_lo, v_hi = plan["v_lo"], plan["v_hi"]
         if not uniform:
@@ -437,7 +438,7 @@ class TestShardFaultIsolation:
         views = _views(renderer, 8)
         results = []
         with ShardedRenderService(
-            renderer, PoolConfig(n_procs=2, shards=2, profile_period=0)
+            renderer, PoolConfig(n_procs=2, shards=2)
         ) as svc:
             t = threading.Thread(
                 target=lambda: results.extend(svc.render_animation(views))
@@ -466,7 +467,7 @@ class TestShardFaultIsolation:
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "kill", "composite"))
         views = _views(renderer, 4)
         with ShardedRenderService(
-            renderer, PoolConfig(n_procs=2, shards=2, profile_period=2)
+            renderer, PoolConfig(n_procs=2, shards=2)
         ) as svc:
             results = svc.render_animation(views)
             per_shard = svc.shard_fault_counters()
@@ -513,7 +514,7 @@ class TestTrace:
         views = _views(renderer, 2)
         with ShardedRenderService(
             renderer,
-            PoolConfig(n_procs=2, shards=2, profile_period=2, trace=True),
+            PoolConfig(n_procs=2, shards=2, trace=True),
         ) as svc:
             results = svc.render_animation(views)
             merge_track = sum(p.n_procs + 1 for p in svc._pools)
@@ -572,8 +573,7 @@ class TestMultiPoolBarrierRegression:
 
     def test_two_pools_in_lockstep(self, renderer):
         views = _views(renderer, 6)
-        cfg = PoolConfig(n_procs=2, shards=2, stealing=False,
-                         profile_period=2)
+        cfg = PoolConfig(n_procs=2, shards=2)
         with ShardedRenderService(renderer, cfg) as svc:
             results = svc.render_animation(views)
         _assert_bit_identical(renderer, views, results)

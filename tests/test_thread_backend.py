@@ -1,7 +1,7 @@
 """The threading backend: no fork, no pickling, no copies — same pixels.
 
 :class:`ThreadRenderPool` must be bit-identical to the serial renderer
-(and therefore to the MP pool) across stealing, and batched vs
+(and therefore to the MP pool) with and without stealing, and batched vs
 per-frame submission, and must keep the MP pool's error contract
 (retry / degrade / FrameFailed) without any process machinery.
 """
@@ -42,18 +42,19 @@ def _assert_identical(res, refs):
 class TestBitIdentity:
     @pytest.mark.parametrize("stealing", [True, False])
     def test_matches_serial(self, renderer, stealing):
+        """Stealing on (a second worker) and off (one worker)."""
         views = _views(renderer)
         refs = [render_fast(renderer, v) for v in views]
-        cfg = PoolConfig(n_procs=2, stealing=stealing, profile_period=2)
-        with ThreadRenderPool(renderer, config=cfg) as pool:
+        n_procs = 2 if stealing else 1
+        with ThreadRenderPool(renderer, config=PoolConfig(n_procs=n_procs)) as pool:
             res = pool.render_animation(views)
         _assert_identical(res, refs)
-        assert all(r.n_procs == 2 for r in res)
+        assert all(r.n_procs == n_procs for r in res)
         assert all(r.busy_s is not None and (r.busy_s >= 0).all() for r in res)
 
     def test_batched_matches_perframe(self, renderer):
         views = _views(renderer)
-        cfg = PoolConfig(n_procs=2, profile_period=2)
+        cfg = PoolConfig(n_procs=2)
         with ThreadRenderPool(renderer, config=cfg) as pool:
             batched = [pool.result(f) for f in pool.submit_batch(views)]
         with ThreadRenderPool(renderer, config=cfg) as pool:
@@ -68,7 +69,7 @@ class TestBitIdentity:
         monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 2)
         views = _views(renderer, 3)
         refs = [render_fast(renderer, v) for v in views]
-        cfg = PoolConfig(n_procs=2, stealing=True)
+        cfg = PoolConfig(n_procs=2)
         with ThreadRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
         _assert_identical(res, refs)
@@ -77,8 +78,9 @@ class TestBitIdentity:
     def test_module_level_helper(self, renderer):
         view = renderer.view_from_angles(25, 40, 5)
         ref = render_fast(renderer, view)
-        res = repro.render_frame(renderer, view,
-                                 config=PoolConfig(n_procs=2, backend="thread"))
+        with repro.open_pool(renderer, PoolConfig(n_procs=2,
+                                                  backend="thread")) as pool:
+            res = pool.render(view)
         assert np.array_equal(res.final.color, ref.final.color)
         assert np.array_equal(res.final.alpha, ref.final.alpha)
 
