@@ -14,8 +14,9 @@ end-to-end metric of ``BENCHMARK.json``, it prints each side's median
 [q1, q3], the change's median delta against the reference's quartile
 distance, a seeded bootstrap 95 % interval on that delta (pairs
 resampled whole), the two-sided sign-test p-value of the per-pair
-differences (ties dropped) and the pairs the change won; last, the
-verdict of this checkout's ``run.py compare`` on the two sets of runs.  The summaries,
+differences (ties dropped) and the pairs the change won; then each
+side's ``setup_s`` median over the runs it made first in their pair and
+over those it made second (the order effect); last, the verdict of this checkout's ``run.py compare`` on the two sets of runs.  The summaries,
 the metric list and the verdict are ``run.py``'s own (its ``summarize``,
 ``E2E`` and ``compare_main``).  ``--out`` keeps the two reports
 (``ref.json``, ``change.json``) in the ``run.py --out`` shape, so
@@ -70,6 +71,16 @@ def bootstrap_delta(ref, change, seed: int,
     return deltas[int(0.025 * samples)], deltas[math.ceil(0.975 * samples) - 1]
 
 
+def order_medians(values, firsts) -> tuple:
+    """Medians of ``values`` over the runs that went first in their pair
+    and over those that went second (``None`` where there are none)."""
+    out = []
+    for first in (True, False):
+        picked = [v for v, f in zip(values, firsts) if f == first]
+        out.append(statistics.median(picked) if picked else None)
+    return tuple(out)
+
+
 def export(ref: str, repo: Path, dest: Path) -> None:
     """Write the committed tree of ``ref`` into ``dest``."""
     tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=repo,
@@ -118,12 +129,14 @@ def main(argv: list[str], root: Path = ROOT) -> int:
         export(args.ref, root, ref_root)
         sides = {"ref": ref_root, "change": root}
         runs: dict[str, list[dict]] = {"ref": [], "change": []}
+        went_first: dict[str, list[bool]] = {"ref": [], "change": []}
         for k in range(args.pairs):
             order = ["ref", "change"] if k % 2 == 0 else ["change", "ref"]
             for side in order:
                 runs[side].append(run_once(
                     sides[side], args.workload, args.seed + k,
                     tmp / f"{side}-{k}.json"))
+                went_first[side].append(side == order[0])
             print(f"pair {k + 1}/{args.pairs} (seed {args.seed + k}, "
                   f"{order[0]} first) done", flush=True)
 
@@ -156,7 +169,16 @@ def main(argv: list[str], root: Path = ROOT) -> int:
                   f"{b['median'] - a['median']:9.4g} {a['q3'] - a['q1']:9.4g}"
                   f" {interval:>22s} {p:7.3g}  {won}/{args.pairs}")
         failed = [sum(r["failed"] for r in runs[s]) for s in ("ref", "change")]
-        print(f"frames failed: ref {failed[0]}, change {failed[1]}\n")
+        print(f"frames failed: ref {failed[0]}, change {failed[1]}")
+        split = [
+            side + " " + " / ".join(
+                "-" if m is None else f"{m:.4g}" for m in order_medians(
+                    [r["metrics"]["setup_s"] for r in runs[side]],
+                    went_first[side]))
+            for side in ("ref", "change")
+        ]
+        print("setup_s median by run order (first / second in its pair): "
+              + ", ".join(split) + "\n")
 
         worse = runner.compare_main([str(out / "ref.json"),
                                      str(out / "change.json")])

@@ -4,8 +4,8 @@ pipeline.
 ROADMAP item 4 made concrete: :class:`TimeVaryingVolume` /
 :class:`TimeVaryingRenderer` stream per-timestep RLE encodings through
 the existing pools (the ``timestep`` rides each frame's job, and the
-axis-switch slice-cache invalidation generalizes to timestep switches),
-and :class:`MoviePipeline` renders a movie over any
+renderer keeps the decoded slices of its latest ``(timestep, axis)``
+encodings), and :class:`MoviePipeline` renders a movie over any
 :class:`~repro.parallel.backend.RenderBackend` while the parent encodes
 finished frames into a real PNG/NPZ image sequence — MovieMaker's
 render/encode stage overlap on top of the pools' double-buffered

@@ -10,20 +10,23 @@ call — so every backend (mp, thread, shard) renders time-varying frames
 without a single pool-side change beyond threading the ``timestep``
 through the job.
 
-Memory and invalidation
------------------------
+Memory and residency
+--------------------
 All ``T * 3`` encodings stay resident (they must: the mp workers
 inherit them through the fork snapshot at pool construction, so they
-cannot be built lazily after the fork).  What is *not* allowed to
-accumulate is decoded-slice cache: the static renderer already drops
-the slice cache of an encoding left behind by a principal-axis switch,
-and the time-varying renderer generalizes that exact rule to the
-``(timestep, axis)`` pair — switching either coordinate clears the
-encoding just left behind, so at most one encoding per consumer holds
-decoded planes.  Clearing is also the stale-slice guard: a decoded
-plane can never outlive the (timestep, axis) encoding it was decoded
-from, because each encoding owns its own cache and caches are keyed
-within one encoding only.
+cannot be built lazily after the fork).  Their decoded slices follow
+the one residency rule of
+:meth:`~repro.render.serial.ShearWarpRenderer.rle_for`: each renderer
+copy (the parent's, and each mp worker's forked one) keeps the planes
+of its ``min(T, RESIDENT_ENCODINGS)`` most recently used
+``(timestep, axis)`` encodings and clears an encoding's slice cache
+when it falls out of that LRU.  A movie cycling through up to four
+timesteps therefore decodes each slice once per process and reads it
+on every later cycle — shear-warp's speed rests on prepared data that
+outlives the frame — for up to ``RESIDENT_ENCODINGS`` decoded
+encodings per process, about 5.5 MB each at 96x96x64.  No plane can go
+stale: each encoding owns its own cache, keyed within that encoding
+only.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..render.serial import ShearWarpRenderer
-from ..transforms.factorization import ShearWarpFactorization
 from ..volume.classify import TransferFunction
 from ..volume.rle import RLEVolume, encode_all_axes
 from ..volume.volume import ClassifiedVolume
@@ -114,9 +116,9 @@ class TimeVaryingRenderer(ShearWarpRenderer):
     serial reference): ``rle_for(fact, timestep=t)`` selects timestep
     ``t``'s encoding (``None`` and out-of-range values wrap modulo the
     timestep count, so an endless rotation movie can just pass the
-    frame index).  The slice-cache invalidation of the base class's
-    axis switches extends to the ``(timestep, axis)`` pair — see the
-    module docstring.
+    frame index).  ``rle_for`` and its residency rule are the base
+    class's (see the module docstring); this class only says where a
+    timestep's encodings are.
     """
 
     def __init__(self, volumes, tf: TransferFunction | None = None) -> None:
@@ -129,37 +131,11 @@ class TimeVaryingRenderer(ShearWarpRenderer):
         self.timeline = tvv
         # Base-class state, pointed at timestep 0 so every static-path
         # consumer (shape, factorize_view, plain render calls) works.
-        self.classified = tvv.classified[0]
-        self.rle_by_axis = tvv.encodings[0]
-        self._last_axis: int | None = None
-        self._last_step: int | None = None
-        #: Observability: how many times the active encoding changed
-        #: because the *timestep* moved (axis-only switches not counted).
-        self.timestep_switches = 0
+        self._adopt(tvv.classified[0], tvv.encodings[0])
 
     @property
     def n_timesteps(self) -> int:
         return self.timeline.n_timesteps
 
-    def rle_for(self, fact: ShearWarpFactorization,
-                timestep: int | None = None) -> RLEVolume:
-        """The active encoding for ``(timestep, fact.axis)``.
-
-        Reuses the axis-switch invalidation machinery for timestep
-        switches: whenever either coordinate moves, the encoding just
-        left behind drops its decoded-slice cache (stats survive, so
-        hit/miss counters stay consistent across switches).
-        """
-        step = 0 if timestep is None else int(timestep) % self.n_timesteps
-        if self._last_axis is not None and (
-            self._last_axis != fact.axis or self._last_step != step
-        ):
-            self.timeline.encodings[self._last_step][
-                self._last_axis
-            ].clear_slice_cache()
-            if self._last_step != step:
-                self.timestep_switches += 1
-        self._last_axis = fact.axis
-        self._last_step = step
-        self.rle_by_axis = self.timeline.encodings[step]
-        return self.rle_by_axis[fact.axis]
+    def _encodings(self, step: int) -> dict[int, RLEVolume]:
+        return self.timeline.encodings[step]

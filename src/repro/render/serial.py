@@ -8,6 +8,8 @@ algorithm of section 2, and the substrate both parallelizations run on.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,12 @@ from .image import FinalImage, IntermediateImage
 from .instrument import TraceSink, WorkCounters
 from .warp import warp_frame
 
-__all__ = ["RenderResult", "ShearWarpRenderer"]
+__all__ = ["RESIDENT_ENCODINGS", "RenderResult", "ShearWarpRenderer"]
+
+#: Most ``(timestep, axis)`` encodings whose decoded slices one renderer
+#: keeps at a time (see :meth:`ShearWarpRenderer.rle_for`).  Not a knob:
+#: a renderer with fewer timesteps keeps one encoding per timestep.
+RESIDENT_ENCODINGS = 4
 
 
 @dataclass
@@ -48,20 +55,36 @@ class ShearWarpRenderer:
         per-frame work is compositing + warp only, as in VolPack.
     """
 
+    #: A static volume is the same volume at every timestep.
+    n_timesteps = 1
+    #: Observability: how many times :meth:`rle_for` moved to another
+    #: *timestep* (axis-only switches not counted).
+    timestep_switches = 0
+
     def __init__(self, raw: np.ndarray, tf: TransferFunction) -> None:
-        self.classified = ClassifiedVolume.classify(raw, tf)
-        self.rle_by_axis: dict[int, RLEVolume] = encode_all_axes(self.classified)
-        self._last_axis: int | None = None
+        classified = ClassifiedVolume.classify(raw, tf)
+        self._adopt(classified, encode_all_axes(classified))
 
     @classmethod
     def from_classified(cls, classified: ClassifiedVolume) -> "ShearWarpRenderer":
         """Build a renderer from an already-classified volume (e.g. the
         Phong-shaded output of :func:`repro.render.shading.shade_volume`)."""
         self = cls.__new__(cls)
-        self.classified = classified
-        self.rle_by_axis = encode_all_axes(classified)
-        self._last_axis = None
+        self._adopt(classified, encode_all_axes(classified))
         return self
+
+    def _adopt(self, classified: ClassifiedVolume,
+               rle_by_axis: dict[int, RLEVolume]) -> None:
+        self.classified = classified
+        self.rle_by_axis = rle_by_axis
+        # (timestep, axis) keys whose encodings may hold decoded planes,
+        # least recently used first.
+        self._resident: OrderedDict[tuple[int, int], None] = OrderedDict()
+        self._resident_lock = threading.Lock()
+
+    def _encodings(self, step: int) -> dict[int, RLEVolume]:
+        """The three per-axis encodings of timestep ``step``."""
+        return self.rle_by_axis
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -76,23 +99,38 @@ class ShearWarpRenderer:
         return matrices.view_matrix(rot_x, rot_y, rot_z, self.shape)
 
     def rle_for(self, fact: ShearWarpFactorization, timestep: int | None = None) -> RLEVolume:
-        """Pick the run-length encoding matching a factorization's axis.
+        """Pick the run-length encoding for ``(timestep, fact.axis)``.
 
-        When an animation's rotation crosses a principal-axis boundary,
-        the encoding just left behind won't be sampled again soon — its
-        decoded-slice cache is dropped so only the active axis holds
-        decoded planes in memory.
+        ``timestep`` wraps modulo :attr:`n_timesteps` (``None`` is 0), so
+        static and time-varying renderers share one call signature.
 
-        ``timestep`` is accepted (and ignored) so static and
-        time-varying renderers share one call signature: a static volume
-        is the same volume at every timestep.  Time-varying subclasses
-        (:class:`repro.movie.TimeVaryingRenderer`) extend the same
-        axis-switch invalidation to timestep switches.
+        Decoded slices live in each encoding's own slice cache; this
+        method bounds how many encodings keep them.  It holds an LRU of
+        the ``(timestep, axis)`` keys it has handed out, of capacity
+        ``min(n_timesteps, RESIDENT_ENCODINGS)``: the requested key moves
+        to the front, and a key that falls off the end has its
+        encoding's slice cache cleared.  A static renderer's capacity is
+        1, so a principal-axis switch drops the axis left behind; a movie
+        cycling through up to four timesteps keeps every one's planes
+        from frame to frame instead of decoding them again.
+
+        The LRU is guarded by a lock: the thread pool's planner and
+        workers call this at the same time.  A consumer still decoding
+        from an encoding evicted under it may refill some of its planes;
+        they stay until that key is evicted again.
         """
-        if self._last_axis is not None and self._last_axis != fact.axis:
-            self.rle_by_axis[self._last_axis].clear_slice_cache()
-        self._last_axis = fact.axis
-        return self.rle_by_axis[fact.axis]
+        step = 0 if timestep is None else int(timestep) % self.n_timesteps
+        key = (step, fact.axis)
+        with self._resident_lock:
+            resident = self._resident
+            if resident and next(reversed(resident))[0] != step:
+                self.timestep_switches += 1
+            resident[key] = None
+            resident.move_to_end(key)
+            while len(resident) > min(self.n_timesteps, RESIDENT_ENCODINGS):
+                old_step, old_axis = resident.popitem(last=False)[0]
+                self._encodings(old_step)[old_axis].clear_slice_cache()
+        return self._encodings(step)[fact.axis]
 
     def render(
         self,

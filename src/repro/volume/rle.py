@@ -79,6 +79,13 @@ class SliceCache:
     ``decode_s`` — and are read-only so a stray consumer cannot corrupt
     the shared state.
 
+    Clears come from one place:
+    :meth:`~repro.render.serial.ShearWarpRenderer.rle_for` keeps an LRU
+    of the ``(timestep, axis)`` encodings whose caches may hold planes
+    and clears this cache when its encoding falls out (a static renderer
+    keeps only its active axis, a movie up to four timesteps).  A clear
+    drops the planes and keeps ``hits`` / ``misses`` / ``decode_s``.
+
     Thread-safety: the threading backend's workers share one cache per
     encoding.  Entry lookups and recency updates were always safe under
     the GIL, but the ``hits``/``misses`` tallies are read-modify-write
@@ -167,7 +174,7 @@ class RLEVolume:
         return cache
 
     def clear_slice_cache(self) -> None:
-        """Invalidate the decoded-slice cache (e.g. on a principal-axis switch)."""
+        """Drop the decoded slices (the renderer does when it lets this encoding go)."""
         self.slice_cache.clear()
 
     # -- basic geometry ----------------------------------------------------

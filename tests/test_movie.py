@@ -4,17 +4,23 @@ The hard contract under test: every movie frame is bit-identical to the
 per-timestep serial render, on every backend (mp, thread, shard fleet),
 at every shard count, including across a mid-movie worker kill.  Around
 it: the beating_heart phantom's shape/motion properties, the slice-cache
-invalidation rule extended to ``(timestep, axis)`` switches, the
+residency rule over ``(timestep, axis)`` encodings, the
 profile loop's behavior when the wedge moves between frames, and the
 deterministic PNG/NPZ encoders.
 """
 
 import json
+import random
+import sys
+import threading
 import time
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.parallel.poolcore as poolcore
@@ -30,6 +36,7 @@ from repro.movie import (
 )
 from repro.parallel.backend import FrameSpec
 from repro.render.fast import render_fast
+from repro.render.serial import RESIDENT_ENCODINGS
 from repro.volume import mri_transfer_function
 
 SHAPE = (20, 20, 16)
@@ -109,21 +116,108 @@ class TestTimeVaryingVolume:
             )
 
 
-class TestSliceCacheInvalidation:
-    """Timestep switches reuse the axis-switch invalidation rule."""
+def _holding(r):
+    """The ``(timestep, axis)`` keys whose encodings hold decoded planes."""
+    return {
+        (t, axis)
+        for t, by_axis in enumerate(r.timeline.encodings)
+        for axis, rle in by_axis.items()
+        if len(rle.slice_cache)
+    }
 
-    def test_timestep_switch_clears_left_behind_cache(self):
+
+def _on_axis(axis):
+    """A stand-in factorization: ``rle_for`` reads only its axis."""
+    return SimpleNamespace(axis=axis)
+
+
+class TestSliceCacheInvalidation:
+    """Decoded planes stay with a renderer's ``min(T, RESIDENT_ENCODINGS)``
+    most recently used ``(timestep, axis)`` encodings."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_planes_live_in_the_last_capacity_keys(self, data):
+        """For any lookup sequence, the encodings holding planes are the
+        last ``capacity`` distinct keys used (each lookup here decodes a
+        slice, so none of them is empty); ``T == 1`` is the static
+        renderer's axis-switch rule."""
+        n_t = data.draw(st.integers(1, 6), label="T")
+        keys = data.draw(st.lists(
+            st.tuples(st.integers(0, n_t - 1), st.integers(0, 2)),
+            min_size=1, max_size=24), label="keys")
+        r = TimeVaryingRenderer(beating_heart((8, 8, 8), timesteps=n_t),
+                                mri_transfer_function())
+        capacity = min(n_t, RESIDENT_ENCODINGS)
+        recent = []
+        for t, axis in keys:
+            r.rle_for(_on_axis(axis), timestep=t).decode_slice(0)
+            recent = [k for k in recent if k != (t, axis)] + [(t, axis)]
+            assert _holding(r) == set(recent[-capacity:])
+        assert r.timestep_switches == sum(
+            a[0] != b[0] for a, b in zip(keys, keys[1:]))
+
+    def test_concurrent_lookups_keep_the_bound(self):
+        """The thread pool's planner and workers call ``rle_for`` on one
+        renderer at the same time.  Every encoding starts with planes;
+        eight threads then look up every key and 2000 random ones each,
+        switching every microsecond.  No lookup raises, and afterwards
+        at most ``capacity`` encodings hold planes: every key that fell
+        out of the LRU was cleared."""
+        n_t = 6
+        r = TimeVaryingRenderer(beating_heart((8, 8, 8), timesteps=n_t),
+                                mri_transfer_function())
+        keys = [(t, axis) for t in range(n_t) for axis in range(3)]
+        for t, axis in keys:
+            r.timeline.encodings[t][axis].decode_slice(0)
+        errors = []
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+
+        def hammer(seed):
+            rng = random.Random(seed)
+            order = keys + [rng.choice(keys) for _ in range(2000)]
+            rng.shuffle(order)
+            barrier.wait()
+            try:
+                for t, axis in order:
+                    r.rle_for(_on_axis(axis), timestep=t)
+            except Exception as exc:  # asserted empty below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(seed,))
+                       for seed in range(n_threads)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert len(_holding(r)) <= min(n_t, RESIDENT_ENCODINGS)
+
+    def test_a_second_cycle_of_timesteps_decodes_nothing(self):
+        """An mp worker keeps all four timesteps' planes, so the second
+        pass of a movie over them misses no slice.  (One worker, so no
+        band moves to another worker's caches between the passes.)"""
         r = TimeVaryingRenderer(
-            beating_heart(SHAPE, timesteps=T), mri_transfer_function()
+            beating_heart(SHAPE, timesteps=4), mri_transfer_function()
         )
         view = r.view_from_angles(20, 30, 0)
-        fact = r.factorize_view(view)
-        rle0 = r.rle_for(fact, timestep=0)
-        rle0.decode_slice(0)
-        assert len(rle0.slice_cache) == 1
-        r.rle_for(fact, timestep=1)  # switch: t0 encoding left behind
-        assert len(rle0.slice_cache) == 0
-        assert r.timestep_switches == 1
+        specs = [FrameSpec(view, timestep=i % 4) for i in range(8)]
+        with repro.open_pool(r, n_procs=1, trace=True) as pool:
+            results = [pool.result(f) for f in pool.submit_batch(specs)]
+        totals = [res.timeline.counter_totals() for res in results]
+        assert all(t.get("cache_misses", 0) > 0 for t in totals[:4])
+        for t in totals[4:]:
+            assert t.get("cache_hits", 0) > 0
+            assert t.get("cache_misses", 0) == 0
+            assert t.get("decode_us", 0) == 0
+        _assert_bit_identical(results, _refs(r, specs))
 
     def test_no_stale_slice_across_timesteps(self):
         """A decoded plane never leaks from timestep t to t' — rendering

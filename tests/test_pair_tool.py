@@ -37,7 +37,8 @@ if __name__ == "__main__":
     with open(os.environ["PAIR_STUB_LOG"], "a") as f:
         f.write(f"{{LEVEL}} {{seed}}\\n")
     run = {{"metrics": {{"frame_ms_p50": LEVEL + seed % 3,
-                        "frames_per_s": 100 / LEVEL}},
+                        "frames_per_s": 100 / LEVEL,
+                        "setup_s": LEVEL + seed % 2}},
             "attempted": 10, "failed": 0}}
     with open(opt("--out"), "w") as f:
         json.dump({{"workloads": {{opt("--workload"): {{"runs": [run]}}}}}}, f)
@@ -57,7 +58,9 @@ def _git(repo, *args):
                    cwd=repo, check=True, capture_output=True)
 
 
-def test_pairs_alternate_and_the_change_wins(tmp_path, monkeypatch, capsys):
+def _stub_repo(tmp_path, monkeypatch):
+    """The stub committed at level 5 (the reference), level 1 in the
+    working tree (the change); returns the repository and the call log."""
     repo = tmp_path / "repo"
     runner = repo / "benchmarks" / "e2e" / "run.py"
     runner.parent.mkdir(parents=True)
@@ -68,6 +71,11 @@ def test_pairs_alternate_and_the_change_wins(tmp_path, monkeypatch, capsys):
     runner.write_text(STUB.format(level=1.0))
     log = tmp_path / "calls.log"
     monkeypatch.setenv("PAIR_STUB_LOG", str(log))
+    return repo, log
+
+
+def test_pairs_alternate_and_the_change_wins(tmp_path, monkeypatch, capsys):
+    repo, log = _stub_repo(tmp_path, monkeypatch)
 
     rc = _load().main(["HEAD", "--workload", "w", "--pairs", "3", "--seed",
                        "7", "--out", str(tmp_path / "out")], root=repo)
@@ -90,6 +98,20 @@ def test_pairs_alternate_and_the_change_wins(tmp_path, monkeypatch, capsys):
     assert len(ref["workloads"]["w"]["runs"]) == 3
     summary = ref["workloads"]["w"]["summary"]
     assert summary["frame_ms_p50"]["median"] == 6.0  # 5 + (7, 8, 9) % 3
+
+
+def test_setup_s_is_split_by_run_order(tmp_path, monkeypatch, capsys):
+    """The side that runs second in a pair tends to set up slower, so
+    each side's ``setup_s`` median is printed for the runs it made first
+    and for those it made second."""
+    repo, _ = _stub_repo(tmp_path, monkeypatch)
+    _load().main(["HEAD", "--workload", "w", "--pairs", "3", "--seed", "7"],
+                 root=repo)
+    # The stub's setup_s is level + seed % 2.  The reference (level 5)
+    # ran first at seeds 7 and 9 and second at 8; the change (level 1)
+    # first at 8 and second at 7 and 9.
+    assert ("setup_s median by run order (first / second in its pair): "
+            "ref 6 / 5, change 1 / 2") in capsys.readouterr().out
 
 
 def test_the_real_runner_offers_what_pair_uses():
