@@ -950,15 +950,32 @@ class MPRenderPool(PoolCore):
                 _write_job(fd, None, [w.sentinel for w in workers])
             except OSError:
                 pass
+
+        def join_all(ws, timeout: float) -> list:
+            # One deadline for the whole set, not one per worker: a
+            # wedged set takes five seconds to close whatever its size.
+            deadline = time.monotonic() + timeout
+            for w in ws:
+                try:
+                    w.join(max(0.0, deadline - time.monotonic()))
+                except Exception:  # noqa: BLE001 - teardown must not raise
+                    pass
+            return [w for w in ws if w.is_alive()]
+
+        survivors = join_all(workers, 5.0)
+        for w in survivors:
+            try:
+                w.terminate()
+            except Exception:  # noqa: BLE001 - teardown must not raise
+                pass
+        for w in join_all(survivors, 2.0):
+            try:
+                w.kill()
+                w.join()
+            except Exception:  # noqa: BLE001 - teardown must not raise
+                pass
         for w in workers:
             try:
-                w.join(timeout=5.0)
-                if w.is_alive():
-                    w.terminate()
-                    w.join(timeout=2.0)
-                if w.is_alive():
-                    w.kill()
-                    w.join()
                 w.close()  # its sentinel pipe
             except Exception:  # noqa: BLE001 - teardown must not raise
                 pass

@@ -1,14 +1,24 @@
 """Shared test configuration: a deterministic, deadline-free hypothesis
 profile (property tests drive real renders, whose duration varies with
-host load), and the leak guard every test runs under."""
+host load), the leak guard every test runs under, and what every
+backend is held to: the serial reference frames, the one frame-identity
+assertion, and a compositing failure that reaches any transport."""
 
 import multiprocessing
 import os
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import repro.parallel.poolcore as poolcore
+from repro.datasets import mri_brain
+from repro.parallel import as_frame_specs
+from repro.render import ShearWarpRenderer
+from repro.render.fast import render_fast
+from repro.volume import mri_transfer_function
 
 settings.register_profile(
     "repro",
@@ -17,6 +27,60 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+@pytest.fixture(scope="module")
+def renderer():
+    """The small MRI phantom the pool tests render (a module's own
+    ``renderer`` fixture overrides it)."""
+    return ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
+
+
+def serial_refs(renderer, frames) -> list:
+    """The serial fast path's render of each view or ``FrameSpec``: the
+    reference every backend's frames are compared with."""
+    return [render_fast(renderer, s.view, timestep=s.timestep)
+            for s in as_frame_specs(frames)]
+
+
+def assert_frames_identical(results, refs) -> None:
+    """Every frame in ``results`` is its reference bit for bit: the same
+    factorization axis, and all four planes — intermediate color and
+    opacity, final color and alpha — equal in shape and in every value.
+    The references come from :func:`repro.render.fast.render_fast`,
+    itself checked exactly against the renderer's own ``render``."""
+    assert len(results) == len(refs)
+    for i, (got, ref) in enumerate(zip(results, refs)):
+        assert got.fact.axis == ref.fact.axis, i
+        for a, b in ((got.intermediate.color, ref.intermediate.color),
+                     (got.intermediate.opacity, ref.intermediate.opacity),
+                     (got.final.color, ref.final.color),
+                     (got.final.alpha, ref.final.alpha)):
+            assert a.shape == b.shape, i
+            assert np.array_equal(a, b), i
+
+
+def _first_time(marker) -> bool:
+    """True for the one caller, in whatever process, that creates
+    ``marker``."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
+def fail_composite(monkeypatch, marker, frame, once=True):
+    """Make compositing raise on ``frame``: on its first attempt only
+    (``once``), or on every one.  Forked workers inherit the patch."""
+    real = poolcore.composite_range
+
+    def flaky(img, lo, hi, rle, fact, profiled, rec, f):
+        if f == frame and (not once or _first_time(marker)):
+            raise RuntimeError("injected composite failure")
+        return real(img, lo, hi, rle, fact, profiled, rec, f)
+
+    monkeypatch.setattr(poolcore, "composite_range", flaky)
 
 
 def open_fds() -> set[int]:

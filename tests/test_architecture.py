@@ -13,6 +13,7 @@ profile feedback loop or stealing.
 """
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -331,3 +332,41 @@ def test_the_package_reads_no_environment_variable():
         if isinstance(n, ast.Attribute) and n.attr in {"environ", "getenv"}
     ]
     assert not reads
+
+
+def _defined_test_ids(tests: Path) -> set[str]:
+    """``tests/<file>::<name>`` for every top-level class and function
+    of the test tree, and ``::<Class>::<method>`` for every method."""
+    ids: set[str] = set()
+    for path in tests.glob("test_*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            ids.add(f"tests/{path.name}::{node.name}")
+            if isinstance(node, ast.ClassDef):
+                ids.update(f"tests/{path.name}::{node.name}::{m.name}"
+                           for m in node.body if isinstance(m, ast.FunctionDef))
+    return ids
+
+
+def _cited_test_ids(text: str) -> list[str]:
+    """Every ``tests/…py::…`` id a document cites in backticks, joined
+    back together where a line break falls inside the backticks, with
+    any ``[param]`` suffix dropped."""
+    return [
+        cited
+        for _, span in re.findall(r"(`+)(.+?)\1", text, flags=re.DOTALL)
+        for cited in re.findall(r"tests/test_\w+\.py(?:::\w+)+",
+                                re.sub(r"\s+", "", span))
+    ]
+
+
+def test_cited_test_ids_exist():
+    """A test id the docs cite names a test pytest can still run."""
+    root = SRC.parents[1]
+    known = _defined_test_ids(root / "tests")
+    cited = {doc: _cited_test_ids((root / doc).read_text())
+             for doc in ("README.md", "DESIGN.md")}
+    assert all(cited.values())
+    assert not [f"{doc}: {c}" for doc, ids in cited.items()
+                for c in ids if c not in known]

@@ -4,16 +4,15 @@ Every execution model — mp pool, thread pool, shard fleet — must be
 drivable through the same four-member seam (``submit_batch`` /
 ``result`` / ``close`` / ``trace``), and the per-call pool
 kwargs deprecated in 1.x are gone in 2.0: the constructors take
-``(renderer, config)`` and nothing else.
+``(renderer, config)`` and nothing else.  Bit-identity and the result
+contract on every backend are ``tests/test_conformance.py``'s.
 """
 
 import warnings
 
-import numpy as np
 import pytest
 
 import repro
-from repro.datasets import mri_brain
 from repro.parallel import (
     FrameSpec,
     MPRenderPool,
@@ -22,14 +21,9 @@ from repro.parallel import (
     ThreadRenderPool,
     as_frame_specs,
 )
-from repro.render import ShearWarpRenderer
 from repro.shard import ShardedRenderService
-from repro.volume import mri_transfer_function
 
-
-@pytest.fixture(scope="module")
-def renderer():
-    return ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
+from .conftest import assert_frames_identical, serial_refs
 
 
 def _views(renderer, n):
@@ -45,7 +39,7 @@ POOL_SHAPES = [
 
 class TestProtocolConformance:
     @pytest.mark.parametrize("overrides", POOL_SHAPES)
-    def test_isinstance_and_capabilities(self, renderer, overrides):
+    def test_isinstance_and_trace_flag(self, renderer, overrides):
         """What a caller may ask a backend is whether it traces: every
         pool steals when it has a second worker and profiles on demand,
         so there is no capabilities struct to consult."""
@@ -54,7 +48,7 @@ class TestProtocolConformance:
             assert pool.trace is False
             assert not hasattr(pool, "capabilities")
 
-    def test_capabilities_reflect_config(self, renderer):
+    def test_trace_flag_follows_the_config(self, renderer):
         cfg = PoolConfig(n_procs=2, backend="thread", trace=True)
         with repro.open_pool(renderer, config=cfg) as pool:
             assert pool.trace is True
@@ -68,9 +62,8 @@ class TestProtocolConformance:
             assert len(ids) == len(specs)
             # Out-of-order collection is part of the contract.
             results = {f: pool.result(f) for f in reversed(ids)}
-        for view, fid in zip(views, ids):
-            ref = renderer.render(view)
-            assert np.array_equal(results[fid].final.color, ref.final.color)
+        assert_frames_identical([results[f] for f in ids],
+                                serial_refs(renderer, views))
 
     @pytest.mark.parametrize("overrides", POOL_SHAPES)
     def test_bare_views_accepted(self, renderer, overrides):
@@ -79,9 +72,7 @@ class TestProtocolConformance:
         views = _views(renderer, 2)
         with repro.open_pool(renderer, **overrides) as pool:
             results = [pool.result(f) for f in pool.submit_batch(views)]
-        for view, res in zip(views, results):
-            ref = renderer.render(view)
-            assert np.array_equal(res.final.color, ref.final.color)
+        assert_frames_identical(results, serial_refs(renderer, views))
 
     @pytest.mark.parametrize("overrides", POOL_SHAPES)
     def test_submit_on_a_closed_backend_raises_from_submit(self, renderer,
@@ -104,8 +95,7 @@ class TestProtocolConformance:
             for t in (2, 0):
                 res = pool.render(view, timestep=t)
                 ref = render_fast(heart, view, timestep=t)
-                assert np.array_equal(res.final.color, ref.final.color)
-                assert np.array_equal(res.final.alpha, ref.final.alpha)
+                assert_frames_identical([res], [ref])
 
     def test_as_frame_specs_passthrough(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)

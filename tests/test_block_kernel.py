@@ -38,6 +38,8 @@ from repro.volume import (
 )
 from repro.volume.rle import DEFAULT_SLICE_CACHE_CAPACITY, SliceCache
 
+from .conftest import assert_frames_identical
+
 COUNTER_FIELDS = (
     "loop_iters",
     "pixels_skipped",
@@ -614,10 +616,7 @@ class TestMPRenderPool:
         refs = [renderer.render(v) for v in views]
         with repro.open_pool(renderer, n_procs=2) as pool:
             results = [pool.render(v) for v in views]
-        for res, ref in zip(results, refs):
-            assert np.array_equal(res.final.color, ref.final.color)
-            assert np.array_equal(res.final.alpha, ref.final.alpha)
-            assert np.array_equal(res.intermediate.opacity, ref.intermediate.opacity)
+        assert_frames_identical(results, refs)
 
     def test_pipelined_submit_out_of_order_results(self, renderer):
         views = [renderer.view_from_angles(10, 15 * i, 0) for i in range(3)]
@@ -625,8 +624,7 @@ class TestMPRenderPool:
         with repro.open_pool(renderer, n_procs=2) as pool:
             handles = [pool.submit(v) for v in views]
             out = {h: pool.result(h) for h in reversed(handles)}
-        for h, ref in zip(handles, refs):
-            assert np.array_equal(out[h].final.color, ref.final.color)
+        assert_frames_identical([out[h] for h in handles], refs)
 
     def test_one_shot_wrapper_matches(self, renderer):
         """One frame: ``open_pool`` plus ``render``."""
@@ -634,7 +632,7 @@ class TestMPRenderPool:
         ref = renderer.render(view)
         with repro.open_pool(renderer, n_procs=2) as pool:
             res = pool.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
+        assert_frames_identical([res], [ref])
         assert res.n_procs == 2
 
     def test_validation(self, renderer):
@@ -666,9 +664,7 @@ class TestBlockKernelFrames:
         for i in range(2):
             view = renderer.view_from_angles(20, 30 + 3 * i, 0)
             frame, fast = factory.render_frame(view), render_fast(renderer, view)
-            assert np.array_equal(frame.final.color, fast.final.color)
-            assert np.array_equal(frame.intermediate.opacity,
-                                  fast.intermediate.opacity)
+            assert_frames_identical([frame], [fast])
             assert any(t.trace for t in frame.composite_units.values())
             fact = frame.fact
             rows = BlockRowCounters(0, fact.intermediate_shape[0])

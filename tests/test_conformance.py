@@ -1,0 +1,251 @@
+"""The one frame contract, stated once over the ``RenderBackend`` seam.
+
+Partitioning, stealing, profiling, sharding and recovery change only
+*which* worker composites and warps a scanline, never a pixel.  So
+every backend — each entry of :data:`BACKENDS` — must return frames
+bit-identical to the serial fast path (:func:`assert_frames_identical`:
+all four planes and the factorization axis), however the frames reach
+it and whatever fails on the way, and must keep one result contract:
+out-of-order collection, sticky typed errors, ``KeyError`` for a frame
+it does not hold, ``PoolClosed`` once closed.  A new backend joins by
+adding one entry to :data:`BACKENDS`; what only one transport does
+(the doorbell, job pipes, respawns, the fake transport's ledger) is
+tested beside that transport.
+"""
+
+import asyncio
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import repro
+import repro.parallel.poolcore as poolcore
+from repro.datasets import beating_heart
+from repro.movie import MoviePipeline, TimeVaryingRenderer, movie_frame_specs
+from repro.parallel import FrameSpec, PoolConfig, RenderBackend
+from repro.parallel.mp_backend import BUFFERS
+from repro.parallel.poolcore import FrameFailed, PoolClosed
+from repro.serve import RenderClient, RenderServer, ServeConfig, response_frames
+from repro.volume import mri_transfer_function
+
+from .conftest import assert_frames_identical, fail_composite, serial_refs
+
+#: Every backend the suite holds to the contract, as the config
+#: :func:`repro.open_pool` (and a :class:`ServeConfig`) builds it from.
+BACKENDS = {
+    "mp1": PoolConfig(n_procs=1),
+    "mp2": PoolConfig(n_procs=2),
+    "mp4": PoolConfig(n_procs=4),
+    "thread1": PoolConfig(n_procs=1, backend="thread"),
+    "thread2": PoolConfig(n_procs=2, backend="thread"),
+    "fleet-mp1": PoolConfig(n_procs=1, shards=2),
+    "fleet-thread2": PoolConfig(n_procs=2, backend="thread", shards=2),
+}
+
+#: ``(rx, ry, rz)`` of a rotation that crosses the principal-axis
+#: switch at ry = 45 degrees, then the degenerate views: on the tie
+#: itself, on the double tie, and a hair off a principal axis — where
+#: the parent and the workers must still agree on the factorization.
+ANGLES = [(20, 30 + 6 * i, 2 * i) for i in range(6)] + [
+    (0, 45, 0), (45, 45, 0), (0, 1e-6, 0),
+]
+
+
+@pytest.fixture(scope="module")
+def heart():
+    return TimeVaryingRenderer(beating_heart((20, 20, 16), timesteps=3),
+                               mri_transfer_function())
+
+
+@pytest.fixture(params=list(BACKENDS.values()), ids=list(BACKENDS))
+def config(request):
+    return request.param
+
+
+def _views(renderer, angles=ANGLES):
+    return [renderer.view_from_angles(*a) for a in angles]
+
+
+class TestFrames:
+    """Frames equal the serial reference, however they reach the pool."""
+
+    def test_a_batch_deeper_than_the_buffers_across_an_axis_switch(
+            self, renderer, config):
+        views = _views(renderer)
+        refs = serial_refs(renderer, views)
+        assert len(views) > BUFFERS
+        assert len({r.fact.axis for r in refs}) > 1
+        with repro.open_pool(renderer, config) as pool:
+            assert isinstance(pool, RenderBackend)
+            ids = pool.submit_batch([FrameSpec(v) for v in views])
+            got = {f: pool.result(f) for f in reversed(ids)}
+            # A collected frame is gone; so is one never submitted.
+            for frame in (ids[0], max(ids) + 100):
+                with pytest.raises(KeyError):
+                    pool.result(frame)
+            assert pool.submit_batch([]) == []
+            assert pool.render_animation([]) == []
+        assert_frames_identical([got[f] for f in ids], refs)
+
+    def test_the_same_views_as_a_one_frame_stream(self, renderer, config):
+        views = _views(renderer)
+        with repro.open_pool(renderer, config) as pool:
+            results = [pool.render(v) for v in views]
+        assert_frames_identical(results, serial_refs(renderer, views))
+
+    def test_profiled_frames(self, renderer, config, monkeypatch):
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
+        views = _views(renderer, ANGLES[:4])
+        with repro.open_pool(renderer, config) as pool:
+            results = [pool.render(v) for v in views]
+        assert all(r.profiled for r in results)
+        assert_frames_identical(results, serial_refs(renderer, views))
+
+    def test_forced_steals(self, renderer, config, monkeypatch):
+        """Two-row grains and a slowed worker 0: every pool with a
+        second worker steals; a one-worker pool has nobody to."""
+        monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 2)
+        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.003))
+        views = _views(renderer, ANGLES[:3])
+        with repro.open_pool(renderer, config) as pool:
+            results = pool.render_animation(views)
+        assert_frames_identical(results, serial_refs(renderer, views))
+        steals = sum(r.steals for r in results)
+        assert steals > 0 if config.n_procs > 1 else steals == 0
+
+    def test_timesteps(self, heart, config, monkeypatch):
+        """A batch, then a profiled stream: the moving wedge churns the
+        profile between frames without moving a pixel."""
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
+        specs = movie_frame_specs(heart, 4, step_y=8.0)
+        with repro.open_pool(heart, config) as pool:
+            batch = [pool.result(f) for f in pool.submit_batch(specs)]
+            stream = [pool.render(s.view, timestep=s.timestep)
+                      for s in reversed(specs)]
+        assert all(r.profiled for r in stream)
+        refs = serial_refs(heart, specs)
+        assert_frames_identical(batch, refs)
+        assert_frames_identical(stream, refs[::-1])
+
+    def test_movie_pipeline(self, heart, config, tmp_path):
+        specs = movie_frame_specs(heart, 5)
+        with repro.open_pool(heart, config) as pool:
+            MoviePipeline(pool, str(tmp_path), fmt="npz").run(specs)
+        for i, ref in enumerate(serial_refs(heart, specs)):
+            with np.load(tmp_path / f"frame_{i:04d}.npz") as z:
+                assert np.array_equal(z["color"], ref.final.color)
+                assert np.array_equal(z["alpha"], ref.final.alpha)
+
+    def test_render_server(self, renderer, config):
+        """A reply carries only the final planes: those, bit for bit."""
+        server = RenderServer(ServeConfig(pool=config),
+                              renderer_factory=lambda *identity: renderer)
+        request = {"op": "animate", "frames": 4, "rx": 20.0, "ry": 36.0,
+                   "rz": 0.0, "ry_step": 4.0}
+
+        async def body():
+            async with server:
+                client = await RenderClient.connect(*server.address)
+                try:
+                    return await client.request(request)
+                finally:
+                    await client.close()
+
+        resp = asyncio.run(asyncio.wait_for(body(), 60.0))
+        assert resp["status"] == "ok", resp
+        views = _views(renderer, [(20, 36 + 4 * i, 0) for i in range(4)])
+        frames = response_frames(resp)
+        assert len(frames) == len(views)
+        for (color, alpha), ref in zip(frames, serial_refs(renderer, views)):
+            assert np.array_equal(color, ref.final.color)
+            assert np.array_equal(alpha, ref.final.alpha)
+
+
+class TestResultContract:
+    """Failures stay with their frame, typed, and never cost a pixel."""
+
+    def test_a_failed_attempt_is_retried(self, renderer, config, monkeypatch,
+                                         tmp_path):
+        fail_composite(monkeypatch, tmp_path / "fired", frame=1)
+        views = _views(renderer, ANGLES[:4])
+        with repro.open_pool(renderer, config, max_retries=2,
+                             degrade_to_serial=False) as pool:
+            results = pool.render_animation(views)
+            assert pool.fault_counters()["frames_retried"] >= 1
+        assert_frames_identical(results, serial_refs(renderer, views))
+        assert results[0].retries == 0 and results[1].retries >= 1
+        assert not any(r.degraded for r in results)
+
+    def test_exhausted_retries_degrade_to_serial(self, renderer, config,
+                                                 monkeypatch, tmp_path):
+        fail_composite(monkeypatch, tmp_path / "fired", frame=1, once=False)
+        views = _views(renderer, ANGLES[:3])
+        with repro.open_pool(renderer, config, max_retries=0) as pool:
+            results = pool.render_animation(views)
+        assert_frames_identical(results, serial_refs(renderer, views))
+        assert [r.degraded for r in results] == [False, True, False]
+
+    def test_a_failed_frame_raises_its_own_sticky_error(
+            self, renderer, config, monkeypatch, tmp_path):
+        fail_composite(monkeypatch, tmp_path / "fired", frame=1, once=False)
+        views = _views(renderer, ANGLES[:3])
+        with repro.open_pool(renderer, config, max_retries=0,
+                             degrade_to_serial=False) as pool:
+            ids = pool.submit_batch(views)
+            last = pool.result(ids[2])
+            with pytest.raises(FrameFailed) as failed:
+                pool.result(ids[1])
+            with pytest.raises(FrameFailed) as again:
+                pool.result(ids[1])
+            assert again.value is failed.value
+            first = pool.result(ids[0])
+        assert_frames_identical([first, last],
+                                serial_refs(renderer, views[::2]))
+
+    def test_close_refuses_work_and_wakes_a_waiter(self, renderer, config,
+                                                   monkeypatch, tmp_path):
+        """A ``result()`` blocked on a frame the workers are holding
+        raises ``PoolClosed`` when another thread closes the pool.  The
+        workers let the frame go once the waiter has its error — or
+        half a second into the close on a fleet, whose waiter, refused
+        by the first pool, still gathers the frame's other shards."""
+        held = tmp_path / "released"
+        real = poolcore.composite_range
+
+        def holding(*args):
+            deadline = time.monotonic() + 30.0
+            while not held.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return real(*args)
+
+        monkeypatch.setattr(poolcore, "composite_range", holding)
+        pool = repro.open_pool(renderer, config)
+        frame = pool.submit(renderer.view_from_angles(20, 30, 0))
+        caught = []
+
+        def waiter():
+            try:
+                pool.result(frame)
+            except Exception as exc:  # noqa: BLE001 - the test reads it
+                caught.append(exc)
+
+        def release():
+            t.join(0.5)
+            held.touch()
+
+        t = threading.Thread(target=waiter)
+        t.start()
+        t.join(0.05)
+        assert t.is_alive()
+        releaser = threading.Thread(target=release)
+        releaser.start()
+        pool.close()
+        t.join(10.0)
+        releaser.join()
+        assert not t.is_alive()
+        assert len(caught) == 1 and isinstance(caught[0], PoolClosed)
+        with pytest.raises(PoolClosed):
+            pool.submit_batch(_views(renderer, ANGLES[:2]))
+        pool.close()  # idempotent

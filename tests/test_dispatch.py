@@ -9,35 +9,18 @@ recovered with only the unfinished frames re-dispatched.
 
 import threading
 
-import numpy as np
 import pytest
 
 import repro
 import repro.parallel.poolcore as poolcore
-from repro.datasets import mri_brain
 from repro.parallel.mp_backend import MPRenderPool
 from repro.parallel.poolcore import PoolConfig
-from repro.render import ShearWarpRenderer
-from repro.render.fast import render_fast
-from repro.volume import mri_transfer_function
 
-
-@pytest.fixture(scope="module")
-def renderer():
-    return ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
+from .conftest import assert_frames_identical, serial_refs
 
 
 def _views(renderer, n=5):
     return [renderer.view_from_angles(20, 30 + 4 * i, 2 * i) for i in range(n)]
-
-
-def _assert_identical(res, refs):
-    assert len(res) == len(refs)
-    for ref, got in zip(refs, res):
-        assert np.array_equal(got.final.color, ref.final.color)
-        assert np.array_equal(got.final.alpha, ref.final.alpha)
-        assert np.array_equal(got.intermediate.color, ref.intermediate.color)
-        assert np.array_equal(got.intermediate.opacity, ref.intermediate.opacity)
 
 
 class TestBatchedBitIdentity:
@@ -46,11 +29,11 @@ class TestBatchedBitIdentity:
         """submit_batch == serial, stealing on/off (a pool steals when it
         has a second worker), profile feedback loop on."""
         views = _views(renderer)
-        refs = [render_fast(renderer, v) for v in views]
+        refs = serial_refs(renderer, views)
         cfg = PoolConfig(n_procs=2 if stealing else 1)
         with MPRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
-        _assert_identical(res, refs)
+        assert_frames_identical(res, refs)
 
     def test_batched_matches_perframe_protocol(self, renderer):
         """One batch message == per-frame submit / result pairs."""
@@ -66,17 +49,17 @@ class TestBatchedBitIdentity:
         # measured CPU time, so band splits after a profiled frame are
         # run-dependent — which is precisely why the images themselves
         # being identical is the invariant worth asserting.
-        _assert_identical(batched, perframe)
+        assert_frames_identical(batched, perframe)
 
     def test_batch_deeper_than_buffers(self, renderer):
         """A batch far deeper than the buffer ring streams correctly
         (release-cursor gating + deferred claim seeding)."""
         views = _views(renderer, 8)
-        refs = [render_fast(renderer, v) for v in views]
+        refs = serial_refs(renderer, views)
         cfg = PoolConfig(n_procs=2)
         with MPRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
-        _assert_identical(res, refs)
+        assert_frames_identical(res, refs)
 
     @pytest.mark.parametrize("backend", ["mp", "thread"])
     def test_batch_profiles_once_per_period_not_every_frame(self, renderer,
@@ -87,11 +70,11 @@ class TestBatchedBitIdentity:
         again when the PROFILE_REUSE period runs out while the request
         is outstanding."""
         views = [renderer.view_from_angles(20, 30 + 2 * i, 0) for i in range(20)]
-        refs = [render_fast(renderer, v) for v in views]
+        refs = serial_refs(renderer, views)
         with repro.open_pool(renderer, n_procs=2, backend=backend) as pool:
             res = pool.render_animation(views)
             counted = pool.metrics.counter("pool/profiled_frames").value
-        _assert_identical(res, refs)
+        assert_frames_identical(res, refs)
         axes = [r.fact.axis for r in res]
         first_new = next(i for i, a in enumerate(axes) if a != axes[0])
         assert len(set(axes[first_new:])) == 1
@@ -121,11 +104,11 @@ class TestBatchedBitIdentity:
 
     def test_perframe_submit_counts_no_batch_frames(self, renderer):
         views = _views(renderer, 3)
-        refs = [render_fast(renderer, v) for v in views]
+        refs = serial_refs(renderer, views)
         with MPRenderPool(renderer, config=PoolConfig(n_procs=2)) as pool:
             res = [pool.result(h) for h in [pool.submit(v) for v in views]]
             assert pool.metrics.counter("pool/batch_frames").value == 0
-        _assert_identical(res, refs)
+        assert_frames_identical(res, refs)
 
     @pytest.mark.parametrize("backend", ["mp", "thread"])
     def test_back_to_back_submits_collected_in_reverse(self, renderer,
@@ -135,12 +118,12 @@ class TestBatchedBitIdentity:
         the frame two ahead of each retires — whatever the order the
         caller collects in."""
         views = _views(renderer, 4)
-        refs = [render_fast(renderer, v) for v in views]
+        refs = serial_refs(renderer, views)
         with repro.open_pool(renderer, n_procs=2, backend=backend) as pool:
             handles = [pool.submit(v) for v in views]
             assert handles == [0, 1, 2, 3]
             got = {h: pool.result(h) for h in reversed(handles)}
-        _assert_identical([got[h] for h in handles], refs)
+        assert_frames_identical([got[h] for h in handles], refs)
 
     @pytest.mark.parametrize("how", ["submit", "batch_of_one", "killed"])
     def test_deep_perframe_submission_never_wedges_on_a_full_job_pipe(
@@ -175,7 +158,7 @@ class TestBatchedBitIdentity:
         worker.join(timeout=120.0)
         assert not worker.is_alive()
         assert len(done) == len(views)
-        _assert_identical(done[-2:], [render_fast(renderer, v) for v in views[-2:]])
+        assert_frames_identical(done[-2:], serial_refs(renderer, views[-2:]))
         if how == "killed":
             assert counters["worker_restarts"] == 2
             # Only what the workers had been sent was lost and retried:
@@ -205,12 +188,12 @@ class TestMidBatchFaults:
         """
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 2, "kill", "composite"))
         views = _views(renderer, 6)
-        refs = [render_fast(renderer, v) for v in views]
+        refs = serial_refs(renderer, views)
         cfg = PoolConfig(n_procs=2, max_retries=2, degrade_to_serial=False)
         with MPRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
             fc = pool.fault_counters()
-        _assert_identical(res, refs)
+        assert_frames_identical(res, refs)
         assert fc["worker_restarts"] >= 2  # the whole set is respawned
         assert fc["degraded_frames"] == 0
         # The unfinished frames (2..5, plus frame 1 iff its doorbell
@@ -227,12 +210,12 @@ class TestMidBatchFaults:
         produces identical frames."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 1, "raise", "composite"))
         views = _views(renderer, 5)
-        refs = [render_fast(renderer, v) for v in views]
+        refs = serial_refs(renderer, views)
         cfg = PoolConfig(n_procs=2, max_retries=2, degrade_to_serial=False)
         with MPRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
             fc = pool.fault_counters()
-        _assert_identical(res, refs)
+        assert_frames_identical(res, refs)
         assert fc["frames_retried"] >= 1
         assert res[0].retries == 0
 

@@ -11,6 +11,8 @@ from repro.parallel import simulate_animation, simulate_frame
 from repro.render import ShearWarpRenderer
 from repro.volume import ct_transfer_function, mri_transfer_function
 
+from .conftest import assert_frames_identical
+
 
 class TestAxisSwitching:
     def test_animation_across_principal_axis_change(self):
@@ -24,8 +26,7 @@ class TestAxisSwitching:
             view = r.view_from_angles(0, deg, 0)
             frame = new.render_frame(view)
             axes.add(frame.fact.axis)
-            ref = r.render(view)
-            assert np.allclose(frame.final.color, ref.final.color, atol=1e-5), deg
+            assert_frames_identical([frame], [r.render(view)])
         assert len(axes) == 2  # the switch actually happened
 
     def test_all_principal_axes_render(self):
@@ -51,7 +52,7 @@ class TestDegenerateVolumes:
         ref = r.render(view)
         new = NewParallelShearWarp(r, n_procs=32)
         frame = new.render_frame(view)
-        assert np.allclose(frame.final.color, ref.final.color, atol=1e-5)
+        assert_frames_identical([frame], [ref])
 
     def test_tiny_volume_full_stack(self):
         r = ShearWarpRenderer(random_blobs((8, 8, 8), density=0.5),
@@ -75,8 +76,7 @@ class TestCrossAlgorithmInvariants:
 
     def test_same_image_both_algorithms(self, setup):
         old_frames, new_frames = setup
-        for fo, fn in zip(old_frames, new_frames):
-            assert np.allclose(fo.final.color, fn.final.color, atol=1e-5)
+        assert_frames_identical(new_frames, old_frames)
 
     def test_same_compositing_work_modulo_empty_region(self, setup):
         """New skips empty scanlines; content work must be identical."""

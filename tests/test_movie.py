@@ -39,6 +39,8 @@ from repro.render.fast import render_fast
 from repro.render.serial import RESIDENT_ENCODINGS
 from repro.volume import mri_transfer_function
 
+from .conftest import assert_frames_identical, serial_refs
+
 SHAPE = (20, 20, 16)
 T = 3
 
@@ -52,18 +54,6 @@ def renderer():
 
 def _specs(renderer, n, timesteps=T):
     return movie_frame_specs(renderer, n, timesteps=timesteps)
-
-
-def _refs(renderer, specs):
-    return [
-        render_fast(renderer, s.view, timestep=s.timestep) for s in specs
-    ]
-
-
-def _assert_bit_identical(results, refs):
-    for res, ref in zip(results, refs):
-        assert np.array_equal(res.final.color, ref.final.color)
-        assert np.array_equal(res.final.alpha, ref.final.alpha)
 
 
 class TestBeatingHeartPhantom:
@@ -217,7 +207,7 @@ class TestSliceCacheInvalidation:
             assert t.get("cache_hits", 0) > 0
             assert t.get("cache_misses", 0) == 0
             assert t.get("decode_us", 0) == 0
-        _assert_bit_identical(results, _refs(r, specs))
+        assert_frames_identical(results, serial_refs(r, specs))
 
     def test_no_stale_slice_across_timesteps(self):
         """A decoded plane never leaks from timestep t to t' — rendering
@@ -275,7 +265,7 @@ class TestMovieBitIdentity:
         specs = _specs(renderer, self.N_FRAMES)
         with repro.open_pool(renderer, **overrides) as pool:
             results = [pool.result(f) for f in pool.submit_batch(specs)]
-        _assert_bit_identical(results, _refs(renderer, specs))
+        assert_frames_identical(results, serial_refs(renderer, specs))
 
     def test_thread_backend(self, renderer):
         self._run(renderer, n_procs=2, backend="thread")
@@ -291,7 +281,7 @@ class TestMovieBitIdentity:
         with repro.open_pool(renderer, n_procs=2) as pool:
             results = [pool.render(s.view, timestep=s.timestep) for s in specs]
         assert all(r.profiled for r in results)
-        _assert_bit_identical(results, _refs(renderer, specs))
+        assert_frames_identical(results, serial_refs(renderer, specs))
 
     def test_shard_fleet(self, renderer):
         self._run(renderer, n_procs=1, shards=2)
@@ -304,7 +294,7 @@ class TestMovieBitIdentity:
             counters = pool.fault_counters()
         assert counters["worker_restarts"] >= 1
         assert counters["degraded_frames"] == 0
-        _assert_bit_identical(results, _refs(renderer, specs))
+        assert_frames_identical(results, serial_refs(renderer, specs))
 
 
 class TestProfileLoopAcrossTimesteps:
@@ -323,7 +313,7 @@ class TestProfileLoopAcrossTimesteps:
         # still measured a profile, and no pixel changed.
         assert renderer.timestep_switches > switches_before
         assert all(r.profiled and r.costs is not None for r in results)
-        _assert_bit_identical(results, _refs(renderer, specs))
+        assert_frames_identical(results, serial_refs(renderer, specs))
 
     def test_wedge_swing_moves_partition_boundary(self, monkeypatch):
         """A big slow wedge really does shift work between frames: the
@@ -350,7 +340,7 @@ class TestMoviePipeline:
         ) as pool:
             pipe = MoviePipeline(pool, str(tmp_path), fmt="png")
             manifest = pipe.run(specs)
-        refs = _refs(renderer, specs)
+        refs = serial_refs(renderer, specs)
         for i, ref in enumerate(refs):
             blob = (tmp_path / f"frame_{i:04d}.png").read_bytes()
             assert blob == encode_png(to_gray8(np.asarray(ref.final.color)))
@@ -371,7 +361,7 @@ class TestMoviePipeline:
             counters = fleet.fault_counters()
         assert counters["worker_restarts"] >= 2
         assert counters["degraded_frames"] == 0
-        for i, ref in enumerate(_refs(renderer, specs)):
+        for i, ref in enumerate(serial_refs(renderer, specs)):
             blob = (tmp_path / f"frame_{i:04d}.png").read_bytes()
             assert blob == encode_png(to_gray8(np.asarray(ref.final.color)))
 
@@ -381,7 +371,7 @@ class TestMoviePipeline:
             renderer, n_procs=1, backend="thread"
         ) as pool:
             MoviePipeline(pool, str(tmp_path), fmt="npz").run(specs)
-        for i, ref in enumerate(_refs(renderer, specs)):
+        for i, ref in enumerate(serial_refs(renderer, specs)):
             with np.load(tmp_path / f"frame_{i:04d}.npz") as z:
                 assert np.array_equal(z["color"], ref.final.color)
                 assert np.array_equal(z["alpha"], ref.final.alpha)

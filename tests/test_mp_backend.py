@@ -6,17 +6,14 @@ import pytest
 import repro
 import repro.parallel.poolcore as poolcore
 from repro.core.partition import uniform_contiguous_partition
-from repro.datasets import density_wedge, mri_brain, solid_sphere
+from repro.datasets import density_wedge, solid_sphere
 from repro.obs import busy_spread
 from repro.render import ShearWarpRenderer
 from repro.render.fast import render_fast
 from repro.render.image import IntermediateImage
 from repro.volume import binary_transfer_function, mri_transfer_function
 
-
-@pytest.fixture(scope="module")
-def renderer():
-    return ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
+from .conftest import assert_frames_identical, serial_refs
 
 
 def _render(renderer, view, **overrides):
@@ -27,22 +24,18 @@ def _render(renderer, view, **overrides):
 class TestMPBackend:
     def test_matches_serial_two_workers(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
-        ref = renderer.render(view)
         res = _render(renderer, view, n_procs=2)
-        assert np.allclose(res.final.color, ref.final.color, atol=1e-5)
-        assert np.allclose(res.final.alpha, ref.final.alpha, atol=1e-5)
+        assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_matches_serial_four_workers(self, renderer):
         view = renderer.view_from_angles(-15, 40, 10)
-        ref = renderer.render(view)
         res = _render(renderer, view, n_procs=4)
-        assert np.allclose(res.final.color, ref.final.color, atol=1e-5)
+        assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_single_worker(self, renderer):
         view = renderer.view_from_angles(0, 10, 0)
-        ref = renderer.render(view)
         res = _render(renderer, view, n_procs=1)
-        assert np.allclose(res.final.color, ref.final.color, atol=1e-5)
+        assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_sphere_axis_view(self):
         r = ShearWarpRenderer(solid_sphere((16, 16, 16)), binary_transfer_function(128))
@@ -54,8 +47,8 @@ class TestMPBackend:
         with pytest.raises(ValueError):
             repro.open_pool(renderer, n_procs=0)
 
-    def test_rejects_negative_profile_period(self, renderer):
-        """Nor any other: the pool profiles on demand
+    def test_profile_period_is_not_an_option(self, renderer):
+        """The pool profiles on demand
         (``poolcore.PROFILE_REUSE``), so neither the config nor the
         facade takes a period."""
         with pytest.raises(TypeError, match="profile_period"):
@@ -94,8 +87,7 @@ class TestPoolErrors:
             f1 = pool.submit(v1)
             # The sibling collected first still succeeds and is correct.
             res1 = pool.result(f1)
-            ref1 = renderer.render(v1)
-            assert np.allclose(res1.final.color, ref1.final.color, atol=1e-5)
+            assert_frames_identical([res1], serial_refs(renderer, [v1]))
             # The failed frame raises from its *own* result call...
             with pytest.raises(RuntimeError, match="injected compositing"):
                 pool.result(f0)
@@ -106,8 +98,7 @@ class TestPoolErrors:
                 pool.result(f0)
             # The pool (and the failed frame's buffer) stays usable.
             res2 = pool.render(v2)
-            ref2 = renderer.render(v2)
-            assert np.allclose(res2.final.color, ref2.final.color, atol=1e-5)
+            assert_frames_identical([res2], serial_refs(renderer, [v2]))
 
     def test_failed_submit_leaves_pool_state_clean(self, renderer):
         """A submit that dies on the capacity check must not consume a
@@ -131,8 +122,7 @@ class TestPoolErrors:
             frame = pool.submit(good)
             assert frame == 0  # the failed submits consumed no frame id
             res = pool.result(frame)
-            ref = renderer.render(good)
-            assert np.allclose(res.final.color, ref.final.color, atol=1e-5)
+            assert_frames_identical([res], serial_refs(renderer, [good]))
 
 
 #: The skewed wedge the adaptive-partition tests render.  A profiled
@@ -171,11 +161,7 @@ class TestAdaptivePartition:
                  for i in range(6)]
         with repro.open_pool(renderer, n_procs=3) as pool:
             ada = [pool.result(pool.submit(v)) for v in views]
-        for v, a in zip(views, ada):
-            ref = render_fast(renderer, v)
-            assert np.array_equal(ref.final.color, a.final.color)
-            assert np.array_equal(ref.final.alpha, a.final.alpha)
-            assert np.array_equal(ref.intermediate.color, a.intermediate.color)
+        assert_frames_identical(ada, serial_refs(renderer, views))
         assert ada[0].profiled  # no profile exists yet on frame 0
         assert np.array_equal(ada[0].boundaries, _uniform(ada[0], 3))
         # On a real (non-flat) volume the measured profile must move at
@@ -235,5 +221,5 @@ class TestAdaptivePartition:
         assert r2.fact.axis != r1.fact.axis  # the switch actually happened
         assert r2.profiled  # invalidation forced a fresh measurement
         assert np.array_equal(r2.boundaries, _uniform(r2, 3))
-        ref = renderer.render(renderer.view_from_angles(10, 70, 0))
-        assert np.allclose(r2.final.color, ref.final.color, atol=1e-5)
+        ref = render_fast(renderer, renderer.view_from_angles(10, 70, 0))
+        assert_frames_identical([r2], [ref])

@@ -14,14 +14,13 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
 import repro.parallel.poolcore as poolcore
-from repro.datasets import mri_brain
 from repro.parallel.mp_backend import (
     ERR_SLOT_BYTES,
     ERR_TRUNCATED,
@@ -35,15 +34,8 @@ from repro.parallel.poolcore import (
     PoolUnrecoverable,
     WorkerDied,
 )
-from repro.render import ShearWarpRenderer
-from repro.volume import mri_transfer_function
 
-from .conftest import open_fds
-
-
-@pytest.fixture(scope="module")
-def renderer():
-    return ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
+from .conftest import assert_frames_identical, open_fds, serial_refs
 
 
 def _views(renderer, n):
@@ -56,13 +48,6 @@ def _animate(renderer, views, **pool_kwargs):
         results = [pool.result(h) for h in handles]
         counters = pool.fault_counters()
     return results, counters
-
-
-def _assert_bit_identical(renderer, views, results):
-    for view, res in zip(views, results):
-        ref = renderer.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
-        assert np.array_equal(res.final.alpha, ref.final.alpha)
 
 
 class TestFaultInjection:
@@ -78,7 +63,7 @@ class TestFaultInjection:
         monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         views = _views(renderer, 4)
         results, counters = _animate(renderer, views, n_procs=2)
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         assert counters["worker_restarts"] >= 2  # the whole set respawned
         assert counters["frames_retried"] >= 1
         assert counters["degraded_frames"] == 0
@@ -92,7 +77,7 @@ class TestFaultInjection:
         monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         views = _views(renderer, 4)
         results, counters = _animate(renderer, views, n_procs=2)
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         assert counters["frames_retried"] >= 1
         assert counters["worker_restarts"] == 0
         assert results[2].retries >= 1
@@ -102,7 +87,7 @@ class TestFaultInjection:
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
         views = _views(renderer, 3)
         results, counters = _animate(renderer, views, n_procs=2)
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         assert counters["worker_restarts"] >= 2
 
     def test_hang_caught_by_timeout(self, renderer, monkeypatch):
@@ -110,7 +95,7 @@ class TestFaultInjection:
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "hang", "composite"))
         views = _views(renderer, 3)
         results, counters = _animate(renderer, views, n_procs=2, timeout_s=1.0)
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         assert counters["worker_restarts"] >= 2
         assert counters["frames_retried"] >= 1
 
@@ -129,7 +114,7 @@ class TestFaultInjection:
             os.kill(pool._workers[0].pid, signal.SIGKILL)
             results = [pool.result(h) for h in handles]
             counters = pool.fault_counters()
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         assert counters["worker_restarts"] >= 1
         # No shm leak: recovery reused the segments, close unlinked them.
         from multiprocessing import shared_memory as sm
@@ -147,7 +132,7 @@ class TestFaultInjection:
             path = tmp_path / "fault_trace.json"
             pool.export_chrome_trace(str(path))
             assert pool.metrics.histogram("pool/recovery_s").count >= 1
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         from repro.obs import load_chrome_trace, validate_chrome_trace
         trace = load_chrome_trace(str(path))
         assert validate_chrome_trace(trace) == []
@@ -278,7 +263,7 @@ class TestRetryRule:
             handles = [pool.submit(v) for v in views]
             results = [pool.result(h) for h in handles]
             counters = pool.fault_counters()
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         assert counters == {
             "worker_restarts": 0, "frames_retried": 1, "degraded_frames": 0,
         }
@@ -297,7 +282,7 @@ class TestRetryRule:
                 handles = pool.submit_batch(views)
             results = [pool.result(h) for h in handles]
             counters = pool.fault_counters()
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         assert counters == {
             "worker_restarts": 0, "frames_retried": 1, "degraded_frames": 0,
         }
@@ -335,7 +320,7 @@ class TestRespawnFailure:
             broken = pool._broken
         assert broken.startswith("worker respawn failed: OSError")
         if degrade:
-            _assert_bit_identical(renderer, views, results)
+            assert_frames_identical(results, serial_refs(renderer, views))
             assert all(r.degraded for r in results)
             assert [r.boundaries is None for r in results] == [
                 False, False, True, True]
@@ -378,8 +363,7 @@ class TestTypedErrors:
             # The pool stays usable after the failure.
             view = renderer.view_from_angles(20, 33, 0)
             res = pool.render(view)
-            ref = renderer.render(view)
-            assert np.array_equal(res.final.color, ref.final.color)
+            assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_timeout_raises_frame_timeout(self, renderer, monkeypatch):
         """result() never blocks past timeout_s: typed error, not a hang."""
@@ -400,15 +384,16 @@ class TestTypedErrors:
             counters = pool.fault_counters()
         assert res.degraded
         assert counters["degraded_frames"] == 1
-        ref = renderer.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
-        assert np.array_equal(res.final.alpha, ref.final.alpha)
+        assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_close_wakes_result_waiter_with_pool_closed(self, renderer,
                                                         monkeypatch):
-        """The old deadlock: close() during an in-flight result()."""
+        """The old deadlock: close() during an in-flight result() — on a
+        wedged worker set, which ``close()`` stops under one deadline
+        for the whole set (it joined each worker in turn once, five
+        seconds apiece)."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "hang", "composite"))
-        pool = repro.open_pool(renderer, n_procs=2)
+        pool = repro.open_pool(renderer, n_procs=4)
         frame = pool.submit(renderer.view_from_angles(20, 30, 0))
         caught = []
 
@@ -422,7 +407,9 @@ class TestTypedErrors:
         t.start()
         t.join(0.3)  # let it block on the hung frame
         assert t.is_alive()
+        t0 = time.monotonic()
         pool.close()
+        assert time.monotonic() - t0 < 8.0
         t.join(10.0)
         assert not t.is_alive()
         assert caught and isinstance(caught[0], PoolClosed)
@@ -447,7 +434,7 @@ class TestNoLeaks:
         results = [pool.result(h) for h in handles]
         assert pool.fault_counters()["worker_restarts"] >= 2
         pool.close()
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         from multiprocessing import shared_memory as sm
         for name in names:
             with pytest.raises(FileNotFoundError):
@@ -515,11 +502,10 @@ class TestPoolConfig:
         """One frame is ``open_pool`` plus ``render``, configured the
         same way as an animation."""
         view = renderer.view_from_angles(20, 30, 0)
-        ref = renderer.render(view)
         with repro.open_pool(renderer, config=PoolConfig(n_procs=2)) as pool:
             res = pool.render(view)
         assert res.n_procs == 2
-        assert np.array_equal(res.final.color, ref.final.color)
+        assert_frames_identical([res], serial_refs(renderer, [view]))
 
 
 class TestFacade:
@@ -532,10 +518,9 @@ class TestFacade:
         """A frame through the facade's overrides: ``open_pool`` plus
         ``render`` (the one-shot helper is gone)."""
         view = renderer.view_from_angles(20, 30, 0)
-        ref = renderer.render(view)
         with repro.open_pool(renderer, n_procs=2) as pool:
             res = pool.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
+        assert_frames_identical([res], serial_refs(renderer, [view]))
         assert not hasattr(repro, "render_frame")
 
     def test_open_pool_with_overrides(self, renderer):
@@ -545,5 +530,4 @@ class TestFacade:
             assert pool.config == cfg.replace(max_retries=1)
             assert pool.n_procs == 2
             res = pool.render(view)
-        ref = renderer.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
+        assert_frames_identical([res], serial_refs(renderer, [view]))

@@ -20,8 +20,9 @@ import repro.parallel.mp_backend as mpb
 import repro.parallel.poolcore as poolcore
 from repro.datasets import density_wedge
 from repro.render import ShearWarpRenderer
-from repro.render.fast import render_fast
 from repro.volume import mri_transfer_function
+
+from .conftest import assert_frames_identical, serial_refs
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +43,6 @@ def fine_grain(monkeypatch):
 def _render_pool(renderer, view, **kwargs):
     with repro.open_pool(renderer, **kwargs) as pool:
         return pool.render(view)
-
-
-def _assert_same_images(res, ref):
-    assert np.array_equal(res.final.color, ref.final.color)
-    assert np.array_equal(res.final.alpha, ref.final.alpha)
-    assert np.array_equal(res.intermediate.color, ref.intermediate.color)
-    assert np.array_equal(res.intermediate.opacity, ref.intermediate.opacity)
 
 
 def _claim_bound(n: int, grain: int) -> int:
@@ -154,7 +148,7 @@ class TestStealBitIdentity:
         # hook reaches the workers through fork, so set it pre-pool).
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.002))
         res = _render_pool(renderer, view, n_procs=3)
-        _assert_same_images(res, ref)
+        assert_frames_identical([res], [ref])
 
     def test_stealing_bit_identical_with_profile_loop(self, renderer,
                                                       monkeypatch, fine_grain):
@@ -168,9 +162,7 @@ class TestStealBitIdentity:
                 frames = [pool.submit(v) for v in views]
                 results = [pool.result(f) for f in frames]
             if n_procs == 2:
-                for got, want in zip(results, static):
-                    assert np.array_equal(got.final.color, want.final.color)
-                    assert np.array_equal(got.final.alpha, want.final.alpha)
+                assert_frames_identical(results, static)
                 # The feedback loop actually ran (first frame profiled,
                 # later frames partitioned from the measured profile).
                 assert results[0].profiled
@@ -220,7 +212,7 @@ class TestForcedImbalance:
         assert res.steals == _guided_steals(block, 2) >= 3
         assert res.steal_rows == block
         assert res.timeline.counter_totals()["steals"] == res.steals
-        _assert_same_images(res, render_fast(renderer, view))
+        assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_default_grain_steals_whole_grains_on_tall_bands(self, monkeypatch):
         """At the default grain only a band of two grains or more can
@@ -238,7 +230,7 @@ class TestForcedImbalance:
         assert (np.diff(res.boundaries) >= 2 * grain).all()
         assert res.steals > 0
         assert res.steal_rows >= res.steals * grain
-        _assert_same_images(res, render_fast(tall, view))
+        assert_frames_identical([res], serial_refs(tall, [view]))
 
     def test_steal_counters_flow_through_trace(self, renderer, monkeypatch,
                                                fine_grain):

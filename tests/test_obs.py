@@ -32,10 +32,7 @@ from repro.obs import (
 from repro.render import ShearWarpRenderer
 from repro.volume import mri_transfer_function
 
-
-@pytest.fixture(scope="module")
-def renderer():
-    return ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
+from .conftest import assert_frames_identical
 
 
 class TestRing:
@@ -328,9 +325,8 @@ class TestMPTracing:
             with repro.open_pool(renderer, n_procs=2, trace=trace) as pool:
                 return [pool.result(pool.submit(v)) for v in views]
         traced, plain = run(True), run(False)
+        assert_frames_identical(traced, plain)
         for t, p in zip(traced, plain):
-            assert np.array_equal(t.final.color, p.final.color)
-            assert np.array_equal(t.final.alpha, p.final.alpha)
             assert t.timeline is not None
             assert p.timeline is None
 
@@ -404,7 +400,7 @@ class TestRendererRecorders:
         assert [tl.frame for tl in tls] == [5]
         assert tls[0].phase_seconds().keys() == {"decode", "composite", "warp"}
         assert tls[0].counter_totals()["rows"] == got.intermediate.n_v
-        assert np.array_equal(ref.final.color, got.final.color)
+        assert_frames_identical([got], [ref])
 
     def test_render_fast_records_spans(self, renderer):
         from repro.render.fast import render_fast
@@ -415,7 +411,7 @@ class TestRendererRecorders:
         got = render_fast(renderer, view, recorder=rec)
         tls = assemble_timelines([RingReader(rec.cursor, rec.records, pid=0)])
         assert tls[0].phase_seconds().keys() == {"decode", "composite", "warp"}
-        assert np.array_equal(ref.final.color, got.final.color)
+        assert_frames_identical([got], [ref])
 
     def test_traced_frames_harness(self):
         from repro.analysis.harness import traced_frames

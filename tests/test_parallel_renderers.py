@@ -15,6 +15,8 @@ from repro.render import ShearWarpRenderer
 from repro.transforms import view_matrix
 from repro.volume import binary_transfer_function, mri_transfer_function
 
+from .conftest import assert_frames_identical
+
 
 @pytest.fixture(scope="module")
 def renderer():
@@ -35,9 +37,7 @@ class TestOldRenderer:
     def test_image_matches_serial(self, renderer, view, serial_result):
         """Parallel task decomposition must not change the image."""
         frame = OldParallelShearWarp(renderer, n_procs=4).render_frame(view)
-        assert np.allclose(frame.intermediate.opacity,
-                           serial_result.intermediate.opacity, atol=1e-6)
-        assert np.allclose(frame.final.color, serial_result.final.color, atol=1e-5)
+        assert_frames_identical([frame], [serial_result])
 
     def test_all_scanlines_are_tasks(self, renderer, view):
         frame = OldParallelShearWarp(renderer, n_procs=3).render_frame(view)
@@ -83,17 +83,14 @@ class TestNewRenderer:
     def test_image_matches_serial(self, renderer, view, serial_result):
         new = NewParallelShearWarp(renderer, n_procs=4)
         frame = new.render_frame(view)
-        assert np.allclose(frame.intermediate.opacity,
-                           serial_result.intermediate.opacity, atol=1e-6)
         # Final image: every pixel written exactly once by its owner.
-        assert np.allclose(frame.final.color, serial_result.final.color, atol=1e-5)
-        assert np.allclose(frame.final.alpha, serial_result.final.alpha, atol=1e-5)
+        assert_frames_identical([frame], [serial_result])
 
     def test_image_matches_serial_many_procs(self, renderer, view, serial_result):
         new = NewParallelShearWarp(renderer, n_procs=13)
         new.render_frame(view)  # profile frame
         frame = new.render_frame(view)
-        assert np.allclose(frame.final.color, serial_result.final.color, atol=1e-5)
+        assert_frames_identical([frame], [serial_result])
 
     def test_contiguous_partitions(self, renderer, view):
         new = NewParallelShearWarp(renderer, n_procs=4)
@@ -150,16 +147,14 @@ class TestNewRenderer:
     def test_single_proc_degenerates_gracefully(self, renderer, view, serial_result):
         new = NewParallelShearWarp(renderer, n_procs=1)
         frame = new.render_frame(view)
-        assert np.allclose(frame.final.color, serial_result.final.color, atol=1e-5)
+        assert_frames_identical([frame], [serial_result])
 
     def test_rotating_animation_stays_correct(self, renderer):
         """Across a rotation, images keep matching the serial renderer."""
         new = NewParallelShearWarp(renderer, n_procs=5)
         for i in range(4):
             v = renderer.view_from_angles(20, 30 + 5 * i, 0)
-            frame = new.render_frame(v)
-            ref = renderer.render(v)
-            assert np.allclose(frame.final.color, ref.final.color, atol=1e-5), i
+            assert_frames_identical([new.render_frame(v)], [renderer.render(v)])
 
 
 class TestFrameStructure:

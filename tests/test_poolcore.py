@@ -4,8 +4,10 @@ No fork, no worker threads: the fake transport parks dispatched frames
 in a list and the test plays the one worker itself — running the core's
 real :func:`run_frame` body, or reporting an error in its place.  The
 finish → retry → degrade → fail state machine is therefore stated once
-here, not once per backend; the mp and thread suites only cover what
-their transports add (processes dying, buffers, threads).
+here against a transport that cannot race; the same contract is run
+over every real backend by ``tests/test_conformance.py``, and the mp and
+thread suites cover what only their transports add (processes dying,
+buffers, threads).
 """
 
 import threading
@@ -18,7 +20,6 @@ from hypothesis import strategies as st
 
 import repro
 import repro.parallel.poolcore as poolcore
-from repro.datasets import mri_brain
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.poolcore import (
     FrameFailed,
@@ -29,10 +30,9 @@ from repro.parallel.poolcore import (
     WorkerContext,
     run_frame,
 )
-from repro.render import ShearWarpRenderer
-from repro.render.fast import render_fast
 from repro.render.image import FinalImage, IntermediateImage
-from repro.volume import mri_transfer_function
+
+from .conftest import assert_frames_identical, serial_refs
 
 
 class _NoBarrier:
@@ -95,24 +95,12 @@ class FakePool(PoolCore):
         return frame
 
 
-@pytest.fixture(scope="module")
-def renderer():
-    return ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
-
-
 def _views(renderer, n=3):
     return [renderer.view_from_angles(20, 30 + 4 * i, 2 * i) for i in range(n)]
 
 
 def _pool(renderer, **overrides):
     return FakePool(renderer, PoolConfig(n_procs=1, **overrides))
-
-
-def _assert_identical(res, ref):
-    assert np.array_equal(res.final.color, ref.final.color)
-    assert np.array_equal(res.final.alpha, ref.final.alpha)
-    assert np.array_equal(res.intermediate.color, ref.intermediate.color)
-    assert np.array_equal(res.intermediate.opacity, ref.intermediate.opacity)
 
 
 class TestLedger:
@@ -130,7 +118,7 @@ class TestLedger:
             }
             assert pool.metrics.counter("pool/profiled_frames").value == 1
         for view, res in zip(views, results):
-            _assert_identical(res, render_fast(renderer, view))
+            assert_frames_identical([res], serial_refs(renderer, [view]))
             assert res.retries == 0 and not res.degraded
             assert res.busy_s.shape == (1,)
         # One request for the batch's one key, answered by its first frame.
@@ -147,7 +135,7 @@ class TestLedger:
             assert pool.fault_counters()["frames_retried"] == 1
             pool.work()
             res = pool.result(frame)
-        _assert_identical(res, render_fast(renderer, view))
+        assert_frames_identical([res], serial_refs(renderer, [view]))
         assert res.retries == 1 and not res.degraded
 
     def test_retries_exhausted_degrades_bit_identical(self, renderer):
@@ -161,7 +149,7 @@ class TestLedger:
             assert pool.fault_counters() == {
                 "worker_restarts": 0, "frames_retried": 1, "degraded_frames": 1,
             }
-        _assert_identical(res, render_fast(renderer, view))
+        assert_frames_identical([res], serial_refs(renderer, [view]))
         assert res.degraded and res.retries == 1
         assert res.busy_s is None and res.timeline is None
 
@@ -178,7 +166,8 @@ class TestLedger:
             assert again.value is first.value  # the same error, every call
             assert pool.released == [bad]
             # The failure is the frame's own: its batch-mate is untouched.
-            _assert_identical(pool.result(good), render_fast(renderer, views[1]))
+            assert_frames_identical([pool.result(good)],
+                                    serial_refs(renderer, [views[1]]))
 
     def test_unknown_frame_is_a_key_error(self, renderer):
         with _pool(renderer) as pool:
@@ -198,7 +187,7 @@ class TestLedger:
                 pool.work()
             got = {f: pool.result(f) for f in reversed(frames)}
         for view, frame in zip(views, frames):
-            _assert_identical(got[frame], render_fast(renderer, view))
+            assert_frames_identical([got[frame]], serial_refs(renderer, [view]))
 
     def test_close_wakes_a_waiter_with_pool_closed(self, renderer):
         pool = _pool(renderer)
@@ -287,7 +276,7 @@ class TestHeldMessages:
             assert pool._planner.profile is measured  # nothing re-profiled
         assert [r.profiled for r in results] == [True, False, False, False]
         for view, res in zip(views, results):
-            _assert_identical(res, render_fast(renderer, view))
+            assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_second_batch_waits_whole_behind_the_first(self, renderer):
         views = _views(renderer, 3)
@@ -303,7 +292,7 @@ class TestHeldMessages:
                 pool.work()
             results = [pool.result(f) for f in first + second]
         for view, res in zip(views + views[:2], results):
-            _assert_identical(res, render_fast(renderer, view))
+            assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_retry_goes_ahead_of_what_is_held(self, renderer):
         views = _views(renderer, 4)
@@ -323,7 +312,7 @@ class TestHeldMessages:
             results = [pool.result(f) for f in frames]
         assert [r.retries for r in results] == [1, 0, 0, 0]
         for view, res in zip(views, results):
-            _assert_identical(res, render_fast(renderer, view))
+            assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_refused_view_leaves_no_planner_state(self, renderer):
         """Admission reads nothing of the feedback loop: a batch refused

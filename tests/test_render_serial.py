@@ -20,6 +20,8 @@ from repro.render import (
 from repro.transforms import view_matrix
 from repro.volume import binary_transfer_function, mri_transfer_function
 
+from .conftest import assert_frames_identical
+
 
 @pytest.fixture(scope="module")
 def sphere_renderer():
@@ -80,8 +82,7 @@ class TestCompositing:
         view = view_matrix(10, 35, 0, brain_renderer.shape)
         full = brain_renderer.render(view, restrict_bounds=False)
         fast = brain_renderer.render(view, restrict_bounds=True)
-        assert np.allclose(full.intermediate.opacity, fast.intermediate.opacity)
-        assert np.allclose(full.final.color, fast.final.color)
+        assert_frames_identical([fast], [full])
 
     def test_nonempty_bounds_bracket_content(self, brain_renderer):
         view = view_matrix(10, 35, 0, brain_renderer.shape)

@@ -576,8 +576,8 @@ class TestServer:
 
         renderer = _default_renderer_factory("mri128", 0.08, "mri")
         ref = renderer.render(renderer.view_from_angles(20.0, 30.0, 0.0))
-        assert np.allclose(color, ref.final.color, atol=1e-5)
-        assert np.allclose(alpha, ref.final.alpha, atol=1e-5)
+        assert np.array_equal(color, ref.final.color)
+        assert np.array_equal(alpha, ref.final.alpha)
 
     def test_bad_requests_get_typed_errors_not_disconnects(self):
         server = RenderServer(thread_config())
@@ -835,8 +835,8 @@ class TestShardedServe:
 
         renderer = _default_renderer_factory("mri128", 0.08, "mri")
         ref = renderer.render(renderer.view_from_angles(20.0, 30.0, 0.0))
-        assert np.allclose(color, ref.final.color, atol=1e-5)
-        assert np.allclose(alpha, ref.final.alpha, atol=1e-5)
+        assert np.array_equal(color, ref.final.color)
+        assert np.array_equal(alpha, ref.final.alpha)
 
 
 class TestShutdownNoLeak:

@@ -21,31 +21,18 @@ import repro
 import repro.parallel.poolcore as poolcore
 import repro.shard.service as shard_service
 from repro.core.partition import line_ownership
-from repro.datasets import mri_brain
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.poolcore import FramePlanner, PoolConfig
-from repro.render import ShearWarpRenderer
 from repro.render.image import FinalImage, IntermediateImage
 from repro.render.warp import pixel_source_rows, warp_rows
 from repro.shard import ShardedRenderService, TileOwnershipMap, merge_schedule
 from repro.shard.service import shard_regions
-from repro.volume import mri_transfer_function
 
-
-@pytest.fixture(scope="module")
-def renderer():
-    return ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
+from .conftest import assert_frames_identical, serial_refs
 
 
 def _views(renderer, n):
     return [renderer.view_from_angles(20, 30 + 3 * i, 0) for i in range(n)]
-
-
-def _assert_bit_identical(renderer, views, results):
-    for view, res in zip(views, results):
-        ref = renderer.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
-        assert np.array_equal(res.final.alpha, ref.final.alpha)
 
 
 class TestBitIdentity:
@@ -69,19 +56,17 @@ class TestBitIdentity:
         with ShardedRenderService(renderer, cfg) as svc:
             results = svc.render_animation(views)
             merges = svc.metrics.counter("shard/merges").value
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         # A binary merge tree over N shards does N - 1 merges per frame.
         assert merges == (shards - 1) * len(views)
 
     def test_intermediate_matches_serial(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
-        ref = renderer.render(view)
         with ShardedRenderService(
             renderer, PoolConfig(n_procs=2, shards=2)
         ) as svc:
             res = svc.render(view)
-        assert np.array_equal(res.intermediate.color, ref.intermediate.color)
-        assert np.array_equal(res.intermediate.opacity, ref.intermediate.opacity)
+        assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_result_shape_matches_pool_result(self, renderer):
         """The merged result duck-types a single pool's MPRenderResult."""
@@ -147,15 +132,13 @@ class TestFacade:
             assert isinstance(svc, ShardedRenderService)
             view = renderer.view_from_angles(20, 30, 0)
             res = svc.render(view)
-        ref = renderer.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
+        assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_render_frame_with_shards(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
-        ref = renderer.render(view)
         with repro.open_pool(renderer, n_procs=2, shards=2) as svc:
             res = svc.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
+        assert_frames_identical([res], serial_refs(renderer, [view]))
 
     def test_top_level_exports(self):
         assert repro.ShardedRenderService is ShardedRenderService
@@ -173,7 +156,7 @@ class TestReshardFeedback:
             results = [svc.render(v) for v in views]
             reshards = svc.metrics.counter("shard/reshards").value
             assert svc._planner.profile is not None
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         # PROFILE_REUSE=2 over 4 frames -> the pools profiled frames 0
         # and 2, and both stitched a cross-shard profile back into the
         # shard planner.
@@ -213,7 +196,7 @@ class TestReshardFeedback:
         # must hand the slowed shard a smaller band for the rest of the
         # animation.
         assert mid_fraction(results[-1]) < mid_fraction(results[0]) - 0.1
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
 
     def test_installed_profile_is_the_pools_costs_gathered(self, renderer):
         """No second calibration: every line of the fleet's profile is
@@ -246,7 +229,7 @@ class TestReshardFeedback:
             renderer, PoolConfig(n_procs=2, shards=2)
         ) as svc:
             results = svc.render_animation(views)
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
 
 
 def _ledgers(svc):
@@ -277,7 +260,7 @@ def test_submit_batch_dispatches(renderer, backend):
             assert pool.metrics.counter("pool/batch_frames").value == len(views)
         results = [svc.result(f) for f in ids]
         assert _ledgers(svc) == [(0, 0)] * 2
-    _assert_bit_identical(renderer, views, results)
+    assert_frames_identical(results, serial_refs(renderer, views))
 
 
 class TestDispatchSemantics:
@@ -294,7 +277,7 @@ class TestDispatchSemantics:
             results = [svc.result(ids[0]), svc.result(ids[1]), last]
             with pytest.raises(KeyError):
                 svc.result(ids[2])  # consumed
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
 
     def test_a_batch_is_cut_from_the_profile_valid_at_submit(
             self, renderer, monkeypatch):
@@ -317,7 +300,7 @@ class TestDispatchSemantics:
                        for r in batch)
         # Shard 0 is slowed: the first batch's profile shrinks its band.
         assert second[0].boundaries[1] < first[0].boundaries[1]
-        _assert_bit_identical(renderer, views, first + second)
+        assert_frames_identical(first + second, serial_refs(renderer, views * 2))
 
     def test_a_refused_batch_strands_nothing(self, renderer):
         """A spec the fleet or a pool refuses part-way through a batch
@@ -334,7 +317,7 @@ class TestDispatchSemantics:
                 svc.submit_batch([views[0], scaled, views[2]])
             assert _ledgers(svc) == [(0, 0)] * 2 and not svc._frames
             results = svc.render_animation(views)
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
 
     def test_a_batch_refused_at_admission_leaves_the_shard_planner_alone(
             self, renderer):
@@ -450,7 +433,7 @@ class TestShardFaultIsolation:
             assert not t.is_alive()
             per_shard = svc.shard_fault_counters()
             total = svc.fault_counters()
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         # The kill was recovered entirely inside shard 1's pool.
         assert per_shard[1]["worker_restarts"] >= 1
         assert per_shard[0]["worker_restarts"] == 0
@@ -471,7 +454,7 @@ class TestShardFaultIsolation:
         ) as svc:
             results = svc.render_animation(views)
             per_shard = svc.shard_fault_counters()
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         assert all(c["worker_restarts"] >= 1 for c in per_shard)
 
 
@@ -506,7 +489,7 @@ class TestFailedFrame:
             good = [svc.result(ids[0]), svc.result(ids[2])]
             for pool in svc._pools:
                 assert not pool._inflight and not pool._results
-        _assert_bit_identical(renderer, [views[0], views[2]], good)
+        assert_frames_identical(good, serial_refs(renderer, [views[0], views[2]]))
 
 
 class TestTrace:
@@ -520,7 +503,7 @@ class TestTrace:
             merge_track = sum(p.n_procs + 1 for p in svc._pools)
             path = tmp_path / "shard_trace.json"
             svc.export_chrome_trace(str(path), metadata={"note": "test"})
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))
         from repro.obs import load_chrome_trace, validate_chrome_trace
         trace = load_chrome_trace(str(path))
         assert validate_chrome_trace(trace) == []
@@ -576,4 +559,4 @@ class TestMultiPoolBarrierRegression:
         cfg = PoolConfig(n_procs=2, shards=2)
         with ShardedRenderService(renderer, cfg) as svc:
             results = svc.render_animation(views)
-        _assert_bit_identical(renderer, views, results)
+        assert_frames_identical(results, serial_refs(renderer, views))

@@ -6,37 +6,19 @@ per-frame submission, and must keep the MP pool's error contract
 (retry / degrade / FrameFailed) without any process machinery.
 """
 
-import threading
-
-import numpy as np
 import pytest
 
 import repro
 import repro.parallel.poolcore as poolcore
-from repro.datasets import mri_brain
 from repro.parallel.poolcore import FrameFailed, PoolClosed, PoolConfig
 from repro.parallel.thread_backend import ThreadRenderPool
-from repro.render import ShearWarpRenderer
 from repro.render.fast import render_fast
-from repro.volume import mri_transfer_function
 
-
-@pytest.fixture(scope="module")
-def renderer():
-    return ShearWarpRenderer(mri_brain((20, 20, 16)), mri_transfer_function())
+from .conftest import assert_frames_identical, fail_composite, serial_refs
 
 
 def _views(renderer, n=5):
     return [renderer.view_from_angles(20, 30 + 4 * i, 2 * i) for i in range(n)]
-
-
-def _assert_identical(res, refs):
-    assert len(res) == len(refs)
-    for ref, got in zip(refs, res):
-        assert np.array_equal(got.final.color, ref.final.color)
-        assert np.array_equal(got.final.alpha, ref.final.alpha)
-        assert np.array_equal(got.intermediate.color, ref.intermediate.color)
-        assert np.array_equal(got.intermediate.opacity, ref.intermediate.opacity)
 
 
 class TestBitIdentity:
@@ -44,11 +26,11 @@ class TestBitIdentity:
     def test_matches_serial(self, renderer, stealing):
         """Stealing on (a second worker) and off (one worker)."""
         views = _views(renderer)
-        refs = [render_fast(renderer, v) for v in views]
+        refs = serial_refs(renderer, views)
         n_procs = 2 if stealing else 1
         with ThreadRenderPool(renderer, config=PoolConfig(n_procs=n_procs)) as pool:
             res = pool.render_animation(views)
-        _assert_identical(res, refs)
+        assert_frames_identical(res, refs)
         assert all(r.n_procs == n_procs for r in res)
         assert all(r.busy_s is not None and (r.busy_s >= 0).all() for r in res)
 
@@ -60,7 +42,7 @@ class TestBitIdentity:
         with ThreadRenderPool(renderer, config=cfg) as pool:
             handles = [pool.submit(v) for v in views]
             perframe = [pool.result(h) for h in handles]
-        _assert_identical(batched, perframe)
+        assert_frames_identical(batched, perframe)
 
     def test_forced_steals_stay_identical(self, renderer, monkeypatch):
         """Slow worker 0 down so worker 1 must steal; pixels unchanged."""
@@ -68,11 +50,11 @@ class TestBitIdentity:
         # Read by the pool when it is built: 2-row chunks can be stolen.
         monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 2)
         views = _views(renderer, 3)
-        refs = [render_fast(renderer, v) for v in views]
+        refs = serial_refs(renderer, views)
         cfg = PoolConfig(n_procs=2)
         with ThreadRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
-        _assert_identical(res, refs)
+        assert_frames_identical(res, refs)
         assert sum(r.steals for r in res) > 0
 
     def test_module_level_helper(self, renderer):
@@ -81,8 +63,7 @@ class TestBitIdentity:
         with repro.open_pool(renderer, PoolConfig(n_procs=2,
                                                   backend="thread")) as pool:
             res = pool.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
-        assert np.array_equal(res.final.alpha, ref.final.alpha)
+        assert_frames_identical([res], [ref])
 
     def test_facade_dispatch(self, renderer):
         """repro.open_pool(backend="thread") returns the thread pool and
@@ -92,61 +73,42 @@ class TestBitIdentity:
         with repro.open_pool(renderer, n_procs=2, backend="thread") as pool:
             assert isinstance(pool, ThreadRenderPool)
             res = pool.render(view)
-        assert np.array_equal(res.final.color, ref.final.color)
-
-
-def _flaky_composite(fail_frames, fire_once=True):
-    """A composite_range wrapper raising for chosen frames (thread-safe)."""
-    real = poolcore.composite_range
-    lock = threading.Lock()
-    fired: set[int] = set()
-
-    def flaky(img, lo, hi, rle, fact, profiled, rec, frame):
-        with lock:
-            if frame in fail_frames and (not fire_once or frame not in fired):
-                fired.add(frame)
-                raise RuntimeError("injected composite failure")
-        return real(img, lo, hi, rle, fact, profiled, rec, frame)
-
-    return flaky
+        assert_frames_identical([res], [ref])
 
 
 class TestErrorContract:
-    def test_retry_recovers_bit_identical(self, renderer, monkeypatch):
-        monkeypatch.setattr(poolcore, "composite_range", _flaky_composite({1}))
+    def test_retry_recovers_bit_identical(self, renderer, monkeypatch,
+                                          tmp_path):
+        fail_composite(monkeypatch, tmp_path / "fired", frame=1)
         views = _views(renderer, 4)
-        refs = [render_fast(renderer, v) for v in views]
+        refs = serial_refs(renderer, views)
         cfg = PoolConfig(n_procs=2, max_retries=2, degrade_to_serial=False)
         with ThreadRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
             fc = pool.fault_counters()
-        _assert_identical(res, refs)
+        assert_frames_identical(res, refs)
         assert fc["frames_retried"] == 1
         assert fc["worker_restarts"] == 0  # threads never die silently
         assert res[1].retries == 1
         assert res[0].retries == 0
 
-    def test_degrade_to_serial(self, renderer, monkeypatch):
-        monkeypatch.setattr(
-            poolcore, "composite_range", _flaky_composite({1}, fire_once=False)
-        )
+    def test_degrade_to_serial(self, renderer, monkeypatch, tmp_path):
+        fail_composite(monkeypatch, tmp_path / "fired", frame=1, once=False)
         views = _views(renderer, 3)
-        refs = [render_fast(renderer, v) for v in views]
+        refs = serial_refs(renderer, views)
         cfg = PoolConfig(n_procs=2, max_retries=0, degrade_to_serial=True)
         with ThreadRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
             fc = pool.fault_counters()
         # Degraded frame is rendered serially in render_fast — which is
         # the reference — so even the failure path is bit-identical.
-        _assert_identical(res, refs)
+        assert_frames_identical(res, refs)
         assert res[1].degraded is True
         assert res[0].degraded is False and res[2].degraded is False
         assert fc["degraded_frames"] == 1
 
-    def test_frame_failed_surfaces(self, renderer, monkeypatch):
-        monkeypatch.setattr(
-            poolcore, "composite_range", _flaky_composite({1}, fire_once=False)
-        )
+    def test_frame_failed_surfaces(self, renderer, monkeypatch, tmp_path):
+        fail_composite(monkeypatch, tmp_path / "fired", frame=1, once=False)
         views = _views(renderer, 3)
         cfg = PoolConfig(n_procs=2, max_retries=0, degrade_to_serial=False)
         with ThreadRenderPool(renderer, config=cfg) as pool:
