@@ -69,8 +69,8 @@ def main(size: int = 64) -> None:
               f"speedup {serial / dt:5.2f}x  image {'OK' if ok else 'MISMATCH'}")
 
     print(f"\npersistent pool, {N_FRAMES}-frame animation as one batch "
-          "(setup amortized, segments double-buffered, cut from the "
-          "warm-up frame's profile):")
+          "(setup amortized, each frame dealt whole to one worker, "
+          "two image segments a worker):")
     for workers in (1, 2, 4):
         with repro.open_pool(renderer, n_procs=workers) as pool:
             pool.render(views[0])  # warm up: fork, slice decodes, a profile

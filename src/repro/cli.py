@@ -328,13 +328,25 @@ def _cmd_stats(args: argparse.Namespace) -> int:
               f"{over_s / n_frames * 1e3:.2f} ms vs composite "
               f"{comp_s / n_frames * 1e3:.2f} ms per frame ({ratio}; "
               f"pool/batch_frames={meta.get('batch_frames', 0)}, "
-              f"pool/profiled_frames={meta.get('profiled_frames', 0)})")
+              f"pool/profiled_frames={meta.get('profiled_frames', 0)}, "
+              f"pool/solo_frames={meta.get('solo_frames', 0)})")
     if frames:
-        spreads = [busy_spread(list(busy.values()))
-                   for busy in frames.values() if busy]
+        # A frame one worker rendered alone (solo, or on a one-worker
+        # pool) has no split to be imbalanced.
+        split = [busy for busy in frames.values() if len(busy) > 1]
+        spreads = [busy_spread(list(busy.values())) for busy in split]
         mean_spread = sum(spreads) / len(spreads) if spreads else 0.0
         print(f"\nload imbalance (busy-spread, (max-min)/mean over workers): "
-              f"mean {mean_spread:.3f} over {len(frames)} frame(s)")
+              f"mean {mean_spread:.3f} over {len(split)} split frame(s), "
+              f"{len(frames) - len(split)} rendered by one worker")
+    ratios = []
+    for tid, got in sorted(summary["track_counters"].items()):
+        lookups = got.get("cache_hits", 0.0) + got.get("cache_misses", 0.0)
+        if lookups:
+            ratios.append(f"worker {tid} {got.get('cache_hits', 0.0) / lookups:.3f} "
+                          f"of {int(lookups)}")
+    if ratios:
+        print("\nslice-cache hit ratio by worker: " + ", ".join(ratios))
     return 0
 
 

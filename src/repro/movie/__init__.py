@@ -8,8 +8,9 @@ renderer keeps the decoded slices of its latest ``(timestep, axis)``
 encodings), and :class:`MoviePipeline` renders a movie over any
 :class:`~repro.parallel.backend.RenderBackend` while the parent encodes
 finished frames into a real PNG/NPZ image sequence — MovieMaker's
-render/encode stage overlap on top of the pools' double-buffered
-pipelining.  See :mod:`repro.movie.pipeline` for the architecture and
+render/encode stage overlap on top of the pools' buffered pipelining
+(a movie is a batch, so a pool of several workers deals its frames
+whole, each worker rendering every ``n_procs``-th one).  See :mod:`repro.movie.pipeline` for the architecture and
 the bit-identity contract.
 """
 

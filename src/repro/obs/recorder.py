@@ -68,9 +68,12 @@ PHASES = ("wait", "decode", "composite", "profile", "steal", "barrier", "warp",
 #: per steal when the worker's own band is under two grains of
 #: ``poolcore.DEFAULT_STEAL_CHUNK`` rows (every benchmark workload), at
 #: most ``floor(log2(own_rows / grain)) + 1`` own claims otherwise.
+#: ``solo_frames`` is 1 on a frame its worker rendered *solo* — dealt
+#: whole to it, with no band split and no barrier — so its sum over a
+#: trace is the exact count the pools keep as ``pool/solo_frames``.
 #: New counters are appended last so existing counter ids stay stable.
 COUNTERS = ("rows", "cache_hits", "cache_misses", "steals", "steal_rows",
-            "decode_us", "kernel_calls")
+            "decode_us", "kernel_calls", "solo_frames")
 
 #: Records per worker ring.  A pool frame writes ~8 records per worker,
 #: so the default absorbs hundreds of frames between drains.

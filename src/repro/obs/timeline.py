@@ -224,23 +224,27 @@ def summarize_trace(trace: dict) -> dict:
 
     Returns ``{"phases": {phase: {"count", "total_s", "mean_s",
     "max_s"}}, "frames": {frame: {tid: busy_s}}, "counters": {name:
-    total}, "n_tracks": int}`` — the data ``repro stats`` prints.  Span
-    (``X``) events feed the phase table; busy time per frame/track is
-    composite + warp; counter (``C``) events are summed over workers and
-    frames by name (``steals``, ``steal_rows``, ``rows``, cache
-    hits/misses, ``decode_us``).
+    total}, "track_counters": {tid: {name: total}}, "n_tracks": int}``
+    — the data ``repro stats`` prints.  Span (``X``) events feed the
+    phase table; busy time per frame/track is composite + warp; counter
+    (``C``) events are summed by name over workers and frames
+    (``steals``, ``steal_rows``, ``rows``, cache hits/misses,
+    ``decode_us``, ``solo_frames``), and per worker track over frames.
     """
     phases: dict[str, dict[str, float]] = {}
     frames: dict[int, dict[int, float]] = {}
     counters: dict[str, float] = {}
+    track_counters: dict[int, dict[str, float]] = {}
     tracks: set[int] = set()
     for ev in trace.get("traceEvents", []):
         if not isinstance(ev, dict):
             continue
         if ev.get("ph") == "C":
+            mine = track_counters.setdefault(ev.get("tid"), {})
             for key, value in ev.get("args", {}).items():
                 if key != "frame" and isinstance(value, (int, float)):
                     counters[key] = counters.get(key, 0.0) + value
+                    mine[key] = mine.get(key, 0.0) + value
             continue
         if ev.get("ph") != "X":
             continue
@@ -258,4 +262,4 @@ def summarize_trace(trace: dict) -> dict:
     for st in phases.values():
         st["mean_s"] = st["total_s"] / st["count"] if st["count"] else 0.0
     return {"phases": phases, "frames": frames, "counters": counters,
-            "n_tracks": len(tracks)}
+            "track_counters": track_counters, "n_tracks": len(tracks)}

@@ -17,21 +17,24 @@ composite → barrier → warp frame body, and the frame ledger with its
 finish → retry → degrade → fail state machine — and this module
 supplies what only forked workers over shared memory need:
 
-* **Persistent workers and double-buffered images.**  Fork,
-  shared-memory setup and the first slice decodes are paid once; the
-  two image buffers let the parent overlap copy-out and re-zeroing of
-  frame ``f`` with the workers' compositing of ``f + 1``.  Claim
-  cursors for stealing live in a shared ``(buffer, worker, head/tail)``
-  array.
-* **Batched dispatch and cross-frame pipelining.**  Each worker gets a
-  whole batch as *one* message on its own job pipe and runs frame to
-  frame without re-synchronizing with the parent; a per-buffer *release
-  cursor* in shared memory lets it start frame ``f`` the moment the
-  parent has collected frame ``f - 2``.  A message goes out once the
-  buffer of its first frame is free; until then the core holds it in
-  the parent, so ``submit`` never waits, the job pipes stay shallow
-  however deep the callers queue, and a frame is partitioned from the
-  newest profile.
+* **Persistent workers and two image buffers per worker.**  Fork,
+  shared-memory setup and the first slice decodes are paid once.  A
+  pool of ``n_procs`` workers keeps ``2 * n_procs`` buffers
+  (:attr:`MPRenderPool.buffers`, derived, not a setting): a batch dealt
+  solo gives worker ``w`` frames ``w, w + P, w + 2P, ...``, so each
+  worker alternates between two buffers and the parent's copy-out and
+  re-zeroing of one frame overlaps the worker's rendering of its next.
+  Claim cursors for stealing live in a shared ``(buffer, worker,
+  head/tail)`` array.
+* **Batched dispatch and cross-frame pipelining.**  Each worker gets
+  its jobs of a whole batch as *one* message on its own job pipe and
+  runs frame to frame without re-synchronizing with the parent; a
+  per-buffer *release cursor* in shared memory lets it start frame
+  ``f`` the moment the parent has collected frame ``f - buffers``.  A
+  message goes out once the buffer of its first frame is free; until
+  then the core holds it in the parent, so ``submit`` never waits, the
+  job pipes stay shallow however deep the callers queue, and a frame is
+  partitioned from the newest profile.
 * **The shm doorbell — the one way out.**  Nothing a worker reports is
   pickled: it writes its completion record (frame id, flags, busy
   times, steal counters) into a small shared segment and rings a shared
@@ -123,18 +126,10 @@ __all__ = [
     "WorkerDied",
     "PoolClosed",
     "PoolUnrecoverable",
-    "BUFFERS",
     "POLL_S",
     "ERR_SLOT_BYTES",
     "ERR_TRUNCATED",
 ]
-
-#: Shared image buffers cycled across frames: frame ``f`` renders in
-#: buffer ``f % BUFFERS``, behind frame ``f - BUFFERS`` if that still
-#: holds it — with two, frame ``n + 1`` only waits for frame ``n - 1`` to
-#: be collected.  An occupant's retirement re-zeroes what it wrote
-#: (``_release_locked``), so a released buffer is always clean.
-BUFFERS = 2
 
 #: Supervisor cadence in seconds: how often worker sentinels and frame
 #: deadlines are checked while no doorbell rings.  Completions wake the
@@ -162,7 +157,7 @@ ERR_SLOT_BYTES = 512
 ERR_TRUNCATED = " ...[truncated]"
 
 
-def _doorbell_dtype(n_procs: int, cost_len: int) -> np.dtype:
+def _doorbell_dtype(n_procs: int, buffers: int, cost_len: int) -> np.dtype:
     """The doorbell segment as one record (bytes last: the rest stays
     8-byte aligned).
 
@@ -171,15 +166,15 @@ def _doorbell_dtype(n_procs: int, cost_len: int) -> np.dtype:
     text behind its :data:`_FLAG_ERROR`; ``release[buf]`` is the last
     frame the parent has fully collected *and re-zeroed* out of that
     buffer — the cursor a worker gates on before writing frame
-    ``release[buf] + BUFFERS`` into it; ``costs[buf]`` is that frame's
+    ``release[buf] + buffers`` into it; ``costs[buf]`` is that frame's
     cost row when it is profiled, one float64 per intermediate scanline
     of the tallest frame the pool can hold (``cost_len``).
     """
     return np.dtype([
-        ("cells", np.float64, (BUFFERS, n_procs, _CELL_FLOATS)),
-        ("release", np.int64, (BUFFERS,)),
-        ("costs", np.float64, (BUFFERS, cost_len)),
-        ("errors", np.uint8, (BUFFERS, n_procs, ERR_SLOT_BYTES)),
+        ("cells", np.float64, (buffers, n_procs, _CELL_FLOATS)),
+        ("release", np.int64, (buffers,)),
+        ("costs", np.float64, (buffers, cost_len)),
+        ("errors", np.uint8, (buffers, n_procs, ERR_SLOT_BYTES)),
     ])
 
 
@@ -221,16 +216,16 @@ def _write_job(fd: int, batch, sentinels: list[int],
     return True
 
 
-def _await_release(release, buf: int, frame: int, rec) -> None:
-    """Gate a worker until the parent has collected ``frame - BUFFERS``.
+def _await_release(release, buf: int, frame: int, buffers: int, rec) -> None:
+    """Gate a worker until the parent has collected ``frame - buffers``.
 
     The pipelining half of batched dispatch: workers run frame-to-frame
     without talking to the parent, bounded only by this per-buffer
-    cursor (at most ``BUFFERS`` frames of lead).  Spin briefly, then
+    cursor (at most ``buffers`` frames of lead).  Spin briefly, then
     sleep in sub-millisecond slices — the wait is recorded as a
     ``doorbell`` span so pipeline stalls are visible in traces.
     """
-    target = frame - BUFFERS
+    target = frame - buffers
     if release[buf] >= target:
         return
     t0 = 0.0 if rec is None else rec.now()
@@ -246,8 +241,8 @@ def _frame_planes(shm_i, shm_f, inter_cap, final_cap, buf: int,
                   fact) -> list[np.ndarray]:
     """Views of the four float32 planes ``fact``'s frame occupies in
     image buffer ``buf``: intermediate color and opacity, final color
-    and alpha (each segment holds ``BUFFERS`` pairs of capacity-shaped
-    planes; a frame uses their top-left corner)."""
+    and alpha (each segment holds one pair of capacity-shaped planes
+    per buffer; a frame uses their top-left corner)."""
     planes = []
     for shm, cap, (rows, cols) in (
         (shm_i, inter_cap, fact.intermediate_shape),
@@ -288,8 +283,8 @@ def _worker_loop(pid: int) -> None:
     job tuples the worker runs back to back without returning to the
     pipe.  Between batched frames the worker re-synchronizes with the
     parent only through the per-buffer release cursor (so it never runs
-    more than ``BUFFERS`` frames ahead of collection) and the shared
-    barrier between the frame's two phases.
+    more than ``buffers`` frames ahead of collection) and, on a banded
+    frame, the shared barrier between the frame's two phases.
     """
     # Keep only our own read end: once we die, nobody can read our pipe
     # and the parent's write fails instead of waiting for us.
@@ -302,13 +297,14 @@ def _worker_loop(pid: int) -> None:
     shm_i, shm_f = _G["shm_i"], _G["shm_f"]
     inter_cap, final_cap = _G["inter_cap"], _G["final_cap"]
     n_procs: int = _G["n_procs"]
+    buffers: int = _G["buffers"]
     shm_c = _G["shm_c"]
-    # (BUFFERS, n_procs, 2) head/tail cursors; None for one worker.
+    # (buffers, n_procs, 2) head/tail cursors; None for one worker.
     claims = (
-        np.ndarray((BUFFERS, n_procs, 2), np.int64, buffer=shm_c.buf)
+        np.ndarray((buffers, n_procs, 2), np.int64, buffer=shm_c.buf)
         if shm_c is not None else None
     )
-    layout = _doorbell_dtype(n_procs, inter_cap[0])
+    layout = _doorbell_dtype(n_procs, buffers, inter_cap[0])
     record = np.ndarray((), layout, buffer=_G["shm_d"].buf)
     cells, release, cost_rows, err_slots = (record[k] for k in layout.names)
     bell = _G["bell"]
@@ -337,12 +333,13 @@ def _worker_loop(pid: int) -> None:
         batch = pickle.load(jobs)
         if batch is None:
             return
-        for frame, buf, fact, v_lo, v_hi, owner, final_rows, profiled, timestep in batch:
+        for (frame, buf, fact, v_lo, v_hi, owner, final_rows, profiled,
+             timestep, solo) in batch:
             if rec is not None:
                 rec.span(frame, "wait", t_wait0, rec.now())
-            # Pipelining gate: frame f may enter buffer f % BUFFERS only
-            # once the parent has collected and re-zeroed frame f - BUFFERS.
-            _await_release(release, buf, frame, rec)
+            # Pipelining gate: frame f may enter buffer f % buffers only
+            # once the parent has collected and re-zeroed frame f - buffers.
+            _await_release(release, buf, frame, buffers, rec)
             color, opacity, fcolor, falpha = _frame_planes(
                 shm_i, shm_f, inter_cap, final_cap, buf, fact
             )
@@ -351,7 +348,8 @@ def _worker_loop(pid: int) -> None:
                 cost_rows[buf] if profiled else None, timestep,
                 IntermediateImage.over(color, opacity),
                 FinalImage.over(fcolor, falpha),
-                None if claims is None else claims[buf],
+                None if claims is None or solo else claims[buf],
+                solo,
             )
             # Completion is a shm write, not a pickle: the parent's
             # supervisor reads the cell when the bell rings — and, behind
@@ -374,7 +372,7 @@ def _worker_loop(pid: int) -> None:
 
 class MPRenderPool(PoolCore):
     """Persistent, self-healing pool of render workers sharing
-    double-buffered images.
+    shared-memory images, two buffers per worker.
 
     Configure through one :class:`PoolConfig`::
 
@@ -422,6 +420,15 @@ class MPRenderPool(PoolCore):
             raise RuntimeError("MPRenderPool requires the fork start method")
 
         self.inter_cap, self.final_cap = capacity_shapes(renderer.shape)
+        #: Shared image buffers, cycled across frames: frame ``f``
+        #: renders in buffer ``f % buffers``, behind frame ``f - buffers``
+        #: if that still holds it.  Two per worker, so a worker dealt
+        #: every ``n_procs``-th frame of a batch alternates between two
+        #: of its own, and a banded stream's frame ``n + 1`` never waits
+        #: for frame ``n``.  Derived, not a setting.  An occupant's
+        #: retirement re-zeroes what it wrote (``_release_locked``), so a
+        #: released buffer is always clean.
+        self.buffers = 2 * self.n_procs
         self._generation = 0
         self._health_due = 0.0
 
@@ -433,8 +440,8 @@ class MPRenderPool(PoolCore):
 
     def _construct(self) -> None:
         """Fallible half of ``__init__``: shm segments, fork, bookkeeping."""
-        inter_floats = BUFFERS * 2 * self.inter_cap[0] * self.inter_cap[1]
-        final_floats = BUFFERS * 2 * self.final_cap[0] * self.final_cap[1]
+        inter_floats = self.buffers * 2 * self.inter_cap[0] * self.inter_cap[1]
+        final_floats = self.buffers * 2 * self.final_cap[0] * self.final_cap[1]
         self._shm_i = shared_memory.SharedMemory(create=True, size=inter_floats * 4)
         self._shm_f = shared_memory.SharedMemory(create=True, size=final_floats * 4)
         # Zero through numpy views — never a full-size Python bytes object.
@@ -447,17 +454,17 @@ class MPRenderPool(PoolCore):
         self._claims: np.ndarray | None = None
         if self.n_procs > 1:
             self._shm_c = shared_memory.SharedMemory(
-                create=True, size=BUFFERS * self.n_procs * 2 * 8
+                create=True, size=self.buffers * self.n_procs * 2 * 8
             )
             self._claims = np.ndarray(
-                (BUFFERS, self.n_procs, 2), np.int64, buffer=self._shm_c.buf
+                (self.buffers, self.n_procs, 2), np.int64, buffer=self._shm_c.buf
             )
             self._claims.fill(0)
 
         # Doorbell segment: everything the workers report — per-buffer
         # completion cells, cost rows and error slots — plus the release
         # cursors they gate buffer reuse on (batched pipelining).
-        layout = _doorbell_dtype(self.n_procs, self.inter_cap[0])
+        layout = _doorbell_dtype(self.n_procs, self.buffers, self.inter_cap[0])
         self._shm_d = shared_memory.SharedMemory(create=True, size=layout.itemsize)
         record = np.ndarray((), layout, buffer=self._shm_d.buf)
         self._cells, self._release, self._cost_rows, self._err_slots = (
@@ -465,8 +472,8 @@ class MPRenderPool(PoolCore):
         )
         self._cells.fill(0.0)
         self._cells[:, :, 0] = -1.0  # no frame has completed anywhere
-        # Buffer b is born free for frame b: its gate target is b - BUFFERS.
-        self._release[:] = np.arange(BUFFERS) - BUFFERS
+        # Buffer b is born free for frame b: its gate target is b - buffers.
+        self._release[:] = np.arange(self.buffers) - self.buffers
         self._last_complete_t = time.monotonic()
 
         # The span rings are allocated only when tracing so an untraced
@@ -528,6 +535,7 @@ class MPRenderPool(PoolCore):
             inter_cap=self.inter_cap,
             final_cap=self.final_cap,
             n_procs=self.n_procs,
+            buffers=self.buffers,
             steal_chunk=self.steal_chunk,
             claim_locks=claim_locks,
             shm_c=self._shm_c,
@@ -561,46 +569,49 @@ class MPRenderPool(PoolCore):
             RingReader.over(self._shm_t.buf, pid) for pid in range(self.n_procs)
         ]
 
-    # -- where frames render: the two shared buffers -------------------------
+    # -- where frames render: the shared buffers ----------------------------
 
     def _cost_row_locked(self, frame: int, rec: dict) -> np.ndarray:
         """The buffer's shared row: the core copies the frame's band
         out of it before the buffer is released."""
-        return self._cost_rows[frame % BUFFERS]
+        return self._cost_rows[frame % self.buffers]
 
     def _sample_gauges_locked(self) -> None:
         """Also how many shared buffers are still occupied by unfinished
         frames."""
         super()._sample_gauges_locked()
         self.metrics.gauge("pool/buffer_occupancy").set(
-            len({frame % BUFFERS for frame in self._inflight})
+            len({frame % self.buffers for frame in self._inflight})
         )
 
     def _can_start_locked(self, frame: int) -> bool:
         """A message goes out once the frame that had its first frame's
-        buffer has retired.  Every earlier frame but ``frame - 1`` has
-        retired by then, so a job pipe holds at most one unread
-        one-frame message and no worker is gated on the parent — which
-        writes the pipes with the pool condition held, and could not
-        release anything while a write waited on a backlog."""
-        return frame - BUFFERS not in self._inflight
+        buffer has retired.  Frames retire in order, so every frame up
+        to ``frame - buffers`` has retired by then: every job a pipe
+        still holds renders into a buffer already released to it, and no
+        worker is gated on the parent — which writes the pipes with the
+        pool condition held, and could not release anything while a
+        write waited on a backlog."""
+        return frame - self.buffers not in self._inflight
 
     def _send_locked(self, frames: list[int]) -> None:
         """One job-pipe message per worker holding its job for every
-        frame of ``frames`` (a one-frame list for ``submit`` and
-        retries).  Gives up once a worker has died or the oldest frame
-        has expired: the frames stay marked sent, and the recovery the
-        health check then runs re-sends them."""
+        frame of ``frames`` dealt to it (a one-frame list for ``submit``
+        and retries); a worker dealt none gets no message.  Gives up
+        once a worker has died or the oldest frame has expired: the
+        frames stay marked sent, and the recovery the health check then
+        runs re-sends them."""
         jobs = [self._prepare_frame_locked(frame) for frame in frames]
         sentinels = [w.sentinel for w in self._workers]
         deadline = self._expiry_locked()
         for pid, fd in enumerate(self._job_fds):
-            if not _write_job(fd, [per_pid[pid] for per_pid in jobs],
-                              sentinels, deadline):
+            mine = [per_pid[pid] for per_pid in jobs if pid in per_pid]
+            if mine and not _write_job(fd, mine, sentinels, deadline):
                 return
 
-    def _prepare_frame_locked(self, frame: int) -> list[tuple]:
-        """Ready ``frame``'s buffer and build its per-worker jobs.
+    def _prepare_frame_locked(self, frame: int) -> dict[int, tuple]:
+        """Ready ``frame``'s buffer and build the jobs of the workers it
+        is dealt to, by worker.
 
         Past the first frame of a message the buffer's last occupant
         may still be in flight.  Its *retirement* then zeroes the images
@@ -608,10 +619,10 @@ class MPRenderPool(PoolCore):
         the release cursor lets any worker in.
         """
         rec = self._inflight[frame]
-        buf = frame % BUFFERS
+        buf = frame % self.buffers
         fact = rec["fact"]
         boundaries = rec["boundaries"]
-        if frame - BUFFERS not in self._inflight:
+        if frame - self.buffers not in self._inflight:
             if rec["sent"]:
                 # Re-dispatch into a free buffer: clear the lost
                 # attempt's partial writes.
@@ -627,8 +638,8 @@ class MPRenderPool(PoolCore):
             time.monotonic() + self.config.timeout_s
             if self.config.timeout_s is not None else None
         )
-        return [
-            (
+        return {
+            pid: (
                 frame,
                 buf,
                 fact,
@@ -638,15 +649,16 @@ class MPRenderPool(PoolCore):
                 rec["rows_by_pid"][pid],
                 rec["profiled"],
                 rec["timestep"],
+                rec["solo"] is not None,
             )
-            for pid in range(self.n_procs)
-        ]
+            for pid in self._workers_of(rec)
+        }
 
     def _take_images_locked(self, frame: int, rec: dict):
         """Copy a completed frame out of its shared buffer and retire it."""
         t0 = time.perf_counter()
         color, opacity, fcolor, falpha = (
-            plane.copy() for plane in self._planes(frame % BUFFERS, rec["fact"])
+            plane.copy() for plane in self._planes(frame % self.buffers, rec["fact"])
         )
         img = IntermediateImage.over(color, opacity)
         final = FinalImage.over(fcolor, falpha)
@@ -685,11 +697,11 @@ class MPRenderPool(PoolCore):
         Also re-arms the progress clock the frame deadlines run on, and
         sends whatever message was held back for this buffer.
         """
-        buf = frame % BUFFERS
+        buf = frame % self.buffers
         if rec["sent"]:
             self._zero_images_locked(buf, rec["fact"])
         self._cells[buf, :, 0] = -1.0
-        nxt = self._inflight.get(frame + BUFFERS)
+        nxt = self._inflight.get(frame + self.buffers)
         if self._claims is not None and nxt is not None and nxt["sent"]:
             seed_claims(self._claims[buf], nxt["boundaries"])
         if self._release[buf] < frame:
@@ -741,19 +753,21 @@ class MPRenderPool(PoolCore):
     def _process_doorbell_locked(self) -> None:
         """Account frames whose completion cells are all filled in.
 
-        Completion is in frame order (each worker runs its jobs in
-        order), so scan from the oldest in-flight frame and stop at the
-        first incomplete one.  Every worker's cell (plus the text in its
-        error slot, if it flags one) is handed to the core's accounting,
-        whose last call finishes the frame.
+        Frames retire in frame order: scan from the oldest in-flight
+        frame and stop at the first incomplete one — the cells of the
+        workers it was dealt to — even when a sibling dealt a later solo
+        frame has finished that one already.  Each such worker's cell
+        (plus the text in its error slot, if it flags one) is handed to
+        the core's accounting, whose last call finishes the frame.
         """
         while self._inflight:
             frame = min(self._inflight)
-            buf = frame % BUFFERS
+            buf = frame % self.buffers
             cells = self._cells[buf]
-            if not bool(np.all(cells[:, 0] == frame)):
+            pids = self._workers_of(self._inflight[frame])
+            if not all(cells[pid, 0] == frame for pid in pids):
                 return
-            for pid in range(self.n_procs):
+            for pid in pids:
                 _, flags, t_comp, t_warp, n_steals, n_steal_rows = cells[pid]
                 err = None
                 if int(flags) & _FLAG_ERROR:
@@ -797,7 +811,7 @@ class MPRenderPool(PoolCore):
         frame's buffer regions stay marked dirty, so the re-dispatch
         zeroes whatever was written — unless the workers already hold
         a later frame assigned the same buffer."""
-        nxt = self._inflight.get(frame + BUFFERS)
+        nxt = self._inflight.get(frame + self.buffers)
         if nxt is not None and nxt["sent"]:
             # A retry appended *behind* that frame's job would reorder
             # buffer reuse.  Escalate to full recovery instead: pipes

@@ -28,11 +28,15 @@ on *how* workers are run lives here exactly once:
   kernel call, a taller one about ``log2(rows / grain)``;
 * :func:`run_frame` — the worker's frame body (decode → composite →
   barrier → warp, with its spans, CPU clocks, fault points and the
-  in-place calibration of a profiled frame's costs);
+  in-place calibration of a profiled frame's costs; a *solo* frame,
+  dealt whole to one worker, skips the barrier);
 * :class:`PoolCore` — the frame ledger: ``submit_batch`` (and its
   one-frame form ``submit``) / ``result`` / ``render`` /
   ``render_animation``, the queue of admitted messages that cannot
-  start yet, per-worker completion accounting, the finish → retry →
+  start yet, the dealing rule (a message of at least ``n_procs``
+  frames deals each frame whole to one worker; a shorter one, and
+  every retry, is banded over all of them), per-worker completion
+  accounting, the finish → retry →
   degrade → fail state machine,
   timeline collection, ``fault_counters`` and ``export_chrome_trace``;
 * the fault- and delay-injection hooks tests and CI use.
@@ -195,7 +199,9 @@ class PoolConfig:
     demand (:class:`FramePlanner`, :data:`PROFILE_REUSE`) and steals
     whenever it has a second worker (section 4.4: guided claims down to
     two grains of :data:`DEFAULT_STEAL_CHUNK` rows, so a band under two
-    grains is one kernel call by its owner).
+    grains is one kernel call by its owner).  Nor the schedule: a batch
+    of at least ``n_procs`` frames is dealt whole to the workers, a
+    shorter message banded (:meth:`PoolCore.submit_batch`).
 
     Parameters
     ----------
@@ -380,12 +386,11 @@ class FramePlanner:
             key=(fact.axis, fact.perm),
         )
 
-    def partition(self, plan: dict) -> dict:
+    def partition(self, plan: dict, solo: int | None = None) -> dict:
         """The half of a plan that *is* the feedback loop, added to
-        ``plan`` in place: whether the frame is profiled, its boundaries
-        from the newest valid profile and the line ownership that
-        follows them — masked to a ``region``'s owned lines
-        (deterministic).
+        ``plan`` in place: whether the frame is profiled, then its
+        :meth:`cut` — banded from the newest valid profile, or dealt
+        whole to block ``solo``, which asks for no profile.
 
         Note the profile validity key stays ``(axis, perm)``: the §4.2
         loop *predicts* the next frame's cost from the last measured
@@ -393,32 +398,56 @@ class FramePlanner:
         prediction is supposed to absorb — so a timestep switch does
         not invalidate the profile, it stresses it.
         """
-        fact, key, region = plan["fact"], plan["key"], plan["region"]
+        key = plan["key"]
         if self.profile is not None and self.profile_key != key:
             self.profile = None
             self.metrics.counter(self.invalidations).inc()
         # A profiled frame costs 38-44 % more to composite (the paper's
         # 10-15 %, section 4.2), so a key asks for a profile only when it
         # has none or has reused one for PROFILE_REUSE frames — and never
-        # while a request of its own is still outstanding.
-        profiled = key not in self._outstanding and (
+        # while a request of its own is still outstanding.  A solo frame
+        # has no partition for a profile to balance.
+        profiled = solo is None and key not in self._outstanding and (
             self.profile is None or self._planned >= self._due.get(key, 0)
         )
         if profiled:
             self._outstanding.add(key)
             self._due[key] = self._planned + PROFILE_REUSE
         self._planned += 1
-        boundaries = profile_partition(
-            self.profile, self.n_blocks, plan["v_lo"], plan["v_hi"]
-        )
-        owner = line_ownership(boundaries, fact.intermediate_shape[0])
+        plan["profiled"] = profiled
+        return self.cut(plan, solo)
+
+    def cut(self, plan: dict, solo: int | None = None) -> dict:
+        """Boundaries and line ownership, added to ``plan`` in place
+        (deterministic; no profile is requested): banded by
+        :func:`profile_partition` over the profile valid for the plan's
+        key, or — for a ``solo`` block — the degenerate partition in
+        which that block is the whole band and owns every line, so the
+        other blocks are empty.  Either is masked to a ``region``'s
+        owned lines.
+        """
+        n_v = plan["fact"].intermediate_shape[0]
+        v_lo, v_hi = plan["v_lo"], plan["v_hi"]
+        if solo is None:
+            profile = self.profile if self.profile_key == plan["key"] else None
+            boundaries = profile_partition(profile, self.n_blocks, v_lo, v_hi)
+            owner = line_ownership(boundaries, n_v)
+        else:
+            boundaries = np.array(
+                [v_lo] * (solo + 1) + [v_hi] * (self.n_blocks - solo),
+                dtype=np.int64,
+            )
+            # Not line_ownership: its margin split and boundary-pair rule
+            # would hand lines to blocks that never see the frame.
+            owner = np.full(n_v, solo, dtype=np.int64)
+        region = plan["region"]
         if region is not None:
             # Lines outside the shard get no warp owner here: the warp's
             # pid comparison never matches -1, so final
             # pixels sourced from them stay zero in this pool's buffer
             # and are taken from the owning shard by the merge tree.
             owner = np.where(np.asarray(region.owned, dtype=bool), owner, -1)
-        plan.update(profiled=profiled, boundaries=boundaries, owner=owner)
+        plan.update(solo=solo, boundaries=boundaries, owner=owner)
         return plan
 
     def install_profile(self, v_lo: int, costs: np.ndarray, key) -> None:
@@ -538,6 +567,15 @@ class MPRenderResult:
     long each worker actually computed (``busy_s[pid]``, compositing +
     warp CPU time, barrier waits excluded) — the observables the
     paper's load-balance evaluation is built on.
+
+    On a *solo* frame (dealt whole to one worker ``w``, see
+    :meth:`PoolCore.submit_batch`) ``boundaries`` is the degenerate
+    partition — ``n_procs + 1`` entries in which block ``w`` is the
+    whole band ``[v_lo, v_hi)`` and every other block is empty —
+    ``busy_s`` is still an ``n_procs`` array, zero for every worker but
+    ``w``, and ``busy_spread`` is therefore ``n_procs`` (2.0 at two
+    workers; 0.0 for an empty band): it measures how the frame was
+    split, which a solo frame is not.
     """
 
     final: FinalImage
@@ -788,15 +826,20 @@ class WorkerContext:
 
 
 def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
-              costs, timestep, img, final, claims):
+              costs, timestep, img, final, claims, solo: bool = False):
     """One worker's share of one frame: decode → composite → barrier → warp.
 
     ``img`` / ``final`` are the frame's images wherever the transport
     keeps them; ``claims`` its ``(n_procs, 2)`` cursor array (``None``
-    on a one-worker pool).  A barrier still separates the phases: however
-    the partition is balanced, a worker's warp rows bilinearly sample
-    the boundary scanline pair its neighbor composited, so the warp may
-    only start once compositing is complete everywhere.
+    on a one-worker pool and on a solo frame).  A barrier still
+    separates a banded frame's phases: however the partition is
+    balanced, a worker's warp rows bilinearly sample the boundary
+    scanline pair its neighbor composited, so the warp may only start
+    once compositing is complete everywhere.  A ``solo`` frame — dealt
+    whole to this worker, ``band`` its whole non-empty band — has no
+    neighbor: one whole-band kernel call, no barrier, and a warp of
+    every row (``render_fast``'s arithmetic), counted as one
+    ``solo_frames``.
 
     ``costs`` is the frame's cost row on a profiled frame, ``None``
     otherwise: float64, indexed by intermediate scanline and shared by
@@ -848,19 +891,26 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
             if rec is not None:
                 tb0 = rec.now()
                 rec.span(frame, "composite", tc0, tb0)
-            # Siblings block on this barrier no matter what happened
-            # above — reaching it even on error prevents a deadlock.
-            # (A *dead* sibling can never arrive; a transport whose
-            # workers can die detects that and stops the stragglers.)
-            ctx.barrier.wait()
-            if rec is not None:
-                rec.span(frame, "barrier", tb0, rec.now())
+            if solo:
+                if rec is not None:
+                    rec.count(frame, "solo_frames", 1)
+            else:
+                # Siblings block on this barrier no matter what happened
+                # above — reaching it even on error prevents a deadlock.
+                # (A *dead* sibling can never arrive; a transport whose
+                # workers can die detects that and stops the stragglers.)
+                ctx.barrier.wait()
+                if rec is not None:
+                    rec.span(frame, "barrier", tb0, rec.now())
         t1 = clock()
         _maybe_fault(fault, pid, frame, "warp")
         if rec is not None:
             tw0 = rec.now()
         # One band-vectorized gather over the rows this block can feed.
-        warp_rows(final, final_rows, img, fact, line_owner=owner, pid=pid)
+        # A solo frame owns every line unless a shard region masked some
+        # out: then it is render_fast's own all-rows, no-owner call.
+        line_owner = None if solo and owner.min() >= 0 else owner
+        warp_rows(final, final_rows, img, fact, line_owner=line_owner, pid=pid)
         t_warp = clock() - t1
         if costs is not None and band[1] > band[0]:
             costs[band[0]:band[1]] += t_warp / (band[1] - band[0])
@@ -890,8 +940,8 @@ class PoolCore:
 
     ``_send_locked(frames)``
         Give each frame its images and claim cursors and get its jobs
-        to every worker: one message per worker, in the same order on
-        all.
+        to the workers it is dealt to (:meth:`_workers_of`): at most one
+        message per worker, a banded frame in the same order on all.
     ``_take_images_locked(frame, rec) -> (intermediate, final)``
         Hand over a finished frame's images and free whatever held them.
     ``close()``
@@ -911,6 +961,13 @@ class PoolCore:
     partitions and sends it.  Workers run :func:`run_frame` — which
     leaves a profiled frame's costs in ``rec["costs"]`` — and report
     its outcome through :meth:`_worker_done_locked`.
+
+    Which workers a frame goes to is decided here, when its message goes
+    out (:meth:`_feed_locked`): a message of at least ``n_procs`` frames
+    on a pool of two or more workers deals its ``k``-th frame *solo* —
+    whole, to worker ``k % n_procs`` — and any shorter message, and
+    every retry, goes out *banded* over all workers, the paper's
+    partition.
     """
 
     #: Name of the transport in exported trace metadata.
@@ -941,6 +998,8 @@ class PoolCore:
         # Observability: the registry always exists (submit updates pool
         # health gauges either way); span recording only when tracing.
         self.metrics = MetricsRegistry()
+        # Exact, and present at 0 in every snapshot.
+        self.metrics.counter("pool/solo_frames")
         self._planner = FramePlanner(renderer, config.n_procs, self.metrics)
         self.timelines: list[FrameTimeline] = []
         self.trace_epoch = time.perf_counter()
@@ -1033,23 +1092,32 @@ class PoolCore:
         there was none) and a profile measured *inside* the batch
         balances the next message, not this one.  The planner therefore
         asks for at most one profile per ``(axis, perm)`` key while it is
-        outstanding: a batch on one key profiles its first frame only,
-        one across an axis switch also the first frame of the new key.
-        Each worker receives its entire job list as a *single* queue
-        message and runs frame to frame without re-synchronizing with
-        the parent: the parent's collection of frame ``f`` overlaps the
-        workers' compositing of ``f+1`` (MovieMaker's stage overlap),
-        and the queue/wakeup cost is amortized over the batch instead of
-        paid per frame.
+        outstanding: a banded batch on one key profiles its first frame
+        only, one across an axis switch also the first frame of the new
+        key.
+        A batch of at least ``n_procs`` frames asks for throughput, not
+        one frame's latency, so on a pool of two or more workers it is
+        dealt whole: frame ``k`` goes *solo* to worker ``k % n_procs`` —
+        one whole-band kernel call, no band split, no barrier, no
+        profile request — and a shorter batch is banded like a
+        :meth:`submit` (MovieMaker hands processor groups whole
+        timesteps for the same reason).  Each worker receives its jobs
+        (every frame of a banded batch, its own share of a solo one) as
+        a *single* queue message and runs frame to frame without
+        re-synchronizing with the parent: the parent's collection of one
+        frame overlaps the workers' rendering of the next ones
+        (MovieMaker's stage overlap), and the queue/wakeup cost is
+        amortized over the batch instead of paid per frame.
 
         Returns the frame ids in submission order; collect them with
         :meth:`result` (in order, for image reuse to stream).  Raises
         :class:`PoolClosed` / :class:`PoolUnrecoverable` on a pool that
         can no longer accept work.
 
-        Partitions and profiling never change pixels (only which worker
-        composites which rows, and which frames count their work), so
-        the output is bit-identical however the frames were grouped.
+        Partitions, dealing and profiling never change pixels (only
+        which worker composites which rows, and which frames count their
+        work), so the output is bit-identical however the frames were
+        grouped.
         """
         specs = as_frame_specs(frame_specs)
         with self._cond:
@@ -1145,23 +1213,37 @@ class PoolCore:
             self._held.appendleft(frames)
             self._feed_locked()
 
+    def _workers_of(self, rec: dict):
+        """The workers ``rec``'s frame is dealt to: its solo owner
+        alone, or every worker of a banded frame."""
+        solo = rec.get("solo")
+        return range(self.n_procs) if solo is None else (solo,)
+
     def _feed_locked(self) -> None:
         """Send every held message whose first frame can start, oldest
         first.  A frame is partitioned here, when the workers can take
-        it, so it sees every profile installed until then; one sent
-        before keeps its saved partition, so a retry is bit-identical
-        to what the lost attempt would have produced."""
+        it, so it sees every profile installed until then — solo or
+        banded by the dealing rule (see the class docstring).  A retried
+        frame goes out banded: one sent banded before keeps its saved
+        partition, so the retry is bit-identical to what the lost
+        attempt would have produced; a solo one is re-cut banded,
+        without a profile request.  Either way the pixels are the
+        serial renderer's."""
         while self._held and self._can_start_locked(self._held[0][0]):
             frames = self._held.popleft()
-            for frame in frames:
+            deal = len(frames) >= self.n_procs > 1
+            for k, frame in enumerate(frames):
                 rec = self._inflight[frame]
                 if not rec["sent"]:
-                    self._planner.partition(rec)
-                    # The final rows each worker's warp can feed.
-                    src_lines = final_pixel_source_lines(
-                        rec["fact"].final_shape, rec["fact"])
-                    rec["rows_by_pid"] = warp_rows_by_pid(
-                        src_lines, rec["owner"], self.n_procs)
+                    self._planner.partition(
+                        rec, k % self.n_procs if deal else None)
+                elif rec["solo"] is not None:
+                    self._planner.cut(rec)
+                # The final rows each worker's warp can feed.
+                src_lines = final_pixel_source_lines(
+                    rec["fact"].final_shape, rec["fact"])
+                rec["rows_by_pid"] = warp_rows_by_pid(
+                    src_lines, rec["owner"], self.n_procs)
                 # Fresh per-attempt accounting.
                 rec.update(done=0, errors=[], steals=0, steal_rows=0)
                 rec["busy"][:] = 0.0
@@ -1182,7 +1264,7 @@ class PoolCore:
                             t_comp: float, t_warp: float,
                             n_steals: int, n_steal_rows: int) -> None:
         """Account worker ``pid``'s :func:`run_frame` outcome to
-        ``frame``; the last worker to report finishes the frame."""
+        ``frame``; the last worker it was dealt to finishes the frame."""
         rec = self._inflight.get(frame)
         if rec is None:
             return
@@ -1192,7 +1274,7 @@ class PoolCore:
         rec["steal_rows"] += int(n_steal_rows)
         if err is not None:
             rec["errors"].append(f"worker {pid}: {err}")
-        if rec["done"] >= self.n_procs:
+        if rec["done"] >= len(self._workers_of(rec)):
             self._finish_locked(frame)
 
     def _finish_locked(self, frame: int) -> None:
@@ -1212,6 +1294,8 @@ class PoolCore:
         if timeline is not None:
             self.timelines.append(timeline)
             metrics_from_timelines([timeline], self.metrics)
+        if rec["solo"] is not None:
+            self.metrics.counter("pool/solo_frames").inc()
         if rec["steals"]:
             self.metrics.counter("pool/steals").inc(rec["steals"])
             self.metrics.counter("pool/steal_rows").inc(rec["steal_rows"])
@@ -1358,6 +1442,7 @@ class PoolCore:
             "profiled_frames": int(
                 self.metrics.counter("pool/profiled_frames").value
             ),
+            "solo_frames": int(self.metrics.counter("pool/solo_frames").value),
         }
         meta.update(self.fault_counters())
         if metadata:

@@ -22,17 +22,19 @@ process pool's structural dispatch costs:
 
 Concurrency structure
 ---------------------
-Workers receive frame ids through per-worker queues in identical order
-and re-join at a shared :class:`threading.Barrier` between a frame's
-composite and warp phases, so at most one frame is ever *in* its
-composite phase at a time (a worker enters frame ``f+1``'s composite
-only after passing frame ``f``'s barrier, which every sibling has then
-reached too).  Claim cursors are therefore per-frame numpy arrays
-guarded by one persistent lock per worker.  Warp rows are disjoint per
-worker by construction.  Each worker reports its own completion under
-the pool condition; the worker that reports a frame's last block also
-finishes it (profile install, timeline assembly, result hand-off) —
-there is no supervisor thread.
+Workers receive frame ids through per-worker queues.  A banded frame
+goes to every queue, in the same order on all, and its workers re-join
+at a shared :class:`threading.Barrier` between its composite and warp
+phases, so at most one *banded* frame is ever in its composite phase
+at a time (a worker enters the next banded frame's composite only after
+passing this one's barrier, which every sibling has then reached too).
+Claim cursors are therefore per-frame numpy arrays guarded by one
+persistent lock per worker.  A solo frame goes to its owner's queue
+alone and touches neither the barrier nor the claim locks.  Warp rows
+are disjoint per worker by construction.  Each worker reports its own
+completion under the pool condition; the worker that reports a frame's
+last block also finishes it (profile install, timeline assembly, result
+hand-off) — there is no supervisor thread.
 
 What differs from the process transport, all inherent to threads:
 
@@ -134,18 +136,24 @@ class ThreadRenderPool(PoolCore):
 
     def _send_locked(self, frames: list[int]) -> None:
         """Fresh images + claim cursors per frame, then one queue
-        message (the frame ids) per worker."""
+        message — ``(frame id, solo)`` pairs of the frames dealt to it —
+        per worker that was dealt any."""
+        jobs: list[list[tuple[int, bool]]] = [[] for _ in self._queues]
         for frame in frames:
             rec = self._inflight[frame]
             fact = rec["fact"]
             rec["img"] = IntermediateImage(fact.intermediate_shape)
             rec["final"] = FinalImage(fact.final_shape)
             rec["claims"] = None
-            if self.n_procs > 1:
+            solo = rec["solo"] is not None
+            if self.n_procs > 1 and not solo:
                 rec["claims"] = np.empty((self.n_procs, 2), dtype=np.int64)
                 seed_claims(rec["claims"], rec["boundaries"])
-        for q in self._queues:
-            q.put(list(frames))
+            for pid in self._workers_of(rec):
+                jobs[pid].append((frame, solo))
+        for q, mine in zip(self._queues, jobs):
+            if mine:
+                q.put(mine)
 
     def _take_images_locked(self, frame: int, rec: dict):
         """No copies — the per-frame images are handed over, not
@@ -163,8 +171,8 @@ class ThreadRenderPool(PoolCore):
                 batch = self._queues[ctx.pid].get()
                 if batch is None:
                     return
-                for frame in batch:
-                    self._run_frame(ctx, frame, t_wait0)
+                for frame, solo in batch:
+                    self._run_frame(ctx, frame, solo, t_wait0)
                     t_wait0 = 0.0 if rec_tr is None else rec_tr.now()
         except Exception as exc:  # noqa: BLE001 - never die silently
             with self._cond:
@@ -173,14 +181,16 @@ class ThreadRenderPool(PoolCore):
                 )
                 self._cond.notify_all()
 
-    def _run_frame(self, ctx: WorkerContext, frame: int, t_wait0: float) -> None:
+    def _run_frame(self, ctx: WorkerContext, frame: int, solo: bool,
+                   t_wait0: float) -> None:
         """One frame's composite + warp on this worker's thread."""
         with self._cond:
             rec = self._inflight.get(frame)
         if rec is None:
             # Retired under us (pool closing mid-batch) — still pair up
-            # with the siblings' barrier waits for this frame.
-            ctx.barrier.wait()
+            # with the siblings' barrier waits for a banded frame.
+            if not solo:
+                ctx.barrier.wait()
             return
         pid = ctx.pid
         if ctx.rec is not None:
@@ -191,6 +201,7 @@ class ThreadRenderPool(PoolCore):
             (int(boundaries[pid]), int(boundaries[pid + 1])),
             rec["owner"], rec["rows_by_pid"][pid], rec["costs"],
             rec.get("timestep"), rec["img"], rec["final"], rec["claims"],
+            solo,
         )
         with self._cond:
             self._worker_done_locked(frame, pid, *outcome)

@@ -8,7 +8,9 @@ algorithm of section 2, and the substrate both parallelizations run on.
 
 from __future__ import annotations
 
+import os
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -30,6 +32,27 @@ __all__ = ["RESIDENT_ENCODINGS", "RenderResult", "ShearWarpRenderer"]
 #: keeps at a time (see :meth:`ShearWarpRenderer.rle_for`).  Not a knob:
 #: a renderer with fewer timesteps keeps one encoding per timestep.
 RESIDENT_ENCODINGS = 4
+
+#: Every renderer of this process, held weakly, for
+#: :func:`_fresh_locks_after_fork`.
+_RENDERERS: weakref.WeakSet = weakref.WeakSet()
+
+
+def _fresh_locks_after_fork() -> None:
+    """Give every renderer of a forked child fresh locks.
+
+    A pool forks its workers — and re-forks them after a fault — from a
+    parent that runs other threads too (a server's loop, other pools'
+    supervisors, a degraded serial render).  A lock one of them held at
+    the fork stays held in the child for good, with no thread left to
+    release it, and a worker takes the renderer's residency lock and a
+    slice cache's lock on every frame: it would hang on its first.
+    """
+    for renderer in list(_RENDERERS):
+        renderer._reset_locks()
+
+
+os.register_at_fork(after_in_child=_fresh_locks_after_fork)
 
 
 @dataclass
@@ -81,6 +104,14 @@ class ShearWarpRenderer:
         # least recently used first.
         self._resident: OrderedDict[tuple[int, int], None] = OrderedDict()
         self._resident_lock = threading.Lock()
+        _RENDERERS.add(self)
+
+    def _reset_locks(self) -> None:
+        """New residency and slice-cache locks (in a forked child)."""
+        self._resident_lock = threading.Lock()
+        for step in range(self.n_timesteps):
+            for rle in self._encodings(step).values():
+                rle.slice_cache.reset_lock()
 
     def _encodings(self, step: int) -> dict[int, RLEVolume]:
         """The three per-axis encodings of timestep ``step``."""

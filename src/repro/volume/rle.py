@@ -115,6 +115,12 @@ class SliceCache:
     def __len__(self) -> int:
         return len(self._planes)
 
+    def reset_lock(self) -> None:
+        """Replace the lock with a fresh one — in a forked child, where
+        a parent thread that held it at the fork no longer exists to
+        release it."""
+        self._lock = threading.Lock()
+
     def get(self, k: int) -> tuple[np.ndarray, ...] | None:
         with self._lock:
             entry = self._planes.get(k)

@@ -138,7 +138,8 @@ class TestCLI:
 
 
 #: The render smokes' animation: four frames of a small mri256 proxy
-#: through two workers (the batch profiles its first frame).
+#: through two workers (a batch of at least two frames is dealt whole,
+#: "solo", to the workers, and a solo frame asks for no profile).
 _ANIMATION = ["--dataset", "mri256", "--scale", "0.08", "--procs", "2",
               "--frames", "4"]
 #: The movie smoke: two timesteps of the beating heart through a
@@ -155,7 +156,10 @@ class TestRenderSmokes:
 
     @pytest.mark.parametrize("args, kill, counters", [
         pytest.param(_ANIMATION, False, [r"pool/batch_frames=[1-9]",
-                                          r"pool/profiled_frames=1\b"],
+                                          r"pool/profiled_frames=0\b",
+                                          r"pool/solo_frames=4\b",
+                                          r"hit ratio by worker: worker 0 "
+                                          r"[01]\.\d{3} of \d+, worker 1 "],
                      id="mp"),
         pytest.param(_ANIMATION + ["--backend", "thread"], False,
                      [r"backend=thread", r"pool/batch_frames=[1-9]"],
@@ -176,9 +180,9 @@ class TestRenderSmokes:
         import repro.parallel.poolcore as poolcore
 
         if kill:
-            # Worker 0 of every pool is SIGKILLed in frame 1, then the
-            # supervisor recovers it.
-            monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "kill", "composite"))
+            # Worker 1 of every pool — frame 1's, banded or dealt solo —
+            # is SIGKILLed in frame 1, then the supervisor recovers it.
+            monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 1, "kill", "composite"))
         out = tmp_path / "out.json"
         if "--movie" in args:
             args = [*args, "--movie-out", str(tmp_path / "frames"),
@@ -200,9 +204,10 @@ class TestCLIErrorPaths:
         traceback — and leave no shared-memory segment behind."""
         import repro.parallel.poolcore as poolcore
 
-        # Worker 0 raises out of frame 1's compositing; retries and
-        # serial degradation are off, so the animation fails mid-batch.
-        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "raise", "composite"))
+        # Worker 1, which the batch deals frame 1 to, raises out of its
+        # compositing; retries and serial degradation are off, so the
+        # animation fails mid-batch.
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 1, "raise", "composite"))
         shm_dir = "/dev/shm"
         before = (set(os.listdir(shm_dir)) if os.path.isdir(shm_dir)
                   else None)

@@ -25,7 +25,6 @@ import repro.parallel.poolcore as poolcore
 from repro.datasets import beating_heart
 from repro.movie import MoviePipeline, TimeVaryingRenderer, movie_frame_specs
 from repro.parallel import FrameSpec, PoolConfig, RenderBackend
-from repro.parallel.mp_backend import BUFFERS
 from repro.parallel.poolcore import FrameFailed, PoolClosed
 from repro.serve import RenderClient, RenderServer, ServeConfig, response_frames
 from repro.volume import mri_transfer_function
@@ -68,17 +67,33 @@ def _views(renderer, angles=ANGLES):
     return [renderer.view_from_angles(*a) for a in angles]
 
 
+def _solo_frames(pool) -> int:
+    """``pool/solo_frames`` of a pool, summed over a fleet's pools."""
+    return sum(int(p.metrics.counter("pool/solo_frames").value)
+               for p in getattr(pool, "_pools", [pool]))
+
+
+def _dealt_solo(config, n_frames: int) -> int:
+    """Solo frames a message of ``n_frames`` makes: a pool of two or
+    more workers deals a message of at least ``n_procs`` frames whole,
+    and a fleet hands every shard's pool the whole message."""
+    return n_frames * config.shards if n_frames >= config.n_procs > 1 else 0
+
+
 class TestFrames:
-    """Frames equal the serial reference, however they reach the pool."""
+    """Frames equal the serial reference, however they reach the pool:
+    a batch of at least ``n_procs`` frames dealt whole ("solo") to the
+    workers, or the same views one frame at a time, banded."""
 
     def test_a_batch_deeper_than_the_buffers_across_an_axis_switch(
             self, renderer, config):
         views = _views(renderer)
         refs = serial_refs(renderer, views)
-        assert len(views) > BUFFERS
         assert len({r.fact.axis for r in refs}) > 1
         with repro.open_pool(renderer, config) as pool:
             assert isinstance(pool, RenderBackend)
+            # Deeper than the process pool's shared image buffers.
+            assert len(views) > getattr(pool, "buffers", 0)
             ids = pool.submit_batch([FrameSpec(v) for v in views])
             got = {f: pool.result(f) for f in reversed(ids)}
             # A collected frame is gone; so is one never submitted.
@@ -87,12 +102,14 @@ class TestFrames:
                     pool.result(frame)
             assert pool.submit_batch([]) == []
             assert pool.render_animation([]) == []
+            assert _solo_frames(pool) == _dealt_solo(config, len(views))
         assert_frames_identical([got[f] for f in ids], refs)
 
     def test_the_same_views_as_a_one_frame_stream(self, renderer, config):
         views = _views(renderer)
         with repro.open_pool(renderer, config) as pool:
             results = [pool.render(v) for v in views]
+            assert _solo_frames(pool) == _dealt_solo(config, 1)
         assert_frames_identical(results, serial_refs(renderer, views))
 
     def test_profiled_frames(self, renderer, config, monkeypatch):
@@ -105,12 +122,13 @@ class TestFrames:
 
     def test_forced_steals(self, renderer, config, monkeypatch):
         """Two-row grains and a slowed worker 0: every pool with a
-        second worker steals; a one-worker pool has nobody to."""
+        second worker steals on a banded (one-frame) stream; a
+        one-worker pool has nobody to."""
         monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 2)
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.003))
         views = _views(renderer, ANGLES[:3])
         with repro.open_pool(renderer, config) as pool:
-            results = pool.render_animation(views)
+            results = [pool.render(v) for v in views]
         assert_frames_identical(results, serial_refs(renderer, views))
         steals = sum(r.steals for r in results)
         assert steals > 0 if config.n_procs > 1 else steals == 0

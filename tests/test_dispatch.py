@@ -68,10 +68,11 @@ class TestBatchedBitIdentity:
         profile it lacks is requested once per key (and so once more at
         the axis switch), not on every frame behind the first — nor
         again when the PROFILE_REUSE period runs out while the request
-        is outstanding."""
+        is outstanding.  One worker, so the batch is banded: a pool of
+        two or more deals it solo, and a solo frame asks for none."""
         views = [renderer.view_from_angles(20, 30 + 2 * i, 0) for i in range(20)]
         refs = serial_refs(renderer, views)
-        with repro.open_pool(renderer, n_procs=2, backend=backend) as pool:
+        with repro.open_pool(renderer, n_procs=1, backend=backend) as pool:
             res = pool.render_animation(views)
             counted = pool.metrics.counter("pool/profiled_frames").value
         assert_frames_identical(res, refs)
@@ -93,7 +94,16 @@ class TestBatchedBitIdentity:
 
         meta = json.loads(path.read_text())["otherData"]
         assert meta["batch_frames"] == 4
-        assert meta["profiled_frames"] == sum(r.profiled for r in results) >= 1
+        # Dealt whole to the two workers: no profile, no band, no barrier.
+        assert meta["solo_frames"] == 4
+        assert meta["profiled_frames"] == sum(r.profiled for r in results) == 0
+        for k, res in enumerate(results):
+            phases = {s.phase for s in res.timeline.spans}
+            assert {"composite", "warp"} <= phases and "barrier" not in phases
+            # Frame k went to worker k % 2 alone.
+            assert {s.pid for s in res.timeline.spans
+                    if s.phase in ("composite", "warp")} == {k % 2}
+            assert res.busy_s[1 - k % 2] == 0.0
         assert meta["backend"] == "mp"
         assert "doorbell" not in meta
 
@@ -162,12 +172,13 @@ class TestBatchedBitIdentity:
         if how == "killed":
             assert counters["worker_restarts"] == 2
             # Only what the workers had been sent was lost and retried:
-            # frame 1 and — frame 2 goes out when frame 0 retires —
-            # whichever of those two was with them; the 197 held frames
-            # lost nothing.
-            assert counters["frames_retried"] == 2
+            # frames 1-3 and — frame 4 goes out when frame 0 retires —
+            # whichever of frames 0 and 4 was with them, as many frames
+            # as the pool has buffers (two per worker); the 195 held
+            # frames lost nothing.
+            assert counters["frames_retried"] == 4
             assert done[1].retries == 1
-            assert not any(r.retries for r in done[3:])
+            assert not any(r.retries for r in done[5:])
         else:
             assert counters["worker_restarts"] == 0
 
@@ -206,10 +217,11 @@ class TestMidBatchFaults:
     def test_raise_mid_batch_recovers_bit_identical(self, renderer,
                                                     monkeypatch):
         """A worker exception mid-batch escalates to pool recovery (the
-        retry may not queue behind the rest of the batch) and still
-        produces identical frames."""
+        retry may not queue behind the rest of the batch, which holds a
+        later frame of the failed frame's buffer: frame 1 + 4 buffers)
+        and still produces identical frames."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 1, "raise", "composite"))
-        views = _views(renderer, 5)
+        views = _views(renderer, 8)
         refs = serial_refs(renderer, views)
         cfg = PoolConfig(n_procs=2, max_retries=2, degrade_to_serial=False)
         with MPRenderPool(renderer, config=cfg) as pool:

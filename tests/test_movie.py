@@ -351,10 +351,11 @@ class TestMoviePipeline:
 
     def test_png_sequence_through_a_fleet_survives_a_worker_kill(
             self, renderer, tmp_path, monkeypatch):
-        """CI's retired movie smoke, as an assertion: worker 0 of every
-        shard's pool SIGKILLs itself on frame 1, the pools recover, and
-        every PNG is still the serial reference's bytes."""
-        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "kill", "composite"))
+        """CI's retired movie smoke, as an assertion: worker 1 of every
+        shard's pool — the one each pool deals frame 1 to — SIGKILLs
+        itself on frame 1, the pools recover, and every PNG is still
+        the serial reference's bytes."""
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 1, "kill", "composite"))
         specs = _specs(renderer, 4)
         with repro.open_pool(renderer, n_procs=2, shards=2) as fleet:
             MoviePipeline(fleet, str(tmp_path), fmt="png").run(specs)

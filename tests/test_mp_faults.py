@@ -53,34 +53,34 @@ def _animate(renderer, views, **pool_kwargs):
 class TestFaultInjection:
     """Kill/hang/raise one worker at each phase; the animation survives."""
 
-    # PROFILE_REUSE=2 makes the planner profile frames 0 and 2 (frame 2
-    # is held in the parent until frame 0 has retired and answered its
-    # request), so the "profile" phase fault armed on frame 2 always has
-    # a frame to hit.
+    # PROFILE_REUSE=2 makes the planner profile frames 0 and 4 (frame 4
+    # — frame 0 plus the pool's four buffers — is held in the parent
+    # until frame 0 has retired and answered its request), so the
+    # "profile" phase fault armed on frame 4 always has a frame to hit.
     @pytest.mark.parametrize("phase", poolcore.FAULT_PHASES)
     def test_kill_recovers_bit_identical(self, renderer, monkeypatch, phase):
-        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 2, "kill", phase))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 4, "kill", phase))
         monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
-        views = _views(renderer, 4)
+        views = _views(renderer, 6)
         results, counters = _animate(renderer, views, n_procs=2)
         assert_frames_identical(results, serial_refs(renderer, views))
         assert counters["worker_restarts"] >= 2  # the whole set respawned
         assert counters["frames_retried"] >= 1
         assert counters["degraded_frames"] == 0
-        assert results[2].retries >= 1
+        assert results[4].retries >= 1
         assert not any(r.degraded for r in results)
 
     @pytest.mark.parametrize("phase", poolcore.FAULT_PHASES)
     def test_raise_retries_bit_identical(self, renderer, monkeypatch, phase):
         """An exception leaves the worker set intact: retry, no respawn."""
-        monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 2, "raise", phase))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 4, "raise", phase))
         monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
-        views = _views(renderer, 4)
+        views = _views(renderer, 6)
         results, counters = _animate(renderer, views, n_procs=2)
         assert_frames_identical(results, serial_refs(renderer, views))
         assert counters["frames_retried"] >= 1
         assert counters["worker_restarts"] == 0
-        assert results[2].retries >= 1
+        assert results[4].retries >= 1
 
     def test_kill_on_the_first_frame_of_an_unprofiled_pool(self, renderer,
                                                            monkeypatch):
@@ -148,9 +148,10 @@ class TestFaultInjection:
         )
 
 
-#: A worker is killed (or hangs, under a frame deadline) in frame 1 just
-#: as a 150-frame message (about 170 KB pickled, well past a 64 KB pipe)
-#: goes out behind it.  Run in a subprocess with a watchdog, so that a
+#: A worker is killed (or hangs, under a frame deadline) in frame 1 —
+#: a one-frame message, so banded over both workers — just as a
+#: 150-frame message (dealt solo: 75 jobs, about 90 KB pickled, a
+#: worker, well past a 64 KB pipe) goes out behind it.  Run in a subprocess with a watchdog, so that a
 #: pool that wedges fails the test (exit status 3, its workers killed so
 #: that its shared memory is reclaimed) instead of wedging the suite.
 _FAULT_UNDER_A_LARGE_BATCH = """
@@ -175,7 +176,8 @@ pool = MPRenderPool(r, PoolConfig(
 results = []
 
 def run():
-    ids = pool.submit_batch(views[:2]) + pool.submit_batch(views[2:])
+    ids = (pool.submit_batch(views[:1]) + pool.submit_batch(views[1:2])
+           + pool.submit_batch(views[2:]))
     results.extend(pool.result(i) for i in ids)
 
 watched = threading.Thread(target=run, daemon=True)
@@ -229,8 +231,9 @@ def test_worker_killed_under_a_message_larger_than_its_pipe(worker, kind):
 
 def _warp_raising(monkeypatch, on_call=None, message="injected warp failure"):
     """Patch the warp so worker 1 raises — on its ``on_call``-th call
-    only (each worker warps once per frame attempt, so call ``k + 1`` is
-    frame ``k``), or on every call.  The patch reaches process workers
+    only (each worker warps once per frame attempt it is dealt: call
+    ``k + 1`` is frame ``k`` of a banded stream, call ``k + 1`` frame
+    ``2k + 1`` of a batch dealt solo), or on every call.  The patch reaches process workers
     through fork, each with its own call count; a ``TEST_FAULT`` raise
     would re-trip on the retry, which runs on the same generation."""
     real = poolcore.warp_rows
@@ -253,10 +256,11 @@ class TestRetryRule:
 
     def test_frames_held_in_the_parent_do_not_escalate(self, renderer,
                                                        monkeypatch):
-        """Four pipelined ``submit``s, the first raises once: frames 2
-        and 3 wait in the parent, not with the workers, so the retry
-        goes out ahead of them and nobody is restarted."""
-        views = _views(renderer, 4)
+        """Six pipelined ``submit``s, the first raises once: frames 4
+        and 5 — frame 0's buffer and the next — wait in the parent, not
+        with the workers, so the retry goes out ahead of them and
+        nobody is restarted."""
+        views = _views(renderer, 6)
         _warp_raising(monkeypatch, on_call=1)
         with repro.open_pool(renderer, n_procs=2,
                              degrade_to_serial=False) as pool:
@@ -267,13 +271,14 @@ class TestRetryRule:
         assert counters == {
             "worker_restarts": 0, "frames_retried": 1, "degraded_frames": 0,
         }
-        assert [r.retries for r in results] == [1, 0, 0, 0]
+        assert [r.retries for r in results] == [1, 0, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("how", ["submit", "batch_of_one", "last_of_four"])
     def test_nothing_behind_it_in_its_buffer_is_a_plain_redispatch(
             self, renderer, monkeypatch, how):
         views = _views(renderer, 4 if how == "last_of_four" else 1)
-        _warp_raising(monkeypatch, on_call=len(views))
+        # The batch of four is dealt solo: worker 1 warps frames 1 and 3.
+        _warp_raising(monkeypatch, on_call=2 if how == "last_of_four" else 1)
         with repro.open_pool(renderer, n_procs=2,
                              degrade_to_serial=False) as pool:
             if how == "submit":
@@ -293,11 +298,12 @@ class TestRespawnFailure:
     @pytest.mark.parametrize("degrade", [True, False], ids=["degrade", "fail"])
     def test_held_frames_are_settled_when_the_respawn_fails(
             self, renderer, monkeypatch, degrade):
-        """Worker 0 dies on frame 0 of four pipelined ``submit``s and no
+        """Worker 0 dies on frame 0 of six pipelined ``submit``s and no
         new worker set can be forked.  Every frame in flight is settled
-        — frames 2 and 3, still held in the parent and never
-        partitioned, too: bit-identical and degraded, or failed with a
-        typed error.  None is lost to a ``KeyError`` in the supervisor."""
+        — frames 4 and 5, still held in the parent behind the pool's
+        four buffers and never partitioned, too: bit-identical and
+        degraded, or failed with a typed error.  None is lost to a
+        ``KeyError`` in the supervisor."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
         spawn = MPRenderPool._spawn_workers
 
@@ -307,7 +313,7 @@ class TestRespawnFailure:
             spawn(self, generation)
 
         monkeypatch.setattr(MPRenderPool, "_spawn_workers", spawn_once)
-        views = _views(renderer, 4)
+        views = _views(renderer, 6)
         with repro.open_pool(renderer, n_procs=2,
                              degrade_to_serial=degrade) as pool:
             handles = [pool.submit(v) for v in views]
@@ -323,7 +329,54 @@ class TestRespawnFailure:
             assert_frames_identical(results, serial_refs(renderer, views))
             assert all(r.degraded for r in results)
             assert [r.boundaries is None for r in results] == [
-                False, False, True, True]
+                False, False, False, False, True, True]
+
+
+class TestForkSafeRespawn:
+    def test_a_parent_thread_holding_the_renderer_locks_cannot_wedge_it(
+            self, renderer, monkeypatch):
+        """Worker 0 dies on frame 0, and while the supervisor forks the
+        new worker set another parent thread holds the renderer's
+        residency lock and the frame's slice-cache lock — the locks a
+        worker takes on every frame.  The children get fresh ones, so
+        the retried frame renders bit-identically, before the deadline
+        that would otherwise have caught a wedged worker."""
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 0, "kill", "composite"))
+        view = renderer.view_from_angles(20, 30, 0)
+        rle = renderer.rle_for(renderer.factorize_view(view))
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with renderer._resident_lock, rle.slice_cache._lock:
+                held.set()
+                release.wait(60.0)
+
+        holder = threading.Thread(target=hold)
+        spawn = MPRenderPool._spawn_workers
+
+        def spawn_while_held(self, generation):
+            if generation >= 1 and not held.is_set():
+                holder.start()
+                held.wait()
+            spawn(self, generation)
+
+        monkeypatch.setattr(MPRenderPool, "_spawn_workers", spawn_while_held)
+        timeout_s = 10.0
+        try:
+            with repro.open_pool(renderer, n_procs=2, timeout_s=timeout_s,
+                                 max_retries=1, degrade_to_serial=False) as pool:
+                t0 = time.monotonic()
+                res = pool.result(pool.submit(view))
+                elapsed = time.monotonic() - t0
+                restarts = pool.fault_counters()["worker_restarts"]
+        finally:
+            release.set()
+            if held.is_set():
+                holder.join()
+        assert held.is_set() and restarts == 2
+        assert res.retries == 1 and not res.degraded
+        assert elapsed < timeout_s
+        assert_frames_identical([res], serial_refs(renderer, [view]))
 
 
 class TestTypedErrors:

@@ -286,7 +286,9 @@ class TestMPTracing:
         with repro.open_pool(big, n_procs=2, backend=backend,
                              trace=True) as pool:
             grain = pool.steal_chunk
-            results = pool.render_animation(views)
+            # One-frame messages, banded, all cut before frame 0's
+            # profile arrives (a batch would be dealt whole, unsplit).
+            results = [pool.result(h) for h in [pool.submit(v) for v in views]]
             path = tmp_path / "trace.json"
             pool.export_chrome_trace(str(path))
         assert grain == poolcore.DEFAULT_STEAL_CHUNK

@@ -1,8 +1,9 @@
 """The pool core's frame ledger, driven by an in-process fake transport.
 
 No fork, no worker threads: the fake transport parks dispatched frames
-in a list and the test plays the one worker itself — running the core's
-real :func:`run_frame` body, or reporting an error in its place.  The
+in a list and the test plays the workers itself — running the core's
+real :func:`run_frame` body on a one-worker pool, or reporting an
+outcome (an error, or a clean report with no pixels) in its place.  The
 finish → retry → degrade → fail state machine is therefore stated once
 here against a transport that cannot race; the same contract is run
 over every real backend by ``tests/test_conformance.py``, and the mp and
@@ -12,6 +13,7 @@ buffers, threads).
 
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,16 +43,20 @@ class _NoBarrier:
 
 
 class FakePool(PoolCore):
-    """One synchronous 'worker': dispatched frames wait in ``sent``
-    until the test calls :meth:`work`."""
+    """Synchronous 'workers': dispatched frames wait in ``sent`` until
+    the test calls :meth:`work` (the one worker of a one-worker pool)
+    or reports them itself; ``messages`` logs every message the ledger
+    sends."""
 
     transport = "fake"
 
     def __init__(self, renderer, config):
         super().__init__(renderer, config)
-        assert self.n_procs == 1
         self.sent: list[int] = []
         self.released: list[int] = []
+        #: Per message sent, per frame: (frame, attempt, solo owner or
+        #: None, profiled, the workers it was dealt to).
+        self.messages: list[list[tuple]] = []
         self.ctx = WorkerContext(
             pid=0, renderer=renderer, steal_chunk=self.steal_chunk,
             claim_locks=[],
@@ -63,6 +69,12 @@ class FakePool(PoolCore):
             rec["img"] = IntermediateImage(rec["fact"].intermediate_shape)
             rec["final"] = FinalImage(rec["fact"].final_shape)
         self.sent.extend(frames)
+        self.messages.append([
+            (f, self._inflight[f]["attempt"], self._inflight[f]["solo"],
+             self._inflight[f]["profiled"],
+             tuple(self._workers_of(self._inflight[f])))
+            for f in frames
+        ])
 
     def _take_images_locked(self, frame, rec):
         return rec["img"], rec["final"]
@@ -81,6 +93,7 @@ class FakePool(PoolCore):
     def work(self, fail: str | None = None) -> int:
         """Play the worker for the oldest dispatched frame; ``fail``
         reports that error text instead of rendering."""
+        assert self.n_procs == 1
         frame = self.sent.pop(0)
         with self._cond:
             rec = self._inflight[frame]
@@ -230,11 +243,12 @@ class TestLedger:
 
 
 class TwoSlotPool(FakePool):
-    """A :class:`FakePool` with the process transport's admission rule:
-    frame ``f`` can start once frame ``f - 2`` has left the pool."""
+    """A :class:`FakePool` with the process transport's admission rule,
+    two buffers a worker: frame ``f`` can start once frame
+    ``f - 2 * n_procs`` has left the pool."""
 
     def _can_start_locked(self, frame):
-        return frame - 2 not in self._inflight
+        return frame - 2 * self.n_procs not in self._inflight
 
     def _take_images_locked(self, frame, rec):
         self._feed_locked()
@@ -548,12 +562,12 @@ class TestRequestRule:
         planned: dict[int, bool] = {}  # frame -> profiled, as first cut
         released: set = set()  # keys whose profiled frame was lost
 
-        def spy_partition(plan):
+        def spy_partition(plan, solo=None):
             (frame,) = [f for f, rec in pool._inflight.items() if rec is plan]
             key = plan["key"]
             fresh = key not in planner._outstanding and (
                 planner.profile is None or planner.profile_key != key)
-            partition(plan)
+            partition(plan, solo)
             # A retry adds no request: every frame is cut once.
             assert frame not in planned
             planned[frame] = plan["profiled"]
@@ -605,3 +619,120 @@ class TestRequestRule:
                     assert not degrade
                     continue
                 assert res.profiled == (planned[frame] and not res.degraded)
+
+
+class TestDealingRule:
+    """Which workers a frame goes to, as invariants over random traffic
+    on the fake transport with the process pool's admission: pools of
+    one to four workers, messages of one to six frames, every frame
+    reported by the workers it was dealt to (the last of them failing
+    now and then), recoveries that re-send everything in flight as one
+    message, and retries that run out into a degraded or failed frame.
+    A message of at least ``n_procs`` frames deals its ``k``-th frame
+    solo to worker ``k % n_procs`` on a pool of two or more; a shorter
+    message, and every retry, is banded over all workers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_procs=st.integers(1, 4),
+        ops=st.lists(st.one_of(
+            st.tuples(st.just("submit"), st.integers(1, 6)),
+            st.tuples(st.just("report"), st.booleans()),
+            st.tuples(st.just("recover")),
+        ), min_size=1, max_size=25),
+        retries=st.integers(0, 2),
+        degrade=st.booleans(),
+    )
+    def test_invariants(self, renderer, n_procs, ops, retries, degrade):
+        pool = TwoSlotPool(renderer, PoolConfig(
+            n_procs=n_procs, max_retries=retries, degrade_to_serial=degrade))
+        planner = pool._planner
+        partition = planner.partition
+
+        def spy_partition(plan, solo=None):
+            asked = set(planner._outstanding)
+            partition(plan, solo)
+            if solo is not None:
+                # A solo frame takes no profile request.
+                assert not plan["profiled"] and planner._outstanding == asked
+            return plan
+
+        planner.partition = spy_partition
+        step = 0
+        with pool:
+            for op in ops:
+                if op[0] == "submit":
+                    # Alternate frames on two principal axes.
+                    pool.submit_batch([renderer.view_from_angles(
+                        20, (10.0, 60.0)[i % 2] + 0.1 * i, 0)
+                        for i in range(step, step + op[1])])
+                    step += op[1]
+                elif op[0] == "recover":
+                    self._recover(pool)
+                elif pool.sent:
+                    self._report(pool, pool.sent.pop(0), fail=op[1])
+            while pool.sent:
+                self._report(pool, pool.sent.pop(0), fail=False)
+            assert not pool._inflight and not pool._held
+            outcome = {}
+            for frame in range(step):
+                try:
+                    outcome[frame] = not pool.result(frame).degraded
+                except FrameFailed:
+                    assert not degrade
+                    outcome[frame] = False
+            solo_frames = pool.metrics.counter("pool/solo_frames").value
+        last = {}
+        for message in pool.messages:
+            deal = len(message) >= n_procs > 1
+            for k, (frame, attempt, solo, profiled, dealt) in enumerate(message):
+                # k % n_procs within a message; banded below n_procs
+                # frames and on every retry.
+                assert solo == (k % n_procs if deal and not attempt else None)
+                assert dealt == ((solo,) if solo is not None
+                                 else tuple(range(n_procs)))
+                assert not (solo is not None and profiled)
+                last[frame] = solo
+        # Every attempt of every frame went out in exactly one message.
+        attempts = Counter((f, a) for m in pool.messages for f, a, *_ in m)
+        assert set(attempts.values()) <= {1}
+        assert {f for f, _ in attempts} == set(range(step))
+        assert solo_frames == sum(
+            last[f] is not None for f, ok in outcome.items() if ok)
+
+    @staticmethod
+    def _report(pool, frame, fail):
+        """Every worker ``frame`` was dealt to reports it — the last one
+        raising when ``fail`` — and only the last report settles it."""
+        with pool._cond:
+            rec = pool._inflight[frame]
+            attempt = rec["attempt"]
+            dealt = list(pool._workers_of(rec))
+            for i, pid in enumerate(dealt):
+                last = i == len(dealt) - 1
+                pool._worker_done_locked(
+                    frame, pid, "Boom: injected" if fail and last else None,
+                    0.0, 0.0, 0, 0)
+                if not last:
+                    assert pool._inflight[frame]["done"] == i + 1
+            again = pool._inflight.get(frame)
+            assert again is None or again["attempt"] == attempt + 1
+
+    @staticmethod
+    def _recover(pool):
+        """What the process transport's recovery does to the ledger:
+        every frame the workers held is retried (or runs out of
+        retries), and everything still in flight goes out again — held
+        messages included — as one message in frame order."""
+        with pool._cond:
+            pool._held.clear()
+            pool.sent.clear()
+            for frame in sorted(pool._inflight):
+                rec = pool._inflight[frame]
+                if not rec["sent"]:
+                    continue
+                if rec["attempt"] < pool.config.max_retries:
+                    pool._count_retry_locked(frame)
+                else:
+                    pool._exhausted_locked(frame, FrameFailed("lost"))
+            pool._dispatch_locked(sorted(pool._inflight))

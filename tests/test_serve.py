@@ -725,6 +725,30 @@ class TestServer:
         assert sent == 4 + n + color.nbytes + alpha.nbytes
         assert stats["metrics"]["counters"]["serve/bytes_sent"] >= sent
 
+    def test_stats_counts_the_frames_dealt_whole(self):
+        """An ``animate`` is one pool batch, dealt whole ("solo") to a
+        two-worker pool's workers; a ``render`` miss is a one-frame
+        message, banded.  The live ``stats`` op reports the exact
+        ``pool/solo_frames`` count."""
+        server = RenderServer(ServeConfig(
+            pool=PoolConfig(n_procs=2, backend="thread"), **TINY))
+
+        async def body():
+            async with server:
+                c = await RenderClient.connect(*server.address)
+                before = await c.request({"op": "stats"})
+                anim = await c.request({"op": "animate", "frames": 3,
+                                        "ry": 30.0, "ry_step": 4.0})
+                miss = await c.request({"op": "render", "ry": 80.0})
+                after = await c.request({"op": "stats"})
+                await c.close()
+                return before, anim, miss, after
+
+        before, anim, miss, after = run(body())
+        assert anim["status"] == miss["status"] == "ok"
+        assert "pool/solo_frames" not in before["metrics"]["counters"]
+        assert after["metrics"]["counters"]["pool/solo_frames"] == 3
+
     def test_shutdown_op_can_be_disabled(self):
         server = RenderServer(thread_config(allow_shutdown=False))
 

@@ -441,13 +441,14 @@ class TestShardFaultIsolation:
 
     def test_concurrent_recovery_in_every_shard(self, renderer, monkeypatch):
         # Arm the deterministic fault hook before the pools fork: worker
-        # 0 of *every* shard SIGKILLs itself at frame 1, so both
+        # 1 of *every* shard — each pool deals frame 1 of the batch to
+        # it — SIGKILLs itself at frame 1, so both
         # supervisors respawn their worker sets at the same time.  The
         # respawns stage worker state in the module-global ``_G`` before
         # forking; without the spawn lock the two recoveries could
         # interleave and fork one pool's workers against the other
         # pool's queues and barrier (an intermittent cross-pool wedge).
-        monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 1, "kill", "composite"))
+        monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 1, "kill", "composite"))
         views = _views(renderer, 4)
         with ShardedRenderService(
             renderer, PoolConfig(n_procs=2, shards=2)

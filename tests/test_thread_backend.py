@@ -53,7 +53,8 @@ class TestBitIdentity:
         refs = serial_refs(renderer, views)
         cfg = PoolConfig(n_procs=2)
         with ThreadRenderPool(renderer, config=cfg) as pool:
-            res = pool.render_animation(views)
+            # One frame at a time: only a banded frame is split.
+            res = [pool.render(v) for v in views]
         assert_frames_identical(res, refs)
         assert sum(r.steals for r in res) > 0
 
@@ -143,7 +144,9 @@ class TestLifecycleAndObs:
             phases = set()
             for tl in pool.timelines:
                 phases.update(s.phase for s in tl.spans)
-            assert {"composite", "warp", "barrier", "dispatch"} <= phases
+            # Dealt whole to the workers: no barrier to wait at.
+            assert {"composite", "warp", "dispatch"} <= phases
+            assert "barrier" not in phases
             path = tmp_path / "trace.json"
             pool.export_chrome_trace(str(path))
         assert all(r.timeline is not None for r in res)
@@ -153,3 +156,4 @@ class TestLifecycleAndObs:
         assert meta["backend"] == "thread"
         assert "doorbell" not in meta
         assert meta["batch_frames"] == 4
+        assert meta["solo_frames"] == 4
