@@ -108,14 +108,10 @@ def _run_render(args: argparse.Namespace) -> int:
                                                    "scale": args.scale})
         result = results[-1]
         profiled = sum(r.profiled for r in results)
-        steals = sum(r.steals for r in results)
-        steal_rows = sum(r.steal_rows for r in results)
-        dyn = (f"stealing ({steals} steals, {steal_rows} rows)"
-               if args.procs > 1 else "no stealing")
         fleet = (f"{cfg.shards} shards x {args.procs} procs"
                  if cfg.shards > 1 else f"{args.procs} procs")
         how = (f"{frames} frame{'s' * (frames > 1)}, {fleet}, "
-               f"{args.backend} backend, batched, {profiled} profiled, {dyn}")
+               f"{args.backend} backend, batched, {profiled} profiled")
     else:
         recorder = None
         if tracing:

@@ -8,9 +8,9 @@ that actually runs on the host:
 
 * :class:`SpanRecorder` — a preallocated per-worker ring buffer of phase
   **spans** (slice-decode, composite, warp, queue wait, profile
-  collapse, steal synchronization, barrier) and **counters** (rows
-  composited, slice-cache hits/misses and the microseconds spent
-  decoding the misses, chunk steals and the scanlines they moved).
+  collapse, barrier) and **counters** (rows composited, kernel calls,
+  slice-cache hits/misses and the microseconds spent decoding the
+  misses, solo frames).
   Backed by shared memory in the multiprocessing pool so recording adds
   no queue traffic on the hot path; a disabled recorder (``None``)
   costs nothing.

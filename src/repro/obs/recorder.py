@@ -40,38 +40,35 @@ __all__ = [
 ]
 
 #: Phase names a span can carry, in display order.  ``wait`` is the
-#: worker's job-queue wait, ``decode`` the RLE slice decodes, ``profile``
-#: the per-scanline cost collapse on profiled frames, ``steal`` a
-#: thief's victim scan + claim-cursor lock (the paper's steal
-#: synchronization cost, section 4.4; nested inside ``composite``),
-#: ``barrier`` the inter-phase synchronization wait (the paper's "sync
-#: time"), ``recover`` the MP pool supervisor's worker-respawn +
-#: frame-retry window after a fault (recorded on the supervisor's own
-#: track), ``dispatch`` the parent-side frame-submission work (plan +
-#: queue put, recorded on the supervisor track), ``doorbell`` a
-#: worker's wait for the parent to release its next image buffer in
-#: batched/pipelined mode, ``merge`` one sort-last merge-tree pass of
-#: the shard service (recorded on the service's own final track).  New
-#: phases are appended last so existing phase ids stay stable.
+#: worker's job-queue wait, ``decode`` the RLE slice decodes,
+#: ``profile`` the per-scanline cost collapse on profiled frames,
+#: ``steal`` is retired (the pools no longer steal; it keeps its id so
+#: the ids after it stay stable), ``barrier`` the inter-phase
+#: synchronization wait (the paper's "sync time"), ``recover`` the MP
+#: pool supervisor's worker-respawn + frame-retry window after a fault
+#: (recorded on the supervisor's own track), ``dispatch`` the
+#: parent-side frame-submission work (plan + queue put, recorded on the
+#: supervisor track), ``doorbell`` a worker's wait for the parent to
+#: release its next image buffer in batched/pipelined mode, ``merge``
+#: one sort-last merge-tree pass of the shard service (recorded on the
+#: service's own final track).  New phases are appended last so existing
+#: phase ids stay stable.
 PHASES = ("wait", "decode", "composite", "profile", "steal", "barrier", "warp",
           "recover", "dispatch", "doorbell", "merge", "encode")
 
-#: Counter names.  ``steals``/``steal_rows`` count successful chunk
-#: steals and the scanlines they moved — recorded by the MP pool's
-#: chunked claim/steal loop (and mirrored by the event-driven scheduler
-#: models).  ``decode_us`` is the time spent filling slice-cache misses
-#: during the frame (it lies inside the ``composite`` span, where the
-#: kernels pull slices); like the hit/miss tallies it is a delta of the
-#: encoding's cache, which the thread pool's workers share.
-#: ``kernel_calls`` is how many times the worker entered the block
-#: kernel for the frame, one per claimed chunk: one own claim plus one
-#: per steal when the worker's own band is under two grains of
-#: ``poolcore.DEFAULT_STEAL_CHUNK`` rows (every benchmark workload), at
-#: most ``floor(log2(own_rows / grain)) + 1`` own claims otherwise.
-#: ``solo_frames`` is 1 on a frame its worker rendered *solo* — dealt
-#: whole to it, with no band split and no barrier — so its sum over a
-#: trace is the exact count the pools keep as ``pool/solo_frames``.
-#: New counters are appended last so existing counter ids stay stable.
+#: Counter names.  ``steals``/``steal_rows`` are retired, like the
+#: ``steal`` phase: no pool records them any more, and they keep their
+#: ids so later counters' ids stay stable.  ``decode_us`` is the time
+#: spent filling slice-cache misses during the frame (it lies inside the
+#: ``composite`` span, where the kernels pull slices); like the hit/miss
+#: tallies it is a delta of the encoding's cache, which the thread
+#: pool's workers share.  ``kernel_calls`` is how many times the worker
+#: entered the block kernel for the frame: 1 for a non-empty band, 0 for
+#: an empty one.  ``solo_frames`` is 1 on a frame its worker rendered
+#: *solo* — dealt whole to it, with no band split and no barrier — so
+#: its sum over a trace is the exact count the pools keep as
+#: ``pool/solo_frames``. New counters are appended last so existing
+#: counter ids stay stable.
 COUNTERS = ("rows", "cache_hits", "cache_misses", "steals", "steal_rows",
             "decode_us", "kernel_calls", "solo_frames")
 

@@ -228,8 +228,8 @@ def summarize_trace(trace: dict) -> dict:
     — the data ``repro stats`` prints.  Span (``X``) events feed the
     phase table; busy time per frame/track is composite + warp; counter
     (``C``) events are summed by name over workers and frames
-    (``steals``, ``steal_rows``, ``rows``, cache hits/misses,
-    ``decode_us``, ``solo_frames``), and per worker track over frames.
+    (``rows``, ``kernel_calls``, cache hits/misses, ``decode_us``,
+    ``solo_frames``), and per worker track over frames.
     """
     phases: dict[str, dict[str, float]] = {}
     frames: dict[int, dict[int, float]] = {}

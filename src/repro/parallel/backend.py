@@ -14,8 +14,8 @@ item 5 API redesign: a minimal structural protocol all three conform to,
 - ``result(frame_id)`` — block for one frame's result, in any order,
 - ``close()`` — release workers/pools,
 - ``trace`` — whether it records spans (``export_chrome_trace``); the
-  one thing a caller has to ask, since every pool steals when it has a
-  second worker and profiles on demand.
+  one thing a caller has to ask, since every pool profiles on demand
+  and balances its bands by that profile alone.
 
 ``RenderBackend`` is ``runtime_checkable`` so ``isinstance(pool,
 RenderBackend)`` works as a structural test, with the usual caveat that

@@ -12,10 +12,10 @@ workers for free through ``fork``.
 :class:`MPRenderPool` is the *process transport* of the pool core
 (:mod:`repro.parallel.poolcore`).  The core owns everything
 backend-neutral — planning and the profile feedback loop (sections
-4.2-4.3), guided claim/steal compositing (section 4.4), the worker's
-composite → barrier → warp frame body, and the frame ledger with its
-finish → retry → degrade → fail state machine — and this module
-supplies what only forked workers over shared memory need:
+4.2-4.3), the worker's composite → barrier → warp frame body, and the
+frame ledger with its finish → retry → degrade → fail state machine —
+and this module supplies what only forked workers over shared memory
+need:
 
 * **Persistent workers and two image buffers per worker.**  Fork,
   shared-memory setup and the first slice decodes are paid once.  A
@@ -24,8 +24,6 @@ supplies what only forked workers over shared memory need:
   solo gives worker ``w`` frames ``w, w + P, w + 2P, ...``, so each
   worker alternates between two buffers and the parent's copy-out and
   re-zeroing of one frame overlaps the worker's rendering of its next.
-  Claim cursors for stealing live in a shared ``(buffer, worker,
-  head/tail)`` array.
 * **Batched dispatch and cross-frame pipelining.**  Each worker gets
   its jobs of a whole batch as *one* message on its own job pipe and
   runs frame to frame without re-synchronizing with the parent; a
@@ -37,7 +35,7 @@ supplies what only forked workers over shared memory need:
   partitioned from the newest profile.
 * **The shm doorbell — the one way out.**  Nothing a worker reports is
   pickled: it writes its completion record (frame id, flags, busy
-  times, steal counters) into a small shared segment and rings a shared
+  times) into a small shared segment and rings a shared
   event, and the supervisor reads completion with a memory scan.  The
   same segment holds, per image buffer, the profiled frame's cost row —
   filled in place by whichever worker composited each scanline, the
@@ -55,7 +53,7 @@ the parent watches the doorbell, polls worker sentinels and per-frame
 deadlines every :data:`POLL_S` seconds, and on a fault — an OOM-killed
 fork, a SIGKILLed or hung worker — stops the worker set, **respawns**
 it against the existing shared-memory segments (fresh job pipes,
-barrier and claim locks; rings re-zeroed; claim cursors re-seeded) and
+barrier and bell; rings re-zeroed) and
 **resubmits** every lost frame, up to :attr:`PoolConfig.max_retries`
 times.  A worker's job pipe has one reader, the worker, and the parent
 waits on a full pipe only while the whole set lives and the oldest
@@ -111,7 +109,6 @@ from .poolcore import (
     armed_fault,
     capacity_shapes,
     run_frame,
-    seed_claims,
     worker_burn_per_row,
 )
 
@@ -139,12 +136,11 @@ POLL_S = 0.05
 
 # -- doorbell layout ----------------------------------------------------------
 
-#: Floats per doorbell completion cell:
-#: ``[frame, flags, t_comp, t_warp, steals, steal_rows]``.  Each cell is
-#: written by exactly one worker and read by the parent, so no lock is
-#: needed; ``frame`` is stored *last* so a parent that reads the frame
-#: id sees the rest of the record.
-_CELL_FLOATS = 6
+#: Floats per doorbell completion cell: ``[frame, flags, t_comp,
+#: t_warp]``.  Each cell is written by exactly one worker and read by
+#: the parent, so no lock is needed; ``frame`` is stored *last* so a
+#: parent that reads the frame id sees the rest of the record.
+_CELL_FLOATS = 4
 
 #: Cell flag bit: the worker raised on this frame, and its error slot
 #: holds the exception's text.
@@ -298,12 +294,6 @@ def _worker_loop(pid: int) -> None:
     inter_cap, final_cap = _G["inter_cap"], _G["final_cap"]
     n_procs: int = _G["n_procs"]
     buffers: int = _G["buffers"]
-    shm_c = _G["shm_c"]
-    # (buffers, n_procs, 2) head/tail cursors; None for one worker.
-    claims = (
-        np.ndarray((buffers, n_procs, 2), np.int64, buffer=shm_c.buf)
-        if shm_c is not None else None
-    )
     layout = _doorbell_dtype(n_procs, buffers, inter_cap[0])
     record = np.ndarray((), layout, buffer=_G["shm_d"].buf)
     cells, release, cost_rows, err_slots = (record[k] for k in layout.names)
@@ -316,8 +306,6 @@ def _worker_loop(pid: int) -> None:
     ctx = WorkerContext(
         pid=pid,
         renderer=_G["renderer"],
-        steal_chunk=_G["steal_chunk"],
-        claim_locks=_G["claim_locks"],
         barrier=_G["barrier"],
         clock=time.process_time,
         rec=rec,
@@ -343,13 +331,11 @@ def _worker_loop(pid: int) -> None:
             color, opacity, fcolor, falpha = _frame_planes(
                 shm_i, shm_f, inter_cap, final_cap, buf, fact
             )
-            err, t_comp, t_warp, n_steals, n_steal_rows = run_frame(
+            err, t_comp, t_warp = run_frame(
                 ctx, frame, fact, (v_lo, v_hi), owner, final_rows,
                 cost_rows[buf] if profiled else None, timestep,
                 IntermediateImage.over(color, opacity),
-                FinalImage.over(fcolor, falpha),
-                None if claims is None or solo else claims[buf],
-                solo,
+                FinalImage.over(fcolor, falpha), solo,
             )
             # Completion is a shm write, not a pickle: the parent's
             # supervisor reads the cell when the bell rings — and, behind
@@ -360,8 +346,6 @@ def _worker_loop(pid: int) -> None:
             cell[1] = 0 if err is None else _FLAG_ERROR
             cell[2] = t_comp
             cell[3] = t_warp
-            cell[4] = n_steals
-            cell[5] = n_steal_rows
             cell[0] = frame  # written last: a reader seeing it sees the rest
             bell.set()
             # Within a batch there is no queue wait: the next frame's
@@ -411,7 +395,7 @@ class MPRenderPool(PoolCore):
         # without AttributeErrors and without leaking shm segments.
         self._workers: list = []
         self._job_fds: list[int] = []  # write ends of the job pipes
-        self._shm_i = self._shm_f = self._shm_c = self._shm_t = None
+        self._shm_i = self._shm_f = self._shm_t = None
         self._shm_d = None
         self._stop = threading.Event()
         self._supervisor: threading.Thread | None = None
@@ -447,19 +431,6 @@ class MPRenderPool(PoolCore):
         # Zero through numpy views — never a full-size Python bytes object.
         np.ndarray((inter_floats,), np.float32, buffer=self._shm_i.buf).fill(0.0)
         np.ndarray((final_floats,), np.float32, buffer=self._shm_f.buf).fill(0.0)
-        # Claim cursors for chunked stealing: one (head, tail) int64 pair
-        # per worker per image buffer, zeroed so an uninitialised slot
-        # reads as an empty (drained) assignment.  One worker has nobody
-        # to steal from.
-        self._claims: np.ndarray | None = None
-        if self.n_procs > 1:
-            self._shm_c = shared_memory.SharedMemory(
-                create=True, size=self.buffers * self.n_procs * 2 * 8
-            )
-            self._claims = np.ndarray(
-                (self.buffers, self.n_procs, 2), np.int64, buffer=self._shm_c.buf
-            )
-            self._claims.fill(0)
 
         # Doorbell segment: everything the workers report — per-buffer
         # completion cells, cost rows and error slots — plus the release
@@ -493,23 +464,17 @@ class MPRenderPool(PoolCore):
     def _spawn_workers(self, generation: int) -> None:
         """Fork a worker set against the existing shared segments.
 
-        Job pipes, barrier and claim locks are created fresh each
-        generation: after a fault the old ones may hold stale jobs,
-        wedged waiters or semaphores owned by dead processes, and
-        rebuilding them is the only state-reset that needs no
-        cooperation from the casualties.
+        Job pipes, barrier and bell are created fresh each generation:
+        after a fault the old ones may hold stale jobs, wedged waiters
+        or semaphores owned by dead processes, and rebuilding them is
+        the only state-reset that needs no cooperation from the
+        casualties.
         """
         with _SPAWN_LOCK:
             self._spawn_workers_locked(generation)
 
     def _spawn_workers_locked(self, generation: int) -> None:
         ctx = mp.get_context("fork")
-        # One lock per worker's claim cursor pair: the owner takes only
-        # its own lock, a thief takes only the victim's — claim and steal
-        # never serialise unrelated workers.
-        claim_locks = (
-            [ctx.Lock() for _ in range(self.n_procs)] if self.n_procs > 1 else []
-        )
         # Fresh bell per generation: a terminated worker's last ring must
         # not wake the supervisor into reading its half-written cells
         # (recovery zeroes the cells before the new set starts anyway).
@@ -536,9 +501,6 @@ class MPRenderPool(PoolCore):
             final_cap=self.final_cap,
             n_procs=self.n_procs,
             buffers=self.buffers,
-            steal_chunk=self.steal_chunk,
-            claim_locks=claim_locks,
-            shm_c=self._shm_c,
             shm_d=self._shm_d,
             bell=self._bell,
             shm_t=self._shm_t,
@@ -615,8 +577,8 @@ class MPRenderPool(PoolCore):
 
         Past the first frame of a message the buffer's last occupant
         may still be in flight.  Its *retirement* then zeroes the images
-        and seeds our claim cursors (``_release_locked``), all before
-        the release cursor lets any worker in.
+        (``_release_locked``) before the release cursor lets any worker
+        in.
         """
         rec = self._inflight[frame]
         buf = frame % self.buffers
@@ -628,12 +590,6 @@ class MPRenderPool(PoolCore):
                 # attempt's partial writes.
                 self._zero_images_locked(buf, fact)
             self._cells[buf, :, 0] = -1.0
-            if self._claims is not None:
-                # Seed the claim cursors to the static boundaries
-                # *before* the jobs go out — the pipe write is the
-                # happens-before edge that makes these writes visible
-                # to every worker.
-                seed_claims(self._claims[buf], boundaries)
         rec["deadline"] = (
             time.monotonic() + self.config.timeout_s
             if self.config.timeout_s is not None else None
@@ -689,11 +645,10 @@ class MPRenderPool(PoolCore):
         """Release ``frame``'s buffer to its next occupant.
 
         Zeroes the regions the frame wrote, resets the buffer's
-        completion cells, seeds the next occupant's claim cursors if it
-        was dispatched while the buffer was still busy, and
-        only *then* bumps the release cursor — the cursor is the
-        happens-before edge the gated worker spins on, so everything
-        written here is visible before any worker touches the buffer.
+        completion cells, and only *then* bumps the release cursor — the
+        cursor is the happens-before edge the gated worker spins on, so
+        everything written here is visible before any worker touches the
+        buffer.
         Also re-arms the progress clock the frame deadlines run on, and
         sends whatever message was held back for this buffer.
         """
@@ -701,9 +656,6 @@ class MPRenderPool(PoolCore):
         if rec["sent"]:
             self._zero_images_locked(buf, rec["fact"])
         self._cells[buf, :, 0] = -1.0
-        nxt = self._inflight.get(frame + self.buffers)
-        if self._claims is not None and nxt is not None and nxt["sent"]:
-            seed_claims(self._claims[buf], nxt["boundaries"])
         if self._release[buf] < frame:
             self._release[buf] = frame
         self._last_complete_t = time.monotonic()
@@ -768,12 +720,11 @@ class MPRenderPool(PoolCore):
             if not all(cells[pid, 0] == frame for pid in pids):
                 return
             for pid in pids:
-                _, flags, t_comp, t_warp, n_steals, n_steal_rows = cells[pid]
+                _, flags, t_comp, t_warp = cells[pid]
                 err = None
                 if int(flags) & _FLAG_ERROR:
                     err = bytes(self._err_slots[buf, pid]).rstrip(b"\0").decode()
-                self._worker_done_locked(frame, pid, err, t_comp, t_warp,
-                                         n_steals, n_steal_rows)
+                self._worker_done_locked(frame, pid, err, t_comp, t_warp)
             if frame in self._inflight:
                 return  # re-dispatched (retry/recovery) — wait afresh
 
@@ -828,7 +779,7 @@ class MPRenderPool(PoolCore):
 
         A dead or wedged worker poisons everything downstream of the
         shared barrier, so recovery stops the *whole* set: terminate
-        all workers, rebuild pipes/barrier/locks, respawn against the
+        all workers, rebuild pipes/barrier/bell, respawn against the
         existing shm segments, and resubmit every in-flight frame (its
         saved partition makes the retry bit-identical).  Frames out of
         retries degrade to an in-parent serial render or fail typed.
@@ -995,7 +946,7 @@ class MPRenderPool(PoolCore):
                 pass
         if getattr(self, "_job_fds", None):
             self._close_job_pipes()
-        for name in ("_shm_i", "_shm_f", "_shm_c", "_shm_t", "_shm_d"):
+        for name in ("_shm_i", "_shm_f", "_shm_t", "_shm_d"):
             shm = getattr(self, name, None)
             if shm is None:
                 continue

@@ -16,20 +16,16 @@ on *how* workers are run lives here exactly once:
   on demand — once per key while one is outstanding, again after
   :data:`PROFILE_REUSE` frames) and scanline ownership (section 4.5) —
   for a pool's workers and, one level up, for a shard fleet's pools;
-* the *dynamic* half (section 4.4): guided, cost-aware chunk claims
-  over a shared ``(head, tail)`` cursor pair per worker
-  (:func:`claim_own_chunk`, :func:`steal_victim_chunk`,
-  :func:`composite_share`) — an owner takes half of what is left off
-  the head of its block, a thief half of the most-loaded victim's tail,
-  and whoever finds fewer than two grains (:data:`DEFAULT_STEAL_CHUNK`
-  rows, a kernel call's fixed cost) left takes them all, so no kernel
-  call is smaller than a grain.  The partition does the work and
-  stealing mops up the residue: a band under two grains is *one*
-  kernel call, a taller one about ``log2(rows / grain)``;
-* :func:`run_frame` — the worker's frame body (decode → composite →
-  barrier → warp, with its spans, CPU clocks, fault points and the
-  in-place calibration of a profiled frame's costs; a *solo* frame,
-  dealt whole to one worker, skips the barrier);
+* one static band per worker, composited in one kernel call: the
+  profile alone balances a banded frame.  (Section 4.4's stealing
+  stays in the simulator's renderers; in the pools the time-calibrated
+  profile already hands a slowed worker a smaller band, and a thief
+  never found rows left to take — EXPERIMENTS.md "PR 33".)
+* :func:`run_frame` — the worker's frame body (decode → one
+  block-kernel call over its band → barrier → warp, with its spans,
+  CPU clocks, fault points and the in-place calibration of a profiled
+  frame's costs; a *solo* frame, dealt whole to one worker, skips the
+  barrier);
 * :class:`PoolCore` — the frame ledger: ``submit_batch`` (and its
   one-frame form ``submit``) / ``result`` / ``render`` /
   ``render_animation``, the queue of admitted messages that cannot
@@ -85,7 +81,6 @@ from .backend import FrameSpec, as_frame_specs
 
 __all__ = [
     "POOL_BACKENDS",
-    "DEFAULT_STEAL_CHUNK",
     "PROFILE_REUSE",
     "MPPoolError",
     "FrameFailed",
@@ -103,10 +98,6 @@ __all__ = [
     "run_frame",
     "capacity_shapes",
     "composite_range",
-    "seed_claims",
-    "claim_own_chunk",
-    "steal_victim_chunk",
-    "composite_share",
     "FAULT_PHASES",
     "FAULT_KINDS",
     "armed_fault",
@@ -118,28 +109,12 @@ __all__ = [
 #: ``"thread"`` the no-copy threading pool.
 POOL_BACKENDS = ("mp", "thread")
 
-#: The stealing grain, in scanlines: no claim, no steal and no
-#: remainder they leave behind is smaller than this (section 4.4), and a
-#: band under two grains is one kernel call.  It is the break-even of a
-#: block-kernel call's fixed cost: a call costs ``F + c * rows`` with
-#: ``F`` — the ~80 small NumPy calls per touched slice, paid whatever
-#: the chunk's height — worth 63-103 rows at 32^3, 64^3 and 128^3 since
-#: the kernel resamples only its candidates (EXPERIMENTS.md "PR 18": a
-#: row got 1.6-2.7x cheaper, the fixed part 1.3-1.4x; 43-62 rows and a
-#: grain of 48 before), so a chunk below it spends more on being a
-#: separate call than on its rows.  The static partition does the work
-#: and stealing only fires on bands of two grains or more.  A measured
-#: constant, not an option: a pool reads it once, at construction, so a
-#: test that needs finer splitting monkeypatches it before building the
-#: pool, as with ``TEST_ROW_DELAY``.
-DEFAULT_STEAL_CHUNK = 80
-
 #: Frames a measured profile is reused for before its key asks for a
 #: fresh one (section 4.2's "every k frames"): a key is re-profiled once
 #: this many frames have been planned since its last request, so a
 #: one-frame stream profiles frames 0, 5, 10, ...  A constant, not an
 #: option; :meth:`FramePlanner.partition` reads it on every call, so a
-#: test monkeypatches it, as it does :data:`DEFAULT_STEAL_CHUNK`.
+#: test monkeypatches it.
 PROFILE_REUSE = 5
 
 
@@ -196,12 +171,11 @@ class PoolConfig:
     and in every work counter, row by row.  The reference stays where it
     is the point — the test oracle and the simulator's traced renderers.
     Nor is the paper's feedback loop configured: the pool profiles on
-    demand (:class:`FramePlanner`, :data:`PROFILE_REUSE`) and steals
-    whenever it has a second worker (section 4.4: guided claims down to
-    two grains of :data:`DEFAULT_STEAL_CHUNK` rows, so a band under two
-    grains is one kernel call by its owner).  Nor the schedule: a batch
-    of at least ``n_procs`` frames is dealt whole to the workers, a
-    shorter message banded (:meth:`PoolCore.submit_batch`).
+    demand (:class:`FramePlanner`, :data:`PROFILE_REUSE`), and each
+    worker composites its band of a banded frame in one kernel call —
+    the profile is the only balancer, there is no stealing.  Nor the
+    schedule: a batch of at least ``n_procs`` frames is dealt whole to
+    the workers, a shorter message banded (:meth:`PoolCore.submit_batch`).
 
     Parameters
     ----------
@@ -498,7 +472,7 @@ def profile_partition(profile: ScanlineProfile | None, n: int,
 TEST_ROW_DELAY: tuple[int, float] | None = None
 
 #: Worker phases at which a fault can be injected.
-FAULT_PHASES = ("decode", "composite", "profile", "steal", "warp")
+FAULT_PHASES = ("decode", "composite", "profile", "warp")
 
 #: Kinds of injectable fault: SIGKILL the worker, hang it forever, or
 #: raise out of the phase.
@@ -586,8 +560,8 @@ class MPRenderResult:
     profiled: bool = False
     busy_s: np.ndarray | None = field(default=None, repr=False)
     timeline: FrameTimeline | None = field(default=None, repr=False)
-    #: Successful chunk steals across all workers, and the scanlines they
-    #: moved (zero on a static pool or a frame that never went idle).
+    #: Always 0: the pools do not steal (the profile balances a banded
+    #: frame).  Kept so readers of the old chunk-steal counts still work.
     steals: int = 0
     steal_rows: int = 0
     #: How many times this frame was re-dispatched after a fault (0 on
@@ -630,17 +604,13 @@ def capacity_shapes(
     return (cap_v, cap_u), (diag, diag)
 
 
-# -- the worker side: claim, steal, composite, one frame ----------------------
+# -- the worker side: one frame ----------------------------------------------
 
 
 def composite_range(img, lo, hi, rle, fact, profiled, rec, frame):
     """Composite scanlines ``[lo, hi)`` in one block-kernel call; their
-    per-row costs when profiling.
-
-    One claimed chunk (or, on a one-worker pool, the whole band).  The
-    block kernel's per-row arithmetic is row-independent, so splitting a
-    band into chunks leaves every pixel bit-identical.
-    """
+    per-row costs when profiling (``None`` otherwise).  A worker's whole
+    band is one call."""
     if hi <= lo:
         return None
     if not profiled:
@@ -657,148 +627,6 @@ def composite_range(img, lo, hi, rle, fact, profiled, rec, frame):
     return costs
 
 
-def seed_claims(claims: np.ndarray, boundaries: np.ndarray) -> None:
-    """Point every worker's ``(head, tail)`` cursor pair in the
-    ``(n_procs, 2)`` array ``claims`` at its static block."""
-    claims[:, 0] = boundaries[:-1]
-    claims[:, 1] = boundaries[1:]
-
-
-def _guided_take(rem: int, grain: int, half: int) -> int:
-    """Rows one claim takes of ``rem`` unclaimed ones: ``half`` while at
-    least two grains are left (so ``half`` and what it leaves behind are
-    both at least ``grain``), everything after that — splitting less
-    than two grains would buy somebody a kernel call whose fixed cost
-    exceeds its rows."""
-    return half if rem >= 2 * grain else rem
-
-
-def claim_own_chunk(claims, lock, pid, grain) -> tuple[int, int] | None:
-    """Claim the next chunk off the head of this worker's own block.
-
-    Guided and cost-aware: half of what is left (rounded up) while at
-    least two grains remain, then everything — a band under two grains
-    is one claim, a band of ``n`` rows at most ``floor(log2(n / grain))
-    + 1``, and whatever is still unclaimed stays stealable in chunks of
-    at least ``grain`` rows.
-    """
-    with lock:
-        lo = int(claims[pid, 0])
-        rem = int(claims[pid, 1]) - lo
-        if rem <= 0:
-            return None
-        hi = lo + _guided_take(rem, grain, (rem + 1) // 2)
-        claims[pid, 0] = hi
-    return lo, hi
-
-
-def steal_victim_chunk(claims, locks, pid, grain) -> tuple[int, int] | None:
-    """Trim a chunk off the most-loaded victim's tail: half of what it
-    has left (rounded down), or all of it once fewer than two grains
-    remain — never less than ``grain`` scanlines unless that is all
-    there is.
-
-    The victim scan reads the cursors without locks (stale values only
-    cost us a sub-optimal victim); the claim itself re-checks under the
-    victim's lock, so a scanline is never handed out twice.  Returns
-    ``None`` once no victim has unclaimed work left.
-    """
-    n_procs = len(locks)
-    while True:
-        best, best_rem = -1, 0
-        for q in range(n_procs):
-            if q == pid:
-                continue
-            rem = int(claims[q, 1]) - int(claims[q, 0])
-            if rem > best_rem:
-                best, best_rem = q, rem
-        if best < 0:
-            return None
-        with locks[best]:
-            lo = int(claims[best, 0])
-            hi = int(claims[best, 1])
-            if hi > lo:
-                new_tail = hi - _guided_take(hi - lo, grain, (hi - lo) // 2)
-                claims[best, 1] = new_tail
-                return new_tail, hi
-        # Raced: the victim drained between scan and lock — rescan.
-
-
-def composite_share(img, band, claims, locks, pid, grain, rle, fact,
-                    costs, rec, frame, burn_per_row=0.0, fault=None):
-    """Composite worker ``pid``'s share of one frame (every pool's loop).
-
-    One-worker pool (``claims is None``): the whole ``band`` in one
-    kernel call.  Otherwise: drain the head of our own block in guided
-    chunks, then turn thief until every block is drained.  On a profiled
-    frame ``costs`` is the frame's cost row (``None`` otherwise) and
-    every chunk's per-scanline op counts are written straight into it,
-    at the chunk's own scanlines.  Records the ``steal`` spans and the
-    frame's counters (rows, steals, kernel calls, slice-cache deltas) on
-    ``rec``; returns ``(chunks, n_steals, n_steal_rows)`` where
-    ``chunks`` lists the ``(lo, hi)`` ranges this worker composited.
-    """
-    chunks: list[tuple[int, int]] = []
-    n_rows = n_steals = n_steal_rows = 0
-    if rec is not None:
-        cache = rle.slice_cache
-        hits0, misses0, decode_s0 = cache.hits, cache.misses, cache.decode_s
-
-    def run(lo: int, hi: int) -> None:
-        nonlocal n_rows
-        frag = composite_range(img, lo, hi, rle, fact, costs is not None,
-                               rec, frame)
-        n_rows += hi - lo
-        chunks.append((lo, hi))
-        if frag is not None:
-            costs[lo:hi] = frag
-        if burn_per_row:
-            _burn(burn_per_row * (hi - lo))
-
-    if claims is None:
-        if band[1] > band[0]:
-            run(*band)
-    else:
-        while (got := claim_own_chunk(claims, locks[pid], pid, grain)) is not None:
-            run(*got)
-        _maybe_fault(fault, pid, frame, "steal")
-        while True:
-            if rec is not None:
-                ts0 = rec.now()
-            got = steal_victim_chunk(claims, locks, pid, grain)
-            if got is None:
-                break
-            if rec is not None:
-                rec.span(frame, "steal", ts0, rec.now())
-            n_steals += 1
-            n_steal_rows += got[1] - got[0]
-            run(*got)
-    if rec is not None:
-        rec.count(frame, "rows", n_rows)
-        rec.count(frame, "steals", n_steals)
-        rec.count(frame, "steal_rows", n_steal_rows)
-        rec.count(frame, "kernel_calls", len(chunks))
-        rec.count(frame, "cache_hits", cache.hits - hits0)
-        rec.count(frame, "cache_misses", cache.misses - misses0)
-        rec.count(frame, "decode_us", (cache.decode_s - decode_s0) * 1e6)
-    return chunks, n_steals, n_steal_rows
-
-
-def _calibrate_costs(costs: np.ndarray, chunks, t_comp: float) -> None:
-    """Turn the op counts one worker wrote into ``costs`` into *time*,
-    which is what the partition must balance (the paper's native profile
-    is elapsed time too): every chunk it composited — including rows it
-    stole — is scaled so together they sum to its compositing CPU time.
-    Each scanline is composited by exactly one worker, so the frame's
-    row is covered exactly once even when rows crossed blocks, and no
-    two workers touch the same element before the barrier."""
-    total = sum(float(costs[lo:hi].sum()) for lo, hi in chunks)
-    if total > 0 and t_comp > 0:
-        scale = t_comp / total
-        for lo, hi in chunks:
-            costs[lo:hi] *= scale
-
-
 @dataclass
 class WorkerContext:
     """What one worker needs to run any frame, handed over by its
@@ -806,10 +634,6 @@ class WorkerContext:
 
     pid: int
     renderer: object
-    steal_chunk: int
-    #: One lock per worker's claim cursor pair: the owner takes only its
-    #: own lock, a thief only the victim's (empty on a one-worker pool).
-    claim_locks: list
     #: Separates the frame's two phases across the whole worker set.
     barrier: object
     #: CPU clock of this worker alone (``time.process_time`` in a forked
@@ -826,40 +650,38 @@ class WorkerContext:
 
 
 def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
-              costs, timestep, img, final, claims, solo: bool = False):
+              costs, timestep, img, final, solo: bool = False):
     """One worker's share of one frame: decode → composite → barrier → warp.
 
     ``img`` / ``final`` are the frame's images wherever the transport
-    keeps them; ``claims`` its ``(n_procs, 2)`` cursor array (``None``
-    on a one-worker pool and on a solo frame).  A barrier still
-    separates a banded frame's phases: however the partition is
-    balanced, a worker's warp rows bilinearly sample the boundary
-    scanline pair its neighbor composited, so the warp may only start
-    once compositing is complete everywhere.  A ``solo`` frame — dealt
-    whole to this worker, ``band`` its whole non-empty band — has no
-    neighbor: one whole-band kernel call, no barrier, and a warp of
-    every row (``render_fast``'s arithmetic), counted as one
+    keeps them; ``band`` is this worker's block ``[lo, hi)``, composited
+    in one block-kernel call.  A barrier separates a banded frame's
+    phases: however the partition is balanced, a worker's warp rows
+    bilinearly sample the boundary scanline pair its neighbor
+    composited, so the warp may only start once compositing is complete
+    everywhere.  A ``solo`` frame — dealt whole to this worker, ``band``
+    its whole non-empty band — has no neighbor: no barrier, and a warp
+    of every row (``render_fast``'s arithmetic), counted as one
     ``solo_frames``.
 
     ``costs`` is the frame's cost row on a profiled frame, ``None``
     otherwise: float64, indexed by intermediate scanline and shared by
     the whole worker set — the paper's one profile array (sections
     4.2-4.3), written where the pixels are.  Before the barrier this
-    worker stores the calibrated cost of every scanline it composited
-    (:func:`_calibrate_costs`); after it, it adds its warp CPU time,
-    spread evenly, to its *static* block ``band`` — warp rows follow the
-    boundaries, not who stole what, so warp load moves with the
-    boundaries on the next partition.  The barrier orders that ``+=``
-    after every ``=``, whichever worker made it.
+    worker stores its band's op counts scaled to its compositing CPU
+    time (time is what the partition must balance; the paper's native
+    profile is elapsed time too); after it, it adds its warp CPU time,
+    spread evenly over the band.  Each scanline belongs to one band, so
+    the row is covered exactly once.
 
-    Returns ``(err, t_comp, t_warp, n_steals, n_steal_rows)`` — ``err``
-    is the exception text if a phase raised (the cost row is then
-    incomplete, and the frame is retried or failed, never installed).
+    Returns ``(err, t_comp, t_warp)`` — ``err`` is the exception text if
+    a phase raised (the cost row is then incomplete, and the frame is
+    retried or failed, never installed).
     """
     pid, rec, fault, clock = ctx.pid, ctx.rec, ctx.fault, ctx.clock
+    lo, hi = band
     err: str | None = None
-    chunks: list[tuple[int, int]] = []
-    n_steals = n_steal_rows = 0
+    op_costs = None
     t_comp = t_warp = 0.0
     # Span clocks pre-bound so the finally block can record even when
     # a phase died before its start time was taken (the bogus span is
@@ -875,19 +697,32 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
             if rec is not None:
                 tc0 = rec.now()
                 rec.span(frame, "decode", td0, tc0)
+                cache = rle.slice_cache
+                hits0, misses0 = cache.hits, cache.misses
+                decode_s0 = cache.decode_s
             if costs is not None:
                 _maybe_fault(fault, pid, frame, "profile")
             _maybe_fault(fault, pid, frame, "composite")
-            chunks, n_steals, n_steal_rows = composite_share(
-                img, band, claims, ctx.claim_locks, pid, ctx.steal_chunk, rle,
-                fact, costs, rec, frame, ctx.burn_per_row, fault,
-            )
+            op_costs = composite_range(img, lo, hi, rle, fact,
+                                       costs is not None, rec, frame)
+            if ctx.burn_per_row:
+                _burn(ctx.burn_per_row * (hi - lo))
+            if rec is not None:
+                rec.count(frame, "rows", hi - lo)
+                rec.count(frame, "kernel_calls", int(hi > lo))
+                rec.count(frame, "cache_hits", cache.hits - hits0)
+                rec.count(frame, "cache_misses", cache.misses - misses0)
+                rec.count(frame, "decode_us",
+                          (cache.decode_s - decode_s0) * 1e6)
         finally:
             # Busy time stops at the barrier: the wait measures the
             # *imbalance*, not this worker's work.
             t_comp = clock() - t0
-            if costs is not None:
-                _calibrate_costs(costs, chunks, t_comp)
+            if op_costs is not None:
+                costs[lo:hi] = op_costs
+                total = float(costs[lo:hi].sum())
+                if total > 0 and t_comp > 0:
+                    costs[lo:hi] *= t_comp / total
             if rec is not None:
                 tb0 = rec.now()
                 rec.span(frame, "composite", tc0, tb0)
@@ -912,13 +747,13 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
         line_owner = None if solo and owner.min() >= 0 else owner
         warp_rows(final, final_rows, img, fact, line_owner=line_owner, pid=pid)
         t_warp = clock() - t1
-        if costs is not None and band[1] > band[0]:
-            costs[band[0]:band[1]] += t_warp / (band[1] - band[0])
+        if costs is not None and hi > lo:
+            costs[lo:hi] += t_warp / (hi - lo)
         if rec is not None:
             rec.span(frame, "warp", tw0, rec.now())
     except Exception as exc:  # noqa: BLE001 - reported through the ledger
         err = f"{type(exc).__name__}: {exc}"
-    return err, t_comp, t_warp, n_steals, n_steal_rows
+    return err, t_comp, t_warp
 
 
 # -- the frame ledger ---------------------------------------------------------
@@ -939,7 +774,7 @@ class PoolCore:
     A transport implements (all called with the pool condition held):
 
     ``_send_locked(frames)``
-        Give each frame its images and claim cursors and get its jobs
+        Give each frame its images and get its jobs
         to the workers it is dealt to (:meth:`_workers_of`): at most one
         message per worker, a banded frame in the same order on all.
     ``_take_images_locked(frame, rec) -> (intermediate, final)``
@@ -989,10 +824,6 @@ class PoolCore:
         self.renderer = renderer
         self.config = config
         self.n_procs = config.n_procs
-        # The grain this pool's workers run with, read once so every
-        # worker generation of the pool agrees on it.  (One worker has
-        # nobody to steal from: a transport skips the claim traffic.)
-        self.steal_chunk = DEFAULT_STEAL_CHUNK
         self.trace = config.trace
 
         # Observability: the registry always exists (submit updates pool
@@ -1131,7 +962,7 @@ class PoolCore:
         if not specs:
             return []
         t_d0 = self._sup_rec.now() if self._sup_rec is not None else 0.0
-        # Admit everything before claiming anything: a view that is
+        # Admit everything before numbering anything: a view that is
         # refused must leave no bookkeeping behind, nor strand its
         # batch-mates in flight.
         admitted = [
@@ -1139,7 +970,7 @@ class PoolCore:
                                 region=s.region, timestep=s.timestep)
             for s in specs
         ]
-        frames = [self._claim_frame_locked(a) for a in admitted]
+        frames = [self._new_frame_locked(a) for a in admitted]
         self._held.append(frames)
         self._feed_locked()
         self._sample_gauges_locked()
@@ -1194,7 +1025,7 @@ class PoolCore:
         if self._broken is not None:
             raise PoolUnrecoverable(self._broken)
 
-    def _claim_frame_locked(self, admitted: dict) -> int:
+    def _new_frame_locked(self, admitted: dict) -> int:
         """Allocate the next frame id and its in-flight record."""
         frame = self._next_frame
         self._next_frame += 1
@@ -1245,7 +1076,7 @@ class PoolCore:
                 rec["rows_by_pid"] = warp_rows_by_pid(
                     src_lines, rec["owner"], self.n_procs)
                 # Fresh per-attempt accounting.
-                rec.update(done=0, errors=[], steals=0, steal_rows=0)
+                rec.update(done=0, errors=[])
                 rec["busy"][:] = 0.0
                 rec["costs"] = (
                     self._cost_row_locked(frame, rec) if rec["profiled"] else None
@@ -1261,8 +1092,7 @@ class PoolCore:
     # -- completion: account, finish, retry, degrade, fail -------------------
 
     def _worker_done_locked(self, frame: int, pid: int, err: str | None,
-                            t_comp: float, t_warp: float,
-                            n_steals: int, n_steal_rows: int) -> None:
+                            t_comp: float, t_warp: float) -> None:
         """Account worker ``pid``'s :func:`run_frame` outcome to
         ``frame``; the last worker it was dealt to finishes the frame."""
         rec = self._inflight.get(frame)
@@ -1270,8 +1100,6 @@ class PoolCore:
             return
         rec["done"] += 1
         rec["busy"][pid] = t_comp + t_warp
-        rec["steals"] += int(n_steals)
-        rec["steal_rows"] += int(n_steal_rows)
         if err is not None:
             rec["errors"].append(f"worker {pid}: {err}")
         if rec["done"] >= len(self._workers_of(rec)):
@@ -1296,9 +1124,6 @@ class PoolCore:
             metrics_from_timelines([timeline], self.metrics)
         if rec["solo"] is not None:
             self.metrics.counter("pool/solo_frames").inc()
-        if rec["steals"]:
-            self.metrics.counter("pool/steals").inc(rec["steals"])
-            self.metrics.counter("pool/steal_rows").inc(rec["steal_rows"])
         costs = None
         if rec["profiled"]:
             # A private copy of the frame's band, taken before the
@@ -1317,8 +1142,6 @@ class PoolCore:
             profiled=rec["profiled"],
             busy_s=rec["busy"],
             timeline=timeline,
-            steals=rec["steals"],
-            steal_rows=rec["steal_rows"],
             retries=rec["attempt"],
             costs=costs,
             costs_v_lo=int(rec["v_lo"]),
@@ -1433,7 +1256,6 @@ class PoolCore:
             raise RuntimeError("pool was created without trace=True")
         meta = {
             "n_procs": self.n_procs,
-            "steal_chunk": self.steal_chunk,
             "frames": len(self.timelines),
             "backend": self.transport,
             "batch_frames": int(

@@ -2,9 +2,9 @@
 
 :class:`ThreadRenderPool` is the *thread transport* of the pool core
 (:mod:`repro.parallel.poolcore`): the same partitioned shear-warp frame
-as :class:`~repro.parallel.mp_backend.MPRenderPool` — planning, guided
-claim/steal compositing, the worker's frame body, completion
-accounting and the retry → degrade → fail ledger are all the core's —
+as :class:`~repro.parallel.mp_backend.MPRenderPool` — planning, the
+worker's frame body, completion accounting and the retry → degrade →
+fail ledger are all the core's —
 but on *threads* instead of forked processes.  The compute-heavy block
 kernel spends its time inside numpy ufuncs, which release the GIL, so
 threads genuinely overlap there; and a thread pool pays none of the
@@ -25,16 +25,12 @@ Concurrency structure
 Workers receive frame ids through per-worker queues.  A banded frame
 goes to every queue, in the same order on all, and its workers re-join
 at a shared :class:`threading.Barrier` between its composite and warp
-phases, so at most one *banded* frame is ever in its composite phase
-at a time (a worker enters the next banded frame's composite only after
-passing this one's barrier, which every sibling has then reached too).
-Claim cursors are therefore per-frame numpy arrays guarded by one
-persistent lock per worker.  A solo frame goes to its owner's queue
-alone and touches neither the barrier nor the claim locks.  Warp rows
-are disjoint per worker by construction.  Each worker reports its own
-completion under the pool condition; the worker that reports a frame's
-last block also finishes it (profile install, timeline assembly, result
-hand-off) — there is no supervisor thread.
+phases.  A solo frame goes to its owner's queue alone and never touches
+the barrier.  Composite bands and warp rows are disjoint per worker by
+construction.  Each worker reports its own completion under the pool
+condition; the worker that reports a frame's last block also finishes
+it (profile install, timeline assembly, result hand-off) — there is no
+supervisor thread.
 
 What differs from the process transport, all inherent to threads:
 
@@ -61,8 +57,6 @@ import queue as queue_mod
 import threading
 import time
 
-import numpy as np
-
 from ..obs.recorder import RingReader, SpanRecorder
 from ..render.image import FinalImage, IntermediateImage
 from ..render.serial import ShearWarpRenderer
@@ -71,7 +65,6 @@ from .poolcore import (
     PoolCore,
     WorkerContext,
     run_frame,
-    seed_claims,
     worker_burn_per_row,
 )
 
@@ -100,11 +93,6 @@ class ThreadRenderPool(PoolCore):
         self._queues: list[queue_mod.SimpleQueue] = []
         super().__init__(renderer, config)
         n = self.n_procs
-        # One persistent lock per worker's claim cursors.  The barrier
-        # keeps at most one frame in its composite phase at any moment,
-        # so per-frame claim arrays + these per-worker locks give the
-        # exact claim/steal protocol of the MP pool's shm cursor array.
-        claim_locks = [threading.Lock() for _ in range(n)]
         self._barrier = threading.Barrier(n)
         self._queues = [queue_mod.SimpleQueue() for _ in range(n)]
         for pid in range(n):
@@ -115,8 +103,6 @@ class ThreadRenderPool(PoolCore):
             ctx = WorkerContext(
                 pid=pid,
                 renderer=renderer,
-                steal_chunk=self.steal_chunk,
-                claim_locks=claim_locks,
                 barrier=self._barrier,
                 # Per-thread CPU time: the exact analogue of the MP
                 # workers' per-process clock, unpolluted by other
@@ -135,20 +121,16 @@ class ThreadRenderPool(PoolCore):
     # -- transport seam ------------------------------------------------------
 
     def _send_locked(self, frames: list[int]) -> None:
-        """Fresh images + claim cursors per frame, then one queue
-        message — ``(frame id, solo)`` pairs of the frames dealt to it —
-        per worker that was dealt any."""
+        """Fresh images per frame, then one queue message — ``(frame
+        id, solo)`` pairs of the frames dealt to it — per worker that
+        was dealt any."""
         jobs: list[list[tuple[int, bool]]] = [[] for _ in self._queues]
         for frame in frames:
             rec = self._inflight[frame]
             fact = rec["fact"]
             rec["img"] = IntermediateImage(fact.intermediate_shape)
             rec["final"] = FinalImage(fact.final_shape)
-            rec["claims"] = None
             solo = rec["solo"] is not None
-            if self.n_procs > 1 and not solo:
-                rec["claims"] = np.empty((self.n_procs, 2), dtype=np.int64)
-                seed_claims(rec["claims"], rec["boundaries"])
             for pid in self._workers_of(rec):
                 jobs[pid].append((frame, solo))
         for q, mine in zip(self._queues, jobs):
@@ -200,8 +182,7 @@ class ThreadRenderPool(PoolCore):
             ctx, frame, rec["fact"],
             (int(boundaries[pid]), int(boundaries[pid + 1])),
             rec["owner"], rec["rows_by_pid"][pid], rec["costs"],
-            rec.get("timestep"), rec["img"], rec["final"], rec["claims"],
-            solo,
+            rec.get("timestep"), rec["img"], rec["final"], solo,
         )
         with self._cond:
             self._worker_done_locked(frame, pid, *outcome)

@@ -301,8 +301,6 @@ class ShardedRenderService:
             boundaries=splan["boundaries"],
             profiled=all(r.profiled for r in results),
             busy_s=busy,
-            steals=sum(r.steals for r in results),
-            steal_rows=sum(r.steal_rows for r in results),
             retries=max(r.retries for r in results),
             degraded=any(r.degraded for r in results),
         )

@@ -9,7 +9,7 @@ worker reports through shared memory only, admission never waits, a
 shard fleet queues no frames of its own and plans with the pools'
 planner, the pools run one compositing kernel, and they are configured
 by one class with a counted number of fields, none of which tunes the
-profile feedback loop or stealing.
+profile feedback loop, and they do not steal.
 """
 
 import ast
@@ -253,8 +253,8 @@ def test_one_planner_at_both_levels():
 def test_one_config_class_with_seven_fields():
     """Every independently settable value of a pool is a ``PoolConfig``
     field; adding one is a decision, not a drive-by.  The feedback loop
-    is the pool's own: no field sets a profile period or turns stealing
-    off, the pool path plans without the simulator's ``ProfileSchedule``,
+    is the pool's own: no field sets a profile period or a stealing
+    grain, the pool path plans without the simulator's ``ProfileSchedule``,
     and the one-shot helper and the capabilities struct those knobs
     needed are gone."""
     import repro
@@ -269,6 +269,22 @@ def test_one_config_class_with_seven_fields():
     for name in ("poolcore.py", "mp_backend.py", "thread_backend.py"):
         assert "ProfileSchedule" not in _imported_modules(PARALLEL / name)
     assert "ProfileSchedule" not in _imported_modules(SRC / "shard" / "service.py")
+
+
+def test_the_pools_do_not_steal():
+    """The profile alone balances a banded frame: the core and both
+    transports name no claim cursor, claim lock or steal loop — only
+    the result's constant-0 ``steals`` / ``steal_rows`` fields, kept
+    for their readers."""
+    for name in ("poolcore.py", "mp_backend.py", "thread_backend.py"):
+        tree = ast.parse((PARALLEL / name).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            for attr in ("id", "attr", "name", "arg"):
+                if isinstance(getattr(node, attr, None), str):
+                    names.add(getattr(node, attr))
+        found = {n for n in names if re.search("steal|claim", n, re.I)}
+        assert found <= {"steals", "steal_rows"}, (name, found)
 
 
 def test_one_kernel_in_the_pools():

@@ -41,8 +41,8 @@ class TestProtocolConformance:
     @pytest.mark.parametrize("overrides", POOL_SHAPES)
     def test_isinstance_and_trace_flag(self, renderer, overrides):
         """What a caller may ask a backend is whether it traces: every
-        pool steals when it has a second worker and profiles on demand,
-        so there is no capabilities struct to consult."""
+        pool profiles on demand and balances its bands by that profile
+        alone, so there is no capabilities struct to consult."""
         with repro.open_pool(renderer, **overrides) as pool:
             assert isinstance(pool, RenderBackend)
             assert pool.trace is False
@@ -113,12 +113,13 @@ class TestProtocolConformance:
                            region=object())
 
 
-class TestLegacyKwargsDeprecation:
-    """The 2.0 removal: per-call pool kwargs raise, ``PoolConfig`` and
-    the facade's overrides are the only (and silent) ways in."""
+class TestConfigIsTheOnlyWayIn:
+    """A pool takes ``(renderer, config)``: any other keyword raises,
+    options that no longer exist included, and ``PoolConfig`` and the
+    facade's overrides are the only (and silent) ways in."""
 
     @pytest.mark.parametrize("pool_cls", [MPRenderPool, ThreadRenderPool])
-    def test_legacy_kwargs_raise_type_error(self, renderer, pool_cls):
+    def test_any_other_kwarg_raises(self, renderer, pool_cls):
         with pytest.raises(TypeError):
             pool_cls(renderer, n_procs=1)
         with pytest.raises(TypeError):
@@ -143,3 +144,18 @@ class TestLegacyKwargsDeprecation:
             with repro.open_pool(renderer, n_procs=1,
                                  backend="thread") as pool:
                 pool.result(pool.submit_batch(_views(renderer, 1))[0])
+
+    def test_steal_chunk_is_not_an_option(self, renderer):
+        """The pools do not steal, so there is no grain to set: neither
+        the config nor the facade takes one."""
+        with pytest.raises(TypeError, match="steal_chunk"):
+            repro.PoolConfig(steal_chunk=8)
+        with pytest.raises(TypeError, match="steal_chunk"):
+            repro.open_pool(renderer, steal_chunk=2)
+
+    def test_stealing_is_not_an_option(self, renderer):
+        """Nor is there stealing to turn on or off."""
+        with pytest.raises(TypeError, match="stealing"):
+            repro.PoolConfig(stealing=False)
+        with pytest.raises(TypeError, match="stealing"):
+            repro.open_pool(renderer, stealing=False)

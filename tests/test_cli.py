@@ -284,8 +284,8 @@ class TestCLIErrorPaths:
         ["render", "--procs", "2", "--stealing", "off"],
     ])
     def test_profile_period_and_stealing_flags_are_gone(self, capsys, argv):
-        """The pool profiles on demand and steals whenever it has a
-        second worker: neither has a flag."""
+        """The pool profiles on demand and does not steal: neither has
+        a flag."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -1,6 +1,6 @@
 """The one frame contract, stated once over the ``RenderBackend`` seam.
 
-Partitioning, stealing, profiling, sharding and recovery change only
+Partitioning, dealing, profiling, sharding and recovery change only
 *which* worker composites and warps a scanline, never a pixel.  So
 every backend — each entry of :data:`BACKENDS` — must return frames
 bit-identical to the serial fast path (:func:`assert_frames_identical`:
@@ -120,18 +120,40 @@ class TestFrames:
         assert all(r.profiled for r in results)
         assert_frames_identical(results, serial_refs(renderer, views))
 
-    def test_forced_steals(self, renderer, config, monkeypatch):
-        """Two-row grains and a slowed worker 0: every pool with a
-        second worker steals on a banded (one-frame) stream; a
-        one-worker pool has nobody to."""
-        monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 2)
-        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.003))
+    def test_a_slowed_worker_sheds_rows_by_profile(
+            self, renderer, config, monkeypatch):
+        """No pool steals: what moves rows off a slowed worker 0 is the
+        time-calibrated profile.  On a profiled one-frame stream, worker
+        0's band in the frame cut from the first profile is shorter than
+        in the same pool unslowed (in every shard's pool of a fleet),
+        and the frames stay bit-identical."""
+        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
         views = _views(renderer, ANGLES[:3])
-        with repro.open_pool(renderer, config) as pool:
-            results = [pool.render(v) for v in views]
-        assert_frames_identical(results, serial_refs(renderer, views))
-        steals = sum(r.steals for r in results)
-        assert steals > 0 if config.n_procs > 1 else steals == 0
+        refs = serial_refs(renderer, views)
+        cuts: dict[int, list] = {}
+        real_cut = poolcore.FramePlanner.cut
+
+        def cut(planner, plan, solo=None):
+            plan = real_cut(planner, plan, solo)
+            cuts.setdefault(id(planner), []).append(plan["boundaries"])
+            return plan
+
+        monkeypatch.setattr(poolcore.FramePlanner, "cut", cut)
+
+        def worker0_rows(delay):
+            monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", delay)
+            cuts.clear()
+            with repro.open_pool(renderer, config) as pool:
+                results = [pool.render(v) for v in views]
+                planners = [id(p._planner) for p in getattr(pool, "_pools", [pool])]
+            assert_frames_identical(results, refs)
+            assert all(r.steals == r.steal_rows == 0 for r in results)
+            return [int(np.diff(cuts[p][1])[0]) for p in planners]
+
+        slowed = worker0_rows((0, 0.01))
+        if config.n_procs > 1:
+            unslowed = worker0_rows(None)
+            assert all(s < u for s, u in zip(slowed, unslowed)), (slowed, unslowed)
 
     def test_timesteps(self, heart, config, monkeypatch):
         """A batch, then a profiled stream: the moving wedge churns the

@@ -24,13 +24,13 @@ def _views(renderer, n=5):
 
 
 class TestBatchedBitIdentity:
-    @pytest.mark.parametrize("stealing", [True, False])
-    def test_batched_matches_serial(self, renderer, stealing):
-        """submit_batch == serial, stealing on/off (a pool steals when it
-        has a second worker), profile feedback loop on."""
+    @pytest.mark.parametrize("two_workers", [True, False])
+    def test_batched_matches_serial(self, renderer, two_workers):
+        """submit_batch == serial, on two workers and on one, profile
+        feedback loop on."""
         views = _views(renderer)
         refs = serial_refs(renderer, views)
-        cfg = PoolConfig(n_procs=2 if stealing else 1)
+        cfg = PoolConfig(n_procs=2 if two_workers else 1)
         with MPRenderPool(renderer, config=cfg) as pool:
             res = pool.render_animation(views)
         assert_frames_identical(res, refs)
@@ -53,7 +53,7 @@ class TestBatchedBitIdentity:
 
     def test_batch_deeper_than_buffers(self, renderer):
         """A batch far deeper than the buffer ring streams correctly
-        (release-cursor gating + deferred claim seeding)."""
+        (release-cursor gating)."""
         views = _views(renderer, 8)
         refs = serial_refs(renderer, views)
         cfg = PoolConfig(n_procs=2)

@@ -1,5 +1,8 @@
 """Tests for the real multiprocessing shared-memory backend."""
 
+import os
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,23 @@ class TestMPBackend:
             repro.PoolConfig(profile_period=-1)
         with pytest.raises(TypeError, match="profile_period"):
             repro.open_pool(renderer, n_procs=1, profile_period=5)
+
+
+class TestSharedSegments:
+    @pytest.mark.parametrize("trace, owned", [(False, 3), (True, 4)])
+    def test_a_pool_owns_images_doorbell_and_rings_only(self, renderer,
+                                                        trace, owned):
+        """A two-worker pool maps the intermediate and final images and
+        the doorbell, plus the span rings when tracing: no claim-cursor
+        segment, since no pool steals."""
+        before = set(os.listdir("/dev/shm"))
+        with repro.open_pool(renderer, n_procs=2, trace=trace) as pool:
+            pool.render(renderer.view_from_angles(20, 30, 0))
+            made = set(os.listdir("/dev/shm")) - before
+            mine = {seg.name.lstrip("/") for seg in vars(pool).values()
+                    if isinstance(seg, shared_memory.SharedMemory)}
+        assert len(made) == owned
+        assert made == mine
 
 
 class TestPoolErrors:

@@ -105,7 +105,7 @@ class TestFaultInjection:
         import signal
 
         # Slow worker 0 down so frames are still in flight when the
-        # signal lands (same knob the stealing tests use).
+        # signal lands.
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.005))
         views = _views(renderer, 6)
         with repro.open_pool(renderer, n_procs=2) as pool:
@@ -482,7 +482,7 @@ class TestNoLeaks:
         views = _views(renderer, 3)
         pool = repro.open_pool(renderer, n_procs=2, trace=True)
         names = [pool._shm_i.name, pool._shm_f.name,
-                 pool._shm_c.name, pool._shm_t.name]
+                 pool._shm_d.name, pool._shm_t.name]
         handles = [pool.submit(v) for v in views]
         results = [pool.result(h) for h in handles]
         assert pool.fault_counters()["worker_restarts"] >= 2
@@ -526,9 +526,9 @@ class TestPoolConfig:
         with pytest.raises(Exception):
             PoolConfig().n_procs = 3  # frozen dataclass
 
-    def test_legacy_kwargs_build_the_same_config(self, renderer):
-        """What used to be per-call pool kwargs are ``open_pool``
-        overrides now, and build exactly the config they name."""
+    def test_open_pool_overrides_build_the_same_config(self, renderer):
+        """``open_pool``'s keyword overrides build exactly the config
+        they name."""
         with repro.open_pool(renderer, n_procs=2, max_retries=1,
                              degrade_to_serial=False) as pool:
             assert pool.config == PoolConfig(n_procs=2, max_retries=1,
@@ -538,8 +538,8 @@ class TestPoolConfig:
         with pytest.raises(TypeError):
             MPRenderPool(renderer, n_procs=2, config=PoolConfig())
 
-    def test_legacy_validation_still_raises(self, renderer):
-        # Same errors the pre-config pool raised from __init__.
+    def test_open_pool_overrides_are_validated(self, renderer):
+        # The config's own validation, reached through the facade.
         with pytest.raises(ValueError):
             repro.open_pool(renderer, n_procs=0)
 

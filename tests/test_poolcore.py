@@ -58,9 +58,8 @@ class FakePool(PoolCore):
         #: None, profiled, the workers it was dealt to).
         self.messages: list[list[tuple]] = []
         self.ctx = WorkerContext(
-            pid=0, renderer=renderer, steal_chunk=self.steal_chunk,
-            claim_locks=[],
-            barrier=_NoBarrier(), clock=time.process_time,
+            pid=0, renderer=renderer, barrier=_NoBarrier(),
+            clock=time.process_time,
         )
 
     def _send_locked(self, frames):
@@ -98,10 +97,10 @@ class FakePool(PoolCore):
         with self._cond:
             rec = self._inflight[frame]
             b = rec["boundaries"]
-            outcome = (fail, 0.0, 0.0, 0, 0) if fail else run_frame(
+            outcome = (fail, 0.0, 0.0) if fail else run_frame(
                 self.ctx, frame, rec["fact"], (int(b[0]), int(b[1])),
                 rec["owner"], rec["rows_by_pid"][0], rec["costs"],
-                rec.get("timestep"), rec["img"], rec["final"], None,
+                rec.get("timestep"), rec["img"], rec["final"],
             )
             self._worker_done_locked(frame, 0, *outcome)
             self._cond.notify_all()
@@ -367,10 +366,8 @@ class TestCostRow:
     @pytest.mark.parametrize("transport", ["mp", "thread", "fake"])
     def test_calibrated_costs_cover_the_band_and_outlive_the_buffer(
             self, renderer, transport, monkeypatch):
-        # A 2-row grain and a slowed worker 0: worker 1 turns thief, so
-        # rows are costed by a worker whose static block they are not in.
+        # A slowed worker 0, so the workers' rows cost unlike amounts.
         # Every synchronous frame is profiled.
-        monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 2)
         monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.004))
         monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
         views = _views(renderer)
@@ -390,21 +387,14 @@ class TestCostRow:
             assert np.array_equal(installed.costs, kept[1])
         finally:
             pool.close()
-        if transport != "fake":
-            assert any(res.steals for res in results)
-        summed = 0
         for res in results:
             v_lo, v_hi = int(res.boundaries[0]), int(res.boundaries[-1])
             assert res.profiled and res.costs_v_lo == v_lo
             assert res.costs.shape == (v_hi - v_lo,)
             assert np.isfinite(res.costs).all() and (res.costs >= 0).all()
-            if res.steal_rows < np.diff(res.boundaries).min():
-                # Nobody lost a whole block, so every worker composited:
-                # its chunks are scaled to its compositing CPU time, and
-                # its warp share adds its warp CPU time.
-                assert np.isclose(res.costs.sum(), res.busy_s.sum())
-                summed += 1
-        assert summed
+            # Each worker's band is scaled to its compositing CPU time,
+            # and its warp share adds its warp CPU time.
+            assert np.isclose(res.costs.sum(), res.busy_s.sum())
         assert installed.v_lo == first.costs_v_lo
         assert np.array_equal(first.costs, kept[0])
         assert np.array_equal(installed.costs, kept[1])
@@ -518,7 +508,7 @@ class TestProfileRequests:
                     frame = pool.submit(renderer.view_from_angles(20, 10 + 0.5 * i, 0))
                     pool.sent.pop(0)
                     with pool._cond:  # a clean report: no pixels needed
-                        pool._worker_done_locked(frame, 0, None, 0.0, 0.0, 0, 0)
+                        pool._worker_done_locked(frame, 0, None, 0.0, 0.0)
                     if pool.result(frame).profiled:
                         profiled.add(i)
         finally:
@@ -600,7 +590,7 @@ class TestRequestRule:
                     with pool._cond:
                         pool._worker_done_locked(
                             frame, 0, "Boom: injected" if fail else None,
-                            0.0, 0.0, 0, 0)
+                            0.0, 0.0)
                 # At most one outstanding request per key, in the ledger.
                 keys = [rec["key"] for rec in pool._inflight.values()
                         if rec.get("profiled")]
@@ -609,7 +599,7 @@ class TestRequestRule:
             while pool.sent:
                 frame = pool.sent.pop(0)
                 with pool._cond:
-                    pool._worker_done_locked(frame, 0, None, 0.0, 0.0, 0, 0)
+                    pool._worker_done_locked(frame, 0, None, 0.0, 0.0)
             assert not pool._inflight and not pool._held
             assert set(planned) == set(range(step))
             for frame in range(step):
@@ -712,7 +702,7 @@ class TestDealingRule:
                 last = i == len(dealt) - 1
                 pool._worker_done_locked(
                     frame, pid, "Boom: injected" if fail and last else None,
-                    0.0, 0.0, 0, 0)
+                    0.0, 0.0)
                 if not last:
                     assert pool._inflight[frame]["done"] == i + 1
             again = pool._inflight.get(frame)

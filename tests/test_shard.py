@@ -1,7 +1,7 @@
 """Tests for the sharded multi-pool render service.
 
 The contract under test is the one the merge tree is built on: for any
-shard count, backend and stealing mode, the merged frame is
+shard count, backend and worker count, the merged frame is
 bit-identical to the serial renderer — including while one shard's
 worker set is being killed and recovered, and while the shard-level
 feedback loop is moving the shard boundaries between frames.
@@ -39,7 +39,7 @@ class TestBitIdentity:
     """Merged output == serial output, across the configuration matrix."""
 
     @pytest.mark.parametrize(
-        "backend,shards,stealing",
+        "backend,shards,two_workers",
         [
             ("mp", 1, True),
             ("mp", 2, True),
@@ -48,10 +48,10 @@ class TestBitIdentity:
             ("thread", 4, True),
         ],
     )
-    def test_matrix(self, renderer, backend, shards, stealing):
-        """``stealing``: each shard's pool has a second worker."""
+    def test_matrix(self, renderer, backend, shards, two_workers):
+        """``two_workers``: each shard's pool has a second worker."""
         views = _views(renderer, 3)
-        cfg = PoolConfig(n_procs=2 if stealing else 1, shards=shards,
+        cfg = PoolConfig(n_procs=2 if two_workers else 1, shards=shards,
                          backend=backend)
         with ShardedRenderService(renderer, cfg) as svc:
             results = svc.render_animation(views)
@@ -180,7 +180,7 @@ class TestReshardFeedback:
         monkeypatch.setattr(shard_service, "TEST_SHARD_ROW_DELAY",
                             {0: (0, 0.005)})
         views = _views(renderer, 4)
-        # One worker a shard: nobody in shard 0 can steal the slowed
+        # One worker a shard: no sibling in shard 0 takes the slowed
         # worker's rows, so the whole shard is slow.
         with ShardedRenderService(
             renderer,

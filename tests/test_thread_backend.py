@@ -1,7 +1,7 @@
 """The threading backend: no fork, no pickling, no copies — same pixels.
 
 :class:`ThreadRenderPool` must be bit-identical to the serial renderer
-(and therefore to the MP pool) with and without stealing, and batched vs
+(and therefore to the MP pool) with one worker and two, and batched vs
 per-frame submission, and must keep the MP pool's error contract
 (retry / degrade / FrameFailed) without any process machinery.
 """
@@ -9,7 +9,6 @@ per-frame submission, and must keep the MP pool's error contract
 import pytest
 
 import repro
-import repro.parallel.poolcore as poolcore
 from repro.parallel.poolcore import FrameFailed, PoolClosed, PoolConfig
 from repro.parallel.thread_backend import ThreadRenderPool
 from repro.render.fast import render_fast
@@ -22,12 +21,12 @@ def _views(renderer, n=5):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("stealing", [True, False])
-    def test_matches_serial(self, renderer, stealing):
-        """Stealing on (a second worker) and off (one worker)."""
+    @pytest.mark.parametrize("two_workers", [True, False])
+    def test_matches_serial(self, renderer, two_workers):
+        """Two workers, and one."""
         views = _views(renderer)
         refs = serial_refs(renderer, views)
-        n_procs = 2 if stealing else 1
+        n_procs = 2 if two_workers else 1
         with ThreadRenderPool(renderer, config=PoolConfig(n_procs=n_procs)) as pool:
             res = pool.render_animation(views)
         assert_frames_identical(res, refs)
@@ -43,20 +42,6 @@ class TestBitIdentity:
             handles = [pool.submit(v) for v in views]
             perframe = [pool.result(h) for h in handles]
         assert_frames_identical(batched, perframe)
-
-    def test_forced_steals_stay_identical(self, renderer, monkeypatch):
-        """Slow worker 0 down so worker 1 must steal; pixels unchanged."""
-        monkeypatch.setattr(poolcore, "TEST_ROW_DELAY", (0, 0.003))
-        # Read by the pool when it is built: 2-row chunks can be stolen.
-        monkeypatch.setattr(poolcore, "DEFAULT_STEAL_CHUNK", 2)
-        views = _views(renderer, 3)
-        refs = serial_refs(renderer, views)
-        cfg = PoolConfig(n_procs=2)
-        with ThreadRenderPool(renderer, config=cfg) as pool:
-            # One frame at a time: only a banded frame is split.
-            res = [pool.render(v) for v in views]
-        assert_frames_identical(res, refs)
-        assert sum(r.steals for r in res) > 0
 
     def test_module_level_helper(self, renderer):
         view = renderer.view_from_angles(25, 40, 5)
