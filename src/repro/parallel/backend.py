@@ -17,6 +17,15 @@ item 5 API redesign: a minimal structural protocol all three conform to,
   one thing a caller has to ask, since every pool profiles on demand
   and balances its bands by that profile alone.
 
+``submit_batch``, ``result`` and ``close`` are safe from any thread,
+concurrently: a backend guards its own state with its own lock (the
+pools' ledger condition, the shard fleet's lock), never with a rule
+about who may call.  Two threads may stream frames through one backend
+while a third collects a batch, and ``close`` from any thread wakes
+every waiter with ``PoolClosed``.  The planes a result carries are the
+caller's own — writable, sharing memory with nothing the backend or
+another result holds — so a consumer keeps them without a copy.
+
 ``RenderBackend`` is ``runtime_checkable`` so ``isinstance(pool,
 RenderBackend)`` works as a structural test, with the usual caveat that
 only member *presence* is checked.

@@ -252,27 +252,19 @@ def _frame_planes(shm_i, shm_f, inter_cap, final_cap, buf: int,
     return planes
 
 
-# Worker globals installed by fork (read-only for the volume; the images
-# are views onto shared memory, partitioned so no two workers write the
-# same bytes).  The parent clears this right after the workers fork so
-# renderer state cannot leak into a later pool's fork snapshot.
-_G: dict = {}
-
-# Serializes the stage-_G / fork / clear-_G critical section across
-# pools.  ``_G`` is process-global, and with several pools alive each
-# pool's *supervisor thread* respawns workers after a fault: two
-# concurrent recoveries could interleave so one pool's workers fork
-# against the other pool's pipes and barrier (a cross-pool wedge), or
-# against an already-cleared ``_G``; and a pool's read ends, closed in
-# the parent right after its fork, must not reach another pool's
-# workers in between.  Holding one lock across the whole
-# spawn also keeps the fork away from another pool's concurrent
-# multiprocessing-object creation (shared-heap and resource-tracker
-# locks must not be mid-operation in the fork snapshot).
+# Serializes forks across pools.  With several pools alive, each pool's
+# *supervisor thread* respawns workers after a fault, concurrently with
+# other pools' spawns: a pool's pipe read ends, open in the parent from
+# ``os.pipe()`` until its fork has happened, must not be inherited by
+# another pool's workers forked in between (a stray reader keeps a dead
+# worker's pipe open, so the parent's write waits instead of failing),
+# and a fork must not snapshot another pool's multiprocessing-object
+# creation mid-operation (the shared-heap and resource-tracker locks
+# would stay held in the child).
 _SPAWN_LOCK = threading.Lock()
 
 
-def _worker_loop(pid: int) -> None:
+def _worker_loop(pid: int, state: dict) -> None:
     """Composite and warp this worker's partition, frame after frame.
 
     A job-pipe message is ``None`` (shutdown) or a *batch* — a list of
@@ -280,40 +272,42 @@ def _worker_loop(pid: int) -> None:
     pipe.  Between batched frames the worker re-synchronizes with the
     parent only through the per-buffer release cursor (so it never runs
     more than ``buffers`` frames ahead of collection) and, on a banded
-    frame, the shared barrier between the frame's two phases.
+    frame, the shared barrier between the frame's two phases.  ``state``
+    is what the worker set shares (its pool's segments, pipes, barrier
+    and renderer), handed over by the fork itself.
     """
     # Keep only our own read end: once we die, nobody can read our pipe
     # and the parent's write fails instead of waiting for us.
-    pipes = _G["job_pipes"]
+    pipes = state["job_pipes"]
     for q, (r, w) in enumerate(pipes):
         os.close(w)
         if q != pid:
             os.close(r)
     jobs = open(pipes[pid][0], "rb")
-    shm_i, shm_f = _G["shm_i"], _G["shm_f"]
-    inter_cap, final_cap = _G["inter_cap"], _G["final_cap"]
-    n_procs: int = _G["n_procs"]
-    buffers: int = _G["buffers"]
+    shm_i, shm_f = state["shm_i"], state["shm_f"]
+    inter_cap, final_cap = state["inter_cap"], state["final_cap"]
+    n_procs: int = state["n_procs"]
+    buffers: int = state["buffers"]
     layout = _doorbell_dtype(n_procs, buffers, inter_cap[0])
-    record = np.ndarray((), layout, buffer=_G["shm_d"].buf)
+    record = np.ndarray((), layout, buffer=state["shm_d"].buf)
     cells, release, cost_rows, err_slots = (record[k] for k in layout.names)
-    bell = _G["bell"]
-    shm_t = _G["shm_t"]
+    bell = state["bell"]
+    shm_t = state["shm_t"]
     rec = (
-        SpanRecorder.over(shm_t.buf, pid, epoch=_G["trace_epoch"])
+        SpanRecorder.over(shm_t.buf, pid, epoch=state["trace_epoch"])
         if shm_t is not None else None
     )
     ctx = WorkerContext(
         pid=pid,
-        renderer=_G["renderer"],
-        barrier=_G["barrier"],
+        renderer=state["renderer"],
+        barrier=state["barrier"],
         clock=time.process_time,
         rec=rec,
         burn_per_row=worker_burn_per_row(pid),
         # The injected fault is armed only for generation 0: a worker
         # respawned by the supervisor must not re-trip it, so the
         # retried frame can demonstrate recovery.
-        fault=armed_fault() if _G["generation"] == 0 else None,
+        fault=armed_fault() if state["generation"] == 0 else None,
     )
 
     t_wait0 = 0.0 if rec is None else rec.now()
@@ -470,57 +464,54 @@ class MPRenderPool(PoolCore):
         the only state-reset that needs no cooperation from the
         casualties.
         """
-        with _SPAWN_LOCK:
-            self._spawn_workers_locked(generation)
-
-    def _spawn_workers_locked(self, generation: int) -> None:
         ctx = mp.get_context("fork")
-        # Fresh bell per generation: a terminated worker's last ring must
-        # not wake the supervisor into reading its half-written cells
-        # (recovery zeroes the cells before the new set starts anyway).
-        self._bell = ctx.Event()
-        # The barrier's state lives in a block of multiprocessing's
-        # process-global shared heap.  The parent must keep the object
-        # referenced while this generation's workers live: dropping it
-        # (``_G.clear()`` below) would free the block back to the heap,
-        # and the next ``ctx.Barrier`` — e.g. a second pool's — would
-        # reuse the same shared memory, aliasing both pools' barrier
-        # state and wedging their workers mid-frame.
-        self._barrier = ctx.Barrier(self.n_procs)
-        pipes = [os.pipe() for _ in range(self.n_procs)]
-        self._job_fds = [w for _, w in pipes]
-        for fd in self._job_fds:
-            os.set_blocking(fd, False)  # see _write_job
-        _G.update(
-            renderer=self.renderer,
-            job_pipes=pipes,
-            barrier=self._barrier,
-            shm_i=self._shm_i,
-            shm_f=self._shm_f,
-            inter_cap=self.inter_cap,
-            final_cap=self.final_cap,
-            n_procs=self.n_procs,
-            buffers=self.buffers,
-            shm_d=self._shm_d,
-            bell=self._bell,
-            shm_t=self._shm_t,
-            trace_epoch=self.trace_epoch,
-            generation=generation,
-        )
-        try:
-            self._workers = [
-                ctx.Process(target=_worker_loop, args=(pid,), daemon=True)
-                for pid in range(self.n_procs)
-            ]
-            for w in self._workers:
-                w.start()
-        finally:
-            # The fork snapshot is taken at start(); drop the parent-side
-            # references so nothing leaks into a later pool's snapshot,
-            # and the read ends so each is held by its worker alone.
-            _G.clear()
-            for r, _ in pipes:
-                os.close(r)
+        with _SPAWN_LOCK:
+            # Fresh bell per generation: a terminated worker's last ring
+            # must not wake the supervisor into reading its half-written
+            # cells (recovery zeroes them before the new set starts).
+            self._bell = ctx.Event()
+            # The barrier's state lives in a block of multiprocessing's
+            # process-global shared heap.  The parent must keep the
+            # object referenced while this generation's workers live:
+            # dropping it would free the block back to the heap, and the
+            # next ``ctx.Barrier`` — e.g. a second pool's — would reuse
+            # the same shared memory, aliasing both pools' barrier state
+            # and wedging their workers mid-frame.
+            self._barrier = ctx.Barrier(self.n_procs)
+            pipes = [os.pipe() for _ in range(self.n_procs)]
+            self._job_fds = [w for _, w in pipes]
+            for fd in self._job_fds:
+                os.set_blocking(fd, False)  # see _write_job
+            state = dict(
+                renderer=self.renderer,
+                job_pipes=pipes,
+                barrier=self._barrier,
+                shm_i=self._shm_i,
+                shm_f=self._shm_f,
+                inter_cap=self.inter_cap,
+                final_cap=self.final_cap,
+                n_procs=self.n_procs,
+                buffers=self.buffers,
+                shm_d=self._shm_d,
+                bell=self._bell,
+                shm_t=self._shm_t,
+                trace_epoch=self.trace_epoch,
+                generation=generation,
+            )
+            try:
+                # Under fork, ``args`` reach the child in the fork
+                # snapshot, unpickled, and ``start()`` drops the parent's
+                # reference.
+                self._workers = [
+                    ctx.Process(target=_worker_loop, args=(pid, state), daemon=True)
+                    for pid in range(self.n_procs)
+                ]
+                for w in self._workers:
+                    w.start()
+            finally:
+                # Each read end is held by its worker alone.
+                for r, _ in pipes:
+                    os.close(r)
 
     def _reset_trace_rings(self) -> None:
         """Zero the span rings and restart the parent-side readers."""

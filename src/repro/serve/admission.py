@@ -31,9 +31,10 @@ class ServerBusy(MPPoolError):
 class AdmissionController:
     """Bounded window of in-flight render jobs.
 
-    Thread-safe: admission decisions normally happen on the event-loop
-    thread, but releases arrive from executor callbacks, and the unit
-    tests hammer it from plain threads.
+    Thread-safe, though the server both acquires and releases on its
+    event-loop thread (a release in ``RenderServer._resolve``'s
+    ``finally``, once the render's result is back on the loop): any
+    embedder or test may admit from plain threads.
 
     Counters land in the shared registry: ``serve/admitted``,
     ``serve/rejected`` and the ``serve/inflight`` gauge (whose ``max``

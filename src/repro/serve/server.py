@@ -22,13 +22,16 @@ pool honest under many clients:
   each plane in one ``writelines``, so a hit encodes a few hundred bytes
   of header and nothing else.
 
-The event loop never renders: pool work runs on one executor thread per
-pool (a pool is driven by a single thread; concurrency across clients
-comes from the cache, coalescing and — with several datasets — several
-pools), which is MovieMaker's stage split applied to serving: the loop
-thread does admission/assembly/IO while the pool threads overlap
-compositing, exactly like the movie pipeline's render stage overlapping
-its encode stage.
+The event loop never renders: every admitted render runs on one
+server-owned executor with ``max_inflight`` threads, so an admitted
+render never waits for a thread, and any thread may drive any pool (a
+:class:`~repro.parallel.backend.RenderBackend` is safe from any
+thread).  Two clients' misses on one pool are then two frames in that
+pool at once (``serve/overlapped_renders`` counts them).  That is
+MovieMaker's stage split applied to serving: the loop thread does
+admission/assembly/IO while the render threads overlap compositing,
+exactly like the movie pipeline's render stage overlapping its encode
+stage.
 
 Protocol operations (all request/response dicts):
 
@@ -102,9 +105,10 @@ class ServeConfig:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`RenderServer.address`).
     max_inflight:
-        Bound on admitted-but-unfinished render jobs; requests beyond
-        it get a typed ``ServerBusy``.  Cache hits and coalesced
-        followers bypass admission (they add no pool work).
+        Bound on admitted-but-unfinished render jobs, and so the
+        number of render threads; requests beyond it get a typed
+        ``ServerBusy``.  Cache hits and coalesced followers bypass
+        admission (they add no pool work).
     cache_frames:
         Capacity of the whole-frame LRU, in frames.
     default_dataset / default_scale / default_classification:
@@ -121,8 +125,8 @@ class ServeConfig:
         it through the identical API and never knows the difference.
     idle_pool_s:
         Evict a pool once it has sat idle (no render in flight, none
-        finished) this many seconds: its executor is drained, the pool
-        closed and its shm segments unlinked, so a server that saw a
+        finished) this many seconds: the pool is closed and its shm
+        segments unlinked, so a server that saw a
         burst of distinct datasets does not hold their worker fleets
         forever.  The next request for that identity simply re-creates
         the pool.  ``None`` (default) never evicts.
@@ -200,9 +204,10 @@ class RenderServer:
         point for tests and embedders; defaults to the paper datasets
         through :func:`repro.datasets.load`.
     render_fn:
-        ``(pool, views) -> [(color, alpha), ...]`` executed on the
-        pool's executor thread.  Tests inject gates here; the default
-        drives ``pool.render`` / ``pool.render_animation``.
+        ``(pool, views) -> [(color, alpha), ...]`` executed on a thread
+        of the server's render executor, concurrently with other
+        renders, on the same pool or another.  Tests inject gates here;
+        the default drives ``pool.submit_batch`` / ``pool.result``.
     """
 
     def __init__(self, config: ServeConfig | None = None, *,
@@ -218,8 +223,12 @@ class RenderServer:
         self._renderer_factory = renderer_factory or _default_renderer_factory
         self._render_fn = render_fn or self._pool_render
         self._renderers: dict[tuple, object] = {}
-        #: pool key -> (pool, single-thread executor driving it)
-        self._pools: dict[tuple, tuple[object, ThreadPoolExecutor]] = {}
+        #: pool key -> its backend
+        self._pools: dict[tuple, object] = {}
+        # Admission bounds the renders in flight, so one thread each.
+        self._executor = ThreadPoolExecutor(config.max_inflight, "serve-render")
+        # Exact, and present at 0 in every snapshot.
+        self.metrics.counter("serve/overlapped_renders")
         #: pool key -> renders in flight / last time one finished, for
         #: idle eviction (both only touched on the event-loop thread).
         self._pool_busy: dict[tuple, int] = {}
@@ -275,15 +284,15 @@ class RenderServer:
             await self._server.wait_closed()
         for writer in list(self._conns):
             writer.close()
-        # Finish in-executor renders before pool teardown: each executor
-        # is the only thread driving its pool, so shutdown(wait=True)
-        # guarantees no render is mid-flight when close() unlinks shm.
+        # Every render runs on the executor, so draining it guarantees
+        # no render is mid-flight when a pool's close() unlinks its shm
+        # (also one whose request was cancelled while it rendered).
         pools = list(self._pools.values())
         self._pools.clear()
-        for pool, executor in pools:
-            await asyncio.get_running_loop().run_in_executor(
-                None, executor.shutdown
-            )
+        await asyncio.get_running_loop().run_in_executor(
+            None, self._executor.shutdown
+        )
+        for pool in pools:
             pool.close()
 
     async def __aenter__(self) -> "RenderServer":
@@ -466,16 +475,18 @@ class RenderServer:
         self._pending[job_key] = fut
         try:
             pool_key = self._pool_key(identities[0])
-            pool, executor = self._pool_for(identities[0])
+            pool = self._pool_for(identities[0])
+            busy = self._pool_busy.get(pool_key, 0)
+            self.metrics.counter("serve/overlapped_renders").inc(busy > 0)
             # Busy before the first await: the eviction sweep runs on
             # this same loop thread and never closes a busy pool.
-            self._pool_busy[pool_key] = self._pool_busy.get(pool_key, 0) + 1
+            self._pool_busy[pool_key] = busy + 1
             try:
                 views = [i["view"] for i in identities]
                 self.metrics.counter("serve/pool_renders").inc()
                 self.metrics.counter("serve/pool_frames").inc(len(views))
                 planes = await loop.run_in_executor(
-                    executor, self._render_fn, pool, views
+                    self._executor, self._render_fn, pool, views
                 )
             finally:
                 self._pool_busy[pool_key] -= 1
@@ -503,16 +514,16 @@ class RenderServer:
             json.dumps(identity["classification"]),
         )
 
-    def _pool_for(self, identity: dict) -> tuple[object, ThreadPoolExecutor]:
-        """The pool (and its driver thread) for one request identity.
+    def _pool_for(self, identity: dict):
+        """The pool for one request identity.
 
         Created lazily on the event-loop thread so the pool map needs no
         lock; an idle-evicted pool is simply re-created here on its next
         request.
         """
         key = self._pool_key(identity)
-        entry = self._pools.get(key)
-        if entry is None:
+        pool = self._pools.get(key)
+        if pool is None:
             import repro
 
             renderer = self._renderers.get(key)
@@ -523,26 +534,20 @@ class RenderServer:
                 )
                 self._renderers[key] = renderer
             pool = repro.open_pool(renderer, config=self.config.pool)
-            executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"serve-pool-{len(self._pools)}"
-            )
-            entry = self._pools[key] = (pool, executor)
+            self._pools[key] = pool
             self._pool_last_used[key] = time.monotonic()
             self.metrics.gauge("serve/pools").set(len(self._pools))
-        return entry
+        return pool
 
     async def _evict_idle_pools(self) -> None:
         """Close pools idle longer than ``idle_pool_s`` (loop-thread task).
 
         A pool is idle when no render is in flight on it and its last
-        render finished more than ``idle_pool_s`` ago.  Eviction mirrors
-        :meth:`close` for one pool: drain the executor (off-loop — it is
-        the only thread driving the pool), close the pool, unlink its
-        shm.  Note an evicted pool's metrics leave the stats snapshot
-        with it.
+        render finished more than ``idle_pool_s`` ago, so no render
+        can be mid-flight on it when :meth:`close` unlinks its shm.
+        Note an evicted pool's metrics leave the stats snapshot with it.
         """
         idle_s = self.config.idle_pool_s
-        loop = asyncio.get_running_loop()
         while not self._closed:
             await asyncio.sleep(max(0.01, idle_s / 4))
             now = time.monotonic()
@@ -551,29 +556,25 @@ class RenderServer:
                     continue
                 if now - self._pool_last_used.get(key, now) < idle_s:
                     continue
-                pool, executor = self._pools.pop(key)
+                pool = self._pools.pop(key)
                 self._pool_busy.pop(key, None)
                 self._pool_last_used.pop(key, None)
-                # Count at pop time: the await below yields to the loop,
-                # and an observer must never see the pool gone from
-                # ``_pools`` while the eviction counter still reads 0.
                 self.metrics.counter("serve/pools_evicted").inc()
                 self.metrics.gauge("serve/pools").set(len(self._pools))
-                await loop.run_in_executor(None, executor.shutdown)
                 pool.close()
 
     @staticmethod
     def _pool_render(pool, views) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Default render path (runs on the pool's executor thread).
+        """Default render path (runs on a render-executor thread).
 
         Drives the pool purely through the :class:`~repro.parallel.
         backend.RenderBackend` protocol (``submit_batch`` / ``result``),
         so mp pools, thread pools and shard fleets are interchangeable
         here.  A view is ``(rx, ry, rz)`` angles, optionally followed by
-        a timestep (the ``movie`` op's 4th identity element).
+        a timestep (the ``movie`` op's 4th identity element).  Every
+        backend returns planes that are the caller's own, so they go to
+        the cache as they are.
         """
-        import numpy as _np
-
         from ..parallel.backend import FrameSpec
 
         def spec(v):
@@ -585,10 +586,7 @@ class RenderServer:
 
         ids = pool.submit_batch([spec(v) for v in views])
         results = [pool.result(fid) for fid in ids]
-        return [
-            (_np.array(r.final.color), _np.array(r.final.alpha))
-            for r in results
-        ]
+        return [(r.final.color, r.final.alpha) for r in results]
 
     # -- observability -------------------------------------------------------
 
@@ -597,7 +595,7 @@ class RenderServer:
         pool's registry (``repro stats`` renders these files)."""
         merged = MetricsRegistry()
         merged.merge(self.metrics)
-        for pool, _ in self._pools.values():
+        for pool in self._pools.values():
             merged.merge(pool.metrics)
         snap = merged.snapshot()
         snap["kind"] = SNAPSHOT_KIND

@@ -27,10 +27,16 @@ that re-balances the *shard boundaries themselves*, with the pools'
 profile valid when it was submitted; what it measures balances the next
 message.  What is the fleet's own is the ghost line
 (:func:`shard_regions`) and the tile ownership of the merge.
+
+Like every backend it may be driven from any thread.  One lock guards
+what is the fleet's own — the planner, the frame ids and the merge
+framebuffers every merge reuses — and ``result`` never holds it while
+it waits on a pool, so one thread's merge overlaps another's gather.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import replace
 
@@ -108,6 +114,7 @@ class ShardedRenderService:
     """
 
     def __init__(self, renderer, config: PoolConfig | None = None) -> None:
+        self._lock = threading.Lock()
         self._closed = False
         self._pools: list = []
         self._fbs: list[ShardFramebuffer] = []
@@ -196,26 +203,28 @@ class ShardedRenderService:
                 "ShardedRenderService assigns shard regions itself; "
                 "submit() does not accept a region"
             )
-        plans = [self._planner.admit(s.view, *self._caps, timestep=s.timestep)
-                 for s in specs]
-        regions = [shard_regions(self._planner.partition(p)["owner"],
-                                 self.n_shards, p["v_lo"], p["v_hi"]) for p in plans]
-        handles: list[list[int]] = []
-        try:
-            for s, pool in enumerate(self._pools):
-                handles.append(pool.submit_batch([
-                    FrameSpec(spec.view, spec.timestep, region[s])
-                    for spec, region in zip(specs, regions)
-                ]))
-        except Exception:
-            # A later pool refused what earlier ones accepted: gather
-            # and drop those, or they sit in their ledgers for good.
-            self._gather(handles)
-            raise
-        ids = list(range(self._next_frame, self._next_frame + len(specs)))
-        self._next_frame += len(ids)
-        # zip(*handles): per frame, its handle in each pool.
-        self._frames.update(zip(ids, zip(plans, zip(*handles))))
+        with self._lock:
+            plans = [self._planner.admit(s.view, *self._caps, timestep=s.timestep)
+                     for s in specs]
+            regions = [shard_regions(self._planner.partition(p)["owner"],
+                                     self.n_shards, p["v_lo"], p["v_hi"])
+                       for p in plans]
+            handles: list[list[int]] = []
+            try:
+                for s, pool in enumerate(self._pools):
+                    handles.append(pool.submit_batch([
+                        FrameSpec(spec.view, spec.timestep, region[s])
+                        for spec, region in zip(specs, regions)
+                    ]))
+            except Exception:
+                # A later pool refused what earlier ones accepted: gather
+                # and drop those, or they sit in their ledgers for good.
+                self._gather(handles)
+                raise
+            ids = list(range(self._next_frame, self._next_frame + len(specs)))
+            self._next_frame += len(ids)
+            # zip(*handles): per frame, its handle in each pool.
+            self._frames.update(zip(ids, zip(plans, zip(*handles))))
         return ids
 
     def submit(self, view: np.ndarray, region=None,
@@ -241,22 +250,25 @@ class ShardedRenderService:
         or raise its typed error, the same object on every call."""
         if frame_id in self._failed:
             raise self._failed[frame_id]
+        # No lock to look up and take the frame: a dict pop is atomic,
+        # and of two callers of one id the other gets a KeyError.
         if frame_id not in self._frames:
             raise KeyError(f"unknown frame {frame_id}")
-        if self._closed:  # the merge framebuffers are gone
-            raise PoolClosed(f"fleet closed before frame {frame_id} was gathered")
         splan, handles = self._frames.pop(frame_id)
         results, failure = self._gather([[h] for h in handles])
-        if failure is not None:
-            self._failed[frame_id] = failure
-            raise failure
-        t0 = time.perf_counter()
-        merged = self._merge(frame_id, splan, results)
-        self.metrics.histogram("shard/merge_s").observe(time.perf_counter() - t0)
-        self._stitch_profile(splan, results)
-        if self.trace:
-            self._collect_timeline(frame_id, results)
-        self.metrics.histogram("shard/busy_spread").observe(merged.busy_spread)
+        with self._lock:
+            if failure is None and self._closed:  # the framebuffers are gone
+                failure = PoolClosed(f"fleet closed before frame {frame_id} merged")
+            if failure is not None:
+                self._failed[frame_id] = failure
+                raise failure
+            t0 = time.perf_counter()
+            merged = self._merge(frame_id, splan, results)
+            self.metrics.histogram("shard/merge_s").observe(time.perf_counter() - t0)
+            self._stitch_profile(splan, results)
+            if self.trace:
+                self._collect_timeline(frame_id, results)
+            self.metrics.histogram("shard/busy_spread").observe(merged.busy_spread)
         return merged
 
     # ``submit`` + ``result`` / ``submit_batch`` + ``result``: the pools'
@@ -396,13 +408,15 @@ class ShardedRenderService:
     # -- teardown ------------------------------------------------------------
 
     def close(self) -> None:
-        """Close every pool and release the shard framebuffers."""
-        self._closed = True
-        for owned in (*self._pools, *self._fbs):
-            try:
-                owned.close()
-            except Exception:  # noqa: BLE001 - teardown must not raise
-                pass
+        """Close every pool and release the shard framebuffers — shm
+        under mp, so never while a merge is writing them."""
+        with self._lock:
+            self._closed = True
+            for owned in (*self._pools, *self._fbs):
+                try:
+                    owned.close()
+                except Exception:  # noqa: BLE001 - teardown must not raise
+                    pass
 
     def __enter__(self) -> "ShardedRenderService":
         return self

@@ -7,13 +7,15 @@ bit-identical to the serial fast path (:func:`assert_frames_identical`:
 all four planes and the factorization axis), however the frames reach
 it and whatever fails on the way, and must keep one result contract:
 out-of-order collection, sticky typed errors, ``KeyError`` for a frame
-it does not hold, ``PoolClosed`` once closed.  A new backend joins by
+it does not hold, ``PoolClosed`` once closed — driven from any thread,
+with result planes that are the caller's own.  A new backend joins by
 adding one entry to :data:`BACKENDS`; what only one transport does
 (the doorbell, job pipes, respawns, the fake transport's ledger) is
 tested beside that transport.
 """
 
 import asyncio
+import itertools
 import threading
 import time
 
@@ -27,6 +29,7 @@ from repro.movie import MoviePipeline, TimeVaryingRenderer, movie_frame_specs
 from repro.parallel import FrameSpec, PoolConfig, RenderBackend
 from repro.parallel.poolcore import FrameFailed, PoolClosed
 from repro.serve import RenderClient, RenderServer, ServeConfig, response_frames
+from repro.shard import ShardedRenderService
 from repro.volume import mri_transfer_function
 
 from .conftest import assert_frames_identical, fail_composite, serial_refs
@@ -42,6 +45,9 @@ BACKENDS = {
     "fleet-mp1": PoolConfig(n_procs=1, shards=2),
     "fleet-thread2": PoolConfig(n_procs=2, backend="thread", shards=2),
 }
+
+#: The entries that are shard fleets, whose merge is their own state.
+FLEETS = {name: cfg for name, cfg in BACKENDS.items() if cfg.shards > 1}
 
 #: ``(rx, ry, rz)`` of a rotation that crosses the principal-axis
 #: switch at ry = 45 degrees, then the degenerate views: on the tie
@@ -289,3 +295,101 @@ class TestResultContract:
         with pytest.raises(PoolClosed):
             pool.submit_batch(_views(renderer, ANGLES[:2]))
         pool.close()  # idempotent
+
+
+class TestAnyThread:
+    """``submit_batch``, ``result`` and ``close`` are safe from any
+    thread, and what a result holds is the caller's own."""
+
+    def test_two_threads_drive_one_backend(self, renderer, config):
+        """Two threads stream one frame at a time, in opposite orders,
+        while a third submits and collects a batch of the same views."""
+        views = _views(renderer)
+        refs = serial_refs(renderer, views)
+        start = threading.Barrier(3)
+        streams: dict[str, list] = {}
+
+        def stream(name, order):
+            start.wait(10.0)
+            streams[name] = [pool.render(views[i]) for i in order]
+
+        orders = {"forward": range(len(views)),
+                  "backward": range(len(views) - 1, -1, -1)}
+        with repro.open_pool(renderer, config) as pool:
+            threads = [threading.Thread(target=stream, args=item)
+                       for item in orders.items()]
+            for t in threads:
+                t.start()
+            start.wait(10.0)
+            batch = pool.render_animation(views)
+            for t in threads:
+                t.join(60.0)
+        assert not any(t.is_alive() for t in threads)
+        assert_frames_identical(batch, refs)
+        for name, order in orders.items():
+            assert_frames_identical(streams[name], [refs[i] for i in order])
+
+    def test_result_planes_are_the_callers(self, renderer, config):
+        """Writable, owning their data, and sharing no memory with one
+        another — still so once the backend is closed."""
+        views = _views(renderer, ANGLES[:3])
+        with repro.open_pool(renderer, config) as pool:
+            results = pool.render_animation(views[:2]) + [pool.render(views[2])]
+        planes = [a for r in results for a in (
+            r.intermediate.color, r.intermediate.opacity,
+            r.final.color, r.final.alpha)]
+        assert all(a.flags.writeable and a.flags.owndata for a in planes)
+        assert not any(np.shares_memory(a, b)
+                       for a, b in itertools.combinations(planes, 2))
+        assert_frames_identical(results, serial_refs(renderer, views))
+
+
+@pytest.mark.parametrize("config", list(FLEETS.values()), ids=list(FLEETS))
+def test_a_fleet_merges_one_frame_at_a_time(renderer, config, monkeypatch):
+    """The merge framebuffers are the fleet's: thread A is held inside
+    the merge while thread B gathers its frame, and B enters the merge
+    only after A has left it."""
+    a_inside, b_inside, b_gathered = (threading.Event() for _ in range(3))
+    release = threading.Event()
+    merging: list[str] = []
+    overlaps: list[int] = []
+    real_merge = ShardedRenderService._merge
+    real_gather = ShardedRenderService._gather
+
+    def merge(svc, *args):
+        name = threading.current_thread().name
+        merging.append(name)
+        overlaps.append(len(merging))
+        (a_inside if name == "A" else b_inside).set()
+        if name == "A":
+            assert release.wait(30.0)
+        try:
+            return real_merge(svc, *args)
+        finally:
+            merging.remove(name)
+
+    def gather(svc, handles):
+        out = real_gather(svc, handles)
+        if threading.current_thread().name == "B":
+            b_gathered.set()
+        return out
+
+    monkeypatch.setattr(ShardedRenderService, "_merge", merge)
+    monkeypatch.setattr(ShardedRenderService, "_gather", gather)
+    views = _views(renderer, ANGLES[:2])
+    got = {}
+    with repro.open_pool(renderer, config) as fleet:
+        ids = fleet.submit_batch(views)
+        threads = [threading.Thread(name=name, target=lambda f=frame: got.update(
+            {f: fleet.result(f)})) for name, frame in zip("AB", ids)]
+        threads[0].start()
+        assert a_inside.wait(30.0)
+        threads[1].start()
+        assert b_gathered.wait(30.0)
+        b_entered_while_a_inside = b_inside.wait(0.3)
+        release.set()
+        for t in threads:
+            t.join(30.0)
+    assert not b_entered_while_a_inside
+    assert overlaps == [1, 1]
+    assert_frames_identical([got[f] for f in ids], serial_refs(renderer, views))

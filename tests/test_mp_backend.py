@@ -25,21 +25,6 @@ def _render(renderer, view, **overrides):
 
 
 class TestMPBackend:
-    def test_matches_serial_two_workers(self, renderer):
-        view = renderer.view_from_angles(20, 30, 0)
-        res = _render(renderer, view, n_procs=2)
-        assert_frames_identical([res], serial_refs(renderer, [view]))
-
-    def test_matches_serial_four_workers(self, renderer):
-        view = renderer.view_from_angles(-15, 40, 10)
-        res = _render(renderer, view, n_procs=4)
-        assert_frames_identical([res], serial_refs(renderer, [view]))
-
-    def test_single_worker(self, renderer):
-        view = renderer.view_from_angles(0, 10, 0)
-        res = _render(renderer, view, n_procs=1)
-        assert_frames_identical([res], serial_refs(renderer, [view]))
-
     def test_sphere_axis_view(self):
         r = ShearWarpRenderer(solid_sphere((16, 16, 16)), binary_transfer_function(128))
         res = _render(r, np.eye(4), n_procs=2)

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.parallel import RenderBackend
 from repro.parallel.poolcore import MPPoolError, PoolConfig
 from repro.render.fast import render_fast
 from repro.serve import (
@@ -69,15 +70,19 @@ def run(coro, timeout=60.0):
 
 
 class GatedRender:
-    """A ``render_fn`` that blocks on the pool's executor thread until
-    released — keeps a render in flight for as long as a test needs."""
+    """A ``render_fn`` that blocks on its render-executor thread until
+    released — keeps a render in flight for as long as a test needs.
+    ``calls`` counts the renders that have entered, concurrent ones
+    included."""
 
     def __init__(self):
         self.calls = 0
         self.release = threading.Event()
+        self._lock = threading.Lock()
 
     def __call__(self, pool, views):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         assert self.release.wait(30.0), "test forgot to release the gate"
         return RenderServer._pool_render(pool, views)
 
@@ -430,6 +435,68 @@ class TestServer:
         assert busy["status"] == "error"
         assert busy["error"] == "ServerBusy"
         assert server.metrics.counters["serve/rejected"].value == 1
+
+    def test_two_misses_on_one_pool_render_at_once(self):
+        """Two clients' distinct misses on one pool are both inside the
+        render at once — two frames in the pool, counted once as an
+        overlap — and both are the serial fast path's frames."""
+        gate = GatedRender()
+        server = RenderServer(thread_config(), render_fn=gate)
+        angles = [(20.0, 30.0, 0.0), (20.0, 40.0, 0.0)]
+
+        async def body():
+            async with server:
+                host, port = server.address
+                clients = [await RenderClient.connect(host, port)
+                           for _ in angles]
+                tasks = [asyncio.ensure_future(c.request(
+                    {"op": "render", "rx": rx, "ry": ry, "rz": rz}))
+                    for c, (rx, ry, rz) in zip(clients, angles)]
+                for _ in range(500):
+                    if gate.calls == 2:
+                        break
+                    await asyncio.sleep(0.01)
+                both_inside = gate.calls == 2
+                gate.release.set()
+                resps = await asyncio.gather(*tasks)
+                for c in clients:
+                    await c.close()
+                return both_inside, resps
+
+        both_inside, resps = run(body())
+        assert both_inside, "the second miss waited for the first render"
+        assert server.metrics.counter("serve/overlapped_renders").value == 1
+        renderer = _default_renderer_factory("mri128", 0.08, "mri")
+        for resp, angle in zip(resps, angles):
+            assert resp["status"] == "ok", resp
+            (color, alpha), = response_frames(resp)
+            ref = render_fast(renderer, renderer.view_from_angles(*angle))
+            assert np.array_equal(color, ref.final.color)
+            assert np.array_equal(alpha, ref.final.alpha)
+
+    def test_one_executor_drives_every_pool(self):
+        """Three pools, one render executor of ``max_inflight`` threads,
+        no thread of a pool's own; the pool map holds the backends."""
+        server = RenderServer(thread_config(max_inflight=1))
+
+        async def body():
+            async with server:
+                c = await RenderClient.connect(*server.address)
+                resps = [await c.request({"op": "render", "scale": scale})
+                         for scale in (0.06, 0.07, 0.08)]
+                await c.close()
+                names = [t.name for t in threading.enumerate()]
+                return resps, list(server._pools.values()), names
+
+        resps, pools, names = run(body())
+        assert all(r["status"] == "ok" for r in resps)
+        assert len(pools) == 3
+        assert all(isinstance(p, RenderBackend) for p in pools)
+        assert sum(n.startswith("serve-render") for n in names) == 1
+        assert not any(n.startswith("serve-pool") for n in names)
+        # Present at 0: these renders came one after another.
+        snap = server.metrics_snapshot()
+        assert snap["counters"]["serve/overlapped_renders"] == 0
 
     def test_cache_keys_include_classification(self):
         """Same view, different transfer function: distinct frames and
@@ -847,7 +914,7 @@ class TestShardedServe:
                 c = await RenderClient.connect(host, port)
                 resp = await c.request({"op": "render", "rx": 20.0,
                                         "ry": 30.0, "rz": 0.0})
-                kinds = [type(pool) for pool, _ in server._pools.values()]
+                kinds = [type(pool) for pool in server._pools.values()]
                 await c.close()
                 return resp, kinds
 
@@ -879,7 +946,7 @@ class TestShutdownNoLeak:
             resp = await c.request({"op": "render", "ry": 30.0})
             assert resp["status"] == "ok"
             names = []
-            for pool, _ in server._pools.values():
+            for pool in server._pools.values():
                 names += [pool._shm_i.name, pool._shm_f.name]
             # Deliberately close the server with the client still
             # connected: teardown must not depend on polite clients.

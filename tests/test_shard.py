@@ -444,10 +444,9 @@ class TestShardFaultIsolation:
         # 1 of *every* shard — each pool deals frame 1 of the batch to
         # it — SIGKILLs itself at frame 1, so both
         # supervisors respawn their worker sets at the same time.  The
-        # respawns stage worker state in the module-global ``_G`` before
-        # forking; without the spawn lock the two recoveries could
-        # interleave and fork one pool's workers against the other
-        # pool's queues and barrier (an intermittent cross-pool wedge).
+        # spawn lock keeps one pool's pipe read ends out of the other
+        # pool's concurrent fork: a stray reader would keep a dead
+        # worker's pipe open and wedge the parent's write.
         monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 1, "kill", "composite"))
         views = _views(renderer, 4)
         with ShardedRenderService(

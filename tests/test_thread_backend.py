@@ -9,7 +9,7 @@ per-frame submission, and must keep the MP pool's error contract
 import pytest
 
 import repro
-from repro.parallel.poolcore import FrameFailed, PoolClosed, PoolConfig
+from repro.parallel.poolcore import FrameFailed, PoolConfig
 from repro.parallel.thread_backend import ThreadRenderPool
 from repro.render.fast import render_fast
 
@@ -107,18 +107,6 @@ class TestErrorContract:
 
 
 class TestLifecycleAndObs:
-    def test_closed_pool_raises(self, renderer):
-        pool = ThreadRenderPool(renderer, config=PoolConfig(n_procs=2))
-        pool.close()
-        with pytest.raises(PoolClosed):
-            pool.submit(renderer.view_from_angles(20, 30, 0))
-        pool.close()  # idempotent
-
-    def test_unknown_frame(self, renderer):
-        with ThreadRenderPool(renderer, config=PoolConfig(n_procs=2)) as pool:
-            with pytest.raises(KeyError):
-                pool.result(99)
-
     def test_trace_and_chrome_export(self, renderer, tmp_path):
         views = _views(renderer, 4)
         cfg = PoolConfig(n_procs=2, trace=True)
