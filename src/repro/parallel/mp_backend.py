@@ -21,7 +21,8 @@ need:
   shared-memory setup and the first slice decodes are paid once.  A
   pool of ``n_procs`` workers keeps ``2 * n_procs`` buffers
   (:attr:`MPRenderPool.buffers`, derived, not a setting): a batch dealt
-  solo gives worker ``w`` frames ``w, w + P, w + 2P, ...``, so each
+  solo into an idle pool gives worker ``w`` frames ``w, w + P, w + 2P,
+  ...``, so each
   worker alternates between two buffers and the parent's copy-out and
   re-zeroing of one frame overlaps the worker's rendering of its next.
 * **Batched dispatch and cross-frame pipelining.**  Each worker gets

@@ -29,9 +29,10 @@ on *how* workers are run lives here exactly once:
 * :class:`PoolCore` — the frame ledger: ``submit_batch`` (and its
   one-frame form ``submit``) / ``result`` / ``render`` /
   ``render_animation``, the queue of admitted messages that cannot
-  start yet, the dealing rule (a message of at least ``n_procs``
-  frames deals each frame whole to one worker; a shorter one, and
-  every retry, is banded over all of them), per-worker completion
+  start yet, the dealing rule (a message that, with the frames already
+  out with the workers, makes at least ``n_procs`` frames deals each of
+  its frames whole to the least-loaded worker; anything less, and every
+  retry, is banded over all of them), per-worker completion
   accounting, the finish → retry →
   degrade → fail state machine,
   timeline collection, ``fault_counters`` and ``export_chrome_trace``;
@@ -174,8 +175,9 @@ class PoolConfig:
     demand (:class:`FramePlanner`, :data:`PROFILE_REUSE`), and each
     worker composites its band of a banded frame in one kernel call —
     the profile is the only balancer, there is no stealing.  Nor the
-    schedule: a batch of at least ``n_procs`` frames is dealt whole to
-    the workers, a shorter message banded (:meth:`PoolCore.submit_batch`).
+    schedule: the load decides — a message that, with the frames already
+    out, makes at least ``n_procs`` frames is dealt whole to the
+    workers, anything less banded (:meth:`PoolCore.submit_batch`).
 
     Parameters
     ----------
@@ -797,12 +799,16 @@ class PoolCore:
     leaves a profiled frame's costs in ``rec["costs"]`` — and report
     its outcome through :meth:`_worker_done_locked`.
 
-    Which workers a frame goes to is decided here, when its message goes
-    out (:meth:`_feed_locked`): a message of at least ``n_procs`` frames
-    on a pool of two or more workers deals its ``k``-th frame *solo* —
-    whole, to worker ``k % n_procs`` — and any shorter message, and
-    every retry, goes out *banded* over all workers, the paper's
-    partition.
+    Which workers a frame goes to is decided here, by load, when its
+    message goes out (:meth:`_feed_locked`).  On a pool of two or more
+    workers, a message whose length plus the frames already out with
+    the workers is at least ``n_procs`` deals each of its frames *solo*
+    — whole, to the worker holding the fewest frames out, ties to the
+    lowest pid — and anything less, and every retry, goes out *banded*
+    over all workers, the paper's partition.  On an idle pool that is
+    frame ``k`` of a batch of at least ``n_procs`` to worker
+    ``k % n_procs``; a one-frame message that finds ``n_procs - 1``
+    frames out goes whole to the idlest worker.
     """
 
     #: Name of the transport in exported trace metadata.
@@ -926,13 +932,17 @@ class PoolCore:
         outstanding: a banded batch on one key profiles its first frame
         only, one across an axis switch also the first frame of the new
         key.
-        A batch of at least ``n_procs`` frames asks for throughput, not
-        one frame's latency, so on a pool of two or more workers it is
-        dealt whole: frame ``k`` goes *solo* to worker ``k % n_procs`` —
-        one whole-band kernel call, no band split, no barrier, no
-        profile request — and a shorter batch is banded like a
-        :meth:`submit` (MovieMaker hands processor groups whole
-        timesteps for the same reason).  Each worker receives its jobs
+        A batch that, with the frames already out with the workers,
+        makes at least ``n_procs`` frames asks for throughput, not one
+        frame's latency, so on a pool of two or more workers it is dealt
+        whole: each frame goes *solo* to the least-loaded worker — one
+        whole-band kernel call, no band split, no barrier, no profile
+        request — and anything less is banded (MovieMaker hands
+        processor groups whole timesteps for the same reason).  Into an
+        idle pool that is frame ``k`` to worker ``k % n_procs``; a batch
+        sent behind frames still out may deal away from it, and a
+        one-frame :meth:`submit` that finds ``n_procs - 1`` frames out
+        goes whole to the idlest worker.  Each worker receives its jobs
         (every frame of a banded batch, its own share of a solo one) as
         a *single* queue message and runs frame to frame without
         re-synchronizing with the parent: the parent's collection of one
@@ -1054,7 +1064,10 @@ class PoolCore:
         """Send every held message whose first frame can start, oldest
         first.  A frame is partitioned here, when the workers can take
         it, so it sees every profile installed until then — solo or
-        banded by the dealing rule (see the class docstring).  A retried
+        banded by the dealing rule (see the class docstring), which
+        reads the load out with the workers at that moment: the frames
+        sent before this message and not yet retired, and per worker how
+        many of them :meth:`_workers_of` gives it.  A retried
         frame goes out banded: one sent banded before keeps its saved
         partition, so the retry is bit-identical to what the lost
         attempt would have produced; a solo one is re-cut banded,
@@ -1062,12 +1075,24 @@ class PoolCore:
         serial renderer's."""
         while self._held and self._can_start_locked(self._held[0][0]):
             frames = self._held.popleft()
-            deal = len(frames) >= self.n_procs > 1
-            for k, frame in enumerate(frames):
+            # The load already out with the workers: frames sent before
+            # this message, and how many of them each worker holds.
+            load = [0] * self.n_procs
+            out = 0
+            for frame, rec in self._inflight.items():
+                if rec["sent"] and frame not in frames:
+                    out += 1
+                    for pid in self._workers_of(rec):
+                        load[pid] += 1
+            deal = len(frames) + out >= self.n_procs > 1
+            for frame in frames:
                 rec = self._inflight[frame]
                 if not rec["sent"]:
-                    self._planner.partition(
-                        rec, k % self.n_procs if deal else None)
+                    solo = None
+                    if deal:
+                        solo = load.index(min(load))
+                        load[solo] += 1
+                    self._planner.partition(rec, solo)
                 elif rec["solo"] is not None:
                     self._planner.cut(rec)
                 # The final rows each worker's warp can feed.

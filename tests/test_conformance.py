@@ -80,9 +80,10 @@ def _solo_frames(pool) -> int:
 
 
 def _dealt_solo(config, n_frames: int) -> int:
-    """Solo frames a message of ``n_frames`` makes: a pool of two or
-    more workers deals a message of at least ``n_procs`` frames whole,
-    and a fleet hands every shard's pool the whole message."""
+    """Solo frames a message of ``n_frames`` makes in an idle pool: a
+    pool of two or more workers deals it whole once it has at least
+    ``n_procs`` frames, and a fleet hands every shard's pool the whole
+    message."""
     return n_frames * config.shards if n_frames >= config.n_procs > 1 else 0
 
 

@@ -3,7 +3,8 @@
 Batched and per-frame submission must produce bit-identical images and
 work counters to the serial reference and to each other — the
 partitions and the pixels may never depend on *how* frames reach the
-workers.  Plus the fault half: a worker killed mid-batch must be
+workers (on every backend: ``tests/test_conformance.py``'s batch and
+stream cases).  Here: profiling, counters and pipelining.  Plus the fault half: a worker killed mid-batch must be
 recovered with only the unfinished frames re-dispatched.
 """
 
@@ -24,43 +25,6 @@ def _views(renderer, n=5):
 
 
 class TestBatchedBitIdentity:
-    @pytest.mark.parametrize("two_workers", [True, False])
-    def test_batched_matches_serial(self, renderer, two_workers):
-        """submit_batch == serial, on two workers and on one, profile
-        feedback loop on."""
-        views = _views(renderer)
-        refs = serial_refs(renderer, views)
-        cfg = PoolConfig(n_procs=2 if two_workers else 1)
-        with MPRenderPool(renderer, config=cfg) as pool:
-            res = pool.render_animation(views)
-        assert_frames_identical(res, refs)
-
-    def test_batched_matches_perframe_protocol(self, renderer):
-        """One batch message == per-frame submit / result pairs."""
-        views = _views(renderer)
-        cfg = PoolConfig(n_procs=2)
-        with MPRenderPool(renderer, config=cfg) as pool:
-            batched = [pool.result(f) for f in pool.submit_batch(views)]
-        with MPRenderPool(renderer, config=cfg) as pool:
-            handles = [pool.submit(v) for v in views]
-            perframe = [pool.result(h) for h in handles]
-        # Pixels must agree exactly.  Partition *boundaries* may not:
-        # the profile feedback loop calibrates per-row costs with
-        # measured CPU time, so band splits after a profiled frame are
-        # run-dependent — which is precisely why the images themselves
-        # being identical is the invariant worth asserting.
-        assert_frames_identical(batched, perframe)
-
-    def test_batch_deeper_than_buffers(self, renderer):
-        """A batch far deeper than the buffer ring streams correctly
-        (release-cursor gating)."""
-        views = _views(renderer, 8)
-        refs = serial_refs(renderer, views)
-        cfg = PoolConfig(n_procs=2)
-        with MPRenderPool(renderer, config=cfg) as pool:
-            res = pool.render_animation(views)
-        assert_frames_identical(res, refs)
-
     @pytest.mark.parametrize("backend", ["mp", "thread"])
     def test_batch_profiles_once_per_period_not_every_frame(self, renderer,
                                                             backend):
@@ -106,11 +70,6 @@ class TestBatchedBitIdentity:
             assert res.busy_s[1 - k % 2] == 0.0
         assert meta["backend"] == "mp"
         assert "doorbell" not in meta
-
-    def test_empty_batch(self, renderer):
-        with MPRenderPool(renderer, config=PoolConfig(n_procs=2)) as pool:
-            assert pool.submit_batch([]) == []
-            assert pool.render_animation([]) == []
 
     def test_perframe_submit_counts_no_batch_frames(self, renderer):
         views = _views(renderer, 3)

@@ -50,24 +50,35 @@ def _animate(renderer, views, **pool_kwargs):
     return results, counters
 
 
+def _render_loop(renderer, views, **pool_kwargs):
+    """``render()`` one view at a time: every frame meets an idle pool,
+    so every frame is banded over all workers."""
+    with repro.open_pool(renderer, **pool_kwargs) as pool:
+        results = [pool.render(v) for v in views]
+        counters = pool.fault_counters()
+    return results, counters
+
+
 class TestFaultInjection:
     """Kill/hang/raise one worker at each phase; the animation survives."""
 
-    # PROFILE_REUSE=2 makes the planner profile frames 0 and 4 (frame 4
-    # — frame 0 plus the pool's four buffers — is held in the parent
-    # until frame 0 has retired and answered its request), so the
-    # "profile" phase fault armed on frame 4 always has a frame to hit.
+    # A render() loop meets an idle pool with every frame, so frame 4 is
+    # banded over both workers, and PROFILE_REUSE=2 makes the planner
+    # profile frames 0, 2 and 4, so the "profile" phase fault armed on
+    # frame 4 always has a frame to hit.  (Pipelined submits would deal
+    # frame 4 solo: a frame is already out when it goes.)
     @pytest.mark.parametrize("phase", poolcore.FAULT_PHASES)
     def test_kill_recovers_bit_identical(self, renderer, monkeypatch, phase):
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 4, "kill", phase))
         monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         views = _views(renderer, 6)
-        results, counters = _animate(renderer, views, n_procs=2)
+        results, counters = _render_loop(renderer, views, n_procs=2)
         assert_frames_identical(results, serial_refs(renderer, views))
         assert counters["worker_restarts"] >= 2  # the whole set respawned
         assert counters["frames_retried"] >= 1
         assert counters["degraded_frames"] == 0
         assert results[4].retries >= 1
+        assert results[4].profiled  # so banded: a solo frame never is
         assert not any(r.degraded for r in results)
 
     @pytest.mark.parametrize("phase", poolcore.FAULT_PHASES)
@@ -76,7 +87,7 @@ class TestFaultInjection:
         monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 4, "raise", phase))
         monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         views = _views(renderer, 6)
-        results, counters = _animate(renderer, views, n_procs=2)
+        results, counters = _render_loop(renderer, views, n_procs=2)
         assert_frames_identical(results, serial_refs(renderer, views))
         assert counters["frames_retried"] >= 1
         assert counters["worker_restarts"] == 0
@@ -149,9 +160,10 @@ class TestFaultInjection:
 
 
 #: A worker is killed (or hangs, under a frame deadline) in frame 1 —
-#: a one-frame message, so banded over both workers — just as a
-#: 150-frame message (dealt solo: 75 jobs, about 90 KB pickled, a
-#: worker, well past a 64 KB pipe) goes out behind it.  Run in a subprocess with a watchdog, so that a
+#: a one-frame message sent once frame 0 is collected, so into an idle
+#: pool and banded over both workers — just as a 150-frame message
+#: (dealt solo: 75 jobs, about 90 KB pickled, a worker, well past a
+#: 64 KB pipe) goes out behind it.  Run in a subprocess with a watchdog, so that a
 #: pool that wedges fails the test (exit status 3, its workers killed so
 #: that its shared memory is reclaimed) instead of wedging the suite.
 _FAULT_UNDER_A_LARGE_BATCH = """
@@ -176,8 +188,8 @@ pool = MPRenderPool(r, PoolConfig(
 results = []
 
 def run():
-    ids = (pool.submit_batch(views[:1]) + pool.submit_batch(views[1:2])
-           + pool.submit_batch(views[2:]))
+    results.append(pool.result(pool.submit_batch(views[:1])[0]))
+    ids = pool.submit_batch(views[1:2]) + pool.submit_batch(views[2:])
     results.extend(pool.result(i) for i in ids)
 
 watched = threading.Thread(target=run, daemon=True)

@@ -280,9 +280,10 @@ class TestMPTracing:
         views = [big.view_from_angles(20, 30 + 5 * i, 0) for i in range(4)]
         with repro.open_pool(big, n_procs=2, backend=backend,
                              trace=True) as pool:
-            # One-frame messages, banded, all cut before frame 0's
-            # profile arrives (a batch would be dealt whole, unsplit).
-            results = [pool.result(h) for h in [pool.submit(v) for v in views]]
+            # One frame at a time, so each meets an idle pool and is
+            # banded (a batch, or a frame sent while another is out,
+            # would be dealt whole, unsplit).
+            results = [pool.render(v) for v in views]
             path = tmp_path / "trace.json"
             pool.export_chrome_trace(str(path))
         total = 0

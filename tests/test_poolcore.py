@@ -57,12 +57,21 @@ class FakePool(PoolCore):
         #: Per message sent, per frame: (frame, attempt, solo owner or
         #: None, profiled, the workers it was dealt to).
         self.messages: list[list[tuple]] = []
+        #: Per message sent, the load it found out with the workers: how
+        #: many frames sent before it were still in flight, and how many
+        #: of them each worker had been dealt.
+        self.loads: list[tuple[int, list[int]]] = []
         self.ctx = WorkerContext(
             pid=0, renderer=renderer, barrier=_NoBarrier(),
             clock=time.process_time,
         )
 
     def _send_locked(self, frames):
+        out = [rec for f, rec in self._inflight.items()
+               if rec["sent"] and f not in frames]
+        self.loads.append((len(out), [
+            sum(pid in self._workers_of(rec) for rec in out)
+            for pid in range(self.n_procs)]))
         for frame in frames:
             rec = self._inflight[frame]
             rec["img"] = IntermediateImage(rec["fact"].intermediate_shape)
@@ -618,9 +627,12 @@ class TestDealingRule:
     reported by the workers it was dealt to (the last of them failing
     now and then), recoveries that re-send everything in flight as one
     message, and retries that run out into a degraded or failed frame.
-    A message of at least ``n_procs`` frames deals its ``k``-th frame
-    solo to worker ``k % n_procs`` on a pool of two or more; a shorter
-    message, and every retry, is banded over all workers."""
+    On a pool of two or more, a frame is solo iff it is not a retry
+    and its message's length plus the frames already out with the
+    workers is at least ``n_procs``; its owner is the least-loaded
+    worker at that moment (ties to the lowest pid), whose load then
+    grows by one.  Everything else is banded over all workers.  On an
+    idle pool that is frame ``k`` to worker ``k % n_procs``."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -673,12 +685,22 @@ class TestDealingRule:
                     outcome[frame] = False
             solo_frames = pool.metrics.counter("pool/solo_frames").value
         last = {}
-        for message in pool.messages:
-            deal = len(message) >= n_procs > 1
+        assert len(pool.loads) == len(pool.messages)
+        for message, (out, load) in zip(pool.messages, pool.loads):
+            deal = len(message) + out >= n_procs > 1
+            idle = not out and not any(a for _, a, *_ in message)
             for k, (frame, attempt, solo, profiled, dealt) in enumerate(message):
-                # k % n_procs within a message; banded below n_procs
-                # frames and on every retry.
-                assert solo == (k % n_procs if deal and not attempt else None)
+                # The least-loaded worker, which then holds one more;
+                # banded below n_procs frames in flight and on every
+                # retry.
+                owner = None
+                if deal and not attempt:
+                    owner = min(range(n_procs), key=load.__getitem__)
+                    load[owner] += 1
+                assert solo == owner
+                if idle:
+                    # An idle pool's batch deals frame k to k % n_procs.
+                    assert solo == (k % n_procs if deal else None)
                 assert dealt == ((solo,) if solo is not None
                                  else tuple(range(n_procs)))
                 assert not (solo is not None and profiled)
@@ -689,6 +711,37 @@ class TestDealingRule:
         assert {f for f, _ in attempts} == set(range(step))
         assert solo_frames == sum(
             last[f] is not None for f, ok in outcome.items() if ok)
+
+    @pytest.mark.parametrize("n_procs", [2, 4])
+    def test_one_frame_messages_deal_by_load(self, renderer, n_procs):
+        """One-frame messages: the first meets an idle pool and is
+        banded, and so is each one that finds fewer than ``n_procs - 1``
+        frames out; from then on each goes solo to the least-loaded
+        worker (a banded frame loads every worker alike), not round
+        robin; a solo frame's retry is re-cut banded."""
+        views = _views(renderer, 2 * n_procs)
+        everyone = tuple(range(n_procs))
+        pool = TwoSlotPool(renderer, PoolConfig(n_procs=n_procs, max_retries=1))
+        with pool:
+            first = pool.submit(views[0])
+            assert pool.messages == [[(first, 0, None, True, everyone)]]
+            frames = [first] + [pool.submit(v) for v in views[1:-1]]
+            owners = [None] * (n_procs - 1) + list(range(n_procs))
+            assert pool.messages == [
+                [(f, 0, w, f == first, everyone if w is None else (w,))]
+                for f, w in zip(frames, owners)]
+            # Worker 1's frame retires: it is now the least loaded.
+            self._report(pool, frames[n_procs], fail=False)
+            last = pool.submit(views[-1])
+            assert pool.messages[-1] == [(last, 0, 1, False, (1,))]
+            self._report(pool, last, fail=True)
+            assert pool.messages[-1] == [(last, 1, None, False, everyone)]
+            for frame in frames + [last]:
+                if frame in pool._inflight:
+                    self._report(pool, frame, fail=False)
+            results = [pool.result(f) for f in frames + [last]]
+            assert pool.metrics.counter("pool/solo_frames").value == n_procs
+        assert [r.retries for r in results] == [0] * (2 * n_procs - 1) + [1]
 
     @staticmethod
     def _report(pool, frame, fail):

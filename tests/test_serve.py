@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro.parallel.poolcore as poolcore
 from repro.parallel import RenderBackend
 from repro.parallel.poolcore import MPPoolError, PoolConfig
 from repro.render.fast import render_fast
@@ -474,6 +475,68 @@ class TestServer:
             assert np.array_equal(color, ref.final.color)
             assert np.array_equal(alpha, ref.final.alpha)
 
+    def test_a_miss_behind_a_frame_out_goes_solo(self, monkeypatch):
+        """Each render submits, then blocks on a gate before ``result``,
+        and the workers hold their first composite until the gate opens:
+        the first client's frame is out, banded, when the second
+        client's miss reaches the two-worker pool, so that one goes
+        whole to the least-loaded worker.  Both replies are the serial
+        fast path's frames."""
+        release = threading.Event()
+        composite_range = poolcore.composite_range
+
+        def held(*args, **kwargs):
+            assert release.wait(30.0), "test forgot to release the gate"
+            return composite_range(*args, **kwargs)
+
+        monkeypatch.setattr(poolcore, "composite_range", held)
+        submitted = []
+
+        def render_fn(pool, views):
+            ids = pool.submit_batch(
+                [pool.renderer.view_from_angles(*v) for v in views])
+            submitted.append(ids)
+            assert release.wait(30.0), "test forgot to release the gate"
+            return [(r.final.color, r.final.alpha)
+                    for r in map(pool.result, ids)]
+
+        server = RenderServer(ServeConfig(
+            pool=PoolConfig(n_procs=2, backend="thread"), **TINY),
+            render_fn=render_fn)
+        angles = [(20.0, 30.0, 0.0), (20.0, 40.0, 0.0)]
+
+        async def body():
+            async with server:
+                clients = [await RenderClient.connect(*server.address)
+                           for _ in angles]
+                tasks = []
+                for c, (rx, ry, rz) in zip(clients, angles):
+                    # One at a time: the second miss finds the first out.
+                    tasks.append(asyncio.ensure_future(c.request(
+                        {"op": "render", "rx": rx, "ry": ry, "rz": rz})))
+                    for _ in range(500):
+                        if len(submitted) == len(tasks):
+                            break
+                        await asyncio.sleep(0.01)
+                both_out = submitted == [[0], [1]]
+                release.set()
+                resps = await asyncio.gather(*tasks)
+                stats = await clients[0].request({"op": "stats"})
+                for c in clients:
+                    await c.close()
+                return both_out, resps, stats
+
+        both_out, resps, stats = run(body())
+        assert both_out, "the second miss did not reach the pool in time"
+        assert stats["metrics"]["counters"]["pool/solo_frames"] == 1
+        renderer = _default_renderer_factory("mri128", 0.08, "mri")
+        for resp, angle in zip(resps, angles):
+            assert resp["status"] == "ok", resp
+            (color, alpha), = response_frames(resp)
+            ref = render_fast(renderer, renderer.view_from_angles(*angle))
+            assert np.array_equal(color, ref.final.color)
+            assert np.array_equal(alpha, ref.final.alpha)
+
     def test_one_executor_drives_every_pool(self):
         """Three pools, one render executor of ``max_inflight`` threads,
         no thread of a pool's own; the pool map holds the backends."""
@@ -794,8 +857,8 @@ class TestServer:
 
     def test_stats_counts_the_frames_dealt_whole(self):
         """An ``animate`` is one pool batch, dealt whole ("solo") to a
-        two-worker pool's workers; a ``render`` miss is a one-frame
-        message, banded.  The live ``stats`` op reports the exact
+        two-worker pool's workers; a ``render`` miss into the idle
+        pool is a one-frame message, banded.  The live ``stats`` op reports the exact
         ``pool/solo_frames`` count."""
         server = RenderServer(ServeConfig(
             pool=PoolConfig(n_procs=2, backend="thread"), **TINY))
