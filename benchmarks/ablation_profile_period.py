@@ -4,6 +4,11 @@ Profiling every frame costs 10-15 % extra compositing; profiling rarely
 risks stale predictions as the viewpoint rotates away.  The paper
 refreshes every ~15 degrees.  Sweep the period over a longer animation
 and report the averaged frame time.
+
+This runs the simulator's renderer (``repro.core``), which keeps the
+paper's per-scanline profile and its period for the figures.  The native
+pools profile no frame: they cut each banded frame from the band times
+of the one before (EXPERIMENTS.md "PR 38").
 """
 
 from __future__ import annotations

@@ -4,6 +4,12 @@ The paper initially stole single scanlines and saw ~10x the old
 algorithm's synchronization overhead, then switched to chunks.  Sweep
 the steal-chunk size for the new renderer and report total steal/lock
 overhead and frame time.
+
+This runs the simulator's renderer (``repro.core``), which keeps the
+paper's stealing and per-scanline profile for the figures.  The native
+pools neither steal nor profile: each worker composites its band in one
+call, and band times balance the bands (EXPERIMENTS.md "PR 33" and
+"PR 38").
 """
 
 from __future__ import annotations

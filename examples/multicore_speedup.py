@@ -14,14 +14,13 @@ bit for bit against the per-scanline reference renderer.
 speedup — the 1997-platform results come from the simulator, not from
 this demo.)
 
-Every pool runs the paper's profile feedback loop on demand: a frame
-whose principal axis has no profile, or has reused one for
-``poolcore.PROFILE_REUSE`` frames, measures per-scanline costs, and
-following frames split the intermediate image so each worker gets equal
+Every pool balances a frame it splits into bands by band time: each
+worker's busy seconds on the last banded frame, spread over the rows of
+its band, size the next frame's bands so each worker gets equal
 *measured* work instead of equal scanline counts — same images, tighter
 per-worker busy times on lopsided views.  The final section renders
-frame by frame, so it re-profiles on that cadence, and reports the
-busy-time spread it buys.
+frame by frame, so every frame is banded and cut from the one before,
+and reports the busy-time spread (``(max - min) / mean``) it buys.
 
 Run:  python examples/multicore_speedup.py [size]
 """
@@ -81,23 +80,21 @@ def main(size: int = 64) -> None:
         print(f"  {workers} worker(s): {dt * 1e3:7.1f} ms/frame  "
               f"speedup {serial / dt:5.2f}x  image {'OK' if ok else 'MISMATCH'}")
 
-    print("\nsame pool frame by frame (each frame planned from the "
-          "newest profile, re-profiled on demand):")
+    print("\nsame pool frame by frame (each frame banded, cut from the "
+          "band times of the one before):")
     for workers in (2, 4):
         with repro.open_pool(renderer, n_procs=workers) as pool:
-            pool.render(views[0])  # warm up (also measures frame 0's profile)
+            pool.render(views[0])  # warm up (and frame 0's band times)
             t0 = time.perf_counter()
             results = [pool.render(v) for v in views]
             dt = (time.perf_counter() - t0) / N_FRAMES
         ok = np.array_equal(results[0].final.color, ref.final.color)
-        # Spread of per-worker busy times on the last frame: the load
-        # balance the profile-sized partitions buy.
-        busy = results[-1].busy_s
-        spread = (busy.max() - busy.min()) / busy.mean() if busy.mean() else 0.0
-        profiled = sum(r.profiled for r in results)
+        # Mean spread of per-worker busy times: the load balance the
+        # band-time partitions buy.
+        spread = np.mean([r.busy_spread for r in results])
         print(f"  {workers} worker(s): {dt * 1e3:7.1f} ms/frame  "
-              f"speedup {serial / dt:5.2f}x  busy spread {spread:5.2f}  "
-              f"{profiled} profiled  image {'OK' if ok else 'MISMATCH'}")
+              f"speedup {serial / dt:5.2f}x  busy_spread {spread:5.2f}  "
+              f"image {'OK' if ok else 'MISMATCH'}")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ Subpackages
 ``obs``          span tracing, Chrome trace export, metrics
 """
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 #: Facade symbols re-exported (lazily) from :mod:`repro.parallel`.
 _POOL_EXPORTS = (
@@ -87,7 +87,8 @@ def open_pool(renderer, config=None, **overrides):
     bit-identical frames behind the same pool API.  One frame is
     ``open_pool(...)`` plus ``render(view)``; keep the pool for the next
     one, so fork, shared-memory setup and the first slice decodes are
-    paid once and a measured profile has a next frame to balance.
+    paid once and a banded frame's band times have a next frame to
+    balance.
     """
     from .parallel import MPRenderPool, PoolConfig, ThreadRenderPool
 

@@ -89,8 +89,9 @@ def _run_render(args: argparse.Namespace) -> int:
     if frames > 1 or cfg.shards > 1 or args.procs > 1:
         # Every pooled render, a single frame included, is an animation
         # through a persistent pool.  The whole animation goes out as
-        # one batch per worker, so its first frame per principal axis
-        # is profiled for the next batch to balance on; --backend picks
+        # message: dealt whole to the workers when it has enough frames,
+        # banded over them otherwise (each banded frame's band times
+        # balance the next); --backend picks
         # processes or threads; --shards > 1 opens a sharded fleet of
         # pools merged sort-last (the facade dispatches on cfg.shards —
         # same pool API either way).
@@ -107,11 +108,10 @@ def _run_render(args: argparse.Namespace) -> int:
                                          metadata={"dataset": args.dataset,
                                                    "scale": args.scale})
         result = results[-1]
-        profiled = sum(r.profiled for r in results)
         fleet = (f"{cfg.shards} shards x {args.procs} procs"
                  if cfg.shards > 1 else f"{args.procs} procs")
         how = (f"{frames} frame{'s' * (frames > 1)}, {fleet}, "
-               f"{args.backend} backend, batched, {profiled} profiled")
+               f"{args.backend} backend, batched")
     else:
         recorder = None
         if tracing:
@@ -324,7 +324,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
               f"{over_s / n_frames * 1e3:.2f} ms vs composite "
               f"{comp_s / n_frames * 1e3:.2f} ms per frame ({ratio}; "
               f"pool/batch_frames={meta.get('batch_frames', 0)}, "
-              f"pool/profiled_frames={meta.get('profiled_frames', 0)}, "
               f"pool/solo_frames={meta.get('solo_frames', 0)})")
     if frames:
         # A frame one worker rendered alone (solo, or on a one-worker

@@ -12,18 +12,13 @@ degrees of rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..render.instrument import WorkCounters
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..render.block import BlockRowCounters
-
 __all__ = [
     "scanline_cost",
-    "scanline_cost_rows",
     "PROFILING_OVERHEAD",
     "NOMINAL_MEM_PER_BYTE",
     "ScanlineProfile",
@@ -66,23 +61,6 @@ def scanline_cost(c: WorkCounters) -> float:
         + _W_LOOP * c.loop_iters
         + _W_SKIP * c.pixels_skipped
     )
-
-
-def scanline_cost_rows(rows: "BlockRowCounters") -> np.ndarray:
-    """Per-scanline costs of a block-kernel band, collapsed in one shot.
-
-    ``out[i]`` equals ``scanline_cost(rows.row(rows.v_lo + i))`` — the
-    same weights applied to the per-row counter arrays the block kernel
-    accumulates, so parallel renderers can build a
-    :class:`ScanlineProfile` without re-materializing one
-    :class:`WorkCounters` per scanline.
-    """
-    return (
-        _W_RESAMPLE * rows.resample_ops
-        + _W_RUN * rows.run_entries
-        + _W_LOOP * rows.loop_iters
-        + _W_SKIP * rows.pixels_skipped
-    ).astype(np.float64)
 
 
 @dataclass

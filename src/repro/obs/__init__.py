@@ -7,8 +7,7 @@ end of that hierarchy; this package is the *native* end for the code
 that actually runs on the host:
 
 * :class:`SpanRecorder` — a preallocated per-worker ring buffer of phase
-  **spans** (slice-decode, composite, warp, queue wait, profile
-  collapse, barrier) and **counters** (rows composited, kernel calls,
+  **spans** (slice-decode, composite, warp, queue wait, barrier) and **counters** (rows composited, kernel calls,
   slice-cache hits/misses and the microseconds spent decoding the
   misses, solo frames).
   Backed by shared memory in the multiprocessing pool so recording adds

@@ -41,9 +41,9 @@ __all__ = [
 
 #: Phase names a span can carry, in display order.  ``wait`` is the
 #: worker's job-queue wait, ``decode`` the RLE slice decodes,
-#: ``profile`` the per-scanline cost collapse on profiled frames,
-#: ``steal`` is retired (the pools no longer steal; it keeps its id so
-#: the ids after it stay stable), ``barrier`` the inter-phase
+#: ``profile`` and ``steal`` are retired (the pools profile no frame
+#: and steal no rows; they keep their ids so the ids after them stay
+#: stable), ``barrier`` the inter-phase
 #: synchronization wait (the paper's "sync time"), ``recover`` the MP
 #: pool supervisor's worker-respawn + frame-retry window after a fault
 #: (recorded on the supervisor's own track), ``dispatch`` the

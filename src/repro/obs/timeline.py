@@ -53,13 +53,10 @@ class FrameTimeline:
         return out
 
     def busy_by_pid(self) -> dict[int, float]:
-        """Per-worker compute seconds (composite + profile + warp)."""
+        """Per-worker compute seconds (composite + warp)."""
         out: dict[int, float] = {}
         for s in self.spans:
             if s.phase in ("composite", "warp"):
-                # "profile" spans nest inside "composite" spans (the
-                # cost collapse happens mid-phase), so adding them here
-                # would double-count.
                 out[s.pid] = out.get(s.pid, 0.0) + (s.t1 - s.t0)
         return out
 
@@ -110,7 +107,7 @@ def chrome_trace_events(
             }
         )
     # The recorder appends spans at their *end* time, so a nested span
-    # (profile inside composite) precedes its parent in ring order; sort
+    # precedes its parent in ring order; sort
     # by (track, start, longest-first) so each track's timestamps are
     # monotonic and enclosing spans come before the spans they contain.
     span_events = [

@@ -14,8 +14,8 @@ item 5 API redesign: a minimal structural protocol all three conform to,
 - ``result(frame_id)`` — block for one frame's result, in any order,
 - ``close()`` — release workers/pools,
 - ``trace`` — whether it records spans (``export_chrome_trace``); the
-  one thing a caller has to ask, since every pool profiles on demand
-  and balances its bands by that profile alone.
+  one thing a caller has to ask, since every pool balances its bands
+  by the band times of its last banded frame, with nothing to set.
 
 ``submit_batch``, ``result`` and ``close`` are safe from any thread,
 concurrently: a backend guards its own state with its own lock (the

@@ -11,11 +11,11 @@ workers for free through ``fork``.
 
 :class:`MPRenderPool` is the *process transport* of the pool core
 (:mod:`repro.parallel.poolcore`).  The core owns everything
-backend-neutral — planning and the profile feedback loop (sections
-4.2-4.3), the worker's composite → barrier → warp frame body, and the
-frame ledger with its finish → retry → degrade → fail state machine —
-and this module supplies what only forked workers over shared memory
-need:
+backend-neutral — planning and the band-time feedback that balances
+it (sections 4.2-4.3), the worker's composite → barrier → warp frame
+body, and the frame ledger with its finish → retry → degrade → fail
+state machine — and this module supplies what only forked workers over
+shared memory need:
 
 * **Persistent workers and two image buffers per worker.**  Fork,
   shared-memory setup and the first slice decodes are paid once.  A
@@ -33,14 +33,12 @@ need:
   message goes out once the buffer of its first frame is free; until
   then the core holds it in the parent, so ``submit`` never waits, the
   job pipes stay shallow however deep the callers queue, and a frame is
-  partitioned from the newest profile.
+  partitioned from the newest band times.
 * **The shm doorbell — the one way out.**  Nothing a worker reports is
   pickled: it writes its completion record (frame id, flags, busy
-  times) into a small shared segment and rings a shared
-  event, and the supervisor reads completion with a memory scan.  The
-  same segment holds, per image buffer, the profiled frame's cost row —
-  filled in place by whichever worker composited each scanline, the
-  paper's shared profile array (sections 4.2-4.3) — and a fixed-size
+  times — all the feedback the next bands are cut from) into a small
+  shared segment and rings a shared event, and the supervisor reads
+  completion with a memory scan.  The same segment holds a fixed-size
   text slot per worker for the one variable-sized thing a worker can
   have to say, an exception's message.
 
@@ -154,7 +152,7 @@ ERR_SLOT_BYTES = 512
 ERR_TRUNCATED = " ...[truncated]"
 
 
-def _doorbell_dtype(n_procs: int, buffers: int, cost_len: int) -> np.dtype:
+def _doorbell_dtype(n_procs: int, buffers: int) -> np.dtype:
     """The doorbell segment as one record (bytes last: the rest stays
     8-byte aligned).
 
@@ -163,14 +161,11 @@ def _doorbell_dtype(n_procs: int, buffers: int, cost_len: int) -> np.dtype:
     text behind its :data:`_FLAG_ERROR`; ``release[buf]`` is the last
     frame the parent has fully collected *and re-zeroed* out of that
     buffer — the cursor a worker gates on before writing frame
-    ``release[buf] + buffers`` into it; ``costs[buf]`` is that frame's
-    cost row when it is profiled, one float64 per intermediate scanline
-    of the tallest frame the pool can hold (``cost_len``).
+    ``release[buf] + buffers`` into it.
     """
     return np.dtype([
         ("cells", np.float64, (buffers, n_procs, _CELL_FLOATS)),
         ("release", np.int64, (buffers,)),
-        ("costs", np.float64, (buffers, cost_len)),
         ("errors", np.uint8, (buffers, n_procs, ERR_SLOT_BYTES)),
     ])
 
@@ -289,9 +284,9 @@ def _worker_loop(pid: int, state: dict) -> None:
     inter_cap, final_cap = state["inter_cap"], state["final_cap"]
     n_procs: int = state["n_procs"]
     buffers: int = state["buffers"]
-    layout = _doorbell_dtype(n_procs, buffers, inter_cap[0])
+    layout = _doorbell_dtype(n_procs, buffers)
     record = np.ndarray((), layout, buffer=state["shm_d"].buf)
-    cells, release, cost_rows, err_slots = (record[k] for k in layout.names)
+    cells, release, err_slots = (record[k] for k in layout.names)
     bell = state["bell"]
     shm_t = state["shm_t"]
     rec = (
@@ -316,8 +311,8 @@ def _worker_loop(pid: int, state: dict) -> None:
         batch = pickle.load(jobs)
         if batch is None:
             return
-        for (frame, buf, fact, v_lo, v_hi, owner, final_rows, profiled,
-             timestep, solo) in batch:
+        for (frame, buf, fact, v_lo, v_hi, owner, final_rows, timestep,
+             solo) in batch:
             if rec is not None:
                 rec.span(frame, "wait", t_wait0, rec.now())
             # Pipelining gate: frame f may enter buffer f % buffers only
@@ -327,8 +322,7 @@ def _worker_loop(pid: int, state: dict) -> None:
                 shm_i, shm_f, inter_cap, final_cap, buf, fact
             )
             err, t_comp, t_warp = run_frame(
-                ctx, frame, fact, (v_lo, v_hi), owner, final_rows,
-                cost_rows[buf] if profiled else None, timestep,
+                ctx, frame, fact, (v_lo, v_hi), owner, final_rows, timestep,
                 IntermediateImage.over(color, opacity),
                 FinalImage.over(fcolor, falpha), solo,
             )
@@ -428,12 +422,12 @@ class MPRenderPool(PoolCore):
         np.ndarray((final_floats,), np.float32, buffer=self._shm_f.buf).fill(0.0)
 
         # Doorbell segment: everything the workers report — per-buffer
-        # completion cells, cost rows and error slots — plus the release
-        # cursors they gate buffer reuse on (batched pipelining).
-        layout = _doorbell_dtype(self.n_procs, self.buffers, self.inter_cap[0])
+        # completion cells and error slots — plus the release cursors
+        # they gate buffer reuse on (batched pipelining).
+        layout = _doorbell_dtype(self.n_procs, self.buffers)
         self._shm_d = shared_memory.SharedMemory(create=True, size=layout.itemsize)
         record = np.ndarray((), layout, buffer=self._shm_d.buf)
-        self._cells, self._release, self._cost_rows, self._err_slots = (
+        self._cells, self._release, self._err_slots = (
             record[k] for k in layout.names
         )
         self._cells.fill(0.0)
@@ -525,11 +519,6 @@ class MPRenderPool(PoolCore):
 
     # -- where frames render: the shared buffers ----------------------------
 
-    def _cost_row_locked(self, frame: int, rec: dict) -> np.ndarray:
-        """The buffer's shared row: the core copies the frame's band
-        out of it before the buffer is released."""
-        return self._cost_rows[frame % self.buffers]
-
     def _sample_gauges_locked(self) -> None:
         """Also how many shared buffers are still occupied by unfinished
         frames."""
@@ -595,7 +584,6 @@ class MPRenderPool(PoolCore):
                 int(boundaries[pid + 1]),
                 rec["owner"],
                 rec["rows_by_pid"][pid],
-                rec["profiled"],
                 rec["timestep"],
                 rec["solo"] is not None,
             )

@@ -7,25 +7,23 @@ on *how* workers are run lives here exactly once:
 
 * the typed errors, :class:`PoolConfig`, :class:`FrameRegion` and the
   result type :class:`MPRenderResult`;
-* :class:`FramePlanner` — factorization, the non-empty band, the paper's
-  profile feedback loop (sections 4.2-4.3: on profiled frames each
-  worker writes the costs of the scanlines it composited into the
-  frame's one shared cost row, later frames are split with
-  :func:`~repro.core.partition.contiguous_partition` over that profile,
-  a principal-axis switch invalidates it, and a profile is requested
-  on demand — once per key while one is outstanding, again after
-  :data:`PROFILE_REUSE` frames) and scanline ownership (section 4.5) —
-  for a pool's workers and, one level up, for a shard fleet's pools;
-* one static band per worker, composited in one kernel call: the
-  profile alone balances a banded frame.  (Section 4.4's stealing
-  stays in the simulator's renderers; in the pools the time-calibrated
-  profile already hands a slowed worker a smaller band, and a thief
-  never found rows left to take — EXPERIMENTS.md "PR 33".)
+* :class:`FramePlanner` — factorization, the non-empty band, the
+  feedback loop that balances the bands (sections 4.2-4.3, fed by band
+  time: every banded frame's :meth:`~FramePlanner.band_time_profile` —
+  each worker's busy CPU seconds spread evenly over the rows of its
+  band — splits the next frames with
+  :func:`~repro.core.partition.contiguous_partition`, and a
+  principal-axis switch invalidates it) and scanline ownership
+  (section 4.5) — for a pool's workers and, one level up, for a shard
+  fleet's pools;
+* one static band per worker, composited in one kernel call: band time
+  alone balances a banded frame.  (The simulator's renderers keep the
+  paper's per-scanline profile and section 4.4's stealing; in the pools
+  neither paid for itself — EXPERIMENTS.md "PR 33" and "PR 38".)
 * :func:`run_frame` — the worker's frame body (decode → one
   block-kernel call over its band → barrier → warp, with its spans,
-  CPU clocks, fault points and the in-place calibration of a profiled
-  frame's costs; a *solo* frame, dealt whole to one worker, skips the
-  barrier);
+  CPU clocks and fault points; a *solo* frame, dealt whole to one
+  worker, skips the barrier);
 * :class:`PoolCore` — the frame ledger: ``submit_batch`` (and its
   one-frame form ``submit``) / ``result`` / ``render`` /
   ``render_animation``, the queue of admitted messages that cannot
@@ -39,7 +37,7 @@ on *how* workers are run lives here exactly once:
 * the fault- and delay-injection hooks tests and CI use.
 
 A *transport* subclasses :class:`PoolCore` and supplies only what
-genuinely differs: where a frame's images and cost row live, how jobs
+genuinely differs: where a frame's images live, how jobs
 reach workers, how a completion is reported, and what a retry costs.
 :class:`~repro.parallel.mp_backend.MPRenderPool` (fork + shared-memory
 images + doorbell + supervisor) and
@@ -67,12 +65,12 @@ from ..core.partition import (
     line_ownership,
     uniform_contiguous_partition,
 )
-from ..core.profiling import ScanlineProfile, scanline_cost_rows
+from ..core.profiling import ScanlineProfile
 from ..obs.metrics import MetricsRegistry, busy_spread, metrics_from_timelines
 from ..obs.recorder import RingReader, SpanRecorder
 from ..obs.timeline import FrameTimeline
 from ..obs.timeline import export_chrome_trace as _export_chrome_trace
-from ..render.block import BlockRowCounters, composite_scanline_block
+from ..render.block import composite_scanline_block
 from ..render.compositing import nonempty_scanline_bounds
 from ..render.fast import render_fast
 from ..render.image import FinalImage, IntermediateImage
@@ -82,7 +80,6 @@ from .backend import FrameSpec, as_frame_specs
 
 __all__ = [
     "POOL_BACKENDS",
-    "PROFILE_REUSE",
     "MPPoolError",
     "FrameFailed",
     "FrameTimeout",
@@ -109,14 +106,6 @@ __all__ = [
 #: by the ``repro.open_pool`` facade): ``"mp"`` is the process pool,
 #: ``"thread"`` the no-copy threading pool.
 POOL_BACKENDS = ("mp", "thread")
-
-#: Frames a measured profile is reused for before its key asks for a
-#: fresh one (section 4.2's "every k frames"): a key is re-profiled once
-#: this many frames have been planned since its last request, so a
-#: one-frame stream profiles frames 0, 5, 10, ...  A constant, not an
-#: option; :meth:`FramePlanner.partition` reads it on every call, so a
-#: test monkeypatches it.
-PROFILE_REUSE = 5
 
 
 # -- typed pool errors --------------------------------------------------------
@@ -168,16 +157,16 @@ class PoolConfig:
 
     There is no kernel to choose: every worker composites with the block
     kernel (:func:`~repro.render.block.composite_scanline_block`), which
-    is bit-identical to the instrumented scanline reference in pixels
-    and in every work counter, row by row.  The reference stays where it
-    is the point — the test oracle and the simulator's traced renderers.
-    Nor is the paper's feedback loop configured: the pool profiles on
-    demand (:class:`FramePlanner`, :data:`PROFILE_REUSE`), and each
-    worker composites its band of a banded frame in one kernel call —
-    the profile is the only balancer, there is no stealing.  Nor the
-    schedule: the load decides — a message that, with the frames already
-    out, makes at least ``n_procs`` frames is dealt whole to the
-    workers, anything less banded (:meth:`PoolCore.submit_batch`).
+    is bit-identical in pixels to the instrumented scanline reference.
+    The reference stays where it is the point — the test oracle and the
+    simulator's traced renderers.  Nor is the feedback loop configured:
+    every banded frame's band times balance the next
+    (:meth:`FramePlanner.band_time_profile`), and each worker composites
+    its band in one kernel call — there is no profiled frame and no
+    stealing.  Nor the schedule: the load decides — a message that, with
+    the frames already out, makes at least ``n_procs`` frames is dealt
+    whole to the workers, anything less banded
+    (:meth:`PoolCore.submit_batch`).
 
     Parameters
     ----------
@@ -288,21 +277,21 @@ class FrameRegion:
 
 
 class FramePlanner:
-    """Frame planning + the paper's profile feedback loop, backend-neutral.
+    """Frame planning + the feedback loop that balances it, backend-neutral.
 
     Cuts a frame's non-empty scanline band into ``n_blocks`` contiguous
     blocks: a pool's workers, or a shard fleet's pools — the one rule at
-    both levels.  Owns the factorization, the non-empty band, which
-    frames are profiled (sections 4.2-4.3, decided in :meth:`partition`
-    alone), the last measured :class:`ScanlineProfile` and its validity
-    key, partition boundaries (uniform or profile-balanced) and line
-    ownership (section 4.5).  A plan has two halves: :meth:`admit` when
-    the frame is submitted, :meth:`partition` when it goes out.  Every
-    transport plans through one instance of this class, so the backends
-    cannot drift apart — the basis of their bit-identity.  An axis
-    switch that drops the profile increments the counter named
-    ``invalidations``.  A fleet's planner consumes the profiles its
-    pools measure and ignores its own ``profiled`` flags.
+    both levels.  Owns the factorization, the non-empty band, the last
+    installed :class:`ScanlineProfile` and its validity key, partition
+    boundaries (uniform or profile-balanced) and line ownership
+    (section 4.5).  A plan has two halves: :meth:`admit` when the frame
+    is submitted, :meth:`cut` when it goes out.  Nothing is requested
+    or measured on purpose: the owner installs whatever profile its
+    frames report (a pool the band time of each banded frame, a fleet
+    its pools' costs gathered over their shards).  Every transport plans
+    through one instance of this class, so the backends cannot drift
+    apart — the basis of their bit-identity.  An axis switch that drops
+    the profile increments the counter named ``invalidations``.
     """
 
     def __init__(self, renderer, n_blocks: int, metrics: MetricsRegistry,
@@ -311,20 +300,11 @@ class FramePlanner:
         self.n_blocks = n_blocks
         self.metrics = metrics
         self.invalidations = invalidations
-        # Last assembled profile and the (axis, perm) it was measured
+        # Last installed profile and the (axis, perm) it was measured
         # under — a principal-axis switch changes the intermediate-image
         # coordinate system, so the profile stops predicting anything.
         self.profile: ScanlineProfile | None = None
         self.profile_key: tuple[int, tuple[int, int, int]] | None = None
-        # Frames planned so far, and per key the count from which its
-        # profile is stale (PROFILE_REUSE frames after its last request).
-        self._planned = 0
-        self._due: dict = {}
-        # Keys whose requested profile has neither been installed nor
-        # lost with its frame.  A batch is partitioned before any of its
-        # frames completes; without this every frame behind the first
-        # would be profiled too.
-        self._outstanding: set = set()
 
     def admit(self, view: np.ndarray, inter_cap=None, final_cap=None,
               region: FrameRegion | None = None,
@@ -362,51 +342,27 @@ class FramePlanner:
             key=(fact.axis, fact.perm),
         )
 
-    def partition(self, plan: dict, solo: int | None = None) -> dict:
-        """The half of a plan that *is* the feedback loop, added to
-        ``plan`` in place: whether the frame is profiled, then its
-        :meth:`cut` — banded from the newest valid profile, or dealt
-        whole to block ``solo``, which asks for no profile.
-
-        Note the profile validity key stays ``(axis, perm)``: the §4.2
-        loop *predicts* the next frame's cost from the last measured
-        frame's, and a moving volume is exactly the drift that
-        prediction is supposed to absorb — so a timestep switch does
-        not invalidate the profile, it stresses it.
-        """
-        key = plan["key"]
-        if self.profile is not None and self.profile_key != key:
-            self.profile = None
-            self.metrics.counter(self.invalidations).inc()
-        # A profiled frame costs 38-44 % more to composite (the paper's
-        # 10-15 %, section 4.2), so a key asks for a profile only when it
-        # has none or has reused one for PROFILE_REUSE frames — and never
-        # while a request of its own is still outstanding.  A solo frame
-        # has no partition for a profile to balance.
-        profiled = solo is None and key not in self._outstanding and (
-            self.profile is None or self._planned >= self._due.get(key, 0)
-        )
-        if profiled:
-            self._outstanding.add(key)
-            self._due[key] = self._planned + PROFILE_REUSE
-        self._planned += 1
-        plan["profiled"] = profiled
-        return self.cut(plan, solo)
-
     def cut(self, plan: dict, solo: int | None = None) -> dict:
         """Boundaries and line ownership, added to ``plan`` in place
-        (deterministic; no profile is requested): banded by
-        :func:`profile_partition` over the profile valid for the plan's
-        key, or — for a ``solo`` block — the degenerate partition in
-        which that block is the whole band and owns every line, so the
-        other blocks are empty.  Either is masked to a ``region``'s
-        owned lines.
+        (deterministic): banded by :func:`profile_partition` over the
+        profile valid for the plan's key, or — for a ``solo`` block —
+        the degenerate partition in which that block is the whole band
+        and owns every line, so the other blocks are empty.  Either is
+        masked to a ``region``'s owned lines.
+
+        A profile of another key is dropped first.  The validity key
+        stays ``(axis, perm)``: the loop *predicts* the next frame's
+        cost from the last measured frame's, and a moving volume is
+        exactly the drift that prediction is supposed to absorb — so a
+        timestep switch does not invalidate the profile, it stresses it.
         """
+        if self.profile is not None and self.profile_key != plan["key"]:
+            self.profile = None
+            self.metrics.counter(self.invalidations).inc()
         n_v = plan["fact"].intermediate_shape[0]
         v_lo, v_hi = plan["v_lo"], plan["v_hi"]
         if solo is None:
-            profile = self.profile if self.profile_key == plan["key"] else None
-            boundaries = profile_partition(profile, self.n_blocks, v_lo, v_hi)
+            boundaries = profile_partition(self.profile, self.n_blocks, v_lo, v_hi)
             owner = line_ownership(boundaries, n_v)
         else:
             boundaries = np.array(
@@ -427,17 +383,32 @@ class FramePlanner:
         return plan
 
     def install_profile(self, v_lo: int, costs: np.ndarray, key) -> None:
-        """Adopt a freshly measured per-scanline profile: ``key``'s
-        request is answered."""
+        """Balance the next cuts of ``key`` by per-scanline ``costs``
+        starting at scanline ``v_lo``."""
         self.profile = ScanlineProfile(v_lo, costs)
         self.profile_key = key
-        self._outstanding.discard(key)
 
-    def drop_request(self, key) -> None:
-        """``key``'s profiled frame failed or degraded: its profile will
-        never arrive, so the next frame of ``key`` asks again."""
-        self._outstanding.discard(key)
-        self._due.pop(key, None)
+    @staticmethod
+    def band_time_profile(boundaries: np.ndarray,
+                          busy: np.ndarray) -> ScanlineProfile:
+        """A frame's cost profile from what its blocks took: each
+        block's busy seconds (float64) spread evenly over the rows of
+        its band (int64 ``boundaries``).
+
+        Piecewise constant over ``[boundaries[0], boundaries[-1])``, one
+        value per block, covering each row once; it sums to the busy
+        time of the blocks with rows (a block with an empty band has no
+        row to hold its seconds).  This is how a master/worker renderer
+        balances by the work it observed rather than by a predicted
+        per-item cost: a block that was slow for its width — a heavy
+        band, or a slow worker — looks expensive per row, and
+        :func:`profile_partition` hands it fewer rows next frame.
+        """
+        # Runs once per frame on the ledger's hot path: plain slicing,
+        # not np.diff, which costs several times more on a short array.
+        widths = boundaries[1:] - boundaries[:-1]
+        per_row = busy / np.maximum(widths, 1)
+        return ScanlineProfile(int(boundaries[0]), np.repeat(per_row, widths))
 
 
 def profile_partition(profile: ScanlineProfile | None, n: int,
@@ -474,7 +445,7 @@ def profile_partition(profile: ScanlineProfile | None, n: int,
 TEST_ROW_DELAY: tuple[int, float] | None = None
 
 #: Worker phases at which a fault can be injected.
-FAULT_PHASES = ("decode", "composite", "profile", "warp")
+FAULT_PHASES = ("decode", "composite", "warp")
 
 #: Kinds of injectable fault: SIGKILL the worker, hang it forever, or
 #: raise out of the phase.
@@ -559,10 +530,9 @@ class MPRenderResult:
     fact: ShearWarpFactorization
     n_procs: int
     boundaries: np.ndarray | None = None
-    profiled: bool = False
     busy_s: np.ndarray | None = field(default=None, repr=False)
     timeline: FrameTimeline | None = field(default=None, repr=False)
-    #: Always 0: the pools do not steal (the profile balances a banded
+    #: Always 0: the pools do not steal (band time balances a banded
     #: frame).  Kept so readers of the old chunk-steal counts still work.
     steals: int = 0
     steal_rows: int = 0
@@ -572,10 +542,11 @@ class MPRenderResult:
     #: True when retries ran out and the frame was rendered serially in
     #: the parent (bit-identical images; no per-worker observables).
     degraded: bool = False
-    #: Per-scanline costs in CPU seconds on profiled frames (``None``
-    #: otherwise), starting at scanline ``costs_v_lo``: each worker's
-    #: op counts scaled to its compositing time, plus its warp time
-    #: spread over its block — what the shard service gathers, as is,
+    #: The frame's band-time profile (``None`` on a degraded frame):
+    #: per-scanline CPU seconds starting at scanline ``costs_v_lo``, each
+    #: worker's busy time spread evenly over its band
+    #: (:meth:`FramePlanner.band_time_profile`) — flat over the whole
+    #: band on a solo frame.  What the shard service gathers, as is,
     #: into its cross-shard profile.
     costs: np.ndarray | None = field(default=None, repr=False)
     costs_v_lo: int = 0
@@ -609,24 +580,12 @@ def capacity_shapes(
 # -- the worker side: one frame ----------------------------------------------
 
 
-def composite_range(img, lo, hi, rle, fact, profiled, rec, frame):
-    """Composite scanlines ``[lo, hi)`` in one block-kernel call; their
-    per-row costs when profiling (``None`` otherwise).  A worker's whole
-    band is one call."""
-    if hi <= lo:
-        return None
-    if not profiled:
+def composite_range(img, lo, hi, rle, fact, frame: int) -> None:
+    """Composite scanlines ``[lo, hi)`` of ``frame``: a worker's whole
+    band is one block-kernel call.  The seam a test patches to fail a
+    chosen frame, hence the id it does not otherwise need."""
+    if hi > lo:
         composite_scanline_block(img, lo, hi, rle, fact)
-        return None
-    rows = BlockRowCounters(lo, hi)
-    composite_scanline_block(img, lo, hi, rle, fact, row_counters=rows)
-    if rec is not None:
-        tp0 = rec.now()
-    costs = scanline_cost_rows(rows)
-    if rec is not None:
-        # Nested inside this frame's composite span.
-        rec.span(frame, "profile", tp0, rec.now())
-    return costs
 
 
 @dataclass
@@ -641,7 +600,7 @@ class WorkerContext:
     #: CPU clock of this worker alone (``time.process_time`` in a forked
     #: worker, ``time.thread_time`` on a thread) — not wall clock: on an
     #: oversubscribed host wall time includes slices spent descheduled,
-    #: which would poison both the profile and the busy-time report.
+    #: which would poison the busy times the next bands are cut from.
     clock: Callable[[], float]
     #: Span recorder, or ``None`` on an untraced pool: every recording
     #: site is guarded, so the disabled path does zero observability
@@ -652,7 +611,7 @@ class WorkerContext:
 
 
 def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
-              costs, timestep, img, final, solo: bool = False):
+              timestep, img, final, solo: bool = False):
     """One worker's share of one frame: decode → composite → barrier → warp.
 
     ``img`` / ``final`` are the frame's images wherever the transport
@@ -666,24 +625,15 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
     of every row (``render_fast``'s arithmetic), counted as one
     ``solo_frames``.
 
-    ``costs`` is the frame's cost row on a profiled frame, ``None``
-    otherwise: float64, indexed by intermediate scanline and shared by
-    the whole worker set — the paper's one profile array (sections
-    4.2-4.3), written where the pixels are.  Before the barrier this
-    worker stores its band's op counts scaled to its compositing CPU
-    time (time is what the partition must balance; the paper's native
-    profile is elapsed time too); after it, it adds its warp CPU time,
-    spread evenly over the band.  Each scanline belongs to one band, so
-    the row is covered exactly once.
-
-    Returns ``(err, t_comp, t_warp)`` — ``err`` is the exception text if
-    a phase raised (the cost row is then incomplete, and the frame is
-    retried or failed, never installed).
+    Returns ``(err, t_comp, t_warp)``: this worker's CPU seconds before
+    the barrier (decode and composite) and after it (warp) — the busy
+    time the ledger cuts the next bands from — and ``err``, the
+    exception text if a phase raised (the frame is then retried or
+    failed, and its times are never used).
     """
     pid, rec, fault, clock = ctx.pid, ctx.rec, ctx.fault, ctx.clock
     lo, hi = band
     err: str | None = None
-    op_costs = None
     t_comp = t_warp = 0.0
     # Span clocks pre-bound so the finally block can record even when
     # a phase died before its start time was taken (the bogus span is
@@ -702,11 +652,8 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
                 cache = rle.slice_cache
                 hits0, misses0 = cache.hits, cache.misses
                 decode_s0 = cache.decode_s
-            if costs is not None:
-                _maybe_fault(fault, pid, frame, "profile")
             _maybe_fault(fault, pid, frame, "composite")
-            op_costs = composite_range(img, lo, hi, rle, fact,
-                                       costs is not None, rec, frame)
+            composite_range(img, lo, hi, rle, fact, frame)
             if ctx.burn_per_row:
                 _burn(ctx.burn_per_row * (hi - lo))
             if rec is not None:
@@ -720,11 +667,6 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
             # Busy time stops at the barrier: the wait measures the
             # *imbalance*, not this worker's work.
             t_comp = clock() - t0
-            if op_costs is not None:
-                costs[lo:hi] = op_costs
-                total = float(costs[lo:hi].sum())
-                if total > 0 and t_comp > 0:
-                    costs[lo:hi] *= t_comp / total
             if rec is not None:
                 tb0 = rec.now()
                 rec.span(frame, "composite", tc0, tb0)
@@ -749,8 +691,6 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
         line_owner = None if solo and owner.min() >= 0 else owner
         warp_rows(final, final_rows, img, fact, line_owner=line_owner, pid=pid)
         t_warp = clock() - t1
-        if costs is not None and hi > lo:
-            costs[lo:hi] += t_warp / (hi - lo)
         if rec is not None:
             rec.span(frame, "warp", tw0, rec.now())
     except Exception as exc:  # noqa: BLE001 - reported through the ledger
@@ -786,18 +726,17 @@ class PoolCore:
 
     and may override ``_can_start_locked`` (has a message's first frame
     somewhere to render yet?  A transport that can say no calls
-    :meth:`_feed_locked` when that changes), ``_cost_row_locked`` (a
-    cost row workers that cannot reach the parent's memory can write),
-    ``_retry_locked`` (a worker raised with retries left and the set
-    intact; by default :meth:`_redispatch_locked`), ``_release_locked``
-    (a frame left without its images being taken), ``_raise_if_dead``
-    (liveness of whatever completes frames) and the ``inter_cap`` /
-    ``final_cap`` image capacity.  Admission never waits: a message
+    :meth:`_feed_locked` when that changes), ``_retry_locked`` (a worker
+    raised with retries left and the set intact; by default
+    :meth:`_redispatch_locked`), ``_release_locked`` (a frame left
+    without its images being taken), ``_raise_if_dead`` (liveness of
+    whatever completes frames) and the ``inter_cap`` / ``final_cap``
+    image capacity.  Admission never waits: a message
     that cannot start yet is held in the parent (``_held``, the one
     place an undelivered job lives) until :meth:`_feed_locked`
-    partitions and sends it.  Workers run :func:`run_frame` — which
-    leaves a profiled frame's costs in ``rec["costs"]`` — and report
-    its outcome through :meth:`_worker_done_locked`.
+    partitions and sends it.  Workers run :func:`run_frame` and report
+    its outcome — their busy times, which balance the next bands —
+    through :meth:`_worker_done_locked`.
 
     Which workers a frame goes to is decided here, by load, when its
     message goes out (:meth:`_feed_locked`).  On a pool of two or more
@@ -883,11 +822,6 @@ class PoolCore:
         """Can the workers be handed ``frame`` now?"""
         return True
 
-    def _cost_row_locked(self, frame: int, rec: dict) -> np.ndarray:
-        """Where the workers write a profiled frame's costs: float64,
-        indexed by intermediate scanline."""
-        return np.zeros(rec["fact"].intermediate_shape[0], dtype=np.float64)
-
     def _release_locked(self, frame: int, rec: dict) -> None:
         """``frame`` left the pool without its images being taken."""
 
@@ -925,20 +859,16 @@ class PoolCore:
         A batch is admitted, partitioned and sent as a whole — at once
         on a pool that can start its first frame, otherwise when the
         frames ahead of it have retired — so all of it is partitioned
-        from the profile that was valid at that moment (uniformly if
-        there was none) and a profile measured *inside* the batch
-        balances the next message, not this one.  The planner therefore
-        asks for at most one profile per ``(axis, perm)`` key while it is
-        outstanding: a banded batch on one key profiles its first frame
-        only, one across an axis switch also the first frame of the new
-        key.
+        from the band times of the last banded frame finished by then
+        (uniformly if there was none), and band times measured *inside*
+        the batch balance the next message, not this one.
         A batch that, with the frames already out with the workers,
         makes at least ``n_procs`` frames asks for throughput, not one
         frame's latency, so on a pool of two or more workers it is dealt
         whole: each frame goes *solo* to the least-loaded worker — one
-        whole-band kernel call, no band split, no barrier, no profile
-        request — and anything less is banded (MovieMaker hands
-        processor groups whole timesteps for the same reason).  Into an
+        whole-band kernel call, no band split, no barrier — and anything
+        less is banded (MovieMaker hands processor groups whole
+        timesteps for the same reason).  Into an
         idle pool that is frame ``k`` to worker ``k % n_procs``; a batch
         sent behind frames still out may deal away from it, and a
         one-frame :meth:`submit` that finds ``n_procs - 1`` frames out
@@ -955,10 +885,9 @@ class PoolCore:
         :class:`PoolClosed` / :class:`PoolUnrecoverable` on a pool that
         can no longer accept work.
 
-        Partitions, dealing and profiling never change pixels (only
-        which worker composites which rows, and which frames count their
-        work), so the output is bit-identical however the frames were
-        grouped.
+        Partitions and dealing never change pixels (only which worker
+        composites which rows), so the output is bit-identical however
+        the frames were grouped.
         """
         specs = as_frame_specs(frame_specs)
         with self._cond:
@@ -1063,16 +992,15 @@ class PoolCore:
     def _feed_locked(self) -> None:
         """Send every held message whose first frame can start, oldest
         first.  A frame is partitioned here, when the workers can take
-        it, so it sees every profile installed until then — solo or
+        it, so it is cut from the newest band times — solo or
         banded by the dealing rule (see the class docstring), which
         reads the load out with the workers at that moment: the frames
         sent before this message and not yet retired, and per worker how
         many of them :meth:`_workers_of` gives it.  A retried
         frame goes out banded: one sent banded before keeps its saved
         partition, so the retry is bit-identical to what the lost
-        attempt would have produced; a solo one is re-cut banded,
-        without a profile request.  Either way the pixels are the
-        serial renderer's."""
+        attempt would have produced; a solo one is re-cut banded.
+        Either way the pixels are the serial renderer's."""
         while self._held and self._can_start_locked(self._held[0][0]):
             frames = self._held.popleft()
             # The load already out with the workers: frames sent before
@@ -1092,7 +1020,7 @@ class PoolCore:
                     if deal:
                         solo = load.index(min(load))
                         load[solo] += 1
-                    self._planner.partition(rec, solo)
+                    self._planner.cut(rec, solo)
                 elif rec["solo"] is not None:
                     self._planner.cut(rec)
                 # The final rows each worker's warp can feed.
@@ -1103,9 +1031,6 @@ class PoolCore:
                 # Fresh per-attempt accounting.
                 rec.update(done=0, errors=[])
                 rec["busy"][:] = 0.0
-                rec["costs"] = (
-                    self._cost_row_locked(frame, rec) if rec["profiled"] else None
-                )
             self._send_locked(frames)
             for frame in frames:
                 self._inflight[frame]["sent"] = True
@@ -1147,15 +1072,13 @@ class PoolCore:
         if timeline is not None:
             self.timelines.append(timeline)
             metrics_from_timelines([timeline], self.metrics)
+        profile = self._planner.band_time_profile(rec["boundaries"], rec["busy"])
         if rec["solo"] is not None:
             self.metrics.counter("pool/solo_frames").inc()
-        costs = None
-        if rec["profiled"]:
-            # A private copy of the frame's band, taken before the
-            # transport gets the row back with the images.
-            costs = rec["costs"][rec["v_lo"]:rec["v_hi"]].copy()
-            self._planner.install_profile(rec["v_lo"], costs, rec["key"])
-            self.metrics.counter("pool/profiled_frames").inc()
+        else:
+            # A solo frame's profile is flat over the band: it says
+            # nothing about where to split it.
+            self._planner.install_profile(profile.v_lo, profile.costs, rec["key"])
         del self._inflight[frame]
         img, final = self._take_images_locked(frame, rec)
         self._results[frame] = MPRenderResult(
@@ -1164,12 +1087,11 @@ class PoolCore:
             fact=rec["fact"],
             n_procs=self.n_procs,
             boundaries=rec["boundaries"],
-            profiled=rec["profiled"],
             busy_s=rec["busy"],
             timeline=timeline,
             retries=rec["attempt"],
-            costs=costs,
-            costs_v_lo=int(rec["v_lo"]),
+            costs=profile.costs,
+            costs_v_lo=profile.v_lo,
         )
 
     def _count_retry_locked(self, frame: int) -> None:
@@ -1183,10 +1105,7 @@ class PoolCore:
 
     def _exhausted_locked(self, frame: int, exc: MPPoolError) -> None:
         """``frame`` is out of retries: degrade to serial, or fail with
-        ``exc``.  Either way a profile it was to measure never arrives."""
-        rec = self._inflight[frame]
-        if rec.get("profiled"):
-            self._planner.drop_request(rec["key"])
+        ``exc``."""
         if self.config.degrade_to_serial:
             self._degrade_locked(frame)
         else:
@@ -1223,7 +1142,6 @@ class PoolCore:
             fact=res.fact,
             n_procs=self.n_procs,
             boundaries=rec.get("boundaries"),
-            profiled=False,
             busy_s=None,
             timeline=None,
             retries=rec["attempt"],
@@ -1285,9 +1203,6 @@ class PoolCore:
             "backend": self.transport,
             "batch_frames": int(
                 self.metrics.counter("pool/batch_frames").value
-            ),
-            "profiled_frames": int(
-                self.metrics.counter("pool/profiled_frames").value
             ),
             "solo_frames": int(self.metrics.counter("pool/solo_frames").value),
         }

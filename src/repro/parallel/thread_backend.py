@@ -12,9 +12,8 @@ process pool's structural dispatch costs:
 
 * **no fork** — workers are daemon threads sharing the renderer object
   directly (no copy-on-write snapshot to take or keep coherent);
-* **no pickling** — a job is just an ``int`` frame id; plans, images
-  and the profiled frame's cost row are the frame record's own objects,
-  reached by reference;
+* **no pickling** — a job is just an ``int`` frame id; plans and
+  images are the frame record's own objects, reached by reference;
 * **no shared-memory churn** — each frame composites into a fresh
   private :class:`~repro.render.image.IntermediateImage` /
   :class:`~repro.render.image.FinalImage`, which then *becomes* the
@@ -29,7 +28,7 @@ phases.  A solo frame goes to its owner's queue alone and never touches
 the barrier.  Composite bands and warp rows are disjoint per worker by
 construction.  Each worker reports its own completion under the pool
 condition; the worker that reports a frame's last block also finishes
-it (profile install, timeline assembly, result hand-off) — there is no
+it (band-time install, timeline assembly, result hand-off) — there is no
 supervisor thread.
 
 What differs from the process transport, all inherent to threads:
@@ -181,8 +180,8 @@ class ThreadRenderPool(PoolCore):
         outcome = run_frame(
             ctx, frame, rec["fact"],
             (int(boundaries[pid]), int(boundaries[pid + 1])),
-            rec["owner"], rec["rows_by_pid"][pid], rec["costs"],
-            rec.get("timestep"), rec["img"], rec["final"], solo,
+            rec["owner"], rec["rows_by_pid"][pid], rec.get("timestep"),
+            rec["img"], rec["final"], solo,
         )
         with self._cond:
             self._worker_done_locked(frame, pid, *outcome)

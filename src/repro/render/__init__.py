@@ -1,6 +1,6 @@
 """Serial renderers: shear-warp and the ray-casting baseline."""
 
-from .block import BlockRowCounters, composite_scanline_block
+from .block import composite_scanline_block
 from .compositing import composite_frame, composite_image_scanline, nonempty_scanline_bounds
 from .image import BYTES_PER_PIXEL, OPAQUE_THRESHOLD, FinalImage, IntermediateImage
 from .instrument import ListTraceSink, Region, SegmentedTraceSink, TraceSink, WorkCounters
@@ -18,7 +18,6 @@ from .warp import (
 )
 
 __all__ = [
-    "BlockRowCounters",
     "composite_scanline_block",
     "composite_frame",
     "composite_image_scanline",

@@ -40,72 +40,20 @@ real host.  This kernel composites the whole band per slice instead:
 The kernel performs the reference kernel's per-pixel arithmetic in the
 same operand order and precision, so its output is **bit-identical** to
 looping ``composite_image_scanline`` over the band (asserted by
-``tests/test_block_kernel.py``), and its optional work counters (both
-aggregate and per-row) match the reference counts exactly.  What it does
-*not* produce is a memory trace — the scanline kernel remains the
-instrumented reference for the simulator.
+``tests/test_block_kernel.py``).  It counts no work and produces no
+memory trace — the scanline kernel remains the instrumented reference
+for the simulator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..transforms.factorization import ShearWarpFactorization
 from ..volume.rle import RLEVolume
 from .image import IntermediateImage
-from .instrument import WorkCounters
 
-__all__ = ["composite_scanline_block", "BlockRowCounters"]
-
-#: Counter fields the compositing kernels accumulate (the warp/ray
-#: fields of :class:`WorkCounters` stay zero here).
-_ROW_FIELDS = (
-    "loop_iters",
-    "pixels_skipped",
-    "run_entries",
-    "resample_ops",
-    "composite_ops",
-)
-
-
-@dataclass
-class BlockRowCounters:
-    """Per-scanline work counts accumulated by the block kernel.
-
-    Row ``v`` of the band maps to index ``v - v_lo`` of each array.  The
-    per-row values equal what per-scanline :class:`WorkCounters` would
-    record — this is what lets the parallel renderers keep building
-    per-scanline cost profiles while compositing through the fast path.
-    """
-
-    v_lo: int
-    v_hi: int
-    loop_iters: np.ndarray = field(init=False)
-    pixels_skipped: np.ndarray = field(init=False)
-    run_entries: np.ndarray = field(init=False)
-    resample_ops: np.ndarray = field(init=False)
-    composite_ops: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        n = max(0, self.v_hi - self.v_lo)
-        for name in _ROW_FIELDS:
-            setattr(self, name, np.zeros(n, dtype=np.int64))
-
-    def row(self, v: int) -> WorkCounters:
-        """Counters of scanline ``v`` as a :class:`WorkCounters`."""
-        i = v - self.v_lo
-        return WorkCounters(
-            **{name: int(getattr(self, name)[i]) for name in _ROW_FIELDS}
-        )
-
-    def aggregate(self, into: WorkCounters | None = None) -> WorkCounters:
-        """Band totals, optionally accumulated into an existing object."""
-        out = into if into is not None else WorkCounters()
-        for name in _ROW_FIELDS:
-            setattr(out, name, getattr(out, name) + int(getattr(self, name).sum()))
-        return out
+__all__ = ["composite_scanline_block"]
 
 
 def composite_scanline_block(
@@ -114,35 +62,22 @@ def composite_scanline_block(
     v_hi: int,
     rle: RLEVolume,
     fact: ShearWarpFactorization,
-    counters: WorkCounters | None = None,
-    row_counters: BlockRowCounters | None = None,
 ) -> IntermediateImage:
     """Composite intermediate-image scanlines ``[v_lo, v_hi)`` over all slices.
 
     Bit-identical to calling ``composite_image_scanline`` for each ``v``
-    in the range, including the optional counters (``counters`` receives
-    the band aggregate; ``row_counters`` the per-scanline breakdown).
+    in the range.
     """
     ni, nj, nk = rle.shape_ijk
     n_v, n_u = img.shape
     v_lo = max(0, int(v_lo))
     v_hi = min(n_v, int(v_hi))
-    if row_counters is not None and (row_counters.v_lo, row_counters.v_hi) != (v_lo, v_hi):
-        raise ValueError(
-            f"row_counters cover [{row_counters.v_lo}, {row_counters.v_hi}), "
-            f"kernel composites [{v_lo}, {v_hi})"
-        )
     if v_hi <= v_lo:
         return img
     H = v_hi - v_lo
     thr = img.opaque_threshold
     opac = img.opacity
     col = img.color
-
-    want = counters is not None or row_counters is not None
-    rc = row_counters if row_counters is not None else (
-        BlockRowCounters(v_lo, v_hi) if want else None
-    )
 
     # Per-row state: scanlines still inside the reference kernel's slice
     # loop.  A row leaves when its whole-scanline termination test fires.
@@ -154,7 +89,6 @@ def composite_scanline_block(
     # slices — the reference kernel's float64 operations, elementwise
     # over arrays, hence the same values bit for bit.  Row ``p`` of each
     # array belongs to the ``p``-th slice in front-to-back order.
-    run_count = rle.run_count
     vox_count = rle.vox_count
     ks = np.asarray(fact.k_front_to_back, dtype=np.int64)
     u_offs, v_offs = fact.slice_offsets(ks)
@@ -166,7 +100,6 @@ def composite_scanline_block(
     jAi = jA.astype(np.int64)
     useA = (jAi >= 0) & (jAi < nj)
     useB = (jAi >= -1) & (jAi < nj - 1) & (fj > 0.0)
-    cand = useA | useB
     # The reference kernel's weights are Python floats, which NumPy's
     # weak-scalar promotion rounds to float32 at the multiply; doing the
     # same rounding here (float64 subtraction first, then the cast)
@@ -179,26 +112,14 @@ def composite_scanline_block(
     u_hi_all = np.minimum(n_u, np.floor(u_offs + ni - 1e-9).astype(np.int64) + 1)
     m_all = np.floor(u_lo_all - u_offs).astype(np.int64)
     fu_all = (u_lo_all - u_offs) - m_all
-    # Runs/voxels of the (at most two) contributing voxel scanlines.
+    # Rows a slice has to look at: those with voxels to resample in the
+    # (at most two) contributing voxel scanlines.
     k_col = ks[:, None]
-    rowA = np.where(useA, jAi, 0)
-    rowB = np.where(useB, jAi + 1, 0)
-    occupied_all = (
-        np.where(useA, vox_count[k_col, rowA], 0)
-        + np.where(useB, vox_count[k_col, rowB], 0)
+    gate = (
+        np.where(useA, vox_count[k_col, np.where(useA, jAi, 0)], 0)
+        + np.where(useB, vox_count[k_col, np.where(useB, jAi + 1, 0)], 0)
     ) > 0
-    if want:
-        runs_all = (
-            np.where(useA, run_count[k_col, rowA], 0)
-            + np.where(useB, run_count[k_col, rowB], 0)
-        )
-    # Rows a slice has to look at: the reference kernel counts skipped
-    # pixels on every candidate row, so with counters on the gate is
-    # ``cand``; without them only rows with voxels to resample matter
-    # (a subset of ``cand``, so the composited pixels are the same).
-    gate = cand if want else occupied_all
-    # Slices that can touch this band at all; the rest are never entered
-    # (``loop_iters`` is settled per row, when it leaves the loop).
+    # Slices that can touch this band at all; the rest are never entered.
     touch = np.nonzero(gate.any(axis=1) & (u_hi_all > u_lo_all))[0]
     # Python scalars for the loop: a NumPy float64 scalar is not "weak"
     # and would promote the float32 resampling below to float64.
@@ -226,15 +147,7 @@ def composite_scanline_block(
         # Rows with any non-saturated pixel left in the span.
         r1 = np.flatnonzero(rows)
         act = unsat[r1, u_lo:u_hi]
-        if want:
-            n_active = np.count_nonzero(act, axis=1)
-            rc.pixels_skipped[r1] += L - n_active
-            live = n_active > 0
-            r2 = r1[live]
-            rc.run_entries[r2] += runs_all[p, r2]
-            keep = live & occupied_all[p, r1]
-        else:
-            keep = act.any(axis=1)  # the gate already was ``occupied_all``
+        keep = act.any(axis=1)
         if not keep.any():
             continue
         r3 = r1[keep]
@@ -265,10 +178,6 @@ def composite_scanline_block(
 
         sel = samp_a > 0.0
         rr = rr[sel]
-        if want:
-            n_work = np.bincount(rr, minlength=H)
-            rc.resample_ops += n_work
-            rc.composite_ops += n_work
         if rr.size == 0:
             continue
 
@@ -294,15 +203,6 @@ def composite_scanline_block(
             window = slice(min(u_lo, last_lo), max(u_hi, last_hi))
             gone = hit[~unsat[hit, window].any(axis=1)]
             in_loop[gone] = False
-            if want:
-                # One ``loop_iters`` per slice the reference loop entered,
-                # touching or not: p + 1 for a row that breaks here.
-                rc.loop_iters[gone] += p + 1
             if not in_loop.any():
                 break
-
-    if want:
-        rc.loop_iters[in_loop] += len(ks_l)  # never broke: every slice
-    if counters is not None:
-        rc.aggregate(into=counters)
     return img

@@ -117,9 +117,8 @@ class ServeConfig:
     pool:
         The :class:`PoolConfig` every pool is built from, as is: one
         pool per dataset, scale and classification; like every pool it
-        profiles on demand, one frame in
-        :data:`~repro.parallel.poolcore.PROFILE_REUSE` of a one-frame
-        request stream.  ``pool.shards > 1``
+        cuts a banded miss from the band times of the last one.
+        ``pool.shards > 1``
         makes every lazily-created "pool" a sharded fleet
         (:class:`~repro.shard.ShardedRenderService`) — the server drives
         it through the identical API and never knows the difference.

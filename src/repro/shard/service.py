@@ -17,15 +17,15 @@ pools' ledgers (:class:`~repro.parallel.poolcore.PoolCore` — admission,
 batching, pipelining, retry, degrade, idempotent failure) and
 ``result`` only gathers and merges.
 
-It also runs the paper's section 4.2-4.3 feedback loop one level up,
-with the pools' own :class:`~repro.parallel.poolcore.FramePlanner`
-whose blocks are shards: the costs a profiled frame's pools measured —
-CPU seconds per scanline, so a slowed shard's lines cost more — are
-gathered over each shard's owned lines into one cross-shard profile
-that re-balances the *shard boundaries themselves*, with the pools'
-(axis, perm) invalidation rule and cadence: a batch is cut from the
-profile valid when it was submitted; what it measures balances the next
-message.  What is the fleet's own is the ghost line
+It also runs the pools' feedback loop one level up, with their own
+:class:`~repro.parallel.poolcore.FramePlanner` whose blocks are shards:
+the band-time profile every pool reports with its frame
+(``MPRenderResult.costs`` — CPU seconds per scanline, so a slowed
+shard's lines cost more) is gathered over each shard's owned lines into
+one cross-shard profile that re-balances the *shard boundaries
+themselves*, with the pools' (axis, perm) invalidation rule: a batch is
+cut from the profile valid when it was submitted; what it measures
+balances the next message.  What is the fleet's own is the ghost line
 (:func:`shard_regions`) and the tile ownership of the merge.
 
 Like every backend it may be driven from any thread.  One lock guards
@@ -125,8 +125,8 @@ class ShardedRenderService:
         self.n_shards = config.shards
         self.metrics = MetricsRegistry()
         self.metrics.gauge("shard/shards").set(self.n_shards)
-        # The pools' planner, with shards for blocks: it consumes the
-        # profiles the pools measure, so its ``profiled`` flags go unread.
+        # The pools' planner, with shards for blocks, fed by the band
+        # times the pools report.
         self._planner = FramePlanner(renderer, self.n_shards, self.metrics,
                                      "shard/reshard_invalidations")
         self._next_frame = 0
@@ -206,7 +206,7 @@ class ShardedRenderService:
         with self._lock:
             plans = [self._planner.admit(s.view, *self._caps, timestep=s.timestep)
                      for s in specs]
-            regions = [shard_regions(self._planner.partition(p)["owner"],
+            regions = [shard_regions(self._planner.cut(p)["owner"],
                                      self.n_shards, p["v_lo"], p["v_hi"])
                        for p in plans]
             handles: list[list[int]] = []
@@ -311,24 +311,23 @@ class ShardedRenderService:
             fact=fact,
             n_procs=self.n_procs,
             boundaries=splan["boundaries"],
-            profiled=all(r.profiled for r in results),
             busy_s=busy,
             retries=max(r.retries for r in results),
             degraded=any(r.degraded for r in results),
         )
 
     def _stitch_profile(self, splan: dict, results) -> None:
-        """Gather one cross-shard cost profile from a profiled frame:
-        each line's cost as its owning shard's pool measured it.
+        """Gather one cross-shard cost profile from a frame: each line's
+        cost as its owning shard's pool measured it.
 
-        A pool's costs are CPU seconds already, interference op counts
-        cannot see included (a noisy neighbour,
-        :data:`TEST_SHARD_ROW_DELAY`), so a slow shard's lines cost more
-        and the next re-shard shrinks its band.  They cover the pool's
-        composite band, which holds every line the shard owns, so the
-        gather covers the frame's band exactly once.  Requires *every*
-        owning shard to have profiled the frame: a degraded shard has no
-        costs, so that frame does not feed back.
+        A pool's costs are its workers' CPU seconds, interference
+        included (a noisy neighbour, :data:`TEST_SHARD_ROW_DELAY`), so a
+        slow shard's lines cost more and the next re-shard shrinks its
+        band.  They cover the pool's composite band, which holds every
+        line the shard owns, so the gather covers the frame's band
+        exactly once.  Requires *every* owning shard to have reported
+        costs: a degraded shard has none, so that frame does not feed
+        back.
         """
         v_lo, v_hi = splan["v_lo"], splan["v_hi"]
         if v_hi <= v_lo:
@@ -393,10 +392,6 @@ class ShardedRenderService:
             "shards": self.n_shards,
             "n_procs": self.n_procs,
             "frames": len(self.timelines),
-            "profiled_frames": sum(
-                int(p.metrics.counter("pool/profiled_frames").value)
-                for p in self._pools
-            ),
             "shard/merges": int(self.metrics.counter("shard/merges").value),
             "shard/reshards": int(self.metrics.counter("shard/reshards").value),
         }

@@ -75,10 +75,10 @@ def fail_composite(monkeypatch, marker, frame, once=True):
     (``once``), or on every one.  Forked workers inherit the patch."""
     real = poolcore.composite_range
 
-    def flaky(img, lo, hi, rle, fact, profiled, rec, f):
+    def flaky(img, lo, hi, rle, fact, f):
         if f == frame and (not once or _first_time(marker)):
             raise RuntimeError("injected composite failure")
-        return real(img, lo, hi, rle, fact, profiled, rec, f)
+        return real(img, lo, hi, rle, fact, f)
 
     monkeypatch.setattr(poolcore, "composite_range", flaky)
 

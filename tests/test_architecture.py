@@ -260,7 +260,7 @@ def test_one_config_class_with_seven_fields():
     import repro
 
     assert len(fields(repro.PoolConfig)) == 7
-    assert repro.__version__ == "7.0.0"
+    assert repro.__version__ == "8.0.0"
     with pytest.raises(AttributeError):
         repro.ShardConfig
     for name in ("render_frame", "BackendCapabilities"):

@@ -1,11 +1,11 @@
 """Golden-equivalence tests: block kernel vs the per-scanline reference.
 
 The block kernel's contract is *bit-identical* output (np.array_equal,
-not allclose) and identical work counters for any contiguous scanline
-band, so everything built on it — the fast whole-frame path and the
-pools' workers — inherits the reference semantics, and the simulator's
-traced frames count the work that runs.  Also covers the decoded-slice LRU and the
-persistent multiprocessing pool.
+not allclose) for any contiguous scanline band, so everything built on
+it — the fast whole-frame path and the pools' workers — inherits the
+reference semantics.  The work counters are the instrumented scanline
+kernel's alone, which the simulator's traced frames record.  Also
+covers the decoded-slice LRU and the persistent multiprocessing pool.
 """
 
 from dataclasses import fields
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import repro
 from repro.datasets import ct_head, mri_brain, solid_sphere
 from repro.render import (
-    BlockRowCounters,
     FinalImage,
     IntermediateImage,
     ShearWarpRenderer,
@@ -76,14 +75,11 @@ class TestGoldenEquivalence:
     def test_full_frame_mri(self, mri_renderer, angles):
         fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(*angles))
         rle = mri_renderer.rle_for(fact)
-        ref, ref_c = reference_composite(rle, fact)
+        ref, _ = reference_composite(rle, fact)
         got = IntermediateImage(fact.intermediate_shape)
-        got_c = WorkCounters()
-        composite_scanline_block(got, 0, got.n_v, rle, fact, counters=got_c)
+        composite_scanline_block(got, 0, got.n_v, rle, fact)
         assert np.array_equal(ref.opacity, got.opacity)
         assert np.array_equal(ref.color, got.color)
-        for f in COUNTER_FIELDS:
-            assert getattr(ref_c, f) == getattr(got_c, f), f
 
     @pytest.mark.parametrize("angles", [(35, -25, 5), (10, 80, 0)])
     def test_full_frame_ct_early_termination(self, ct_renderer, angles):
@@ -91,14 +87,11 @@ class TestGoldenEquivalence:
         rle = ct_renderer.rle_for(fact)
         ref, ref_c = reference_composite(rle, fact)
         got = IntermediateImage(fact.intermediate_shape)
-        got_c = WorkCounters()
-        composite_scanline_block(got, 0, got.n_v, rle, fact, counters=got_c)
+        composite_scanline_block(got, 0, got.n_v, rle, fact)
         assert np.array_equal(ref.opacity, got.opacity)
         assert np.array_equal(ref.color, got.color)
         # Early termination must actually fire for this to test anything.
         assert ref_c.pixels_skipped > 0
-        for f in COUNTER_FIELDS:
-            assert getattr(ref_c, f) == getattr(got_c, f), f
 
     def test_opaque_sphere_terminates_rows(self):
         r = ShearWarpRenderer(solid_sphere((18, 18, 18)), binary_transfer_function(128))
@@ -129,57 +122,27 @@ class TestGoldenEquivalence:
         rle = mri_renderer.rle_for(fact)
         n_v = fact.intermediate_shape[0]
         lo, hi = n_v // 3, 2 * n_v // 3
-        ref, ref_c = reference_composite(rle, fact, lo, hi)
+        ref, _ = reference_composite(rle, fact, lo, hi)
         got = IntermediateImage(fact.intermediate_shape)
-        got_c = WorkCounters()
-        composite_scanline_block(got, lo, hi, rle, fact, counters=got_c)
+        composite_scanline_block(got, lo, hi, rle, fact)
         assert np.array_equal(ref.opacity, got.opacity)
-        for f in COUNTER_FIELDS:
-            assert getattr(ref_c, f) == getattr(got_c, f), f
-
-    def test_per_row_counters_match_reference(self, mri_renderer):
-        fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(20, 30, 0))
-        rle = mri_renderer.rle_for(fact)
-        n_v = fact.intermediate_shape[0]
-        rc = BlockRowCounters(0, n_v)
-        img = IntermediateImage(fact.intermediate_shape)
-        composite_scanline_block(img, 0, n_v, rle, fact, row_counters=rc)
-        ref = IntermediateImage(fact.intermediate_shape)
-        for v in range(n_v):
-            c = WorkCounters()
-            composite_image_scanline(ref, v, rle, fact, counters=c)
-            row = rc.row(v)
-            for f in COUNTER_FIELDS:
-                assert getattr(c, f) == getattr(row, f), (v, f)
-
-    def test_row_counters_range_must_match(self, mri_renderer):
-        fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(20, 30, 0))
-        rle = mri_renderer.rle_for(fact)
-        img = IntermediateImage(fact.intermediate_shape)
-        with pytest.raises(ValueError, match="row_counters"):
-            composite_scanline_block(
-                img, 0, img.n_v, rle, fact, row_counters=BlockRowCounters(1, img.n_v)
-            )
 
     def test_band_outside_volume_footprint(self, mri_renderer):
-        """Rows no slice projects onto: every slice is skipped outright,
-        nothing is written, and the counters still read what the
-        reference loop counts (one ``loop_iters`` per slice per row)."""
+        """Rows no slice projects onto (the reference loop walks every
+        slice on each and composites nothing): every slice is skipped
+        outright and nothing is written."""
         fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(20, 30, 0))
         rle = mri_renderer.rle_for(fact)
         n_v, n_u = fact.intermediate_shape
         lo, hi = n_v + 2, n_v + 7  # below the sheared footprint
         ref = IntermediateImage((n_v + 8, n_u))
         got = IntermediateImage((n_v + 8, n_u))
-        rc = BlockRowCounters(lo, hi)
-        composite_scanline_block(got, lo, hi, rle, fact, row_counters=rc)
+        composite_scanline_block(got, lo, hi, rle, fact)
         assert not got.opacity.any() and not got.color.any()
         for v in range(lo, hi):
             c = WorkCounters()
             composite_image_scanline(ref, v, rle, fact, counters=c)
-            assert c.loop_iters == rle.shape_ijk[2]
-            for f in COUNTER_FIELDS:
-                assert getattr(c, f) == getattr(rc.row(v), f), (v, f)
+            assert c.loop_iters == rle.shape_ijk[2] and c.composite_ops == 0
         # A band straddling the footprint's edge agrees with the loop too.
         composite_scanline_block(got, n_v - 3, n_v + 8, rle, fact)
         for v in range(n_v - 3, n_v + 8):
@@ -196,15 +159,12 @@ class TestGoldenEquivalence:
         fact = r.factorize_view(r.view_from_angles(*angles))
         rle = r.rle_for(fact)
         assert rle.shape_ijk[2] == 1
-        ref, ref_c = reference_composite(rle, fact)
+        ref, _ = reference_composite(rle, fact)
         got = IntermediateImage(fact.intermediate_shape)
-        got_c = WorkCounters()
-        composite_scanline_block(got, 0, got.n_v, rle, fact, counters=got_c)
+        composite_scanline_block(got, 0, got.n_v, rle, fact)
         assert got.opacity.any()
         assert np.array_equal(ref.opacity, got.opacity)
         assert np.array_equal(ref.color, got.color)
-        for f in COUNTER_FIELDS:
-            assert getattr(ref_c, f) == getattr(got_c, f), f
 
     def test_empty_band_is_noop(self, mri_renderer):
         fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(20, 30, 0))
@@ -214,23 +174,18 @@ class TestGoldenEquivalence:
         assert not img.opacity.any()
 
 
-def _assert_same_frame(ref, ref_c, got, got_c):
+def _assert_same_frame(ref, got):
     assert np.array_equal(ref.opacity, got.opacity)
     assert np.array_equal(ref.color, got.color)
-    for f in COUNTER_FIELDS:
-        assert getattr(ref_c, f) == getattr(got_c, f), f
 
 
-def _assert_rows_match_reference(ref, got, rc, rle, fact):
+def _assert_rows_match_reference(ref, got, rle, fact):
     """Run the scanline reference over ``ref`` (the image ``got`` held
-    before its block call) row by row: every row's counters and every
-    pixel must equal what the block call left in ``rc`` and ``got``.
-    Returns the reference's per-row counters."""
-    rows = []
-    for v in range(ref.n_v):
-        rows.append(composite_image_scanline(ref, v, rle, fact, counters=WorkCounters()))
-        for f in COUNTER_FIELDS:
-            assert getattr(rows[v], f) == getattr(rc.row(v), f), (v, f)
+    before its block call) row by row: every pixel must equal what the
+    block call left in ``got``.  Returns the reference's per-row
+    counters, which say what the case exercised."""
+    rows = [composite_image_scanline(ref, v, rle, fact, counters=WorkCounters())
+            for v in range(ref.n_v)]
     assert np.array_equal(ref.opacity, got.opacity)
     assert np.array_equal(ref.color, got.color)
     return rows
@@ -290,7 +245,7 @@ class TestCandidateSparseState:
         """The ``unsat`` band starts from whatever the image holds:
         compositing view B over a finished frame of view A (saturated
         and half-filled pixels) matches the scanline reference run over
-        a copy, pixels and counters, whole and per row."""
+        a copy, pixel for pixel."""
         first = ct_renderer.factorize_view(ct_renderer.view_from_angles(20, 30, 0))
         fact = ct_renderer.factorize_view(ct_renderer.view_from_angles(*second))
         shape = tuple(max(a, b) for a, b in zip(first.intermediate_shape,
@@ -301,13 +256,11 @@ class TestCandidateSparseState:
         assert ((got.opacity > 0) & (got.opacity < got.opaque_threshold)).any()
         ref = IntermediateImage.over(got.color.copy(), got.opacity.copy())
         rle = ct_renderer.rle_for(fact)
-        rc = BlockRowCounters(0, got.n_v)
-        composite_scanline_block(got, 0, got.n_v, rle, fact, row_counters=rc)
-        _assert_rows_match_reference(ref, got, rc, rle, fact)
-        assert rc.aggregate().pixels_skipped > 0
+        composite_scanline_block(got, 0, got.n_v, rle, fact)
+        rows = _assert_rows_match_reference(ref, got, rle, fact)
+        assert sum(row.pixels_skipped for row in rows) > 0
 
-    @pytest.mark.parametrize("with_counters", [False, True])
-    def test_saturated_band_costs_no_lookup(self, mri_renderer, with_counters):
+    def test_saturated_band_costs_no_lookup(self, mri_renderer):
         fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(20, 30, 0))
         rle = mri_renderer.rle_for(fact)
         rng = np.random.default_rng(5)
@@ -316,18 +269,17 @@ class TestCandidateSparseState:
         img.opacity[:] = rng.uniform(img.opaque_threshold, 1.0, img.shape)
         lo, hi = 2, img.n_v - 2
         ref = IntermediateImage.over(img.color.copy(), img.opacity.copy())
-        ref_c, got_c = WorkCounters(), WorkCounters() if with_counters else None
+        ref_c = WorkCounters()
         for v in range(lo, hi):
             composite_image_scanline(ref, v, rle, fact, counters=ref_c)
         before = (img.color.tobytes(), img.opacity.tobytes())
         cache = rle.slice_cache
         lookups = cache.hits + cache.misses
-        composite_scanline_block(img, lo, hi, rle, fact, counters=got_c)
+        composite_scanline_block(img, lo, hi, rle, fact)
         assert cache.hits + cache.misses == lookups
         assert (img.color.tobytes(), img.opacity.tobytes()) == before
-        if with_counters:
-            _assert_same_frame(ref, ref_c, img, got_c)
-            assert got_c.pixels_skipped > 0 and got_c.composite_ops == 0
+        _assert_same_frame(ref, img)
+        assert ref_c.pixels_skipped > 0 and ref_c.composite_ops == 0
 
     def test_idle_saturated_rows_stay_in_the_loop(self):
         """The termination test is for rows that just saturated a pixel.
@@ -341,9 +293,8 @@ class TestCandidateSparseState:
         got = IntermediateImage(fact.intermediate_shape)
         got.opacity[1::2] = 1.0
         ref = IntermediateImage.over(got.color.copy(), got.opacity.copy())
-        rc = BlockRowCounters(0, got.n_v)
-        composite_scanline_block(got, 0, got.n_v, rle, fact, row_counters=rc)
-        rows = _assert_rows_match_reference(ref, got, rc, rle, fact)
+        composite_scanline_block(got, 0, got.n_v, rle, fact)
+        rows = _assert_rows_match_reference(ref, got, rle, fact)
         mid = got.n_v // 2 | 1
         # An idle row sat through every slice while its blank neighbour
         # composited and saturated pixels.
@@ -358,7 +309,7 @@ class TestCandidateSparseState:
         array, where a flattened alias would be a silent copy."""
         fact = mri_renderer.factorize_view(mri_renderer.view_from_angles(20, 30, 0))
         rle = mri_renderer.rle_for(fact)
-        ref, ref_c = reference_composite(rle, fact)
+        ref, _ = reference_composite(rle, fact)
         n_v, n_u = fact.intermediate_shape
         wide_c = np.full((n_v, n_u + 7), -1.0, dtype=np.float32)
         wide_o = np.full((n_v, 2 * n_u + 3), -1.0, dtype=np.float32)
@@ -366,9 +317,9 @@ class TestCandidateSparseState:
         color[:] = 0.0
         opacity[:] = 0.0
         assert not color.flags.c_contiguous and not opacity.flags.c_contiguous
-        got, got_c = IntermediateImage.over(color, opacity), WorkCounters()
-        composite_scanline_block(got, 0, n_v, rle, fact, counters=got_c)
-        _assert_same_frame(ref, ref_c, got, got_c)
+        got = IntermediateImage.over(color, opacity)
+        composite_scanline_block(got, 0, n_v, rle, fact)
+        _assert_same_frame(ref, got)
         assert got.opacity.any()
         # Nothing outside the views was written.
         assert (wide_c[:, :3] == -1).all() and (wide_c[:, 3 + n_u :] == -1).all()
@@ -394,9 +345,8 @@ class TestStrictSuperset:
         rle = r.rle_for(fact)
         ref = IntermediateImage(fact.intermediate_shape)
         got = IntermediateImage(fact.intermediate_shape)
-        rc = BlockRowCounters(0, got.n_v)
-        composite_scanline_block(got, 0, got.n_v, rle, fact, row_counters=rc)
-        _assert_rows_match_reference(ref, got, rc, rle, fact)
+        composite_scanline_block(got, 0, got.n_v, rle, fact)
+        _assert_rows_match_reference(ref, got, rle, fact)
         assert got.opacity.any()
         return rle, fact, got
 
@@ -646,8 +596,9 @@ class TestMPRenderPool:
 
 class TestBlockKernelFrames:
     """What the simulator replays is what runs: the core renderers
-    record through the traced scanline kernel only, and every task they
-    record counts exactly the work the block kernel does on its row."""
+    record through the traced scanline kernel only, their frames are
+    the block kernel's pixels, and every task they record counts exactly
+    the work the scanline kernel does on its row."""
 
     @pytest.fixture(scope="class")
     def renderer(self):
@@ -667,15 +618,12 @@ class TestBlockKernelFrames:
             assert_frames_identical([frame], [fast])
             assert any(t.trace for t in frame.composite_units.values())
             fact = frame.fact
-            rows = BlockRowCounters(0, fact.intermediate_shape[0])
-            composite_scanline_block(
-                IntermediateImage(fact.intermediate_shape), 0,
-                fact.intermediate_shape[0], renderer.rle_for(fact), fact,
-                row_counters=rows,
-            )
+            img = IntermediateImage(fact.intermediate_shape)
             for uid, rec in frame.composite_units.items():
+                row = composite_image_scanline(img, uid, renderer.rle_for(fact),
+                                               fact, counters=WorkCounters())
                 for f in COUNTER_FIELDS:
-                    assert getattr(rec.counters, f) == getattr(rows.row(uid), f)
+                    assert getattr(rec.counters, f) == getattr(row, f)
 
     def test_block_frames_refuse_simulation(self, renderer):
         """There are no block frames left to refuse: the renderers take

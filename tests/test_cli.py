@@ -156,7 +156,6 @@ class TestRenderSmokes:
 
     @pytest.mark.parametrize("args, kill, counters", [
         pytest.param(_ANIMATION, False, [r"pool/batch_frames=[1-9]",
-                                          r"pool/profiled_frames=0\b",
                                           r"pool/solo_frames=4\b",
                                           r"hit ratio by worker: worker 0 "
                                           r"[01]\.\d{3} of \d+, worker 1 "],

@@ -1,6 +1,6 @@
 """The one frame contract, stated once over the ``RenderBackend`` seam.
 
-Partitioning, dealing, profiling, sharding and recovery change only
+Partitioning, dealing, band-time feedback, sharding and recovery change only
 *which* worker composites and warps a scanline, never a pixel.  So
 every backend — each entry of :data:`BACKENDS` — must return frames
 bit-identical to the serial fast path (:func:`assert_frames_identical`:
@@ -119,22 +119,27 @@ class TestFrames:
             assert _solo_frames(pool) == _dealt_solo(config, 1)
         assert_frames_identical(results, serial_refs(renderer, views))
 
-    def test_profiled_frames(self, renderer, config, monkeypatch):
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
+    def test_profiled_frames(self, renderer, config):
+        """Every frame carries its band-time profile, and a stream cut
+        from it stays bit-identical (a fleet reports its pools')."""
         views = _views(renderer, ANGLES[:4])
         with repro.open_pool(renderer, config) as pool:
             results = [pool.render(v) for v in views]
-        assert all(r.profiled for r in results)
+            pools = getattr(pool, "_pools", [pool])
+            assert all(p._planner.profile is not None for p in pools)
+        if config.shards == 1:
+            for r in results:
+                assert r.costs_v_lo == r.boundaries[0]
+                assert np.isclose(r.costs.sum(), r.busy_s.sum())
         assert_frames_identical(results, serial_refs(renderer, views))
 
     def test_a_slowed_worker_sheds_rows_by_profile(
             self, renderer, config, monkeypatch):
-        """No pool steals: what moves rows off a slowed worker 0 is the
-        time-calibrated profile.  On a profiled one-frame stream, worker
-        0's band in the frame cut from the first profile is shorter than
-        in the same pool unslowed (in every shard's pool of a fleet),
-        and the frames stay bit-identical."""
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
+        """No pool steals: what moves rows off a slowed worker 0 is band
+        time.  On a one-frame stream, worker 0's band in the frame cut
+        from the first frame's band times is shorter than in the same
+        pool unslowed (in every shard's pool of a fleet), and the frames
+        stay bit-identical."""
         views = _views(renderer, ANGLES[:3])
         refs = serial_refs(renderer, views)
         cuts: dict[int, list] = {}
@@ -162,16 +167,15 @@ class TestFrames:
             unslowed = worker0_rows(None)
             assert all(s < u for s, u in zip(slowed, unslowed)), (slowed, unslowed)
 
-    def test_timesteps(self, heart, config, monkeypatch):
-        """A batch, then a profiled stream: the moving wedge churns the
-        profile between frames without moving a pixel."""
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
+    def test_timesteps(self, heart, config):
+        """A batch, then a stream cut from band times: the moving wedge
+        churns the profile between frames without moving a pixel."""
         specs = movie_frame_specs(heart, 4, step_y=8.0)
         with repro.open_pool(heart, config) as pool:
             batch = [pool.result(f) for f in pool.submit_batch(specs)]
             stream = [pool.render(s.view, timestep=s.timestep)
                       for s in reversed(specs)]
-        assert all(r.profiled for r in stream)
+        assert all(r.busy_s is not None and not r.degraded for r in stream)
         refs = serial_refs(heart, specs)
         assert_frames_identical(batch, refs)
         assert_frames_identical(stream, refs[::-1])

@@ -10,6 +10,7 @@ recovered with only the unfinished frames re-dispatched.
 
 import threading
 
+import numpy as np
 import pytest
 
 import repro
@@ -26,25 +27,27 @@ def _views(renderer, n=5):
 
 class TestBatchedBitIdentity:
     @pytest.mark.parametrize("backend", ["mp", "thread"])
-    def test_batch_profiles_once_per_period_not_every_frame(self, renderer,
+    def test_banded_batch_reports_band_times_on_every_frame(self, renderer,
                                                             backend):
-        """A batch is planned before any of its frames completes; the
-        profile it lacks is requested once per key (and so once more at
-        the axis switch), not on every frame behind the first — nor
-        again when the PROFILE_REUSE period runs out while the request
-        is outstanding.  One worker, so the batch is banded: a pool of
-        two or more deals it solo, and a solo frame asks for none."""
+        """A batch is cut before any of its frames completes, and each
+        frame still reports its own band times as it finishes — across
+        the axis switch too — the last of them installed for the next
+        message.  One worker, so the batch is banded: a pool of two or
+        more deals it solo."""
         views = [renderer.view_from_angles(20, 30 + 2 * i, 0) for i in range(20)]
         refs = serial_refs(renderer, views)
         with repro.open_pool(renderer, n_procs=1, backend=backend) as pool:
             res = pool.render_animation(views)
-            counted = pool.metrics.counter("pool/profiled_frames").value
+            installed = pool._planner.profile
         assert_frames_identical(res, refs)
         axes = [r.fact.axis for r in res]
         first_new = next(i for i, a in enumerate(axes) if a != axes[0])
         assert len(set(axes[first_new:])) == 1
-        assert {i for i, r in enumerate(res) if r.profiled} == {0, first_new}
-        assert counted == 2
+        for r in res:
+            b = r.boundaries
+            assert r.costs_v_lo == b[0] and len(r.costs) == b[1] - b[0]
+            assert np.allclose(r.costs, r.busy_s[0] / (b[1] - b[0]))
+        assert np.array_equal(installed.costs, res[-1].costs)
 
     def test_batch_frames_counter_and_metadata(self, renderer, tmp_path):
         views = _views(renderer, 4)
@@ -58,9 +61,9 @@ class TestBatchedBitIdentity:
 
         meta = json.loads(path.read_text())["otherData"]
         assert meta["batch_frames"] == 4
-        # Dealt whole to the two workers: no profile, no band, no barrier.
+        # Dealt whole to the two workers: no band, no barrier.
         assert meta["solo_frames"] == 4
-        assert meta["profiled_frames"] == sum(r.profiled for r in results) == 0
+        assert "profiled_frames" not in meta
         for k, res in enumerate(results):
             phases = {s.phase for s in res.timeline.spans}
             assert {"composite", "warp"} <= phases and "barrier" not in phases

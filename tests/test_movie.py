@@ -273,16 +273,6 @@ class TestMovieBitIdentity:
     def test_mp_backend(self, renderer):
         self._run(renderer, n_procs=2)
 
-    def test_mp_backend_profiled(self, renderer, monkeypatch):
-        """The moving wedge churns the profile between frames; the
-        re-balanced partitions must not change a single pixel."""
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
-        specs = _specs(renderer, self.N_FRAMES)
-        with repro.open_pool(renderer, n_procs=2) as pool:
-            results = [pool.render(s.view, timestep=s.timestep) for s in specs]
-        assert all(r.profiled for r in results)
-        assert_frames_identical(results, serial_refs(renderer, specs))
-
     def test_shard_fleet(self, renderer):
         self._run(renderer, n_procs=1, shards=2)
 
@@ -298,27 +288,25 @@ class TestMovieBitIdentity:
 
 
 class TestProfileLoopAcrossTimesteps:
-    """The profile prediction is keyed on (axis, perm) only — a timestep
-    switch keeps the prediction live (that is the workload beating_heart
-    stresses), and the profiled run stays bit-identical regardless of
-    how wrong the moving wedge makes the prediction."""
+    """The band-time prediction is keyed on (axis, perm) only — a
+    timestep switch keeps the prediction live (that is the workload
+    beating_heart stresses), and the run stays bit-identical regardless
+    of how wrong the moving wedge makes the prediction."""
 
-    def test_profile_survives_timestep_switches(self, renderer, monkeypatch):
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
+    def test_profile_survives_timestep_switches(self, renderer):
         switches_before = renderer.timestep_switches
         specs = _specs(renderer, 6)
         with repro.open_pool(renderer, n_procs=2, backend="thread") as pool:
             results = [pool.render(s.view, timestep=s.timestep) for s in specs]
-        # The timestep moved underneath the profile loop, every frame
-        # still measured a profile, and no pixel changed.
+        # The timestep moved underneath the feedback loop, every frame
+        # still reported its band times, and no pixel changed.
         assert renderer.timestep_switches > switches_before
-        assert all(r.profiled and r.costs is not None for r in results)
+        assert all(r.costs is not None for r in results)
         assert_frames_identical(results, serial_refs(renderer, specs))
 
-    def test_wedge_swing_moves_partition_boundary(self, monkeypatch):
+    def test_wedge_swing_moves_partition_boundary(self):
         """A big slow wedge really does shift work between frames: the
-        profile-balanced row partition differs across timesteps."""
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 1)
+        band-time balanced row partition differs across timesteps."""
         r = beating_heart_renderer(0.75, timesteps=2)
         specs = movie_frame_specs(r, 4, timesteps=2)
         with repro.open_pool(r, n_procs=2, backend="thread") as pool:

@@ -9,9 +9,10 @@ import pytest
 import repro
 import repro.parallel.poolcore as poolcore
 from repro.core.partition import uniform_contiguous_partition
+from repro.core.profiling import scanline_cost
 from repro.datasets import density_wedge, solid_sphere
 from repro.obs import busy_spread
-from repro.render import ShearWarpRenderer
+from repro.render import ShearWarpRenderer, WorkCounters, composite_image_scanline
 from repro.render.fast import render_fast
 from repro.render.image import IntermediateImage
 from repro.volume import binary_transfer_function, mri_transfer_function
@@ -36,9 +37,8 @@ class TestMPBackend:
             repro.open_pool(renderer, n_procs=0)
 
     def test_profile_period_is_not_an_option(self, renderer):
-        """The pool profiles on demand
-        (``poolcore.PROFILE_REUSE``), so neither the config nor the
-        facade takes a period."""
+        """The pool cuts every banded frame from the last one's band
+        times, so neither the config nor the facade takes a period."""
         with pytest.raises(TypeError, match="profile_period"):
             repro.PoolConfig(profile_period=-1)
         with pytest.raises(TypeError, match="profile_period"):
@@ -130,15 +130,11 @@ class TestPoolErrors:
             assert_frames_identical([res], serial_refs(renderer, [good]))
 
 
-#: The skewed wedge the adaptive-partition tests render.  A profiled
-#: worker's costs are its CPU time, the block kernel's per-call fixed
-#: cost and its warp share included, so the profile moves boundaries
-#: toward equal *counted* work only where the per-line work outweighs
-#: both, and one noisy profile can mislead the frames planned from it.
-#: On 24x24x16 and 48x48x24 wedges, and on this one over six frames, a
-#: profiled run's mean spread did not always beat the uniform run's
-#: beside two busy loops; here, over twelve, it is 0.50-0.84 against
-#: 1.23.
+#: The skewed wedge the adaptive-partition tests render.  A worker's
+#: band time is its CPU time, the block kernel's per-call fixed cost
+#: and its warp share included, so band time moves boundaries toward
+#: equal *counted* work only where the per-line work outweighs both,
+#: and one noisy frame can mislead the frame cut from it.
 WEDGE = (64, 96, 32)
 
 
@@ -149,7 +145,7 @@ def _uniform(res, n_procs):
 
 
 class TestAdaptivePartition:
-    def test_adaptive_bit_identical_to_uniform(self, monkeypatch):
+    def test_adaptive_bit_identical_to_uniform(self):
         """Profile-balanced partitions only move scanlines between
         workers — the animation's images must match the serial render
         (and so the uniform split's) bit for bit, even though the
@@ -159,7 +155,6 @@ class TestAdaptivePartition:
         balanced partition can legitimately coincide with the uniform
         split, which would make the boundaries-moved assertion vacuous.
         """
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         renderer = ShearWarpRenderer(density_wedge(WEDGE),
                                      mri_transfer_function())
         views = [renderer.view_from_angles(18, 8 + 3 * i, 0)
@@ -167,42 +162,41 @@ class TestAdaptivePartition:
         with repro.open_pool(renderer, n_procs=3) as pool:
             ada = [pool.result(pool.submit(v)) for v in views]
         assert_frames_identical(ada, serial_refs(renderer, views))
-        assert ada[0].profiled  # no profile exists yet on frame 0
+        # No band time exists yet on frame 0: the uniform split.
         assert np.array_equal(ada[0].boundaries, _uniform(ada[0], 3))
-        # On a real (non-flat) volume the measured profile must move at
-        # least one boundary away from the uniform split.
+        # On a real (non-flat) volume the measured band times must move
+        # at least one boundary away from the uniform split.
         assert any(not np.array_equal(a.boundaries, _uniform(a, 3))
                    for a in ada[1:])
 
-    def test_profile_partition_evens_out_counted_work(self, monkeypatch):
+    def test_profile_partition_evens_out_counted_work(self):
         """The paper's section 4.3 claim as a count, not a timing: on the
-        skewed wedge, the work the kernel *counts* inside each worker's
-        band is spread more evenly over the workers on frames
-        partitioned from a measured profile than by the uniform split of
-        the same frames' bands.  Frames are rendered one at a time, so
-        every frame after the first is planned with a profile installed."""
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
+        skewed wedge, the work the reference kernel *counts* inside each
+        worker's band is spread more evenly over the workers on frames
+        cut from band times than by the uniform split of the same
+        frames' bands.  Frames are rendered one at a time, so every
+        frame after the first is cut from the one before."""
         renderer = ShearWarpRenderer(density_wedge(WEDGE),
                                      mri_transfer_function())
         views = [renderer.view_from_angles(18, 8 + 3 * i, 0)
                  for i in range(12)]
 
         def counted_spread(res, bounds):
-            # Per-row ``scanline_cost`` of each band, as a profiled
-            # worker counts it.
+            # Per-row ``scanline_cost`` of each band, as the instrumented
+            # scanline kernel counts it.
             rle = renderer.rle_for(res.fact)
             img = IntermediateImage(res.fact.intermediate_shape)
-            return busy_spread([
-                poolcore.composite_range(img, lo, hi, rle, res.fact,
-                                         True, None, 0).sum()
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ])
+            rows = [scanline_cost(composite_image_scanline(
+                img, v, rle, res.fact, counters=WorkCounters()))
+                for v in range(bounds[0], bounds[-1])]
+            return busy_spread([sum(rows[lo - bounds[0]:hi - bounds[0]])
+                                for lo, hi in zip(bounds[:-1], bounds[1:])])
 
         with repro.open_pool(renderer, n_procs=3) as pool:
             results = [pool.render(v) for v in views]
-        profiled = np.mean([counted_spread(r, r.boundaries) for r in results[1:]])
+        balanced = np.mean([counted_spread(r, r.boundaries) for r in results[1:]])
         uniform = np.mean([counted_spread(r, _uniform(r, 3)) for r in results[1:]])
-        assert profiled < uniform
+        assert balanced < uniform
 
     def test_reports_boundaries_and_busy_times(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
@@ -213,18 +207,19 @@ class TestAdaptivePartition:
         assert res.busy_s is not None and res.busy_s.shape == (2,)
         assert np.all(res.busy_s >= 0)
 
-    def test_axis_switch_invalidates_profile(self, renderer, monkeypatch):
-        """Crossing a principal-axis boundary must force a uniform
-        re-profiling frame: the old profile's scanline coordinates no
-        longer exist in the new intermediate image."""
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 100)
+    def test_axis_switch_invalidates_profile(self, renderer):
+        """Crossing a principal-axis boundary must drop the band times
+        and cut a uniform frame: the old profile's scanline coordinates
+        no longer exist in the new intermediate image."""
         with repro.open_pool(renderer, n_procs=3) as pool:
             r0 = pool.render(renderer.view_from_angles(10, 20, 0))
             r1 = pool.render(renderer.view_from_angles(10, 24, 0))
+            assert pool._planner.profile_key == (r1.fact.axis, r1.fact.perm)
             r2 = pool.render(renderer.view_from_angles(10, 70, 0))
-        assert r0.profiled and not r1.profiled
+            dropped = pool.metrics.counter("pool/profile_invalidations").value
+        assert r0.fact.axis == r1.fact.axis
         assert r2.fact.axis != r1.fact.axis  # the switch actually happened
-        assert r2.profiled  # invalidation forced a fresh measurement
+        assert dropped == 1  # ... and dropped the profile it made stale
         assert np.array_equal(r2.boundaries, _uniform(r2, 3))
         ref = render_fast(renderer, renderer.view_from_angles(10, 70, 0))
         assert_frames_identical([r2], [ref])

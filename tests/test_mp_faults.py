@@ -63,14 +63,12 @@ class TestFaultInjection:
     """Kill/hang/raise one worker at each phase; the animation survives."""
 
     # A render() loop meets an idle pool with every frame, so frame 4 is
-    # banded over both workers, and PROFILE_REUSE=2 makes the planner
-    # profile frames 0, 2 and 4, so the "profile" phase fault armed on
-    # frame 4 always has a frame to hit.  (Pipelined submits would deal
-    # frame 4 solo: a frame is already out when it goes.)
+    # banded over both workers and cut from frame 3's band times.
+    # (Pipelined submits would deal frame 4 solo: a frame is already out
+    # when it goes.)
     @pytest.mark.parametrize("phase", poolcore.FAULT_PHASES)
     def test_kill_recovers_bit_identical(self, renderer, monkeypatch, phase):
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 4, "kill", phase))
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         views = _views(renderer, 6)
         results, counters = _render_loop(renderer, views, n_procs=2)
         assert_frames_identical(results, serial_refs(renderer, views))
@@ -78,14 +76,15 @@ class TestFaultInjection:
         assert counters["frames_retried"] >= 1
         assert counters["degraded_frames"] == 0
         assert results[4].retries >= 1
-        assert results[4].profiled  # so banded: a solo frame never is
+        # Banded: both workers report busy time, a solo frame's other
+        # worker none.
+        assert (results[4].busy_s > 0).all()
         assert not any(r.degraded for r in results)
 
     @pytest.mark.parametrize("phase", poolcore.FAULT_PHASES)
     def test_raise_retries_bit_identical(self, renderer, monkeypatch, phase):
         """An exception leaves the worker set intact: retry, no respawn."""
         monkeypatch.setattr(poolcore, "TEST_FAULT", (1, 4, "raise", phase))
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
         views = _views(renderer, 6)
         results, counters = _render_loop(renderer, views, n_procs=2)
         assert_frames_identical(results, serial_refs(renderer, views))
@@ -478,12 +477,6 @@ class TestTypedErrors:
         t.join(10.0)
         assert not t.is_alive()
         assert caught and isinstance(caught[0], PoolClosed)
-
-    def test_submit_on_closed_pool_raises(self, renderer):
-        pool = repro.open_pool(renderer, n_procs=1)
-        pool.close()
-        with pytest.raises(PoolClosed):
-            pool.submit(renderer.view_from_angles(20, 30, 0))
 
 
 class TestNoLeaks:

@@ -10,10 +10,8 @@ from repro.core.profiling import (
     ProfileSchedule,
     ScanlineProfile,
     scanline_cost,
-    scanline_cost_rows,
 )
 from repro.render import WorkCounters
-from repro.render.block import BlockRowCounters
 
 
 class TestScanlineCost:
@@ -31,22 +29,6 @@ class TestScanlineCost:
                            ("loop_iters", 5), ("pixels_skipped", 5)):
             c = WorkCounters(**{field: val})
             assert scanline_cost(c) > base, field
-
-
-class TestScanlineCostRows:
-    def test_matches_per_row_scanline_cost(self):
-        rng = np.random.default_rng(3)
-        rows = BlockRowCounters(10, 16)
-        for name in ("resample_ops", "run_entries", "loop_iters",
-                     "pixels_skipped"):
-            getattr(rows, name)[:] = rng.integers(0, 50, size=6)
-        out = scanline_cost_rows(rows)
-        assert out.dtype == np.float64
-        for v in range(10, 16):
-            assert out[v - 10] == pytest.approx(scanline_cost(rows.row(v)))
-
-    def test_empty_band(self):
-        assert len(scanline_cost_rows(BlockRowCounters(5, 5))) == 0
 
 
 class TestScanlineProfile:

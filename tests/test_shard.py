@@ -60,14 +60,6 @@ class TestBitIdentity:
         # A binary merge tree over N shards does N - 1 merges per frame.
         assert merges == (shards - 1) * len(views)
 
-    def test_intermediate_matches_serial(self, renderer):
-        view = renderer.view_from_angles(20, 30, 0)
-        with ShardedRenderService(
-            renderer, PoolConfig(n_procs=2, shards=2)
-        ) as svc:
-            res = svc.render(view)
-        assert_frames_identical([res], serial_refs(renderer, [view]))
-
     def test_result_shape_matches_pool_result(self, renderer):
         """The merged result duck-types a single pool's MPRenderResult."""
         with ShardedRenderService(
@@ -145,10 +137,9 @@ class TestFacade:
 
 
 class TestReshardFeedback:
-    """The section 4.2-4.3 loop one level up: profiles move shard bounds."""
+    """The pools' loop one level up: their band times move shard bounds."""
 
-    def test_profiled_frames_reshard(self, renderer, monkeypatch):
-        monkeypatch.setattr(poolcore, "PROFILE_REUSE", 2)
+    def test_profiled_frames_reshard(self, renderer):
         views = _views(renderer, 4)
         with ShardedRenderService(
             renderer, PoolConfig(n_procs=2, shards=2)
@@ -157,11 +148,9 @@ class TestReshardFeedback:
             reshards = svc.metrics.counter("shard/reshards").value
             assert svc._planner.profile is not None
         assert_frames_identical(results, serial_refs(renderer, views))
-        # PROFILE_REUSE=2 over 4 frames -> the pools profiled frames 0
-        # and 2, and both stitched a cross-shard profile back into the
-        # shard planner.
-        assert [r.profiled for r in results] == [True, False, True, False]
-        assert reshards == 2
+        # Every pool frame reports its band times, so every fleet frame
+        # stitched a cross-shard profile back into the shard planner.
+        assert reshards == len(views)
 
     def test_axis_switch_invalidates_shard_profile(self, renderer):
         with ShardedRenderService(
@@ -174,7 +163,7 @@ class TestReshardFeedback:
 
     def test_busy_feedback_shrinks_a_slowed_shard(self, renderer,
                                                   monkeypatch):
-        """Injected interference on shard 0: a pool's cost row is CPU
+        """Injected interference on shard 0: a pool's band times are CPU
         seconds, the injected burn included, so the gathered profile
         sees it — the re-shard shrinks the slowed shard's band."""
         monkeypatch.setattr(shard_service, "TEST_SHARD_ROW_DELAY",
@@ -337,8 +326,6 @@ class TestDispatchSemantics:
             with pytest.raises(RuntimeError, match="capacity"):
                 svc.submit_batch([flipped, scaled])
             assert planner.profile is profile and planner.profile_key == key
-            # Nothing of the refused batch was planned.
-            assert planner._planned == 1
             assert svc.metrics.counter("shard/reshard_invalidations").value == 0
             assert _ledgers(svc) == [(0, 0)] * 2 and not svc._frames
 
@@ -377,7 +364,7 @@ class TestShardPlanning:
         if not uniform:
             costs = np.random.default_rng(seed).random(v_hi - v_lo)
             planner.install_profile(v_lo, costs, plan["key"])
-        owner = planner.partition(plan)["owner"]
+        owner = planner.cut(plan)["owner"]
         regions = shard_regions(owner, n, v_lo, v_hi)
 
         # The owned masks partition the lines: one owner each.
@@ -469,12 +456,12 @@ class TestFailedFrame:
 
         real = poolcore.composite_range
 
-        def flaky(img, lo, hi, rle, fact, profiled, rec, frame):
+        def flaky(img, lo, hi, rle, fact, frame):
             # Frame 1's lowest non-empty scanline is shard 0's: only
             # that pool fails; its sibling renders its half of frame 1.
             if frame == 1 and lo == nonempty_scanline_bounds(rle, fact)[0]:
                 raise RuntimeError("injected composite failure")
-            return real(img, lo, hi, rle, fact, profiled, rec, frame)
+            return real(img, lo, hi, rle, fact, frame)
 
         monkeypatch.setattr(poolcore, "composite_range", flaky)
         views = _views(renderer, 3)
