@@ -13,7 +13,8 @@ Usage::
 
 prints, per argument (a file, or a directory searched for ``*.py``), the
 code lines and the code lines with docstrings counted as code, then the
-totals.
+totals.  ``--help`` prints this text; no argument, or a path that does
+not exist, is a one-line usage error (exit status 2).
 """
 
 from __future__ import annotations
@@ -72,8 +73,14 @@ def count_path(path: Path) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
-        print(__doc__.strip(), file=sys.stderr)
+    if argv in (["-h"], ["--help"]):
+        print(__doc__.strip())
+        return 0
+    missing = [arg for arg in argv if not Path(arg).exists()]
+    if not argv or missing:
+        print("usage: loc.py PATH [PATH ...]"
+              + (f"; no such file or directory: {missing[0]}" if missing else ""),
+              file=sys.stderr)
         return 2
     total = [0, 0]
     print(f"{'code':>7} {'+docs':>7}  path")

@@ -32,8 +32,8 @@ def main(n_frames: int = 8, out_dir: str = "movie_frames") -> None:
           f"{n_frames} frames -> {out_dir}/")
 
     specs = movie_frame_specs(renderer, n_frames)
-    # Any backend works here — swap in backend="thread" or shards=2 and
-    # the pipeline (and the pixels) do not change.
+    # A shard fleet works here too — add shards=2 and the pipeline (and
+    # the pixels) do not change.
     with repro.open_pool(renderer, n_procs=2) as pool:
         pipe = MoviePipeline(pool, out_dir, fmt="png")
         manifest = pipe.run(specs)

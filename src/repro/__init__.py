@@ -32,7 +32,7 @@ Subpackages
 ``obs``          span tracing, Chrome trace export, metrics
 """
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 #: Facade symbols re-exported (lazily) from :mod:`repro.parallel`.
 _POOL_EXPORTS = (
@@ -74,12 +74,12 @@ def open_pool(renderer, config=None, **overrides):
 
     ``config`` is a :class:`PoolConfig`; keyword overrides build one
     (``open_pool(r, n_procs=4)``) or refine a given config
-    (``open_pool(r, cfg, trace=True)``).  ``config.backend`` selects
-    the pool class: ``"mp"`` (default) opens the fork-based
-    :class:`MPRenderPool`, ``"thread"`` the no-copy
-    :class:`~repro.parallel.thread_backend.ThreadRenderPool` — both
-    expose the same ``submit``/``submit_batch``/``render_animation``/
-    ``result`` API and produce bit-identical images.
+    (``open_pool(r, cfg, trace=True)``).  The pool is the fork-based
+    :class:`MPRenderPool`: worker processes over shared memory, the
+    paper's model.  ``config.backend="thread"`` opens the fork-free
+    :class:`~repro.parallel.thread_backend.ThreadRenderPool` instead, the
+    test transport (same API, bit-identical images); both come from
+    :data:`repro.parallel.POOL_CLASSES`.
 
     ``config.shards > 1`` (``open_pool(r, shards=4)``) opens a
     :class:`~repro.shard.ShardedRenderService` instead — a fleet of
@@ -90,7 +90,7 @@ def open_pool(renderer, config=None, **overrides):
     paid once and a banded frame's band times have a next frame to
     balance.
     """
-    from .parallel import MPRenderPool, PoolConfig, ThreadRenderPool
+    from .parallel import POOL_CLASSES, PoolConfig
 
     if config is None:
         config = PoolConfig(**overrides)
@@ -100,8 +100,7 @@ def open_pool(renderer, config=None, **overrides):
         from .shard import ShardedRenderService
 
         return ShardedRenderService(renderer, config)
-    kind = ThreadRenderPool if config.backend == "thread" else MPRenderPool
-    return kind(renderer, config)
+    return POOL_CLASSES[config.backend](renderer, config)
 
 
 def __getattr__(name: str):

@@ -71,7 +71,6 @@ def _run_render(args: argparse.Namespace) -> int:
             trace=tracing,
             timeout_s=args.timeout_s,
             degrade_to_serial=args.degrade == "on",
-            backend=args.backend,
             shards=args.shards,
             **({} if args.max_retries is None else
                {"max_retries": args.max_retries}),
@@ -91,8 +90,7 @@ def _run_render(args: argparse.Namespace) -> int:
         # through a persistent pool.  The whole animation goes out as
         # message: dealt whole to the workers when it has enough frames,
         # banded over them otherwise (each banded frame's band times
-        # balance the next); --backend picks
-        # processes or threads; --shards > 1 opens a sharded fleet of
+        # balance the next); --shards > 1 opens a sharded fleet of
         # pools merged sort-last (the facade dispatches on cfg.shards —
         # same pool API either way).
         from . import open_pool
@@ -110,8 +108,7 @@ def _run_render(args: argparse.Namespace) -> int:
         result = results[-1]
         fleet = (f"{cfg.shards} shards x {args.procs} procs"
                  if cfg.shards > 1 else f"{args.procs} procs")
-        how = (f"{frames} frame{'s' * (frames > 1)}, {fleet}, "
-               f"{args.backend} backend, batched")
+        how = f"{frames} frame{'s' * (frames > 1)}, {fleet}, batched"
     else:
         recorder = None
         if tracing:
@@ -154,7 +151,7 @@ def _run_movie(args: argparse.Namespace, cfg, frames: int) -> int:
 
     Renders a rotation sweep over the time-varying ``beating_heart``
     phantom (or a static registry data set, frozen in time) through
-    whatever backend ``cfg`` selects — mp, thread, or a shard fleet —
+    the pool or shard fleet ``cfg`` opens —
     and encodes a real PNG/NPZ image sequence in the parent while the
     workers composite ahead.
     """
@@ -194,8 +191,7 @@ def _run_movie(args: argparse.Namespace, cfg, frames: int) -> int:
     fleet = (f"{cfg.shards} shards x {cfg.n_procs} procs"
              if cfg.shards > 1 else f"{cfg.n_procs} procs")
     print(f"movie: {manifest['n_frames']} frames over {n_steps} timestep(s) "
-          f"-> {out_dir}/ ({args.movie_format} sequence, {fleet}, "
-          f"{args.backend} backend)")
+          f"-> {out_dir}/ ({args.movie_format} sequence, {fleet})")
     print(f"stage overlap: encode {ov['encode_s'] * 1e3:.1f} ms total, "
           f"{ov['overlapped_encode_s'] * 1e3:.1f} ms of it while later "
           f"frames were in flight; parent blocked in result() "
@@ -352,8 +348,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ServeConfig, run_server
 
     try:
-        pool = PoolConfig(n_procs=args.procs, backend=args.backend,
-                          shards=args.shards)
+        pool = PoolConfig(n_procs=args.procs, shards=args.shards)
     except ValueError as exc:
         args.usage_error(str(exc))  # exit status 2, one line
     cfg = ServeConfig(
@@ -371,7 +366,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host, port = address
         # One parseable line scripts can wait on before connecting.
         print(f"repro serve listening on {host}:{port} "
-              f"(procs={cfg.pool.n_procs}, backend={cfg.pool.backend}, "
+              f"(procs={cfg.pool.n_procs}, "
               f"max_inflight={cfg.max_inflight}, "
               f"cache_frames={cfg.cache_frames})", flush=True)
 
@@ -434,11 +429,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="after retries are exhausted, render the frame "
                         "serially in the parent (bit-identical) instead of "
                         "failing it")
-    p.add_argument("--backend", choices=["mp", "thread"], default="mp",
-                   help="parallel backend: forked worker processes over "
-                        "shared memory (mp) or a no-copy thread pool "
-                        "exploiting numpy's GIL release (thread); "
-                        "bit-identical images either way")
     p.add_argument("--shards", type=int, default=1, metavar="N",
                    help="split the intermediate image into N contiguous "
                         "scanline shards, each rendered by its own pool "
@@ -487,7 +477,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="default proxy scale for requests that omit one")
     p.add_argument("--procs", type=int, default=2,
                    help="worker count of each render pool")
-    p.add_argument("--backend", choices=["mp", "thread"], default="mp")
     p.add_argument("--max-inflight", type=int, default=8,
                    help="admission bound: render jobs in flight beyond "
                         "this are rejected with ServerBusy")

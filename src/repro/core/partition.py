@@ -66,6 +66,12 @@ def round_robin_tiles(
     return out
 
 
+#: Relative tolerance under which :func:`contiguous_partition` calls two
+#: candidate boundaries a tie: far above float64 rounding of a cumulative
+#: sum, far below the cost of one scanline in any profile it is given.
+TIE_RTOL = 1e-9
+
+
 def contiguous_partition(profile: np.ndarray, n_procs: int, v_lo: int = 0) -> np.ndarray:
     """New scheme: profile-balanced contiguous partition boundaries.
 
@@ -101,12 +107,17 @@ def contiguous_partition(profile: np.ndarray, n_procs: int, v_lo: int = 0) -> np
         return uniform_contiguous_partition(v_lo, v_lo + n, n_procs)
     targets = total * np.arange(1, n_procs) / n_procs
     # The boundary scanline is the one whose cumulative cost is closest
-    # to the target value (paper: "closest to the boundary values").
+    # to the target value (paper: "closest to the boundary values"); a
+    # tie goes left.  Equal costs that are not exact in binary (measured
+    # seconds) sum with a few ulps of rounding, which must not decide a
+    # tie: distances within TIE_RTOL of the total count as equal.
     right = np.searchsorted(cum, targets)
     left = np.maximum(right - 1, 0)
     right = np.minimum(right, n - 1)
     pick = np.where(
-        np.abs(cum[left] - targets) <= np.abs(cum[right] - targets), left, right
+        np.abs(cum[left] - targets)
+        <= np.abs(cum[right] - targets) + TIE_RTOL * total,
+        left, right,
     )
     bounds = np.empty(n_procs + 1, dtype=np.int64)
     bounds[0] = 0

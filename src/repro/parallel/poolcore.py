@@ -60,11 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.partition import (
-    contiguous_partition,
-    line_ownership,
-    uniform_contiguous_partition,
-)
+from ..core.partition import contiguous_partition, line_ownership
 from ..core.profiling import ScanlineProfile
 from ..obs.metrics import MetricsRegistry, busy_spread, metrics_from_timelines
 from ..obs.recorder import RingReader, SpanRecorder
@@ -102,9 +98,10 @@ __all__ = [
     "worker_burn_per_row",
 ]
 
-#: Pool backends selectable through ``PoolConfig.backend`` (dispatched
-#: by the ``repro.open_pool`` facade): ``"mp"`` is the process pool,
-#: ``"thread"`` the no-copy threading pool.
+#: The values of ``PoolConfig.backend`` (``repro.parallel.POOL_CLASSES``
+#: maps each to its pool class): ``"mp"`` is the process pool over shared
+#: memory, the one users open; ``"thread"`` is the fork-free test
+#: transport, also the benchmark's baseline probe.
 POOL_BACKENDS = ("mp", "thread")
 
 
@@ -182,8 +179,8 @@ class PoolConfig:
         or wedged worker) and recovered.  ``None`` (default) disables
         the deadline — worker *deaths* are still detected via their
         sentinels; only silent hangs need a timeout to be caught.
-        (The thread pool ignores it: a thread can neither die silently
-        nor be terminated.)
+        (The thread transport ignores it: a thread can neither die
+        silently nor be terminated.)
     max_retries:
         How many times a lost frame (dead worker, timeout, worker
         exception) is re-dispatched before giving up on the pool for
@@ -196,11 +193,12 @@ class PoolConfig:
         exactly the same images.
     backend:
         ``"mp"`` (the process pool,
-        :class:`~repro.parallel.mp_backend.MPRenderPool`) or
-        ``"thread"`` (the no-copy
-        :class:`~repro.parallel.thread_backend.ThreadRenderPool`
-        exploiting numpy's GIL release).  Dispatched by the
-        ``repro.open_pool`` facade; the pool classes themselves ignore
+        :class:`~repro.parallel.mp_backend.MPRenderPool`, the default
+        and the one the CLI and serve open) or ``"thread"`` (the
+        fork-free :class:`~repro.parallel.thread_backend.ThreadRenderPool`,
+        a test transport).  Dispatched through
+        ``repro.parallel.POOL_CLASSES`` by the ``repro.open_pool``
+        facade and the shard fleet; the pool classes themselves ignore
         it.
     shards:
         How many scanline shards to split the intermediate image into,
@@ -283,7 +281,7 @@ class FramePlanner:
     blocks: a pool's workers, or a shard fleet's pools — the one rule at
     both levels.  Owns the factorization, the non-empty band, the last
     installed :class:`ScanlineProfile` and its validity key, partition
-    boundaries (uniform or profile-balanced) and line ownership
+    boundaries (flat or profile-balanced) and line ownership
     (section 4.5).  A plan has two halves: :meth:`admit` when the frame
     is submitted, :meth:`cut` when it goes out.  Nothing is requested
     or measured on purpose: the owner installs whatever profile its
@@ -414,21 +412,25 @@ class FramePlanner:
 def profile_partition(profile: ScanlineProfile | None, n: int,
                       v_lo: int, v_hi: int) -> np.ndarray:
     """``n`` contiguous blocks over ``[v_lo, v_hi)``, balanced by
-    ``profile`` (section 4.3); uniform without a usable one.
+    ``profile`` (section 4.3); without a usable one, by a flat profile
+    over the band.
 
     The profile is in the frame-it-was-measured-on's scanline
     coordinates; successive animation viewpoints differ by a few
     degrees, so reusing the indices is the paper's prediction step.
     Boundaries are clamped to this frame's non-empty band.
     :class:`FramePlanner` calls it at both levels that partition
-    scanlines: workers within a pool and shards across pools.
+    scanlines: workers within a pool and shards across pools.  A key's
+    first cut is the one equal time per row makes, so band time that
+    comes back equal per row leaves the cut where it is (one tie rule,
+    :func:`~repro.core.partition.contiguous_partition`'s, for both).
     """
-    if profile is None or profile.total <= 0:
-        return uniform_contiguous_partition(v_lo, v_hi, n)
-    profile = profile.trim_empty()
-    if len(profile.costs) < n:
-        return uniform_contiguous_partition(v_lo, v_hi, n)
-    bounds = contiguous_partition(profile.costs, n, v_lo=profile.v_lo)
+    costs, lo = np.ones(v_hi - v_lo), v_lo
+    if profile is not None:
+        profile = profile.trim_empty()
+        if len(profile.costs) >= n:
+            costs, lo = profile.costs, profile.v_lo
+    bounds = contiguous_partition(costs, n, v_lo=lo)
     bounds = np.clip(bounds, v_lo, v_hi)
     bounds[0], bounds[-1] = v_lo, v_hi
     return np.maximum.accumulate(bounds)
@@ -475,16 +477,16 @@ def worker_burn_per_row(pid: int) -> float:
     return delay[1] if delay is not None and delay[0] == pid else 0.0
 
 
-def _burn(seconds: float) -> None:
-    """Busy-wait so the injected delay shows up in CPU time, offering
-    the GIL at every spin: the stand-in is for one slow *processor*.  A
-    bare ``pass`` loop on the thread transport keeps the GIL for a whole
-    switch interval (5 ms) each time a sibling's NumPy call lets go of
-    it, which slows the sibling by far more than the delay slows the
-    worker it was aimed at."""
-    t0 = time.perf_counter()
-    while time.perf_counter() - t0 < seconds:
-        time.sleep(0)
+def _burn(seconds: float, clock: Callable[[], float] = time.process_time) -> None:
+    """Spend ``seconds`` of ``clock`` — the worker's own CPU clock, the
+    one its busy time is read from — offering the CPU (and the GIL) at
+    every spin: the stand-in is for one slow *processor*.  A spin that
+    sleeps, or that keeps the GIL for a whole switch interval on the
+    thread transport, would slow this worker's wall time but not its
+    CPU time, or a sibling's instead of its own."""
+    t0 = clock()
+    while clock() - t0 < seconds:
+        os.sched_yield()
 
 
 def _maybe_fault(fault, pid: int, frame: int, phase: str) -> None:
@@ -655,7 +657,7 @@ def run_frame(ctx: WorkerContext, frame: int, fact, band, owner, final_rows,
             _maybe_fault(fault, pid, frame, "composite")
             composite_range(img, lo, hi, rle, fact, frame)
             if ctx.burn_per_row:
-                _burn(ctx.burn_per_row * (hi - lo))
+                _burn(ctx.burn_per_row * (hi - lo), clock)
             if rec is not None:
                 rec.count(frame, "rows", hi - lo)
                 rec.count(frame, "kernel_calls", int(hi > lo))
@@ -860,7 +862,7 @@ class PoolCore:
         on a pool that can start its first frame, otherwise when the
         frames ahead of it have retired — so all of it is partitioned
         from the band times of the last banded frame finished by then
-        (uniformly if there was none), and band times measured *inside*
+        (by a flat profile if there was none), and band times measured *inside*
         the batch balance the next message, not this one.
         A batch that, with the frames already out with the workers,
         makes at least ``n_procs`` frames asks for throughput, not one

@@ -1,23 +1,27 @@
-"""No-copy threading transport for the render pool.
+"""Fork-free threading transport for the render pool: the test transport.
 
 :class:`ThreadRenderPool` is the *thread transport* of the pool core
 (:mod:`repro.parallel.poolcore`): the same partitioned shear-warp frame
 as :class:`~repro.parallel.mp_backend.MPRenderPool` — planning, the
 worker's frame body, completion accounting and the retry → degrade →
-fail ledger are all the core's —
-but on *threads* instead of forked processes.  The compute-heavy block
-kernel spends its time inside numpy ufuncs, which release the GIL, so
-threads genuinely overlap there; and a thread pool pays none of the
-process pool's structural dispatch costs:
+fail ledger are all the core's — but on *threads* instead of forked
+processes.  It is not offered to users (no CLI flag selects it): on a
+2-vCPU host it takes 1.6× the serial time a frame on a batch and 2.5×
+on a one-frame stream, a gap no pure-NumPy kernel change closed
+(ROADMAP item 16).  It stays for two readers:
 
-* **no fork** — workers are daemon threads sharing the renderer object
-  directly (no copy-on-write snapshot to take or keep coherent);
-* **no pickling** — a job is just an ``int`` frame id; plans and
-  images are the frame record's own objects, reached by reference;
-* **no shared-memory churn** — each frame composites into a fresh
-  private :class:`~repro.render.image.IntermediateImage` /
-  :class:`~repro.render.image.FinalImage`, which then *becomes* the
-  result (no copy-out, no re-zeroing, no buffer-release protocol).
+* the tests, which drive the shared ledger through it with no fork, no
+  pickling and no shared memory — a fault hook or a monkeypatch is seen
+  by every worker at once, and a hung test fails instead of leaving
+  processes behind;
+* the benchmark's baseline probe, ``open_pool(n_procs=2,
+  backend="thread")``.
+
+Its workers are daemon threads sharing the renderer object directly; a
+job is just an ``int`` frame id; each frame composites into a fresh
+private :class:`~repro.render.image.IntermediateImage` /
+:class:`~repro.render.image.FinalImage`, which then *becomes* the
+result (no copy-out, no re-zeroing, no buffer-release protocol).
 
 Concurrency structure
 ---------------------
@@ -77,11 +81,9 @@ class ThreadRenderPool(PoolCore):
     (``submit`` / ``submit_batch`` / ``render_animation`` / ``result`` /
     ``render`` / ``close`` / context manager, all inherited from
     :class:`~repro.parallel.poolcore.PoolCore`), returning the same
-    :class:`~repro.parallel.poolcore.MPRenderResult` shape, so callers
-    and benchmarks switch backends through ``PoolConfig(backend=...)``
-    and the :func:`repro.open_pool` facade without touching anything
-    else.  See the module docstring for the (small) semantic
-    differences.
+    :class:`~repro.parallel.poolcore.MPRenderResult` shape; opened with
+    ``PoolConfig(backend="thread")`` through :func:`repro.open_pool`.
+    See the module docstring for the (small) semantic differences.
     """
 
     transport = "thread"

@@ -115,9 +115,12 @@ class ServeConfig:
         Request defaults (a client may override any of them per
         request).
     pool:
-        The :class:`PoolConfig` every pool is built from, as is: one
-        pool per dataset, scale and classification; like every pool it
-        cuts a banded miss from the band times of the last one.
+        The :class:`PoolConfig` every pool is built from, as is
+        (through :func:`repro.open_pool`): one pool per dataset, scale
+        and classification; like every pool it cuts a banded miss from
+        the band times of the last one.  ``repro serve`` builds it from
+        ``--procs`` and ``--shards``, so its pools are mp pools;
+        ``pool.backend="thread"`` is for tests, which want no fork.
         ``pool.shards > 1``
         makes every lazily-created "pool" a sharded fleet
         (:class:`~repro.shard.ShardedRenderService`) — the server drives

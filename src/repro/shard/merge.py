@@ -10,10 +10,10 @@ arithmetic of :func:`repro.render.warp.warp_scanline`
 (:func:`~repro.render.warp.pixel_source_rows`), so the map agrees
 bit-for-bit with what each shard's warp actually wrote.
 
-Each shard renders into its own :class:`ShardFramebuffer` (a
-shared-memory segment for process-backed shards, a plain array for
-thread shards), and :func:`merge_schedule` arranges the shards into a
-sort-last binary merge tree: ``ceil(log2(n))`` rounds of pairwise
+The parent loads each shard's frame into that shard's
+:class:`ShardFramebuffer` (plain arrays: the merge runs in the parent
+alone, so no other process ever maps them), and :func:`merge_schedule`
+arranges the shards into a sort-last binary merge tree: ``ceil(log2(n))`` rounds of pairwise
 masked copies, where the mask of a merge step is "pixels owned by the
 source's subtree".  Because pixel ownership is a partition (every
 valid pixel has exactly one owner, background pixels have none and are
@@ -24,8 +24,6 @@ pixels are simply never selected by any mask.
 """
 
 from __future__ import annotations
-
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -68,34 +66,17 @@ class TileOwnershipMap:
 class ShardFramebuffer:
     """One shard's final-image planes, sized to the pool's capacity.
 
-    ``backing="shm"`` places the planes in a shared-memory segment —
-    the layout a cross-process distributed framebuffer needs, and the
-    honest unit the merge-overhead benchmark measures — while
-    ``backing="array"`` keeps them in private arrays (thread shards
-    share an address space already).  The buffer is allocated once at
-    the capacity shape and reused across frames through ``[:ny, :nx]``
-    views; ``load`` overwrites the full active region, so stale pixels
-    from an earlier (larger) frame can never leak into a merge.
+    Private arrays in the parent, where the merge tree runs.  The buffer
+    is allocated once at the capacity shape and reused across frames
+    through ``[:ny, :nx]`` views; ``load`` overwrites the full active
+    region, so stale pixels from an earlier (larger) frame can never
+    leak into a merge.
     """
 
-    def __init__(self, cap_shape: tuple[int, int], backing: str = "array") -> None:
-        if backing not in ("shm", "array"):
-            raise ValueError(f"backing must be 'shm' or 'array', got {backing!r}")
-        self.backing = backing
+    def __init__(self, cap_shape: tuple[int, int]) -> None:
         self.cap_shape = cap_shape
-        ny, nx = cap_shape
-        self._shm: shared_memory.SharedMemory | None = None
-        if backing == "shm":
-            self._shm = shared_memory.SharedMemory(create=True, size=2 * ny * nx * 4)
-            self.color = np.ndarray((ny, nx), np.float32, buffer=self._shm.buf)
-            self.alpha = np.ndarray(
-                (ny, nx), np.float32, buffer=self._shm.buf, offset=ny * nx * 4
-            )
-            self.color.fill(0.0)
-            self.alpha.fill(0.0)
-        else:
-            self.color = np.zeros((ny, nx), dtype=np.float32)
-            self.alpha = np.zeros((ny, nx), dtype=np.float32)
+        self.color = np.zeros(cap_shape, dtype=np.float32)
+        self.alpha = np.zeros(cap_shape, dtype=np.float32)
 
     def load(self, final: FinalImage) -> None:
         """Copy one frame's planes into the active region."""
@@ -104,17 +85,8 @@ class ShardFramebuffer:
         self.alpha[:ny, :nx] = final.alpha
 
     def close(self) -> None:
-        """Release the backing segment (safe to call twice)."""
-        # Drop the views first: an shm buffer cannot close while numpy
-        # arrays still reference its memory.
+        """Drop the planes (safe to call twice)."""
         self.color = self.alpha = None
-        if self._shm is not None:
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-            self._shm = None
 
 
 def merge_schedule(n_shards: int) -> list[list[tuple[int, int, int]]]:

@@ -2,9 +2,11 @@
 
 :class:`ShardedRenderService` scales the renderer *across pools*: the
 intermediate image is split into contiguous scanline shards, each shard
-gets its own :class:`~repro.parallel.mp_backend.MPRenderPool` (or
-thread pool), and the final image is reassembled through the explicit
-tile-ownership map and binary merge tree of :mod:`repro.shard.merge`.
+gets its own pool — of the class ``config.backend`` names in
+:data:`~repro.parallel.POOL_CLASSES`, the mapping :func:`repro.open_pool`
+uses, so the fleet never asks which — and the final image is
+reassembled in the parent through the explicit tile-ownership map and
+binary merge tree of :mod:`repro.shard.merge`.
 Every pool renders the *same* frame restricted to a
 :class:`~repro.parallel.poolcore.FrameRegion` — its composite band
 (owned scanlines plus the one ghost line each warp sample pair needs)
@@ -46,9 +48,8 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import RingReader, SpanRecorder
 from ..obs.timeline import FrameTimeline
 from ..obs.timeline import export_chrome_trace as _export_chrome_trace
-from ..parallel import poolcore
+from ..parallel import POOL_CLASSES, poolcore
 from ..parallel.backend import FrameSpec, as_frame_specs
-from ..parallel.mp_backend import MPRenderPool
 from ..parallel.poolcore import (
     FramePlanner,
     FrameRegion,
@@ -59,15 +60,13 @@ from ..parallel.poolcore import (
     PoolCore,
     capacity_shapes,
 )
-from ..parallel.thread_backend import ThreadRenderPool
 from ..render.image import IntermediateImage
 from .merge import ShardFramebuffer, TileOwnershipMap, merge_framebuffers
 
 __all__ = ["ShardedRenderService", "shard_regions"]
 
 #: Test hook, ``poolcore.TEST_ROW_DELAY`` one level up: ``{shard:
-#: (worker, seconds_per_row)}`` slows one worker of that shard's (mp)
-#: pool, so a test can create the cross-shard imbalance the feedback
+#: (worker, seconds_per_row)}`` slows one worker of that shard's pool, so a test can create the cross-shard imbalance the feedback
 #: loop must converge away.  Read when a service is constructed.
 TEST_SHARD_ROW_DELAY: dict[int, tuple[int, float]] = {}
 
@@ -144,7 +143,6 @@ class ShardedRenderService:
         self.timelines: list[FrameTimeline] = []
         # What the merge framebuffers hold, and so what a view may need.
         self._caps = capacity_shapes(renderer.shape)
-        backing = "shm" if config.backend == "mp" else "array"
         # A shard's pool is always a plain single-band pool.
         pcfg = config.replace(shards=1)
         try:
@@ -152,7 +150,7 @@ class ShardedRenderService:
                 self._pools.append(
                     self._open_pool(pcfg, TEST_SHARD_ROW_DELAY.get(s))
                 )
-                self._fbs.append(ShardFramebuffer(self._caps[1], backing=backing))
+                self._fbs.append(ShardFramebuffer(self._caps[1]))
         except BaseException:
             self.close()
             raise
@@ -172,14 +170,12 @@ class ShardedRenderService:
         """Construct one shard's pool, optionally with an injected delay:
         workers snapshot ``poolcore.TEST_ROW_DELAY`` when their pool is
         constructed, so setting it only around construction scopes it to
-        this shard.  mp-only: the delay is a CPU burn, which on a thread
-        would hold the GIL and slow every shard."""
-        kind = ThreadRenderPool if cfg.backend == "thread" else MPRenderPool
+        this shard."""
         saved = poolcore.TEST_ROW_DELAY
-        if delay is not None and cfg.backend == "mp":
+        if delay is not None:
             poolcore.TEST_ROW_DELAY = delay
         try:
-            return kind(self.renderer, cfg)
+            return POOL_CLASSES[cfg.backend](self.renderer, cfg)
         finally:
             poolcore.TEST_ROW_DELAY = saved
 
@@ -403,8 +399,8 @@ class ShardedRenderService:
     # -- teardown ------------------------------------------------------------
 
     def close(self) -> None:
-        """Close every pool and release the shard framebuffers — shm
-        under mp, so never while a merge is writing them."""
+        """Close every pool and drop the shard framebuffers — never
+        while a merge is writing them."""
         with self._lock:
             self._closed = True
             for owned in (*self._pools, *self._fbs):

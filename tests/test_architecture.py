@@ -6,10 +6,11 @@ transports; these checks keep it that way: no module reaches into
 another module's underscore-private names, the transports do not import
 each other, the frame lifecycle is written exactly once, a process
 worker reports through shared memory only, admission never waits, a
-shard fleet queues no frames of its own and plans with the pools'
-planner, the pools run one compositing kernel, and they are configured
-by one class with a counted number of fields, none of which tunes the
-profile feedback loop, and they do not steal.
+shard fleet queues no frames of its own, plans with the pools' planner
+and never asks which backend its pools are, the pools run one
+compositing kernel, and they are configured by one class with a
+counted number of fields, none of which tunes the profile feedback
+loop, and they do not steal.
 """
 
 import ast
@@ -139,6 +140,20 @@ def test_transports_do_not_import_each_other():
     assert not core & {"mp_backend", "thread_backend"}
 
 
+def test_the_fleet_knows_no_backend():
+    """A shard fleet opens each pool through ``POOL_CLASSES`` and merges
+    in the parent: nothing under ``shard/`` imports ``shared_memory``,
+    the transports, or compares anything with a backend name."""
+    for path in (SRC / "shard").glob("*.py"):
+        assert not _imported_modules(path) & {
+            "shared_memory", "mp_backend", "thread_backend"}, path.name
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                names = {n.value for n in ast.walk(node)
+                         if isinstance(n, ast.Constant)}
+                assert not names & {"mp", "thread"}, (path.name, node.lineno)
+
+
 #: Written once, in the core — a transport that re-defines one of these
 #: has forked the frame lifecycle again.
 LIFECYCLE = (
@@ -260,7 +275,7 @@ def test_one_config_class_with_seven_fields():
     import repro
 
     assert len(fields(repro.PoolConfig)) == 7
-    assert repro.__version__ == "8.0.0"
+    assert repro.__version__ == "9.0.0"
     with pytest.raises(AttributeError):
         repro.ShardConfig
     for name in ("render_frame", "BackendCapabilities"):

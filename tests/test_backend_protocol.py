@@ -1,7 +1,7 @@
 """Tests for the :class:`RenderBackend` protocol (ROADMAP item 5).
 
-Every execution model — mp pool, thread pool, shard fleet — must be
-drivable through the same four-member seam (``submit_batch`` /
+Every execution model — mp pool, thread transport, shard fleet — must
+be drivable through the same four-member seam (``submit_batch`` /
 ``result`` / ``close`` / ``trace``), and the per-call pool
 kwargs deprecated in 1.x are gone in 2.0: the constructors take
 ``(renderer, config)`` and nothing else.  Bit-identity and the result
@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.parallel import (
+    POOL_CLASSES,
     FrameSpec,
     MPRenderPool,
     PoolConfig,
@@ -104,6 +105,18 @@ class TestProtocolConformance:
         assert wrapped[0] is spec
         assert isinstance(wrapped[1], FrameSpec)
         assert wrapped[1].timestep is None
+
+    @pytest.mark.parametrize("backend", list(POOL_CLASSES))
+    def test_one_mapping_picks_every_pool_class(self, renderer, backend):
+        """``PoolConfig.backend`` names a class in ``POOL_CLASSES``, and
+        that one mapping is what the facade opens and what each shard
+        of a fleet opens: the fleet never asks which backend it has."""
+        kind = POOL_CLASSES[backend]
+        with repro.open_pool(renderer, n_procs=1, backend=backend) as pool:
+            assert type(pool) is kind
+        with repro.open_pool(renderer, n_procs=1, shards=2,
+                             backend=backend) as fleet:
+            assert [type(p) for p in fleet._pools] == [kind, kind]
 
     def test_shard_service_rejects_caller_regions(self, renderer):
         with repro.open_pool(renderer, n_procs=1, shards=2) as svc:

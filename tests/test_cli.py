@@ -52,7 +52,7 @@ class TestCLI:
         metrics = tmp_path / "metrics.json"
         rc = main(["render", "--movie", "--dataset", "beating_heart",
                    "--scale", "0.5", "--frames", "3", "--timesteps", "2",
-                   "--procs", "1", "--backend", "thread",
+                   "--procs", "1",
                    "--movie-out", str(out_dir),
                    "--metrics-out", str(metrics)])
         assert rc == 0
@@ -160,9 +160,6 @@ class TestRenderSmokes:
                                           r"hit ratio by worker: worker 0 "
                                           r"[01]\.\d{3} of \d+, worker 1 "],
                      id="mp"),
-        pytest.param(_ANIMATION + ["--backend", "thread"], False,
-                     [r"backend=thread", r"pool/batch_frames=[1-9]"],
-                     id="thread"),
         pytest.param(_ANIMATION, True,
                      [r"worker_restarts=[1-9]", r"frames_retried=[1-9]"],
                      id="kill"),
@@ -277,6 +274,19 @@ class TestCLIErrorPaths:
             main(argv)
         assert exc.value.code == 2
         assert "--kernel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "--procs", "2", "--backend", "thread"],
+        # --procs 0: were the flag still taken, no server would start.
+        ["serve", "--backend", "mp", "--procs", "0"],
+    ])
+    def test_backend_flag_is_gone(self, capsys, argv):
+        """The CLI opens mp pools, the paper's processes over shared
+        memory: the thread transport is the tests', with no flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["render", "--procs", "2", "--profile-period", "5"],

@@ -34,16 +34,18 @@ from repro.volume import mri_transfer_function
 
 from .conftest import assert_frames_identical, fail_composite, serial_refs
 
-#: Every backend the suite holds to the contract, as the config
-#: :func:`repro.open_pool` (and a :class:`ServeConfig`) builds it from.
+#: Every backend shape the suite holds to the contract, as the config
+#: :func:`repro.open_pool` (and a :class:`ServeConfig`) builds it from:
+#: the mp pools and fleets a user opens (``--procs``, ``--shards``; a
+#: fleet of two-worker pools deals solo inside each shard), and the
+#: thread transport in the shape the benchmark's baseline probe opens.
 BACKENDS = {
     "mp1": PoolConfig(n_procs=1),
     "mp2": PoolConfig(n_procs=2),
     "mp4": PoolConfig(n_procs=4),
-    "thread1": PoolConfig(n_procs=1, backend="thread"),
     "thread2": PoolConfig(n_procs=2, backend="thread"),
     "fleet-mp1": PoolConfig(n_procs=1, shards=2),
-    "fleet-thread2": PoolConfig(n_procs=2, backend="thread", shards=2),
+    "fleet-mp2": PoolConfig(n_procs=2, shards=2),
 }
 
 #: The entries that are shard fleets, whose merge is their own state.
@@ -235,8 +237,11 @@ class TestResultContract:
         views = _views(renderer, ANGLES[:3])
         with repro.open_pool(renderer, config, max_retries=0) as pool:
             results = pool.render_animation(views)
+            degraded = pool.fault_counters()["degraded_frames"]
         assert_frames_identical(results, serial_refs(renderer, views))
         assert [r.degraded for r in results] == [False, True, False]
+        # Once in each pool: a fleet's shard pools each degrade their part.
+        assert degraded == config.shards
 
     def test_a_failed_frame_raises_its_own_sticky_error(
             self, renderer, config, monkeypatch, tmp_path):

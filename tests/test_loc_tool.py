@@ -1,6 +1,8 @@
 """Smoke test of ``benchmarks/tools/loc.py``, the code-line measure."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "benchmarks" / "tools" / "loc.py"
@@ -48,3 +50,20 @@ def test_counts_code_lines_without_comments_blanks_and_docstrings(tmp_path,
     rows = capsys.readouterr().out.splitlines()
     assert rows[1].split()[:2] == ["9", "14"]
     assert rows[-1].split() == ["10", "15", "total"]
+
+
+def test_help_and_a_missing_path_are_not_tracebacks(tmp_path):
+    """``--help`` prints the usage; a path that does not exist is a
+    one-line usage error, exit status 2."""
+    def run(*args):
+        return subprocess.run([sys.executable, str(TOOL), *args],
+                              capture_output=True, text=True, timeout=60)
+
+    shown = run("--help")
+    assert shown.returncode == 0
+    assert "Usage::" in shown.stdout and not shown.stderr
+    missing = run(str(tmp_path), "no/such/path")
+    assert missing.returncode == 2 and not missing.stdout
+    assert missing.stderr.count("\n") == 1
+    assert "no/such/path" in missing.stderr
+    assert "Traceback" not in missing.stderr

@@ -257,24 +257,11 @@ class TestSliceCacheInvalidation:
 
 
 class TestMovieBitIdentity:
-    """Frames == per-timestep serial render, on every backend."""
+    """Frames == per-timestep serial render through a worker kill (on
+    every backend without one: ``tests/test_conformance.py``'s
+    ``test_timesteps`` and ``test_movie_pipeline``)."""
 
     N_FRAMES = 5
-
-    def _run(self, renderer, **overrides):
-        specs = _specs(renderer, self.N_FRAMES)
-        with repro.open_pool(renderer, **overrides) as pool:
-            results = [pool.result(f) for f in pool.submit_batch(specs)]
-        assert_frames_identical(results, serial_refs(renderer, specs))
-
-    def test_thread_backend(self, renderer):
-        self._run(renderer, n_procs=2, backend="thread")
-
-    def test_mp_backend(self, renderer):
-        self._run(renderer, n_procs=2)
-
-    def test_shard_fleet(self, renderer):
-        self._run(renderer, n_procs=1, shards=2)
 
     def test_mp_backend_survives_mid_movie_kill(self, renderer, monkeypatch):
         monkeypatch.setattr(poolcore, "TEST_FAULT", (0, 2, "kill", "composite"))

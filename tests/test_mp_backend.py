@@ -8,7 +8,7 @@ import pytest
 
 import repro
 import repro.parallel.poolcore as poolcore
-from repro.core.partition import uniform_contiguous_partition
+from repro.core.partition import contiguous_partition
 from repro.core.profiling import scanline_cost
 from repro.datasets import density_wedge, solid_sphere
 from repro.obs import busy_spread
@@ -138,22 +138,23 @@ class TestPoolErrors:
 WEDGE = (64, 96, 32)
 
 
-def _uniform(res, n_procs):
-    """The uniform split of ``res``'s non-empty band."""
-    return uniform_contiguous_partition(
-        int(res.boundaries[0]), int(res.boundaries[-1]), n_procs)
+def _flat(res, n_procs):
+    """The cut equal time per row makes of ``res``'s non-empty band:
+    what a pool cuts a key's first frame by."""
+    v_lo, v_hi = int(res.boundaries[0]), int(res.boundaries[-1])
+    return contiguous_partition(np.ones(v_hi - v_lo), n_procs, v_lo=v_lo)
 
 
 class TestAdaptivePartition:
     def test_adaptive_bit_identical_to_uniform(self):
         """Profile-balanced partitions only move scanlines between
         workers — the animation's images must match the serial render
-        (and so the uniform split's) bit for bit, even though the
+        (and so the flat cut's) bit for bit, even though the
         boundaries differ.
 
         Uses the skewed wedge phantom: on a near-symmetric volume the
-        balanced partition can legitimately coincide with the uniform
-        split, which would make the boundaries-moved assertion vacuous.
+        balanced partition can legitimately coincide with the flat
+        cut, which would make the boundaries-moved assertion vacuous.
         """
         renderer = ShearWarpRenderer(density_wedge(WEDGE),
                                      mri_transfer_function())
@@ -162,19 +163,19 @@ class TestAdaptivePartition:
         with repro.open_pool(renderer, n_procs=3) as pool:
             ada = [pool.result(pool.submit(v)) for v in views]
         assert_frames_identical(ada, serial_refs(renderer, views))
-        # No band time exists yet on frame 0: the uniform split.
-        assert np.array_equal(ada[0].boundaries, _uniform(ada[0], 3))
+        # No band time exists yet on frame 0: the flat cut.
+        assert np.array_equal(ada[0].boundaries, _flat(ada[0], 3))
         # On a real (non-flat) volume the measured band times must move
-        # at least one boundary away from the uniform split.
-        assert any(not np.array_equal(a.boundaries, _uniform(a, 3))
+        # at least one boundary away from the flat cut.
+        assert any(not np.array_equal(a.boundaries, _flat(a, 3))
                    for a in ada[1:])
 
     def test_profile_partition_evens_out_counted_work(self):
         """The paper's section 4.3 claim as a count, not a timing: on the
         skewed wedge, the work the reference kernel *counts* inside each
         worker's band is spread more evenly over the workers on frames
-        cut from band times than by the uniform split of the same
-        frames' bands.  Frames are rendered one at a time, so every
+        cut from band times than by the flat cut of the same frames'
+        bands.  Frames are rendered one at a time, so every
         frame after the first is cut from the one before."""
         renderer = ShearWarpRenderer(density_wedge(WEDGE),
                                      mri_transfer_function())
@@ -195,8 +196,8 @@ class TestAdaptivePartition:
         with repro.open_pool(renderer, n_procs=3) as pool:
             results = [pool.render(v) for v in views]
         balanced = np.mean([counted_spread(r, r.boundaries) for r in results[1:]])
-        uniform = np.mean([counted_spread(r, _uniform(r, 3)) for r in results[1:]])
-        assert balanced < uniform
+        flat = np.mean([counted_spread(r, _flat(r, 3)) for r in results[1:]])
+        assert balanced < flat
 
     def test_reports_boundaries_and_busy_times(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)
@@ -209,7 +210,7 @@ class TestAdaptivePartition:
 
     def test_axis_switch_invalidates_profile(self, renderer):
         """Crossing a principal-axis boundary must drop the band times
-        and cut a uniform frame: the old profile's scanline coordinates
+        and cut the flat frame a key starts with: the old profile's scanline coordinates
         no longer exist in the new intermediate image."""
         with repro.open_pool(renderer, n_procs=3) as pool:
             r0 = pool.render(renderer.view_from_angles(10, 20, 0))
@@ -220,6 +221,6 @@ class TestAdaptivePartition:
         assert r0.fact.axis == r1.fact.axis
         assert r2.fact.axis != r1.fact.axis  # the switch actually happened
         assert dropped == 1  # ... and dropped the profile it made stale
-        assert np.array_equal(r2.boundaries, _uniform(r2, 3))
+        assert np.array_equal(r2.boundaries, _flat(r2, 3))
         ref = render_fast(renderer, renderer.view_from_angles(10, 70, 0))
         assert_frames_identical([r2], [ref])

@@ -187,6 +187,15 @@ class TestContiguousPartition:
             contiguous_partition(ints.astype(np.float64), 3),
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 80), procs=st.integers(1, 8),
+           cost=st.floats(1e-9, 1e3))
+    def test_equal_costs_split_as_ones_at_any_scale(self, n, procs, cost):
+        """Equal measured seconds that are not exact in binary sum with
+        rounding; that rounding must not decide a tie."""
+        assert np.array_equal(contiguous_partition(np.full(n, cost), procs),
+                              contiguous_partition(np.ones(n), procs))
+
     def test_nan_cost_rejected(self):
         profile = np.ones(10)
         profile[3] = np.nan

@@ -405,6 +405,14 @@ class TestCostRow:
         assert installed.v_lo == first.costs_v_lo
 
 
+def test_the_slowed_worker_hook_burns_cpu_time():
+    """``TEST_ROW_DELAY`` promises CPU seconds, the clock band time
+    balances on: a spin that sleeps would show as wall time only."""
+    t0 = time.process_time()
+    poolcore._burn(0.05)
+    assert time.process_time() - t0 >= 0.05
+
+
 def _cut_from(boundaries, busy):
     """The next frame's cut over the same band, balanced by the band
     times ``busy`` measured on ``boundaries``."""
@@ -471,12 +479,25 @@ class TestBandTimeProfile:
         again = _cut_from(cut, per_row * np.diff(cut))
         assert np.array_equal(again, cut)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), v_lo=st.integers(0, 40),
+           rows=st.integers(1, 120), per_row=st.floats(1e-6, 1.0))
+    def test_from_no_profile_equal_time_per_row_gives_back_the_same_cut(
+            self, n, v_lo, rows, per_row):
+        """A key's first cut, made with no profile, is the one equal
+        time per row makes: fed back equal time per row — in any
+        seconds, rounding and all — it comes back unchanged (one tie
+        rule for both cuts)."""
+        cut = poolcore.profile_partition(None, n, v_lo, v_lo + rows)
+        again = _cut_from(cut, per_row * np.diff(cut))
+        assert np.array_equal(again, cut)
+
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 6), v_lo=st.integers(0, 40),
            rows=st.integers(12, 120), data=st.data())
     def test_a_slower_worker_never_gets_a_wider_band(self, n, v_lo, rows,
                                                      data):
-        """From the uniform cut a key starts with, the worker whose time
+        """From the flat cut a key starts with, the worker whose time
         per row is the highest — a heavy band or a slow processor —
         gets no more rows next frame."""
         cut = poolcore.profile_partition(None, n, v_lo, v_lo + rows)

@@ -25,7 +25,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel.poolcore import FramePlanner, PoolConfig
 from repro.render.image import FinalImage, IntermediateImage
 from repro.render.warp import pixel_source_rows, warp_rows
-from repro.shard import ShardedRenderService, TileOwnershipMap, merge_schedule
+from repro.shard import (
+    ShardedRenderService,
+    ShardFramebuffer,
+    TileOwnershipMap,
+    merge_schedule,
+)
 from repro.shard.service import shard_regions
 
 from .conftest import assert_frames_identical, serial_refs
@@ -517,18 +522,23 @@ class TestTrace:
 
 class TestNoLeaks:
     def test_close_unlinks_framebuffers_and_pools(self, renderer):
-        svc = ShardedRenderService(
-            renderer, PoolConfig(n_procs=2, shards=2, backend="mp")
-        )
-        names = [fb._shm.name for fb in svc._fbs]
-        names += [p._shm_i.name for p in svc._pools]
+        """The fleet's shared memory is its pools' own (images and
+        doorbell, three segments an untraced pool): the merge runs in
+        the parent, so its framebuffers are plain arrays.  Closing
+        unlinks every segment, twice harmlessly."""
+        before = set(os.listdir("/dev/shm"))
+        svc = ShardedRenderService(renderer, PoolConfig(n_procs=2, shards=2))
         svc.render(renderer.view_from_angles(20, 30, 0))
+        made = set(os.listdir("/dev/shm")) - before
+        assert len(made) == 3 * len(svc._pools)
+        assert {p._shm_i.name.lstrip("/") for p in svc._pools} <= made
         svc.close()
         svc.close()  # idempotent
-        from multiprocessing import shared_memory as sm
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                sm.SharedMemory(name=name)
+        assert not made & set(os.listdir("/dev/shm"))
+
+    def test_a_framebuffer_has_no_backing_to_choose(self):
+        with pytest.raises(TypeError, match="backing"):
+            ShardFramebuffer((4, 4), backing="shm")
 
 
 class TestMultiPoolBarrierRegression:

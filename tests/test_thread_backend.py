@@ -1,112 +1,39 @@
-"""The threading backend: no fork, no pickling, no copies — same pixels.
+"""The thread transport's own behaviour: the fork-free test transport.
 
-:class:`ThreadRenderPool` must be bit-identical to the serial renderer
-(and therefore to the MP pool) with one worker and two, and batched vs
-per-frame submission, and must keep the MP pool's error contract
-(retry / degrade / FrameFailed) without any process machinery.
+Bit-identity and the result contract of :class:`ThreadRenderPool` are
+``tests/test_conformance.py``'s (its ``thread2`` entry).  Here: what
+only threads do — no worker is ever respawned, a retry runs on the
+same threads, and a trace names its transport.
 """
 
-import pytest
-
-import repro
-from repro.parallel.poolcore import FrameFailed, PoolConfig
+from repro.parallel.poolcore import PoolConfig
 from repro.parallel.thread_backend import ThreadRenderPool
-from repro.render.fast import render_fast
 
-from .conftest import assert_frames_identical, fail_composite, serial_refs
+from .conftest import fail_composite
 
 
 def _views(renderer, n=5):
     return [renderer.view_from_angles(20, 30 + 4 * i, 2 * i) for i in range(n)]
 
 
-class TestBitIdentity:
-    @pytest.mark.parametrize("two_workers", [True, False])
-    def test_matches_serial(self, renderer, two_workers):
-        """Two workers, and one."""
-        views = _views(renderer)
-        refs = serial_refs(renderer, views)
-        n_procs = 2 if two_workers else 1
-        with ThreadRenderPool(renderer, config=PoolConfig(n_procs=n_procs)) as pool:
-            res = pool.render_animation(views)
-        assert_frames_identical(res, refs)
-        assert all(r.n_procs == n_procs for r in res)
-        assert all(r.busy_s is not None and (r.busy_s >= 0).all() for r in res)
-
-    def test_batched_matches_perframe(self, renderer):
-        views = _views(renderer)
-        cfg = PoolConfig(n_procs=2)
-        with ThreadRenderPool(renderer, config=cfg) as pool:
-            batched = [pool.result(f) for f in pool.submit_batch(views)]
-        with ThreadRenderPool(renderer, config=cfg) as pool:
-            handles = [pool.submit(v) for v in views]
-            perframe = [pool.result(h) for h in handles]
-        assert_frames_identical(batched, perframe)
-
-    def test_module_level_helper(self, renderer):
-        view = renderer.view_from_angles(25, 40, 5)
-        ref = render_fast(renderer, view)
-        with repro.open_pool(renderer, PoolConfig(n_procs=2,
-                                                  backend="thread")) as pool:
-            res = pool.render(view)
-        assert_frames_identical([res], [ref])
-
-    def test_facade_dispatch(self, renderer):
-        """repro.open_pool(backend="thread") returns the thread pool and
-        renders the same pixels."""
-        view = renderer.view_from_angles(25, 40, 5)
-        ref = render_fast(renderer, view)
-        with repro.open_pool(renderer, n_procs=2, backend="thread") as pool:
-            assert isinstance(pool, ThreadRenderPool)
-            res = pool.render(view)
-        assert_frames_identical([res], [ref])
-
-
-class TestErrorContract:
-    def test_retry_recovers_bit_identical(self, renderer, monkeypatch,
-                                          tmp_path):
+class TestLifecycleAndObs:
+    def test_a_raise_is_retried_on_the_same_threads(self, renderer,
+                                                    monkeypatch, tmp_path):
+        """A worker that raised is not replaced: the one retry runs on
+        the threads that failed it, and nothing counts a restart."""
         fail_composite(monkeypatch, tmp_path / "fired", frame=1)
-        views = _views(renderer, 4)
-        refs = serial_refs(renderer, views)
         cfg = PoolConfig(n_procs=2, max_retries=2, degrade_to_serial=False)
         with ThreadRenderPool(renderer, config=cfg) as pool:
-            res = pool.render_animation(views)
+            threads = list(pool._threads)
+            res = pool.render_animation(_views(renderer, 4))
             fc = pool.fault_counters()
-        assert_frames_identical(res, refs)
+            assert pool._threads == threads
+            assert all(t.is_alive() for t in threads)
         assert fc["frames_retried"] == 1
-        assert fc["worker_restarts"] == 0  # threads never die silently
-        assert res[1].retries == 1
-        assert res[0].retries == 0
+        assert fc["worker_restarts"] == 0
+        assert [r.retries for r in res] == [0, 1, 0, 0]
+        assert not any(t.is_alive() for t in threads)
 
-    def test_degrade_to_serial(self, renderer, monkeypatch, tmp_path):
-        fail_composite(monkeypatch, tmp_path / "fired", frame=1, once=False)
-        views = _views(renderer, 3)
-        refs = serial_refs(renderer, views)
-        cfg = PoolConfig(n_procs=2, max_retries=0, degrade_to_serial=True)
-        with ThreadRenderPool(renderer, config=cfg) as pool:
-            res = pool.render_animation(views)
-            fc = pool.fault_counters()
-        # Degraded frame is rendered serially in render_fast — which is
-        # the reference — so even the failure path is bit-identical.
-        assert_frames_identical(res, refs)
-        assert res[1].degraded is True
-        assert res[0].degraded is False and res[2].degraded is False
-        assert fc["degraded_frames"] == 1
-
-    def test_frame_failed_surfaces(self, renderer, monkeypatch, tmp_path):
-        fail_composite(monkeypatch, tmp_path / "fired", frame=1, once=False)
-        views = _views(renderer, 3)
-        cfg = PoolConfig(n_procs=2, max_retries=0, degrade_to_serial=False)
-        with ThreadRenderPool(renderer, config=cfg) as pool:
-            frames = pool.submit_batch(views)
-            assert pool.result(frames[0]).n_procs == 2
-            with pytest.raises(FrameFailed):
-                pool.result(frames[1])
-            # The failure is isolated: the rest of the batch still lands.
-            assert pool.result(frames[2]).n_procs == 2
-
-
-class TestLifecycleAndObs:
     def test_trace_and_chrome_export(self, renderer, tmp_path):
         views = _views(renderer, 4)
         cfg = PoolConfig(n_procs=2, trace=True)
