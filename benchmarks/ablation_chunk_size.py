@@ -10,7 +10,7 @@ from __future__ import annotations
 from common import HEADLINE, SCALE, emit, machine_for, one_round, record_frames
 
 from repro.analysis.breakdown import combined_stats, format_table
-from repro.parallel.execution import simulate_animation
+from repro.memsim.execution import simulate_animation
 
 N_PROCS = 16
 CHUNKS = (1, 2, 4, 8, 16)

@@ -20,7 +20,7 @@ from common import HEADLINE, SCALE, emit, machine_for, one_round
 from repro.analysis.breakdown import format_table
 from repro.analysis.harness import DEFAULT_VIEW, ROTATION_STEP, get_renderer
 from repro.core import NewParallelShearWarp, ProfileSchedule
-from repro.parallel.execution import simulate_animation
+from repro.memsim.execution import simulate_animation
 
 N_PROCS = 8
 N_FRAMES = 8

@@ -11,7 +11,7 @@ from __future__ import annotations
 from common import HEADLINE, SCALE, emit, machine_for, one_round, record_frames
 
 from repro.analysis.breakdown import format_table
-from repro.parallel.execution import simulate_animation
+from repro.memsim.execution import simulate_animation
 
 N_PROCS = 16
 

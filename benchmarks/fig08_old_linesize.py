@@ -12,7 +12,7 @@ from common import HEADLINE, SCALE, emit, machine_for, one_round, record_frames
 
 from repro.analysis.breakdown import format_table
 from repro.analysis.workingset import line_size_sweep
-from repro.parallel.execution import simulate_animation
+from repro.memsim.execution import simulate_animation
 
 N_PROCS = 32
 LINES = (16, 32, 64, 128, 256)

@@ -18,7 +18,7 @@ import numpy as np
 from repro.analysis.harness import DEFAULT_SCALE, get_renderer, machine_for
 from repro.core import NewParallelShearWarp, ProfileSchedule
 from repro.datasets import PAPER_DATASETS
-from repro.parallel.execution import simulate_animation
+from repro.memsim.execution import simulate_animation
 
 
 def main(n_frames: int = 6) -> None:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from repro.analysis.breakdown import combined_stats, miss_breakdown
 from repro.analysis.harness import DEFAULT_SCALE, machine_for, record_frames
+from repro.memsim.execution import simulate_animation
 from repro.memsim.perfcounters import sample_counters
-from repro.parallel.execution import simulate_animation
 
 N_PROCS = 16
 DATASET = "mri512"

@@ -26,13 +26,22 @@ Subpackages
 ``volume``       classification + run-length encoding
 ``render``       serial shear-warp renderer and ray-casting baseline
 ``core``         the paper's contribution: old vs new parallel partitioning
-``parallel``     execution models (event-driven simulator, multiprocessing)
-``memsim``       trace-driven multiprocessor memory-system simulator
+``memsim``       memory-system simulator and the event-driven execution model
 ``analysis``     speedups, time breakdowns, working-set analyses
+``parallel``     the native render pools (processes over shared memory)
+``shard``        fleets of pools merged sort-last
+``serve``        render-as-a-service front end
+``movie``        time-varying volumes and the stage-overlapped movie pipeline
 ``obs``          span tracing, Chrome trace export, metrics
+
+The simulator half (``core``, ``memsim``, ``analysis``) and the native
+half (``parallel``, ``shard``, ``serve``, ``movie``, ``obs``) share only
+the layers below them (``transforms``, ``datasets``, ``volume``,
+``render``, ``core.partition`` and ``core.profiling``) and never import
+each other.
 """
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 #: Facade symbols re-exported (lazily) from :mod:`repro.parallel`.
 _POOL_EXPORTS = (

@@ -9,7 +9,7 @@ cold / replacement / true-sharing / false-sharing miss splits
 from __future__ import annotations
 
 from ..memsim.coherence import MISS_CLASSES, MissStats
-from ..parallel.execution import FrameReport
+from ..memsim.execution import FrameReport
 
 __all__ = [
     "combined_stats",

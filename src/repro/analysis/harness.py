@@ -19,11 +19,9 @@ from ..core.frame import ParallelFrame
 from ..core.new_renderer import DEFAULT_STEAL_CHUNK, NewParallelShearWarp
 from ..core.old_renderer import DEFAULT_CHUNK, DEFAULT_TILE, OldParallelShearWarp
 from ..core.profiling import ProfileSchedule
-from ..datasets import load
+from ..memsim.execution import FrameReport, simulate_animation
 from ..memsim.machine import MACHINES, MachineConfig, cache_scale_for
-from ..parallel.execution import FrameReport, simulate_animation
-from ..render.serial import ShearWarpRenderer
-from ..volume import ct_transfer_function, mri_transfer_function
+from ..render.serial import ShearWarpRenderer, renderer_for
 
 __all__ = [
     "DEFAULT_SCALE",
@@ -32,7 +30,6 @@ __all__ = [
     "ROTATION_STEP",
     "get_renderer",
     "record_frames",
-    "traced_frames",
     "steady_frame",
     "machine_for",
     "simulate",
@@ -57,10 +54,9 @@ ROTATION_STEP = 3.0
 def get_renderer(
     dataset: str, scale: float = DEFAULT_SCALE, elongate: float = DEFAULT_ELONGATE
 ) -> ShearWarpRenderer:
-    """Renderer (classification + RLE done once) for a paper data set."""
-    vol = load(dataset, scale, elongate)
-    tf = ct_transfer_function() if dataset.startswith("ct") else mri_transfer_function()
-    return ShearWarpRenderer(vol, tf)
+    """Renderer (classification + RLE done once) for a paper data set,
+    memoized process-wide (:func:`~repro.render.serial.renderer_for`)."""
+    return renderer_for(dataset, scale, elongate=elongate)
 
 
 def _views(renderer: ShearWarpRenderer, n_frames: int) -> list[np.ndarray]:
@@ -105,42 +101,6 @@ def record_frames(
         )
         return tuple(factory.render_frame(v) for v in views)
     raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def traced_frames(
-    dataset: str,
-    algorithm: str,
-    n_procs: int,
-    n_frames: int = 3,
-    scale: float = DEFAULT_SCALE,
-    profile_period: int = 5,
-):
-    """Record frames with wall-clock phase spans attached.
-
-    Like :func:`record_frames` but threads a
-    :class:`repro.obs.SpanRecorder` through the frame factory and
-    returns ``(frames, timelines)`` — one
-    :class:`repro.obs.FrameTimeline` per frame with native
-    decode/composite/profile/warp timings of the recording pass.  Not
-    memoized: the wall-clock spans are the output.
-    """
-    from ..obs import RingReader, SpanRecorder, assemble_timelines
-
-    recorder = SpanRecorder.in_memory()
-    reader = RingReader(recorder.cursor, recorder.records, pid=0)
-    renderer = get_renderer(dataset, scale)
-    views = _views(renderer, n_frames)
-    if algorithm == "old":
-        factory = OldParallelShearWarp(renderer, n_procs, recorder=recorder)
-    elif algorithm == "new":
-        factory = NewParallelShearWarp(
-            renderer, n_procs, recorder=recorder,
-            profile_schedule=ProfileSchedule(period=profile_period),
-        )
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    frames = tuple(factory.render_frame(v) for v in views)
-    return frames, assemble_timelines([reader])
 
 
 def steady_frame(

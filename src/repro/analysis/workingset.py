@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..core.frame import ParallelFrame
+from ..memsim.execution import simulate_animation, simulate_frame
 from ..memsim.machine import MachineConfig
-from ..parallel.execution import simulate_animation, simulate_frame
 from .breakdown import combined_stats, miss_breakdown
 
 

@@ -53,10 +53,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _run_render(args: argparse.Namespace) -> int:
     import time
 
-    from .analysis.harness import get_renderer
-    from .render.fast import render_fast
-
     from .parallel.poolcore import PoolConfig
+    from .render.fast import render_fast
+    from .render.serial import renderer_for
 
     frames = args.frames
     tracing = bool(args.trace_out)
@@ -81,7 +80,7 @@ def _run_render(args: argparse.Namespace) -> int:
         args.usage_error(str(exc))
     if args.movie:
         return _run_movie(args, cfg, frames)
-    renderer = get_renderer(args.dataset, args.scale)
+    renderer = renderer_for(args.dataset, args.scale)
     view = renderer.view_from_angles(args.rx, args.ry, args.rz)
     fault_counters = None
     t0 = time.perf_counter()
@@ -165,9 +164,9 @@ def _run_movie(args: argparse.Namespace, cfg, frames: int) -> int:
 
         renderer = beating_heart_renderer(args.scale, timesteps=args.timesteps)
     else:
-        from .analysis.harness import get_renderer
+        from .render.serial import renderer_for
 
-        renderer = get_renderer(args.dataset, args.scale)
+        renderer = renderer_for(args.dataset, args.scale)
     out_dir = args.movie_out or "movie_frames"
     specs = movie_frame_specs(
         renderer, frames, rot_x=args.rx, rot_y=args.ry, rot_z=args.rz,

@@ -65,7 +65,7 @@ class OldParallelShearWarp:
     """Frame factory for the original parallel algorithm.
 
     Produces :class:`ParallelFrame` records; timing comes from
-    :mod:`repro.parallel.execution`.
+    :mod:`repro.memsim.execution`.
     """
 
     def __init__(

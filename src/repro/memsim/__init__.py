@@ -1,8 +1,13 @@
-"""Trace-driven multiprocessor memory-system simulation."""
+"""Trace-driven multiprocessor memory-system simulation, and the
+paper's event-driven execution model that drives it: recorded frame
+tasks are scheduled on P logical processors (:mod:`.schedule`), their
+memory traces replayed through the coherence simulator and priced by
+the cost model (:mod:`.execution`)."""
 
 from .address import WORD_BYTES, AddressSpace
 from .coherence import COST_KINDS, MISS_CLASSES, CoherentSystem, MissStats
 from .costmodel import StallModel, memory_stalls
+from .execution import FrameReport, PhaseReport, simulate_animation, simulate_frame
 from .machine import (
     MACHINES,
     MachineConfig,
@@ -14,6 +19,7 @@ from .machine import (
     svm_cluster,
 )
 from .perfcounters import COUNTER_LIMITS, CounterReport, PhaseCounters, sample_counters
+from .schedule import ProcSchedule, ScheduleResult, Unit, schedule
 from .svm import SVMConfig, SVMFrameReport, SVMSimulator, simulate_frame_svm
 from .trace import build_streams, replay_interleaved, stream_page_sets
 
@@ -26,6 +32,10 @@ __all__ = [
     "MissStats",
     "StallModel",
     "memory_stalls",
+    "FrameReport",
+    "PhaseReport",
+    "simulate_frame",
+    "simulate_animation",
     "MACHINES",
     "MachineConfig",
     "cache_scale_for",
@@ -38,6 +48,10 @@ __all__ = [
     "CounterReport",
     "PhaseCounters",
     "sample_counters",
+    "ProcSchedule",
+    "ScheduleResult",
+    "Unit",
+    "schedule",
     "SVMConfig",
     "SVMFrameReport",
     "SVMSimulator",

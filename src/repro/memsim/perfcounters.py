@@ -16,11 +16,8 @@ counters run out and the detailed simulation has to take over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # annotation-only: a runtime import would be circular
-    # (parallel.execution -> memsim -> perfcounters -> parallel.execution)
-    from ..parallel.execution import FrameReport, PhaseReport
+from .execution import FrameReport, PhaseReport
 
 __all__ = ["CounterReport", "PhaseCounters", "sample_counters", "COUNTER_LIMITS"]
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.frame import ParallelFrame
-from ..parallel.scheduler import Unit, schedule
 from .address import AddressSpace
+from .schedule import Unit, schedule
 from .trace import build_streams, stream_page_sets
 
 __all__ = ["SVMConfig", "SVMFrameReport", "SVMSimulator", "simulate_frame_svm"]

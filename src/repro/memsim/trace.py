@@ -10,9 +10,9 @@ stream of flat-address range records and replays the streams against a
 from __future__ import annotations
 
 from ..core.frame import TaskRecord
-from ..parallel.scheduler import ScheduleResult
 from .address import AddressSpace
 from .coherence import CoherentSystem
+from .schedule import ScheduleResult
 
 __all__ = ["build_streams", "replay_interleaved", "stream_page_sets"]
 

@@ -1,5 +1,4 @@
-"""Execution models: event-driven logical processors, and the real
-render pools (one core, a process and a thread transport).
+"""The native render pools: one core, a process and a thread transport.
 
 :data:`POOL_CLASSES` maps each ``PoolConfig.backend`` to its pool
 class: the one mapping :func:`repro.open_pool` opens a pool through,
@@ -8,7 +7,6 @@ shared memory, is the user's; ``"thread"`` is the fork-free test
 transport and the benchmark's baseline probe."""
 
 from .backend import FrameSpec, RenderBackend, as_frame_specs
-from .execution import FrameReport, PhaseReport, simulate_animation, simulate_frame
 from .mp_backend import MPRenderPool
 from .poolcore import (
     POOL_BACKENDS,
@@ -21,7 +19,6 @@ from .poolcore import (
     PoolUnrecoverable,
     WorkerDied,
 )
-from .scheduler import ProcSchedule, ScheduleResult, Unit, schedule
 from .thread_backend import ThreadRenderPool
 
 #: The pool class of each ``PoolConfig.backend``.
@@ -31,10 +28,6 @@ __all__ = [
     "RenderBackend",
     "FrameSpec",
     "as_frame_specs",
-    "FrameReport",
-    "PhaseReport",
-    "simulate_frame",
-    "simulate_animation",
     "MPRenderPool",
     "POOL_CLASSES",
     "MPRenderResult",
@@ -46,8 +39,4 @@ __all__ = [
     "PoolClosed",
     "PoolUnrecoverable",
     "ThreadRenderPool",
-    "ProcSchedule",
-    "ScheduleResult",
-    "Unit",
-    "schedule",
 ]

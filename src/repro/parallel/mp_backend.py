@@ -1,6 +1,6 @@
 """Real shared-address-space execution via ``multiprocessing``.
 
-The event-driven model in :mod:`repro.parallel.execution` reproduces the
+The event-driven model in :mod:`repro.memsim.execution` reproduces the
 paper's 1997 platforms; this module runs the new algorithm for real on
 a modern multicore host.  The GIL rules out threads for compute-bound
 Python, so worker *processes* share the image buffers through

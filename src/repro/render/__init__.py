@@ -5,7 +5,7 @@ from .compositing import composite_frame, composite_image_scanline, nonempty_sca
 from .image import BYTES_PER_PIXEL, OPAQUE_THRESHOLD, FinalImage, IntermediateImage
 from .instrument import ListTraceSink, Region, SegmentedTraceSink, TraceSink, WorkCounters
 from .fast import composite_frame_fast, render_fast, warp_frame_fast
-from .serial import RenderResult, ShearWarpRenderer
+from .serial import RenderResult, ShearWarpRenderer, renderer_for
 from .shading import NormalTable, PhongParameters, central_gradients, shade_volume
 from .warp import (
     final_pixel_source_lines,
@@ -40,6 +40,7 @@ __all__ = [
     "shade_volume",
     "RenderResult",
     "ShearWarpRenderer",
+    "renderer_for",
     "final_pixel_source_lines",
     "warp_coeffs",
     "warp_frame",

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..datasets import load
 from ..transforms import matrices
 from ..transforms.factorization import ShearWarpFactorization, factorize
-from ..volume.classify import TransferFunction
+from ..volume.classify import TransferFunction, transfer_function_for
 from ..volume.rle import RLEVolume, encode_all_axes
 from ..volume.volume import ClassifiedVolume
 from .compositing import composite_frame
@@ -26,7 +27,7 @@ from .image import FinalImage, IntermediateImage
 from .instrument import TraceSink, WorkCounters
 from .warp import warp_frame
 
-__all__ = ["RESIDENT_ENCODINGS", "RenderResult", "ShearWarpRenderer"]
+__all__ = ["RESIDENT_ENCODINGS", "RenderResult", "ShearWarpRenderer", "renderer_for"]
 
 #: Most ``(timestep, axis)`` encodings whose decoded slices one renderer
 #: keeps at a time (see :meth:`ShearWarpRenderer.rle_for`).  Not a knob:
@@ -205,3 +206,18 @@ class ShearWarpRenderer:
         if recorder is not None:
             recorder.span(obs_frame, "warp", t2, recorder.now())
         return RenderResult(final=final, intermediate=img, fact=fact, counters=counters)
+
+
+def renderer_for(dataset: str, scale: float, classification=None,
+                 elongate: float = 1.0) -> ShearWarpRenderer:
+    """A renderer (classified and encoded once) for paper data set
+    ``dataset`` at proxy ``scale``.
+
+    ``classification`` is a :func:`~repro.volume.classify.
+    transfer_function_for` spec; ``None`` picks by name: CT for a
+    ``ct*`` data set, MRI for any other.
+    """
+    if classification is None:
+        classification = "ct" if dataset.startswith("ct") else "mri"
+    tf = transfer_function_for(classification)
+    return ShearWarpRenderer(load(dataset, float(scale), elongate), tf)

@@ -43,8 +43,8 @@ Protocol operations (all request/response dicts):
     *k*'s planes are sections 2k and 2k+1), with their ``sha256`` and
     ``cached``/``coalesced`` flags.
 ``{"op": "animate", ..., "frames": N, "ry_step": d}``
-    N frames rotating about y — the batch-movie path; rendered through
-    ``pool.render_animation`` (one pipelined batch) and cached per
+    N frames rotating about y — the batch-movie path; rendered as one
+    ``submit_batch`` (:meth:`RenderServer._pool_render`) and cached per
     frame.
 ``{"op": "movie", ..., "frames": N, "timesteps": T}``
     N frames of the time-varying volume, frame *i* at timestep *i mod T*.
@@ -68,6 +68,8 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..parallel.poolcore import PoolConfig
+from ..render.serial import renderer_for
+from ..volume.classify import transfer_function_for
 from .admission import AdmissionController, ServerBusy
 from .cache import DEFAULT_FRAME_CACHE_CAPACITY, CachedFrame, FrameCache
 from .protocol import (
@@ -162,35 +164,16 @@ class ServeConfig:
 
 def _default_renderer_factory(dataset: str, scale: float, classification):
     """Build a classified + encoded renderer for one request identity."""
-    from ..datasets import load
-    from ..render.serial import ShearWarpRenderer
-    from ..volume import (
-        binary_transfer_function,
-        ct_transfer_function,
-        mri_transfer_function,
-    )
-
-    if classification == "mri":
-        tf = mri_transfer_function()
-    elif classification == "ct":
-        tf = ct_transfer_function()
-    elif (
-        isinstance(classification, (list, tuple))
-        and classification
-        and classification[0] == "binary"
-    ):
-        tf = binary_transfer_function(*[float(x) for x in classification[1:]])
-    else:
-        raise ValueError(f"unknown classification spec {classification!r}")
     if dataset == "beating_heart":
         # The time-varying phantom: ``scale`` shrinks the base grid
         # linearly (it is not in the paper-dataset registry).
         from ..movie import beating_heart_renderer
 
         return beating_heart_renderer(
-            float(scale), timesteps=DEFAULT_MOVIE_TIMESTEPS, tf=tf
+            float(scale), timesteps=DEFAULT_MOVIE_TIMESTEPS,
+            tf=transfer_function_for(classification),
         )
-    return ShearWarpRenderer(load(dataset, float(scale)), tf)
+    return renderer_for(dataset, scale, classification)
 
 
 class RenderServer:

@@ -6,6 +6,7 @@ from .classify import (
     binary_transfer_function,
     ct_transfer_function,
     mri_transfer_function,
+    transfer_function_for,
 )
 from .rle import BYTES_PER_RUN, BYTES_PER_VOXEL, RLEVolume, encode, encode_all_axes
 from .volume import ClassifiedVolume
@@ -16,6 +17,7 @@ __all__ = [
     "binary_transfer_function",
     "ct_transfer_function",
     "mri_transfer_function",
+    "transfer_function_for",
     "BYTES_PER_RUN",
     "BYTES_PER_VOXEL",
     "RLEVolume",

@@ -22,6 +22,7 @@ __all__ = [
     "mri_transfer_function",
     "ct_transfer_function",
     "binary_transfer_function",
+    "transfer_function_for",
     "OPACITY_EPSILON",
 ]
 
@@ -114,3 +115,23 @@ def binary_transfer_function(threshold: float = 128, opacity: float = 1.0) -> Tr
         ambient=0.0,
         diffuse=1.0,
     )
+
+
+def transfer_function_for(classification) -> TransferFunction:
+    """The transfer function a classification spec names: ``"mri"``,
+    ``"ct"``, or ``["binary", threshold, opacity]`` (both optional).
+
+    Specs arrive from outside (a serve request), so an unknown one is a
+    ``ValueError``.
+    """
+    if classification == "mri":
+        return mri_transfer_function()
+    if classification == "ct":
+        return ct_transfer_function()
+    if (
+        isinstance(classification, (list, tuple))
+        and classification
+        and classification[0] == "binary"
+    ):
+        return binary_transfer_function(*[float(x) for x in classification[1:]])
+    raise ValueError(f"unknown classification spec {classification!r}")

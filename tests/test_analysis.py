@@ -17,8 +17,7 @@ from repro.analysis.workingset import (
 )
 from repro.core import OldParallelShearWarp
 from repro.datasets import mri_brain
-from repro.memsim import ccnuma_sim
-from repro.parallel import simulate_frame
+from repro.memsim import ccnuma_sim, simulate_frame
 from repro.render import ShearWarpRenderer
 from repro.volume import mri_transfer_function
 

@@ -1,7 +1,10 @@
 """Architecture guards over ``src/repro`` (AST walks, plus two checks of
-the public configuration surface).
+the public configuration surface and one of what the native stack
+loads).
 
-The pool stack is one core (:mod:`repro.parallel.poolcore`) plus two
+The package is two halves over shared layers: the native render stack
+and the paper's simulator, neither importing the other.  The pool stack
+is one core (:mod:`repro.parallel.poolcore`) plus two
 transports; these checks keep it that way: no module reaches into
 another module's underscore-private names, the transports do not import
 each other, the frame lifecycle is written exactly once, a process
@@ -14,7 +17,10 @@ loop, and they do not steal.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,6 +28,18 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 PARALLEL = SRC / "parallel"
+
+#: The two halves of the package.  Both build on the shared layers
+#: (``transforms``, ``datasets``, ``volume``, ``render`` and
+#: :data:`SHARED_CORE`); neither imports the other, and a shared layer
+#: imports neither.
+HALVES = {
+    "native": {"parallel", "shard", "serve", "movie", "obs"},
+    "simulator": {"memsim", "analysis", "core"},
+}
+#: The two modules of ``core`` below both halves: the partitioner and
+#: the scanline profile the pools plan with.
+SHARED_CORE = {"partition", "profiling"}
 
 
 def _private(name: str) -> bool:
@@ -154,6 +172,120 @@ def test_the_fleet_knows_no_backend():
                 assert not names & {"mp", "thread"}, (path.name, node.lineno)
 
 
+def _half(module: str) -> str | None:
+    """The half a dotted ``repro.…`` module (or name in one) belongs to;
+    ``None`` for the shared layers and the top-level package."""
+    parts = module.split(".")[1:3]
+    if not parts or (parts[0] == "core" and parts[1:] and parts[1] in SHARED_CORE):
+        return None
+    return next((half for half, pkgs in HALVES.items() if parts[0] in pkgs), None)
+
+
+def _repro_imports(source: str, package: str) -> list[tuple[int, str]]:
+    """``(line, dotted name)`` of every ``repro`` import in a module of
+    ``package``, at module level or inside a function, relative imports
+    resolved: ``from ..core import partition`` in ``repro.parallel`` is
+    ``repro.core.partition``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = package.split(".")
+            base = base[:len(base) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            found += [(node.lineno, f"{module}.{a.name}") for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+    return [(line, name) for line, name in found if name.startswith("repro.")]
+
+
+def _cross_half_imports(source: str, module: str, package: str) -> list[str]:
+    """The imports by which ``module`` reaches a half it is not in."""
+    own = _half(module)
+    return [
+        f"{module}:{line}: {name}" for line, name in _repro_imports(source, package)
+        if _half(name) not in (None, own)
+    ]
+
+
+def test_the_halves_do_not_import_each_other():
+    """The native stack and the simulator share only the layers below
+    them: no module of one half imports the other, whether at module
+    level or inside a function, and a shared module imports neither.
+    The front doors above both (``repro/__init__.py``, ``cli.py``) may
+    import either."""
+    hits = []
+    for path in sorted(SRC.glob("*/*.py")):
+        rel = path.relative_to(SRC.parent).with_suffix("")
+        module = ".".join(rel.parts)
+        package = ".".join(rel.parts[:-1])
+        hits += _cross_half_imports(path.read_text(), module, package)
+    assert not hits, "imports across the halves:\n" + "\n".join(hits)
+
+
+def test_the_halves_rule_sees_both_directions_and_function_imports():
+    """The forms the rule must catch: a simulator module importing the
+    native stack inside a function, a native module importing the
+    simulator at module level, a shared layer importing a half; and
+    what it must let through: the shared layers and ``core``'s shared
+    modules, however they are spelled."""
+    caught = (
+        ("repro.analysis.harness", "repro.analysis",
+         "def f():\n    from ..obs import SpanRecorder\n"),
+        ("repro.parallel.poolcore", "repro.parallel",
+         "from ..memsim.execution import simulate_frame\n"),
+        ("repro.shard.service", "repro.shard", "import repro.core.frame\n"),
+        ("repro.render.serial", "repro.render", "from ..parallel import poolcore\n"),
+    )
+    for module, package, source in caught:
+        assert len(_cross_half_imports(source, module, package)) == 1, source
+    allowed = (
+        "from ..core.partition import contiguous_partition\n"
+        "from ..core import profiling\n"
+        "from ..render.serial import renderer_for\n"
+        "from . import poolcore\n"
+        "from .. import __version__\n"
+    )
+    assert _cross_half_imports(allowed, "repro.parallel.x", "repro.parallel") == []
+
+
+def test_no_import_hides_behind_type_checking():
+    """An import cycle is broken by moving a module, not by importing
+    for annotations only."""
+    hits = [
+        f"{p.relative_to(SRC)}:{n.lineno}" for p in sorted(SRC.rglob("*.py"))
+        for n in ast.walk(ast.parse(p.read_text()))
+        if "TYPE_CHECKING" in {getattr(n, a, None) for a in ("id", "attr", "name")}
+    ]
+    assert not hits
+
+
+def test_the_native_stack_loads_no_simulator():
+    """Importing the native packages and rendering a frame through
+    :func:`repro.open_pool` loads no ``repro.memsim`` or
+    ``repro.analysis`` module (a fresh interpreter, so nothing the
+    suite imported counts)."""
+    code = (
+        "import sys\n"
+        "import repro, repro.parallel, repro.shard, repro.serve, repro.movie\n"
+        "from repro.datasets import mri_brain\n"
+        "from repro.render import ShearWarpRenderer\n"
+        "from repro.volume import mri_transfer_function\n"
+        "renderer = ShearWarpRenderer(mri_brain((16, 16, 12)),\n"
+        "                             mri_transfer_function())\n"
+        "with repro.open_pool(renderer, n_procs=1, backend='thread') as pool:\n"
+        "    pool.render(renderer.view_from_angles(20, 30, 0))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('repro.memsim', 'repro.analysis'))))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "[]"
+
+
 #: Written once, in the core — a transport that re-defines one of these
 #: has forked the frame lifecycle again.
 LIFECYCLE = (
@@ -275,7 +407,7 @@ def test_one_config_class_with_seven_fields():
     import repro
 
     assert len(fields(repro.PoolConfig)) == 7
-    assert repro.__version__ == "9.0.0"
+    assert repro.__version__ == "10.0.0"
     with pytest.raises(AttributeError):
         repro.ShardConfig
     for name in ("render_frame", "BackendCapabilities"):

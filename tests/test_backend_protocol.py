@@ -24,8 +24,6 @@ from repro.parallel import (
 )
 from repro.shard import ShardedRenderService
 
-from .conftest import assert_frames_identical, serial_refs
-
 
 def _views(renderer, n):
     return [renderer.view_from_angles(20, 30 + 3 * i, 0) for i in range(n)]
@@ -53,50 +51,6 @@ class TestProtocolConformance:
         cfg = PoolConfig(n_procs=2, backend="thread", trace=True)
         with repro.open_pool(renderer, config=cfg) as pool:
             assert pool.trace is True
-
-    @pytest.mark.parametrize("overrides", POOL_SHAPES)
-    def test_submit_batch_result_roundtrip(self, renderer, overrides):
-        views = _views(renderer, 3)
-        specs = [FrameSpec(view=v) for v in views]
-        with repro.open_pool(renderer, **overrides) as pool:
-            ids = pool.submit_batch(specs)
-            assert len(ids) == len(specs)
-            # Out-of-order collection is part of the contract.
-            results = {f: pool.result(f) for f in reversed(ids)}
-        assert_frames_identical([results[f] for f in ids],
-                                serial_refs(renderer, views))
-
-    @pytest.mark.parametrize("overrides", POOL_SHAPES)
-    def test_bare_views_accepted(self, renderer, overrides):
-        """``as_frame_specs`` wraps naked views, so pre-protocol call
-        sites keep working through the new seam."""
-        views = _views(renderer, 2)
-        with repro.open_pool(renderer, **overrides) as pool:
-            results = [pool.result(f) for f in pool.submit_batch(views)]
-        assert_frames_identical(results, serial_refs(renderer, views))
-
-    @pytest.mark.parametrize("overrides", POOL_SHAPES)
-    def test_submit_on_a_closed_backend_raises_from_submit(self, renderer,
-                                                           overrides):
-        """A closed backend refuses work at the submit call itself, not
-        later from ``result()``."""
-        pool = repro.open_pool(renderer, **overrides)
-        pool.close()
-        with pytest.raises(repro.PoolClosed):
-            pool.submit_batch(_views(renderer, 2))
-
-    @pytest.mark.parametrize("overrides", POOL_SHAPES)
-    def test_render_selects_a_timestep(self, overrides):
-        from repro.movie import beating_heart_renderer
-        from repro.render.fast import render_fast
-
-        heart = beating_heart_renderer(0.25, timesteps=3)
-        view = heart.view_from_angles(20, 30, 0)
-        with repro.open_pool(heart, **overrides) as pool:
-            for t in (2, 0):
-                res = pool.render(view, timestep=t)
-                ref = render_fast(heart, view, timestep=t)
-                assert_frames_identical([res], [ref])
 
     def test_as_frame_specs_passthrough(self, renderer):
         view = renderer.view_from_angles(20, 30, 0)

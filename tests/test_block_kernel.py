@@ -632,7 +632,7 @@ class TestBlockKernelFrames:
         from repro.core.new_renderer import NewParallelShearWarp
         from repro.core.old_renderer import OldParallelShearWarp
         from repro.memsim.machine import MACHINES
-        from repro.parallel.execution import simulate_frame
+        from repro.memsim.execution import simulate_frame
 
         for cls in (OldParallelShearWarp, NewParallelShearWarp):
             with pytest.raises(TypeError, match="kernel"):
@@ -644,10 +644,8 @@ class TestBlockKernelFrames:
         assert simulate_frame(frame, MACHINES["dash"]()).total_time > 0
 
     def test_harness_simulate_guard(self):
-        """Nor do the harness entry points: a kernel is not a key."""
-        from repro.analysis.harness import simulate, traced_frames
+        """Nor does the harness: a kernel is not a key."""
+        from repro.analysis.harness import simulate
 
         with pytest.raises(TypeError, match="kernel"):
             simulate("mri128", "new", "dash", 2, scale=0.1, kernel="block")
-        with pytest.raises(TypeError, match="kernel"):
-            traced_frames("mri128", "new", 2, scale=0.1, kernel="block")

@@ -103,7 +103,9 @@ class TestFrames:
             assert isinstance(pool, RenderBackend)
             # Deeper than the process pool's shared image buffers.
             assert len(views) > getattr(pool, "buffers", 0)
-            ids = pool.submit_batch([FrameSpec(v) for v in views])
+            # Every other view goes bare: ``as_frame_specs`` wraps it.
+            ids = pool.submit_batch([FrameSpec(v) if i % 2 else v
+                                     for i, v in enumerate(views)])
             got = {f: pool.result(f) for f in reversed(ids)}
             # A collected frame is gone; so is one never submitted.
             for frame in (ids[0], max(ids) + 100):

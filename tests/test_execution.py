@@ -5,8 +5,7 @@ import pytest
 
 from repro.core import NewParallelShearWarp, OldParallelShearWarp
 from repro.datasets import mri_brain
-from repro.memsim import ccnuma_sim, challenge, dash
-from repro.parallel import simulate_animation, simulate_frame
+from repro.memsim import ccnuma_sim, challenge, dash, simulate_animation, simulate_frame
 from repro.render import ShearWarpRenderer
 from repro.volume import mri_transfer_function
 

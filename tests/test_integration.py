@@ -5,9 +5,8 @@ import pytest
 
 from repro.core import NewParallelShearWarp, OldParallelShearWarp
 from repro.datasets import ct_head, empty_volume, mri_brain, random_blobs
-from repro.memsim import ccnuma_sim, dash
+from repro.memsim import ccnuma_sim, dash, simulate_animation, simulate_frame
 from repro.memsim.svm import SVMConfig, SVMSimulator, simulate_frame_svm
-from repro.parallel import simulate_animation, simulate_frame
 from repro.render import ShearWarpRenderer
 from repro.volume import ct_transfer_function, mri_transfer_function
 

@@ -400,16 +400,31 @@ class TestRendererRecorders:
         assert_frames_identical([got], [ref])
 
     def test_traced_frames_harness(self):
-        from repro.analysis.harness import traced_frames
+        """A recorder threads through the simulator's frame factories as
+        it does through the serial renderer: one timeline per recorded
+        frame, with that algorithm's phases."""
+        from repro.analysis.harness import DEFAULT_VIEW, ROTATION_STEP, get_renderer
+        from repro.core import NewParallelShearWarp, OldParallelShearWarp, ProfileSchedule
 
-        frames, tls = traced_frames("mri128", "new", 2, n_frames=2,
-                                    scale=0.1, profile_period=1)
+        renderer = get_renderer("mri128", 0.1)
+        rx, ry, rz = DEFAULT_VIEW
+        views = [renderer.view_from_angles(rx, ry + i * ROTATION_STEP, rz)
+                 for i in range(2)]
+
+        def traced(factory_cls, n_frames, **kw):
+            rec = SpanRecorder.in_memory()
+            factory = factory_cls(renderer, 2, recorder=rec, **kw)
+            frames = [factory.render_frame(v) for v in views[:n_frames]]
+            reader = RingReader(rec.cursor, rec.records, pid=0)
+            return frames, assemble_timelines([reader])
+
+        frames, tls = traced(NewParallelShearWarp, 2,
+                             profile_schedule=ProfileSchedule(period=1))
         assert len(frames) == 2
         assert [tl.frame for tl in tls] == [0, 1]
         phases = tls[0].phase_seconds()
         assert phases.keys() >= {"decode", "composite", "profile", "warp"}
-        frames_old, tls_old = traced_frames("mri128", "old", 2, n_frames=1,
-                                            scale=0.1)
+        frames_old, tls_old = traced(OldParallelShearWarp, 1)
         assert "composite" in tls_old[0].phase_seconds()
 
 

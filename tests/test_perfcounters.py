@@ -4,9 +4,8 @@ import pytest
 
 from repro.core import OldParallelShearWarp
 from repro.datasets import mri_brain
-from repro.memsim import origin2000
+from repro.memsim import origin2000, simulate_frame
 from repro.memsim.perfcounters import COUNTER_LIMITS, sample_counters
-from repro.parallel import simulate_frame
 from repro.render import ShearWarpRenderer
 from repro.volume import mri_transfer_function
 

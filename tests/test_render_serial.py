@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import empty_volume, mri_brain, solid_sphere
+from repro.datasets import empty_volume, load, mri_brain, solid_sphere
 from repro.render import (
     FinalImage,
     IntermediateImage,
@@ -15,10 +15,16 @@ from repro.render import (
     WorkCounters,
     composite_frame,
     nonempty_scanline_bounds,
+    renderer_for,
     warp_frame,
 )
 from repro.transforms import view_matrix
-from repro.volume import binary_transfer_function, mri_transfer_function
+from repro.volume import (
+    binary_transfer_function,
+    ct_transfer_function,
+    mri_transfer_function,
+    transfer_function_for,
+)
 
 from .conftest import assert_frames_identical
 
@@ -194,3 +200,59 @@ class TestImages:
         start, nbytes = img.pixel_byte_range(2, 3, 7)
         assert start == (2 * 10 + 3) * 8
         assert nbytes == 4 * 8
+
+
+def _same_renderer(got, want):
+    """Same voxels, classified the same: the renderer keeps no transfer
+    function, so its classified fields are where one shows."""
+    for name in ("raw", "opacity", "color"):
+        assert np.array_equal(getattr(got.classified, name),
+                              getattr(want.classified, name)), name
+
+
+class TestRendererFor:
+    """One factory builds the renderers of ``repro render``, the
+    simulator's harness and the render server, each the one that caller
+    built for itself before."""
+
+    @pytest.mark.parametrize("dataset", ["mri128", "ct128"])
+    def test_the_by_prefix_rule(self, dataset):
+        """``classification=None``: CT for a ``ct*`` set, MRI otherwise
+        (the CLI's and the harness's renderer, elongation included)."""
+        from repro.analysis.harness import get_renderer
+
+        tf = (ct_transfer_function() if dataset.startswith("ct")
+              else mri_transfer_function())
+        for elongate in (1.0, 1.5):
+            want = ShearWarpRenderer(load(dataset, 0.08, elongate), tf)
+            _same_renderer(renderer_for(dataset, 0.08, elongate=elongate), want)
+            _same_renderer(get_renderer(dataset, 0.08, elongate), want)
+
+    @pytest.mark.parametrize("spec,tf", [
+        ("mri", mri_transfer_function()),
+        ("ct", ct_transfer_function()),
+        (["binary", 60.0, 0.8], binary_transfer_function(60.0, 0.8)),
+        (["binary"], binary_transfer_function()),
+    ], ids=["mri", "ct", "binary", "binary-defaults"])
+    def test_a_classification_spec(self, spec, tf):
+        """A named spec overrides the prefix (the server's renderer)."""
+        from repro.serve.server import _default_renderer_factory
+
+        got = transfer_function_for(spec)
+        assert (got.opacity_points, got.ambient, got.diffuse) == (
+            tf.opacity_points, tf.ambient, tf.diffuse)
+        want = ShearWarpRenderer(load("ct128", 0.08), tf)
+        _same_renderer(renderer_for("ct128", 0.08, spec), want)
+        _same_renderer(_default_renderer_factory("ct128", 0.08, spec), want)
+
+    @pytest.mark.parametrize("spec", ["nope", ["gamma", 1.0], [], 3])
+    def test_an_unknown_spec_is_a_value_error(self, spec):
+        """A spec comes from outside (a serve request): a typed error,
+        before any volume is built."""
+        from repro.serve.server import _default_renderer_factory
+
+        for build in (renderer_for, _default_renderer_factory):
+            with pytest.raises(ValueError, match="classification"):
+                build("mri128", 0.08, spec)
+        with pytest.raises(ValueError, match="classification"):
+            _default_renderer_factory("beating_heart", 0.5, spec)

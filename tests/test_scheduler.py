@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.scheduler import ProcSchedule, ScheduleResult, Unit, schedule
+from repro.memsim.schedule import ProcSchedule, ScheduleResult, Unit, schedule
 
 
 def units(costs, start=0):

@@ -7,8 +7,8 @@ from repro.core.frame import TaskRecord
 from repro.memsim.address import AddressSpace
 from repro.memsim.coherence import CoherentSystem
 from repro.memsim.machine import ccnuma_sim
+from repro.memsim.schedule import ProcSchedule, ScheduleResult
 from repro.memsim.trace import build_streams, replay_interleaved, stream_page_sets
-from repro.parallel.scheduler import ProcSchedule, ScheduleResult
 from repro.render import WorkCounters
 
 
