@@ -1,8 +1,13 @@
-"""The paper's contribution: old vs new parallel shear-warp partitioning."""
+"""The paper's contribution: old vs new parallel shear-warp partitioning.
 
-from .frame import COMPOSITE, WARP, ParallelFrame, TaskRecord
-from .new_renderer import DEFAULT_STEAL_CHUNK, NewParallelShearWarp
-from .old_renderer import DEFAULT_CHUNK, DEFAULT_TILE, OldParallelShearWarp
+The partitioning and profiling modules are shared with the native pools
+and load with the package.  The simulator's instrumented renderers
+(``frame``, ``new_renderer``, ``old_renderer``) load on first use of one
+of their names (PEP 562), so a native pool never imports them.
+"""
+
+import importlib
+
 from .partition import (
     contiguous_partition,
     interleaved_chunks,
@@ -17,6 +22,29 @@ from .profiling import (
     ScanlineProfile,
     scanline_cost,
 )
+
+#: The simulator's names, by the submodule that defines them.
+_LAZY = {
+    "COMPOSITE": "frame",
+    "WARP": "frame",
+    "ParallelFrame": "frame",
+    "TaskRecord": "frame",
+    "DEFAULT_STEAL_CHUNK": "new_renderer",
+    "NewParallelShearWarp": "new_renderer",
+    "DEFAULT_CHUNK": "old_renderer",
+    "DEFAULT_TILE": "old_renderer",
+    "OldParallelShearWarp": "old_renderer",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "COMPOSITE",

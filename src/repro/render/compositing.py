@@ -238,16 +238,18 @@ def nonempty_scanline_bounds(
     top and bottom of the intermediate image overlap only empty volume,
     so it determines the written region first and composites (and
     profiles) only that.  The old algorithm blindly walks all scanlines.
+
+    O(nk) per view: ``j + v_off[k]`` rounds monotonically in ``j``, so
+    its extremes over every non-empty ``(k, j)`` are those over each
+    non-empty slice's first and last non-empty ``j``
+    (:attr:`RLEVolume.nonempty_rows`, cached per encoding).
     """
-    nj, nk = rle.nj, rle.nk
-    nonempty = rle.vox_count > 0  # (nk, nj)
-    ks, js = np.nonzero(nonempty)
+    ks, j_first, j_last = rle.nonempty_rows
     if len(ks) == 0:
         return 0, 0
     _, v_off = fact.slice_offsets(ks)
-    v_centers = js + v_off
-    v_lo = int(np.floor(v_centers.min()))
-    v_hi = int(np.ceil(v_centers.max() + 1.0)) + 1
+    v_lo = int(np.floor((j_first + v_off).min()))
+    v_hi = int(np.ceil((j_last + v_off).max() + 1.0)) + 1
     return max(0, v_lo), min(fact.intermediate_shape[0], v_hi)
 
 

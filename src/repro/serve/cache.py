@@ -56,9 +56,10 @@ class CachedFrame:
         alpha = np.ascontiguousarray(alpha, dtype=np.float32)
         color.setflags(write=False)
         alpha.setflags(write=False)
+        # The C-contiguous planes are their own bytes: hash them in place.
         digest = hashlib.sha256()
-        digest.update(color.tobytes())
-        digest.update(alpha.tobytes())
+        digest.update(color)
+        digest.update(alpha)
         return cls(color=color, alpha=alpha, sha256=digest.hexdigest())
 
     @property

@@ -197,6 +197,24 @@ class RLEVolume:
     def nk(self) -> int:
         return self.shape_ijk[2]
 
+    @property
+    def nonempty_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ks, j_first, j_last)``: the slices ``ks`` holding any
+        non-transparent voxel, and in each its first and last non-empty
+        scanline ``j`` — what the non-empty band of every view is cut
+        from, computed once per encoding (two threads racing here
+        compute the same arrays)."""
+        rows = self.__dict__.get("_nonempty_rows")
+        if rows is None:
+            nonempty = self.vox_count > 0  # (nk, nj)
+            ks = np.flatnonzero(nonempty.any(axis=1))
+            hit = nonempty[ks]
+            j_first = hit.argmax(axis=1)
+            j_last = self.nj - 1 - hit[:, ::-1].argmax(axis=1)
+            rows = (ks, j_first, j_last)
+            object.__setattr__(self, "_nonempty_rows", rows)
+        return rows
+
     # -- decoding ------------------------------------------------------------
 
     def scanline_runs(self, k: int, j: int) -> np.ndarray:

@@ -259,11 +259,17 @@ def test_no_import_hides_behind_type_checking():
     assert not hits
 
 
+#: The simulator's modules, as prefixes of ``sys.modules`` names: its
+#: packages, and the instrumented renderers of ``repro.core`` (whose
+#: ``partition`` and ``profiling`` the native pools share).
+SIMULATOR_MODULES = ("repro.memsim", "repro.analysis", "repro.core.frame",
+                     "repro.core.new_renderer", "repro.core.old_renderer")
+
+
 def test_the_native_stack_loads_no_simulator():
     """Importing the native packages and rendering a frame through
-    :func:`repro.open_pool` loads no ``repro.memsim`` or
-    ``repro.analysis`` module (a fresh interpreter, so nothing the
-    suite imported counts)."""
+    :func:`repro.open_pool` loads none of :data:`SIMULATOR_MODULES` (a
+    fresh interpreter, so nothing the suite imported counts)."""
     code = (
         "import sys\n"
         "import repro, repro.parallel, repro.shard, repro.serve, repro.movie\n"
@@ -275,7 +281,7 @@ def test_the_native_stack_loads_no_simulator():
         "with repro.open_pool(renderer, n_procs=1, backend='thread') as pool:\n"
         "    pool.render(renderer.view_from_angles(20, 30, 0))\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('repro.memsim', 'repro.analysis'))))\n"
+        f"             if m.startswith({SIMULATOR_MODULES!r})))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC.parent),
                                          os.environ.get("PYTHONPATH")]))

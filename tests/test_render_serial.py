@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.datasets import empty_volume, load, mri_brain, solid_sphere
 from repro.render import (
@@ -18,8 +19,9 @@ from repro.render import (
     renderer_for,
     warp_frame,
 )
-from repro.transforms import view_matrix
+from repro.transforms import factorize, view_matrix
 from repro.volume import (
+    RLEVolume,
     binary_transfer_function,
     ct_transfer_function,
     mri_transfer_function,
@@ -100,6 +102,40 @@ class TestCompositing:
         assert len(written) > 0
         assert v_lo <= written.min()
         assert v_hi >= written.max() + 1
+
+    @settings(max_examples=200)
+    @given(
+        data=st.data(),
+        shape=st.tuples(*[st.integers(1, 9)] * 3),
+        angles=st.tuples(*[st.floats(-180.0, 180.0)] * 3),
+    )
+    def test_nonempty_bounds_equal_the_bound_over_every_voxel_row(
+            self, data, shape, angles):
+        """The per-slice first and last non-empty rows give exactly the
+        bound taken over every non-empty ``(k, j)`` row — empty slices
+        and an empty volume (``(0, 0)``) included."""
+        fact = factorize(view_matrix(*angles, shape), shape)
+        ni, nj, nk = (shape[p] for p in fact.perm)
+        empty = data.draw(st.booleans())
+        counts = np.zeros((nk, nj), np.int32) if empty else data.draw(
+            arrays(np.int32, (nk, nj), elements=st.integers(0, ni)))
+        none = np.zeros(0, np.int32)
+        rle = RLEVolume(
+            axis=fact.axis, shape_ijk=(ni, nj, nk), run_lengths=none,
+            run_start=np.zeros((nk, nj), np.int64), run_count=counts,
+            voxel_opacity=none, voxel_color=none,
+            vox_start=np.zeros((nk, nj), np.int64), vox_count=counts,
+        )
+        # The bound as first written: over every non-empty voxel row.
+        ks, js = np.nonzero(counts > 0)
+        want = (0, 0)
+        if len(ks):
+            v_centers = js + fact.slice_offsets(ks)[1]
+            want = (max(0, int(np.floor(v_centers.min()))),
+                    min(fact.intermediate_shape[0],
+                        int(np.ceil(v_centers.max() + 1.0)) + 1))
+        assert nonempty_scanline_bounds(rle, fact) == want
+        assert nonempty_scanline_bounds(rle, fact) == want  # cached rows
 
     def test_counters_accumulate(self, brain_renderer):
         c = WorkCounters()
