@@ -96,8 +96,7 @@ def open_pool(renderer, config=None, **overrides):
     bit-identical frames behind the same pool API.  One frame is
     ``open_pool(...)`` plus ``render(view)``; keep the pool for the next
     one, so fork, shared-memory setup and the first slice decodes are
-    paid once and a banded frame's band times have a next frame to
-    balance.
+    paid once.
     """
     from .parallel import POOL_CLASSES, PoolConfig
 

@@ -397,8 +397,8 @@ class MPRenderPool(PoolCore):
         #: renders in buffer ``f % buffers``, behind frame ``f - buffers``
         #: if that still holds it.  Two per worker, so a worker dealt
         #: every ``n_procs``-th frame of a batch alternates between two
-        #: of its own, and a banded stream's frame ``n + 1`` never waits
-        #: for frame ``n``.  Derived, not a setting.  An occupant's
+        #: of its own, and a one-frame stream's frame ``n + 1`` never
+        #: waits for frame ``n``.  Derived, not a setting.  An occupant's
         #: retirement re-zeroes what it wrote (``_release_locked``), so a
         #: released buffer is always clean.
         self.buffers = 2 * self.n_procs

@@ -105,12 +105,12 @@ class TestBatchedBitIdentity:
         writes a pipe with the pool condition held and a gated worker
         reads nothing until a release that needs that condition, so
         what cannot start yet has to wait in the parent — also when
-        worker 0 is SIGKILLed on frame 1 with 198 frames behind it,
-        where a blocked write would keep the supervisor from ever
-        seeing the death."""
+        worker 1 is SIGKILLed on frame 1 (dealt to it: worker 0 holds
+        frame 0) with 198 frames behind it, where a blocked write would
+        keep the supervisor from ever seeing the death."""
         if how == "killed":
             monkeypatch.setattr(poolcore, "TEST_FAULT",
-                                (0, 1, "kill", "composite"))
+                                (1, 1, "kill", "composite"))
         views = [renderer.view_from_angles(20, 30 + 0.4 * i, 0)
                  for i in range(200)]
         done, counters = [], {}

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import repro
-import repro.parallel.poolcore as poolcore
 from repro.core.partition import contiguous_partition
 from repro.core.profiling import scanline_cost
 from repro.datasets import density_wedge, solid_sphere
@@ -17,7 +16,7 @@ from repro.render.fast import render_fast
 from repro.render.image import IntermediateImage
 from repro.volume import binary_transfer_function, mri_transfer_function
 
-from .conftest import assert_frames_identical, serial_refs
+from .conftest import assert_frames_identical, fail_composite, serial_refs
 
 
 def _render(renderer, view, **overrides):
@@ -67,20 +66,11 @@ class TestPoolErrors:
                                                       monkeypatch):
         """Frame n failing must not poison frame n+1 already in flight.
 
-        The compositing kernel is patched to blow up on each worker's
-        *first* call only; the patch reaches the workers through fork, so
-        frame 0 fails in every worker while frames 1+ render normally.
+        Compositing is patched to blow up on frame 0 alone; the patch
+        reaches the workers through fork, so frame 0 fails on whichever
+        worker it is dealt to while frames 1+ render normally.
         """
-        real = poolcore.composite_scanline_block
-        calls = {"n": 0}  # per-process after fork: each worker counts its own
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("injected compositing failure")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(poolcore, "composite_scanline_block", flaky)
+        fail_composite(monkeypatch, None, frame=0, once=False)
         v0 = renderer.view_from_angles(20, 30, 0)
         v1 = renderer.view_from_angles(20, 33, 0)
         v2 = renderer.view_from_angles(20, 36, 0)
@@ -94,12 +84,12 @@ class TestPoolErrors:
             res1 = pool.result(f1)
             assert_frames_identical([res1], serial_refs(renderer, [v1]))
             # The failed frame raises from its *own* result call...
-            with pytest.raises(RuntimeError, match="injected compositing"):
+            with pytest.raises(RuntimeError, match="injected composite"):
                 pool.result(f0)
             # ...idempotently: a re-poll (the serve layer's per-client
             # retry/report path) re-raises the same typed error rather
             # than decaying into KeyError.
-            with pytest.raises(RuntimeError, match="injected compositing"):
+            with pytest.raises(RuntimeError, match="injected composite"):
                 pool.result(f0)
             # The pool (and the failed frame's buffer) stays usable.
             res2 = pool.render(v2)
@@ -146,7 +136,7 @@ def _flat(res, n_procs):
 
 
 class TestAdaptivePartition:
-    def test_adaptive_bit_identical_to_uniform(self):
+    def test_adaptive_bit_identical_to_uniform(self, banded):
         """Profile-balanced partitions only move scanlines between
         workers — the animation's images must match the serial render
         (and so the flat cut's) bit for bit, even though the
@@ -170,13 +160,13 @@ class TestAdaptivePartition:
         assert any(not np.array_equal(a.boundaries, _flat(a, 3))
                    for a in ada[1:])
 
-    def test_profile_partition_evens_out_counted_work(self):
+    def test_profile_partition_evens_out_counted_work(self, banded):
         """The paper's section 4.3 claim as a count, not a timing: on the
         skewed wedge, the work the reference kernel *counts* inside each
         worker's band is spread more evenly over the workers on frames
         cut from band times than by the flat cut of the same frames'
-        bands.  Frames are rendered one at a time, so every
-        frame after the first is cut from the one before."""
+        bands.  Frames are rendered one at a time and cut banded, so
+        every frame after the first is cut from the one before."""
         renderer = ShearWarpRenderer(density_wedge(WEDGE),
                                      mri_transfer_function())
         views = [renderer.view_from_angles(18, 8 + 3 * i, 0)
@@ -208,7 +198,7 @@ class TestAdaptivePartition:
         assert res.busy_s is not None and res.busy_s.shape == (2,)
         assert np.all(res.busy_s >= 0)
 
-    def test_axis_switch_invalidates_profile(self, renderer):
+    def test_axis_switch_invalidates_profile(self, renderer, banded):
         """Crossing a principal-axis boundary must drop the band times
         and cut the flat frame a key starts with: the old profile's scanline coordinates
         no longer exist in the new intermediate image."""

@@ -198,7 +198,9 @@ class TestMPTracing:
     def _views(self, renderer, n):
         return [renderer.view_from_angles(20, 30 + 3 * i, 0) for i in range(n)]
 
-    def test_traced_animation_exports_valid_trace(self, renderer, tmp_path):
+    def test_traced_animation_exports_valid_trace(self, renderer, tmp_path,
+                                                  banded):
+        # Banded frames, so both workers trace every frame.
         views = self._views(renderer, 3)
         with repro.open_pool(renderer, n_procs=2, trace=True) as pool:
             results = [pool.result(pool.submit(v)) for v in views]
